@@ -29,8 +29,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.cluster.cluster import StorageCluster
-from repro.errors import InvalidArgument, QosRejected, RpcTimeout
+from repro.errors import InvalidArgument, RpcTimeout
 from repro.net import Connection, RemoteClient, wire
+from repro.sim import exponential_backoff_ns
 
 __all__ = ["ClusterClient"]
 
@@ -47,22 +48,18 @@ class ClusterClient:
         self.max_failover_retries = max_failover_retries
         self.retry_backoff_ns = retry_backoff_ns
         self.max_qos_retries = max_qos_retries
-        #: EAGAIN sleeps actually taken across all routed ops.
-        self.qos_backoffs = 0
         # One logical client is one tenant on every target it talks to
         # (default: the client name, when any target has QoS armed).
         if tenant is None and any(t.kernel.qos is not None
                                   for t in cluster.targets):
             tenant = name
         self.tenant = tenant
-        self.conns: Dict[int, Connection] = {}
         self.remotes: Dict[int, RemoteClient] = {}
         for target in cluster.targets:
             conn = Connection(cluster.fabric,
                               f"{name}-t{target.target_id}",
                               window=window, **conn_kwargs)
             target.attach(conn, tenant=tenant)
-            self.conns[target.target_id] = conn
             self.remotes[target.target_id] = RemoteClient(
                 conn, max_qos_retries=max_qos_retries)
         #: key -> (version, value) of the latest *acknowledged* PUT:
@@ -76,13 +73,17 @@ class ClusterClient:
         self.chain_ids: Dict[int, int] = {}
         self._chain_setup = None
 
+    @property
+    def qos_backoffs(self) -> int:
+        """EAGAIN sleeps actually taken, summed over every target."""
+        return sum(remote.qos_backoffs for remote in self.remotes.values())
+
     # -- KV operations -------------------------------------------------
 
     def put(self, key: int, value: int):
         """Replicated PUT (generator): returns the stamped version."""
-        body = yield from self._call_routed(key, wire.OP_PUT,
-                                            wire.encode_put(key, value))
-        version = wire.decode_put_reply(body)
+        (version,) = yield from self._routed(
+            key, lambda t: self.remotes[t].rpc(wire.OP_PUT, key, value))
         self.acked[key] = (version, value)
         return version
 
@@ -92,55 +93,42 @@ class ClusterClient:
         Checks the reply against the read-your-writes obligation and
         counts violations in ``stale_reads``.
         """
-        body = yield from self._call_routed(key, wire.OP_GET,
-                                            wire.encode_get(key))
-        found, version, value = wire.decode_get_reply(body)
+        found, version, value = yield from self._routed(
+            key, lambda t: self.remotes[t].rpc(wire.OP_GET, key))
         want = self.acked.get(key)
         if want is not None and (not found or version < want[0]):
             self.stale_reads += 1
         return (value if found else None), version, found
 
-    def _call_routed(self, key: int, op: int, body: bytes):
-        """Route to the shard's primary; fail over on timeout (generator).
+    def _routed(self, key: int, attempt_on):
+        """Run one op on the shard's primary; fail over on timeout.
 
-        Two kinds of retry, both deterministic: a dead primary surfaces
-        as :class:`~repro.errors.RpcTimeout` and triggers failover with
-        exponential backoff; an over-rate tenant gets a typed ``EAGAIN``
-        whose body says exactly how long to sleep before the same
-        request will be admitted.
+        ``attempt_on(target_id)`` is the op as a generator against one
+        target's :class:`~repro.net.RemoteClient` (which owns the
+        EAGAIN backoff).  A dead primary surfaces as
+        :class:`~repro.errors.RpcTimeout`: the client reports it — the
+        cluster promotes the replica if the target really is down — and
+        retries against the shard's new primary with bounded exponential
+        backoff.  Generator returning whatever ``attempt_on`` returns.
         """
         shard = self.cluster.ring.shard_for(key)
         started = self.cluster.sim.now
         attempt = 0
-        qos_waits = 0
         while True:
             target_id = self.cluster.primary[shard]
             try:
-                status, reply = yield from self.conns[target_id].call(op,
-                                                                      body)
+                result = yield from attempt_on(target_id)
             except RpcTimeout as timeout:
                 attempt += 1
                 if self.cluster.report_timeout(target_id, cause=timeout):
                     self.failovers_observed += 1
                 if attempt > self.max_failover_retries:
                     raise
-                yield self.cluster.sim.timeout(
-                    self.retry_backoff_ns << (attempt - 1))
+                yield self.cluster.sim.timeout(exponential_backoff_ns(
+                    self.retry_backoff_ns, attempt))
                 continue
-            if status == wire.STATUS_EAGAIN:
-                retry_after_ns, reason, tenant = \
-                    wire.decode_qos_reject(reply)
-                if qos_waits >= self.max_qos_retries:
-                    raise QosRejected(reason,
-                                      retry_after_ns=retry_after_ns,
-                                      tenant=tenant)
-                qos_waits += 1
-                self.qos_backoffs += 1
-                yield self.cluster.sim.timeout(max(1, retry_after_ns))
-                continue
-            wire.raise_for_status(status, reply.decode("utf-8", "replace"))
             self._note_ok(shard, started)
-            return reply
+            return result
 
     def _note_ok(self, shard: int, started: int) -> None:
         # Only an op *issued* at/after the cut proves the shard is back:
@@ -170,12 +158,10 @@ class ClusterClient:
         """
         self._chain_setup = (path, program, kwargs)
         for target_id in sorted(self.remotes):
-            chain_id = yield from self.remotes[target_id].install_chain(
-                path, program, **kwargs)
-            self.chain_ids[target_id] = chain_id
+            yield from self.reinstall_chains(target_id)
 
     def reinstall_chains(self, target_id: int):
-        """Re-ship the program to one rejoined target (generator)."""
+        """Ship the program to one target, e.g. a rejoined one (generator)."""
         if self._chain_setup is None:
             raise InvalidArgument("no chain program was ever installed")
         path, program, kwargs = self._chain_setup
@@ -191,25 +177,8 @@ class ClusterClient:
         (identically installed, independently re-verified) chain when
         the primary is dead.
         """
-        shard = self.cluster.ring.shard_for(key)
-        started = self.cluster.sim.now
-        attempt = 0
-        while True:
-            target_id = self.cluster.primary[shard]
-            try:
-                value, found, _rpcs = \
-                    yield from self.remotes[target_id].remote_btree_get(
-                        key, mode="pushdown",
-                        chain_id=self.chain_ids[target_id],
-                        root_offset=root_offset)
-            except RpcTimeout as timeout:
-                attempt += 1
-                if self.cluster.report_timeout(target_id, cause=timeout):
-                    self.failovers_observed += 1
-                if attempt > self.max_failover_retries:
-                    raise
-                yield self.cluster.sim.timeout(
-                    self.retry_backoff_ns << (attempt - 1))
-                continue
-            self._note_ok(shard, started)
-            return value, found
+        value, found, _rpcs = yield from self._routed(
+            key, lambda t: self.remotes[t].remote_btree_get(
+                key, mode="pushdown", chain_id=self.chain_ids[t],
+                root_offset=root_offset))
+        return value, found

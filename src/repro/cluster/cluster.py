@@ -50,8 +50,14 @@ from repro.errors import InvalidArgument, RemoteError, RpcTimeout
 from repro.faults import FaultPlan, FaultSpec
 from repro.kernel import JournalConfig, KernelConfig
 from repro.kernel.recovery import fsck
-from repro.net import Connection, NetConfig, NetworkFabric, StorageTarget
-from repro.net import wire
+from repro.net import (
+    Connection,
+    NetConfig,
+    NetworkFabric,
+    RemoteClient,
+    StorageTarget,
+    wire,
+)
 from repro.obs import events as obs_events
 from repro.qos import QosConfig
 from repro.sim import Simulator
@@ -99,8 +105,8 @@ class RejoinReport:
 class ClusterTarget(StorageTarget):
     """A storage target that is one member of a :class:`StorageCluster`.
 
-    Adds the KV ops (PUT / GET / REPLICATE) on top of the base target's
-    READ / WRITE / INSTALL_CHAIN / EXEC_CHAIN, plus the crash flag: a
+    Adds handlers for the KV ops (PUT / GET / REPLICATE) beside the base
+    target's, plus the crash flag: a
     crashed target silently drops every request — replies, refusals and
     all — because a machine without power does not send errors.
     """
@@ -137,15 +143,6 @@ class ClusterTarget(StorageTarget):
             return None
         return result
 
-    def _handle_extra(self, state, op: int, body: bytes):
-        if op == wire.OP_PUT:
-            return self._op_put(state, body)
-        if op == wire.OP_GET:
-            return self._op_get(state, body)
-        if op == wire.OP_REPLICATE:
-            return self._op_replicate(state, body)
-        return None
-
     # -- KV ops --------------------------------------------------------
 
     def _check_key(self, key: int) -> None:
@@ -153,8 +150,7 @@ class ClusterTarget(StorageTarget):
             raise InvalidArgument(
                 f"key {key} outside target capacity {self.capacity_keys}")
 
-    def _op_put(self, state, body: bytes):
-        key, value = wire.decode_put(body)
+    def _op_put(self, state, key: int, value: int):
         self._check_key(key)
         version = self.versions.get(key, 0) + 1
         record = encode_record(key, version, value)
@@ -166,10 +162,9 @@ class ClusterTarget(StorageTarget):
             # Ack-after-replica: the client's reply is not sent until
             # the replica has the record (or is known dead).
             yield from self.cluster.replicate(self, key, version, record)
-        return wire.encode_put_reply(version)
+        return (version,)
 
-    def _op_get(self, state, body: bytes):
-        key = wire.decode_get(body)
+    def _op_get(self, state, key: int):
         self._check_key(key)
         fd = yield from self._fd_for(state, self.data_path)
         result = yield from self.kernel.sys_pread(state.proc, fd,
@@ -177,12 +172,12 @@ class ClusterTarget(StorageTarget):
                                                   RECORD_SIZE)
         decoded = decode_record(result.data)
         if decoded is None or decoded[0] != key:
-            return wire.encode_get_reply(False, 0, 0)
+            return False, 0, 0
         _key, version, value = decoded
-        return wire.encode_get_reply(True, version, value)
+        return True, version, value
 
-    def _op_replicate(self, state, body: bytes):
-        key, version, offset, data = wire.decode_replicate(body)
+    def _op_replicate(self, state, key: int, version: int, offset: int,
+                      data: bytes):
         self._check_key(key)
         fd = yield from self._fd_for(state, self.data_path)
         yield from self.kernel.sys_pwrite(state.proc, fd, offset, data)
@@ -193,7 +188,7 @@ class ClusterTarget(StorageTarget):
             self.versions[key] = version
         else:
             self.versions.pop(key, None)
-        return wire.encode_replicate_reply(version)
+        return (version,)
 
     # -- crash / rejoin plumbing --------------------------------------
 
@@ -269,10 +264,10 @@ class StorageCluster:
             for s in range(shards)}
         #: Shards whose replica is currently unreachable (crashed).
         self._replica_down: Set[int] = set()
-        self._repl_conns: Dict[int, Connection] = {}
+        self._repl_remotes: Dict[int, RemoteClient] = {}
         self._repl_conn_target: Dict[int, int] = {}
         self._repl_generation = 0
-        self._ctl_conns: Dict[int, Connection] = {}
+        self._ctl_remotes: Dict[int, RemoteClient] = {}
         self._repl_retries = repl_retries
         self._repl_timeout_ns = repl_timeout_ns
         for s in range(shards):
@@ -302,7 +297,7 @@ class StorageCluster:
         return (self.shard_puts.get(shard, 0) -
                 self.shard_replicated.get(shard, 0))
 
-    def _make_repl_conn(self, shard: int) -> Connection:
+    def _make_repl_conn(self, shard: int) -> None:
         replica = self.replica[shard]
         conn = Connection(self.fabric,
                           f"repl-s{shard}-g{self._repl_generation}",
@@ -311,18 +306,17 @@ class StorageCluster:
         self._repl_generation += 1
         # Replication is system traffic: never admission-controlled.
         self.targets[replica].attach(conn, tenant="")
-        self._repl_conns[shard] = conn
+        self._repl_remotes[shard] = RemoteClient(conn)
         self._repl_conn_target[shard] = replica
-        return conn
 
-    def _ctl_conn(self, target_id: int) -> Connection:
-        """A cluster-owned control connection to ``target_id`` (lazy)."""
-        conn = self._ctl_conns.get(target_id)
-        if conn is None:
+    def _ctl_remote(self, target_id: int) -> RemoteClient:
+        """A cluster-owned control client for ``target_id`` (lazy)."""
+        remote = self._ctl_remotes.get(target_id)
+        if remote is None:
             conn = Connection(self.fabric, f"ctl-t{target_id}")
             self.targets[target_id].attach(conn, tenant="")
-            self._ctl_conns[target_id] = conn
-        return conn
+            remote = self._ctl_remotes[target_id] = RemoteClient(conn)
+        return remote
 
     # -- replication (called from the primary's PUT handler) -----------
 
@@ -336,19 +330,15 @@ class StorageCluster:
         """
         shard = self.ring.shard_for(key)
         self.shard_puts[shard] = self.shard_puts.get(shard, 0) + 1
-        conn = None
+        remote = None
         if (self.primary.get(shard) == source.target_id
                 and self.replica.get(shard) is not None
                 and shard not in self._replica_down):
-            conn = self._repl_conns.get(shard)
-        if conn is not None:
+            remote = self._repl_remotes.get(shard)
+        if remote is not None:
             try:
-                status, body = yield from conn.call(
-                    wire.OP_REPLICATE,
-                    wire.encode_replicate(key, version, key * RECORD_SIZE,
-                                          record))
-                wire.raise_for_status(status,
-                                      body.decode("utf-8", "replace"))
+                yield from remote.rpc(wire.OP_REPLICATE, key, version,
+                                      key * RECORD_SIZE, record)
                 self.shard_replicated[shard] = \
                     self.shard_replicated.get(shard, 0) + 1
             except (RpcTimeout, RemoteError):
@@ -461,24 +451,18 @@ class StorageCluster:
     def _catch_up(self, shard: int, target_id: int):
         """Replay every record of ``shard`` from its primary (generator)."""
         primary = self.targets[self.primary[shard]]
-        src = self._ctl_conn(primary.target_id)
-        dst = self._ctl_conn(target_id)
+        src = self._ctl_remote(primary.target_id)
+        dst = self._ctl_remote(target_id)
         copied = 0
         for key in sorted(primary.versions):
             if self.ring.shard_for(key) != shard:
                 continue
-            status, body = yield from src.call(wire.OP_GET,
-                                               wire.encode_get(key))
-            wire.raise_for_status(status, body.decode("utf-8", "replace"))
-            found, version, value = wire.decode_get_reply(body)
+            found, version, value = yield from src.rpc(wire.OP_GET, key)
             if not found:
                 continue
-            record = encode_record(key, version, value)
-            status, body = yield from dst.call(
-                wire.OP_REPLICATE,
-                wire.encode_replicate(key, version, key * RECORD_SIZE,
-                                      record))
-            wire.raise_for_status(status, body.decode("utf-8", "replace"))
+            yield from dst.rpc(wire.OP_REPLICATE, key, version,
+                               key * RECORD_SIZE,
+                               encode_record(key, version, value))
             copied += 1
         return copied
 

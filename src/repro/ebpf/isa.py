@@ -279,7 +279,10 @@ def decode(blob: bytes) -> List[Instruction]:
             index += 2
             continue
         if cls in (_CLS_ALU64, _CLS_ALU32):
-            base = _ALU_FROM_CODE[opcode_byte & 0xF0]
+            base = _ALU_FROM_CODE.get(opcode_byte & 0xF0)
+            if base is None:
+                raise AssemblerError(
+                    f"undefined ALU opcode byte {opcode_byte:#x}")
             name = base + ("32" if cls == _CLS_ALU32 else "")
             src_is_reg = bool(opcode_byte & _SRC_REG)
             out.append(
@@ -287,7 +290,10 @@ def decode(blob: bytes) -> List[Instruction]:
                             src_is_reg=src_is_reg)
             )
         elif cls == _CLS_JMP:
-            base = _JMP_FROM_CODE[opcode_byte & 0xF0]
+            base = _JMP_FROM_CODE.get(opcode_byte & 0xF0)
+            if base is None:
+                raise AssemblerError(
+                    f"undefined jump opcode byte {opcode_byte:#x}")
             if base == "exit":
                 out.append(Instruction("exit"))
             elif base == "call":

@@ -43,7 +43,13 @@ from repro.kernel.process import File, Process
 from repro.obs import events as obs_events
 from repro.obs.bus import TraceBus, get_default_bus
 from repro.qos import QosConfig, QosManager, Tenant
-from repro.sim import CpuSet, RandomStreams, Resource, Simulator
+from repro.sim import (
+    CpuSet,
+    RandomStreams,
+    Resource,
+    Simulator,
+    exponential_backoff_ns,
+)
 
 __all__ = ["ChainStatus", "IoCookie", "Kernel", "KernelConfig",
            "NvmeRetryPolicy", "ReadResult"]
@@ -66,19 +72,17 @@ class NvmeRetryPolicy:
     #: Controller watchdog; None derives ~20x the device read latency.
     timeout_ns: Optional[int] = None
     backoff_base_ns: int = 2_000
-    backoff_multiplier: float = 2.0
     enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise InvalidArgument("max_retries must be >= 0")
-        if self.backoff_base_ns < 0 or self.backoff_multiplier < 1.0:
-            raise InvalidArgument("bad backoff parameters")
+        if self.backoff_base_ns < 0:
+            raise InvalidArgument("backoff_base_ns must be >= 0")
 
     def backoff_ns(self, attempt: int) -> int:
-        """Backoff before retry ``attempt`` (1-based), exponential."""
-        return int(self.backoff_base_ns *
-                   self.backoff_multiplier ** (attempt - 1))
+        """Backoff before retry ``attempt`` (1-based, so >= 1), doubling."""
+        return exponential_backoff_ns(self.backoff_base_ns, attempt)
 
     def resolve_timeout_ns(self, model: LatencyModel) -> int:
         if self.timeout_ns is not None:

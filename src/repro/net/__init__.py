@@ -9,17 +9,20 @@ package reproduces that shape on top of the existing chain engine:
 * :mod:`~repro.net.fabric` — :class:`NetworkFabric`, a latency /
   bandwidth / jitter model on the discrete-event simulator, with
   fault-plan drop/delay episodes.
-* :mod:`~repro.net.wire` — length-prefixed frames and per-op codecs;
-  programs cross the wire in the real 8-byte eBPF slot encoding.
+* :mod:`~repro.net.wire` — length-prefixed frames and the op table
+  (each of the eight ops declared once; both body codecs derive from
+  it); programs cross the wire in the real 8-byte eBPF slot encoding.
 * :mod:`~repro.net.transport` — :class:`Connection`: request ids,
   bounded in-flight windows, client retransmission with backoff, and
   the target's idempotent request-id dedup cache.
 * :mod:`~repro.net.target` — :class:`StorageTarget`: a simulated
   kernel serving READ / WRITE / INSTALL_CHAIN (with server-side
-  re-verification of untrusted client programs) / EXEC_CHAIN.
-* :mod:`~repro.net.client` — :class:`RemoteClient`: plain remote I/O
-  plus ``remote_btree_get`` in naive (RPC-per-hop) and pushdown
-  (single EXEC_CHAIN) modes.
+  re-verification of untrusted client programs) / EXEC_CHAIN / COMPACT;
+  PUT / GET / REPLICATE are served by the cluster's target subclass.
+* :mod:`~repro.net.client` — :class:`RemoteClient`: one typed
+  ``rpc(op, *fields)`` call, plain remote I/O and compaction stubs
+  over it, plus ``remote_btree_get`` in naive (RPC-per-hop) and
+  pushdown (single EXEC_CHAIN) modes.
 
 See ``docs/networking.md`` for the full protocol and fault semantics.
 """

@@ -27,7 +27,6 @@ from typing import Optional, Tuple, Union
 
 from repro.core import Hook
 from repro.ebpf import Program
-from repro.errors import QosRejected
 from repro.net import wire
 from repro.net.transport import Connection
 from repro.structures.pages import PAGE_SIZE, decode_page, search_page
@@ -75,28 +74,37 @@ class RemoteClient:
         self.max_qos_retries = max_qos_retries
         #: Backoffs actually taken (for tests/metrics).
         self.qos_backoffs = 0
+        #: Request + reply frame bytes of the most recently completed
+        #: :meth:`rpc` (its final attempt), both directions.
+        self.last_wire_bytes = 0
 
-    def _call(self, op: int, body: bytes):
-        """One RPC with deterministic QoS backoff (generator).
+    def rpc(self, op: int, *fields):
+        """One typed RPC (generator): request fields in, reply fields out.
 
-        An EAGAIN reply carries the target's simulated-time
+        ``fields`` and the returned tuple follow the op's row in
+        :data:`repro.net.wire.OPS`.  A refusal raises its typed error.
+        An EAGAIN refusal carries the target's simulated-time
         ``retry_after_ns``; the client sleeps exactly that long and
         retries, so the same seed replays the same backoff schedule.
         After ``max_qos_retries`` refusals the typed
         :class:`~repro.errors.QosRejected` propagates to the caller.
         """
-        attempts = 0
+        row = wire.OPS[op]
+        body = wire.encode_body(row.request, fields)
+        refusals = 0
         while True:
             status, reply = yield from self.connection.call(op, body)
-            if status != wire.STATUS_EAGAIN:
-                return status, reply
-            retry_after_ns, reason, tenant = wire.decode_qos_reject(reply)
-            if attempts >= self.max_qos_retries:
-                raise QosRejected(reason, retry_after_ns=retry_after_ns,
-                                  tenant=tenant)
-            attempts += 1
-            self.qos_backoffs += 1
-            yield self.connection.sim.timeout(max(1, retry_after_ns))
+            if (status == wire.STATUS_EAGAIN
+                    and refusals < self.max_qos_retries):
+                refusals += 1
+                self.qos_backoffs += 1
+                retry_after_ns = wire.decode_body(wire.QOS_REJECT, reply)[0]
+                yield self.connection.sim.timeout(max(1, retry_after_ns))
+                continue
+            wire.raise_for_status(status, reply)
+            self.last_wire_bytes = (len(body) + len(reply) +
+                                    2 * wire.FRAME_OVERHEAD)
+            return wire.decode_body(row.reply, reply)
 
     # ------------------------------------------------------------------
     # Plain remote I/O
@@ -104,17 +112,13 @@ class RemoteClient:
 
     def read(self, path: str, offset: int, length: int):
         """Remote ``pread`` (generator returning the data bytes)."""
-        status, body = yield from self._call(
-            wire.OP_READ, wire.encode_read(path, offset, length))
-        wire.raise_for_status(status, body.decode("utf-8", "replace"))
-        return wire.decode_read_reply(body)
+        (data,) = yield from self.rpc(wire.OP_READ, path, offset, length)
+        return data
 
     def write(self, path: str, offset: int, data: bytes):
         """Remote ``pwrite`` (generator returning bytes written)."""
-        status, body = yield from self._call(
-            wire.OP_WRITE, wire.encode_write(path, offset, data))
-        wire.raise_for_status(status, body.decode("utf-8", "replace"))
-        return wire.decode_write_reply(body)
+        (written,) = yield from self.rpc(wire.OP_WRITE, path, offset, data)
+        return written
 
     # ------------------------------------------------------------------
     # Chain pushdown
@@ -130,22 +134,16 @@ class RemoteClient:
         verifier refuses the program.
         """
         hook_name = hook.value if isinstance(hook, Hook) else hook
-        body = wire.encode_install_chain(path, hook_name, block_size,
-                                         scratch_size, program.name,
-                                         list(program.instructions))
-        status, reply = yield from self._call(wire.OP_INSTALL_CHAIN, body)
-        wire.raise_for_status(status, reply.decode("utf-8", "replace"))
-        return wire.decode_install_chain_reply(reply)
+        (chain_id,) = yield from self.rpc(
+            wire.OP_INSTALL_CHAIN, path, hook_name, block_size,
+            scratch_size, program.name, list(program.instructions))
+        return chain_id
 
     def exec_chain(self, chain_id: int, offset: int,
                    length: int = PAGE_SIZE, args: Tuple[int, ...] = ()):
         """Run an installed chain on the target (generator)."""
-        status, reply = yield from self._call(
-            wire.OP_EXEC_CHAIN,
-            wire.encode_exec_chain(chain_id, offset, length, args))
-        wire.raise_for_status(status, reply.decode("utf-8", "replace"))
-        chain_status, hops, value, value2, data = \
-            wire.decode_exec_chain_reply(reply)
+        chain_status, hops, (value, value2), data = yield from self.rpc(
+            wire.OP_EXEC_CHAIN, chain_id, offset, length, args)
         return RemoteChainResult(chain_status, hops, value, value2, data)
 
     # ------------------------------------------------------------------
@@ -163,17 +161,11 @@ class RemoteClient:
         cost of the compaction — versus a client-side compaction that
         READs every page up and WRITEs the merged table back.
         """
-        body = wire.encode_compact(output_path, drop_tombstones,
-                                   list(input_paths))
-        status, reply = yield from self._call(wire.OP_COMPACT, body)
-        wire.raise_for_reply(status, reply)
-        emitted, dropped, output_entries, output_bytes, chain_hops = \
-            wire.decode_compact_reply(reply)
-        frame_overhead = 4 + wire._HEADER.size
-        net_bytes = (len(body) + frame_overhead +
-                     len(reply) + frame_overhead)
-        return RemoteCompactResult(emitted, dropped, output_entries,
-                                   output_bytes, chain_hops, net_bytes)
+        reply = yield from self.rpc(wire.OP_COMPACT, output_path,
+                                    drop_tombstones, list(input_paths))
+        # Nothing yields between rpc's return and here, so the sizes
+        # are this call's even with other RPCs in flight.
+        return RemoteCompactResult(*reply, self.last_wire_bytes)
 
     # ------------------------------------------------------------------
     # The two GET strategies

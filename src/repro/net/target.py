@@ -2,8 +2,11 @@
 
 :class:`StorageTarget` owns one :class:`~repro.kernel.kernel.Kernel`
 (cores, file system, NVMe device) plus a
-:class:`~repro.core.api.StorageBpf` facade, and serves four ops per
-attached connection:
+:class:`~repro.core.api.StorageBpf` facade, and serves five of the
+eight ops of :data:`repro.net.wire.OPS` per attached connection (the
+cluster's :class:`~repro.cluster.cluster.ClusterTarget` serves the other
+three, PUT / GET / REPLICATE; an op this class has no ``_op_<name>``
+handler for is refused with ``EBADMSG``):
 
 * **READ / WRITE** — plain ``pread``/``pwrite`` against a path (the
   target opens descriptors lazily and caches them per client).
@@ -18,6 +21,8 @@ attached connection:
   §4 NVMe-hook resubmission machinery, and return the chain result in
   one reply.  This is the pushdown path: a k-hop B-tree descent costs
   one network round trip instead of k.
+* **COMPACT** — merge named SSTable runs server-side through the
+  offloaded compaction engine; only counters cross the network.
 
 Each client connection gets its own kernel process, so the per-pid
 resubmission accounting and fairness bounds of
@@ -25,8 +30,11 @@ resubmission accounting and fairness bounds of
 cannot starve the rest — exactly the exokernel-style isolation argument,
 now across the wire.
 
-Server-side failures never crash the target: kernel and BPF errors are
-mapped to errno-style reply statuses via their ``errno_name``.
+The client is untrusted.  Every request body is decoded in one place
+(:meth:`StorageTarget._handle`), and nothing a client sends crashes the
+target: malformed bodies are refused with ``EBADMSG``, unusable field
+values with ``EINVAL``, and kernel and BPF errors are mapped to
+errno-style reply statuses via their ``errno_name``.
 """
 
 from __future__ import annotations
@@ -39,8 +47,8 @@ from repro.device import LatencyModel
 from repro.device.latency import NVM_GEN2
 from repro.ebpf import Program
 from repro.errors import (
+    FramingError,
     InvalidArgument,
-    KernelError,
     QosRejected,
     ReproError,
     VerifierError,
@@ -139,62 +147,54 @@ class StorageTarget:
     # ------------------------------------------------------------------
 
     def _handle(self, state: _ClientState, op: int, body: bytes):
-        """Decode, execute, and encode one request (generator)."""
+        """Decode, execute, and encode one request (generator).
+
+        The one place an untrusted request body is parsed.  The op's
+        row of :data:`repro.net.wire.OPS` names the handler
+        (``_op_<name>``, taking the decoded request fields and returning
+        the reply fields) and both layouts; a malformed body, a bad
+        field value and a handler failure all leave through the same
+        typed-refusal mapping, so the connection keeps serving.
+        """
         qos = self.kernel.qos
         if qos is not None:
             tenant = self.kernel.tenant_of(state.proc)
             retry_after_ns = qos.admit(tenant)
             if retry_after_ns:
-                return self._refuse_qos(
-                    QosRejected(retry_after_ns=retry_after_ns,
-                                tenant=tenant or ""))
+                return self._refuse(QosRejected(
+                    retry_after_ns=retry_after_ns, tenant=tenant or ""))
+        # ``op`` is the raw byte off the wire: the envelope check lets a
+        # request with the REPLY bit set through, so look it up safely.
+        row = wire.OPS.get(op)
+        handler = row and getattr(self, f"_op_{row.name}", None)
         try:
-            if op == wire.OP_READ:
-                reply = yield from self._op_read(state, body)
-            elif op == wire.OP_WRITE:
-                reply = yield from self._op_write(state, body)
-            elif op == wire.OP_INSTALL_CHAIN:
-                reply = yield from self._op_install_chain(state, body)
-            elif op == wire.OP_EXEC_CHAIN:
-                reply = yield from self._op_exec_chain(state, body)
-            elif op == wire.OP_COMPACT:
-                reply = yield from self._op_compact(state, body)
-            else:
-                extra = self._handle_extra(state, op, body)
-                if extra is None:
-                    return self._refuse("EBADMSG", f"unknown op {op}")
-                reply = yield from extra
-        except VerifierError as error:
-            return self._refuse("EVERIFY", error.reason)
-        except QosRejected as error:
-            return self._refuse_qos(error)
-        except KernelError as error:
-            return self._refuse(error.errno_name, str(error))
+            if handler is None:
+                raise FramingError(f"unknown op {op}")
+            fields = wire.decode_body(row.request, body)
+            reply = wire.encode_body(
+                row.reply, (yield from handler(state, *fields)))
         except ReproError as error:
-            return self._refuse("EREMOTE", str(error))
-        self.executed[wire.OP_NAMES[op]] = \
-            self.executed.get(wire.OP_NAMES[op], 0) + 1
+            return self._refuse(error)
+        self.executed[row.name] = self.executed.get(row.name, 0) + 1
         return wire.STATUS_OK, reply
 
-    def _handle_extra(self, state: _ClientState, op: int, body: bytes):
-        """Extension point: a generator for ops this class does not know.
+    def _refuse(self, error: ReproError):
+        """Map one typed error to its refusal reply ``(status, body)``.
 
-        Subclasses (the cluster's :class:`~repro.cluster.cluster.
-        ClusterTarget`) return an op-handler generator whose errors get
-        the same typed-refusal mapping as the built-in ops; the base
-        target returns ``None``, which becomes an ``EBADMSG`` refusal.
+        The body is the UTF-8 reason, except for EAGAIN, which carries
+        the structured :data:`~repro.net.wire.QOS_REJECT` retry-after.
         """
-        return None
-
-    def _refuse(self, errno_name: str, reason: str):
+        if isinstance(error, VerifierError):
+            errno_name, body = "EVERIFY", error.reason.encode("utf-8")
+        elif isinstance(error, QosRejected):
+            errno_name, body = "EAGAIN", wire.encode_body(
+                wire.QOS_REJECT,
+                (error.retry_after_ns, error.tenant, str(error)))
+        else:
+            errno_name = getattr(error, "errno_name", "EREMOTE")
+            body = str(error).encode("utf-8")
         self.refused[errno_name] = self.refused.get(errno_name, 0) + 1
-        return wire.status_for_errno(errno_name), reason.encode("utf-8")
-
-    def _refuse_qos(self, error: QosRejected):
-        """An EAGAIN refusal with a structured retry-after body."""
-        self.refused["EAGAIN"] = self.refused.get("EAGAIN", 0) + 1
-        return wire.STATUS_EAGAIN, wire.encode_qos_reject(
-            error.retry_after_ns, str(error), error.tenant)
+        return wire.status_for_errno(errno_name), body
 
     def _fd_for(self, state: _ClientState, path: str):
         fd = state.fds.get(path)
@@ -205,24 +205,28 @@ class StorageTarget:
 
     # -- ops -------------------------------------------------------------
 
-    def _op_read(self, state: _ClientState, body: bytes):
-        path, offset, length = wire.decode_read(body)
+    def _op_read(self, state: _ClientState, path: str, offset: int,
+                 length: int):
         fd = yield from self._fd_for(state, path)
         result = yield from self.kernel.sys_pread(state.proc, fd, offset,
                                                   length)
-        return wire.encode_read_reply(result.data)
+        return (result.data,)
 
-    def _op_write(self, state: _ClientState, body: bytes):
-        path, offset, data = wire.decode_write(body)
+    def _op_write(self, state: _ClientState, path: str, offset: int,
+                  data: bytes):
         fd = yield from self._fd_for(state, path)
         written = yield from self.kernel.sys_pwrite(state.proc, fd, offset,
                                                     data)
-        return wire.encode_write_reply(written)
+        return (written,)
 
-    def _op_install_chain(self, state: _ClientState, body: bytes):
-        (path, hook_name, block_size, scratch_size, program_name,
-         instructions) = wire.decode_install_chain(body)
-        hook = Hook(hook_name)
+    def _op_install_chain(self, state: _ClientState, path: str,
+                          hook_name: str, block_size: int,
+                          scratch_size: int, program_name: str,
+                          instructions):
+        try:
+            hook = Hook(hook_name)
+        except ValueError:
+            raise InvalidArgument(f"unknown hook {hook_name!r}") from None
         # The wire carries raw instructions; rebuild the Program against
         # the *target's* context layout and re-verify before attaching.
         # An unsafe program is refused here — never executed.
@@ -237,30 +241,27 @@ class StorageTarget:
         chain_id = self._next_chain_id
         self._next_chain_id += 1
         state.chains[chain_id] = fd
-        return wire.encode_install_chain_reply(chain_id)
+        return (chain_id,)
 
-    def _op_exec_chain(self, state: _ClientState, body: bytes):
-        chain_id, offset, length, args = wire.decode_exec_chain(body)
+    def _op_exec_chain(self, state: _ClientState, chain_id: int,
+                       offset: int, length: int, args):
         fd = state.chains.get(chain_id)
         if fd is None:
             raise InvalidArgument(f"unknown chain id {chain_id}")
         result = yield from self.bpf.read_chain_robust(
             state.proc, fd, offset, length, args=args)
-        return wire.encode_exec_chain_reply(
-            str(result.status.value if hasattr(result.status, "value")
-                else result.status),
-            result.hops, result.value, result.value2, result.data)
+        return (str(result.status.value if hasattr(result.status, "value")
+                    else result.status),
+                result.hops, (result.value, result.value2), result.data)
 
-    def _op_compact(self, state: _ClientState, body: bytes):
+    def _op_compact(self, state: _ClientState, output_path: str,
+                    drop_tombstones: bool, input_paths):
         """Run a whole LSM compaction server-side (one RPC, zero pages
         on the wire): merge the named input runs through the offloaded
         chain engine and write the output table locally.  The caller
         owns the level swap/unlinks, so the inputs are left in place."""
-        output_path, drop_tombstones, input_paths = wire.decode_compact(
-            body)
         report, _output = yield from self._compaction_engine.compact_files(
             state.proc, input_paths, output_path,
             drop_tombstones=drop_tombstones, mode="offloaded")
-        return wire.encode_compact_reply(
-            report.emitted, report.dropped, report.output_entries,
-            report.output_bytes, report.chain_hops)
+        return (report.emitted, report.dropped, report.output_entries,
+                report.output_bytes, report.chain_hops)

@@ -33,7 +33,7 @@ from repro.errors import FramingError, InvalidArgument, RpcTimeout
 from repro.net.fabric import NetworkFabric
 from repro.net.wire import OP_NAMES, REPLY, decode_frame, encode_frame
 from repro.obs import events as obs_events
-from repro.sim import Event, Store
+from repro.sim import Event, Store, exponential_backoff_ns
 from repro.sim.engine import AnyOf
 from repro.sim.resources import Resource
 
@@ -132,7 +132,7 @@ class Connection:
                 raise RpcTimeout(op=op_name, request_id=request_id,
                                  attempts=attempt,
                                  timeout_ns=self.timeout_ns)
-            backoff = self.backoff_ns << (attempt - 1)
+            backoff = exponential_backoff_ns(self.backoff_ns, attempt)
             self.retries += 1
             if self.bus.enabled:
                 self.bus.emit(obs_events.NET_RETRY, sim.now, op=op_name,

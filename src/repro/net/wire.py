@@ -1,4 +1,4 @@
-"""Wire format: length-prefixed frames and per-op message codecs.
+"""Wire format: length-prefixed frames and one table of op messages.
 
 Every message on a link is one *frame*::
 
@@ -10,91 +10,68 @@ Every message on a link is one *frame*::
          for the target's idempotent dedup cache
     ...  op-specific body
 
-Bodies are packed with :mod:`struct`; variable-length fields carry a
-length prefix (`u16` for strings, `u32` for byte buffers).  The
-INSTALL_CHAIN body ships the program in the real 8-byte eBPF slot
-encoding from :mod:`repro.ebpf.isa`, so what crosses the simulated wire
-is exactly what would cross a real one — and the target must decode and
-re-verify it, trusting nothing about the client's toolchain.
+Each op is declared exactly once, as a row of :data:`OPS`: its code, its
+name, and the ordered fields of its request and reply bodies.  Both
+body codecs (:func:`encode_body` / :func:`decode_body`), ``OP_NAMES``,
+the target's dispatch (``StorageTarget._op_<name>``) and the client's
+typed call (``RemoteClient.rpc``) are derived from that row.  Field
+kinds:
+
+=========== ========================================================
+``u32``     big-endian unsigned scalar
+``u64``     big-endian unsigned scalar
+``bool``    one byte, 0 or 1
+``str``     ``u16`` length + UTF-8
+``bytes``   ``u32`` length + raw bytes
+``program`` a ``bytes`` field holding instructions in the real 8-byte
+            eBPF slot encoding of :mod:`repro.ebpf.isa` — what crosses
+            the simulated wire is what would cross a real one, and the
+            target must decode and re-verify it, trusting nothing about
+            the client's toolchain
+``u64s``    ``u8`` count + that many ``u64`` (masked to 64 bits)
+``strs``    ``u16`` count + that many ``str``
+``opt2``    a flags byte, then one ``u64`` per set flag: a pair of
+            optional values (``None`` when absent, masked to 64 bits)
+``rest``    UTF-8 to the end of the body (last field only)
+=========== ========================================================
+
+A run of adjacent scalar fields is packed and unpacked by one
+precompiled :class:`struct.Struct`.
+
+:func:`decode_body` is the one place untrusted bytes are parsed: a
+truncated body, a bad length, invalid UTF-8 or bytes left over after
+the last field raise :class:`~repro.errors.FramingError` (``EBADMSG``),
+and a well-framed field whose value cannot be used (program bytes that
+are not instructions) raises :class:`~repro.errors.InvalidArgument`
+(``EINVAL``).
 
 Error replies carry ``status != STATUS_OK`` and a UTF-8 reason as the
-body; :func:`raise_for_status` turns them back into the typed errors of
+body (``EAGAIN`` carries :data:`QOS_REJECT` instead);
+:func:`raise_for_status` turns them back into the typed errors of
 :mod:`repro.errors` on the client side.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from itertools import groupby
+from typing import NamedTuple, Tuple
 
-from repro.ebpf.isa import Instruction
 from repro.ebpf.isa import decode as decode_instructions
 from repro.ebpf.isa import encode as encode_instructions
 from repro.errors import (
+    AssemblerError,
     FramingError,
+    InvalidArgument,
     QosRejected,
     RemoteError,
     RemoteVerifierRejected,
 )
 
-__all__ = [
-    "MAGIC",
-    "OP_COMPACT",
-    "OP_EXEC_CHAIN",
-    "OP_GET",
-    "OP_INSTALL_CHAIN",
-    "OP_NAMES",
-    "OP_PUT",
-    "OP_READ",
-    "OP_REPLICATE",
-    "OP_WRITE",
-    "REPLY",
-    "STATUS_EAGAIN",
-    "STATUS_NAMES",
-    "STATUS_OK",
-    "decode_compact",
-    "decode_compact_reply",
-    "decode_exec_chain",
-    "decode_exec_chain_reply",
-    "decode_frame",
-    "decode_get",
-    "decode_get_reply",
-    "decode_install_chain",
-    "decode_install_chain_reply",
-    "decode_put",
-    "decode_put_reply",
-    "decode_qos_reject",
-    "decode_read",
-    "decode_read_reply",
-    "decode_replicate",
-    "decode_replicate_reply",
-    "decode_write",
-    "decode_write_reply",
-    "encode_compact",
-    "encode_compact_reply",
-    "encode_exec_chain",
-    "encode_exec_chain_reply",
-    "encode_frame",
-    "encode_get",
-    "encode_get_reply",
-    "encode_install_chain",
-    "encode_install_chain_reply",
-    "encode_put",
-    "encode_put_reply",
-    "encode_qos_reject",
-    "encode_read",
-    "encode_read_reply",
-    "encode_replicate",
-    "encode_replicate_reply",
-    "encode_write",
-    "encode_write_reply",
-    "raise_for_reply",
-    "raise_for_status",
-    "status_for_errno",
-]
-
 MAGIC = 0xB7F5
 _HEADER = struct.Struct("!HBBQ")
+#: Bytes a frame adds around its body (length prefix + header).
+FRAME_OVERHEAD = 4 + _HEADER.size
 
 OP_READ = 1
 OP_WRITE = 2
@@ -112,11 +89,6 @@ OP_COMPACT = 8
 #: High bit of the op byte marks a reply frame.
 REPLY = 0x80
 
-OP_NAMES = {OP_READ: "read", OP_WRITE: "write",
-            OP_INSTALL_CHAIN: "install_chain", OP_EXEC_CHAIN: "exec_chain",
-            OP_PUT: "put", OP_GET: "get", OP_REPLICATE: "replicate",
-            OP_COMPACT: "compact"}
-
 STATUS_OK = 0
 #: Refusal codes, one per errno name the target can send back.
 STATUS_NAMES = {0: "OK", 1: "EVERIFY", 2: "ENOENT", 3: "EINVAL", 4: "EIO",
@@ -132,50 +104,245 @@ def status_for_errno(errno_name: str) -> int:
     return _ERRNO_TO_STATUS.get(errno_name, _ERRNO_TO_STATUS["EREMOTE"])
 
 
-def raise_for_status(status: int, reason: str) -> None:
-    """Re-raise a refusal reply as its typed client-side error."""
-    if status == STATUS_OK:
-        return
-    errno_name = STATUS_NAMES.get(status, "EREMOTE")
-    if errno_name == "EVERIFY":
-        raise RemoteVerifierRejected(errno_name, reason)
-    if errno_name == "EAGAIN":
-        # Callers with the raw body use raise_for_reply and get the
-        # decoded retry-after; a reason-only caller still gets the type.
-        raise QosRejected(reason)
-    raise RemoteError(errno_name, reason)
+# ---------------------------------------------------------------------------
+# Field kinds
+# ---------------------------------------------------------------------------
+
+_U8 = struct.Struct("!B")
+_U16 = struct.Struct("!H")
+_U32 = struct.Struct("!I")
+_U64 = struct.Struct("!Q")
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: Fixed-width kinds, by struct format character.  A run of adjacent
+#: scalar fields is packed and unpacked by one precompiled Struct.
+_SCALARS = {"u32": "I", "u64": "Q", "bool": "?"}
+
+# Every other kind is a ``(put, get)`` pair: ``put(value) -> bytes`` and
+# ``get(body, pos, out) -> new pos``, appending the decoded value to
+# ``out``.
 
 
-def raise_for_reply(status: int, body: bytes) -> None:
-    """Re-raise a refusal reply, decoding structured refusal bodies.
+def _scalar_run(formats: str):
+    """One step for a run of scalar fields: a single Struct, many values."""
+    packer = struct.Struct("!" + formats)
 
-    Like :func:`raise_for_status`, but takes the raw reply body so an
-    EAGAIN refusal can surface its ``retry_after_ns`` (the body is
-    :func:`encode_qos_reject`, not a bare UTF-8 reason).
+    def get(body: bytes, pos: int, out: list) -> int:
+        out.extend(packer.unpack_from(body, pos))
+        return pos + packer.size
+
+    return packer.pack, get, len(formats)
+
+
+def _prefixed(prefix: struct.Struct, to_raw, from_raw):
+    """A kind that is a length prefix + that many raw bytes."""
+
+    def put(value) -> bytes:
+        raw = to_raw(value)
+        return prefix.pack(len(raw)) + raw
+
+    def get(body: bytes, pos: int, out: list) -> int:
+        (length,) = prefix.unpack_from(body, pos)
+        start = pos + prefix.size
+        if start + length > len(body):
+            raise FramingError("truncated body")
+        out.append(from_raw(body[start:start + length]))
+        return start + length
+
+    return put, get
+
+
+def _decode_program(blob: bytes):
+    try:
+        return decode_instructions(blob)
+    except AssemblerError as error:
+        raise InvalidArgument(f"undecodable program: {error}") from None
+
+
+def _same(raw: bytes) -> bytes:
+    return raw
+
+
+_put_str, _get_str = _prefixed(_U16, str.encode, bytes.decode)
+
+
+def _put_u64s(values) -> bytes:
+    return struct.pack(f"!B{len(values)}Q", len(values),
+                       *(value & _MASK64 for value in values))
+
+
+def _get_u64s(body: bytes, pos: int, out: list) -> int:
+    (count,) = _U8.unpack_from(body, pos)
+    out.append(struct.unpack_from(f"!{count}Q", body, pos + 1))
+    return pos + 1 + 8 * count
+
+
+def _put_strs(items) -> bytes:
+    return _U16.pack(len(items)) + b"".join(map(_put_str, items))
+
+
+def _get_strs(body: bytes, pos: int, out: list) -> int:
+    (count,) = _U16.unpack_from(body, pos)
+    pos += 2
+    items = []
+    for _ in range(count):
+        pos = _get_str(body, pos, items)
+    out.append(items)
+    return pos
+
+
+def _put_opt2(pair) -> bytes:
+    present = [value & _MASK64 for value in pair if value is not None]
+    flags = (0x1 if pair[0] is not None else 0) | \
+            (0x2 if pair[1] is not None else 0)
+    return struct.pack(f"!B{len(present)}Q", flags, *present)
+
+
+def _get_opt2(body: bytes, pos: int, out: list) -> int:
+    (flags,) = _U8.unpack_from(body, pos)
+    pos += 1
+    pair = []
+    for bit in (0x1, 0x2):
+        value = None
+        if flags & bit:
+            (value,) = _U64.unpack_from(body, pos)
+            pos += 8
+        pair.append(value)
+    out.append(tuple(pair))
+    return pos
+
+
+def _get_rest(body: bytes, pos: int, out: list) -> int:
+    out.append(body[pos:].decode("utf-8", "replace"))
+    return len(body)
+
+
+_KINDS = {
+    "str": (_put_str, _get_str),
+    "bytes": _prefixed(_U32, _same, _same),
+    "program": _prefixed(_U32, encode_instructions, _decode_program),
+    "u64s": (_put_u64s, _get_u64s),
+    "strs": (_put_strs, _get_strs),
+    "opt2": (_put_opt2, _get_opt2),
+    "rest": (str.encode, _get_rest),
+}
+
+
+class Layout:
+    """An ordered field list, ``"name:kind name:kind ..."``."""
+
+    def __init__(self, spec: str):
+        self.spec = spec
+        kinds = [field.split(":")[1] for field in spec.split()]
+        self.width = len(kinds)
+        #: ``(put, get, values taken)`` per step, in wire order: one
+        #: step per run of scalar fields, one per field of another kind.
+        self.steps = []
+        for scalar, run in groupby(kinds, _SCALARS.__contains__):
+            if scalar:
+                self.steps.append(
+                    _scalar_run("".join(_SCALARS[kind] for kind in run)))
+            else:
+                self.steps.extend(_KINDS[kind] + (1,) for kind in run)
+
+    def __repr__(self) -> str:
+        return self.spec
+
+
+def encode_body(layout: Layout, values) -> bytes:
+    """Pack ``values`` (one per field of ``layout``) into a body."""
+    if len(values) != layout.width:
+        raise InvalidArgument(
+            f"({layout}) takes {layout.width} fields, got {len(values)}")
+    parts = []
+    pos = 0
+    try:
+        for put, _get, taken in layout.steps:
+            parts.append(put(*values[pos:pos + taken]))
+            pos += taken
+    except struct.error as error:
+        raise InvalidArgument(
+            f"field out of range for ({layout}): {error}") from None
+    return b"".join(parts)
+
+
+def decode_body(layout: Layout, body: bytes) -> tuple:
+    """Unpack an untrusted ``body`` into one value per field.
+
+    The body must be exactly the layout: short, over-long and
+    non-UTF-8 input all raise :class:`FramingError`.
     """
+    values = []
+    pos = 0
+    try:
+        for _put, get, _taken in layout.steps:
+            pos = get(body, pos, values)
+    except struct.error:
+        raise FramingError("truncated body") from None
+    except UnicodeDecodeError:
+        raise FramingError("string field is not UTF-8") from None
+    if pos != len(body):
+        raise FramingError(
+            f"{len(body) - pos} trailing bytes after the last field")
+    return tuple(values)
+
+
+# ---------------------------------------------------------------------------
+# The op table
+# ---------------------------------------------------------------------------
+
+
+class Op(NamedTuple):
+    """One wire op: its code, name, and request / reply body layouts."""
+
+    code: int
+    name: str
+    request: Layout
+    reply: Layout
+
+
+#: Every op, declared once.  COMPACT's inputs are ordered oldest first
+#: (the merge fold order).
+OPS = {code: Op(code, name, Layout(request), Layout(reply))
+       for code, name, request, reply in (
+    (OP_READ, "read",
+        "path:str offset:u64 length:u32", "data:bytes"),
+    (OP_WRITE, "write",
+        "path:str offset:u64 data:bytes", "written:u32"),
+    (OP_INSTALL_CHAIN, "install_chain",
+        "path:str hook:str block_size:u32 scratch_size:u32 "
+        "program_name:str instructions:program", "chain_id:u32"),
+    (OP_EXEC_CHAIN, "exec_chain",
+        "chain_id:u32 offset:u64 length:u32 args:u64s",
+        "chain_status:str hops:u32 values:opt2 data:bytes"),
+    (OP_PUT, "put", "key:u64 value:u64", "version:u64"),
+    (OP_GET, "get", "key:u64", "found:bool version:u64 value:u64"),
+    (OP_REPLICATE, "replicate",
+        "key:u64 version:u64 offset:u64 data:bytes", "version:u64"),
+    (OP_COMPACT, "compact",
+        "output_path:str drop_tombstones:bool input_paths:strs",
+        "emitted:u64 dropped:u64 output_entries:u64 output_bytes:u64 "
+        "chain_hops:u64"),
+)}
+OP_NAMES = {code: row.name for code, row in OPS.items()}
+
+#: Body of an EAGAIN refusal (any op): retry-after, tenant, reason.
+QOS_REJECT = Layout("retry_after_ns:u64 tenant:str reason:rest")
+
+
+def raise_for_status(status: int, body: bytes) -> None:
+    """Re-raise a refusal reply (raw body) as its typed client-side error."""
     if status == STATUS_OK:
         return
     if status == STATUS_EAGAIN:
-        retry_after_ns, reason, tenant = decode_qos_reject(body)
+        retry_after_ns, tenant, reason = decode_body(QOS_REJECT, body)
         raise QosRejected(reason, retry_after_ns=retry_after_ns,
                           tenant=tenant)
-    raise_for_status(status, body.decode("utf-8", "replace"))
-
-
-def encode_qos_reject(retry_after_ns: int, reason: str = "",
-                      tenant: str = "") -> bytes:
-    """Body of an EAGAIN refusal: retry-after, tenant, and a reason."""
-    return (struct.pack("!Q", retry_after_ns) + _pack_str(tenant) +
-            reason.encode("utf-8"))
-
-
-def decode_qos_reject(body: bytes) -> Tuple[int, str, str]:
-    """``body`` -> (retry_after_ns, reason, tenant)."""
-    cursor = _Cursor(body)
-    (retry_after_ns,) = cursor.take("!Q")
-    tenant = cursor.take_str()
-    reason = cursor.body[cursor.pos:].decode("utf-8", "replace")
-    return retry_after_ns, reason, tenant
+    errno_name = STATUS_NAMES.get(status, "EREMOTE")
+    reason = body.decode("utf-8", "replace")
+    if errno_name == "EVERIFY":
+        raise RemoteVerifierRejected(errno_name, reason)
+    raise RemoteError(errno_name, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -186,274 +353,20 @@ def decode_qos_reject(body: bytes) -> Tuple[int, str, str]:
 def encode_frame(op: int, request_id: int, body: bytes = b"",
                  status: int = STATUS_OK) -> bytes:
     header = _HEADER.pack(MAGIC, op, status, request_id)
-    return struct.pack("!I", len(header) + len(body)) + header + body
+    return _U32.pack(len(header) + len(body)) + header + body
 
 
 def decode_frame(frame: bytes) -> Tuple[int, int, int, bytes]:
     """``frame`` -> (op, status, request_id, body); validates the envelope."""
-    if len(frame) < 4 + _HEADER.size:
+    if len(frame) < FRAME_OVERHEAD:
         raise FramingError(f"short frame ({len(frame)} bytes)")
-    (length,) = struct.unpack_from("!I", frame, 0)
+    (length,) = _U32.unpack_from(frame, 0)
     if length != len(frame) - 4:
         raise FramingError(
             f"length prefix {length} != {len(frame) - 4} payload bytes")
     magic, op, status, request_id = _HEADER.unpack_from(frame, 4)
     if magic != MAGIC:
         raise FramingError(f"bad magic 0x{magic:04x}")
-    if op & ~REPLY not in OP_NAMES:
+    if op & ~REPLY not in OPS:
         raise FramingError(f"unknown op {op & ~REPLY}")
-    return op, status, request_id, frame[4 + _HEADER.size:]
-
-
-# ---------------------------------------------------------------------------
-# Body packing primitives
-# ---------------------------------------------------------------------------
-
-
-def _pack_str(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    return struct.pack("!H", len(raw)) + raw
-
-
-def _pack_bytes(data: bytes) -> bytes:
-    return struct.pack("!I", len(data)) + data
-
-
-class _Cursor:
-    """Sequential reader over a body with short-read checking."""
-
-    def __init__(self, body: bytes):
-        self.body = body
-        self.pos = 0
-
-    def take(self, fmt: str) -> tuple:
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.body):
-            raise FramingError("truncated body")
-        values = struct.unpack_from(fmt, self.body, self.pos)
-        self.pos += size
-        return values
-
-    def take_str(self) -> str:
-        (length,) = self.take("!H")
-        return self.take_raw(length).decode("utf-8")
-
-    def take_bytes(self) -> bytes:
-        (length,) = self.take("!I")
-        return self.take_raw(length)
-
-    def take_raw(self, length: int) -> bytes:
-        if self.pos + length > len(self.body):
-            raise FramingError("truncated body")
-        raw = self.body[self.pos:self.pos + length]
-        self.pos += length
-        return raw
-
-
-# ---------------------------------------------------------------------------
-# READ / WRITE
-# ---------------------------------------------------------------------------
-
-
-def encode_read(path: str, offset: int, length: int) -> bytes:
-    return _pack_str(path) + struct.pack("!QI", offset, length)
-
-
-def decode_read(body: bytes) -> Tuple[str, int, int]:
-    cursor = _Cursor(body)
-    path = cursor.take_str()
-    offset, length = cursor.take("!QI")
-    return path, offset, length
-
-
-def encode_read_reply(data: bytes) -> bytes:
-    return _pack_bytes(data)
-
-
-def decode_read_reply(body: bytes) -> bytes:
-    return _Cursor(body).take_bytes()
-
-
-def encode_write(path: str, offset: int, data: bytes) -> bytes:
-    return _pack_str(path) + struct.pack("!Q", offset) + _pack_bytes(data)
-
-
-def decode_write(body: bytes) -> Tuple[str, int, bytes]:
-    cursor = _Cursor(body)
-    path = cursor.take_str()
-    (offset,) = cursor.take("!Q")
-    return path, offset, cursor.take_bytes()
-
-
-def encode_write_reply(written: int) -> bytes:
-    return struct.pack("!I", written)
-
-
-def decode_write_reply(body: bytes) -> int:
-    return _Cursor(body).take("!I")[0]
-
-
-# ---------------------------------------------------------------------------
-# INSTALL_CHAIN / EXEC_CHAIN
-# ---------------------------------------------------------------------------
-
-
-def encode_install_chain(path: str, hook: str, block_size: int,
-                         scratch_size: int, program_name: str,
-                         instructions: List[Instruction]) -> bytes:
-    return (_pack_str(path) + _pack_str(hook) +
-            struct.pack("!II", block_size, scratch_size) +
-            _pack_str(program_name) +
-            _pack_bytes(encode_instructions(instructions)))
-
-
-def decode_install_chain(body: bytes,
-                         ) -> Tuple[str, str, int, int, str,
-                                    List[Instruction]]:
-    cursor = _Cursor(body)
-    path = cursor.take_str()
-    hook = cursor.take_str()
-    block_size, scratch_size = cursor.take("!II")
-    program_name = cursor.take_str()
-    instructions = decode_instructions(cursor.take_bytes())
-    return path, hook, block_size, scratch_size, program_name, instructions
-
-
-def encode_install_chain_reply(chain_id: int) -> bytes:
-    return struct.pack("!I", chain_id)
-
-
-def decode_install_chain_reply(body: bytes) -> int:
-    return _Cursor(body).take("!I")[0]
-
-
-def encode_exec_chain(chain_id: int, offset: int, length: int,
-                      args: Tuple[int, ...]) -> bytes:
-    out = struct.pack("!IQIB", chain_id, offset, length, len(args))
-    for arg in args:
-        out += struct.pack("!Q", arg & 0xFFFFFFFFFFFFFFFF)
-    return out
-
-
-def decode_exec_chain(body: bytes) -> Tuple[int, int, int, Tuple[int, ...]]:
-    cursor = _Cursor(body)
-    chain_id, offset, length, nargs = cursor.take("!IQIB")
-    args = tuple(cursor.take("!Q")[0] for _ in range(nargs))
-    return chain_id, offset, length, args
-
-
-# ---------------------------------------------------------------------------
-# Cluster KV: PUT / GET / REPLICATE (repro.cluster)
-# ---------------------------------------------------------------------------
-
-
-def encode_put(key: int, value: int) -> bytes:
-    return struct.pack("!QQ", key, value)
-
-
-def decode_put(body: bytes) -> Tuple[int, int]:
-    return _Cursor(body).take("!QQ")
-
-
-def encode_put_reply(version: int) -> bytes:
-    return struct.pack("!Q", version)
-
-
-def decode_put_reply(body: bytes) -> int:
-    return _Cursor(body).take("!Q")[0]
-
-
-def encode_get(key: int) -> bytes:
-    return struct.pack("!Q", key)
-
-
-def decode_get(body: bytes) -> int:
-    return _Cursor(body).take("!Q")[0]
-
-
-def encode_get_reply(found: bool, version: int, value: int) -> bytes:
-    return struct.pack("!BQQ", 1 if found else 0, version, value)
-
-
-def decode_get_reply(body: bytes) -> Tuple[bool, int, int]:
-    found, version, value = _Cursor(body).take("!BQQ")
-    return bool(found), version, value
-
-
-def encode_replicate(key: int, version: int, offset: int,
-                     data: bytes) -> bytes:
-    return struct.pack("!QQQ", key, version, offset) + _pack_bytes(data)
-
-
-def decode_replicate(body: bytes) -> Tuple[int, int, int, bytes]:
-    cursor = _Cursor(body)
-    key, version, offset = cursor.take("!QQQ")
-    return key, version, offset, cursor.take_bytes()
-
-
-def encode_replicate_reply(version: int) -> bytes:
-    return struct.pack("!Q", version)
-
-
-def decode_replicate_reply(body: bytes) -> int:
-    return _Cursor(body).take("!Q")[0]
-
-
-# ---------------------------------------------------------------------------
-# COMPACT (repro.compact, remote-offloaded mode)
-# ---------------------------------------------------------------------------
-
-
-def encode_compact(output_path: str, drop_tombstones: bool,
-                   input_paths: List[str]) -> bytes:
-    out = _pack_str(output_path) + struct.pack(
-        "!BH", 1 if drop_tombstones else 0, len(input_paths))
-    for path in input_paths:  # oldest first — the merge fold order
-        out += _pack_str(path)
-    return out
-
-
-def decode_compact(body: bytes) -> Tuple[str, bool, List[str]]:
-    cursor = _Cursor(body)
-    output_path = cursor.take_str()
-    drop, count = cursor.take("!BH")
-    input_paths = [cursor.take_str() for _ in range(count)]
-    return output_path, bool(drop), input_paths
-
-
-def encode_compact_reply(emitted: int, dropped: int, output_entries: int,
-                         output_bytes: int, chain_hops: int) -> bytes:
-    return struct.pack("!QQQQQ", emitted, dropped, output_entries,
-                       output_bytes, chain_hops)
-
-
-def decode_compact_reply(body: bytes) -> Tuple[int, int, int, int, int]:
-    return _Cursor(body).take("!QQQQQ")
-
-
-_HAS_VALUE = 0x1
-_HAS_VALUE2 = 0x2
-
-
-def encode_exec_chain_reply(chain_status: str, hops: int,
-                            value: Optional[int], value2: Optional[int],
-                            data: bytes) -> bytes:
-    flags = ((_HAS_VALUE if value is not None else 0) |
-             (_HAS_VALUE2 if value2 is not None else 0))
-    out = _pack_str(chain_status) + struct.pack("!IB", hops, flags)
-    if value is not None:
-        out += struct.pack("!Q", value & 0xFFFFFFFFFFFFFFFF)
-    if value2 is not None:
-        out += struct.pack("!Q", value2 & 0xFFFFFFFFFFFFFFFF)
-    return out + _pack_bytes(data)
-
-
-def decode_exec_chain_reply(body: bytes,
-                            ) -> Tuple[str, int, Optional[int],
-                                       Optional[int], bytes]:
-    cursor = _Cursor(body)
-    chain_status = cursor.take_str()
-    hops, flags = cursor.take("!IB")
-    value = cursor.take("!Q")[0] if flags & _HAS_VALUE else None
-    value2 = cursor.take("!Q")[0] if flags & _HAS_VALUE2 else None
-    return chain_status, hops, value, value2, cursor.take_bytes()
+    return op, status, request_id, frame[FRAME_OVERHEAD:]

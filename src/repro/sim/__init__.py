@@ -18,7 +18,13 @@ Public surface:
 * :mod:`~repro.sim.rng` — named deterministic random streams.
 """
 
-from repro.sim.engine import Event, Process, Simulator, Timeout
+from repro.sim.engine import (
+    Event,
+    Process,
+    Simulator,
+    Timeout,
+    exponential_backoff_ns,
+)
 from repro.sim.resources import CpuSet, Resource, Store
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import LatencyRecorder, ThroughputMeter
@@ -34,4 +40,5 @@ __all__ = [
     "Store",
     "ThroughputMeter",
     "Timeout",
+    "exponential_backoff_ns",
 ]

@@ -28,7 +28,8 @@ from typing import Any, Callable, Generator, Iterable, List, Optional
 from repro.errors import SimulationError
 from repro.perf.profiler import get_default_profiler
 
-__all__ = ["AllOf", "AnyOf", "Event", "Process", "Simulator", "Timeout"]
+__all__ = ["AllOf", "AnyOf", "Event", "Process", "Simulator", "Timeout",
+           "exponential_backoff_ns"]
 
 PENDING = object()
 
@@ -157,6 +158,17 @@ class Timeout(Event):
         self._pending_value = value
         self._pending_exception = None
         sim._schedule(delay, self)
+
+
+def exponential_backoff_ns(base_ns: int, attempt: int) -> int:
+    """Delay before retry ``attempt`` (1-based): ``base_ns`` doubled per retry.
+
+    The one backoff schedule of every retry loop (NVMe resubmission, RPC
+    retransmission, cluster failover); integer ns, so exact.  ``attempt``
+    must be >= 1 (the first retry waits ``base_ns``): there is no delay
+    "before retry 0", and a smaller value raises ``ValueError``.
+    """
+    return base_ns << (attempt - 1)
 
 
 class Process(Event):

@@ -218,7 +218,7 @@ def test_crash_failover_loses_no_acked_write():
     assert client.availability_gap_ns is not None
     assert client.availability_gap_ns > 0
     # A dead machine answers nothing — not even refusals.
-    assert client.conns[0].dropped_requests > 0
+    assert client.remotes[0].connection.dropped_requests > 0
     # Shard 0's new primary is the old replica; the dead target backs it.
     assert cluster.primary[0] != 0
     assert cluster.replica[0] == 0

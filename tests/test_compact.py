@@ -2,7 +2,7 @@
 
 Covers the merge sink and helpers, the BPF merge program, the
 CompactionEngine's user/offloaded equivalence and boundary-byte
-accounting, QoS attribution, the COMPACT wire codecs, the remote
+accounting, QoS attribution, the COMPACT wire op, the remote
 (one-RPC) path, and graceful degradation of concurrent chain gets
 across the compaction's extent unlinks.
 """
@@ -198,21 +198,9 @@ def test_compaction_tenant_attribution_opt_in():
 
 
 # ---------------------------------------------------------------------------
-# Wire codecs
+# Wire op (the COMPACT codecs are covered with every other row of the op
+# table by tests/test_net.py)
 # ---------------------------------------------------------------------------
-
-
-def test_wire_compact_roundtrip():
-    body = wire.encode_compact("/db/out", True, ["/db/a", "/db/b"])
-    output_path, drop, inputs = wire.decode_compact(body)
-    assert output_path == "/db/out"
-    assert drop is True
-    assert inputs == ["/db/a", "/db/b"]
-
-
-def test_wire_compact_reply_roundtrip():
-    body = wire.encode_compact_reply(10, 2, 8, 4096, 6)
-    assert wire.decode_compact_reply(body) == (10, 2, 8, 4096, 6)
 
 
 def test_wire_compact_op_named():

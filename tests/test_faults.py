@@ -175,12 +175,12 @@ def test_stale_due_fixed_interval_steps():
 
 
 def test_retry_policy_validation_and_backoff():
-    policy = NvmeRetryPolicy(backoff_base_ns=1000, backoff_multiplier=2.0)
+    policy = NvmeRetryPolicy(backoff_base_ns=1000)
     assert [policy.backoff_ns(n) for n in (1, 2, 3)] == [1000, 2000, 4000]
     with pytest.raises(InvalidArgument):
         NvmeRetryPolicy(max_retries=-1)
     with pytest.raises(InvalidArgument):
-        NvmeRetryPolicy(backoff_multiplier=0.5)
+        NvmeRetryPolicy(backoff_base_ns=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +224,7 @@ def test_retry_exhaustion_surfaces_io_error():
 
 
 def test_backoff_charges_simulated_time():
-    policy = NvmeRetryPolicy(backoff_base_ns=50_000,
-                             backoff_multiplier=2.0)
+    policy = NvmeRetryPolicy(backoff_base_ns=50_000)
     sim, kernel, bpf = build_machine(fault_plan=IDLE, retry=policy)
     kernel.create_file("/f", bytes(4096))
     kernel.fault_plan.inject(lba_of_block(kernel, "/f", 0), times=2)

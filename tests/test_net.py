@@ -93,53 +93,130 @@ def test_frame_rejects_hostile_input():
         wire.decode_frame(bad_op)
 
 
+WALK = assemble("mov r0, 7\nlddw r1, 0x1122334455667788\nexit")
+U64_MAX = 2 ** 64 - 1
+
+
+def _request(op):
+    return wire.OPS[op].request
+
+
+def _reply(op):
+    return wire.OPS[op].reply
+
+
+#: (layout, fields, pinned hex) for every message in the op table.  The
+#: hex strings were captured from the per-op ``encode_*`` functions the
+#: table replaced (commit 799cc80), so they pin byte identity: frame
+#: sizes feed fabric transit time, and a changed byte changes simulated
+#: results.
+SAMPLES = [
+    (_request(wire.OP_READ), ("/a", 4096, 512),
+     "00022f61000000000000100000000200"),
+    (_reply(wire.OP_READ), (b"data",), "0000000464617461"),
+    (_request(wire.OP_WRITE), ("/a", 8192, b"hi"),
+     "00022f610000000000002000000000026869"),
+    (_reply(wire.OP_WRITE), (7,), "00000007"),
+    (_request(wire.OP_INSTALL_CHAIN),
+     ("/index", "nvme", 4096, 256, "walk", WALK),
+     "00062f696e64657800046e766d650000100000000100000477616c6b00000020"
+     "b700000007000000180100008877665500000000443322119500000000000000"),
+    (_reply(wire.OP_INSTALL_CHAIN), (3,), "00000003"),
+    (_request(wire.OP_EXEC_CHAIN), (3, 8192, 4096, (10, U64_MAX)),
+     "0000000300000000000020000000100002000000000000000affffffffffffffff"),
+    (_request(wire.OP_EXEC_CHAIN), (3, 8192, 4096, ()),
+     "0000000300000000000020000000100000"),
+    (_reply(wire.OP_EXEC_CHAIN), ("ok", 4, (99, 1), b"page"),
+     "00026f6b0000000403000000000000006300000000000000010000000470616765"),
+    (_reply(wire.OP_EXEC_CHAIN), ("error", 1, (None, U64_MAX - 1), b""),
+     "00056572726f720000000102fffffffffffffffe00000000"),
+    (_reply(wire.OP_EXEC_CHAIN), ("error", 1, (None, None), b""),
+     "00056572726f72000000010000000000"),
+    (_request(wire.OP_PUT), (11, U64_MAX),
+     "000000000000000bffffffffffffffff"),
+    (_reply(wire.OP_PUT), (5,), "0000000000000005"),
+    (_request(wire.OP_GET), (11,), "000000000000000b"),
+    (_reply(wire.OP_GET), (True, 5, 77),
+     "010000000000000005000000000000004d"),
+    (_request(wire.OP_REPLICATE), (11, 5, 11 * 512, b"\x01\x02\x03"),
+     "000000000000000b0000000000000005000000000000160000000003010203"),
+    (_reply(wire.OP_REPLICATE), (5,), "0000000000000005"),
+    (_request(wire.OP_COMPACT), ("/db/out", True, ["/db/a", "/db/\u00e9"]),
+     "00072f64622f6f757401000200052f64622f6100062f64622fc3a9"),
+    (_reply(wire.OP_COMPACT), (10, 2, 8, 4096, 6),
+     "000000000000000a0000000000000002000000000000000800000000000010"
+     "000000000000000006"),
+    (wire.QOS_REJECT, (12345, "alice", "over rate"),
+     "00000000000030390005616c6963656f7665722072617465"),
+]
+
+
+def test_samples_cover_every_row_of_the_op_table():
+    covered = {id(layout) for layout, _fields, _hex in SAMPLES}
+    for row in wire.OPS.values():
+        assert id(row.request) in covered, row.name
+        assert id(row.reply) in covered, row.name
+    assert wire.OP_NAMES == {code: row.name
+                             for code, row in wire.OPS.items()}
+    assert sorted(wire.OPS) == list(range(1, 9))
+
+
 def test_op_codecs_roundtrip():
-    assert wire.decode_read(wire.encode_read("/a", 4096, 512)) == \
-        ("/a", 4096, 512)
-    assert wire.decode_write(wire.encode_write("/a", 8192, b"hi")) == \
-        ("/a", 8192, b"hi")
-    assert wire.decode_read_reply(wire.encode_read_reply(b"data")) == b"data"
-    assert wire.decode_write_reply(wire.encode_write_reply(7)) == 7
-
-    instructions = assemble("mov r0, 0\nexit")
-    body = wire.encode_install_chain("/index", "nvme", 4096, 256, "walk",
-                                     instructions)
-    path, hook, block, scratch, name, decoded = wire.decode_install_chain(
-        body)
-    assert (path, hook, block, scratch, name) == ("/index", "nvme", 4096,
-                                                  256, "walk")
-    assert encode_instructions(decoded) == encode_instructions(instructions)
-
-    assert wire.decode_exec_chain(
-        wire.encode_exec_chain(3, 8192, 4096, (10, 20))) == \
-        (3, 8192, 4096, (10, 20))
+    for layout, fields, _hex in SAMPLES:
+        body = wire.encode_body(layout, fields)
+        assert wire.decode_body(layout, body) == fields, layout
 
 
-def test_exec_chain_reply_optional_values():
-    both = wire.encode_exec_chain_reply("ok", 4, 99, 1, b"page")
-    assert wire.decode_exec_chain_reply(both) == ("ok", 4, 99, 1, b"page")
-    neither = wire.encode_exec_chain_reply("error", 1, None, None, b"")
-    assert wire.decode_exec_chain_reply(neither) == ("error", 1, None,
-                                                     None, b"")
+def test_wire_bytes_are_pinned():
+    for layout, fields, pinned in SAMPLES:
+        assert wire.encode_body(layout, fields).hex() == pinned, layout
+    # EXEC_CHAIN args and reply values are masked to 64 bits, not refused.
+    exec_chain = wire.OPS[wire.OP_EXEC_CHAIN]
+    assert wire.encode_body(exec_chain.request, (3, 8192, 4096, (10, -1))) \
+        == wire.encode_body(exec_chain.request,
+                            (3, 8192, 4096, (10, U64_MAX)))
+    assert wire.encode_body(exec_chain.reply, ("error", 1, (None, -2), b"")) \
+        == wire.encode_body(exec_chain.reply,
+                            ("error", 1, (None, U64_MAX - 1), b""))
 
 
 def test_truncated_body_is_a_framing_error():
-    body = wire.encode_exec_chain(3, 8192, 4096, (10, 20))
-    with pytest.raises(FramingError, match="truncated"):
-        wire.decode_exec_chain(body[:-3])
-    with pytest.raises(FramingError, match="truncated"):
-        wire.decode_read(b"\x00\xffway too short")
+    for layout, fields, _hex in SAMPLES:
+        body = wire.encode_body(layout, fields)
+        # QOS_REJECT ends in the one rest-of-body field (the reason):
+        # any tail is a reason, so only its fixed part can be cut short.
+        open_ended = layout is wire.QOS_REJECT
+        fixed = len(body) - len(fields[-1]) if open_ended else len(body)
+        for cut in range(fixed):
+            with pytest.raises(FramingError):
+                wire.decode_body(layout, body[:cut])
+        if not open_ended:
+            with pytest.raises(FramingError, match="trailing"):
+                wire.decode_body(layout, body + b"\x00")
+
+
+def test_encode_range_errors_are_invalid_argument():
+    read = wire.OPS[wire.OP_READ].request
+    with pytest.raises(InvalidArgument):
+        wire.encode_body(read, ("/a", -1, 512))             # negative u64
+    with pytest.raises(InvalidArgument):
+        wire.encode_body(read, ("x" * 65_536, 0, 512))      # str > u16
+    with pytest.raises(InvalidArgument):
+        wire.encode_body(wire.OPS[wire.OP_EXEC_CHAIN].request,
+                         (1, 0, 4096, tuple(range(256))))    # args > u8
+    with pytest.raises(InvalidArgument, match="takes 3 fields"):
+        wire.encode_body(read, ("/a", 0))
 
 
 def test_status_mapping():
     assert wire.status_for_errno("EVERIFY") == 1
     assert wire.STATUS_NAMES[wire.status_for_errno("ETOTALLYMADEUP")] == \
         "EREMOTE"
-    wire.raise_for_status(wire.STATUS_OK, "")
-    with pytest.raises(RemoteVerifierRejected, match="loops"):
-        wire.raise_for_status(1, "program loops")
+    wire.raise_for_status(wire.STATUS_OK, b"")
+    with pytest.raises(RemoteVerifierRejected, match="program loops"):
+        wire.raise_for_status(1, b"program loops")
     with pytest.raises(RemoteError, match="gone"):
-        wire.raise_for_status(wire.status_for_errno("ENOENT"), "gone")
+        wire.raise_for_status(wire.status_for_errno("ENOENT"), b"gone")
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +267,76 @@ def test_remote_errors_are_typed_not_crashes():
         return (yield from client.read("/data", 0, 512))
 
     assert sim.run_process(recheck()) == bytes(512)
+
+
+def test_hostile_requests_are_refused_and_target_keeps_serving():
+    # Regression: each of the first three bodies used to escape the
+    # target as UnicodeDecodeError / ValueError / KeyError and take the
+    # whole simulation down; the fourth was served, junk and all.
+    sim, target, fabric, connection, client = build_rig()
+    target.create_file("/data", bytes(8192))
+    good_read = wire.encode_body(_request(wire.OP_READ), ("/data", 0, 512))
+    install = _request(wire.OP_INSTALL_CHAIN)
+    slots = wire.encode_body(install, ("/data", "nvme", 4096, 256, "p", []))
+    hostile = [
+        (wire.OP_READ, b"\x00\x02\xff\xfe" + good_read[7:], "EBADMSG"),
+        (wire.OP_INSTALL_CHAIN,
+         wire.encode_body(install, ("/data", "bogus", 4096, 256, "p", WALK)),
+         "EINVAL"),
+        (wire.OP_INSTALL_CHAIN,
+         slots[:-4] + b"\x00\x00\x00\x08" + b"\xff" * 8, "EINVAL"),
+        (wire.OP_READ, good_read + b"junk", "EBADMSG"),
+    ]
+
+    def workload():
+        statuses = []
+        for op, body, _want in hostile:
+            status, _reason = yield from connection.call(op, body)
+            statuses.append(wire.STATUS_NAMES[status])
+        # A *request* whose op byte has the REPLY bit set (0x81) passes
+        # the frame envelope check but names no row of the op table; it
+        # used to escape the target as KeyError.  No client stub can
+        # send it, so it goes onto the link raw: the refusal comes back
+        # for a request id nobody is waiting on.
+        fabric.transmit(connection.c2s, wire.encode_frame(
+            wire.OP_READ | wire.REPLY, 999, good_read), request_id=999)
+        data = yield from client.read("/data", 0, 512)
+        return statuses, data
+
+    statuses, data = sim.run_process(workload())
+    assert statuses == [want for _op, _body, want in hostile]
+    assert data == bytes(512)
+    assert target.refused == {"EBADMSG": 3, "EINVAL": 2}
+    assert connection.stale_replies == 1 and connection.bad_frames == 0
+    assert target.executed == {"read": 1}
+    # The client-side view of the same refusals is typed, too.
+    with pytest.raises(RemoteError) as excinfo:
+        wire.raise_for_status(wire.status_for_errno("EBADMSG"), b"why")
+    assert excinfo.value.remote_errno is Errno.EBADMSG
+
+
+def test_ops_without_a_handler_or_a_table_row():
+    # PUT is in the op table but only the cluster's target serves it: a
+    # plain target answers EBADMSG.  A code outside the table never
+    # reaches a handler: the frame is dropped and counted.
+    sim, target, fabric, connection, _client = build_rig(max_retries=0)
+
+    def put():
+        return (yield from connection.call(
+            wire.OP_PUT, wire.encode_body(_request(wire.OP_PUT), (1, 2))))
+
+    status, reason = sim.run_process(put())
+    assert wire.STATUS_NAMES[status] == "EBADMSG"
+    assert b"unknown op 5" in reason
+    assert target.refused == {"EBADMSG": 1}
+
+    frame = bytearray(wire.encode_frame(wire.OP_READ, 99))
+    frame[6] = 0x33
+    fabric.transmit(connection.c2s, bytes(frame), request_id=99)
+    sim.run(until=sim.now + 1_000_000)
+    assert connection.bad_frames == 1
+    assert target.refused == {"EBADMSG": 1}
+    assert target.executed == {}
 
 
 def test_target_rejects_duplicate_attach():
@@ -334,7 +481,8 @@ def test_dedup_cache_evicts_lru_not_insertion_order():
 
     def send(request_id):
         frame = wire.encode_frame(wire.OP_READ, request_id,
-                                  wire.encode_read("/data", 0, 512))
+                                  wire.encode_body(_request(wire.OP_READ),
+                                                   ("/data", 0, 512)))
         fabric.transmit(connection.c2s, frame, request_id=request_id)
 
     send(1)   # executes; cache [1]

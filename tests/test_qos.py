@@ -400,15 +400,17 @@ def test_attach_defaults_tenant_to_connection_name_under_qos():
 
 
 def test_qos_reject_wire_roundtrip():
-    body = wire.encode_qos_reject(12345, "over rate", "alice")
-    assert wire.decode_qos_reject(body) == (12345, "over rate", "alice")
+    body = wire.encode_body(wire.QOS_REJECT, (12345, "alice", "over rate"))
+    assert wire.decode_body(wire.QOS_REJECT, body) == \
+        (12345, "alice", "over rate")
     with pytest.raises(QosRejected) as excinfo:
-        wire.raise_for_reply(wire.STATUS_EAGAIN, body)
+        wire.raise_for_status(wire.STATUS_EAGAIN, body)
     assert excinfo.value.retry_after_ns == 12345
     assert excinfo.value.tenant == "alice"
+    assert "over rate" in str(excinfo.value)
     # Non-EAGAIN statuses keep the plain reason-string contract.
     with pytest.raises(RemoteError) as excinfo:
-        wire.raise_for_reply(wire.status_for_errno("ENOENT"), b"gone")
+        wire.raise_for_status(wire.status_for_errno("ENOENT"), b"gone")
     assert excinfo.value.remote_errno is Errno.ENOENT
 
 
