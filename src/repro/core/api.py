@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import Program
-from repro.ebpf.verifier import verify
+from repro.ebpf.verifier import proof_context, verify
 from repro.ebpf.vm import VmEnvironment
 from repro.errors import ChainLimitExceeded, ExtentInvalidated, InvalidArgument
 from repro.kernel import Kernel, ReadResult
@@ -154,7 +154,9 @@ class StorageBpf:
         if not isinstance(arg, InstallRequest):
             raise InvalidArgument("install ioctl needs an InstallRequest")
         program = arg.program
-        if not program.verified:
+        # An earlier proof counts only if it was made against these helpers
+        # and maps of these sizes; anything else is proved again, here.
+        if program.verified_against != proof_context(self.helpers, arg.maps):
             verify(program, self.helpers, maps=arg.maps)
         env = VmEnvironment(self.helpers, maps=arg.maps,
                             clock=lambda: self.kernel.sim.now)

@@ -97,8 +97,13 @@ class Program:
     instructions: List[Instruction]
     ctx_layout: CtxLayout
     name: str = "prog"
-    #: Filled in by the verifier on success (instruction states explored).
+    #: Set by the verifier on success.
     verified: bool = field(default=False, compare=False)
+    #: What that proof was made against besides the program itself (see
+    #: :func:`repro.ebpf.verifier.proof_context`): a proof holds only for
+    #: an environment that equals it.
+    verified_against: Optional[tuple] = field(default=None, compare=False,
+                                              repr=False)
 
     def __post_init__(self):
         if not self.instructions:

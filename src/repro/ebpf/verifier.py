@@ -21,10 +21,16 @@ The scalar domain tracks unsigned ranges ``[umin, umax]``; branch outcomes
 refine ranges along each edge, which is what lets bounded loops such as a
 B-tree node's bounded binary search verify while an unbounded walk is
 rejected by budget exhaustion.
+
+Verification runs at every ``install``, on every target a program is
+pushed to, so its cost is part of the system: it is linear in the number
+of states explored (``docs/verifier.md`` has the domain, the prune and
+infinite-loop rules, why the candidate index is exact, and measured times).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -33,7 +39,7 @@ from repro.ebpf.helpers import ArgKind, HelperRegistry, RetKind
 from repro.ebpf.isa import FP_REG, MEM_SIZES, STACK_SIZE
 from repro.ebpf.program import FieldKind, Program
 
-__all__ = ["VerifierStats", "Verifier", "verify"]
+__all__ = ["VerifierStats", "Verifier", "proof_context", "verify"]
 
 U64_MAX = 2**64 - 1
 U32_MAX = 2**32 - 1
@@ -91,6 +97,9 @@ class NotInit:
 
 NOT_INIT = NotInit()
 
+_ALU_BASES = frozenset(("add", "sub", "mul", "div", "mod", "or", "and", "xor",
+                        "lsh", "rsh", "arsh", "mov", "neg"))
+
 # Stack slot contents: ("ptr", Ptr) or ("bytes", frozenset of initialised
 # byte offsets within the slot).
 _SLOT_COUNT = STACK_SIZE // 8
@@ -99,12 +108,11 @@ _SLOT_COUNT = STACK_SIZE // 8
 class State:
     """Abstract machine state at one program point."""
 
-    __slots__ = ("regs", "stack", "_signature")
+    __slots__ = ("regs", "stack")
 
     def __init__(self, regs, stack):
         self.regs = regs          # tuple of 11 abstract values
         self.stack = stack        # dict slot_index -> ("ptr", Ptr)|("bytes", frozenset)
-        self._signature = None
 
     def with_reg(self, index: int, value) -> "State":
         regs = list(self.regs)
@@ -113,18 +121,6 @@ class State:
 
     def with_stack(self, stack) -> "State":
         return State(self.regs, stack)
-
-    def signature(self):
-        """A hashable snapshot for O(1) exact-duplicate pruning."""
-        if self._signature is None:
-            self._signature = (
-                self.regs,
-                frozenset(
-                    (slot, entry[0], entry[1])
-                    for slot, entry in self.stack.items()
-                ),
-            )
-        return self._signature
 
 
 def _initial_state(ctx_size: int) -> State:
@@ -140,6 +136,146 @@ class VerifierStats:
 
     states_explored: int = 0
     max_states_per_insn: int = 0
+    #: Calls of the state-subsumption test: what the loop and prune checks
+    #: cost on top of the transfer function.
+    subsumption_checks: int = 0
+
+
+class _Table:
+    """States at one pc, indexed by the scalar in the discriminator register.
+
+    ``old`` can subsume ``new`` only if every register of ``old`` covers
+    the same register of ``new``.  ``candidates`` yields the states whose
+    discriminator covers the new state's; every state it skips would have
+    failed ``_subsumes`` on that register.
+
+    * A constant ``Scalar(c)`` covers nothing but ``c``, so the states
+      holding a constant are bucketed by it: one hash lookup.  This is the
+      counter of an unrolled loop.
+    * A range covers a scalar if ``old.umin <= new.umin`` and ``old.umax >=
+      new.umax``.  The states holding a range are kept sorted twice, by
+      ``umin`` and by ``umax``, so the two conditions are a prefix of one
+      order and a suffix of the other; the shorter of the two is walked
+      and filtered by the other condition.  These are the bounds of an
+      unrolled binary search.
+    * A state holding a pointer or nothing there may cover anything, so
+      every lookup scans those.
+    """
+
+    __slots__ = ("constants", "by_umin", "by_umax", "rest")
+
+    def __init__(self):
+        self.constants: Dict[int, List[State]] = {}
+        # (bound, sequence number, other bound, state): the sequence
+        # number is unique, so comparisons never reach past it.
+        self.by_umin: List[tuple] = []
+        self.by_umax: List[tuple] = []
+        self.rest: List[State] = []
+
+    def add(self, value, seq: int, state: State) -> None:
+        if type(value) is not Scalar:
+            self.rest.append(state)
+        elif value.umin == value.umax:
+            self.constants.setdefault(value.umin, []).append(state)
+        else:
+            insort(self.by_umin, (value.umin, seq, value.umax, state))
+            insort(self.by_umax, (value.umax, seq, value.umin, state))
+
+    def remove_newest(self, value, seq: int) -> None:
+        """Drop the state added last (its discriminator value and number)."""
+        if type(value) is not Scalar:
+            self.rest.pop()
+        elif value.umin == value.umax:
+            self.constants[value.umin].pop()
+        else:
+            del self.by_umin[bisect_left(self.by_umin, (value.umin, seq))]
+            del self.by_umax[bisect_left(self.by_umax, (value.umax, seq))]
+
+    def candidates(self, value):
+        """The states here that may subsume one holding ``value``."""
+        yield from self.rest
+        if type(value) is not Scalar:
+            return
+        umin, umax = value.umin, value.umax
+        if umin == umax:
+            yield from self.constants.get(umin, ())
+        below = bisect_left(self.by_umin, (umin + 1,))   # old.umin <= umin
+        above = bisect_left(self.by_umax, (umax,))       # old.umax >= umax
+        if below <= len(self.by_umax) - above:
+            for _, _, old_umax, state in self.by_umin[:below]:
+                if old_umax >= umax:
+                    yield state
+        else:
+            for _, _, old_umin, state in self.by_umax[above:]:
+                if old_umin <= umin:
+                    yield state
+
+
+class _Recorded:
+    """The states recorded at one pc: on the DFS path, and fully explored.
+
+    Both sets are indexed (see ``_Table``) by the scalar held in one
+    *discriminator* register, the one whose bounds vary most over a sample
+    of the states seen here — the loop counter of an unrolled loop, a
+    bound of an unrolled binary search.  It is chosen again each time the
+    number of states seen here doubles, so choosing it (and re-indexing,
+    if it changed) costs a constant per state.  Which register is chosen
+    decides only how many candidates a lookup yields, never the verdict.
+    """
+
+    __slots__ = ("reg", "path", "done", "active", "explored", "review_at")
+
+    def __init__(self):
+        self.reg = 0
+        #: States on the current DFS path, in the order entered: matching
+        #: one of these means a loop iteration made no progress.
+        self.path: List[State] = []
+        #: Fully explored states: safe to prune against (that exploration
+        #: provably reached exit on every path).
+        self.done: List[State] = []
+        self.active = _Table()
+        self.explored = _Table()
+        self.review_at = 8
+
+    def enter(self, state: State) -> None:
+        """Record ``state`` as being explored (on the DFS path)."""
+        self.path.append(state)
+        if len(self.path) + len(self.done) == self.review_at:
+            self.review_at *= 2
+            self._choose_discriminator()
+        self.active.add(state.regs[self.reg], len(self.path), state)
+
+    def leave(self, state: State) -> None:
+        """Move ``state`` from the DFS path to the fully explored set."""
+        # The DFS leaves states in the reverse of the order it entered
+        # them, so the one leaving is the newest on the path.
+        value = state.regs[self.reg]
+        self.active.remove_newest(value, len(self.path))
+        self.path.pop()
+        self.done.append(state)
+        self.explored.add(value, len(self.done), state)
+
+    def _choose_discriminator(self) -> None:
+        seen = self.path + self.done
+        sample = seen[::max(1, len(seen) // 16)]
+
+        def spread(reg: int) -> int:
+            # Ranges that share a bound nest, and nested ranges cover one
+            # another, so a register tells states apart only as far as
+            # both of its bounds vary.
+            scalars = [state.regs[reg] for state in sample
+                       if type(state.regs[reg]) is Scalar]
+            return min(len({scalar.umin for scalar in scalars}),
+                       len({scalar.umax for scalar in scalars}))
+
+        reg = max(range(11), key=spread)
+        if reg != self.reg:
+            self.reg = reg
+            self.active, self.explored = _Table(), _Table()
+            for seq, state in enumerate(self.path[:-1], 1):
+                self.active.add(state.regs[reg], seq, state)
+            for seq, state in enumerate(self.done, 1):
+                self.explored.add(state.regs[reg], seq, state)
 
 
 class Verifier:
@@ -153,18 +289,7 @@ class Verifier:
         self.maps = maps or {}
         self.state_budget = state_budget
         self.stats = VerifierStats()
-        # Fully explored states per pc: safe to prune against (that
-        # exploration provably reached exit on every path).  Exact
-        # duplicates are pruned through the signature set in O(1); the
-        # subsumption scan is capped to recent states to keep verification
-        # time linear on long bounded loops.
-        self._completed: Dict[int, List[State]] = {}
-        self._completed_sigs: Dict[int, set] = {}
-        # States on the current DFS path per pc: matching one of these means
-        # a loop iteration made no progress -> infinite loop.
-        self._in_progress: Dict[int, List[State]] = {}
-
-    _SUBSUME_SCAN_LIMIT = 32
+        self._recorded = [_Recorded() for _ in program.instructions]
 
     # ------------------------------------------------------------------
 
@@ -177,8 +302,15 @@ class Verifier:
         is rejected — pruning against an ancestor would wrongly certify
         termination.
         """
-        insns = self.program.instructions
+        insn_count = len(self.program.instructions)
         self._check_jump_targets()
+        stats = self.stats
+        # Each instruction is decoded once, into the function that steps
+        # a state across it; thousands of states may visit one pc.  (A
+        # local: the closures hold ``self``, and ``self`` holding them
+        # would keep every state alive until the cycle collector runs.)
+        transfer = [self._decode(pc, insn) for pc, insn in
+                    enumerate(self.program.instructions)]
 
         # Explicit DFS frames: [pc, state, successors or None, next index].
         frames: List[list] = [
@@ -187,45 +319,50 @@ class Verifier:
         while frames:
             frame = frames[-1]
             pc, state, successors, index = frame
+            recorded = self._recorded[pc]
             if successors is None:
-                for ancestor in self._in_progress.get(pc, ()):
-                    if _subsumes(ancestor, state):
-                        raise VerifierError("infinite loop detected", pc)
-                if state.signature() in self._completed_sigs.get(pc, ()):
+                held = state.regs[recorded.reg]
+                if recorded.path and \
+                        self._covered(recorded.active, held, state):
+                    raise VerifierError("infinite loop detected", pc)
+                if recorded.done and \
+                        self._covered(recorded.explored, held, state):
                     frames.pop()
                     continue
-                recent = self._completed.get(pc, ())
-                if any(_subsumes(old, state)
-                       for old in recent[-self._SUBSUME_SCAN_LIMIT:]):
-                    frames.pop()
-                    continue
-                self.stats.states_explored += 1
-                if self.stats.states_explored > self.state_budget:
+                stats.states_explored += 1
+                if stats.states_explored > self.state_budget:
                     raise VerifierError(
                         "state budget exhausted — program too complex or "
                         "contains a loop the verifier cannot bound", pc)
-                successors = self._step(pc, state)
+                successors = transfer[pc](state)
                 for next_pc, _next_state in successors:
-                    if next_pc >= len(insns):
+                    if next_pc >= insn_count:
                         raise VerifierError(
                             "control falls off the program end", pc)
                 frame[2] = successors
-                self._in_progress.setdefault(pc, []).append(state)
-                depth = len(self._in_progress[pc])
-                if depth > self.stats.max_states_per_insn:
-                    self.stats.max_states_per_insn = depth
-            if frame[3] < len(frame[2]):
-                next_pc, next_state = frame[2][frame[3]]
-                frame[3] += 1
+                recorded.enter(state)
+                if len(recorded.path) > stats.max_states_per_insn:
+                    stats.max_states_per_insn = len(recorded.path)
+            if index < len(successors):
+                next_pc, next_state = successors[index]
+                frame[3] = index + 1
                 frames.append([next_pc, next_state, None, 0])
             else:
-                self._in_progress[pc].remove(state)
-                self._completed.setdefault(pc, []).append(state)
-                self._completed_sigs.setdefault(pc, set()).add(
-                    state.signature())
+                recorded.leave(state)
                 frames.pop()
         self.program.verified = True
-        return self.stats
+        self.program.verified_against = proof_context(self.helpers, self.maps)
+        return stats
+
+    def _covered(self, table: _Table, held, state: State) -> bool:
+        """True if a state in ``table`` subsumes ``state``, which holds
+        ``held`` in the discriminator register."""
+        stats = self.stats
+        for old in table.candidates(held):
+            stats.subsumption_checks += 1
+            if _subsumes(old, state):
+                return True
+        return False
 
     def _check_jump_targets(self) -> None:
         insns = self.program.instructions
@@ -242,55 +379,67 @@ class Verifier:
     # Transfer function
     # ------------------------------------------------------------------
 
-    def _step(self, pc: int, state: State) -> List[Tuple[int, State]]:
-        insn = self.program.instructions[pc]
+    def _decode(self, pc: int, insn):
+        """The transfer function of the instruction at ``pc``: a callable
+        taking a state there to its ``(next pc, next state)`` successors."""
         op = insn.opcode
+        following = pc + 1
 
         if op == "exit":
-            r0 = state.regs[0]
-            if r0 is NOT_INIT:
-                raise VerifierError("exit with uninitialised r0", pc)
-            if isinstance(r0, Ptr):
-                raise VerifierError("exit with pointer in r0", pc)
-            return []
+            return lambda state: self._check_exit(pc, state)
 
         if op == "call":
-            return [(pc + 1, self._check_call(pc, state, insn.imm))]
+            return lambda state: [
+                (following, self._check_call(pc, state, insn.imm))]
 
         if op == "ja":
-            return [(pc + 1 + insn.offset, state)]
+            target = following + insn.offset
+            return lambda state: [(target, state)]
 
+        imm = Scalar(insn.imm & U64_MAX, insn.imm & U64_MAX)
         if op == "lddw":
-            value = insn.imm & U64_MAX
-            return [(pc + 1, state.with_reg(insn.dst, Scalar(value, value)))]
+            return lambda state: [(following, state.with_reg(insn.dst, imm))]
 
-        base = op[:-2] if op.endswith("32") else op
-        if base in ("add", "sub", "mul", "div", "mod", "or", "and", "xor",
-                    "lsh", "rsh", "arsh", "mov", "neg"):
-            return [(pc + 1, self._check_alu(pc, state, insn, base,
-                                             op.endswith("32")))]
+        is32 = op.endswith("32")
+        base = op[:-2] if is32 else op
+        if base in _ALU_BASES:
+            return lambda state: [
+                (following,
+                 self._check_alu(pc, state, insn, base, is32, imm))]
 
         if op in _JMP_REFINERS or op == "jset":
-            return self._check_jump(pc, state, insn, op)
+            return lambda state: self._check_jump(pc, state, insn, op, imm)
 
-        if op.startswith("ldx"):
-            return [(pc + 1, self._check_load(pc, state, insn,
-                                              MEM_SIZES[op[3:]]))]
-        if op.startswith("stx"):
-            return [(pc + 1, self._check_store(pc, state, insn,
-                                               MEM_SIZES[op[3:]],
-                                               from_reg=True))]
+        if op.startswith("ldx") and op[3:] in MEM_SIZES:
+            size = MEM_SIZES[op[3:]]
+            return lambda state: [
+                (following, self._check_load(pc, state, insn, size))]
         if op.startswith("st"):
-            return [(pc + 1, self._check_store(pc, state, insn,
-                                               MEM_SIZES[op[2:]],
-                                               from_reg=False))]
+            from_reg = op.startswith("stx")
+            width = op[3:] if from_reg else op[2:]
+            if width in MEM_SIZES:
+                size = MEM_SIZES[width]
+                return lambda state: [
+                    (following,
+                     self._check_store(pc, state, insn, size,
+                                       None if from_reg else imm))]
 
-        raise VerifierError(f"unknown opcode {op!r}", pc)
+        def unknown(state):
+            raise VerifierError(f"unknown opcode {op!r}", pc)
+        return unknown
+
+    def _check_exit(self, pc: int, state: State) -> List[Tuple[int, State]]:
+        r0 = state.regs[0]
+        if r0 is NOT_INIT:
+            raise VerifierError("exit with uninitialised r0", pc)
+        if isinstance(r0, Ptr):
+            raise VerifierError("exit with pointer in r0", pc)
+        return []
 
     # -- ALU ------------------------------------------------------------
 
     def _check_alu(self, pc: int, state: State, insn, base: str,
-                   is32: bool) -> State:
+                   is32: bool, imm: Scalar) -> State:
         if insn.dst == FP_REG:
             raise VerifierError("write to frame pointer r10", pc)
         dst_val = state.regs[insn.dst]
@@ -307,8 +456,7 @@ class Verifier:
             if src_val is NOT_INIT:
                 raise VerifierError(f"use of uninitialised r{insn.src}", pc)
         else:
-            imm = insn.imm & U64_MAX
-            src_val = Scalar(imm, imm)
+            src_val = imm
 
         if base == "mov":
             if is32:
@@ -373,8 +521,8 @@ class Verifier:
 
     # -- jumps ------------------------------------------------------------
 
-    def _check_jump(self, pc: int, state: State, insn,
-                    op: str) -> List[Tuple[int, State]]:
+    def _check_jump(self, pc: int, state: State, insn, op: str,
+                    imm: Scalar) -> List[Tuple[int, State]]:
         dst_val = state.regs[insn.dst]
         if dst_val is NOT_INIT:
             raise VerifierError(f"jump on uninitialised r{insn.dst}", pc)
@@ -383,8 +531,7 @@ class Verifier:
             if src_val is NOT_INIT:
                 raise VerifierError(f"jump on uninitialised r{insn.src}", pc)
         else:
-            imm = insn.imm & U64_MAX
-            src_val = Scalar(imm, imm)
+            src_val = imm
 
         taken_pc = pc + 1 + insn.offset
         out: List[Tuple[int, State]] = []
@@ -517,7 +664,8 @@ class Verifier:
         return state.with_reg(insn.dst, _range_of_size(size))
 
     def _check_store(self, pc: int, state: State, insn, size: int,
-                     from_reg: bool) -> State:
+                     imm: Optional[Scalar]) -> State:
+        """``imm`` is the stored immediate, or None to store ``insn.src``."""
         base = state.regs[insn.dst]
         if base is NOT_INIT:
             raise VerifierError(f"store via uninitialised r{insn.dst}", pc)
@@ -525,14 +673,13 @@ class Verifier:
             raise VerifierError(f"store via non-pointer r{insn.dst}", pc)
         self._region_of(pc, base)
 
-        if from_reg:
+        if imm is None:
             value = state.regs[insn.src]
             if value is NOT_INIT:
                 raise VerifierError(
                     f"store of uninitialised r{insn.src}", pc)
         else:
-            imm = insn.imm & U64_MAX
-            value = Scalar(imm, imm)
+            value = imm
 
         lo = base.off_min + insn.offset
         hi = base.off_max + insn.offset + size
@@ -897,8 +1044,11 @@ def _value_subsumes(old, new) -> bool:
 
 def _subsumes(old: State, new: State) -> bool:
     for old_val, new_val in zip(old.regs, new.regs):
-        if not _value_subsumes(old_val, new_val):
+        # ``with_reg`` shares the untouched registers between states.
+        if old_val is not new_val and not _value_subsumes(old_val, new_val):
             return False
+    if old.stack is new.stack:
+        return True
     # Old must have been verified with *less* stack knowledge.
     for slot, entry in old.stack.items():
         new_entry = new.stack.get(slot)
@@ -913,11 +1063,27 @@ def _subsumes(old: State, new: State) -> bool:
     return True
 
 
+def proof_context(helpers: HelperRegistry,
+                  maps: Optional[Dict[int, object]] = None) -> tuple:
+    """What a verdict depends on besides the program and its ctx layout.
+
+    Helper signatures decide how calls type-check, and the key and value
+    sizes of each map bound the accesses through its pointers.  A program
+    proved against one context may fault under another, so whoever relies
+    on ``program.verified`` compares this with ``program.verified_against``
+    (the install ioctl re-verifies on a mismatch).
+    """
+    return (dict(helpers.specs),
+            {map_id: (bpf_map.key_size, bpf_map.value_size)
+             for map_id, bpf_map in (maps or {}).items()})
+
+
 def verify(program: Program, helpers: HelperRegistry,
            maps: Optional[Dict[int, object]] = None,
            state_budget: int = 200_000) -> VerifierStats:
     """Verify ``program``; raises :class:`VerifierError` on rejection.
 
-    On success, marks ``program.verified`` and returns exploration stats.
+    On success, marks ``program.verified``, records what the proof was made
+    against in ``program.verified_against`` and returns exploration stats.
     """
     return Verifier(program, helpers, maps, state_budget).run()

@@ -105,6 +105,34 @@ def test_install_with_unknown_map_id_rejected():
         bpf.verify_program(program, maps={})
 
 
+def test_proof_against_other_map_sizes_is_not_trusted_at_install():
+    """``Program.verified`` was a bare flag: a proof made against an 8-byte
+    map value let the same Program install over a 4-byte one, and the
+    "verified" walker then trapped in the VM reading ``[r0+0]`` as a u64.
+    The install must prove it again, against the maps it is given."""
+    from repro.errors import VerifierError
+
+    sim, kernel, bpf = build_machine()
+    kernel.create_file("/list", linked_file_bytes(ORDER))
+    program = Program(assemble(COUNTING_WALKER, bpf.helpers.names()),
+                      storage_ctx_layout(4096, 256), name="counting-walker")
+    wide = ArrayMap(value_size=8, max_entries=16)
+    bpf.verify_program(program, maps={1: wide})
+    narrow = ArrayMap(value_size=4, max_entries=16)
+    proc = kernel.spawn_process()
+
+    def workload(maps):
+        fd = yield from kernel.sys_open(proc, "/list")
+        yield from bpf.install(proc, fd, program, maps=maps)
+        result = yield from bpf.read_chain(proc, fd, 0, 4096)
+        return result
+
+    with pytest.raises(VerifierError, match="out of bounds of 'map_value:1'"):
+        kernel.run_syscall(workload({1: narrow}))
+    # The proof it does hold is still good for maps of the proved sizes.
+    assert kernel.run_syscall(workload({1: wide})).value == 1000 + ORDER[-1]
+
+
 def test_hash_map_works_in_chain_too():
     source = COUNTING_WALKER  # same program; hash map instead of array
     sim, kernel, bpf = build_machine()
