@@ -136,7 +136,7 @@ def main():
           "invalidations", "refresh_ioctls"], rows)
 
     rows = ablation_vm_mode(depth=6, operations=200)
-    emit("Ablation — interpreter vs JIT",
+    emit("Ablation — interp vs block",
          ["mode", "depth", "mean_latency_us",
           "speedup_vs_baseline"], rows)
     sys.stdout.flush()

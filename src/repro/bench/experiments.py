@@ -302,7 +302,7 @@ def _iouring_chain_tput(depth: int, batch: int, duration_ns: int) -> float:
         proc = kernel.spawn_process("uring-bpf")
         fd = yield from kernel.sys_open(proc, "/index")
         yield from bench.bpf.install(proc, fd, bench.program,
-                                     hook=Hook.NVME, jit=bench.jit,
+                                     hook=Hook.NVME,
                                      vm_mode=bench.vm_mode)
         ring = IoUring(kernel, proc)
         ring.chain_submitter = bench.bpf.engine.submit_uring_chain
@@ -885,15 +885,14 @@ def _compaction_cell(mode: str, runs: int, keys_per_run: int,
 
 
 def ablation_vm_mode(depth: int = 6, operations: int = 150) -> List[Dict]:
-    """eBPF execution tiers: interpreter vs per-insn JIT vs fused blocks.
+    """eBPF execution tiers: interpreter vs fused blocks (the JIT stand-in).
 
-    The simulated per-hop cost model only distinguishes compiled from
-    interpreted execution, so the ``jit`` and ``block`` rows share one
-    simulated latency; the block tier's additional win is simulator
-    wall-clock, which the bench harness measures around this function.
+    The simulated latency differs by the cost model's two per-instruction
+    constants; the block tier's additional win is simulator wall-clock,
+    which the bench harness measures around this function.
     """
     rows = []
-    for mode in ("interp", "jit", "block"):
+    for mode in ("interp", "block"):
         bench = BtreeBench(depth, seed=3, vm_mode=mode)
         latency = bench.mean_latency("nvme", operations)
         rows.append({

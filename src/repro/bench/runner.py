@@ -137,8 +137,7 @@ class BtreeBench:
     def __init__(self, depth: int, cores: int = 6, seed: int = 0,
                  model: LatencyModel = NVM2_BENCH,
                  cost_model: Optional[CostModel] = None,
-                 fanout: Optional[int] = None, jit: Optional[bool] = None,
-                 vm_mode: Optional[str] = None,
+                 fanout: Optional[int] = None, vm_mode: str = "block",
                  max_chain_hops: int = 64, queue_pairs: int = 1,
                  irq_steering: Optional[bool] = None,
                  qos: Optional[QosConfig] = None):
@@ -152,7 +151,6 @@ class BtreeBench:
                               irq_steering=irq_steering, qos=qos)
         self.kernel = Kernel(self.sim, model, config)
         self.bpf = StorageBpf(self.kernel, max_chain_hops=max_chain_hops)
-        self.jit = jit
         self.vm_mode = vm_mode
         inode = self.kernel.fs.create("/index")
         image = _tree_image(depth, self.fanout)
@@ -219,7 +217,7 @@ class BtreeBench:
             proc = kernel.spawn_process(f"chain-{index}", tenant=tenant)
             fd = yield from kernel.sys_open(proc, "/index")
             yield from self.bpf.install(proc, fd, self.program, hook=hook,
-                                        jit=self.jit, vm_mode=self.vm_mode)
+                                        vm_mode=self.vm_mode)
             next_key = self._key_stream(index)
             root = self.tree.meta.root_offset
 

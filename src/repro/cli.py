@@ -115,7 +115,7 @@ _EXPERIMENTS = {
                   intervals_us=(None, 500) if quick
                   else (None, 5000, 1000, 200),
                   duration_ns=2_000_000 if quick else 8_000_000)),
-    "vmmode": ("Ablation — interp vs jit vs block",
+    "vmmode": ("Ablation — interp vs block",
                lambda quick: ablation_vm_mode(
                    depth=3 if quick else 6,
                    operations=30 if quick else 200)),

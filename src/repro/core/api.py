@@ -19,7 +19,6 @@ a simulated thread.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Dict, Optional, Tuple
 
 from repro.ebpf.maps import BpfMap
@@ -27,7 +26,7 @@ from repro.ebpf.program import Program
 from repro.ebpf.verifier import proof_context, verify
 from repro.ebpf.vm import VmEnvironment
 from repro.errors import ChainLimitExceeded, ExtentInvalidated, InvalidArgument
-from repro.kernel import Kernel, ReadResult
+from repro.kernel import ChainStatus, Kernel, ReadResult
 from repro.kernel.process import File, Process
 from repro.core.accounting import ChainAccounting
 from repro.core.chains import ChainEngine, ChainState
@@ -68,12 +67,8 @@ class InstallRequest:
     scratch_size: int = 256
     args: Tuple[int, ...] = ()
     maps: Optional[Dict[int, BpfMap]] = None
-    #: DEPRECATED — use ``vm_mode``.  Accepted one more release: an
-    #: explicit True/False warns and maps to "block"/"interp"; leaving
-    #: it ``None`` (the default) is the supported path.
-    jit: Optional[bool] = None
-    #: Execution tier ("interp" | "jit" | "block"); "block" by default.
-    vm_mode: Optional[str] = None
+    #: Execution tier: "block" (the default) or "interp".
+    vm_mode: str = "block"
 
     def __post_init__(self):
         if not isinstance(self.program, Program):
@@ -92,30 +87,9 @@ class InstallRequest:
             raise InvalidArgument(
                 f"args: at most 4 install args, got {len(self.args)}")
         object.__setattr__(self, "maps", dict(self.maps or {}))
-        if self.vm_mode is not None and \
-                self.vm_mode not in ("interp", "jit", "block"):
+        if self.vm_mode not in ("block", "interp"):
             raise InvalidArgument(
                 f"vm_mode: unknown execution tier {self.vm_mode!r}")
-        if self.jit is not None:
-            warnings.warn(
-                "InstallRequest.jit is deprecated; pass "
-                "vm_mode='block'/'jit' (jit=True) or vm_mode='interp' "
-                "(jit=False) instead", DeprecationWarning, stacklevel=3)
-            if self.jit and self.vm_mode == "interp":
-                raise InvalidArgument(
-                    "jit: jit=True contradicts vm_mode='interp'")
-            if not self.jit and self.vm_mode in ("jit", "block"):
-                raise InvalidArgument(
-                    f"jit: jit=False contradicts vm_mode={self.vm_mode!r}")
-
-    @property
-    def mode(self) -> str:
-        """The resolved execution tier ("interp" | "jit" | "block")."""
-        if self.vm_mode is not None:
-            return self.vm_mode
-        if self.jit is not None:
-            return "block" if self.jit else "interp"
-        return "block"
 
 
 class StorageBpf:
@@ -164,7 +138,7 @@ class StorageBpf:
         env.trace_bus = self.kernel.bus
         installation = BpfInstallation(
             program, arg.hook, arg.block_size, arg.scratch_size, env,
-            default_args=arg.args, vm_mode=arg.mode)
+            default_args=arg.args, vm_mode=arg.vm_mode)
         # Propagate the file's extents to the NVMe layer (paper §4).
         yield from self.kernel.cpus.run_thread(
             self.kernel.cost.ioctl_install_ns)
@@ -198,18 +172,16 @@ class StorageBpf:
                 hook: Hook = Hook.NVME, block_size: int = 4096,
                 scratch_size: int = 256, args: Tuple[int, ...] = (),
                 maps: Optional[Dict[int, BpfMap]] = None,
-                jit: Optional[bool] = None,
-                vm_mode: Optional[str] = None):
+                vm_mode: str = "block"):
         """Install a program on ``fd`` via the special ioctl.
 
-        Field validation (positive sizes, at most four args) happens in
-        :class:`InstallRequest`, which raises :class:`InvalidArgument`
-        naming the offending field.  ``jit`` is deprecated — select the
-        execution tier with ``vm_mode`` instead.
+        Field validation (positive sizes, at most four args, a known
+        ``vm_mode``) happens in :class:`InstallRequest`, which raises
+        :class:`InvalidArgument` naming the offending field.
         """
         request = InstallRequest(program, hook=hook, block_size=block_size,
                                  scratch_size=scratch_size, args=args,
-                                 maps=maps, jit=jit, vm_mode=vm_mode)
+                                 maps=maps, vm_mode=vm_mode)
         result = yield from self.kernel.sys_ioctl(proc, fd,
                                                   IOCTL_INSTALL_BPF, request)
         return result
@@ -218,8 +190,7 @@ class StorageBpf:
                    hook: Hook = Hook.NVME, block_size: int = 4096,
                    scratch_size: int = 256, args: Tuple[int, ...] = (),
                    maps: Optional[Dict[int, BpfMap]] = None,
-                   jit: Optional[bool] = None,
-                   vm_mode: Optional[str] = None,
+                   vm_mode: str = "block",
                    create: bool = False):
         """Open ``path`` and install ``program`` in one step.
 
@@ -234,7 +205,7 @@ class StorageBpf:
             yield from self.install(proc, fd, program, hook=hook,
                                     block_size=block_size,
                                     scratch_size=scratch_size, args=args,
-                                    maps=maps, jit=jit, vm_mode=vm_mode)
+                                    maps=maps, vm_mode=vm_mode)
         except Exception:
             proc.close_fd(fd)
             raise
@@ -342,7 +313,7 @@ class StorageBpf:
             if result.ok:
                 result.hops = total_hops
                 return result
-            if result.status == ReadResult.EXTENT_INVALIDATED:
+            if result.status == ChainStatus.EXTENT_INVALIDATED:
                 # §4: re-run the ioctl to reset the NVMe-layer extents,
                 # then reissue.
                 yield from self.refresh(proc, fd)
@@ -350,31 +321,31 @@ class StorageBpf:
                 current_scratch = scratch_init
                 total_hops = 0
                 continue
-            if result.status == ReadResult.SPLIT_FALLBACK:
+            if result.status == ChainStatus.SPLIT_FALLBACK:
                 # Run the program *in user space* over the returned buffer
                 # and restart the kernel chain at the next hop.
                 step = yield from self._user_space_step(
                     file, result, args, current_offset)
                 if step is None:
                     result.hops = total_hops
-                    result.status = ReadResult.OK
+                    result.status = ChainStatus.OK
                     return result
                 current_offset, current_scratch = step
                 continue
-            if result.status == ReadResult.EIO:
+            if result.status == ChainStatus.EIO:
                 from repro.errors import IoError
 
                 raise IoError(
                     f"media error during chain at offset "
                     f"{result.final_offset}")
-            if result.status == ReadResult.FAULT_FALLBACK:
+            if result.status == ChainStatus.FAULT_FALLBACK:
                 # The kernel degraded a faulted chain; restart a fresh
                 # bounded chain from the hop that faulted, keeping the
                 # scratch continuation.
                 current_offset = result.final_offset
                 current_scratch = result.scratch or b""
                 continue
-            if result.status == ReadResult.CHAIN_LIMIT:
+            if result.status == ChainStatus.CHAIN_LIMIT:
                 if not continue_on_limit:
                     raise ChainLimitExceeded(
                         f"chain exceeded {self.accounting.max_chain_hops} "
@@ -383,7 +354,7 @@ class StorageBpf:
                 current_scratch = result.scratch or b""
                 continue
             raise InvalidArgument(f"unexpected chain status {result.status}")
-        if last_status == ReadResult.FAULT_FALLBACK:
+        if last_status == ChainStatus.FAULT_FALLBACK:
             from repro.errors import IoError
 
             raise IoError(

@@ -31,7 +31,7 @@ from typing import Any, Callable, Optional, Tuple
 
 from repro.device import NvmeCommand, STATUS_TIMEOUT
 from repro.errors import IoError
-from repro.kernel import Kernel, ReadResult
+from repro.kernel import ChainStatus, Kernel, ReadResult
 from repro.kernel.kernel import IoCookie
 from repro.kernel.process import File, Process
 from repro.core.accounting import ChainAccounting
@@ -222,7 +222,7 @@ class ChainEngine:
                         break
                 chunks.append(completed.data)
             yield from kernel.cpus.run_thread(cost.context_switch_ns)
-            status = ReadResult.EIO if failed else ReadResult.SPLIT_FALLBACK
+            status = ChainStatus.EIO if failed else ChainStatus.SPLIT_FALLBACK
             if not failed:
                 self.split_fallbacks += 1
             if bus.enabled:
@@ -368,7 +368,7 @@ class ChainEngine:
                                                         hop_span)
                     return
                 # No retry policy: surface it, do not run the program.
-                state.finish(ReadResult(b"", status=ReadResult.EIO,
+                state.finish(ReadResult(b"", status=ChainStatus.EIO,
                                         hops=state.hops,
                                         final_offset=state.offset))
                 return
@@ -390,7 +390,7 @@ class ChainEngine:
                 # Invalidated mid-chain: discard the recycled I/O, error out.
                 self.extent_aborts += 1
                 state.finish(ReadResult(b"",
-                                        status=ReadResult.EXTENT_INVALIDATED,
+                                        status=ChainStatus.EXTENT_INVALIDATED,
                                         hops=state.hops,
                                         final_offset=state.offset))
                 return
@@ -419,7 +419,7 @@ class ChainEngine:
                                  pid=state.proc.pid, hops=state.hops,
                                  span=hop_span, path="chain")
                     state.finish(ReadResult(b"",
-                                            status=ReadResult.CHAIN_LIMIT,
+                                            status=ChainStatus.CHAIN_LIMIT,
                                             hops=state.hops,
                                             final_offset=next_offset,
                                             scratch=bytes(state.scratch)))
@@ -430,7 +430,7 @@ class ChainEngine:
                     self.extent_aborts += 1
                     state.finish(
                         ReadResult(b"",
-                                   status=ReadResult.EXTENT_INVALIDATED,
+                                   status=ChainStatus.EXTENT_INVALIDATED,
                                    hops=state.hops,
                                    final_offset=next_offset))
                     return
@@ -573,7 +573,7 @@ class ChainEngine:
                      pid=state.proc.pid, hops=state.hops,
                      offset=state.offset, reason=reason, span=hop_span,
                      path="chain")
-        state.finish(ReadResult(b"", status=ReadResult.FAULT_FALLBACK,
+        state.finish(ReadResult(b"", status=ChainStatus.FAULT_FALLBACK,
                                 hops=state.hops, final_offset=state.offset,
                                 scratch=bytes(state.scratch)))
 
@@ -626,7 +626,7 @@ class ChainEngine:
                              pid=proc.pid, hops=state.hops, span=span,
                              path="syscall")
                 return "return", ReadResult(result.data,
-                                            status=ReadResult.CHAIN_LIMIT,
+                                            status=ChainStatus.CHAIN_LIMIT,
                                             hops=state.hops,
                                             final_offset=state.offset)
             self.accounting.charge(proc)
@@ -664,7 +664,7 @@ class _SplitReadFinisher:
         command = event.value
         if command.status != 0:
             state.hops += 1
-            state.finish(ReadResult(b"", status=ReadResult.EIO,
+            state.finish(ReadResult(b"", status=ChainStatus.EIO,
                                     hops=state.hops,
                                     final_offset=state.offset))
             return
@@ -673,7 +673,7 @@ class _SplitReadFinisher:
         if self.remaining == 0:
             state.hops += 1
             state.finish(ReadResult(b"".join(self.chunks),
-                                    status=ReadResult.SPLIT_FALLBACK,
+                                    status=ChainStatus.SPLIT_FALLBACK,
                                     hops=state.hops,
                                     final_offset=state.offset,
                                     scratch=bytes(state.scratch)))
@@ -693,7 +693,7 @@ class _SplitCollector:
             return  # an earlier failed segment already delivered
         command = event.value
         if command.status != 0:
-            state.finish(ReadResult(b"", status=ReadResult.EIO, hops=1,
+            state.finish(ReadResult(b"", status=ChainStatus.EIO, hops=1,
                                     final_offset=state.offset))
             return
         self.chunks.append(command.data)
@@ -701,6 +701,6 @@ class _SplitCollector:
         if self.remaining == 0:
             state.finish(
                 ReadResult(b"".join(self.chunks),
-                           status=ReadResult.SPLIT_FALLBACK, hops=1,
+                           status=ChainStatus.SPLIT_FALLBACK, hops=1,
                            final_offset=state.offset,
                            scratch=bytes(state.scratch)))

@@ -32,7 +32,7 @@ class BpfInstallation:
     def __init__(self, program: Program, hook: Hook, block_size: int,
                  scratch_size: int, env: VmEnvironment,
                  default_args: Tuple[int, ...] = (),
-                 jit: bool = True, vm_mode: Optional[str] = None):
+                 vm_mode: str = "block"):
         if not program.verified:
             raise VerifierError("install of unverified program")
         if block_size % 512 != 0 or block_size < 512:
@@ -57,14 +57,10 @@ class BpfInstallation:
         self.block_size = block_size
         self.scratch_size = scratch_size
         self.default_args = tuple(default_args) + (0,) * (4 - len(default_args))
-        # Execution tier: explicit vm_mode wins; otherwise the legacy jit
-        # flag maps False -> interp and True -> block (the default tier).
-        # The simulated cost model only distinguishes compiled vs
-        # interpreted, so self.jit stays the cost-model switch.
-        mode = vm_mode if vm_mode is not None else ("block" if jit else "interp")
-        self.vm_mode = mode
-        self.jit = mode != "interp"
-        self.vm = Vm(program, env, mode=mode)
+        # Derived, never set: which of the cost model's two per-instruction
+        # constants (bpf_insn_jit_ns / bpf_insn_interp_ns) a run is charged.
+        self.jit = vm_mode != "interp"
+        self.vm = Vm(program, env, mode=vm_mode)
         #: Set by the install ioctl (NVMe hook installs snapshot extents).
         self.cache_entry: Optional[CacheEntry] = None
         # Statistics.

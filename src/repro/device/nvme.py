@@ -43,11 +43,6 @@ STATUS_TIMEOUT = 2
 #: Power was cut while the command was in flight; media was not touched.
 STATUS_POWER_FAIL = 3
 
-#: Submission-queue marker under WFQ: the Store carries one placeholder
-#: per queued command (preserving its wakeup semantics) while the real
-#: commands wait in the per-tenant fair queue.
-_WFQ_PLACEHOLDER = object()
-
 
 class NvmeCommand:
     """One NVMe command.
@@ -251,15 +246,13 @@ class NvmeDevice:
                           queue=queue)
         if self._wfq is not None:
             # WFQ arbitration: the command parks in the per-tenant fair
-            # queue and a placeholder keeps the Store's wakeup semantics;
+            # queue and the Store entry below is only the wakeup token;
             # each freed service slot then dequeues the globally fairest
             # command rather than the oldest one.
             depth = self._wfq[queue].push(command.tenant, command,
                                           cost=max(1, command.sectors))
             self.qos.note_depth(queue, command.tenant, depth)
-            self.submission_queues[queue].put(_WFQ_PLACEHOLDER)
-        else:
-            self.submission_queues[queue].put(command)
+        self.submission_queues[queue].put(command)
 
     @property
     def queue_depth(self) -> int:
@@ -269,8 +262,8 @@ class NvmeDevice:
         sq = self.submission_queues[queue]
         while True:
             command = yield sq.get()
-            if command is _WFQ_PLACEHOLDER:
-                # Pushes and placeholders are 1:1, so the fair queue is
+            if self._wfq is not None:
+                # Pushes and Store puts are 1:1, so the fair queue is
                 # never empty here.
                 _tenant, command = self._wfq[queue].pop()
             grant = None

@@ -1,16 +1,15 @@
 """Execution engines for verified programs.
 
-Three modes with identical semantics and identical runtime safety checks:
+Two modes with identical semantics and identical runtime safety checks:
 
 * ``interp`` — decode-and-dispatch per instruction (the kernel's
-  interpreter).
-* ``jit`` — each instruction is pre-compiled to a Python closure once at
-  load time (standing in for the kernel's JIT).
-* ``block`` — the default: at load time the verified program is split
-  into basic blocks and each straight-line run is fused into a single
-  generated Python function (instruction budget checked once per block,
-  no per-instruction pc bounds check, registers bound to a local), with
-  block-to-block dispatch.  The ablation benchmark compares all three.
+  interpreter, and the reference the differential tests compare against).
+* ``block`` — the default, standing in for the kernel's JIT: at load time
+  the verified program is split into basic blocks and each straight-line
+  run is fused into a single generated Python function (instruction
+  budget checked once per block, no per-instruction pc bounds check,
+  registers bound to a local), with block-to-block dispatch.  The
+  ablation benchmark compares the two.
 
 Memory model.  Registers hold either 64-bit unsigned integers or
 :class:`Pointer` values tagged with the :class:`Region` they point into.
@@ -24,7 +23,6 @@ only allowed to fields the layout marks writable.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -120,7 +118,7 @@ class Vm:
     def __init__(self, program: Program, env: VmEnvironment,
                  mode: str = "interp", max_instructions: int = 1_000_000,
                  require_verified: bool = True):
-        if mode not in ("interp", "jit", "block"):
+        if mode not in ("interp", "block"):
             raise VmFault(f"unknown execution mode {mode!r}")
         if require_verified and not program.verified:
             raise VmFault(
@@ -131,28 +129,10 @@ class Vm:
         self.mode = mode
         self.max_instructions = max_instructions
         self._trace: List[int] = []
-        self._compiled = None
         self._blocks: Optional[_BlockProgram] = None
         self._opclasses: Optional[List[str]] = None  # lazy; profiling only
-        if mode == "jit":
-            self._compiled = [self._compile_insn(i) for i in program.instructions]
-        elif mode == "block":
+        if mode == "block":
             self._blocks = _block_program_for(program, max_instructions)
-
-    @property
-    def trace_log(self) -> List[int]:
-        """Deprecated alias for the most recent run's trace.
-
-        The trace is per-run state: read it from the
-        :class:`ExecutionResult` a run returns.  This attribute only ever
-        reflects the newest run, so a shared ``Vm`` (one installation,
-        many chain executions) silently loses earlier runs through it.
-        """
-        warnings.warn(
-            "Vm.trace_log is deprecated: read trace_log from the "
-            "ExecutionResult returned by Vm.run()",
-            DeprecationWarning, stacklevel=2)
-        return self._trace
 
     def trace_append(self, value: int) -> None:
         """Append to the *current run's* trace (helper support)."""
@@ -233,18 +213,15 @@ class Vm:
         profiler = get_default_profiler()
         if profiler.enabled:
             return self._run_profiled(state, profiler)
-        mode = self.mode
-        if mode == "block":
+        if self.mode == "block":
             return self._run_block(state)
-        if mode == "jit":
-            return self._run_compiled(state)
         return self._run_interp(state)
 
     # -- interpreter ----------------------------------------------------
 
-    def _run_interp(self, state: "_RunState") -> ExecutionResult:
+    def _run_interp(self, state: "_RunState",
+                    pc: int = 0) -> ExecutionResult:
         insns = self.program.instructions
-        pc = 0
         while True:
             if state.executed >= self.max_instructions:
                 raise VmFault("instruction budget exhausted", pc)
@@ -253,33 +230,6 @@ class Vm:
             state.executed += 1
             insn = insns[pc]
             next_pc = _step(state, insn, pc)
-            if next_pc is None:
-                break
-            pc = next_pc
-        return state.result()
-
-    # -- compiled mode ----------------------------------------------------
-
-    def _compile_insn(self, insn):
-        """Pre-bind one instruction to a closure ``fn(state, pc) -> next_pc``."""
-        return _compile(insn)
-
-    def _run_compiled(self, state: "_RunState",
-                      pc: int = 0) -> ExecutionResult:
-        compiled = self._compiled
-        if compiled is None:
-            # Block mode compiles per-insn closures lazily: they are only
-            # needed for the rare budget-exhaustion tail of a block.
-            compiled = self._compiled = [
-                self._compile_insn(i) for i in self.program.instructions]
-        limit = self.max_instructions
-        while True:
-            if state.executed >= limit:
-                raise VmFault("instruction budget exhausted", pc)
-            if not 0 <= pc < len(compiled):
-                raise VmFault(f"pc {pc} out of program", pc)
-            state.executed += 1
-            next_pc = compiled[pc](state, pc)
             if next_pc is None:
                 break
             pc = next_pc
@@ -294,7 +244,7 @@ class Vm:
         ``-2`` when its hoisted budget check sees the budget running out
         inside the block — that tail re-runs per-instruction so the fault
         lands on exactly the same instruction (with the same executed
-        count) as the other tiers.
+        count) as the interpreter.
         """
         blocks = self._blocks
         funcs = blocks.funcs
@@ -318,13 +268,13 @@ class Vm:
         if nxt == -1:
             return state.result()
         # Budget tail (-2): finish per-instruction from the block start.
-        return self._run_compiled(state, pc=blocks.starts[idx])
+        return self._run_interp(state, pc=blocks.starts[idx])
 
     # -- profiled mode ----------------------------------------------------
 
     def _run_profiled(self, state: "_RunState",
                       profiler) -> ExecutionResult:
-        """The interpreter/compiled loop with per-opcode-class timing.
+        """The interpreter loop with per-opcode-class timing.
 
         Same semantics and instruction budget as the unprofiled loops;
         only taken when a default profiler is enabled, so neither hot
@@ -337,7 +287,6 @@ class Vm:
                 for insn in self.program.instructions
             ]
         insns = self.program.instructions
-        compiled = self._compiled
         limit = self.max_instructions
         name = self.program.name
         profiler.push(("vm", f"run.{name}"))
@@ -350,10 +299,7 @@ class Vm:
                     raise VmFault(f"pc {pc} out of program", pc)
                 state.executed += 1
                 started = perf_counter_ns()
-                if compiled is not None:
-                    next_pc = compiled[pc](state, pc)
-                else:
-                    next_pc = _step(state, insns[pc], pc)
+                next_pc = _step(state, insns[pc], pc)
                 profiler.on_opcode(classes[pc], perf_counter_ns() - started)
                 if next_pc is None:
                     break
@@ -718,118 +664,6 @@ def _step(state: _RunState, insn, pc: int) -> Optional[int]:
     raise VmFault(f"unknown opcode {op!r}", pc)
 
 
-def _compile(insn) -> Callable[[_RunState, int], Optional[int]]:
-    """Pre-decode one instruction into a closure (the "JIT")."""
-    op = insn.opcode
-
-    if op == "exit":
-        return lambda state, pc: None
-    if op == "call":
-        helper_id = insn.imm
-
-        def do_call(state, pc):
-            _call_helper(state, helper_id, pc)
-            return pc + 1
-
-        return do_call
-    if op == "ja":
-        delta = insn.offset + 1
-        return lambda state, pc: pc + delta
-    if op == "lddw":
-        value = insn.imm & U64
-        dst = insn.dst
-
-        def do_lddw(state, pc):
-            state.regs[dst] = value
-            return pc + 1
-
-        return do_lddw
-
-    base = op[:-2] if op.endswith("32") else op
-    is32 = op.endswith("32")
-
-    if base in ("add", "sub", "mul", "div", "mod", "or", "and", "xor", "lsh",
-                "rsh", "arsh", "mov", "neg"):
-        dst = insn.dst
-        if dst == FP_REG:
-            def bad_fp(state, pc):
-                raise VmFault("write to frame pointer r10", pc)
-            return bad_fp
-        if base == "neg":
-            def do_neg(state, pc):
-                state.regs[dst] = _alu(state, "neg", is32, state.regs[dst], 0, pc)
-                return pc + 1
-            return do_neg
-        if insn.src_is_reg:
-            src = insn.src
-
-            def do_alu_reg(state, pc):
-                state.regs[dst] = _alu(
-                    state, base, is32, state.regs[dst], state.regs[src], pc
-                )
-                return pc + 1
-
-            return do_alu_reg
-        imm = insn.imm & U64
-
-        def do_alu_imm(state, pc):
-            state.regs[dst] = _alu(state, base, is32, state.regs[dst], imm, pc)
-            return pc + 1
-
-        return do_alu_imm
-
-    if op in _JMP_FN:
-        dst = insn.dst
-        delta = insn.offset + 1
-        if insn.src_is_reg:
-            src = insn.src
-
-            def do_jmp_reg(state, pc):
-                if _jump_compare(op, state.regs[dst], state.regs[src], pc):
-                    return pc + delta
-                return pc + 1
-
-            return do_jmp_reg
-        imm = insn.imm & U64
-
-        def do_jmp_imm(state, pc):
-            if _jump_compare(op, state.regs[dst], imm, pc):
-                return pc + delta
-            return pc + 1
-
-        return do_jmp_imm
-
-    if op.startswith("ldx"):
-        size = MEM_SIZES[op[3:]]
-        dst, src, offset = insn.dst, insn.src, insn.offset
-
-        def do_ldx(state, pc):
-            state.regs[dst] = _load(state, state.regs[src], offset, size, pc)
-            return pc + 1
-
-        return do_ldx
-    if op.startswith("stx"):
-        size = MEM_SIZES[op[3:]]
-        dst, src, offset = insn.dst, insn.src, insn.offset
-
-        def do_stx(state, pc):
-            _store(state, state.regs[dst], offset, size, state.regs[src], pc)
-            return pc + 1
-
-        return do_stx
-    if op.startswith("st"):
-        size = MEM_SIZES[op[2:]]
-        dst, offset, imm = insn.dst, insn.offset, insn.imm & U64
-
-        def do_st(state, pc):
-            _store(state, state.regs[dst], offset, size, imm, pc)
-            return pc + 1
-
-        return do_st
-
-    raise VmFault(f"cannot compile opcode {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Block compilation (the default execution tier)
 # ---------------------------------------------------------------------------
@@ -848,7 +682,7 @@ def _compile(insn) -> Callable[[_RunState, int], Optional[int]]:
 # Fast paths are guarded with exact ``__class__ is int`` checks; anything
 # else (pointers, faults) falls back to the shared `_alu`/`_load`/`_store`/
 # `_jump_compare` routines so fault messages and semantics stay identical
-# to the other tiers.  Register invariant relied on throughout: integer
+# to the interpreter.  Register invariant relied on throughout: integer
 # register values are always already reduced to [0, 2**64).
 
 class _BlockProgram:
@@ -1104,7 +938,8 @@ def _fuse_block(program: Program, start: int, end: int,
         elif kind == _K_LDDW:
             body.append(f"regs[{insn.dst}] = {insn.imm & U64}")
         else:
-            body.append(f"raise VmFault('unknown opcode {op!r}', {pc})")
+            message = f"unknown opcode {op!r}"
+            body.append(f"raise VmFault({message!r}, {pc})")
             terminated = True
             break
         pc += 1

@@ -18,7 +18,7 @@ from typing import Any, Callable, List, Optional
 
 from repro.device import NvmeCommand
 from repro.errors import InvalidArgument, IoError
-from repro.kernel.kernel import IoCookie, Kernel, ReadResult
+from repro.kernel.kernel import ChainStatus, IoCookie, Kernel, ReadResult
 from repro.kernel.process import Process
 from repro.obs import events as obs_events
 
@@ -222,13 +222,13 @@ class _SqeState:
         self.remaining -= 1
         if self.remaining == 0:
             if self.failed:
-                self._close_span(ReadResult.EIO)
+                self._close_span(ChainStatus.EIO)
                 self.ring._post_cqe(self.sqe.user_data,
-                                    ReadResult(b"", status=ReadResult.EIO,
+                                    ReadResult(b"", status=ChainStatus.EIO,
                                                final_offset=self.sqe.offset))
                 return
             data = b"".join(self.chunks)
-            self._close_span(ReadResult.OK)
+            self._close_span(ChainStatus.OK)
             self.ring._post_cqe(self.sqe.user_data,
                                 ReadResult(data,
                                            final_offset=self.sqe.offset))

@@ -146,12 +146,12 @@ class ChainStatus(str, enum.Enum):
     """Typed status of a (possibly chained) read.
 
     Values are the historical status strings, and the class mixes in
-    ``str``, so comparisons against both the old ``ReadResult.OK``-style
-    aliases and bare literals (``result.status == "eextent"``) keep
-    working, and statuses serialise to the same bytes in ``--json`` rows,
-    trace events, and metrics labels as before the enum existed.  (The
-    mixin is why this is a string enum rather than an ``IntEnum`` — int
-    values would have changed every serialised artefact.)
+    ``str``, so comparisons against bare literals
+    (``result.status == "eextent"``) keep working, and statuses serialise
+    to the same bytes in ``--json`` rows, trace events, and metrics labels
+    as before the enum existed.  (The mixin is why this is a string enum
+    rather than an ``IntEnum`` — int values would have changed every
+    serialised artefact.)
     """
 
     OK = "ok"
@@ -172,15 +172,6 @@ class ChainStatus(str, enum.Enum):
 
 class ReadResult:
     """What a read (possibly a BPF chain) returned to the application."""
-
-    #: Backwards-compatible aliases for the :class:`ChainStatus` members
-    #: (these used to be bare strings; the enum values are those strings).
-    OK = ChainStatus.OK
-    EXTENT_INVALIDATED = ChainStatus.EXTENT_INVALIDATED
-    CHAIN_LIMIT = ChainStatus.CHAIN_LIMIT
-    SPLIT_FALLBACK = ChainStatus.SPLIT_FALLBACK
-    FAULT_FALLBACK = ChainStatus.FAULT_FALLBACK
-    EIO = ChainStatus.EIO
 
     __slots__ = ("data", "status", "hops", "final_offset", "value", "value2",
                  "scratch")
@@ -207,7 +198,7 @@ class ReadResult:
 
     @property
     def ok(self) -> bool:
-        return self.status == self.OK
+        return self.status == ChainStatus.OK
 
     def __repr__(self) -> str:
         return (f"ReadResult({self.status}, {len(self.data)}B, "

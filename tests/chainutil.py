@@ -66,7 +66,7 @@ def walker_program(bpf, name="walker", block_size=4096):
     return program
 
 
-def install_walker(sim, kernel, bpf, path, hook=Hook.NVME, vm_mode=None,
+def install_walker(sim, kernel, bpf, path, hook=Hook.NVME, vm_mode="block",
                    proc=None, block_size=4096):
     """Open ``path``, install the walker; returns (proc, fd)."""
     proc = proc or kernel.spawn_process()

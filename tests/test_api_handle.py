@@ -106,17 +106,8 @@ def test_open_chain_releases_fd_on_failed_install():
 
 
 # ---------------------------------------------------------------------------
-# ChainStatus: enum members alias the historical string constants
+# ChainStatus: enum members equal the historical status strings
 # ---------------------------------------------------------------------------
-
-
-def test_chain_status_aliases_readresult_constants():
-    assert ReadResult.OK is ChainStatus.OK
-    assert ReadResult.EXTENT_INVALIDATED is ChainStatus.EXTENT_INVALIDATED
-    assert ReadResult.SPLIT_FALLBACK is ChainStatus.SPLIT_FALLBACK
-    assert ReadResult.FAULT_FALLBACK is ChainStatus.FAULT_FALLBACK
-    assert ReadResult.CHAIN_LIMIT is ChainStatus.CHAIN_LIMIT
-    assert ReadResult.EIO is ChainStatus.EIO
 
 
 def test_chain_status_compares_and_renders_as_string():

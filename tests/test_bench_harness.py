@@ -152,11 +152,13 @@ def test_ablation_resubmit_bound_monotone():
     assert rows[0]["mean_latency_us"] > rows[1]["mean_latency_us"]
 
 
-def test_ablation_vm_mode_jit_faster():
+def test_ablation_vm_mode_block_faster():
     rows = ablation_vm_mode(depth=3, operations=20)
-    by_mode = {row["mode"]: row for row in rows}
-    assert by_mode["jit"]["mean_latency_us"] < \
-        by_mode["interp"]["mean_latency_us"]
+    assert [row["mode"] for row in rows] == ["interp", "block"]
+    interp, block = (row["mean_latency_us"] for row in rows)
+    # Faster by the cost model's per-instruction gap only: the device
+    # and kernel layers dominate a hop, so the win stays under 10 %.
+    assert 0.90 * interp < block < interp
 
 
 def test_ablation_app_cache_monotone():

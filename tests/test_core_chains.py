@@ -11,7 +11,7 @@ from chainutil import (
 )
 from repro.core import Hook
 from repro.errors import ChainLimitExceeded, NotInstalled
-from repro.kernel import IoUring, ReadResult
+from repro.kernel import ChainStatus, IoUring
 
 ORDER = [3, 5, 0, 7, 2, 6, 1, 4]
 
@@ -192,7 +192,7 @@ def test_chain_limit_kills_long_chain():
         return result
 
     result = kernel.run_syscall(workload())
-    assert result.status == ReadResult.CHAIN_LIMIT
+    assert result.status == ChainStatus.CHAIN_LIMIT
     assert result.hops == 5
     # The kill hands back the next offset so the app can continue.
     assert result.final_offset == 5 * 4096
@@ -279,7 +279,7 @@ def test_unmap_invalidates_and_chain_aborts():
 
     kernel.run_syscall(install_refresh())
     result = kernel.run_syscall(workload())
-    assert result.status == ReadResult.EXTENT_INVALIDATED
+    assert result.status == ChainStatus.EXTENT_INVALIDATED
     assert bpf.cache.invalidations >= 1
 
 
@@ -336,7 +336,7 @@ def test_chain_to_unsnapshotted_offset_misses():
         return result
 
     result = kernel.run_syscall(workload())
-    assert result.status == ReadResult.EXTENT_INVALIDATED
+    assert result.status == ChainStatus.EXTENT_INVALIDATED
     assert result.final_offset == 50 * 4096
 
 

@@ -124,7 +124,7 @@ def test_interp_jit_and_reference_agree(steps, seeds):
 
     results = {}
     outputs = {}
-    for mode in ("interp", "jit", "block"):
+    for mode in ("interp", "block"):
         vm = Vm(program, VmEnvironment(HELPERS), mode=mode)
         ctx = bytearray(LAYOUT.size)
         for index, seed in enumerate(seeds):
@@ -133,10 +133,10 @@ def test_interp_jit_and_reference_agree(steps, seeds):
                                      "scratch": bytearray(64)})
         outputs[mode] = int.from_bytes(ctx[88:96], "little")
 
-    assert outputs["interp"] == outputs["jit"] == outputs["block"] == regs[2]
+    assert outputs["interp"] == outputs["block"] == regs[2]
     # The full ExecutionResult (return value, instruction count, trace,
-    # helper calls) must be identical across all three tiers.
-    assert results["interp"] == results["jit"] == results["block"]
+    # helper calls) must be identical across both tiers.
+    assert results["interp"] == results["block"]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def test_verified_programs_never_fault(source, arg0, data):
         return  # rejected: nothing to check
     ctx = bytearray(LAYOUT.size)
     ctx[40:48] = arg0.to_bytes(8, "little")
-    for mode in ("interp", "jit", "block"):
+    for mode in ("interp", "block"):
         vm = Vm(program, VmEnvironment(HELPERS), mode=mode)
         try:
             vm.run(ctx, {"data": bytearray(data),

@@ -78,7 +78,7 @@ def test_accepted_programs_stay_cheap_and_never_fault(recorded):
             value = rng.choice([0, 1, 7, 255, rng.getrandbits(64)])
             ctx[offset:offset + 8] = value.to_bytes(8, "little")
         data = bytes(rng.getrandbits(8) for _ in range(corpus.DATA_SIZE))
-        for mode in ("interp", "jit", "block"):
+        for mode in ("interp", "block"):
             vm = Vm(program, VmEnvironment(corpus.HELPERS,
                                            corpus.make_maps()), mode=mode)
             try:

@@ -1,4 +1,6 @@
-"""VM semantics tests, run in all three tiers: interp, jit, and block."""
+"""VM semantics tests, run in both tiers: interp and block."""
+
+import dataclasses
 
 import pytest
 
@@ -51,7 +53,7 @@ def run(source, a=0, b=0, data=None, buf=None, maps=None, mode="interp",
     return result, out, vm
 
 
-MODES = ["interp", "jit", "block"]
+MODES = ["interp", "block"]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -441,29 +443,42 @@ def test_trace_log_is_per_run(mode):
     assert first.trace_log is not second.trace_log
 
 
-def test_vm_trace_log_accessor_is_deprecated():
-    src = "mov r1, 5\ncall trace\nmov r0, 0\nexit"
-    prog = Program(assemble(src, NAMES), LAYOUT, name="t")
-    verify(prog, HELPERS)
-    vm = Vm(prog, VmEnvironment(HELPERS))
-    vm.run(bytearray(40), {"data": bytearray(64), "buf": bytearray(32)})
-    with pytest.warns(DeprecationWarning, match="trace_log is deprecated"):
-        legacy = vm.trace_log
-    assert legacy == [5]
+def _forged(source, *bogus_tail):
+    """A never-verified program, optionally ending in unknown opcodes."""
+    insns = assemble(source)
+    for opcode in bogus_tail:
+        insns.append(dataclasses.replace(insns[-1], opcode=opcode))
+    prog = Program(insns, LAYOUT)
+    prog.verified = True  # forged: the verifier accepts none of these
+    return prog
+
+
+def _fault_of(prog, mode, **vm_kwargs):
+    vm = Vm(prog, VmEnvironment(HELPERS), mode=mode, **vm_kwargs)
+    with pytest.raises(VmFault) as excinfo:
+        vm.run(bytearray(40), {"data": bytearray(64), "buf": bytearray(32)})
+    return excinfo.value.reason, excinfo.value.pc
 
 
 def test_block_budget_fault_matches_interp_exactly():
     # The block tier hoists the budget check to one test per block; on
-    # exhaustion it replays the block per-instruction so the fault carries
-    # the same pc, message, and executed count as the interpreter.
-    prog = Program(assemble("loop:\nadd r2, 1\nja loop"), LAYOUT)
-    prog.verified = True  # forged: infinite loops never verify
-    faults = {}
-    for mode in ("interp", "block"):
-        vm = Vm(prog, VmEnvironment(HELPERS), mode=mode,
-                max_instructions=1001)
-        with pytest.raises(VmFault) as excinfo:
-            vm.run(bytearray(40), {"data": bytearray(64),
-                                   "buf": bytearray(32)})
-        faults[mode] = (str(excinfo.value), excinfo.value.pc)
-    assert faults["interp"] == faults["block"]
+    # exhaustion it replays the block through the interpreter so the fault
+    # carries the same pc, message, and executed count.  The replay only
+    # touches instructions it reaches: an unknown opcode past the loop
+    # changes nothing.
+    for tail in ((), ("bogus", "exit")):
+        prog = _forged("loop:\nadd r2, 1\nja loop", *tail)
+        interp = _fault_of(prog, "interp", max_instructions=1001)
+        assert interp == ("instruction budget exhausted", 1)
+        assert _fault_of(prog, "block", max_instructions=1001) == interp
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_unknown_opcode_faults_only_when_reached(mode):
+    reached = _forged("mov r0, 0", "bogus", "exit")
+    assert _fault_of(reached, mode) == ("unknown opcode 'bogus'", 1)
+    unreached = _forged("mov r0, 0\nexit", "bogus", "exit")
+    vm = Vm(unreached, VmEnvironment(HELPERS), mode=mode)
+    result = vm.run(bytearray(40), {"data": bytearray(64),
+                                    "buf": bytearray(32)})
+    assert result.return_value == 0

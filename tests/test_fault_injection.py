@@ -4,7 +4,7 @@ import pytest
 
 from chainutil import build_machine, install_walker, linked_file_bytes
 from repro.errors import IoError
-from repro.kernel import IoUring, ReadResult
+from repro.kernel import ChainStatus, IoUring
 
 ORDER = [0, 1, 2, 3]
 
@@ -90,7 +90,7 @@ def test_chain_surfaces_media_error_as_eio():
         return result
 
     result = kernel.run_syscall(workload())
-    assert result.status == ReadResult.EIO
+    assert result.status == ChainStatus.EIO
     assert result.hops == 3  # blocks 0, 1 ok; block 2 fails
 
 
@@ -119,7 +119,7 @@ def test_iouring_posts_eio_cqe():
 
     cqes = kernel.run_syscall(workload())
     by_tag = {cqe.user_data: cqe.result for cqe in cqes}
-    assert by_tag["bad"].status == ReadResult.EIO
+    assert by_tag["bad"].status == ChainStatus.EIO
     assert by_tag["good"].ok
 
 

@@ -24,7 +24,7 @@ from repro.faults import (
     get_default_fault_spec,
     parse_fault_spec,
 )
-from repro.kernel import NvmeRetryPolicy, ReadResult
+from repro.kernel import ChainStatus, NvmeRetryPolicy
 from repro.obs import ObsSession
 
 ORDER = [0, 1, 2, 3]
@@ -340,7 +340,7 @@ def test_chain_falls_back_to_user_space_when_budget_exhausted():
 
     result = kernel.run_syscall(workload())
     # Not killed with EIO: handed back with the continuation.
-    assert result.status == ReadResult.FAULT_FALLBACK
+    assert result.status == ChainStatus.FAULT_FALLBACK
     assert result.final_offset == 2 * 4096
     assert result.scratch is not None
     assert bpf.engine.fault_fallbacks == 1
@@ -384,7 +384,7 @@ def test_resubmission_bound_limits_fault_retries():
         return result
 
     result = kernel.run_syscall(workload())
-    assert result.status == ReadResult.FAULT_FALLBACK
+    assert result.status == ChainStatus.FAULT_FALLBACK
     assert 0 < bpf.engine.fault_retries < 4
 
 

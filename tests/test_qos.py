@@ -6,7 +6,7 @@ counters, QoS tracepoints), the kernel-level acceptance criterion (two
 backlogged tenants with 3:1 weights split device IOPS within 5 % of
 3:1), wire-level EAGAIN backpressure with deterministic client backoff,
 tenant-keyed chain accounting (the pid-leak regression), and the
-``InstallRequest.jit`` deprecation path.
+``InstallRequest.vm_mode`` tier switch.
 """
 
 import json
@@ -480,7 +480,7 @@ def test_exec_chain_bills_the_connection_tenant():
 
 
 # ---------------------------------------------------------------------------
-# InstallRequest.jit deprecation
+# InstallRequest.vm_mode: the one execution-tier switch
 # ---------------------------------------------------------------------------
 
 
@@ -492,35 +492,21 @@ def program():
 def test_install_request_defaults_to_block_without_warning(program,
                                                            recwarn):
     request = InstallRequest(program)
-    assert request.mode == "block"
+    assert request.vm_mode == "block"
     assert not any(isinstance(w.message, DeprecationWarning)
                    for w in recwarn.list)
 
 
-def test_install_request_jit_warns_and_maps(program):
-    with pytest.warns(DeprecationWarning, match="jit is deprecated"):
-        assert InstallRequest(program, jit=True).mode == "block"
-    with pytest.warns(DeprecationWarning, match="jit is deprecated"):
-        assert InstallRequest(program, jit=False).mode == "interp"
-
-
-def test_install_request_vm_mode_wins_over_compatible_jit(program):
-    with pytest.warns(DeprecationWarning):
-        assert InstallRequest(program, jit=True, vm_mode="jit").mode == "jit"
-
-
-def test_install_request_rejects_contradictory_jit(program):
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(InvalidArgument, match="jit"):
-            InstallRequest(program, jit=True, vm_mode="interp")
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(InvalidArgument, match="jit"):
-            InstallRequest(program, jit=False, vm_mode="block")
-
-
 def test_install_request_rejects_unknown_vm_mode(program):
-    with pytest.raises(InvalidArgument, match="vm_mode"):
-        InstallRequest(program, vm_mode="turbo")
+    # 'jit' named a third tier once; it is as unknown as any other now.
+    for mode in ('turbo', 'jit'):
+        with pytest.raises(InvalidArgument, match="vm_mode"):
+            InstallRequest(program, vm_mode=mode)
+
+
+def test_install_request_has_no_jit_keyword(program):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'jit'"):
+        InstallRequest(program, jit=True)
 
 
 # ---------------------------------------------------------------------------
