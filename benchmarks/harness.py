@@ -1,76 +1,41 @@
-"""Shared benchmark runner: every ``bench_*.py`` emits ``BENCH_<name>.json``.
+"""The bench suite: run table rows, emit ``BENCH_<name>.json``.
 
-Each benchmark module declares a :class:`BenchSpec` (callable + full and
-smoke kwargs + table columns + shape check) and delegates its ``main`` to
-:func:`bench_main`, which prints the usual table and — with ``--json`` —
-writes a uniform ``repro-bench/1`` document (see
-:mod:`repro.perf.benchresult`): wall-clock rounds, deterministic metrics,
-throughput, and a machine fingerprint.  Those documents are the repo's
-perf trajectory; committed baselines live in ``benchmarks/baselines/``
-and ``scripts/check_bench_regression.py`` diffs fresh runs against them.
+Every row of :data:`repro.bench.registry.EXPERIMENTS` is a benchmark.
+:func:`run_spec` times one row and builds a uniform ``repro-bench/1``
+document (see :mod:`repro.perf.benchresult`): wall-clock rounds,
+deterministic metrics, throughput, and a machine fingerprint.  Those
+documents are the repo's perf trajectory; committed baselines live in
+``benchmarks/baselines/`` and ``scripts/check_bench_regression.py`` diffs
+fresh runs against them.
 
-Run one benchmark::
+Run one benchmark with its table::
 
-    python benchmarks/bench_net_pushdown.py --smoke --json -
+    python benchmarks/harness.py --only pushdown --smoke --tables
 
 Run the whole suite (the CI regression path)::
 
     python benchmarks/harness.py --all --smoke --out bench_results
 
-Importing ``harness`` first also makes ``repro`` importable when a bench
-file is run as a plain script without ``PYTHONPATH=src``.
+``--smoke`` runs each row's ``quick`` kwargs and its ``check``; without
+it the row's ``full`` kwargs run and ``check_full`` is asserted too.
 """
 
 import argparse
-import importlib
 import os
 import sys
 import time
 
-_HERE = os.path.dirname(os.path.abspath(__file__))
-
 try:  # pragma: no cover - exercised via subprocess runs
     import repro  # noqa: F401
 except ImportError:  # running as a script without PYTHONPATH=src
-    sys.path.insert(0, os.path.join(os.path.dirname(_HERE), "src"))
+    sys.path.insert(0, os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from repro.bench.registry import BY_NAME
 from repro.bench.tables import format_table
 from repro.perf import BenchResult
 
-__all__ = ["BenchSpec", "bench_main", "discover_specs", "run_spec"]
-
-
-class BenchSpec:
-    """Everything the shared runner needs to drive one benchmark.
-
-    ``func(**kwargs)`` must return the table rows (a list of dicts of
-    scalars).  ``metric_cols`` name row columns whose per-run mean goes
-    into the JSON's deterministic ``metrics`` dict; ``metrics_fn(rows)``
-    can add arbitrary extra entries.  ``throughput`` is an optional
-    ``(column, unit, "max"|"mean")`` triple.  ``check(rows)`` asserts the
-    shape invariants that must hold in *both* modes.
-    """
-
-    def __init__(self, name, title, func, columns, full, smoke,
-                 check=None, shape_note=None, metric_cols=(),
-                 metrics_fn=None, throughput=None, sim_time_fn=None,
-                 deterministic=True):
-        self.name = name
-        self.title = title
-        self.func = func
-        self.columns = list(columns)
-        self.full = dict(full)
-        self.smoke = dict(smoke)
-        self.check = check
-        self.shape_note = shape_note
-        self.metric_cols = list(metric_cols)
-        self.metrics_fn = metrics_fn
-        self.throughput = throughput
-        self.sim_time_fn = sim_time_fn
-        self.deterministic = deterministic
-
-    def kwargs(self, mode):
-        return self.smoke if mode == "smoke" else self.full
+__all__ = ["run_spec"]
 
 
 def _column_mean(rows, column):
@@ -106,7 +71,7 @@ def _build_throughput(spec, rows):
 
 
 def run_spec(spec, mode="full", rounds=1):
-    """Run ``spec`` and return ``(rows, BenchResult)``.
+    """Run table row ``spec`` and return ``(rows, BenchResult)``.
 
     With ``rounds > 1`` every round is timed separately; for
     deterministic benchmarks the rows must be identical across rounds
@@ -117,7 +82,7 @@ def run_spec(spec, mode="full", rounds=1):
     rows = None
     for round_index in range(max(1, rounds)):
         started = time.perf_counter()
-        out = spec.func(**spec.kwargs(mode))
+        out = spec.run(quick=mode == "smoke")
         wall_rounds.append(time.perf_counter() - started)
         if rows is not None and spec.deterministic and out != rows:
             raise AssertionError(
@@ -130,67 +95,10 @@ def run_spec(spec, mode="full", rounds=1):
         title=spec.title,
         mode=mode,
         wall_rounds_s=wall_rounds,
-        sim_time_ns=spec.sim_time_fn(rows) if spec.sim_time_fn else None,
         throughput=_build_throughput(spec, rows),
         metrics=_build_metrics(spec, rows),
     )
     return rows, result
-
-
-def bench_main(spec, argv=None):
-    """The shared ``main`` for every bench module."""
-    parser = argparse.ArgumentParser(description=spec.title)
-    parser.add_argument("--smoke", "--quick", action="store_true",
-                        dest="smoke",
-                        help="miniature sweep for CI smoke testing")
-    parser.add_argument("--rounds", type=int, default=1, metavar="N",
-                        help="timed repetitions (default 1)")
-    parser.add_argument("--json", nargs="?", const="", default=None,
-                        metavar="PATH",
-                        help="write BENCH_%s.json (default ./BENCH_%s.json;"
-                             " '-' for stdout)" % (spec.name, spec.name))
-    args = parser.parse_args(argv)
-    mode = "smoke" if args.smoke else "full"
-    rows, result = run_spec(spec, mode, rounds=args.rounds)
-    print(format_table(spec.title, spec.columns, rows))
-    if spec.check is not None:
-        spec.check(rows)
-        print(f"shape OK: {spec.shape_note or 'invariants hold'}")
-    if args.json is not None:
-        if args.json == "-":
-            sys.stdout.write(result.to_json())
-        else:
-            path = args.json or f"BENCH_{spec.name}.json"
-            result.write(path)
-            print(f"wrote {path}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Suite mode: discover every bench module's SPEC and run them all
-# ---------------------------------------------------------------------------
-
-
-def discover_specs(names=None):
-    """Import every ``bench_*.py`` next to this file and collect SPECs."""
-    if _HERE not in sys.path:
-        sys.path.insert(0, _HERE)
-    specs = []
-    for filename in sorted(os.listdir(_HERE)):
-        if not (filename.startswith("bench_") and filename.endswith(".py")):
-            continue
-        module = importlib.import_module(filename[:-3])
-        spec = getattr(module, "SPEC", None)
-        if spec is None:
-            raise RuntimeError(f"{filename} declares no SPEC")
-        if names and spec.name not in names:
-            continue
-        specs.append(spec)
-    if names:
-        missing = set(names) - {spec.name for spec in specs}
-        if missing:
-            raise SystemExit(f"unknown benchmarks: {sorted(missing)}")
-    return specs
 
 
 def main(argv=None):
@@ -198,9 +106,9 @@ def main(argv=None):
         description="Run the benchmark suite and emit BENCH_<name>.json "
                     "documents")
     parser.add_argument("--all", action="store_true",
-                        help="run every discovered benchmark")
+                        help="run every row of the experiment table")
     parser.add_argument("--only", default=None, metavar="A,B",
-                        help="comma-separated subset of benchmark names")
+                        help="comma-separated subset of experiment names")
     parser.add_argument("--smoke", "--quick", action="store_true",
                         dest="smoke",
                         help="miniature sweeps for CI smoke testing")
@@ -212,8 +120,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not args.all and not args.only:
         parser.error("pass --all or --only NAME[,NAME...]")
-    names = args.only.split(",") if args.only else None
-    specs = discover_specs(names)
+    names = args.only.split(",") if args.only else list(BY_NAME)
+    unknown = sorted(set(names) - set(BY_NAME))
+    if unknown:
+        raise SystemExit(f"unknown benchmarks: {unknown}")
+    specs = [BY_NAME[name] for name in names]
     os.makedirs(args.out, exist_ok=True)
     mode = "smoke" if args.smoke else "full"
     failures = []
@@ -221,14 +132,15 @@ def main(argv=None):
         started = time.perf_counter()
         try:
             rows, result = run_spec(spec, mode, rounds=args.rounds)
-            if spec.check is not None:
-                spec.check(rows)
+            spec.check(rows)
+            if mode == "full" and spec.check_full is not None:
+                spec.check_full(rows)
         except AssertionError as exc:
             failures.append(spec.name)
             print(f"FAIL  {spec.name}: {exc}")
             continue
         if args.tables:
-            print(format_table(spec.title, spec.columns, rows))
+            print(format_table(spec.title, list(rows[0]), rows))
         path = os.path.join(args.out, f"BENCH_{spec.name}.json")
         result.write(path)
         elapsed = time.perf_counter() - started

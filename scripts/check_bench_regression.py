@@ -8,12 +8,12 @@ harness (``python benchmarks/harness.py --all --smoke --out DIR``).
 Wall-clock comparison uses the min over rounds on both sides — the
 least-noisy estimator available — with a relative tolerance band
 (``--tolerance 0.25`` means a fresh min more than 1.25x the baseline
-min fails).  Simulated-time fields (``sim_time_ns``, ``throughput``)
-are deterministic functions of the workload, so any difference there is
-result drift, not noise: reported as a warning by default, a failure
-under ``--strict``.  Metric drift (which may legitimately carry
-wall-clock-derived values, e.g. ``bench_obs_overhead``) always stays a
-warning.
+min fails).  Simulated results (``sim_time_ns``, ``throughput``, every
+``metrics`` value) are deterministic functions of the workload, so any
+difference there is result drift, not noise: reported as a warning by
+default, a failure under ``--strict``.  The metrics of a row the
+experiment table marks non-deterministic (``obs``, whose metrics are
+wall-clock ratios) may differ; that always stays a warning.
 
 Exit codes: 0 all gates passed, 1 wall-clock regression (or drift with
 ``--strict``), 2 schema/missing-file errors.
@@ -33,6 +33,7 @@ except ImportError:  # running from a checkout without PYTHONPATH=src
     sys.path.insert(0, os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from repro.bench.registry import BY_NAME
 from repro.perf import validate_bench_json
 
 DEFAULT_BASELINES = os.path.join(
@@ -68,17 +69,19 @@ def load_bench_dir(path: str) -> Tuple[Dict[str, Dict[str, Any]], List[str]]:
 
 
 def compare(baseline: Dict[str, Any], fresh: Dict[str, Any],
-            tolerance: float, slack_s: float) -> Tuple[List[str], List[str]]:
-    """Compare one benchmark pair.  Returns ``(regressions, drifts)``."""
+            tolerance: float, slack_s: float
+            ) -> Tuple[List[str], List[str], List[str]]:
+    """Compare one pair.  Returns ``(regressions, drifts, warnings)``."""
     name = baseline["name"]
     regressions: List[str] = []
     drifts: List[str] = []
+    warnings: List[str] = []
 
     if fresh["mode"] != baseline["mode"]:
         drifts.append(
             f"{name}: mode changed {baseline['mode']!r} -> {fresh['mode']!r}"
             " (wall-clock comparison skipped)")
-        return regressions, drifts
+        return regressions, drifts, warnings
 
     # Absolute slack on top of the relative band: sub-100 ms benches
     # would otherwise fail on scheduler noise alone.
@@ -108,7 +111,15 @@ def compare(baseline: Dict[str, Any], fresh: Dict[str, Any],
         only_fresh = sorted(set(fresh_metrics) - set(base_metrics))
         drifts.append(f"{name}: metric keys changed "
                       f"(-{only_base} +{only_fresh})")
-    return regressions, drifts
+    # A name the table does not know (a hand-made document) is held to
+    # the deterministic standard.
+    exp = BY_NAME.get(name)
+    changed = drifts if exp is None or exp.deterministic else warnings
+    for key in sorted(set(base_metrics) & set(fresh_metrics)):
+        if fresh_metrics[key] != base_metrics[key]:
+            changed.append(f"{name}: metric {key} {base_metrics[key]} -> "
+                           f"{fresh_metrics[key]}")
+    return regressions, drifts, warnings
 
 
 def main(argv=None) -> int:
@@ -126,8 +137,8 @@ def main(argv=None) -> int:
                              "benchmarks tolerate scheduler noise "
                              "(default: 0.1)")
     parser.add_argument("--strict", action="store_true",
-                        help="fail on sim-time/throughput drift, not just "
-                             "wall-clock regressions")
+                        help="fail on sim-time/throughput/metric drift, "
+                             "not just wall-clock regressions")
     args = parser.parse_args(argv)
 
     baselines, base_errors = load_bench_dir(args.baselines)
@@ -144,6 +155,7 @@ def main(argv=None) -> int:
 
     regressions: List[str] = []
     drifts: List[str] = []
+    warnings: List[str] = []
     missing = sorted(set(baselines) - set(fresh))
     if missing:
         for name in missing:
@@ -156,10 +168,11 @@ def main(argv=None) -> int:
                       "(add one under benchmarks/baselines)")
 
     for name in sorted(baselines):
-        regs, drift = compare(baselines[name], fresh[name],
-                              args.tolerance, args.slack)
+        regs, drift, warns = compare(baselines[name], fresh[name],
+                                     args.tolerance, args.slack)
         regressions.extend(regs)
         drifts.extend(drift)
+        warnings.extend(warns)
         status = "FAIL" if regs else "ok"
         base_min = baselines[name]["wall_s"]["min"]
         fresh_min = fresh[name]["wall_s"]["min"]
@@ -167,6 +180,8 @@ def main(argv=None) -> int:
         print(f"{status:4}  {name:28}  baseline {base_min:8.4f}s  "
               f"fresh {fresh_min:8.4f}s  ({ratio:.2f}x)")
 
+    for message in warnings:
+        print(f"warning: {message}", file=sys.stderr)
     for message in drifts:
         print(f"drift: {message}", file=sys.stderr)
     for message in regressions:

@@ -14,10 +14,17 @@
   ``cluster_failover`` (sharded/replicated cluster: YCSB scaling plus a
   mid-run target kill with failover and rejoin), ``compaction`` (LSM
   compaction boundary bytes: user-space vs chain-offloaded vs one-RPC
-  remote offload), and the ablations.
+  remote offload), ``crash_recovery_sweep`` (fsync cost and replay vs
+  checkpoint cadence), ``lsm_get`` (LSM point gets, chains vs
+  application traversal), ``overhead_comparison`` (wall-clock cost of
+  the bus, the profiler and idle fault hooks), and the ablations.
+* :mod:`~repro.bench.registry` — the experiment table: one row per
+  experiment (name, title, function, ``quick``/``full`` kwargs, shape
+  checks, bench metrics) that the CLI, ``benchmarks/harness.py``, the
+  report script, the goldens and CI all read.
 
-Each experiment returns plain row dictionaries so the ``benchmarks/``
-pytest files, ``EXPERIMENTS.md``, and tests all consume the same data.
+Each experiment returns plain row dictionaries so the CLI, the bench
+suite, ``EXPERIMENTS.md``, and tests all consume the same data.
 """
 
 from repro.bench.experiments import (
@@ -29,14 +36,17 @@ from repro.bench.experiments import (
     cluster_failover,
     compaction,
     crash_consistency,
+    crash_recovery_sweep,
     extent_stability,
     fault_resilience,
     fig1_latency_breakdown,
     fig3_throughput,
     fig3c_latency,
     fig3d_iouring,
+    lsm_get,
     mq_scaling,
     net_pushdown,
+    overhead_comparison,
     table1_breakdown,
     tenants,
 )
@@ -52,6 +62,7 @@ __all__ = [
     "cluster_failover",
     "compaction",
     "crash_consistency",
+    "crash_recovery_sweep",
     "extent_stability",
     "fault_resilience",
     "fig1_latency_breakdown",
@@ -60,8 +71,10 @@ __all__ = [
     "fig3d_iouring",
     "format_table",
     "interference",
+    "lsm_get",
     "mq_scaling",
     "net_pushdown",
+    "overhead_comparison",
     "rows_to_json",
     "run_closed_loop",
     "table1_breakdown",

@@ -2,12 +2,12 @@
 
 Commands:
 
-* ``report [--quick]`` — run every experiment and print its paper-style
-  table (``--quick`` runs miniature versions in a few seconds).
-* ``experiment <name>`` — run one experiment (fig1, table1, fig3a, fig3b,
-  fig3c, fig3d, stability, bound, churn, vmmode, appcache, interference,
-  resilience, crash, scale, pushdown, cluster, tenants, compaction).  An
-  experiment name may also be
+* ``report [--quick]`` — run every deterministic experiment and print its
+  paper-style table (``--quick`` runs miniature versions in a few
+  seconds).
+* ``experiment <name>`` — run one row of the experiment table
+  (:mod:`repro.bench.registry`: fig1, table1, fig3a ... compaction, obs).
+  An experiment name may also be
   used as the top-level command (``python -m repro scale --json`` is
   shorthand for ``python -m repro experiment scale --json``).
   ``--json`` prints the rows as JSON instead of a table; ``--trace-jsonl
@@ -37,132 +37,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Dict, List
 
-from repro.bench import (
-    ablation_app_cache,
-    ablation_invalidation_rate,
-    ablation_resubmit_bound,
-    ablation_vm_mode,
-    cluster_failover,
-    compaction,
-    crash_consistency,
-    extent_stability,
-    fault_resilience,
-    fig1_latency_breakdown,
-    fig3_throughput,
-    fig3c_latency,
-    fig3d_iouring,
-    format_table,
-    interference,
-    mq_scaling,
-    net_pushdown,
-    rows_to_json,
-    table1_breakdown,
-    tenants,
-)
+from repro.bench import format_table, rows_to_json
+from repro.bench.registry import BY_NAME, DETERMINISTIC, EXPERIMENTS
 from repro.faults import fault_injection, parse_fault_spec
 from repro.obs import ObsSession
 
 __all__ = ["main"]
 
 
-def _columns(rows: List[Dict]) -> List[str]:
-    return list(rows[0].keys()) if rows else []
-
-
-_EXPERIMENTS = {
-    "fig1": ("Figure 1 — kernel overhead per device",
-             lambda quick: fig1_latency_breakdown(reads=50 if quick
-                                                  else 300)),
-    "table1": ("Table 1 — 512 B read() breakdown",
-               lambda quick: table1_breakdown(reads=50 if quick else 300)),
-    "fig3a": ("Figure 3a — syscall hook throughput",
-              lambda quick: fig3_throughput(
-                  "syscall",
-                  depths=(4,) if quick else (2, 6, 10),
-                  threads=(1, 6) if quick else (1, 2, 4, 6, 8, 12),
-                  duration_ns=2_000_000 if quick else 8_000_000)),
-    "fig3b": ("Figure 3b — NVMe hook throughput",
-              lambda quick: fig3_throughput(
-                  "nvme",
-                  depths=(4,) if quick else (2, 6, 10),
-                  threads=(1, 6, 12) if quick else (1, 2, 4, 6, 8, 12),
-                  duration_ns=2_000_000 if quick else 8_000_000)),
-    "fig3c": ("Figure 3c — single-thread latency",
-              lambda quick: fig3c_latency(
-                  depths=(2, 6) if quick else (1, 2, 3, 4, 6, 8, 10, 16),
-                  operations=30 if quick else 100)),
-    "fig3d": ("Figure 3d — io_uring batch sweep",
-              lambda quick: fig3d_iouring(
-                  depths=(4,) if quick else (3, 6, 10),
-                  batches=(1, 8) if quick else (1, 2, 4, 8, 16, 32),
-                  duration_ns=2_000_000 if quick else 8_000_000)),
-    "stability": ("§4 — extent stability under YCSB",
-                  lambda quick: extent_stability(
-                      sim_hours=0.05 if quick else 2.0,
-                      ops_per_sec=500,
-                      rebuild_overlay=3000 if quick else 32_000,
-                      gc_every_rebuilds=3 if quick else 120,
-                      initial_keys=3000 if quick else 20_000)),
-    "bound": ("Ablation — resubmission bound",
-              lambda quick: ablation_resubmit_bound(
-                  chain_length=8 if quick else 24,
-                  bounds=(2, 8) if quick else (2, 4, 8, 16, 64),
-                  lookups=10 if quick else 50)),
-    "churn": ("Ablation — extent churn",
-              lambda quick: ablation_invalidation_rate(
-                  intervals_us=(None, 500) if quick
-                  else (None, 5000, 1000, 200),
-                  duration_ns=2_000_000 if quick else 8_000_000)),
-    "vmmode": ("Ablation — interp vs block",
-               lambda quick: ablation_vm_mode(
-                   depth=3 if quick else 6,
-                   operations=30 if quick else 200)),
-    "appcache": ("Ablation — app-level index cache",
-                 lambda quick: ablation_app_cache(
-                     depth=4 if quick else 6,
-                     cached_levels=(0, 2) if quick else (0, 1, 2, 3, 5),
-                     operations=30 if quick else 150)),
-    "interference": ("§4 fairness — chains vs plain readers",
-                     lambda quick: interference(
-                         chain_threads=6 if quick else 12,
-                         duration_ns=2_000_000 if quick else 8_000_000)),
-    "resilience": ("Fault plan — availability and p99 of chained reads",
-                   lambda quick: fault_resilience(
-                       rates=(0.0, 0.01) if quick
-                       else (0.0, 0.001, 0.01, 0.05),
-                       duration_ns=1_500_000 if quick else 4_000_000)),
-    "crash": ("Crash consistency — enumerated power cuts, recovery, fsck",
-              lambda quick: crash_consistency(
-                  modes=("flush", "op-torn") if quick
-                  else ("flush", "op", "op-torn", "sync"))),
-    "scale": ("Multi-queue NVMe — IOPS vs SQ/CQ pairs (IRQ steering)",
-              lambda quick: mq_scaling(
-                  queue_pairs=(1, 2, 4) if quick else (1, 2, 4, 8),
-                  threads=(24,) if quick else (24, 32),
-                  duration_ns=1_000_000 if quick else 2_000_000)),
-    "pushdown": ("BPF-oF — naive vs pushdown GETs over the network",
-                 lambda quick: net_pushdown(
-                     depths=(2, 4) if quick else (1, 2, 3, 4, 5, 6),
-                     rtts_us=(10, 20) if quick else (5, 10, 20, 50),
-                     gets=10 if quick else 30)),
-    "cluster": ("Sharded cluster — YCSB scaling + crash failover",
-                lambda quick: cluster_failover(
-                    shard_counts=(1, 2, 4) if quick else (1, 2, 4, 8),
-                    ops=80 if quick else 160,
-                    initial_keys=32 if quick else 48)),
-    "tenants": ("Multi-tenant QoS — victim p99 vs an aggressor tenant",
-                lambda quick: tenants(
-                    duration_ns=2_000_000 if quick else 8_000_000)),
-    "compaction": ("LSM compaction — user vs offloaded vs remote bytes",
-                   lambda quick: compaction(
-                       runs=3 if quick else 4,
-                       keys_per_run=200 if quick else 600,
-                       tombstones_per_run=20 if quick else 40)),
-}
-
-_CRASH_MODES = ("flush", "op", "op-torn", "sync")
+#: The crash sweeps ``--crash-at`` may name: the full-scale ``crash`` row's.
+_CRASH_MODES = BY_NAME["crash"].full["modes"]
 
 _PROGRAMS = {
     "index": lambda: _library().index_traversal_program(fanout=16),
@@ -179,9 +64,9 @@ def _library():
 
 
 def _cmd_report(args) -> int:
-    for name, (title, runner) in _EXPERIMENTS.items():
-        rows = runner(args.quick)
-        print(format_table(title, _columns(rows), rows))
+    for exp in DETERMINISTIC:
+        rows = exp.run(args.quick)
+        print(format_table(exp.title, list(rows[0]), rows))
         print()
     return 0
 
@@ -211,7 +96,9 @@ def _parse_crash_at(value: str):
 
 
 def _cmd_experiment(args) -> int:
-    title, runner = _EXPERIMENTS[args.name]
+    exp = BY_NAME[args.name]
+    title = exp.title
+    kwargs = exp.quick if args.quick else exp.full
     crash_at = getattr(args, "crash_at", None)
     if crash_at:
         if args.name != "crash":
@@ -219,33 +106,37 @@ def _cmd_experiment(args) -> int:
                 "--crash-at only applies to the 'crash' experiment")
         mode, point = _parse_crash_at(crash_at)
         title = f"{title} [{mode}:{point}]"
-        runner = lambda quick: crash_consistency(modes=(mode,),  # noqa: E731
-                                                 point=point)
+        kwargs = {"modes": (mode,), "point": point}
     with _fault_context(args):
         if args.trace_jsonl:
             _touch(args.trace_jsonl)
             with ObsSession(record_jsonl=True) as obs:
-                rows = runner(args.quick)
+                rows = exp.func(**kwargs)
             obs.write_trace_jsonl(args.trace_jsonl)
         else:
-            rows = runner(args.quick)
+            rows = exp.func(**kwargs)
+    if crash_at and not rows:
+        points = [row["crash_point"] for row in exp.func(modes=(mode,))]
+        raise SystemExit(
+            f"--crash-at {crash_at}: the {mode!r} sweep has no crash point "
+            f"{point}; it has {len(points)} ({points[0]} .. {points[-1]})")
     if args.json:
         print(rows_to_json(title, rows))
     else:
-        print(format_table(title, _columns(rows), rows))
+        print(format_table(title, list(rows[0]), rows))
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    title, runner = _EXPERIMENTS[args.name]
+    exp = BY_NAME[args.name]
     if args.trace_jsonl:
         _touch(args.trace_jsonl)
     with _fault_context(args):
         with ObsSession(record_jsonl=bool(args.trace_jsonl)) as obs:
-            runner(args.quick)
+            exp.run(args.quick)
     if args.trace_jsonl:
         obs.write_trace_jsonl(args.trace_jsonl)
-    print(f"{title} — observability report")
+    print(f"{exp.title} — observability report")
     print()
     print(obs.render_report())
     return 0
@@ -254,11 +145,11 @@ def _cmd_metrics(args) -> int:
 def _cmd_profile(args) -> int:
     from repro.perf import collapsed_stacks, profiling, render_profile
 
-    title, runner = _EXPERIMENTS[args.name]
+    exp = BY_NAME[args.name]
     with _fault_context(args):
         with profiling() as profiler:
-            runner(args.quick)
-    print(f"{title} — simulator self-profile (wall clock)")
+            exp.run(args.quick)
+    print(f"{exp.title} — simulator self-profile (wall clock)")
     print()
     print(render_profile(profiler, top=args.top))
     if args.collapsed:
@@ -336,20 +227,20 @@ def _cmd_verify_demo(args) -> int:
     return 0
 
 
-def _add_runner_parser(sub, command: str, help_text: str, func):
+def _add_runner_parser(sub, command: str, help_text: str, func,
+                       experiments=DETERMINISTIC):
     """One experiment-running subcommand: shared name/flag wiring.
 
-    Both ``experiment`` and ``metrics`` take an experiment name plus the
-    same run-shaping flags; registering a new experiment in
-    ``_EXPERIMENTS`` makes it available to both (and to the top-level
-    name shorthand) without touching the parser code.
+    ``experiment``, ``metrics`` and ``profile`` take an experiment name
+    plus the same run-shaping flags; a new row in the experiment table is
+    available to all three (and to the top-level name shorthand) without
+    touching the parser code.
     """
     parser = sub.add_parser(command, help=help_text)
-    parser.add_argument("name", choices=sorted(_EXPERIMENTS))
+    parser.add_argument("name",
+                        choices=sorted(exp.name for exp in experiments))
     parser.add_argument("--quick", action="store_true",
                         help="miniature run (seconds instead of minutes)")
-    parser.add_argument("--trace-jsonl", metavar="PATH", default=None,
-                        help="record the tracepoint stream to PATH")
     parser.add_argument(
         "--fault-plan", metavar="SPEC", default=None,
         help="arm a fault plan, e.g. "
@@ -364,13 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="BPF-for-storage reproduction: experiments and tooling")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    report = sub.add_parser("report", help="run every experiment")
+    report = sub.add_parser("report",
+                            help="run every deterministic experiment")
     report.add_argument("--quick", action="store_true",
                         help="miniature runs (seconds instead of minutes)")
     report.set_defaults(func=_cmd_report)
 
     experiment = _add_runner_parser(sub, "experiment",
-                                    "run one experiment", _cmd_experiment)
+                                    "run one experiment", _cmd_experiment,
+                                    experiments=EXPERIMENTS)
     experiment.add_argument("--json", action="store_true",
                             help="print result rows as JSON")
     experiment.add_argument(
@@ -378,24 +271,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="('crash' only) run a single crash point, e.g. 'flush:2' "
              "or 'op-torn:9'")
 
-    _add_runner_parser(sub, "metrics",
-                       "run one experiment under the observability bus",
-                       _cmd_metrics)
+    metrics = _add_runner_parser(
+        sub, "metrics", "run one experiment under the observability bus",
+        _cmd_metrics)
+    for traced in (experiment, metrics):
+        traced.add_argument("--trace-jsonl", metavar="PATH", default=None,
+                            help="record the tracepoint stream to PATH")
 
-    profile = sub.add_parser(
-        "profile", help="run one experiment under the self-profiler")
-    profile.add_argument("name", choices=sorted(_EXPERIMENTS))
-    profile.add_argument("--quick", action="store_true",
-                         help="miniature run (seconds instead of minutes)")
+    profile = _add_runner_parser(
+        sub, "profile", "run one experiment under the self-profiler",
+        _cmd_profile)
     profile.add_argument("--top", type=int, default=15, metavar="N",
                          help="call sites to list (default 15)")
     profile.add_argument("--collapsed", metavar="PATH", default=None,
                          help="write flamegraph collapsed stacks to PATH "
                               "('-' for stdout)")
-    profile.add_argument(
-        "--fault-plan", metavar="SPEC", default=None,
-        help="arm a fault plan while profiling")
-    profile.set_defaults(func=_cmd_profile)
 
     disasm = sub.add_parser("disasm",
                             help="disassemble a library BPF program")
@@ -413,7 +303,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     # Experiment-name shorthand: ``python -m repro scale --json`` runs
     # ``python -m repro experiment scale --json``.
-    if argv and argv[0] in _EXPERIMENTS:
+    if argv and argv[0] in BY_NAME:
         argv = ["experiment"] + list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -3,7 +3,7 @@
 The :class:`TraceBus` is the spine of the observability layer: every
 instrumented call site does ``if bus.enabled: bus.emit(...)`` so a
 disabled bus costs a single attribute check (verified by
-``benchmarks/bench_obs_overhead.py``).  Subscribers register per event
+``python -m repro obs``).  Subscribers register per event
 type or as wildcards and receive :class:`~repro.obs.events.TraceEvent`
 records synchronously, in subscription order, which keeps traces
 deterministic under the single-threaded simulation engine.

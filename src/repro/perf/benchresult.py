@@ -1,6 +1,6 @@
 """Uniform machine-readable benchmark results (``BENCH_<name>.json``).
 
-Every ``benchmarks/bench_*.py`` emits one of these through
+Every row of the experiment table emits one of these through
 ``benchmarks/harness.py`` so that wall-clock numbers, the deterministic
 simulation outputs, and the machine fingerprint travel together.  The
 committed files under ``benchmarks/baselines/`` are the repo's perf
@@ -11,8 +11,8 @@ Schema version ``repro-bench/1``::
 
     {
       "schema": "repro-bench/1",
-      "name": "fig3_throughput",           # bench module suffix
-      "title": "Fig 3a: ...",
+      "name": "fig3a",                     # experiment-table row name
+      "title": "Figure 3a — ...",
       "mode": "full" | "smoke",
       "rounds": 3,
       "wall_s": {"mean": ..., "min": ..., "max": ..., "per_round": [...]},

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import _EXPERIMENTS, _PROGRAMS, build_parser, main
+from repro.bench.registry import EXPERIMENTS
+from repro.cli import _PROGRAMS, build_parser, main
 
 
 def test_parser_requires_command(capsys):
@@ -18,11 +19,30 @@ def test_experiment_quick_runs(capsys):
 
 
 def test_experiment_names_all_registered():
-    expected = {"fig1", "table1", "fig3a", "fig3b", "fig3c", "fig3d",
-                "stability", "bound", "churn", "vmmode", "appcache",
-                "interference", "resilience", "crash", "scale",
-                "pushdown", "cluster", "tenants", "compaction"}
-    assert set(_EXPERIMENTS) == expected
+    # The parser offers every row of the table; the commands that wrap a
+    # run in a second instrument only the deterministic ones.
+    parser = build_parser()
+    for exp in EXPERIMENTS:
+        assert parser.parse_args(["experiment", exp.name]).name == exp.name
+        for command in ("metrics", "profile"):
+            if exp.deterministic:
+                assert parser.parse_args([command, exp.name]).name == exp.name
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command, exp.name])
+
+
+def test_crash_at_unknown_point_fails(capsys):
+    # Replaying a crash point the sweep does not have must not look like
+    # a pass (it used to print an empty table and exit 0).
+    for extra in ([], ["--json"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "crash", "--quick",
+                  "--crash-at", "flush:999"] + extra)
+        assert "'flush' sweep" in str(excinfo.value)
+        assert "it has 4" in str(excinfo.value)
+    assert main(["experiment", "crash", "--crash-at", "flush:2"]) == 0
+    assert "flush#2" in capsys.readouterr().out
 
 
 def test_experiment_shorthand_runs_pushdown(capsys):

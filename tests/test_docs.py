@@ -4,6 +4,8 @@ documented repo structure must exist."""
 import re
 from pathlib import Path
 
+from repro.bench.registry import BY_NAME, EXPERIMENTS
+
 REPO = Path(__file__).parent.parent
 
 
@@ -18,16 +20,22 @@ def test_readme_quickstart_snippet_executes():
 
 
 def test_documented_benchmarks_exist():
+    # Every bench command DESIGN.md cites names a row of the table.
     design = (REPO / "DESIGN.md").read_text()
-    for match in re.finditer(r"`benchmarks/(bench_\w+\.py)`", design):
-        assert (REPO / "benchmarks" / match.group(1)).exists(), \
-            match.group(1)
+    cited = re.findall(r"harness\.py --only (\w+)", design)
+    assert cited, "DESIGN.md lost its experiment index"
+    for name in cited:
+        assert name in BY_NAME, name
 
 
 def test_every_benchmark_is_indexed_in_design():
     design = (REPO / "DESIGN.md").read_text()
-    for path in (REPO / "benchmarks").glob("bench_*.py"):
-        assert path.name in design, f"{path.name} missing from DESIGN.md"
+    experiments = (REPO / "EXPERIMENTS.md").read_text()
+    for exp in EXPERIMENTS:
+        assert f"--only {exp.name}`" in design, \
+            f"{exp.name} missing from DESIGN.md"
+        assert f"python -m repro {exp.name}" in experiments, \
+            f"{exp.name} missing from EXPERIMENTS.md"
 
 
 def test_examples_documented_in_readme_exist():

@@ -102,6 +102,22 @@ def test_default_bus_is_disabled_and_workload_emits_nothing():
     assert kernel.bus.events_emitted == 0
 
 
+def test_disabled_emit_is_cheap():
+    """A disabled guard costs a predicate, not an event construction."""
+    import time
+
+    bus = get_default_bus()
+    assert not bus.enabled
+    loops = 200_000
+    start = time.perf_counter()
+    for _ in range(loops):
+        if bus.enabled:  # pragma: no cover - never taken
+            bus.emit("never", 0)
+    per_site_ns = (time.perf_counter() - start) * 1e9 / loops
+    # Generous bound: a guarded call site is tens of ns, not microseconds.
+    assert per_site_ns < 2_000
+
+
 def test_disabled_bus_noop_holds_with_net_subsystem():
     """A full remote GET (fabric + transport + target) emits nothing on
     the default disabled bus — the ``bus.enabled`` guard covers every

@@ -13,11 +13,13 @@ Covers the three contracts ``repro.perf`` makes:
 import importlib.util
 import json
 import os
+import shutil
 import sys
 
 import pytest
 
 from repro.bench import fig3c_latency
+from repro.bench.registry import EXPERIMENTS, Experiment
 from repro.perf import (
     NULL_PROFILER,
     BenchResult,
@@ -216,7 +218,7 @@ def test_validate_flags_malformed_documents():
 def test_committed_baselines_are_valid():
     names = sorted(f for f in os.listdir(BASELINE_DIR)
                    if f.startswith("BENCH_") and f.endswith(".json"))
-    assert len(names) >= 19, "baseline set incomplete"
+    assert names == sorted(f"BENCH_{exp.name}.json" for exp in EXPERIMENTS)
     for fname in names:
         with open(os.path.join(BASELINE_DIR, fname)) as fh:
             data = json.load(fh)
@@ -281,6 +283,25 @@ def test_checker_warns_on_sim_time_drift_strict_fails(checker_dirs, capsys):
                          "--strict"]) == 1
 
 
+@pytest.mark.parametrize("name,strict_exit", [("fig1", 1), ("obs", 0)])
+def test_checker_metric_value_drift(checker_dirs, capsys, name, strict_exit):
+    # One changed metric value in a deterministic row is result drift
+    # (fails --strict); in a wall-clock row it is only a warning.
+    checker, base, fresh = checker_dirs
+    fname = f"BENCH_{name}.json"
+    shutil.copy(os.path.join(BASELINE_DIR, fname), base)
+    with open(os.path.join(base, fname)) as fh:
+        data = json.load(fh)
+    key = sorted(data["metrics"])[0]
+    data["metrics"][key] += 1
+    with open(os.path.join(fresh, fname), "w") as fh:
+        json.dump(data, fh)
+    assert checker.main(["--fresh", fresh, "--baselines", base]) == 0
+    assert f"metric {key}" in capsys.readouterr().err
+    assert checker.main(["--fresh", fresh, "--baselines", base,
+                         "--strict"]) == strict_exit
+
+
 def test_checker_rejects_corrupt_baseline(checker_dirs, capsys):
     checker, base, fresh = checker_dirs
     with open(os.path.join(base, "BENCH_demo.json"), "w") as fh:
@@ -311,12 +332,12 @@ def _load_harness():
 
 def test_run_spec_produces_valid_bench_result():
     harness = _load_harness()
-    spec = harness.BenchSpec(
+    spec = Experiment(
         name="unit_demo", title="Unit demo",
         func=lambda scale=2: [{"x": scale}],
-        columns=["x"],
-        full={"scale": 4}, smoke={"scale": 2},
-        metric_cols=["x"],
+        quick={"scale": 2}, full={"scale": 4},
+        check=lambda rows: None,
+        metric_cols=("x",),
     )
     rows, result = harness.run_spec(spec, mode="smoke", rounds=2)
     assert rows == [{"x": 2}]
@@ -334,16 +355,7 @@ def test_run_spec_detects_nondeterminism():
     def flappy():
         return [{"x": next(ticker)}]
 
-    spec = harness.BenchSpec(name="flappy", title="Flappy", func=flappy,
-                             columns=["x"], full={}, smoke={})
+    spec = Experiment(name="flappy", title="Flappy", func=flappy,
+                      quick={}, full={}, check=lambda rows: None)
     with pytest.raises(AssertionError):
         harness.run_spec(spec, mode="full", rounds=2)
-
-
-def test_every_bench_module_exports_a_spec():
-    harness = _load_harness()
-    specs = harness.discover_specs(None)
-    names = {spec.name for spec in specs}
-    assert len(specs) >= 19
-    assert {"fig3b_nvme_hook", "lsm_get", "obs_overhead",
-            "net_pushdown", "crash_recovery"} <= names
