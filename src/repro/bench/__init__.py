@@ -1,8 +1,9 @@
 """Benchmark harness: one experiment function per paper table/figure.
 
 * :mod:`~repro.bench.tables` — fixed-width table rendering for results.
-* :mod:`~repro.bench.runner` — closed-loop multi-threaded experiment
-  driver over the simulated kernel.
+* :mod:`~repro.bench.runner` — the rig every experiment cell is built
+  from: the B-tree bench machine, the shared clients, and the two
+  timing loops (closed-loop populations, count-bounded single client).
 * :mod:`~repro.bench.experiments` — the figure/table reproductions:
   ``fig1_latency_breakdown``, ``table1_breakdown``, ``fig3_throughput``
   (3a/3b), ``fig3c_latency``, ``fig3d_iouring``, ``extent_stability``

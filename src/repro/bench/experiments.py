@@ -24,12 +24,13 @@ from repro.kernel import (CostModel, IoUring, JournalConfig, Kernel,
 from repro.obs import ObsSession
 from repro.perf import profiling
 from repro.qos import QosConfig, Tenant
-from repro.sim import LatencyRecorder, Simulator, ThroughputMeter
-from repro.structures import BTree, FsBackend, KvStore, LsmTree, SsTable
+from repro.sim import Simulator
+from repro.structures import FsBackend, KvStore, LsmTree, SsTable
 from repro.structures.pages import PAGE_SIZE, search_page
 from repro.workloads import OpType, YcsbWorkload, ZipfianGenerator
 from repro.sim.rng import RandomStreams
-from repro.bench.runner import NVM2_BENCH, BtreeBench, run_closed_loop
+from repro.bench.runner import (NVM2_BENCH, BtreeBench, load_btree,
+                                mean_latency, plain_reader, run_closed_loop)
 
 __all__ = [
     "ablation_app_cache",
@@ -61,6 +62,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _mean_read_latency(model: LatencyModel, config: KernelConfig,
+                       reads: int) -> float:
+    """Mean latency (ns) of ``reads`` 512 B random reads by one process
+    alone on a fresh machine."""
+    kernel = Kernel(Simulator(), model, config)
+    kernel.create_file("/data", bytes(1 << 20))
+    return mean_latency(
+        kernel, plain_reader(kernel, "/data", RandomStreams(2), "read"),
+        reads)
+
+
 def fig1_latency_breakdown(reads: int = 200) -> List[Dict]:
     """Figure 1: software share of a 512 B random read per device.
 
@@ -73,24 +85,7 @@ def fig1_latency_breakdown(reads: int = 200) -> List[Dict]:
     for name in ("hdd", "nand", "nvm1", "nvm2"):
         # Jitter-free device models so the software share is exact.
         model = replace(DEVICE_PROFILES[name], jitter=0.0)
-        sim = Simulator()
-        kernel = Kernel(sim, model, KernelConfig(seed=1))
-        kernel.create_file("/data", bytes(1 << 20))
-        proc = kernel.spawn_process()
-        rng = RandomStreams(2).stream(f"fig1-{name}")
-        total = 0
-
-        def workload():
-            nonlocal total
-            fd = yield from kernel.sys_open(proc, "/data")
-            for _ in range(reads):
-                offset = rng.randrange(2048) * 512
-                start = sim.now
-                yield from kernel.sys_pread(proc, fd, offset, 512)
-                total += sim.now - start
-
-        kernel.run_syscall(workload())
-        mean_total = total / reads
+        mean_total = _mean_read_latency(model, KernelConfig(seed=1), reads)
         device_ns = model.read_ns
         software_ns = mean_total - device_ns
         rows.append({
@@ -121,24 +116,8 @@ TABLE1_PAPER = {
 def table1_breakdown(reads: int = 200) -> List[Dict]:
     """Table 1: where a 512 B read's 6.27 us go on gen-2 Optane."""
     cost = CostModel()
-    sim = Simulator()
-    kernel = Kernel(sim, NVM2_BENCH, KernelConfig(seed=1, cost_model=cost))
-    kernel.create_file("/data", bytes(1 << 20))
-    proc = kernel.spawn_process()
-    rng = RandomStreams(3).stream("table1")
-    total = 0
-
-    def workload():
-        nonlocal total
-        fd = yield from kernel.sys_open(proc, "/data")
-        for _ in range(reads):
-            offset = rng.randrange(2048) * 512
-            start = sim.now
-            yield from kernel.sys_pread(proc, fd, offset, 512)
-            total += sim.now - start
-
-    kernel.run_syscall(workload())
-    mean_total = total / reads
+    mean_total = _mean_read_latency(
+        NVM2_BENCH, KernelConfig(seed=1, cost_model=cost), reads)
     software = cost.software_total_ns()
     measured_device = mean_total - software
     rows = []
@@ -254,41 +233,40 @@ def _iouring_baseline_tput(depth: int, batch: int,
     """
     bench = BtreeBench(depth, seed=depth, cores=1)
     kernel = bench.kernel
-    sim = bench.sim
-    meter = ThroughputMeter()
-    meter.start(sim.now)
-    stop_at = sim.now + duration_ns
-    next_key = bench._key_stream(0)
     root = bench.tree.meta.root_offset
     user_ns = kernel.cost.user_process_ns
 
-    def driver():
+    def driver(index):
         proc = kernel.spawn_process("uring-base")
         fd = yield from kernel.sys_open(proc, "/index")
         ring = IoUring(kernel, proc)
+        next_key = bench._key_stream(index)
         # lookup state: user_data -> [key, level, offset]
         lookups = {}
         for slot in range(batch):
             lookups[slot] = [next_key(), 0, root]
-        while sim.now < stop_at:
+
+        def one_batch():
             for slot, (key, _level, offset) in lookups.items():
                 ring.prep_read(fd, offset, PAGE_SIZE, user_data=slot)
             cqes = yield from ring.enter(wait_nr=batch)
             # App-side parse of every completed page.
             yield from kernel.cpus.run_thread(user_ns * len(cqes))
+            finished = 0
             for cqe in cqes:
                 slot = cqe.user_data
                 key, level, _offset = lookups[slot]
                 _index, child = search_page(cqe.result.data, key)
                 if level + 1 >= depth or child is None:
-                    meter.record(sim.now)
+                    finished += 1
                     lookups[slot] = [next_key(), 0, root]
                 else:
                     lookups[slot] = [key, level + 1, child]
+            return finished
 
-    sim.spawn(driver(), name="uring-base")
-    sim.run(until=stop_at)
-    meter.stop(sim.now)
+        return one_batch
+
+    [(meter, _latency)] = run_closed_loop(bench.sim, duration_ns, (1, driver))
     return meter.ops_per_sec()
 
 
@@ -299,14 +277,9 @@ def _iouring_chain_tput(depth: int, batch: int, duration_ns: int) -> float:
     """
     bench = BtreeBench(depth, seed=depth, cores=1)
     kernel = bench.kernel
-    sim = bench.sim
-    meter = ThroughputMeter()
-    meter.start(sim.now)
-    stop_at = sim.now + duration_ns
-    next_key = bench._key_stream(0)
     root = bench.tree.meta.root_offset
 
-    def driver():
+    def driver(index):
         proc = kernel.spawn_process("uring-bpf")
         fd = yield from kernel.sys_open(proc, "/index")
         yield from bench.bpf.install(proc, fd, bench.program,
@@ -314,16 +287,18 @@ def _iouring_chain_tput(depth: int, batch: int, duration_ns: int) -> float:
                                      vm_mode=bench.vm_mode)
         ring = IoUring(kernel, proc)
         ring.chain_submitter = bench.bpf.engine.submit_uring_chain
-        while sim.now < stop_at:
+        next_key = bench._key_stream(index)
+
+        def one_batch():
             for _slot in range(batch):
                 ring.prep_read(fd, root, PAGE_SIZE, user_data=None,
                                tagged=True, args=(next_key(),))
             cqes = yield from ring.enter(wait_nr=batch)
-            meter.record(sim.now, operations=len(cqes))
+            return len(cqes)
 
-    sim.spawn(driver(), name="uring-bpf")
-    sim.run(until=stop_at)
-    meter.stop(sim.now)
+        return one_batch
+
+    [(meter, _latency)] = run_closed_loop(bench.sim, duration_ns, (1, driver))
     return meter.ops_per_sec()
 
 
@@ -437,41 +412,37 @@ def ablation_resubmit_bound(chain_length: int = 24,
     lookup, trading latency for fairness; the result must stay correct."""
     rows = []
     for bound in bounds:
-        sim = Simulator()
-        kernel = Kernel(sim, NVM2_BENCH, KernelConfig(seed=4))
+        kernel = Kernel(Simulator(), NVM2_BENCH, KernelConfig(seed=4))
         bpf = StorageBpf(kernel, max_chain_hops=bound)
         blocks = bytearray(chain_length * PAGE_SIZE)
-        import struct as _struct
-
         for index in range(chain_length):
             nxt = ((index + 1) * PAGE_SIZE if index + 1 < chain_length
                    else 0xFFFFFFFFFFFFFFFF)
-            _struct.pack_into("<QQ", blocks, index * PAGE_SIZE, nxt, index)
+            struct.pack_into("<QQ", blocks, index * PAGE_SIZE, nxt, index)
         kernel.create_file("/chain", bytes(blocks))
         program = linked_list_program()
         bpf.verify_program(program)
         proc = kernel.spawn_process()
-        total_ns = 0
 
-        def workload():
-            nonlocal total_ns
+        def make_worker(_index):
             fd = yield from kernel.sys_open(proc, "/chain")
             yield from bpf.install(proc, fd, program)
-            for _ in range(lookups):
-                start = sim.now
+
+            def one_op():
                 result = yield from bpf.read_chain_robust(
                     proc, fd, 0, PAGE_SIZE,
                     max_retries=chain_length + 2)
-                total_ns += sim.now - start
                 assert result.value == chain_length - 1
 
-        kernel.run_syscall(workload())
+            return one_op
+
+        latency_ns = mean_latency(kernel, make_worker, lookups)
         kills = bpf.accounting.chains_killed.get(proc.pid, 0)
         rows.append({
             "bound": bound,
             "chain_length": chain_length,
             "kills_per_lookup": kills / lookups,
-            "mean_latency_us": total_ns / lookups / 1000,
+            "mean_latency_us": latency_ns / 1000,
         })
     return rows
 
@@ -484,9 +455,8 @@ def ablation_invalidation_rate(
     rows = []
     for interval_us in intervals_us:
         bench = BtreeBench(depth, seed=7)
-        kernel = bench.kernel
         sim = bench.sim
-        fs = kernel.fs
+        fs = bench.kernel.fs
         inode = fs.lookup("/index")
         # A sacrificial appendix block the injector can punch without
         # damaging tree pages (any unmap invalidates the whole snapshot).
@@ -502,22 +472,9 @@ def ablation_invalidation_rate(
 
             sim.spawn(injector(), name="churn")
 
-        def make_worker(index):
-            proc = kernel.spawn_process(f"w{index}")
-            fd = yield from kernel.sys_open(proc, "/index")
-            yield from bench.bpf.install(proc, fd, bench.program,
-                                         hook=Hook.NVME)
-            next_key = bench._key_stream(index)
-            root = bench.tree.meta.root_offset
-
-            def one_op():
-                yield from bench.bpf.read_chain_robust(
-                    proc, fd, root, PAGE_SIZE, args=(next_key(),),
-                    max_retries=64)
-
-            return one_op
-
-        meter, latency = run_closed_loop(sim, 2, duration_ns, make_worker)
+        [(meter, latency)] = run_closed_loop(
+            sim, duration_ns,
+            (2, bench.chain_worker(Hook.NVME, max_retries=64)))
         rows.append({
             "churn_interval_us": interval_us if interval_us else "none",
             "klookups_per_s": meter.ops_per_sec() / 1000,
@@ -539,45 +496,42 @@ def ablation_app_cache(depth: int = 6,
     the hybrid user-cache + BPF-chain design (which is how XRP later used
     this mechanism).
     """
-    from repro.structures.pages import search_page as _search
-
     rows = []
     for cached in cached_levels:
         if cached >= depth:
             continue
         bench = BtreeBench(depth, seed=11)
         kernel = bench.kernel
-        sim = bench.sim
         backend = bench.tree.backend
-        next_key = bench._key_stream(0)
         user_ns = kernel.cost.user_process_ns
-        recorder = []
 
-        def workload():
+        def make_worker(index):
             proc = kernel.spawn_process("cache-app")
             fd = yield from kernel.sys_open(proc, "/index")
             yield from bench.bpf.install(proc, fd, bench.program,
                                          hook=Hook.NVME)
-            for _ in range(operations):
+            next_key = bench._key_stream(index)
+
+            def one_op():
                 key = next_key()
-                start = sim.now
                 offset = bench.tree.meta.root_offset
                 # Walk the cached levels in application memory.
                 for _level in range(cached):
                     page = backend.read(offset, PAGE_SIZE)
                     yield from kernel.cpus.run_thread(user_ns)
-                    _index, child = _search(page, key)
+                    _index, child = search_page(page, key)
                     offset = child
                 # Chain the remaining levels in the kernel.
                 yield from bench.bpf.read_chain(proc, fd, offset,
                                                 PAGE_SIZE, args=(key,))
-                recorder.append(sim.now - start)
 
-        kernel.run_syscall(workload())
+            return one_op
+
         rows.append({
             "cached_levels": cached,
             "device_reads_per_lookup": depth - cached,
-            "mean_latency_us": sum(recorder) / len(recorder) / 1000,
+            "mean_latency_us":
+                mean_latency(kernel, make_worker, operations) / 1000,
         })
     return rows
 
@@ -597,46 +551,19 @@ def interference(chain_depth: int = 16, plain_threads: int = 3,
     for scenario in ("alone", "with-chains"):
         bench = BtreeBench(chain_depth, seed=13)
         kernel = bench.kernel
-        sim = bench.sim
         kernel.create_file("/plain", bytes(1 << 20))
-        plain_meter = ThroughputMeter()
-        plain_meter.start(sim.now)
-        stop_at = sim.now + duration_ns
-        plain_latency = []
-
-        def plain_worker(index):
-            proc = kernel.spawn_process(f"plain-{index}")
-            fd = yield from kernel.sys_open(proc, "/plain")
-            rng = bench.streams.fork(f"plain-{index}").stream("off")
-            while sim.now < stop_at:
-                start = sim.now
-                offset = rng.randrange(2048) * 512
-                yield from kernel.sys_pread(proc, fd, offset, 512)
-                plain_latency.append(sim.now - start)
-                plain_meter.record(sim.now)
-
-        for index in range(plain_threads):
-            sim.spawn(plain_worker(index), name=f"plain-{index}")
-
+        populations = [(plain_threads, plain_reader(kernel, "/plain",
+                                                    bench.streams, "plain"))]
         if scenario == "with-chains":
-            chain_worker = bench.chain_worker(Hook.NVME)
-
-            def chain_loop(index):
-                one_op = yield from chain_worker(index)
-                while sim.now < stop_at:
-                    yield from one_op()
-
-            for index in range(chain_threads):
-                sim.spawn(chain_loop(index), name=f"chain-{index}")
-
-        sim.run(until=stop_at)
-        plain_meter.stop(sim.now)
+            populations.append((chain_threads,
+                                bench.chain_worker(Hook.NVME)))
+        (plain_meter, plain_latency), *_chains = run_closed_loop(
+            bench.sim, duration_ns, *populations)
         drained = bench.bpf.accounting.drain_to_bio()
         rows.append({
             "scenario": scenario,
             "plain_kreads_per_s": plain_meter.ops_per_sec() / 1000,
-            "plain_mean_latency_us":
-                sum(plain_latency) / len(plain_latency) / 1000,
+            "plain_mean_latency_us": plain_latency.mean / 1000,
             "chained_resubmissions": sum(drained.values()),
             "chain_processes_accounted": len(drained),
         })
@@ -679,13 +606,8 @@ def tenants(chain_depth: int = 12, victim_threads: int = 2,
                                           ("qos-on", qos_config, True)):
         bench = BtreeBench(chain_depth, seed=seed, qos=qos)
         kernel = bench.kernel
-        sim = bench.sim
         kernel.create_file("/plain", bytes(1 << 20))
         sectors = (1 << 20) // 512
-        stop_at = sim.now + duration_ns
-        victim_latency: List[int] = []
-        victim_ops = [0]
-        aggressor_ops = [0]
 
         def victim_worker(index):
             proc = kernel.spawn_process(f"victim-{index}", tenant="victim")
@@ -694,42 +616,34 @@ def tenants(chain_depth: int = 12, victim_threads: int = 2,
                 sectors, bench.streams.fork(f"victim-{index}").stream("ycsb"),
                 mix="paper")
             payload = bytes(512)
-            while sim.now < stop_at:
+
+            def one_op():
                 op = workload.next_operation()
                 offset = (op.key % sectors) * 512
-                start = sim.now
                 if op.op in (OpType.UPDATE, OpType.INSERT):
                     yield from kernel.sys_pwrite(proc, fd, offset, payload)
                 else:
                     yield from kernel.sys_pread(proc, fd, offset, 512)
-                victim_latency.append(sim.now - start)
-                victim_ops[0] += 1
 
-        for index in range(victim_threads):
-            sim.spawn(victim_worker(index), name=f"victim-{index}")
+            return one_op
 
+        populations = [(victim_threads, victim_worker)]
         if with_aggressor:
-            chain_worker = bench.chain_worker(Hook.NVME, tenant="aggressor")
-
-            def aggressor_loop(index):
-                one_op = yield from chain_worker(index)
-                while sim.now < stop_at:
-                    yield from one_op()
-                    aggressor_ops[0] += 1
-
-            for index in range(aggressor_threads):
-                sim.spawn(aggressor_loop(index), name=f"aggr-{index}")
-
-        sim.run(until=stop_at)
+            populations.append((aggressor_threads, bench.chain_worker(
+                Hook.NVME, tenant="aggressor")))
+        (victim, victim_latency), *aggressors = run_closed_loop(
+            bench.sim, duration_ns, *populations)
+        victim_ops = victim.completed
+        aggressor_ops = sum(meter.completed for meter, _lat in aggressors)
         seconds = duration_ns / 1e9
         rows.append({
             "scenario": scenario,
             "qos": "on" if qos is not None else "off",
-            "victim_p99_us": _p99(victim_latency) / 1000,
-            "victim_kops_per_s": victim_ops[0] / seconds / 1000,
-            "aggressor_kops_per_s": aggressor_ops[0] / seconds / 1000,
+            "victim_p99_us": _p99(victim_latency.samples) / 1000,
+            "victim_kops_per_s": victim_ops / seconds / 1000,
+            "aggressor_kops_per_s": aggressor_ops / seconds / 1000,
             "aggregate_kops_per_s":
-                (victim_ops[0] + aggressor_ops[0]) / seconds / 1000,
+                (victim_ops + aggressor_ops) / seconds / 1000,
         })
     baseline = rows[0]["victim_p99_us"]
     for row in rows:
@@ -798,8 +712,7 @@ def _compaction_cell(mode: str, runs: int, keys_per_run: int,
                      tombstones_per_run: int, readers: int, seed: int,
                      rtt_us: int, cores: int) -> Dict:
     from repro.compact import CompactionEngine
-    from repro.net import (Connection, NetConfig, NetworkFabric,
-                          RemoteClient, StorageTarget)
+    from repro.net import NetConfig, NetworkFabric, StorageTarget
 
     sim = Simulator()
     if mode == "remote":
@@ -812,22 +725,20 @@ def _compaction_cell(mode: str, runs: int, keys_per_run: int,
     tree = _seed_compaction_lsm(kernel.fs, runs, keys_per_run,
                                 tombstones_per_run)
     kernel.create_file("/fg", bytes(1 << 20))
-    streams = RandomStreams(seed)
     done: List[bool] = []
     fg_latency: List[int] = []
+
+    make_reader = plain_reader(kernel, "/fg", RandomStreams(seed), "fg")
 
     # Foreground readers run until the compaction completes (plus the
     # op in flight), so the latency samples cover exactly the window
     # the compaction perturbs.  In remote mode they run on the target —
     # that is where the contention is.
     def reader(index):
-        proc = kernel.spawn_process(f"fg-{index}")
-        fd = yield from kernel.sys_open(proc, "/fg")
-        rng = streams.fork(f"fg-{index}").stream("off")
+        one_read = yield from make_reader(index)
         while not done:
             start = sim.now
-            offset = rng.randrange(2048) * 512
-            yield from kernel.sys_pread(proc, fd, offset, 512)
+            yield from one_read()
             fg_latency.append(sim.now - start)
 
     for index in range(readers):
@@ -837,9 +748,7 @@ def _compaction_cell(mode: str, runs: int, keys_per_run: int,
     if mode == "remote":
         fabric = NetworkFabric(sim, NetConfig(
             one_way_ns=rtt_us * 1000 // 2, seed=seed))
-        connection = Connection(fabric, "compactor")
-        target.attach(connection)
-        client = RemoteClient(connection)
+        client = target.connect(fabric, "compactor")
         plan = tree.plan_compaction(0)
         output_path = tree.reserve_table_path()
 
@@ -948,36 +857,23 @@ def fault_resilience(rates: Sequence[float] = (0.0, 0.001, 0.01, 0.05),
         with ctx:
             bench = BtreeBench(depth, seed=seed)
         kernel = bench.kernel
-        sim = bench.sim
-        meter = ThroughputMeter()
-        latency = LatencyRecorder()
-        meter.start(sim.now)
-        stop_at = sim.now + duration_ns
         counts = {"ok": 0, "surfaced": 0}
-        root = bench.tree.meta.root_offset
+        chain_worker = bench.chain_worker(Hook.NVME, max_retries=32)
 
         def worker(index):
-            proc = kernel.spawn_process(f"fault-{index}")
-            fd = yield from kernel.sys_open(proc, "/index")
-            yield from bench.bpf.install(proc, fd, bench.program,
-                                         hook=Hook.NVME)
-            next_key = bench._key_stream(index)
-            while sim.now < stop_at:
-                start = sim.now
+            lookup = yield from chain_worker(index)
+
+            def one_op():
                 try:
-                    yield from bench.bpf.read_chain_robust(
-                        proc, fd, root, PAGE_SIZE, args=(next_key(),),
-                        max_retries=32)
+                    yield from lookup()
                     counts["ok"] += 1
                 except (IoError, ExtentInvalidated):
                     counts["surfaced"] += 1
-                latency.record(sim.now - start)
-                meter.record(sim.now)
 
-        for index in range(threads):
-            sim.spawn(worker(index), name=f"fault-{index}")
-        sim.run(until=stop_at)
-        meter.stop(sim.now)
+            return one_op
+
+        [(meter, latency)] = run_closed_loop(bench.sim, duration_ns,
+                                             (threads, worker))
 
         plan = kernel.fault_plan
         injected = dict(plan.injected) if plan is not None else {}
@@ -1025,7 +921,6 @@ def crash_consistency(seed: int = 0, cache_depth: int = 8,
     """
     from repro.faults.crashpoints import (enumerate_crash_points,
                                           mixed_workload)
-    from repro.kernel import JournalConfig
 
     ops = mixed_workload(seed)
     ordered = JournalConfig(journal_blocks=journal_blocks)
@@ -1106,9 +1001,9 @@ def mq_scaling(queue_pairs: Sequence[int] = (1, 2, 4, 8),
                                queue_pairs=pairs, irq_steering=True)
             device = bench.kernel.device
             completed_before = device.completed
-            meter, _latency = run_closed_loop(
-                bench.sim, thread_count, duration_ns,
-                bench.chain_worker(Hook.NVME))
+            [(meter, _latency)] = run_closed_loop(
+                bench.sim, duration_ns,
+                (thread_count, bench.chain_worker(Hook.NVME)))
             elapsed_s = duration_ns / 1e9
             iops = (device.completed - completed_before) / elapsed_s
             kiops = iops / 1000
@@ -1159,30 +1054,19 @@ def net_pushdown(depths: Sequence[int] = (1, 2, 3, 4, 5, 6),
 
 def _net_pushdown_cell(depth: int, rtt_us: int, gets: int, seed: int,
                        cores: int) -> Dict:
-    from repro.bench.runner import choose_fanout
-    from repro.net import Connection, NetConfig, NetworkFabric, RemoteClient
-    from repro.net import StorageTarget
+    from repro.net import NetConfig, NetworkFabric, StorageTarget
 
     sim = Simulator()
     target = StorageTarget(sim, model=NVM2_BENCH,
                            config=KernelConfig(cores=cores, seed=seed))
-    fanout = choose_fanout(depth)
-    num_keys = BTree.keys_for_depth(depth, fanout)
-    inode = target.kernel.fs.create("/index")
-    items = [(key * 3 + 1, key) for key in range(num_keys)]
-    tree = BTree.build(FsBackend(target.kernel.fs, inode), items,
-                       fanout=fanout)
-    if tree.depth != depth:
-        raise InvalidArgument(f"built depth {tree.depth}, wanted {depth}")
+    tree = load_btree(target.kernel.fs, "/index", depth)
     root = tree.meta.root_offset
     fabric = NetworkFabric(sim, NetConfig(one_way_ns=rtt_us * 1000 // 2,
                                           seed=seed))
-    connection = Connection(fabric, "bench-client")
-    target.attach(connection)
-    client = RemoteClient(connection)
-    program = index_traversal_program(fanout=fanout)
+    client = target.connect(fabric, "bench-client")
+    program = index_traversal_program(fanout=tree.meta.fanout)
     rng = RandomStreams(seed).stream("pushdown-keys")
-    keys = [(rng.randrange(num_keys)) * 3 + 1 for _ in range(gets)]
+    keys = [(rng.randrange(tree.meta.num_keys)) * 3 + 1 for _ in range(gets)]
     lat_ns = {"naive": [], "pushdown": []}
     rpc_counts = {"naive": 0, "pushdown": 0}
 
@@ -1245,10 +1129,15 @@ def cluster_failover(shard_counts: Sequence[int] = (1, 2, 4, 8),
     clean fsck on the rejoined target, and chain pushdown still working
     — including on the rejoined target after its re-verify + reinstall.
     """
+    replicated = [shards for shards in shard_counts if shards > 1]
+    if not replicated:
+        raise InvalidArgument(
+            f"shard_counts {tuple(shard_counts)!r} needs a count > 1 "
+            "(the crash row fails over to a replica)")
     rows = [_cluster_cell(shards, ops, initial_keys, seed, rtt_us,
                           workers, cores, 0)
             for shards in shard_counts]
-    crash_shards = max(s for s in shard_counts if s > 1)
+    crash_shards = max(replicated)
     rows.append(_cluster_cell(crash_shards, ops, initial_keys, seed,
                               rtt_us, workers, cores, crash_after))
     return rows
@@ -1443,8 +1332,7 @@ def _read_file(fs, path):
 
 
 def _setup(num_keys):
-    sim = Simulator()
-    kernel = Kernel(sim, NVM2_BENCH, KernelConfig(cores=6))
+    kernel = Kernel(Simulator(), NVM2_BENCH, KernelConfig(cores=6))
     bpf = StorageBpf(kernel)
     lsm = LsmTree(kernel.fs, "/db", memtable_limit=4096, l0_limit=4)
     for key in range(num_keys):
@@ -1452,85 +1340,82 @@ def _setup(num_keys):
     lsm.flush()
     keys = ZipfianGenerator(num_keys, RandomStreams(8).stream("keys"),
                             theta=0.9)
-    return sim, kernel, bpf, lsm, keys
+    return kernel, bpf, lsm, keys
 
 
 def lsm_get(num_keys=30_000, reads=400):
-    sim, kernel, bpf, lsm, keys = _setup(num_keys)
+    kernel, bpf, lsm, keys = _setup(num_keys)
     program = index_traversal_program()
     bpf.verify_program(program)
     proc = kernel.spawn_process()
-    stats = {"baseline_ns": 0, "chain_ns": 0, "checked": 0,
-             "tables": lsm.table_count()}
     probe_list = [keys.next_key() for _ in range(reads)]
+    checked = 0
 
-    def workload():
-        fds = {}
-        for path, _table in lsm.candidate_tables(0) or []:
-            pass  # candidate set varies per key; fds opened lazily below
+    def fd_for(fds, path, install):
+        if path not in fds:
+            fd = yield from kernel.sys_open(proc, path)
+            if install:
+                yield from bpf.install(proc, fd, program)
+            fds[path] = fd
+        return fds[path]
 
-        def fd_for(path, install):
-            def opener():
-                if path not in fds:
-                    fd = yield from kernel.sys_open(proc, path)
-                    if install:
-                        yield from bpf.install(proc, fd, program)
-                    fds[path] = fd
-                return fds[path]
-            return opener()
-
-        # Baseline: 3 read() round trips + parses per candidate table.
-        for probe in probe_list:
-            start = sim.now
-            for path, table in lsm.candidate_tables(probe):
-                fd = yield from fd_for(path, install=False)
-                offset = table.root_index_offset
-                value = None
-                for _hop in (2, 1):
-                    result = yield from kernel.sys_pread(proc, fd, offset,
-                                                         PAGE_SIZE)
-                    yield from kernel.cpus.run_thread(
-                        kernel.cost.user_process_ns)
-                    _idx, child = search_page(result.data, probe)
-                    offset = child
+    def baseline_get(fds, probe):
+        # 3 read() round trips + parses per candidate table.
+        for path, table in lsm.candidate_tables(probe):
+            fd = yield from fd_for(fds, path, install=False)
+            offset = table.root_index_offset
+            for _hop in (2, 1):
                 result = yield from kernel.sys_pread(proc, fd, offset,
                                                      PAGE_SIZE)
                 yield from kernel.cpus.run_thread(
                     kernel.cost.user_process_ns)
-                idx, value = search_page(result.data, probe)
-                if idx >= 0:
-                    entry_key = struct.unpack_from(
-                        "<Q", result.data, 16 + 16 * idx)[0]
-                    if entry_key == probe:
-                        break
-            stats["baseline_ns"] += sim.now - start
-
-        # Accelerated: one 3-hop chain per candidate table.
-        fds.clear()
-        for probe in probe_list:
-            start = sim.now
-            expected = lsm.get(probe)
-            got = None
-            for path, table in lsm.candidate_tables(probe):
-                fd = yield from fd_for(path, install=True)
-                result = yield from bpf.read_chain_robust(
-                    proc, fd, table.root_index_offset, PAGE_SIZE,
-                    args=(probe,))
-                if result.value2 == 1:
-                    got = result.value
+                _idx, child = search_page(result.data, probe)
+                offset = child
+            result = yield from kernel.sys_pread(proc, fd, offset,
+                                                 PAGE_SIZE)
+            yield from kernel.cpus.run_thread(
+                kernel.cost.user_process_ns)
+            idx, _value = search_page(result.data, probe)
+            if idx >= 0:
+                entry_key = struct.unpack_from(
+                    "<Q", result.data, 16 + 16 * idx)[0]
+                if entry_key == probe:
                     break
-            stats["chain_ns"] += sim.now - start
-            assert got == expected, (probe, got, expected)
-            stats["checked"] += 1
 
-    kernel.run_syscall(workload())
+    def chain_get(fds, probe):
+        # One 3-hop chain per candidate table.
+        nonlocal checked
+        expected = lsm.get(probe)
+        got = None
+        for path, table in lsm.candidate_tables(probe):
+            fd = yield from fd_for(fds, path, install=True)
+            result = yield from bpf.read_chain_robust(
+                proc, fd, table.root_index_offset, PAGE_SIZE,
+                args=(probe,))
+            if result.value2 == 1:
+                got = result.value
+                break
+        assert got == expected, (probe, got, expected)
+        checked += 1
+
+    def client(get_one):
+        def make_worker(_index):
+            yield from ()  # candidate set varies per key; fds open lazily
+            fds = {}
+            probes = iter(probe_list)
+            return lambda: get_one(fds, next(probes))
+
+        return make_worker
+
+    baseline_ns = mean_latency(kernel, client(baseline_get), reads)
+    chain_ns = mean_latency(kernel, client(chain_get), reads)
     return [{
         "reads": reads,
-        "sstables": stats["tables"],
-        "baseline_us_per_get": stats["baseline_ns"] / reads / 1000,
-        "chain_us_per_get": stats["chain_ns"] / reads / 1000,
-        "speedup": stats["baseline_ns"] / stats["chain_ns"],
-        "verified_against_reference": stats["checked"],
+        "sstables": lsm.table_count(),
+        "baseline_us_per_get": baseline_ns / 1000,
+        "chain_us_per_get": chain_ns / 1000,
+        "speedup": baseline_ns / chain_ns,
+        "verified_against_reference": checked,
     }]
 
 

@@ -1,14 +1,36 @@
-"""Closed-loop experiment driver and the shared B-tree benchmark rig.
+"""The experiment rig: how a cell gets its world and its loop.
+
+Every experiment in :mod:`repro.bench.experiments` is the same shape of
+run: build a machine with some files on it, start populations of
+closed-loop clients, read meters.  The shared pieces live here (and one
+in :mod:`repro.net`), so a cell writes neither its own timing loop nor
+its own copy of a standard client:
+
+1. :func:`run_closed_loop` — any number of ``(count, make_worker)``
+   populations side by side for a fixed simulated duration; one
+   ``(meter, latency)`` pair per population.
+2. :func:`mean_latency` — the count-bounded single-client loop.
+3. :func:`load_btree` — the one loader of the benchmark B-tree.
+4. :func:`plain_reader` — the 512 B random-read worker.
+5. :meth:`BtreeBench.chain_worker` — the chain client, plain or robust
+   (``max_retries``) protocol.
+6. :meth:`repro.net.StorageTarget.connect` — open a connection, attach
+   it, hand back its :class:`~repro.net.RemoteClient`.
 
 :class:`BtreeBench` is the machine behind Figures 3a-3d: one simulated
 kernel + device, one B-tree index file of a requested depth, and the three
 lookup implementations being compared — application-level traversal
 (baseline), syscall-dispatch-hook chains, and NVMe-driver-hook chains.
+
+A *worker factory* ``make_worker(index)`` is a generator that performs
+one client's set-up inside that client's own simulated process (spawn
+the kernel process, open, install, ...) and returns a nullary generator
+function executing one operation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import Hook, StorageBpf
 from repro.core.library import index_traversal_program
@@ -21,7 +43,8 @@ from repro.sim import LatencyRecorder, RandomStreams, Simulator, ThroughputMeter
 from repro.structures import BTree, FsBackend
 from repro.structures.pages import PAGE_SIZE, FileBackend, search_page
 
-__all__ = ["BtreeBench", "NVM2_BENCH", "choose_fanout", "run_closed_loop"]
+__all__ = ["BtreeBench", "NVM2_BENCH", "choose_fanout", "load_btree",
+           "mean_latency", "plain_reader", "run_closed_loop"]
 
 #: The deterministic gen-2 Optane used by all Figure 3 experiments.
 NVM2_BENCH = LatencyModel("nvm2", read_ns=3224, write_ns=3600,
@@ -74,7 +97,8 @@ class _MemBackend(FileBackend):
 # untimed write_sync transactions per BtreeBench.  Building the byte image
 # once and blitting it with two bulk writes leaves the FS, extent, and
 # media state identical (same preallocation burst, same bytes, meta block
-# still allocated last) while skipping the per-page bookkeeping.
+# still allocated last; tests/test_bench_harness.py compares the two
+# loaders) while skipping the per-page bookkeeping.
 _TREE_IMAGE_CACHE: Dict[Tuple[int, int], bytes] = {}
 
 
@@ -89,36 +113,85 @@ def _tree_image(depth: int, fanout: int) -> bytes:
     return image
 
 
-def run_closed_loop(sim: Simulator, thread_count: int, duration_ns: int,
-                    make_worker: Callable,
-                    ) -> Tuple[ThroughputMeter, LatencyRecorder]:
-    """Run ``thread_count`` closed-loop workers for ``duration_ns``.
+def run_closed_loop(sim: Simulator, duration_ns: int,
+                    *populations: Tuple[int, Callable],
+                    ) -> List[Tuple[ThroughputMeter, LatencyRecorder]]:
+    """Run closed-loop client populations side by side for ``duration_ns``.
 
-    ``make_worker(index)`` is a generator that performs per-thread setup
-    (open, install, ...) and returns a nullary generator function executing
-    one operation.  Returns the completed-operation meter and per-operation
-    latency recorder.
+    Each population is a ``(count, make_worker)`` pair: ``count`` workers
+    built by the worker factory ``make_worker(index)``.  Populations are
+    spawned in argument order and workers in index order, which fixes
+    the event sequence.  An operation that completes several operations
+    at once (an io_uring batch) returns how many; ``None`` counts one.
+    Returns one ``(meter, latency)`` pair per population: completed
+    operations and per-call latency.
     """
-    if thread_count < 1:
-        raise InvalidArgument("thread_count must be >= 1")
-    meter = ThroughputMeter()
-    latency = LatencyRecorder()
-    meter.start(sim.now)
+    for count, _make_worker in populations:
+        if count < 1:
+            raise InvalidArgument("a population needs count >= 1")
     stop_at = sim.now + duration_ns
 
-    def loop(index: int):
+    def loop(make_worker, index, meter, latency):
         one_op = yield from make_worker(index)
         while sim.now < stop_at:
             start = sim.now
+            completed = yield from one_op()
+            latency.record(sim.now - start)
+            meter.record(sim.now, 1 if completed is None else completed)
+
+    results = []
+    for count, make_worker in populations:
+        meter, latency = ThroughputMeter(), LatencyRecorder()
+        meter.start(sim.now)
+        results.append((meter, latency))
+        for index in range(count):
+            sim.spawn(loop(make_worker, index, meter, latency),
+                      name=f"worker-{index}")
+    sim.run(until=stop_at)
+    for meter, _latency in results:
+        meter.stop(sim.now)
+    return results
+
+
+def mean_latency(kernel: Kernel, make_worker: Callable,
+                 operations: int) -> float:
+    """Mean latency (ns) of ``operations`` back-to-back ops of one client.
+
+    ``make_worker`` is a worker factory as for :func:`run_closed_loop`;
+    the client is worker 0 and runs alone, to completion.
+    """
+    sim = kernel.sim
+    latency = LatencyRecorder()
+
+    def loop():
+        one_op = yield from make_worker(0)
+        for _ in range(operations):
+            start = sim.now
             yield from one_op()
             latency.record(sim.now - start)
-            meter.record(sim.now)
 
-    for index in range(thread_count):
-        sim.spawn(loop(index), name=f"worker-{index}")
-    sim.run(until=stop_at)
-    meter.stop(sim.now)
-    return meter, latency
+    kernel.run_syscall(loop())
+    return latency.mean
+
+
+def plain_reader(kernel: Kernel, path: str, streams: RandomStreams,
+                 prefix: str) -> Callable:
+    """Factory of workers issuing 512 B random reads over ``path``'s
+    first MiB.  Worker ``index`` is the kernel process ``prefix-index``
+    and draws offsets from the ``streams`` fork of the same name."""
+
+    def make_worker(index: int):
+        proc = kernel.spawn_process(f"{prefix}-{index}")
+        fd = yield from kernel.sys_open(proc, path)
+        rng = streams.fork(f"{prefix}-{index}").stream("off")
+
+        def one_op():
+            yield from kernel.sys_pread(proc, fd, rng.randrange(2048) * 512,
+                                        512)
+
+        return one_op
+
+    return make_worker
 
 
 def choose_fanout(depth: int, max_keys: int = 30_000) -> int:
@@ -129,6 +202,26 @@ def choose_fanout(depth: int, max_keys: int = 30_000) -> int:
     while fanout > 2 and fanout ** (depth - 1) + 1 > max_keys:
         fanout -= 1
     return fanout
+
+
+def load_btree(fs, path: str, depth: int,
+               fanout: Optional[int] = None) -> BTree:
+    """Create ``path`` on ``fs`` holding the benchmark B-tree of ``depth``.
+
+    The tree maps key ``3k + 1`` to ``k`` for ``k`` in
+    ``range(BTree.keys_for_depth(depth, fanout))``; ``fanout`` defaults
+    to :func:`choose_fanout`.  The file is written from the cached image
+    (see ``_TREE_IMAGE_CACHE``) without simulated time.
+    """
+    image = _tree_image(depth, fanout or choose_fanout(depth))
+    backend = FsBackend(fs, fs.create(path))
+    backend.preallocate(PAGE_SIZE, len(image) - PAGE_SIZE)
+    backend.write(PAGE_SIZE, image[PAGE_SIZE:])
+    backend.write(0, image[:PAGE_SIZE])
+    tree = BTree(backend)
+    if tree.depth != depth:
+        raise InvalidArgument(f"built depth {tree.depth}, wanted {depth}")
+    return tree
 
 
 class BtreeBench:
@@ -152,16 +245,7 @@ class BtreeBench:
         self.kernel = Kernel(self.sim, model, config)
         self.bpf = StorageBpf(self.kernel, max_chain_hops=max_chain_hops)
         self.vm_mode = vm_mode
-        inode = self.kernel.fs.create("/index")
-        image = _tree_image(depth, self.fanout)
-        backend = FsBackend(self.kernel.fs, inode)
-        backend.preallocate(PAGE_SIZE, len(image) - PAGE_SIZE)
-        backend.write(PAGE_SIZE, image[PAGE_SIZE:])
-        backend.write(0, image[:PAGE_SIZE])
-        self.tree = BTree(backend)
-        if self.tree.depth != depth:
-            raise InvalidArgument(
-                f"built depth {self.tree.depth}, wanted {depth}")
+        self.tree = load_btree(self.kernel.fs, "/index", depth, self.fanout)
         self.keys = [key * 3 + 1 for key in range(num_keys)]
         self.program = _bench_program(self.fanout)
         if not self.program.verified:
@@ -205,11 +289,15 @@ class BtreeBench:
 
         return one_op
 
-    def chain_worker(self, hook: Hook, tenant: Optional[str] = None):
+    def chain_worker(self, hook: Hook, tenant: Optional[str] = None,
+                     max_retries: Optional[int] = None):
         """Factory of workers using the installed-hook chain path.
 
         ``tenant`` bills every worker process (and so its chain
-        resubmissions and NVMe commands) to that QoS tenant.
+        resubmissions and NVMe commands) to that QoS tenant.  With
+        ``max_retries`` set the workers run the robust protocol
+        (:meth:`~repro.core.api.StorageBpf.read_chain_robust` with that
+        retry bound) in place of a bare ``read_chain``.
         """
 
         def make_worker(index: int):
@@ -223,8 +311,13 @@ class BtreeBench:
 
             def one_op():
                 key = next_key()
-                yield from self.bpf.read_chain(proc, fd, root, PAGE_SIZE,
-                                               args=(key,))
+                if max_retries is None:
+                    yield from self.bpf.read_chain(proc, fd, root, PAGE_SIZE,
+                                                   args=(key,))
+                else:
+                    yield from self.bpf.read_chain_robust(
+                        proc, fd, root, PAGE_SIZE, args=(key,),
+                        max_retries=max_retries)
 
             return one_op
 
@@ -237,26 +330,15 @@ class BtreeBench:
     def throughput(self, system: str, threads: int,
                    duration_ns: int = 20_000_000) -> float:
         """Closed-loop lookups/sec for 'baseline' | 'syscall' | 'nvme'."""
-        make_worker = self._worker_for(system)
-        meter, _latency = run_closed_loop(self.sim, threads, duration_ns,
-                                          make_worker)
+        [(meter, _latency)] = run_closed_loop(
+            self.sim, duration_ns, (threads, self._worker_for(system)))
         return meter.ops_per_sec()
 
     def mean_latency(self, system: str,
                      operations: int = 200) -> float:
         """Single-thread mean lookup latency over ``operations`` ops."""
-        make_worker = self._worker_for(system)
-        latency = LatencyRecorder()
-
-        def loop():
-            one_op = yield from make_worker(0)
-            for _ in range(operations):
-                start = self.sim.now
-                yield from one_op()
-                latency.record(self.sim.now - start)
-
-        self.sim.run_process(loop())
-        return latency.mean
+        return mean_latency(self.kernel, self._worker_for(system),
+                            operations)
 
     def _worker_for(self, system: str):
         if system == "baseline":

@@ -30,7 +30,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.cluster.cluster import StorageCluster
 from repro.errors import InvalidArgument, RpcTimeout
-from repro.net import Connection, RemoteClient, wire
+from repro.net import RemoteClient, wire
 from repro.sim import exponential_backoff_ns
 
 __all__ = ["ClusterClient"]
@@ -54,14 +54,12 @@ class ClusterClient:
                                   for t in cluster.targets):
             tenant = name
         self.tenant = tenant
-        self.remotes: Dict[int, RemoteClient] = {}
-        for target in cluster.targets:
-            conn = Connection(cluster.fabric,
-                              f"{name}-t{target.target_id}",
-                              window=window, **conn_kwargs)
-            target.attach(conn, tenant=tenant)
-            self.remotes[target.target_id] = RemoteClient(
-                conn, max_qos_retries=max_qos_retries)
+        self.remotes: Dict[int, RemoteClient] = {
+            target.target_id: target.connect(
+                cluster.fabric, f"{name}-t{target.target_id}", tenant=tenant,
+                max_qos_retries=max_qos_retries, window=window,
+                **conn_kwargs)
+            for target in cluster.targets}
         #: key -> (version, value) of the latest *acknowledged* PUT:
         #: the read-your-writes obligation.
         self.acked: Dict[int, Tuple[int, int]] = {}

@@ -51,7 +51,6 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.kernel import JournalConfig, KernelConfig
 from repro.kernel.recovery import fsck
 from repro.net import (
-    Connection,
     NetConfig,
     NetworkFabric,
     RemoteClient,
@@ -299,23 +298,21 @@ class StorageCluster:
 
     def _make_repl_conn(self, shard: int) -> None:
         replica = self.replica[shard]
-        conn = Connection(self.fabric,
-                          f"repl-s{shard}-g{self._repl_generation}",
-                          timeout_ns=self._repl_timeout_ns,
-                          max_retries=self._repl_retries)
-        self._repl_generation += 1
         # Replication is system traffic: never admission-controlled.
-        self.targets[replica].attach(conn, tenant="")
-        self._repl_remotes[shard] = RemoteClient(conn)
+        self._repl_remotes[shard] = self.targets[replica].connect(
+            self.fabric, f"repl-s{shard}-g{self._repl_generation}",
+            tenant="", timeout_ns=self._repl_timeout_ns,
+            max_retries=self._repl_retries)
+        self._repl_generation += 1
         self._repl_conn_target[shard] = replica
 
     def _ctl_remote(self, target_id: int) -> RemoteClient:
         """A cluster-owned control client for ``target_id`` (lazy)."""
         remote = self._ctl_remotes.get(target_id)
         if remote is None:
-            conn = Connection(self.fabric, f"ctl-t{target_id}")
-            self.targets[target_id].attach(conn, tenant="")
-            remote = self._ctl_remotes[target_id] = RemoteClient(conn)
+            target = self.targets[target_id]
+            remote = self._ctl_remotes[target_id] = target.connect(
+                self.fabric, f"ctl-t{target_id}", tenant="")
         return remote
 
     # -- replication (called from the primary's PUT handler) -----------

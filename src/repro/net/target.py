@@ -55,6 +55,8 @@ from repro.errors import (
 )
 from repro.kernel import Kernel, KernelConfig
 from repro.net import wire
+from repro.net.client import RemoteClient
+from repro.net.fabric import NetworkFabric
 from repro.net.transport import Connection
 from repro.sim import Simulator
 
@@ -130,6 +132,19 @@ class StorageTarget:
         state = _ClientState(proc)
         self._clients[connection.name] = state
         connection.serve(lambda op, body: self._handle(state, op, body))
+
+    def connect(self, fabric: NetworkFabric, name: str, tenant=None,
+                max_qos_retries: int = 8, **conn_kwargs) -> RemoteClient:
+        """Open connection ``name`` over ``fabric``, :meth:`attach` it
+        (same ``tenant`` rules) and return its client.
+
+        ``conn_kwargs`` go to :class:`~repro.net.transport.Connection`
+        (window, timeout and retry policy); ``max_qos_retries`` bounds
+        the client's EAGAIN sleep-and-retry.
+        """
+        connection = Connection(fabric, name, **conn_kwargs)
+        self.attach(connection, tenant=tenant)
+        return RemoteClient(connection, max_qos_retries=max_qos_retries)
 
     def detach(self, name: str) -> None:
         """Forget a client's server-side state (process teardown).

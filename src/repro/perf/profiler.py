@@ -45,7 +45,9 @@ __all__ = [
 #: in-kernel BPF machinery, so it is charged to the kernel; the on-disk
 #: structures and the compaction engine get their own buckets (they run
 #: on both sides of the boundary); workloads and the bench driver are
-#: the workload itself.
+#: the workload itself; the self-profiler is instrumentation, like the
+#: trace bus.  Every package directory under ``src/repro/`` has a row
+#: (a test checks it), so a new package cannot fall into ``app`` unseen.
 _PACKAGE_SUBSYSTEM = {
     "sim": "engine",
     "ebpf": "vm",
@@ -53,7 +55,10 @@ _PACKAGE_SUBSYSTEM = {
     "core": "kernel",
     "device": "device",
     "net": "net",
+    "cluster": "cluster",
+    "qos": "qos",
     "obs": "obs",
+    "perf": "obs",
     "faults": "faults",
     "structures": "structures",
     "compact": "compact",

@@ -24,8 +24,8 @@ from repro.perf.profiler import Profiler
 __all__ = ["collapsed_stacks", "render_profile", "subsystem_totals"]
 
 #: Display order for the subsystem table.
-_SUBSYSTEM_ORDER = ["engine", "vm", "kernel", "device", "net", "obs",
-                    "faults", "structures", "compact", "app"]
+_SUBSYSTEM_ORDER = ["engine", "vm", "kernel", "device", "net", "cluster",
+                    "qos", "obs", "faults", "structures", "compact", "app"]
 
 
 def subsystem_totals(profiler: Profiler) -> Dict[str, Dict[str, int]]:

@@ -65,6 +65,11 @@ class LatencyRecorder:
                 self._stride *= 2
 
     @property
+    def samples(self) -> Sequence[int]:
+        """The retained samples in recording order (read-only view)."""
+        return tuple(self._samples)
+
+    @property
     def mean(self) -> float:
         if self.count == 0:
             raise ValueError(f"no samples recorded in {self.name!r}")

@@ -15,8 +15,14 @@ from repro.bench import (
     run_closed_loop,
     table1_breakdown,
 )
-from repro.bench.runner import choose_fanout
+from repro.bench.runner import (NVM2_BENCH, choose_fanout, load_btree,
+                                mean_latency)
+from repro.core import Hook
+from repro.errors import InvalidArgument
+from repro.kernel import Kernel, KernelConfig
 from repro.sim import Simulator
+from repro.structures import BTree, FsBackend
+from repro.structures.pages import PAGE_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -53,18 +59,101 @@ def test_choose_fanout_limits_key_count():
 def test_run_closed_loop_counts_ops():
     sim = Simulator()
 
-    def make_worker(index):
-        if False:
-            yield
+    def ticking(op_ns, batch=None):
+        def make_worker(index):
+            if False:
+                yield
 
-        def one_op():
-            yield sim.timeout(1000)
+            def one_op():
+                yield sim.timeout(op_ns)
+                return batch
 
-        return one_op
+            return one_op
 
-    meter, latency = run_closed_loop(sim, 2, 10_000, make_worker)
-    assert meter.completed == 20
-    assert latency.mean == 1000
+        return make_worker
+
+    (fast, fast_latency), (slow, slow_latency), (batched, _latency) = \
+        run_closed_loop(sim, 10_000, (2, ticking(1000)), (1, ticking(2500)),
+                        (1, ticking(5000, batch=4)))
+    assert fast.completed == 20
+    assert fast_latency.mean == 1000
+    assert slow.completed == 4
+    assert slow_latency.mean == 2500
+    # An op returning n (an io_uring batch) completes n operations.
+    assert batched.completed == 8
+    with pytest.raises(InvalidArgument):
+        run_closed_loop(sim, 10_000, (2, ticking(1000)), (0, ticking(1000)))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+def test_load_btree_leaves_the_state_of_a_page_by_page_build(depth):
+    """The cached-image blit must be indistinguishable, to everything
+    below it, from serialising the tree page by page through the FS."""
+    blit, paged = (Kernel(Simulator(), NVM2_BENCH, KernelConfig(seed=3))
+                   for _ in range(2))
+    tree = load_btree(blit.fs, "/index", depth)
+    assert tree.depth == depth
+    fanout = choose_fanout(depth)
+    items = [(key * 3 + 1, key)
+             for key in range(BTree.keys_for_depth(depth, fanout))]
+    BTree.build(FsBackend(paged.fs, paged.fs.create("/index")), items,
+                fanout=fanout)
+    ours, theirs = blit.fs.lookup("/index"), paged.fs.lookup("/index")
+    assert ours.size == theirs.size
+    assert blit.fs.read_sync(ours, 0, ours.size) == \
+        paged.fs.read_sync(theirs, 0, theirs.size)
+    assert blit.fs.media.image() == paged.fs.media.image()
+    assert ours.extents.extents() == theirs.extents.extents()
+
+
+def test_load_btree_rejects_a_depth_it_cannot_build():
+    kernel = Kernel(Simulator(), NVM2_BENCH, KernelConfig(seed=3))
+    with pytest.raises(InvalidArgument):
+        load_btree(kernel.fs, "/index", 0)
+
+
+def _chain_ops(max_retries, operations=12, churn=False):
+    """One NVMe-hook chain client alone on a depth-3 bench; with
+    ``churn``, a block past the tree is punched and rewritten 20 us in,
+    which invalidates the extent snapshot taken at install."""
+    bench = BtreeBench(3, seed=5)
+    fs = bench.kernel.fs
+    inode = fs.lookup("/index")
+    appendix = (inode.size + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
+    fs.write_sync(inode, appendix, bytes(PAGE_SIZE))
+    if churn:
+        def injector():
+            yield bench.sim.timeout(20_000)
+            fs.punch_range(inode, appendix, PAGE_SIZE)
+            fs.write_sync(inode, appendix, bytes(PAGE_SIZE))
+
+        bench.sim.spawn(injector(), name="churn")
+    mean_latency(bench.kernel,
+                 bench.chain_worker(Hook.NVME, max_retries=max_retries),
+                 operations)
+    return bench
+
+
+def test_robust_chain_worker_is_the_plain_one_on_a_quiet_machine():
+    plain, robust = _chain_ops(None), _chain_ops(8)
+    assert plain.bpf.engine.chains_started == 12
+    assert robust.bpf.engine.chains_started == 12
+    assert robust.sim.now == plain.sim.now
+    # The install ioctl is the one snapshot either of them takes.
+    assert robust.bpf.cache.refreshes == plain.bpf.cache.refreshes == 1
+
+
+def test_robust_chain_worker_survives_an_invalidated_snapshot():
+    plain, robust = _chain_ops(None, churn=True), _chain_ops(8, churn=True)
+    # Plain read_chain has no recovery: once the snapshot is stale every
+    # chain comes back EEXTENT and nobody re-runs the ioctl.
+    assert plain.bpf.cache.refreshes == 1
+    assert plain.bpf.engine.extent_aborts >= 10
+    # The robust worker refreshes and keeps completing lookups.
+    aborts = robust.bpf.engine.extent_aborts
+    assert aborts >= 1
+    assert robust.bpf.cache.refreshes == 1 + aborts
+    assert robust.bpf.engine.chains_started == 12 + aborts
 
 
 def test_btree_bench_builds_requested_depth():

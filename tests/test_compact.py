@@ -15,13 +15,7 @@ from repro.core import Hook, StorageBpf
 from repro.core.library import index_traversal_program
 from repro.errors import InvalidArgument
 from repro.kernel import Kernel, KernelConfig
-from repro.net import (
-    Connection,
-    NetConfig,
-    NetworkFabric,
-    RemoteClient,
-    StorageTarget,
-)
+from repro.net import NetConfig, NetworkFabric, StorageTarget
 from repro.net import wire
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator
@@ -220,9 +214,7 @@ def test_remote_compact_matches_local_offloaded():
                            config=KernelConfig(cores=4, seed=3))
     tree = seed_tree(target.kernel.fs)
     fabric = NetworkFabric(sim, NetConfig(one_way_ns=5_000, seed=3))
-    connection = Connection(fabric, "compactor")
-    target.attach(connection)
-    client = RemoteClient(connection)
+    client = target.connect(fabric, "compactor")
     plan = tree.plan_compaction(0)
     output_path = tree.reserve_table_path()
     out = {}

@@ -1,6 +1,7 @@
 """Documentation guards: the README's code must actually run, and the
 documented repo structure must exist."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -66,3 +67,48 @@ def test_all_public_modules_have_docstrings():
         if not (module.__doc__ or "").strip():
             missing.append(module_info.name)
     assert not missing, f"modules without docstrings: {missing}"
+
+
+#: Hand-written docs whose back-quoted references must stay live.
+_REFERENCE_DOCS = [REPO / name for name in ("README.md", "DESIGN.md",
+                                            "EXPERIMENTS.md", "PAPER.md")]
+_REFERENCE_DOCS += sorted((REPO / "docs").glob("*.md"))
+_PATH_ROOTS = ("src/", "tests/", "benchmarks/", "scripts/", "examples/",
+               "docs/", "bench_e2e/")
+
+
+def _resolves(dotted):
+    """``repro.a.b.c`` names a module, or an attribute chain off one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def test_docs_name_only_modules_and_files_that_exist():
+    """A doc citing a deleted module or file fails here, not in review.
+
+    Two rules over every back-quoted span: a ``repro.<dotted.name>``
+    must resolve by import + getattr, and a literal path under one of
+    the repo's top-level directories must exist (spans holding a
+    placeholder or glob character are patterns, not paths)."""
+    stale = []
+    for doc in _REFERENCE_DOCS:
+        for span in re.findall(r"`([^`\n]+)`", doc.read_text()):
+            dotted = re.match(r"repro(\.[A-Za-z_]\w*)+", span)
+            if dotted and not _resolves(dotted.group(0)):
+                stale.append(f"{doc.name}: {span}")
+            if span.startswith(_PATH_ROOTS) and \
+                    re.fullmatch(r"[\w./-]+(::\w+)?", span):
+                if not (REPO / span.partition("::")[0]).exists():
+                    stale.append(f"{doc.name}: {span}")
+    assert not stale, stale

@@ -10,7 +10,7 @@ execution), the bounded in-flight window, and determinism.
 
 import pytest
 
-from repro.bench.runner import NVM2_BENCH, choose_fanout
+from repro.bench.runner import NVM2_BENCH, load_btree
 from repro.core.hooks import storage_ctx_layout
 from repro.core.library import index_traversal_program
 from repro.ebpf import Program, assemble
@@ -25,16 +25,9 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, FaultSpec
 from repro.kernel import KernelConfig
-from repro.net import (
-    Connection,
-    NetConfig,
-    NetworkFabric,
-    RemoteClient,
-    StorageTarget,
-    wire,
-)
+from repro.net import NetConfig, NetworkFabric, StorageTarget, wire
+from repro.qos import QosConfig, Tenant
 from repro.sim import Simulator
-from repro.structures import BTree, FsBackend
 from repro.structures.pages import PAGE_SIZE
 
 
@@ -45,21 +38,14 @@ def build_rig(rtt_us=20, seed=7, plan=None, **conn_kwargs):
                            config=KernelConfig(cores=4, seed=seed))
     fabric = NetworkFabric(sim, NetConfig(one_way_ns=rtt_us * 1000 // 2,
                                           seed=seed), plan=plan)
-    connection = Connection(fabric, "client", **conn_kwargs)
-    target.attach(connection)
-    return sim, target, fabric, connection, RemoteClient(connection)
+    client = target.connect(fabric, "client", **conn_kwargs)
+    return sim, target, fabric, client.connection, client
 
 
 def build_tree(target, depth):
     """A depth-``depth`` B-tree at ``/index``; returns (root, fanout, n)."""
-    fanout = choose_fanout(depth)
-    num_keys = BTree.keys_for_depth(depth, fanout)
-    inode = target.kernel.fs.create("/index")
-    items = [(key * 3 + 1, key) for key in range(num_keys)]
-    tree = BTree.build(FsBackend(target.kernel.fs, inode), items,
-                       fanout=fanout)
-    assert tree.depth == depth
-    return tree.meta.root_offset, fanout, num_keys
+    meta = load_btree(target.kernel.fs, "/index", depth).meta
+    return meta.root_offset, meta.fanout, meta.num_keys
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +331,27 @@ def test_target_rejects_duplicate_attach():
         target.attach(connection)
 
 
+def test_connect_attaches_and_hands_back_the_client():
+    sim, target, fabric, connection, client = build_rig(window=2)
+    assert connection.name == "client"
+    assert target._clients["client"].proc.tenant is None   # no QoS armed
+    with pytest.raises(InvalidArgument, match="already attached"):
+        target.connect(fabric, "client")
+
+    # Under QoS, connect() applies attach()'s tenant rules unchanged.
+    qos = QosConfig(tenants=(Tenant("alice", weight=3),))
+    armed = StorageTarget(sim, model=NVM2_BENCH,
+                          config=KernelConfig(cores=4, seed=7, qos=qos))
+    alice = armed.connect(fabric, "alice", max_qos_retries=2)
+    assert alice.connection.name == "alice"
+    assert alice.max_qos_retries == 2
+    assert armed._clients["alice"].proc.tenant.weight == 3  # None -> name
+    armed.connect(fabric, "repl", tenant="")
+    assert armed._clients["repl"].proc.tenant is None       # system share
+    armed.connect(fabric, "bob-conn", tenant="alice")
+    assert armed._clients["bob-conn"].proc.tenant.name == "alice"
+
+
 # ---------------------------------------------------------------------------
 # INSTALL_CHAIN: server-side re-verification
 # ---------------------------------------------------------------------------
@@ -560,9 +567,8 @@ def test_combined_fault_domains_surface_typed_and_recover():
             config=KernelConfig(cores=2, seed=5, write_cache_depth=4,
                                 journal=JournalConfig(journal_blocks=32)))
         fabric = NetworkFabric(sim, NetConfig(one_way_ns=5_000, seed=5))
-    connection = Connection(fabric, "client", max_retries=3)
-    target.attach(connection)
-    client = RemoteClient(connection)
+    client = target.connect(fabric, "client", max_retries=3)
+    connection = client.connection
     target.create_file("/data", bytes(64 * 1024))
     # Make the untimed setup durable — recovery must not roll the file
     # system back past the file's creation.
@@ -597,11 +603,10 @@ def test_combined_fault_domains_surface_typed_and_recover():
     target.kernel.recover()
     assert fsck(target.kernel.fs).ok
     # ...and it serves a fresh client again (same faulty network).
-    after = Connection(fabric, "client2")
-    target.attach(after)
+    after = target.connect(fabric, "client2")
 
     def recheck():
-        return (yield from RemoteClient(after).read("/data", 0, 512))
+        return (yield from after.read("/data", 0, 512))
 
     assert len(sim.run_process(recheck())) == 512
 

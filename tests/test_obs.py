@@ -123,17 +123,14 @@ def test_disabled_bus_noop_holds_with_net_subsystem():
     the default disabled bus — the ``bus.enabled`` guard covers every
     ``net_rpc_send`` / ``net_rpc_recv`` / ``net_retry`` call site."""
     from repro.kernel import KernelConfig
-    from repro.net import Connection, NetConfig, NetworkFabric, RemoteClient
-    from repro.net import StorageTarget
+    from repro.net import NetConfig, NetworkFabric, StorageTarget
     from repro.sim import Simulator
 
     sim = Simulator()
     target = StorageTarget(sim, config=KernelConfig(seed=2))
     target.create_file("/data", bytes(4096))
     fabric = NetworkFabric(sim, NetConfig(one_way_ns=10_000))
-    connection = Connection(fabric, "quiet")
-    target.attach(connection)
-    client = RemoteClient(connection)
+    client = target.connect(fabric, "quiet")
 
     def workload():
         return (yield from client.read("/data", 0, 512))

@@ -13,6 +13,7 @@ Covers the three contracts ``repro.perf`` makes:
 import importlib.util
 import json
 import os
+import pathlib
 import shutil
 import sys
 
@@ -147,6 +148,27 @@ def test_site_subsystem_mapping():
     subsystem, site = _site_from_code(vm_mod.Vm.run.__code__)
     assert subsystem == "vm"
     assert site.startswith("vm.") and site.endswith("run")
+
+
+def test_every_package_has_a_subsystem_row():
+    """A package without a row is billed to ``app`` silently (as
+    ``repro.cluster`` and ``repro.qos`` were); every subsystem a row
+    names has a slot in the report's display order."""
+    import repro
+    from repro.perf.profiler import _PACKAGE_SUBSYSTEM
+    from repro.perf.report import _SUBSYSTEM_ORDER
+
+    root = pathlib.Path(repro.__file__).parent
+    packages = {path.parent.name for path in root.glob("*/__init__.py")}
+    assert packages - set(_PACKAGE_SUBSYSTEM) == set()
+    assert set(_PACKAGE_SUBSYSTEM.values()) <= set(_SUBSYSTEM_ORDER)
+
+    from repro.cluster import cluster as cluster_mod
+    from repro.qos import manager as qos_mod
+
+    assert _site_from_code(
+        cluster_mod.StorageCluster.replicate.__code__)[0] == "cluster"
+    assert _site_from_code(qos_mod.QosManager.admit.__code__)[0] == "qos"
 
 
 def test_collapsed_stacks_format():

@@ -26,7 +26,6 @@ from repro.net import (
     Connection,
     NetConfig,
     NetworkFabric,
-    RemoteClient,
     StorageTarget,
     wire,
 )
@@ -318,10 +317,9 @@ def build_qos_rig(qos, rtt_us=10, seed=7, tenant=None):
                            config=KernelConfig(cores=4, seed=seed, qos=qos))
     fabric = NetworkFabric(sim, NetConfig(one_way_ns=rtt_us * 1000 // 2,
                                           seed=seed))
-    connection = Connection(fabric, "client")
-    target.attach(connection, tenant=tenant)
+    client = target.connect(fabric, "client", tenant=tenant)
     target.create_file("/x", bytes(4096))
-    return sim, target, connection, RemoteClient(connection)
+    return sim, target, client.connection, client
 
 
 def drive_reads(sim, client, count):
