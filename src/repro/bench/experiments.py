@@ -802,7 +802,8 @@ def _compaction_cell(mode: str, runs: int, keys_per_run: int,
 
 
 def ablation_vm_mode(depth: int = 6, operations: int = 150) -> List[Dict]:
-    """eBPF execution tiers: interpreter vs fused blocks (the JIT stand-in).
+    """eBPF execution tiers: interpreter vs the whole-program block
+    compiler (the JIT stand-in).
 
     The simulated latency differs by the cost model's two per-instruction
     constants; the block tier's additional win is simulator wall-clock,

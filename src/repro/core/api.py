@@ -383,7 +383,8 @@ class StorageBpf:
                            bytes(scratch), deliver=lambda _res: None)
         state.hops = result.hops
         data = result.data[: installation.block_size]
-        outputs, instructions = self.engine._run_program(state, data)
+        (action, next_offset, value, value2), instructions = \
+            self.engine._run_program(state, data)
         yield from kernel.cpus.run_thread(
             kernel.cost.user_process_ns +
             kernel.cost.bpf_run_ns(instructions, installation.jit))
@@ -394,15 +395,15 @@ class StorageBpf:
                 obs_events.BPF_HOOK_DISPATCH, kernel.sim.now, hook="user",
                 cpu_ns=kernel.cost.bpf_run_ns(instructions,
                                               installation.jit),
-                instructions=instructions, action=outputs["action"],
+                instructions=instructions, action=action,
                 span=0, path="chain")
-        if outputs["action"] == ACTION_RESUBMIT:
-            return outputs["next_offset"], bytes(state.scratch)
-        if outputs["action"] == ACTION_RETURN_VALUE:
-            result.value = outputs["result"]
-            result.value2 = outputs["result2"]
+        if action == ACTION_RESUBMIT:
+            return next_offset, bytes(state.scratch)
+        if action == ACTION_RETURN_VALUE:
+            result.value = value
+            result.value2 = value2
             result.data = b""
             return None
-        if outputs["action"] == ACTION_RETURN_BUFFER:
+        if action == ACTION_RETURN_BUFFER:
             return None
-        raise InvalidArgument(f"unknown action {outputs['action']}")
+        raise InvalidArgument(f"unknown action {action}")

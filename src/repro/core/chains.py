@@ -30,7 +30,7 @@ import struct
 from typing import Any, Callable, Optional, Tuple
 
 from repro.device import NvmeCommand, STATUS_TIMEOUT
-from repro.errors import IoError
+from repro.errors import InvalidArgument, IoError
 from repro.kernel import ChainStatus, Kernel, ReadResult
 from repro.kernel.kernel import IoCookie
 from repro.kernel.process import File, Process
@@ -41,13 +41,7 @@ from repro.core.hooks import (
     ACTION_RETURN_BUFFER,
     ACTION_RETURN_VALUE,
     CTX_ACTION,
-    CTX_ARG0,
-    CTX_CHAIN_DEPTH,
     CTX_DATA_LEN,
-    CTX_FILE_OFFSET,
-    CTX_NEXT_OFFSET,
-    CTX_RESULT,
-    CTX_RESULT2,
     CTX_SIZE,
     Hook,
 )
@@ -56,7 +50,13 @@ from repro.obs import events as obs_events
 
 __all__ = ["ChainEngine", "ChainState"]
 
-_U64 = struct.Struct("<Q")
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+# The context struct of `repro.core.hooks` from CTX_DATA_LEN on: the scalar
+# inputs in one pack (data_len, file_offset, chain_depth, the scratch
+# pointer's slot as padding, arg0-arg3), then from CTX_ACTION the four
+# outputs in one unpack (action, next_offset, result, result2).
+_CTX_INPUTS = struct.Struct("<QQQ8x4Q")
+_CTX_OUTPUTS = struct.Struct("<4Q")
 
 
 class ChainState:
@@ -70,6 +70,9 @@ class ChainState:
                  offset: int, length: int, args: Tuple[int, ...],
                  scratch_init: bytes,
                  deliver: Callable[[ReadResult], None]):
+        if len(args) != 4:  # arg0-arg3 of the context struct, no more
+            raise InvalidArgument(
+                f"a chain carries exactly 4 args, got {len(args)}")
         self.proc = proc
         self.file = file
         self.install = install
@@ -118,32 +121,30 @@ class ChainEngine:
     # Program execution (shared by both hooks)
     # ------------------------------------------------------------------
 
-    def _run_program(self, state: ChainState, data: bytes) -> "tuple[dict, int]":
-        """Run the installed program over ``data``; returns (outputs, insns).
+    def _run_program(self, state: ChainState,
+                     data: bytes) -> "tuple[tuple, int]":
+        """Run the installed program over ``data``.
 
-        Pure execution — the caller charges the CPU cost in its own context
+        Returns ``((action, next_offset, result, result2), insns)``.  Pure
+        execution — the caller charges the CPU cost in its own context
         (IRQ for the NVMe hook, thread for the syscall hook).
         """
         install = state.install
         ctx = bytearray(CTX_SIZE)
-        ctx[CTX_DATA_LEN : CTX_DATA_LEN + 8] = _U64.pack(len(data))
-        ctx[CTX_FILE_OFFSET : CTX_FILE_OFFSET + 8] = _U64.pack(state.offset)
-        ctx[CTX_CHAIN_DEPTH : CTX_CHAIN_DEPTH + 8] = _U64.pack(state.hops)
-        for index, arg in enumerate(state.args):
-            base = CTX_ARG0 + 8 * index
-            ctx[base : base + 8] = _U64.pack(arg & 0xFFFFFFFFFFFFFFFF)
-        block = bytearray(install.block_size)
-        block[: len(data)] = data
+        arg0, arg1, arg2, arg3 = state.args
+        _CTX_INPUTS.pack_into(ctx, CTX_DATA_LEN, len(data), state.offset,
+                              state.hops, arg0 & _MASK64, arg1 & _MASK64,
+                              arg2 & _MASK64, arg3 & _MASK64)
+        # A fresh block per run: the program never sees a previous hop's.
+        if len(data) == install.block_size:
+            block = bytearray(data)
+        else:
+            block = bytearray(install.block_size)
+            block[: len(data)] = data
         install.vm.chain_budget = self.accounting.budget_remaining(state.hops)
         result = install.vm.run(ctx, {"data": block, "scratch": state.scratch})
         install.invocations += 1
-        outputs = {
-            "action": _U64.unpack_from(ctx, CTX_ACTION)[0],
-            "next_offset": _U64.unpack_from(ctx, CTX_NEXT_OFFSET)[0],
-            "result": _U64.unpack_from(ctx, CTX_RESULT)[0],
-            "result2": _U64.unpack_from(ctx, CTX_RESULT2)[0],
-        }
-        return outputs, result.instructions
+        return _CTX_OUTPUTS.unpack_from(ctx, CTX_ACTION), result.instructions
 
     # ------------------------------------------------------------------
     # NVMe-hook chains
@@ -395,10 +396,10 @@ class ChainEngine:
                                         final_offset=state.offset))
                 return
 
-            outputs, instructions = self._run_program(state, command.data)
+            (action, next_offset, value, value2), instructions = \
+                self._run_program(state, command.data)
             bpf_ns = cost.bpf_run_ns(instructions, install.jit)
             yield from kernel.run_irq(bpf_ns, queue)
-            action = outputs["action"]
             if bus.enabled:
                 bus.emit(obs_events.BPF_HOOK_DISPATCH, kernel.sim.now,
                          hook="nvme", cpu_ns=bpf_ns,
@@ -406,7 +407,6 @@ class ChainEngine:
                          span=hop_span, path="chain")
 
             if action == ACTION_RESUBMIT:
-                next_offset = outputs["next_offset"]
                 if not self.accounting.may_resubmit(state.proc,
                                                     state.hops):
                     # Kill the chain for fairness.  The result carries the
@@ -502,15 +502,15 @@ class ChainEngine:
                 self.chains_completed += 1
                 state.finish(ReadResult(command.data, hops=state.hops,
                                         final_offset=state.offset,
-                                        value=outputs["result"],
-                                        value2=outputs["result2"]))
+                                        value=value,
+                                        value2=value2))
                 return
             if action == ACTION_RETURN_VALUE:
                 self.chains_completed += 1
                 state.finish(ReadResult(b"", hops=state.hops,
                                         final_offset=state.offset,
-                                        value=outputs["result"],
-                                        value2=outputs["result2"]))
+                                        value=value,
+                                        value2=value2))
                 return
             raise IoError(f"program returned unknown action {action}")
         finally:
@@ -608,11 +608,11 @@ class ChainEngine:
 
         bus = kernel.bus
         span = hook_state.get("span", 0)
-        outputs, instructions = self._run_program(state, result.data)
+        (action, next_offset, value, value2), instructions = \
+            self._run_program(state, result.data)
         bpf_ns = cost.bpf_run_ns(instructions, install.jit)
         yield from kernel.cpus.run_thread(bpf_ns)
 
-        action = outputs["action"]
         if bus.enabled:
             bus.emit(obs_events.BPF_HOOK_DISPATCH, kernel.sim.now,
                      hook="syscall", cpu_ns=bpf_ns,
@@ -633,19 +633,19 @@ class ChainEngine:
             install.resubmissions += 1
             if bus.enabled:
                 bus.emit(obs_events.CHAIN_HOP, kernel.sim.now,
-                         hop=state.hops, offset=outputs["next_offset"],
+                         hop=state.hops, offset=next_offset,
                          pid=proc.pid, span=span, parent=span,
                          path="syscall")
-            return "reissue", outputs["next_offset"]
+            return "reissue", next_offset
         if action == ACTION_RETURN_VALUE:
             return "return", ReadResult(b"", hops=state.hops,
                                         final_offset=state.offset,
-                                        value=outputs["result"],
-                                        value2=outputs["result2"])
+                                        value=value,
+                                        value2=value2)
         return "return", ReadResult(result.data, hops=state.hops,
                                     final_offset=state.offset,
-                                    value=outputs["result"],
-                                    value2=outputs["result2"])
+                                    value=value,
+                                    value2=value2)
 
 
 class _SplitReadFinisher:

@@ -11,8 +11,9 @@ Layout:
 * :mod:`~repro.ebpf.assembler` — two-pass textual assembler with labels.
 * :mod:`~repro.ebpf.program` — program container plus context layout.
 * :mod:`~repro.ebpf.verifier` — abstract-interpretation verifier.
-* :mod:`~repro.ebpf.vm` — interpreter ("interp") and fused-basic-block
-  ("block", the JIT stand-in) execution engines.
+* :mod:`~repro.ebpf.vm` — interpreter ("interp") and whole-program block
+  compiler ("block", the JIT stand-in: one generated function per program)
+  execution engines.
 * :mod:`~repro.ebpf.helpers` — helper-function registry.
 * :mod:`~repro.ebpf.maps` — array and hash maps.
 * :mod:`~repro.ebpf.builder` — a small Python DSL for emitting programs.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AssemblerError
 from repro.ebpf.isa import Instruction, MAX_INSNS
@@ -67,6 +67,8 @@ class CtxLayout:
     def __init__(self, fields: Sequence[CtxField]):
         self.fields: List[CtxField] = sorted(fields, key=lambda f: f.offset)
         self.by_name: Dict[str, CtxField] = {}
+        #: The one index of exact accesses: ``(offset, size)`` -> field.
+        self.by_access: Dict[Tuple[int, int], CtxField] = {}
         covered_until = 0
         for ctx_field in self.fields:
             if ctx_field.name in self.by_name:
@@ -77,14 +79,15 @@ class CtxLayout:
                 raise AssemblerError(f"ctx field {ctx_field.name!r} misaligned")
             covered_until = ctx_field.offset + ctx_field.size
             self.by_name[ctx_field.name] = ctx_field
+            self.by_access[ctx_field.offset, ctx_field.size] = ctx_field
         self.size = covered_until
 
     def field_at(self, offset: int, size: int) -> CtxField:
         """The field covering an exact (offset, size) access, or raise KeyError."""
-        for ctx_field in self.fields:
-            if ctx_field.offset == offset and ctx_field.size == size:
-                return ctx_field
-        raise KeyError(f"no ctx field at offset {offset} size {size}")
+        ctx_field = self.by_access.get((offset, size))
+        if ctx_field is None:
+            raise KeyError(f"no ctx field at offset {offset} size {size}")
+        return ctx_field
 
     def offset_of(self, name: str) -> int:
         return self.by_name[name].offset

@@ -5,20 +5,23 @@ Two modes with identical semantics and identical runtime safety checks:
 * ``interp`` — decode-and-dispatch per instruction (the kernel's
   interpreter, and the reference the differential tests compare against).
 * ``block`` — the default, standing in for the kernel's JIT: at load time
-  the verified program is split into basic blocks and each straight-line
-  run is fused into a single generated Python function (instruction
-  budget checked once per block, no per-instruction pc bounds check,
-  registers bound to a local), with block-to-block dispatch.  The
-  ablation benchmark compares the two.
+  the whole program is compiled into ONE generated Python function.
+  Registers and the retired-instruction count are locals, basic blocks
+  hand over to each other inside the function (instruction budget checked
+  once per block, no per-instruction pc bounds check), each helper call
+  site is specialised by the `HelperSpec` known at compile time, and
+  context accesses go through exact ``(offset, size)`` tables built from
+  the program's layout.  The ablation benchmark compares the two.
 
 Memory model.  Registers hold either 64-bit unsigned integers or
 :class:`Pointer` values tagged with the :class:`Region` they point into.
 Every load/store is bounds-checked against its region even though the
 verifier already proved safety — the same defence-in-depth the kernel keeps
-for helper arguments.  The context struct is special-cased: loads of
-pointer-kind fields (per the program's :class:`~repro.ebpf.program.CtxLayout`)
-materialise pointers to the buffer regions the hook passed in, and stores are
-only allowed to fields the layout marks writable.
+for helper arguments, and both modes keep all of it.  The context struct is
+special-cased: loads of pointer-kind fields (per the program's
+:class:`~repro.ebpf.program.CtxLayout`) materialise pointers to the buffer
+regions the hook passed in, and stores are only allowed to fields the
+layout marks writable.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import VmFault
 from repro.perf.profiler import get_default_profiler
-from repro.ebpf.helpers import ArgKind, HelperRegistry, RetKind
+from repro.ebpf.helpers import ArgKind, HelperRegistry, HelperSpec, RetKind
 from repro.ebpf.isa import FP_REG, MEM_SIZES, STACK_SIZE
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import FieldKind, Program
@@ -129,10 +132,17 @@ class Vm:
         self.mode = mode
         self.max_instructions = max_instructions
         self._trace: List[int] = []
-        self._blocks: Optional[_BlockProgram] = None
         self._opclasses: Optional[List[str]] = None  # lazy; profiling only
+        # What every run needs from the layout, resolved once.
+        layout = program.ctx_layout
+        self._ctx_size = layout.size
+        self._pointer_fields = tuple(
+            (ctx_field.region, ctx_field.region_size, ctx_field.writable)
+            for ctx_field in layout.fields
+            if ctx_field.kind is FieldKind.POINTER)
+        self._compiled: Optional[Callable[["_RunState"], int]] = None
         if mode == "block":
-            self._blocks = _block_program_for(program, max_instructions)
+            self._compiled = _compiled_for(self)
 
     def trace_append(self, value: int) -> None:
         """Append to the *current run's* trace (helper support)."""
@@ -185,26 +195,22 @@ class Vm:
         (keyed by the field's region name).  Output fields written by the
         program land in ``ctx`` in place.
         """
-        layout = self.program.ctx_layout
-        if len(ctx) < layout.size:
+        if len(ctx) < self._ctx_size:
             raise VmFault(
-                f"ctx too small: {len(ctx)} < layout size {layout.size}"
+                f"ctx too small: {len(ctx)} < layout size {self._ctx_size}"
             )
         regions = regions or {}
         region_objs: Dict[str, Region] = {}
-        for ctx_field in layout.fields:
-            if ctx_field.kind is FieldKind.POINTER:
-                if ctx_field.region not in regions:
-                    raise VmFault(f"missing region {ctx_field.region!r}")
-                backing = regions[ctx_field.region]
-                if len(backing) != ctx_field.region_size:
-                    raise VmFault(
-                        f"region {ctx_field.region!r} is {len(backing)}B, "
-                        f"layout declares {ctx_field.region_size}B"
-                    )
-                region_objs[ctx_field.region] = Region(
-                    ctx_field.region, backing, writable=ctx_field.writable
+        for name, size, writable in self._pointer_fields:
+            if name not in regions:
+                raise VmFault(f"missing region {name!r}")
+            backing = regions[name]
+            if len(backing) != size:
+                raise VmFault(
+                    f"region {name!r} is {len(backing)}B, "
+                    f"layout declares {size}B"
                 )
+            region_objs[name] = Region(name, backing, True, writable)
 
         state = _RunState(self, ctx, region_objs)
         # The trace lives in the run's state (and travels out in the
@@ -238,48 +244,46 @@ class Vm:
     # -- block mode -------------------------------------------------------
 
     def _run_block(self, state: "_RunState") -> ExecutionResult:
-        """Dispatch fused basic blocks until exit.
+        """Run the program's one compiled function (see `_compile_program`).
 
-        A block function returns the next block index, ``-1`` on exit, or
-        ``-2`` when its hoisted budget check sees the budget running out
-        inside the block — that tail re-runs per-instruction so the fault
-        lands on exactly the same instruction (with the same executed
-        count) as the interpreter.
+        It returns ``-1`` on exit, or the pc of the first instruction of
+        the block its hoisted budget check saw the budget running out in:
+        that tail re-runs per-instruction so the fault lands on exactly
+        the same instruction (with the same executed count) as the
+        interpreter.
         """
-        blocks = self._blocks
-        funcs = blocks.funcs
-        idx = 0
-        nxt = 0
-        try:
-            while True:
-                nxt = funcs[idx](state)
-                if nxt < 0:
-                    break
-                idx = nxt
-        except VmFault as fault:
-            # The fused fast path charges the whole block up front; put
-            # the count back to "instructions actually retired" when the
-            # fault names an instruction inside the current block.
-            start = blocks.starts[idx]
-            size = blocks.sizes[idx]
-            if start <= fault.pc < start + size:
-                state.executed += fault.pc - start + 1 - size
-            raise
-        if nxt == -1:
+        pc = self._compiled(state)
+        if pc < 0:
             return state.result()
-        # Budget tail (-2): finish per-instruction from the block start.
-        return self._run_interp(state, pc=blocks.starts[idx])
+        return self._run_interp(state, pc=pc)
 
     # -- profiled mode ----------------------------------------------------
 
     def _run_profiled(self, state: "_RunState",
                       profiler) -> ExecutionResult:
-        """The interpreter loop with per-opcode-class timing.
+        """One run inside a ``("vm", "run.<name>")`` profiler frame.
 
-        Same semantics and instruction budget as the unprofiled loops;
-        only taken when a default profiler is enabled, so neither hot
-        path pays for the timing calls.
+        Only taken when a default profiler is enabled, so neither hot
+        path pays for the timing calls.  A block-mode VM runs the same
+        compiled function it runs unprofiled: the row reports the tier
+        that was asked for.  The per-opcode-class split needs a timer
+        around every instruction, so only ``interp`` VMs have it.
         """
+        name = self.program.name
+        profiler.push(("vm", f"run.{name}"))
+        try:
+            if self.mode == "block":
+                result = self._run_block(state)
+            else:
+                result = self._run_interp_timed(state, profiler)
+        finally:
+            wall_ns = profiler.pop()
+        profiler.on_program(name, self.mode, state.executed, wall_ns)
+        return result
+
+    def _run_interp_timed(self, state: "_RunState",
+                          profiler) -> ExecutionResult:
+        """`_run_interp` with each instruction timed by opcode class."""
         classes = self._opclasses
         if classes is None:
             classes = self._opclasses = [
@@ -288,27 +292,20 @@ class Vm:
             ]
         insns = self.program.instructions
         limit = self.max_instructions
-        name = self.program.name
-        profiler.push(("vm", f"run.{name}"))
-        try:
-            pc = 0
-            while True:
-                if state.executed >= limit:
-                    raise VmFault("instruction budget exhausted", pc)
-                if not 0 <= pc < len(insns):
-                    raise VmFault(f"pc {pc} out of program", pc)
-                state.executed += 1
-                started = perf_counter_ns()
-                next_pc = _step(state, insns[pc], pc)
-                profiler.on_opcode(classes[pc], perf_counter_ns() - started)
-                if next_pc is None:
-                    break
-                pc = next_pc
-            result = state.result()
-        finally:
-            wall_ns = profiler.pop()
-        profiler.on_program(name, self.mode, state.executed, wall_ns)
-        return result
+        pc = 0
+        while True:
+            if state.executed >= limit:
+                raise VmFault("instruction budget exhausted", pc)
+            if not 0 <= pc < len(insns):
+                raise VmFault(f"pc {pc} out of program", pc)
+            state.executed += 1
+            started = perf_counter_ns()
+            next_pc = _step(state, insns[pc], pc)
+            profiler.on_opcode(classes[pc], perf_counter_ns() - started)
+            if next_pc is None:
+                break
+            pc = next_pc
+        return state.result()
 
 
 class _RunState:
@@ -665,37 +662,45 @@ def _step(state: _RunState, insn, pc: int) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Block compilation (the default execution tier)
+# Whole-program compilation (the default execution tier)
 # ---------------------------------------------------------------------------
 #
-# At load time the verified program is split into basic blocks (leaders =
-# entry, jump targets, and fall-throughs of jumps/exits).  Each block is
-# fused into ONE generated Python function:
+# At load time the program is split into basic blocks (leaders = entry,
+# jump targets, and fall-throughs of jumps/exits) and ALL of them are
+# compiled into ONE generated Python function per program:
 #
-#   * the instruction budget is checked once per block (the per-insn tail
-#     only runs when the budget would expire inside the block),
-#   * there is no per-instruction pc bounds check — control flow between
-#     blocks is by returned block index, and every in-range target was
-#     resolved at compile time,
-#   * the register file is bound to a local once per block.
+#   * r0-r10 and the retired-instruction count ``n`` are Python locals;
+#     they are written back to the run state only where somebody reads
+#     them (exit, the budget tail, a fault);
+#   * blocks hand over to each other inside the function: ``_blk`` names
+#     the next block and a ``while True:`` loop re-dispatches.  Dispatch is
+#     a balanced ``if _blk < mid:`` tree whose leaves are runs of at most
+#     `_LEAF_BLOCKS` consecutive blocks tested with ``if _blk <= k:``, so a
+#     fall-through costs nothing, a forward jump inside a leaf skips ahead
+#     without re-dispatching, and a loop late in a long program costs
+#     log2(blocks) tests per iteration, not one test per block before it;
+#   * the instruction budget is checked once per block; a block that would
+#     cross it is replayed by the interpreter from its first instruction,
+#     so the fault names the same pc with the same count;
+#   * each helper call site is specialised by the `HelperSpec` its id had
+#     at compile time (argument classes checked in one guard, the return
+#     kind applied inline) and calls the implementation bound from the
+#     running Vm's registry; a site whose id the registry does not know,
+#     or whose guard fails, goes through `_call_helper`;
+#   * context accesses are looked up in exact per-size offset tables built
+#     from the program's `CtxLayout`; ``pointer +/- scalar`` is inline.
 #
-# Fast paths are guarded with exact ``__class__ is int`` checks; anything
-# else (pointers, faults) falls back to the shared `_alu`/`_load`/`_store`/
-# `_jump_compare` routines so fault messages and semantics stay identical
-# to the interpreter.  Register invariant relied on throughout: integer
-# register values are always already reduced to [0, 2**64).
+# Fast paths are guarded with exact ``__class__ is int`` / ``is Pointer``
+# checks and keep every region check (readable/writable, bounds against
+# ``len(region.data)``, ctx field writability, spilled-pointer rules);
+# whatever a guard turns away falls back to the shared `_alu`/`_load`/
+# `_store`/`_jump_compare`/`_call_helper` routines, which is what keeps
+# fault messages and semantics identical to the interpreter.  Register
+# invariant relied on throughout: integer register values are always
+# already reduced to [0, 2**64).
 
-class _BlockProgram:
-    """Fused basic blocks of one program at one instruction budget."""
-
-    __slots__ = ("funcs", "starts", "sizes")
-
-    def __init__(self, funcs: List[Callable[["_RunState"], int]],
-                 starts: List[int], sizes: List[int]):
-        self.funcs = funcs
-        self.starts = starts
-        self.sizes = sizes
-
+#: Consecutive blocks per leaf of the dispatch tree (linear inside a leaf).
+_LEAF_BLOCKS = 8
 
 # Int-only expression templates.  They reproduce `_alu`'s results exactly
 # for in-range integer operands (see the invariant above), skipping masks
@@ -739,131 +744,199 @@ _COND = {
     "jslt": "_s64({a}) < _s64({b})",
     "jsle": "_s64({a}) <= _s64({b})",
 }
+#: `_s64` of an in-range integer register, as an inline expression.
+_SIGNED = "({v} - 18446744073709551616 if {v} >= 9223372036854775808 else {v})"
+
+_SCALAR_ARGS = (ArgKind.SCALAR, ArgKind.CONST, ArgKind.MAP_ID, ArgKind.SIZE)
+_ALL_REGS = ", ".join(f"r{reg}" for reg in range(11))
 
 
-def _emit_alu(body: List[str], insn, pc: int, base: str, is32: bool) -> None:
-    dst = insn.dst
-    if dst == FP_REG:
-        body.append(f"raise VmFault('write to frame pointer r10', {pc})")
+def _emit_alu(out: List[str], pad: str, insn, pc: int, base: str,
+              is32: bool) -> None:
+    if insn.dst == FP_REG:
+        out.append(f"{pad}raise VmFault('write to frame pointer r10', {pc})")
         return
-    d = f"regs[{dst}]"
+    d = f"r{insn.dst}"
     if base == "mov":
-        if insn.src_is_reg:
-            if is32:
-                body.append(f"_a = regs[{insn.src}]")
-                body.append("if _a.__class__ is int:")
-                body.append(f"    {d} = _a & U32")
-                body.append("else:")
-                body.append(
-                    f"    {d} = _alu(state, 'mov', True, 0, _a, {pc})")
-            else:
-                body.append(f"{d} = regs[{insn.src}]")
-        else:
+        if not insn.src_is_reg:
             value = insn.imm & U64
-            body.append(f"{d} = {value & U32 if is32 else value}")
+            out.append(f"{pad}{d} = {value & U32 if is32 else value}")
+        elif is32:
+            s = f"r{insn.src}"
+            out.append(f"{pad}{d} = {s} & U32 if {s}.__class__ is int else "
+                       f"_alu(state, 'mov', True, 0, {s}, {pc})")
+        else:
+            out.append(f"{pad}{d} = r{insn.src}")
         return
     if base == "neg":
-        body.append(f"_a = {d}")
-        body.append("if _a.__class__ is int:")
-        if is32:
-            body.append(f"    {d} = (-(_a & U32)) & U32")
-        else:
-            body.append(f"    {d} = (-_a) & U64")
-        body.append("else:")
-        body.append(f"    {d} = _alu(state, 'neg', {is32}, _a, 0, {pc})")
+        fast = f"(-({d} & U32)) & U32" if is32 else f"(-{d}) & U64"
+        out.append(f"{pad}{d} = {fast} if {d}.__class__ is int else "
+                   f"_alu(state, 'neg', {is32}, {d}, 0, {pc})")
         return
     table = _EXPR32 if is32 else _EXPR64
+    # 64-bit add/sub also move a pointer by a scalar inline.
+    moves = not is32 and base in ("add", "sub")
     if insn.src_is_reg:
-        body.append(f"_a = {d}")
-        body.append(f"_b = regs[{insn.src}]")
-        body.append("if _a.__class__ is int and _b.__class__ is int:")
-        body.append(f"    {d} = {table[base].format(a='_a', b='_b')}")
-        body.append("else:")
-        body.append(f"    {d} = _alu(state, {base!r}, {is32}, _a, _b, {pc})")
+        s = f"r{insn.src}"
+        out.append(f"{pad}if {d}.__class__ is int and {s}.__class__ is int:")
+        out.append(f"{pad} {d} = {table[base].format(a=d, b=s)}")
+        if moves:
+            sign = "+" if base == "add" else "-"
+            out.append(f"{pad}elif {d}.__class__ is Pointer "
+                       f"and {s}.__class__ is int:")
+            out.append(f"{pad} {d} = Pointer({d}.region, {d}.offset {sign} "
+                       f"{_SIGNED.format(v=s)})")
+        if moves and base == "add":
+            out.append(f"{pad}elif {d}.__class__ is int "
+                       f"and {s}.__class__ is Pointer:")
+            out.append(f"{pad} {d} = Pointer({s}.region, {s}.offset + "
+                       f"{_SIGNED.format(v=d)})")
     else:
-        const = insn.imm & U64
-        body.append(f"_a = {d}")
-        body.append("if _a.__class__ is int:")
-        body.append(f"    {d} = {table[base].format(a='_a', b=const)}")
-        body.append("else:")
-        body.append(
-            f"    {d} = _alu(state, {base!r}, {is32}, _a, {const}, {pc})")
+        s = str(insn.imm & U64)
+        out.append(f"{pad}if {d}.__class__ is int:")
+        out.append(f"{pad} {d} = {table[base].format(a=d, b=s)}")
+        if moves:
+            delta = _s64(insn.imm & U64)
+            out.append(f"{pad}elif {d}.__class__ is Pointer:")
+            out.append(f"{pad} {d} = Pointer({d}.region, {d}.offset + "
+                       f"({delta if base == 'add' else -delta}))")
+    out.append(f"{pad}else:")
+    out.append(f"{pad} {d} = _alu(state, {base!r}, {is32}, {d}, {s}, {pc})")
 
 
-def _emit_jump(body: List[str], insn, pc: int, op: str,
-               taken: str, fall: str) -> None:
+def _jump_test(insn, pc: int, op: str) -> str:
+    """The branch condition of a conditional jump, as one expression."""
+    d = f"r{insn.dst}"
     if insn.src_is_reg:
-        body.append(f"_a = regs[{insn.dst}]")
-        body.append(f"_b = regs[{insn.src}]")
-        body.append("if _a.__class__ is int and _b.__class__ is int:")
-        body.append(f"    if {_COND[op].format(a='_a', b='_b')}:")
-        body.append(f"        {taken}")
-        body.append(f"    {fall}")
-        body.append(f"if _jump_compare({op!r}, _a, _b, {pc}):")
+        s = f"r{insn.src}"
+        guard = f"{d}.__class__ is int and {s}.__class__ is int"
     else:
-        const = insn.imm & U64
-        body.append(f"_a = regs[{insn.dst}]")
-        body.append("if _a.__class__ is int:")
-        body.append(f"    if {_COND[op].format(a='_a', b=const)}:")
-        body.append(f"        {taken}")
-        body.append(f"    {fall}")
-        body.append(f"if _jump_compare({op!r}, _a, {const}, {pc}):")
-    body.append(f"    {taken}")
-    body.append(fall)
+        s = str(insn.imm & U64)
+        guard = f"{d}.__class__ is int"
+    return (f"({_COND[op].format(a=d, b=s)}) if {guard} "
+            f"else _jump_compare({op!r}, {d}, {s}, {pc})")
 
 
-def _emit_load(body: List[str], insn, pc: int, size: int) -> None:
-    dst, src, off = insn.dst, insn.src, insn.offset
-    slow = f"regs[{dst}] = _load(state, _p, {off}, {size}, {pc})"
-    body.append(f"_p = regs[{src}]")
-    body.append("if _p.__class__ is Pointer:")
-    body.append("    _r = _p.region")
-    body.append(f"    _o = _p.offset + {off}")
-    body.append("    if (_r is state.ctx_region"
-                " or (_r is state.stack_region and state.stack_ptr_slots)"
-                " or not _r.readable"
-                f" or _o < 0 or _o + {size} > len(_r.data)):")
-    body.append(f"        {slow}")
-    body.append("    else:")
-    if size == 1:
-        body.append(f"        regs[{dst}] = _r.data[_o]")
+def _emit_load(out: List[str], pad: str, insn, pc: int, size: int) -> None:
+    d, p, off = f"r{insn.dst}", f"r{insn.src}", insn.offset
+    slow = f"{d} = _load(state, {p}, {off}, {size}, {pc})"
+
+    def fetch(data: str) -> str:
+        if size == 1:
+            return f"{d} = {data}[_o]"
+        return f"{d} = _from_bytes({data}[_o:_o + {size}], 'little')"
+
+    out.append(f"{pad}if {p}.__class__ is Pointer:")
+    out.append(f"{pad} _r = {p}.region")
+    out.append(f"{pad} _o = {p}.offset" + (f" + {off}" if off else ""))
+    out.append(f"{pad} if _r is ctx_region:")
+    out.append(f"{pad}  if _o in _CS{size}:")
+    out.append(f"{pad}   {fetch('ctx')}")
+    out.append(f"{pad}  else:")
+    if size == 8:  # the only size a pointer-kind field has
+        out.append(f"{pad}   _t = regions.get(_CP.get(_o))")
+        out.append(f"{pad}   if _t is not None:")
+        out.append(f"{pad}    {d} = Pointer(_t, 0)")
+        out.append(f"{pad}   else:")
+        out.append(f"{pad}    {slow}")
     else:
-        body.append(f"        regs[{dst}] = "
-                    f"_from_bytes(_r.data[_o:_o + {size}], 'little')")
-    body.append("else:")
-    body.append(f"    {slow}")
+        out.append(f"{pad}   {slow}")
+    out.append(f"{pad} elif ((slots and _r is stack_region) or not _r.readable"
+               f" or _o < 0 or _o + {size} > len(_r.data)):")
+    out.append(f"{pad}  {slow}")
+    out.append(f"{pad} else:")
+    out.append(f"{pad}  {fetch('_r.data')}")
+    out.append(f"{pad}else:")
+    out.append(f"{pad} {slow}")
 
 
-def _emit_store(body: List[str], insn, pc: int, size: int,
+def _emit_store(out: List[str], pad: str, insn, pc: int, size: int,
                 value_reg: Optional[int]) -> None:
-    off = insn.offset
+    p, off = f"r{insn.dst}", insn.offset
     mask = (1 << (8 * size)) - 1
+    guard = f"{p}.__class__ is Pointer"
     if value_reg is None:
         const = insn.imm & U64
         value = str(const)
-        guard = "if _p.__class__ is Pointer:"
-        fast = (f"_r.data[_o] = {const & mask}" if size == 1 else
-                f"_r.data[_o:_o + {size}] = {(const & mask).to_bytes(size, 'little')!r}")
+        data = (str(const & mask) if size == 1 else
+                repr((const & mask).to_bytes(size, "little")))
     else:
-        value = "_v"
-        body.append(f"_v = regs[{value_reg}]")
-        guard = "if _p.__class__ is Pointer and _v.__class__ is int:"
-        fast = (f"_r.data[_o] = _v & 255" if size == 1 else
-                f"_r.data[_o:_o + {size}] = "
-                f"(_v & {mask}).to_bytes({size}, 'little')")
-    slow = f"_store(state, _p, {off}, {size}, {value}, {pc})"
-    body.append(f"_p = regs[{insn.dst}]")
-    body.append(guard)
-    body.append("    _r = _p.region")
-    body.append(f"    _o = _p.offset + {off}")
-    body.append("    if (_r is state.ctx_region or _r is state.stack_region"
-                " or not _r.writable"
-                f" or _o < 0 or _o + {size} > len(_r.data)):")
-    body.append(f"        {slow}")
-    body.append("    else:")
-    body.append(f"        {fast}")
-    body.append("else:")
-    body.append(f"    {slow}")
+        value = f"r{value_reg}"
+        guard += f" and {value}.__class__ is int"
+        if size == 1:
+            data = f"{value} & 255"
+        elif size == 8:
+            data = f"{value}.to_bytes(8, 'little')"
+        else:
+            data = f"({value} & {mask}).to_bytes({size}, 'little')"
+    where = "[_o]" if size == 1 else f"[_o:_o + {size}]"
+    slow = f"_store(state, {p}, {off}, {size}, {value}, {pc})"
+    out.append(f"{pad}if {guard}:")
+    out.append(f"{pad} _r = {p}.region")
+    out.append(f"{pad} _o = {p}.offset" + (f" + {off}" if off else ""))
+    out.append(f"{pad} if _r is ctx_region:")
+    out.append(f"{pad}  if _o in _CW{size}:")
+    out.append(f"{pad}   ctx{where} = {data}")
+    out.append(f"{pad}  else:")
+    out.append(f"{pad}   {slow}")
+    out.append(f"{pad} elif ((slots and _r is stack_region) or not _r.writable"
+               f" or _o < 0 or _o + {size} > len(_r.data)):")
+    out.append(f"{pad}  {slow}")
+    out.append(f"{pad} else:")
+    out.append(f"{pad}  _r.data{where} = {data}")
+    out.append(f"{pad}else:")
+    out.append(f"{pad} {slow}")
+
+
+def _impl_name(helper_id: int) -> str:
+    """What the generated code calls a bound helper implementation."""
+    return f"_h{helper_id}" if helper_id >= 0 else f"_hm{-helper_id}"
+
+
+def _emit_call(out: List[str], pad: str, helper_id: int,
+               spec: Optional[HelperSpec], pc: int) -> None:
+    slow = f"r0 = _slow_call(state, {helper_id}, {pc}, r1, r2, r3, r4, r5)"
+    if spec is None:  # unknown at compile time: decided when reached
+        out.append(f"{pad}{slow}")
+    else:
+        args = [f"r{index + 1}" for index in range(len(spec.args))]
+        guard = " and ".join(
+            f"{reg}.__class__ is "
+            f"{'int' if kind in _SCALAR_ARGS else 'Pointer'}"
+            for reg, kind in zip(args, spec.args))
+        inner = pad + " " if guard else pad
+        call = f"{_impl_name(helper_id)}({', '.join(['vm'] + args)})"
+        if guard:
+            out.append(f"{pad}if {guard}:")
+        out.append(f"{inner}state.helper_calls += 1")
+        if spec.ret is RetKind.VOID:
+            out.append(f"{inner}{call}")
+            out.append(f"{inner}r0 = 0")
+        elif spec.ret is RetKind.MAP_VALUE_OR_NULL:
+            out.append(f"{inner}_v = {call}")
+            out.append(f"{inner}r0 = _v if isinstance(_v, Pointer) else 0")
+        else:
+            out.append(f"{inner}_v = {call}")
+            out.append(f"{inner}r0 = _v & U64 if _v.__class__ is int else "
+                       f"_as_scalar(_v, 'helper return', {pc}) & U64")
+        if guard:
+            out.append(f"{pad}else:")
+            out.append(f"{pad} {slow}")
+    # Clobber caller-saved registers like the kernel ABI.
+    out.append(f"{pad}r1 = r2 = r3 = r4 = r5 = 0")
+
+
+def _slow_call(state: "_RunState", helper_id: int, pc: int,
+               r1: Any, r2: Any, r3: Any, r4: Any, r5: Any) -> Any:
+    """A call the compiled code does not make itself; returns r0.
+
+    Taken when the helper id was unknown at compile time or an argument
+    failed the call site's class guard: `_call_helper` decides, and words
+    the fault, exactly as it does for the interpreter.
+    """
+    state.regs[1:6] = (r1, r2, r3, r4, r5)
+    _call_helper(state, helper_id, pc)
+    return state.regs[0]
 
 
 def _bad_jump(state: "_RunState", target: int, limit: int) -> None:
@@ -878,89 +951,36 @@ def _bad_jump(state: "_RunState", target: int, limit: int) -> None:
     raise VmFault(f"pc {target} out of program", target)
 
 
-def _branch_stmt(target: int, count: int,
-                 index_of: Dict[int, int], limit: int) -> str:
-    """Single-line statement for a taken jump to ``target``."""
-    if 0 <= target < count:
-        return f"return {index_of[target]}"
-    return f"return _bad_jump(state, {target}, {limit})"
+def _ctx_tables(layout) -> Dict[str, Any]:
+    """Exact-access tables for the generated code, from the layout's index.
 
-
-def _fuse_block(program: Program, start: int, end: int,
-                index_of: Dict[int, int],
-                limit: int) -> Tuple[Callable[["_RunState"], int], int]:
-    """Compile instructions [start, end) into one block function."""
-    insns = program.instructions
-    count = len(insns)
-    ns: Dict[str, Any] = {
-        "_alu": _alu, "_load": _load, "_store": _store,
-        "_call_helper": _call_helper, "_jump_compare": _jump_compare,
-        "_s64": _s64, "_s32": _s32, "U64": U64, "U32": U32,
-        "VmFault": VmFault, "Pointer": Pointer, "_bad_jump": _bad_jump,
-        "_from_bytes": int.from_bytes, "len": len,
-    }
-    body: List[str] = []
-    size = 0
-    terminated = False
-    pc = start
-    while pc < end:
-        insn = insns[pc]
-        op = insn.opcode
-        info = _DECODE.get(op) or _decode_op(op)
-        kind = info[0]
-        size += 1
-        if kind == _K_EXIT:
-            body.append("return -1")
-            terminated = True
-            break
-        if kind == _K_JA:
-            body.append(_branch_stmt(pc + 1 + insn.offset, count,
-                                     index_of, limit))
-            terminated = True
-            break
-        if kind == _K_JMP:
-            taken = _branch_stmt(pc + 1 + insn.offset, count,
-                                 index_of, limit)
-            _emit_jump(body, insn, pc, op, taken,
-                       f"return {index_of[pc + 1]}")
-            terminated = True
-            break
-        if kind == _K_ALU:
-            _emit_alu(body, insn, pc, info[1], info[2])
-        elif kind == _K_LDX:
-            _emit_load(body, insn, pc, info[3])
-        elif kind == _K_STX:
-            _emit_store(body, insn, pc, info[3], insn.src)
-        elif kind == _K_ST:
-            _emit_store(body, insn, pc, info[3], None)
-        elif kind == _K_CALL:
-            body.append(f"_call_helper(state, {insn.imm}, {pc})")
-        elif kind == _K_LDDW:
-            body.append(f"regs[{insn.dst}] = {insn.imm & U64}")
+    ``_CS<size>`` / ``_CW<size>``: offsets of the readable / writable
+    scalar fields of that size; ``_CP``: pointer-field offset -> region.
+    """
+    tables: Dict[str, Any] = {"_CP": {}}
+    for size in MEM_SIZES.values():
+        tables[f"_CS{size}"] = set()
+        tables[f"_CW{size}"] = set()
+    for (offset, size), ctx_field in layout.by_access.items():
+        if ctx_field.kind is FieldKind.POINTER:
+            tables["_CP"][offset] = ctx_field.region
         else:
-            message = f"unknown opcode {op!r}"
-            body.append(f"raise VmFault({message!r}, {pc})")
-            terminated = True
-            break
-        pc += 1
-    if not terminated:
-        body.append(f"return {index_of[pc]}")
-    lines = ["def _block(state):",
-             f"    executed = state.executed + {size}",
-             f"    if executed > {limit}:",
-             "        return -2",
-             "    state.executed = executed",
-             "    regs = state.regs"]
-    for stmt in body:
-        for line in stmt.split("\n"):
-            lines.append("    " + line)
-    source = "\n".join(lines)
-    code = compile(source, f"<bpf:{program.name}:block@{start}>", "exec")
-    exec(code, ns)
-    return ns["_block"], size
+            tables[f"_CS{size}"].add(offset)
+            if ctx_field.writable:
+                tables[f"_CW{size}"].add(offset)
+    return tables
 
 
-def _compile_blocks(program: Program, limit: int) -> _BlockProgram:
+def _compile_program(program: Program, limit: int,
+                     specs: Dict[int, Optional[HelperSpec]]) -> Callable:
+    """Generate the program's one function; returns its per-Vm binder.
+
+    ``binder(vm)`` closes the function over the helper implementations of
+    ``vm.env.helpers``.  The function runs a fresh `_RunState` and returns
+    ``-1`` after ``exit`` (r0 and the count written back), or the pc of the
+    first instruction of the block the budget ran out in (every register
+    written back) for the interpreter to resume at.
+    """
     insns = program.instructions
     count = len(insns)
     leaders = {0}
@@ -976,31 +996,155 @@ def _compile_blocks(program: Program, limit: int) -> _BlockProgram:
             leaders.add(pc + 1)
     starts = sorted(leaders)
     index_of = {start: index for index, start in enumerate(starts)}
-    funcs: List[Callable[["_RunState"], int]] = []
-    sizes: List[int] = []
-    for which, start in enumerate(starts):
-        end = starts[which + 1] if which + 1 < len(starts) else count
-        func, size = _fuse_block(program, start, end, index_of, limit)
-        funcs.append(func)
-        sizes.append(size)
-    return _BlockProgram(funcs, starts, sizes)
+    # Charged-but-unretired instructions when the one at a pc faults.
+    unretired = [0] * count
+    out: List[str] = []
+
+    def emit_block(k: int, pad: str, leaf_end: int) -> None:
+        start = starts[k]
+        end = starts[k + 1] if k + 1 < len(starts) else count
+        inner = pad + " "
+        body: List[str] = []
+
+        def goto(target: int, at: str) -> None:
+            if not 0 <= target < count:
+                body.append(f"{at}state.executed = n")
+                body.append(f"{at}_bad_jump(state, {target}, {limit})")
+                return
+            body.append(f"{at}_blk = {index_of[target]}")
+            # A forward jump inside the leaf is reached by falling on
+            # through the leaf's remaining tests.
+            if not k < index_of[target] < leaf_end:
+                body.append(f"{at}continue")
+
+        falls = True
+        pc = start
+        while falls and pc < end:
+            insn = insns[pc]
+            op = insn.opcode
+            kind, base, is32, size = _DECODE.get(op) or _decode_op(op)
+            if kind == _K_ALU:
+                _emit_alu(body, inner, insn, pc, base, is32)
+            elif kind == _K_LDX:
+                _emit_load(body, inner, insn, pc, size)
+            elif kind == _K_STX:
+                _emit_store(body, inner, insn, pc, size, insn.src)
+            elif kind == _K_ST:
+                _emit_store(body, inner, insn, pc, size, None)
+            elif kind == _K_CALL:
+                _emit_call(body, inner, insn.imm, specs[insn.imm], pc)
+            elif kind == _K_LDDW:
+                body.append(f"{inner}r{insn.dst} = {insn.imm & U64}")
+            elif kind == _K_JMP:
+                body.append(f"{inner}if {_jump_test(insn, pc, op)}:")
+                goto(pc + 1 + insn.offset, inner + " ")
+            elif kind == _K_JA:
+                goto(pc + 1 + insn.offset, inner)
+                falls = False
+            elif kind == _K_EXIT:
+                body.append(f"{inner}state.regs[0] = r0")
+                body.append(f"{inner}state.executed = n")
+                body.append(f"{inner}return -1")
+                falls = False
+            else:
+                message = f"unknown opcode {op!r}"
+                body.append(f"{inner}raise VmFault({message!r}, {pc})")
+                falls = False
+            pc += 1
+        if falls and k + 1 == leaf_end:
+            goto(pc, inner)
+        size = pc - start
+        for offset in range(size):
+            unretired[start + offset] = size - 1 - offset
+        out.append(f"{pad}if _blk <= {k}:")
+        out.append(f"{inner}if n > {limit - size}:")
+        out.append(f"{inner} _pc = {start}")
+        out.append(f"{inner} break")
+        out.append(f"{inner}n += {size}")
+        out.extend(body)
+
+    def emit_tree(lo: int, hi: int, pad: str) -> None:
+        """Dispatch over leaves [lo, hi) of `_LEAF_BLOCKS` blocks each."""
+        if hi - lo == 1:
+            leaf_end = min(hi * _LEAF_BLOCKS, len(starts))
+            for k in range(lo * _LEAF_BLOCKS, leaf_end):
+                emit_block(k, pad, leaf_end)
+            return
+        mid = (lo + hi) // 2
+        out.append(f"{pad}if _blk < {mid * _LEAF_BLOCKS}:")
+        emit_tree(lo, mid, pad + " ")
+        out.append(f"{pad}else:")
+        emit_tree(mid, hi, pad + " ")
+
+    out.append("def _bind(vm):")
+    bound = sorted(helper_id for helper_id, spec in specs.items()
+                   if spec is not None)
+    if bound:
+        out.append(" _impls = vm.env.helpers.impls")
+    for helper_id in bound:
+        out.append(f" {_impl_name(helper_id)} = _impls[{helper_id}]")
+    out.append(" def _run(state):")
+    if bound:
+        # Not closed over: a Vm that its own function points back to is a
+        # cycle, and whatever a helper parked on the Vm (a merge sink)
+        # would outlive its world until the next collection.
+        out.append("  vm = state.vm")
+    out.append(f"  {_ALL_REGS} = state.regs")
+    out.append("  ctx = state.ctx")
+    out.append("  ctx_region = state.ctx_region")
+    out.append("  stack_region = state.stack_region")
+    out.append("  slots = state.stack_ptr_slots")
+    out.append("  regions = state.regions")
+    out.append("  n = state.executed")
+    out.append("  _blk = 0")
+    out.append("  try:")
+    out.append("   while True:")
+    emit_tree(0, -(-len(starts) // _LEAF_BLOCKS), "    ")
+    out.append("  except VmFault as _fault:")
+    # The block was charged whole on entry; put the count back to
+    # "instructions actually retired" when the fault names one of them.
+    out.append("   _pc = _fault.pc")
+    out.append(f"   state.executed = (n - _UNRETIRED[_pc] "
+               f"if 0 <= _pc < {count} else n)")
+    out.append("   raise")
+    out.append(f"  state.regs[:] = ({_ALL_REGS})")
+    out.append("  state.executed = n")
+    out.append("  return _pc")
+    out.append(" return _run")
+
+    ns: Dict[str, Any] = {
+        "_alu": _alu, "_load": _load, "_store": _store,
+        "_jump_compare": _jump_compare, "_slow_call": _slow_call,
+        "_as_scalar": _as_scalar, "_bad_jump": _bad_jump,
+        "_s64": _s64, "_s32": _s32, "U64": U64, "U32": U32,
+        "VmFault": VmFault, "Pointer": Pointer,
+        "_from_bytes": int.from_bytes, "_UNRETIRED": unretired,
+    }
+    ns.update(_ctx_tables(program.ctx_layout))
+    exec(compile("\n".join(out), f"<bpf:{program.name}>", "exec"), ns)
+    return ns["_bind"]
 
 
-def _block_program_for(program: Program, limit: int) -> _BlockProgram:
-    """Blocks for ``program`` at budget ``limit``, cached on the program.
+def _compiled_for(vm: "Vm") -> Callable[["_RunState"], int]:
+    """``vm``'s program as one function, the generated code cached on it.
 
     One installation's Program is shared by many Vm instances (chain
-    executions, remote re-verification); compiling once per (program,
-    budget) keeps load cost amortised exactly like the kernel's JIT cache.
+    executions, remote re-verification); compiling once keeps load cost
+    amortised exactly like the kernel's JIT cache.  The generated code
+    depends on the budget and on the `HelperSpec` of every helper id the
+    program calls (by value: two installs of one Program may carry
+    different registries), so both are the cache key; the implementations
+    are bound per Vm.
     """
-    cache = getattr(program, "_block_cache", None)
-    if cache is None:
-        cache = {}
-        try:
-            program._block_cache = cache
-        except AttributeError:  # frozen dataclass: compile uncached
-            return _compile_blocks(program, limit)
-    blocks = cache.get(limit)
-    if blocks is None:
-        blocks = cache[limit] = _compile_blocks(program, limit)
-    return blocks
+    program = vm.program
+    helpers = vm.env.helpers
+    called = sorted({insn.imm for insn in program.instructions
+                     if insn.opcode == "call"})
+    specs = tuple(helpers.specs.get(helper_id) for helper_id in called)
+    cache = program.__dict__.setdefault("_block_cache", {})
+    key = (vm.max_instructions, specs)
+    binder = cache.get(key)
+    if binder is None:
+        binder = cache[key] = _compile_program(
+            program, vm.max_instructions, dict(zip(called, specs)))
+    return binder(vm)

@@ -212,6 +212,18 @@ def test_storage_layout_offsets():
     assert layout.by_name["scratch"].writable
 
 
+def test_layout_field_at_is_an_exact_access_lookup():
+    layout = storage_ctx_layout(4096, 256)
+    assert layout.field_at(72, 8) is layout.by_name["action"]
+    assert layout.field_at(0, 8) is layout.by_name["data"]
+    assert set(layout.by_access.values()) == set(layout.fields)
+    for offset, size in ((72, 4), (76, 4), (73, 8), (104, 8), (-8, 8)):
+        with pytest.raises(KeyError) as excinfo:
+            layout.field_at(offset, size)
+        assert excinfo.value.args == (
+            f"no ctx field at offset {offset} size {size}",)
+
+
 def test_storage_helpers_include_base_and_extras():
     helpers = storage_helpers()
     names = helpers.names()

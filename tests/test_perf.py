@@ -113,6 +113,62 @@ def test_profiler_collects_engine_and_vm_attribution():
     assert prof.heap_depth_avg() > 0
 
 
+@pytest.mark.parametrize("mode", ["block", "interp"])
+def test_profiled_vm_run_reports_the_tier_that_ran(mode):
+    # A block-mode VM runs its compiled function under the profiler too:
+    # its row carries that tier's own wall time, and the per-opcode split
+    # (a timer around every instruction) exists for interp VMs only.
+    from repro.core.hooks import storage_ctx_layout, storage_helpers
+    from repro.ebpf import Program, Vm, assemble, verify
+    from repro.ebpf.vm import VmEnvironment
+
+    layout = storage_ctx_layout(256, 64)
+    helpers = storage_helpers()
+    program = Program(assemble("""
+            mov   r6, r1
+            ldxdw r7, [r6+0]
+            mov   r8, 0
+            mov   r9, 0
+        loop:
+            mov   r2, r7
+            add   r2, r8
+            ldxb  r3, [r2+0]
+            add   r9, r3
+            add   r8, 1
+            jlt   r8, 32, loop
+            mov   r1, r9
+            call  trace
+            stxdw [r6+88], r9
+            mov   r0, 0
+            exit
+        """, helpers.names()), layout, name="summer")
+    verify(program, helpers)
+
+    def run():
+        ctx = bytearray(layout.size)
+        result = Vm(program, VmEnvironment(helpers), mode=mode).run(
+            ctx, {"data": bytearray(range(256)), "scratch": bytearray(64)})
+        return result, bytes(ctx)
+
+    plain = run()
+    with profiling() as prof:
+        profiled = run()
+    assert profiled == plain
+    instructions = plain[0].instructions
+    assert instructions == 4 + 32 * 6 + 5
+    (key, (runs, retired, wall_ns)), = prof.programs.items()
+    assert (key, runs, retired) == (("summer", mode), 1, instructions)
+    assert wall_ns > 0
+    calls, self_ns, cum_ns = prof.sites[("vm", "run.summer")]
+    assert (calls, cum_ns) == (1, wall_ns)
+    if mode == "block":
+        assert prof.opcodes == {}
+    else:
+        assert sum(count for count, _ in prof.opcodes.values()) == \
+            instructions
+        assert prof.opcodes["call"][0] == 1
+
+
 def test_self_time_never_exceeds_cumulative():
     with profiling() as prof:
         _run_workload()
