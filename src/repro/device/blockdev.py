@@ -18,6 +18,9 @@ __all__ = ["BlockDevice", "SECTOR_SIZE"]
 
 SECTOR_SIZE = 512
 
+#: What a never-written sector reads as.
+_ZERO_SECTOR = bytes(SECTOR_SIZE)
+
 
 class BlockDevice:
     """A sparse array of ``capacity_sectors`` sectors of 512 bytes."""
@@ -54,9 +57,9 @@ class BlockDevice:
         """Read ``count`` sectors starting at ``lba``; unwritten reads zeros."""
         self._check_range(lba, count)
         self.reads += count
-        zero = bytes(SECTOR_SIZE)
+        get = self._sectors.get
         return b"".join(
-            self._sectors.get(sector, zero) for sector in range(lba, lba + count)
+            [get(sector, _ZERO_SECTOR) for sector in range(lba, lba + count)]
         )
 
     def write(self, lba: int, data: bytes) -> None:

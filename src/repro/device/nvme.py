@@ -324,11 +324,12 @@ class NvmeDevice:
             self.completed += 1
             self.queue_in_flight[queue] -= 1
             self.queue_completed[queue] += 1
-            self.trace.record(
-                TraceEntry(command.submit_ns, command.complete_ns,
-                           command.opcode, command.lba, command.sectors,
-                           command.source)
-            )
+            if self.trace.enabled:
+                self.trace.record(
+                    TraceEntry(command.submit_ns, command.complete_ns,
+                               command.opcode, command.lba, command.sectors,
+                               command.source)
+                )
             if self.bus.enabled:
                 # service_ns is the sampled media time, excluding queue
                 # wait, so layer attribution stays exact under queueing.

@@ -715,10 +715,8 @@ class Kernel:
         core owning the queue pair.
         """
         if self.irq_lanes is None:
-            yield from self.cpus.run_irq(cost)
-        else:
-            yield from self.irq_lanes[queue % len(self.irq_lanes)].execute(
-                cost)
+            return self.cpus.run_irq(cost)
+        return self.irq_lanes[queue % len(self.irq_lanes)].execute(cost)
 
     @property
     def retry_enabled(self) -> bool:

@@ -17,6 +17,14 @@ waiting on triggers.  Example::
 
 Determinism: events scheduled for the same timestamp trigger in schedule
 order; there is no wall-clock or hash-order dependence anywhere.
+
+Dispatch is one virtual call: the loop takes the next queue entry and
+calls its ``_fire`` (``_fire_profiled`` under the profiler).  For every
+event defined here that sets the value and runs the callbacks.  A
+subclass may do engine work there instead and fire later:
+:class:`repro.sim.resources.Charge`, a whole CPU charge, is dispatched
+twice (grant, then expiry) and wakes its waiter only the second time.
+Both dispatches count as events to the profiler.
 """
 
 from __future__ import annotations
@@ -41,7 +49,15 @@ class Event:
     trigger at the current simulation time (after events already queued for
     that time), at which point all registered callbacks run in registration
     order.
+
+    The whole family is slotted (a run allocates one event per wait, so
+    the per-instance ``__dict__`` was a measurable share of host time):
+    a subclass must declare ``__slots__`` too, and nothing may hang ad-hoc
+    attributes on an event.
     """
+
+    __slots__ = ("sim", "callbacks", "_value", "_exception", "_scheduled",
+                 "_pending_value", "_pending_exception", "__weakref__")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -79,23 +95,27 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Schedule this event to fire successfully at the current time."""
-        self._set(value, None)
+        # ``_scheduled`` is set before an event can fire and never
+        # cleared, so it covers "already triggered" as well.
+        if self._scheduled:
+            raise SimulationError("event triggered twice")
+        self._scheduled = True
+        self._pending_value = value
+        self._pending_exception = None
+        self.sim._immediate.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Schedule this event to fire with an exception at the current time."""
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
-        self._set(PENDING, exception)
-        return self
-
-    def _set(self, value: Any, exception: Optional[BaseException]) -> None:
-        if self._scheduled or self.triggered:
+        if self._scheduled:
             raise SimulationError("event triggered twice")
         self._scheduled = True
-        self._pending_value = value
+        self._pending_value = PENDING
         self._pending_exception = exception
-        self.sim._schedule(0, self)
+        self.sim._immediate.append(self)
+        return self
 
     def _fire(self) -> None:
         """Called by the simulator when this event comes off the queue."""
@@ -140,17 +160,29 @@ class Event:
             self.callbacks.append(callback)
 
 
+def whole_ns(value: Any, what: str) -> int:
+    """``value`` as integer nanoseconds; ``SimulationError`` if non-numeric.
+
+    The one coercion rule for every duration handed to the engine (a
+    timeout's delay, a charge's cost).
+    """
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SimulationError(f"non-numeric {what}: {value!r}")
+
+
 class Timeout(Event):
     """An event that fires after a fixed delay.  Created via ``sim.timeout``."""
+
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         # Coerce here, not just in Simulator.timeout: a float delay on a
         # directly constructed Timeout would drift sim.now off integer
         # nanoseconds for every event scheduled after it.
-        try:
-            delay = int(delay)
-        except (TypeError, ValueError):
-            raise SimulationError(f"non-numeric timeout delay: {delay!r}")
+        if type(delay) is not int:
+            delay = whole_ns(delay, "timeout delay")
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(sim)
@@ -179,28 +211,37 @@ class Process(Event):
     propagates to anything waiting on it).
     """
 
+    __slots__ = ("_generator", "name", "_send", "_wake")
+
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        self._send = generator.send
+        # The callable handed to every event this process waits on, bound
+        # once.  It makes the process a reference cycle, so `_resume`
+        # drops it when the generator finishes: a finished process is
+        # freed by reference counting, not by the cyclic collector.
+        self._wake = self._resume
         # Kick off the process at the current time.
         starter = Event(sim)
-        starter.add_callback(self._resume)
+        starter.callbacks.append(self._wake)
         starter.succeed()
 
     def _resume(self, event: Event) -> None:
+        send = self._send
         while True:
             try:
-                if event is not None and event._exception is not None:
+                if event._exception is not None:
                     target = self._generator.throw(event._exception)
                 else:
-                    target = self._generator.send(
-                        event._value if event is not None else None
-                    )
+                    target = send(event._value)
             except StopIteration as stop:
+                self._send = self._wake = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:  # noqa: BLE001 - propagate to waiters
+                self._send = self._wake = None
                 if not self.callbacks and not self.sim.suppress_crashes:
                     raise
                 self.fail(exc)
@@ -209,15 +250,17 @@ class Process(Event):
                 raise SimulationError(
                     f"process {self.name!r} yielded {target!r}, not an Event"
                 )
-            if target.triggered:
+            if target._value is not PENDING:
                 event = target
                 continue
-            target.callbacks.append(self._resume)
+            target.callbacks.append(self._wake)
             return
 
 
 class AllOf(Event):
     """Fires when every event in ``events`` has fired; value is their values."""
+
+    __slots__ = ("_events", "_remaining")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
@@ -230,7 +273,7 @@ class AllOf(Event):
             event.add_callback(self._on_child)
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered or self._scheduled:
+        if self._scheduled:
             return
         if event._exception is not None:
             self.fail(event._exception)
@@ -243,6 +286,8 @@ class AllOf(Event):
 class AnyOf(Event):
     """Fires when the first of ``events`` fires; value is ``(index, value)``."""
 
+    __slots__ = ("_events",)
+
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self._events = list(events)
@@ -252,7 +297,7 @@ class AnyOf(Event):
             event.add_callback(lambda ev, i=index: self._on_child(i, ev))
 
     def _on_child(self, index: int, event: Event) -> None:
-        if self.triggered or self._scheduled:
+        if self._scheduled:
             return
         if event._exception is not None:
             self.fail(event._exception)
@@ -346,10 +391,15 @@ class Simulator:
         """Run until the queue drains, or until simulated time ``until``.
 
         With ``until`` set, the clock is left exactly at ``until`` even if
-        the next event lies beyond it.  This is ``step()`` unrolled into a
+        the next event lies beyond it; an ``until`` already in the past is
+        an error (the clock never moves backwards), ``until == now`` drains
+        what is due now.  This is ``step()`` unrolled into a
         tight loop: queue heads are re-read from locals and every event due
         at the current timestamp fires without a per-callback heap pop.
         """
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"run(until={until}) is in the past: now={self._now}")
         heap = self._heap
         immediate = self._immediate
         profiler = self._profiler

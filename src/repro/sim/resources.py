@@ -5,6 +5,16 @@ device service units.  Requests carry a priority so interrupt work can jump
 ahead of thread work (lower number = more urgent), matching the way the
 simulated NVMe completion path preempts application threads for dispatch.
 
+There are two ways to hold a slot.  :meth:`Resource.execute` (and
+``CpuSet.run_thread`` / ``run_irq``, which return it) charges a fixed
+time: it yields one :class:`Charge`, which the engine grants, holds and
+releases by itself, so the caller is resumed once, when the time has been
+spent.  Every modelled software layer is such a charge, which is why it
+is a single engine object and not a generator around two events.
+:meth:`Resource.request` / :meth:`Resource.release` are for a caller that
+keeps the slot across waits of its own (a polling read, the device's
+bandwidth slots).
+
 :class:`Store` models an unbounded FIFO queue of items — NVMe submission and
 completion queues.
 """
@@ -16,9 +26,9 @@ from collections import deque
 from typing import Any, Generator, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, Simulator, whole_ns
 
-__all__ = ["CpuSet", "Request", "Resource", "Store"]
+__all__ = ["Charge", "CpuSet", "Request", "Resource", "Store"]
 
 
 class Request(Event):
@@ -28,11 +38,66 @@ class Request(Event):
     to :meth:`Resource.release`.
     """
 
+    __slots__ = ("resource", "priority", "granted")
+
     def __init__(self, sim: Simulator, resource: "Resource", priority: int):
         super().__init__(sim)
         self.resource = resource
         self.priority = priority
         self.granted = False
+
+
+class Charge(Request):
+    """A claim on a slot that also holds it: one whole ``execute``.
+
+    Queued and granted exactly like a :class:`Request`, but the engine
+    dispatches it twice.  The first dispatch is the grant: it resumes
+    nobody and puts the same object on the heap ``cost`` ns ahead.  The
+    second is the expiry: it releases the slot (granting waiters, as
+    :meth:`Resource.release` does) and only then fires, so the process
+    that yielded it is resumed once per charge, with value ``None``.  A
+    charge is not ``triggered`` while it waits or holds.  ``cost`` is
+    coerced like a timeout's delay; a charge of no time (``cost <= 0``)
+    waits its turn like any other and releases at the grant.  A charge
+    abandoned while it holds (its world dropped with operations in
+    flight) keeps its slot: nothing will run that simulation again.
+
+    The grant keeps its hop through the immediate queue even when the
+    slot is free: pushing the expiry at ``execute`` time would give it an
+    earlier sequence number than pushes made by events already queued for
+    this instant, and same-timestamp ties would flip.
+    """
+
+    __slots__ = ("_hold_ns",)
+
+    def __init__(self, sim: Simulator, resource: "Resource", priority: int,
+                 cost: int):
+        if type(cost) is not int:
+            cost = whole_ns(cost, "charge cost")
+        super().__init__(sim, resource, priority)
+        self._hold_ns = cost  # still to hold; zeroed once the hold starts
+
+    def _fire(self) -> None:
+        hold = self._hold_ns
+        if hold > 0:
+            self._hold_ns = 0
+            self.sim._schedule(hold, self)
+            return
+        self.resource.release(self)
+        # `Event._fire`, inlined: this is the hottest dispatch there is.
+        # The pending value was the charge itself; `None` drops the cycle.
+        self._value = self._pending_value = None
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
+
+    def _fire_profiled(self, profiler) -> None:
+        if self._hold_ns > 0:
+            self._fire()  # the grant runs no callback: nothing to attribute
+        else:
+            self.resource.release(self)
+            self._pending_value = None
+            super()._fire_profiled(profiler)
 
 
 class Resource:
@@ -74,12 +139,14 @@ class Resource:
 
     def request(self, priority: int = 0) -> Request:
         """Claim a slot; the returned event fires when the slot is granted."""
-        req = Request(self.sim, self, priority)
+        return self._claim(Request(self.sim, self, priority))
+
+    def _claim(self, req: Request) -> Request:
         if self._in_use < self.capacity and not self._waiting:
             self._grant(req)
         else:
             self._sequence += 1
-            heapq.heappush(self._waiting, (priority, self._sequence, req))
+            heapq.heappush(self._waiting, (req.priority, self._sequence, req))
         return req
 
     def _grant(self, req: Request) -> None:
@@ -102,15 +169,12 @@ class Resource:
     def execute(self, cost: int, priority: int = 0) -> Generator:
         """Hold one slot for ``cost`` nanoseconds (generator helper).
 
-        Usage inside a process: ``yield from resource.execute(350)``.
+        Usage inside a process: ``yield from resource.execute(350)``.  The
+        one way to charge a resource: a single :class:`Charge`, which the
+        engine holds and releases itself.  ``cost <= 0`` holds the slot for
+        no time but still waits its turn.
         """
-        req = self.request(priority)
-        yield req
-        try:
-            if cost > 0:
-                yield self.sim.timeout(cost)
-        finally:
-            self.release(req)
+        yield self._claim(Charge(self.sim, self, priority, cost))
 
 
 class CpuSet(Resource):
@@ -130,11 +194,11 @@ class CpuSet(Resource):
 
     def run_thread(self, cost: int) -> Generator:
         """Charge ``cost`` ns of thread-priority CPU time."""
-        yield from self.execute(cost, priority=self.PRIORITY_THREAD)
+        return self.execute(cost, self.PRIORITY_THREAD)
 
     def run_irq(self, cost: int) -> Generator:
         """Charge ``cost`` ns of interrupt-priority CPU time."""
-        yield from self.execute(cost, priority=self.PRIORITY_IRQ)
+        return self.execute(cost, self.PRIORITY_IRQ)
 
     def utilisation(self) -> float:
         """Mean fraction of cores busy since the simulation started."""

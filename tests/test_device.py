@@ -192,6 +192,23 @@ def test_nvme_trace_records_source():
     assert all(entry.service_ns == 1000 for entry in trace)
 
 
+def test_nvme_builds_no_trace_entry_when_trace_disabled(monkeypatch):
+    # The default (KernelConfig.trace_device=False): a completion must not
+    # pay for a frozen dataclass that IoTrace.record would throw away.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("TraceEntry built with the trace disabled")
+
+    monkeypatch.setattr("repro.device.nvme.TraceEntry", forbidden)
+    trace = IoTrace(enabled=False)
+    sim, device, _ = make_device(trace=trace)
+    done = []
+    device.completion_handler = done.append
+    device.submit(NvmeCommand("read", 0, 1))
+    sim.run()
+    assert len(done) == 1 and done[0].complete_ns == 1000
+    assert len(trace) == 0 and trace.recorded_total == 0
+
+
 def test_io_trace_ring_buffer_bounds_memory():
     trace = IoTrace(max_entries=4)
     for lba in range(10):

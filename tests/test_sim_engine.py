@@ -193,6 +193,28 @@ def test_run_until_beyond_queue_sets_clock():
     assert sim.now == 5000
 
 
+def test_run_until_in_the_past_rejected():
+    # run(until=T) with T < now used to set the clock back to T, after
+    # which new timeouts were scheduled in what had been the past.
+    sim = Simulator()
+    sim.timeout(20)
+    sim.run(until=10)
+    with pytest.raises(SimulationError, match=r"until=5\b.*now=10\b"):
+        sim.run(until=5)
+    assert sim.now == 10
+
+    def late(sim):
+        yield sim.timeout(100)
+
+    with pytest.raises(SimulationError, match="in the past"):
+        sim.run_process(late(sim), until=9)
+    assert sim.now == 10
+    sim.run(until=10)  # until == now stays legal: drains what is due now
+    assert sim.now == 10
+    sim.run()
+    assert sim.now == 110
+
+
 def test_all_of_collects_values():
     sim = Simulator()
 
@@ -331,3 +353,46 @@ def test_tie_order_identical_with_profiler_enabled():
         profiled = _tie_workload()
     assert profiled == plain
     assert prof.events_dispatched > 0
+
+
+def test_finished_process_is_freed_by_reference_counting_alone():
+    # Process caches its own wake-up callable (a bound method of itself);
+    # it must drop it when the generator ends, or every finished process
+    # would wait for the cyclic collector.
+    import gc
+    import weakref
+
+    sim = Simulator()
+
+    def child(sim):
+        yield sim.timeout(5)
+        return "done"
+
+    def parent(sim):
+        return (yield sim.spawn(child(sim)))
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        process = sim.spawn(parent(sim))
+        sim.run()
+        assert process.value == "done"
+        ref = weakref.ref(process)
+        del process
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_events_are_slotted():
+    sim = Simulator()
+
+    def proc(sim):
+        yield sim.timeout(1)
+
+    family = [sim.event(), sim.timeout(1), sim.spawn(proc(sim)),
+              sim.all_of([sim.timeout(1)]), sim.any_of([sim.timeout(1)])]
+    for event in family:
+        assert not hasattr(event, "__dict__"), type(event).__name__
+    sim.run()
