@@ -1,14 +1,19 @@
 """Tests for bloom filters, SSTables, the LSM tree, and the KV facade."""
 
+import hashlib
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.structures.lsm as lsm_module
 from repro.device import BlockDevice
 from repro.errors import InvalidArgument
 from repro.kernel.extfs import ExtFs
 from repro.structures import KvStore, LsmTree, MemoryBackend, SsTable
-from repro.structures.lsm import TOMBSTONE, BloomFilter, CompactionPlan
+from repro.structures.lsm import (_LANES, TOMBSTONE, BloomFilter,
+                                  CompactionPlan)
 
 
 def make_fs(blocks=4096):
@@ -48,6 +53,77 @@ def test_bloom_serialisation():
 def test_bloom_validation():
     with pytest.raises(InvalidArgument):
         BloomFilter(4)
+
+
+def test_bloom_from_bytes_rejects_a_short_blob():
+    # A resizing slice assignment used to shrink the bit array, and the
+    # first may_contain past the end raised IndexError.
+    with pytest.raises(InvalidArgument, match="needs 32 bytes, got 4"):
+        BloomFilter.from_bytes(b"\0" * 4, 256, 5)
+    # The on-disk filter is padded to a page: a longer blob is cut to size.
+    bloom = BloomFilter(250, 5)
+    bloom.add(42)
+    padded = BloomFilter.from_bytes(bloom.to_bytes() + bytes(100), 250, 5)
+    assert padded.to_bytes() == bloom.to_bytes()
+    assert padded.may_contain(42)
+
+
+_ODD_KEYS = [0, 2**64 - 1, 2**64, -1, 2**70 + 5]
+
+
+def _random_keys(seed, count):
+    """u64 keys with the edges, and keys outside u64, mixed in (hypothesis
+    cannot draw a list of thousands itself)."""
+    rng = random.Random(seed)
+    return [rng.choice(_ODD_KEYS) if rng.random() < 0.05
+            else rng.getrandbits(64) for _ in range(count)]
+
+
+@given(seed=st.integers(0, 2**32),
+       count=st.one_of(st.integers(0, 3),
+                       st.integers(_LANES - 1, _LANES + 1),
+                       st.integers(2 * _LANES + 1, 2 * _LANES + 900)),
+       num_bits=st.one_of(st.integers(8, 5000),
+                          st.integers(1, 625).map(lambda n: n * 8)),
+       num_hashes=st.integers(1, 9))
+@example(seed=1, count=_LANES, num_bits=4096, num_hashes=9)
+@example(seed=2, count=_LANES + 1, num_bits=4999, num_hashes=7)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_bloom_add_many_sets_the_bits_of_an_add_loop(
+        seed, count, num_bits, num_hashes):
+    keys = _random_keys(seed, count)
+    resident = _random_keys(seed + 1, 5)
+    looped = BloomFilter(num_bits, num_hashes)
+    bulk = BloomFilter(num_bits, num_hashes)
+    for key in resident:  # bits already set must survive the bulk insert
+        looped.add(key)
+        bulk.add(key)
+    for key in keys:
+        looped.add(key)
+    bulk.add_many(keys)
+    assert bulk.to_bytes() == looped.to_bytes()
+    assert all(bulk.may_contain(key) for key in resident + keys)
+
+
+def test_bloom_add_many_of_nothing_changes_nothing():
+    fresh = BloomFilter(77, 3)
+    fresh.add_many([])
+    assert fresh.to_bytes() == bytes(10)
+    populated = BloomFilter(77, 3)
+    for key in (1, 2, 2**64 - 1):
+        populated.add(key)
+    before = populated.to_bytes()
+    populated.add_many([])
+    assert populated.to_bytes() == before
+
+
+def test_bloom_add_many_takes_any_iterable():
+    keys = [key * 977 for key in range(_LANES + 10)]
+    from_list = BloomFilter.for_entries(len(keys))
+    from_list.add_many(keys)
+    from_generator = BloomFilter.for_entries(len(keys))
+    from_generator.add_many(key for key in keys)
+    assert from_generator.to_bytes() == from_list.to_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +169,46 @@ def test_sstable_rejects_bad_builds():
         SsTable.build(MemoryBackend(), [])
     with pytest.raises(InvalidArgument):
         SsTable.build(MemoryBackend(), [(2, 0), (1, 0)])
+
+
+def test_sstable_rejects_out_of_range_before_writing():
+    for items in ([(-3, 1), (4, 2)], [(1, 1), (2**64, 2)],
+                  [(1, 1), (2, -5), (3, 3)], [(1, 2**64), (2, 2)]):
+        backend = MemoryBackend()
+        with pytest.raises(InvalidArgument, match=r"outside \[0, 2\^64\)"):
+            SsTable.build(backend, items)
+        assert backend.size == 0
+    table = SsTable.build(MemoryBackend(), [(0, 0), (2**64 - 1, TOMBSTONE)])
+    assert table.get(2**64 - 1) == TOMBSTONE
+
+
+@pytest.mark.parametrize("items, digest", [
+    # Recorded at 6010520, where build hashed key by key through add.
+    ([(7, 70)],
+     "315ec333a7d9923dd6c9a37f2b7da084f207abc0be21fe82beaeab1369c2c8a1"),
+    ([(i * 3 + 1, i * 11) for i in range(256)],  # two data pages
+     "00067fcf9f85983d0921bd3ff1f822076f38323b9476c1f9d681a068cb9caded"),
+    ([(i * 5, TOMBSTONE if i % 9 == 0 else i * 7 + 1)
+      for i in range(10_000)],
+     "13c4035bb51e2ecc7a7750145a8c6e84d70b3c266d6fb2ff5e820336485cee2b"),
+], ids=["1-entry", "256-entries", "10000-entries"])
+def test_sstable_image_is_pinned(items, digest):
+    backend = MemoryBackend()
+    SsTable.build(backend, items)
+    image = backend.read(0, backend.size)
+    assert hashlib.sha256(image).hexdigest() == digest
+
+
+def test_sstable_build_hashes_in_bulk(monkeypatch):
+    def scalar_mix(key, salt):
+        raise AssertionError("build hashed key by key")
+
+    monkeypatch.setattr(lsm_module, "_mix", scalar_mix)
+    table = SsTable.build(MemoryBackend(),
+                          [(i * 3, i) for i in range(1000)])
+    assert table.num_entries == 1000
+    with pytest.raises(AssertionError):
+        table.may_contain(3)  # lookups still go through the definition
 
 
 def test_sstable_reopen():
@@ -146,6 +262,29 @@ def test_lsm_tombstone_value_rejected():
     lsm = LsmTree(make_fs(), "/db")
     with pytest.raises(InvalidArgument):
         lsm.put(1, TOMBSTONE)
+
+
+def test_lsm_rejects_keys_and_values_outside_u64():
+    # encode_page cannot pack them; accepted, they used to blow up inside
+    # the next flush, after it had already swapped the memtable out.
+    fs = make_fs()
+    lsm = LsmTree(fs, "/db", memtable_limit=4)
+    lsm.put(1, 10)
+    lsm.put(2, 20)
+    with pytest.raises(InvalidArgument, match="key -3 "):
+        lsm.put(-3, 30)
+    with pytest.raises(InvalidArgument, match=f"key {2**64} "):
+        lsm.delete(2**64)
+    with pytest.raises(InvalidArgument, match="value -1 "):
+        lsm.put(3, -1)
+    with pytest.raises(InvalidArgument, match=f"value {2**64} "):
+        lsm.put(3, 2**64)
+    assert lsm.memtable == {1: 10, 2: 20}
+    lsm.put(4, 40)
+    lsm.put(2**64 - 1, 0)  # the fourth good entry: flushes
+    assert lsm.flushes == 1 and lsm.memtable == {}
+    assert [lsm.get(key) for key in (1, 2, 4, 2**64 - 1)] == [10, 20, 40, 0]
+    assert fs.listdir("/db") == ["sst-000001"]
 
 
 def test_lsm_compaction_merges_and_unlinks():
