@@ -32,7 +32,6 @@ from typing import Any, Callable, Optional, Tuple
 from repro.device import NvmeCommand, STATUS_TIMEOUT
 from repro.errors import InvalidArgument, IoError
 from repro.kernel import ChainStatus, Kernel, ReadResult
-from repro.kernel.kernel import IoCookie
 from repro.kernel.process import File, Process
 from repro.core.accounting import ChainAccounting
 from repro.core.extent_cache import NvmeExtentCache, Translation
@@ -150,6 +149,51 @@ class ChainEngine:
     # NVMe-hook chains
     # ------------------------------------------------------------------
 
+    def _begin(self, proc: Process, file: File, offset: int, length: int,
+               args: Tuple[int, ...], scratch_init: bytes,
+               deliver: Callable[[ReadResult], None], **span_attrs):
+        """Generator: what both entry points do before the first command
+        (thread context): open the root span, descend ext4 + BIO, build
+        the :class:`ChainState`.  Returns ``(state, segments)``."""
+        kernel = self.kernel
+        bus = kernel.bus
+        install: BpfInstallation = file.bpf_install
+        self.chains_started += 1
+        span = 0
+        if bus.enabled:
+            span = bus.span_start("read_chain", kernel.sim.now,
+                                  pid=proc.pid, path="chain", **span_attrs)
+            bus.emit(obs_events.SYSCALL_ENTER, kernel.sim.now,
+                     op="read_chain", pid=proc.pid, crossing_ns=0,
+                     syscall_ns=0, path="chain", span=span)
+        segments = yield from kernel.map_bio(file, offset, length, span,
+                                             "chain")
+        state = ChainState(proc, file, install, offset, length,
+                           tuple(args) + install.default_args[len(args):],
+                           scratch_init, deliver)
+        state.span = span
+        state.queue = kernel.queue_for(proc)
+        return state, segments
+
+    def _first_hop(self, state: ChainState, lba: int, sectors: int):
+        """Generator: post the chain-tagged read of a single-extent first
+        hop; its completion (and every recycled one) goes to
+        :meth:`handle_completion`."""
+        kernel = self.kernel
+        yield from kernel.cpus.run_thread(kernel.cost.nvme_driver_ns)
+        kernel.post("read", lba, sectors, kind="chain", chain=state,
+                    span=state.span, path="chain", queue=state.queue,
+                    tenant=kernel.tenant_of(state.proc))
+
+    def _complete(self, state: ChainState, result: ReadResult) -> None:
+        """Close the chain's root span (bus must be enabled)."""
+        bus = self.kernel.bus
+        bus.emit(obs_events.CHAIN_COMPLETE, self.kernel.sim.now,
+                 hops=result.hops, status=result.status,
+                 pid=state.proc.pid, span=state.span)
+        bus.span_end(state.span, self.kernel.sim.now, status=result.status,
+                     hops=result.hops)
+
     def start_chain(self, proc: Process, file: File, offset: int,
                     length: int, args: Tuple[int, ...] = (),
                     scratch_init: bytes = b""):
@@ -161,176 +205,75 @@ class ChainEngine:
         kernel = self.kernel
         cost = kernel.cost
         bus = kernel.bus
-        install: BpfInstallation = file.bpf_install
-        full_args = tuple(args) + install.default_args[len(args):]
-        self.chains_started += 1
-        span = 0
-        if bus.enabled:
-            span = bus.span_start("read_chain", kernel.sim.now,
-                                  pid=proc.pid, path="chain")
-            bus.emit(obs_events.SYSCALL_ENTER, kernel.sim.now,
-                     op="read_chain", pid=proc.pid, crossing_ns=0,
-                     syscall_ns=0, path="chain", span=span)
-
-        yield from kernel.cpus.run_thread(cost.filesystem_ns)
-        segments = kernel.fs.map_range(file.inode, offset, length,
-                                       span=span, path="chain")
-        yield from kernel.cpus.run_thread(cost.bio_ns)
-        if bus.enabled:
-            bus.emit(obs_events.BIO_SUBMIT, kernel.sim.now,
-                     cpu_ns=cost.bio_ns, segments=len(segments),
-                     span=span, path="chain")
-
         waiter = kernel.sim.event()
-        state = ChainState(proc, file, install, offset, length, full_args,
-                           scratch_init, deliver=waiter.succeed)
-        state.span = span
-        queue = kernel.queue_for(proc)
-        state.queue = queue
-
+        state, segments = yield from self._begin(
+            proc, file, offset, length, args, scratch_init, waiter.succeed)
         if len(segments) > 1:
             # First hop already spans discontiguous extents: do it as a
             # normal BIO and let the application restart the chain (§4).
-            if bus.enabled:
-                bus.emit(obs_events.BIO_SPLIT, kernel.sim.now,
-                         segments=len(segments), span=span, path="chain")
+            # One command at a time; a media error ends the read as EIO.
+            tenant = kernel.tenant_of(proc)
             chunks = []
-            failed = False
-            for lba, sectors in segments:
-                if kernel.retry_enabled:
-                    try:
+            try:
+                for lba, sectors in segments:
+                    if kernel.retry_enabled:
                         completed = yield from kernel._nvme_rw_retry(
-                            "read", lba, sectors, None, span, "chain",
-                            queue=queue)
-                    except IoError:
-                        failed = True
-                        break
-                else:
-                    yield from kernel.cpus.run_thread(cost.nvme_driver_ns)
-                    event = kernel.sim.event()
-                    command = NvmeCommand("read", lba, sectors,
-                                          cookie=IoCookie("irq", event=event),
-                                          queue=queue)
-                    command.tenant = kernel.tenant_of(proc)
-                    if bus.enabled:
-                        command.span = span
-                        command.path = "chain"
-                        command.driver_ns = cost.nvme_driver_ns
-                    kernel.device.submit(command)
-                    completed = yield event
-                    if completed.status != 0:
-                        failed = True
-                        break
-                chunks.append(completed.data)
-            yield from kernel.cpus.run_thread(cost.context_switch_ns)
-            status = ChainStatus.EIO if failed else ChainStatus.SPLIT_FALLBACK
-            if not failed:
+                            "read", lba, sectors, None, state.span, "chain",
+                            queue=state.queue, tenant=tenant)
+                    else:
+                        yield from kernel.cpus.run_thread(cost.nvme_driver_ns)
+                        completed = yield kernel.post(
+                            "read", lba, sectors, span=state.span,
+                            path="chain", queue=state.queue, tenant=tenant)
+                        kernel._check(completed, "chain read")
+                    chunks.append(completed.data)
                 self.split_fallbacks += 1
-            if bus.enabled:
-                bus.emit(obs_events.CONTEXT_SWITCH, kernel.sim.now,
-                         cpu_ns=cost.context_switch_ns, span=span,
-                         path="chain")
-                bus.emit(obs_events.CHAIN_COMPLETE, kernel.sim.now,
-                         hops=1, status=status, pid=proc.pid, span=span)
-                bus.span_end(span, kernel.sim.now, status=status, hops=1)
-            return ReadResult(b"" if failed else b"".join(chunks),
-                              status=status, hops=1, final_offset=offset,
-                              scratch=bytes(state.scratch))
-
-        lba, sectors = segments[0]
-        command = NvmeCommand("read", lba, sectors,
-                              cookie=IoCookie("chain", chain=state),
-                              queue=queue)
-        command.tenant = kernel.tenant_of(proc)
-        if bus.enabled:
-            command.span = span
-            command.path = "chain"
-        yield from kernel.submit_chain_command(command)
-
-        result = yield waiter
+                result = ReadResult(b"".join(chunks),
+                                    status=ChainStatus.SPLIT_FALLBACK,
+                                    final_offset=offset,
+                                    scratch=bytes(state.scratch))
+            except IoError:
+                result = ReadResult(b"", status=ChainStatus.EIO,
+                                    final_offset=offset,
+                                    scratch=bytes(state.scratch))
+        else:
+            yield from self._first_hop(state, *segments[0])
+            result = yield waiter
         yield from kernel.cpus.run_thread(cost.context_switch_ns)
         if bus.enabled:
             bus.emit(obs_events.CONTEXT_SWITCH, kernel.sim.now,
-                     cpu_ns=cost.context_switch_ns, span=span, path="chain")
-            bus.emit(obs_events.CHAIN_COMPLETE, kernel.sim.now,
-                     hops=result.hops, status=result.status, pid=proc.pid,
-                     span=span)
-            bus.span_end(span, kernel.sim.now, status=result.status,
-                         hops=result.hops)
+                     cpu_ns=cost.context_switch_ns, span=state.span,
+                     path="chain")
+            self._complete(state, result)
         return result
 
     def submit_uring_chain(self, proc: Process, file: File, sqe,
                            post_cqe: Callable[[Any, ReadResult], None]):
         """Generator used as the io_uring chain submitter (thread context)."""
         kernel = self.kernel
-        cost = kernel.cost
-        bus = kernel.bus
-        install: BpfInstallation = file.bpf_install
-        full_args = tuple(sqe.args) + install.default_args[len(sqe.args):]
-        self.chains_started += 1
-        span = 0
-        if bus.enabled:
-            span = bus.span_start("read_chain", kernel.sim.now,
-                                  pid=proc.pid, path="chain", uring=True)
-            bus.emit(obs_events.SYSCALL_ENTER, kernel.sim.now,
-                     op="read_chain", pid=proc.pid, crossing_ns=0,
-                     syscall_ns=0, path="chain", span=span)
 
-        yield from kernel.cpus.run_thread(cost.filesystem_ns)
-        segments = kernel.fs.map_range(file.inode, sqe.offset, sqe.length,
-                                       span=span, path="chain")
-        yield from kernel.cpus.run_thread(cost.bio_ns)
-        if bus.enabled:
-            bus.emit(obs_events.BIO_SUBMIT, kernel.sim.now,
-                     cpu_ns=cost.bio_ns, segments=len(segments),
-                     span=span, path="chain")
-
-        def deliver(result: ReadResult) -> None:
-            if bus.enabled:
-                bus.emit(obs_events.CHAIN_COMPLETE, kernel.sim.now,
-                         hops=result.hops, status=result.status,
-                         pid=proc.pid, span=span)
-                bus.span_end(span, kernel.sim.now, status=result.status,
-                             hops=result.hops)
+        def deliver(result: ReadResult) -> None:  # runs after _begin
+            if kernel.bus.enabled:
+                self._complete(state, result)
             post_cqe(sqe.user_data, result)
 
-        state = ChainState(proc, file, install, sqe.offset, sqe.length,
-                           full_args, sqe.scratch_init, deliver=deliver)
-        state.span = span
-        queue = kernel.queue_for(proc)
-        state.queue = queue
-
+        state, segments = yield from self._begin(
+            proc, file, sqe.offset, sqe.length, sqe.args, sqe.scratch_init,
+            deliver, uring=True)
         if len(segments) > 1:
-            # Split first hop: complete as a normal read with fallback status.
-            if bus.enabled:
-                bus.emit(obs_events.BIO_SPLIT, kernel.sim.now,
-                         segments=len(segments), span=span, path="chain")
-            collector = _SplitCollector(state, len(segments))
+            # Split first hop: complete as a normal read with fallback
+            # status, all segments in flight at once.
+            gather = _SplitGather(state, len(segments))
+            tenant = kernel.tenant_of(proc)
             for lba, sectors in segments:
-                yield from kernel.cpus.run_thread(cost.nvme_driver_ns)
-                event = kernel.sim.event()
-                event.add_callback(collector.segment_done)
-                command = NvmeCommand("read", lba, sectors,
-                                      cookie=IoCookie("irq", event=event),
-                                      queue=queue)
-                command.tenant = kernel.tenant_of(proc)
-                if bus.enabled:
-                    command.span = span
-                    command.path = "chain"
-                    command.driver_ns = cost.nvme_driver_ns
-                kernel.device.submit(command)
+                yield from kernel.cpus.run_thread(kernel.cost.nvme_driver_ns)
+                event = kernel.post("read", lba, sectors, span=state.span,
+                                    path="chain", queue=state.queue,
+                                    tenant=tenant)
+                event.add_callback(gather.segment_done)
             self.split_fallbacks += 1
             return
-
-        lba, sectors = segments[0]
-        command = NvmeCommand("read", lba, sectors,
-                              cookie=IoCookie("chain", chain=state),
-                              queue=queue)
-        command.tenant = kernel.tenant_of(proc)
-        if bus.enabled:
-            command.span = span
-            command.path = "chain"
-        yield from kernel.submit_chain_command(command)
+        yield from self._first_hop(state, *segments[0])
 
     # -- completion side ---------------------------------------------------
 
@@ -454,21 +397,14 @@ class ChainEngine:
                                  segments=len(segments), span=hop_span,
                                  path="chain")
                     state.offset = next_offset
-                    finisher = _SplitReadFinisher(state, len(segments))
+                    gather = _SplitGather(state, len(segments))
+                    tenant = kernel.tenant_of(state.proc)
                     for lba, sectors in segments:
                         yield from kernel.run_irq(cost.nvme_driver_ns, queue)
-                        event = kernel.sim.event()
-                        event.add_callback(finisher.segment_done)
-                        split_cmd = NvmeCommand(
-                            "read", lba, sectors,
-                            cookie=IoCookie("irq", event=event),
-                            queue=queue)
-                        split_cmd.tenant = kernel.tenant_of(state.proc)
-                        if bus.enabled:
-                            split_cmd.span = hop_span
-                            split_cmd.path = "chain"
-                            split_cmd.driver_ns = cost.nvme_driver_ns
-                        kernel.device.submit(split_cmd)
+                        event = kernel.post(
+                            "read", lba, sectors, span=hop_span,
+                            path="chain", queue=queue, tenant=tenant)
+                        event.add_callback(gather.segment_done)
                     return
                 self.accounting.charge(state.proc)
                 install.resubmissions += 1
@@ -482,20 +418,16 @@ class ChainEngine:
                     if delay:
                         yield kernel.sim.timeout(delay)
                 state.offset = next_offset
-                # retarget() preserves command.queue, so the recycled hop
+                yield from kernel.run_irq(cost.nvme_driver_ns, queue)
+                # repost() preserves command.queue, so the recycled hop
                 # goes back out on the pair it arrived on and its next
                 # completion fires on the same core's vector (core-local,
-                # never crossing the CpuSet contention point).
-                command.retarget(translation.lba, translation.sectors)
-                command.source = "bpf-recycle"
-                # The recycled command belongs to this hop's span: the next
-                # completion charges its device time here, making "which
-                # layers did this hop touch" directly readable.
-                if bus.enabled:
-                    command.span = hop_span
-                    command.driver_ns = cost.nvme_driver_ns
-                yield from kernel.run_irq(cost.nvme_driver_ns, queue)
-                kernel.device.submit(command)
+                # never crossing the CpuSet contention point).  It moves
+                # the command into this hop's span: the next completion
+                # charges its device time here, making "which layers did
+                # this hop touch" directly readable.
+                kernel.repost(command, translation.lba, translation.sectors,
+                              "bpf-recycle", hop_span)
                 return
 
             if action == ACTION_RETURN_BUFFER:
@@ -556,13 +488,9 @@ class ChainEngine:
                          span=hop_span, path="chain")
             if backoff:
                 yield kernel.sim.timeout(backoff)
-            command.retarget(command.lba, command.sectors)
-            command.source = "chain-retry"
-            if bus.enabled:
-                command.span = hop_span
-                command.driver_ns = cost.nvme_driver_ns
             yield from kernel.run_irq(cost.nvme_driver_ns, state.queue)
-            kernel.device.submit(command)
+            kernel.repost(command, command.lba, command.sectors,
+                          "chain-retry", hop_span)
             return
         # Budget exhausted: degrade to user space with the continuation
         # (offset + scratch) so a robust caller restarts a fresh bounded
@@ -648,9 +576,10 @@ class ChainEngine:
                                     value2=value2)
 
 
-class _SplitReadFinisher:
-    """Gathers the BIO segments of a mid-chain split read, then hands the
-    freshly fetched buffer back to the application as SPLIT_FALLBACK."""
+class _SplitGather:
+    """Gathers the BIO segments of a split chain read (an io_uring chain's
+    first hop, or a mid-chain hop), then hands the freshly fetched buffer
+    back to the application as SPLIT_FALLBACK."""
 
     def __init__(self, state: ChainState, segment_count: int):
         self.state = state
@@ -677,30 +606,3 @@ class _SplitReadFinisher:
                                     hops=state.hops,
                                     final_offset=state.offset,
                                     scratch=bytes(state.scratch)))
-
-
-class _SplitCollector:
-    """Gathers the segments of a split first hop for an io_uring chain."""
-
-    def __init__(self, state: ChainState, segment_count: int):
-        self.state = state
-        self.remaining = segment_count
-        self.chunks = []
-
-    def segment_done(self, event) -> None:
-        state = self.state
-        if state.done:
-            return  # an earlier failed segment already delivered
-        command = event.value
-        if command.status != 0:
-            state.finish(ReadResult(b"", status=ChainStatus.EIO, hops=1,
-                                    final_offset=state.offset))
-            return
-        self.chunks.append(command.data)
-        self.remaining -= 1
-        if self.remaining == 0:
-            state.finish(
-                ReadResult(b"".join(self.chunks),
-                           status=ChainStatus.SPLIT_FALLBACK, hops=1,
-                           final_offset=state.offset,
-                           scratch=bytes(state.scratch)))

@@ -8,9 +8,8 @@ cache, and pre-instantiates the VM so per-invocation cost is just execution.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import Program
 from repro.ebpf.vm import Vm, VmEnvironment
 from repro.errors import InvalidArgument, VerifierError
@@ -75,7 +74,3 @@ class BpfInstallation:
     def __repr__(self) -> str:
         return (f"BpfInstallation({self.program.name!r}, {self.hook.value}, "
                 f"block={self.block_size})")
-
-
-def pack_maps(maps: Optional[Dict[int, BpfMap]]) -> Dict[int, BpfMap]:
-    return dict(maps or {})

@@ -66,10 +66,6 @@ class SimulationError(ReproError):
     """A misuse of the discrete-event simulation engine."""
 
 
-class DeadlockError(SimulationError):
-    """The event queue drained while processes were still waiting."""
-
-
 # ---------------------------------------------------------------------------
 # eBPF subsystem errors
 # ---------------------------------------------------------------------------

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
-from repro.device import NvmeCommand
 from repro.errors import InvalidArgument, IoError
-from repro.kernel.kernel import ChainStatus, IoCookie, Kernel, ReadResult
+from repro.kernel.kernel import ChainStatus, Kernel, ReadResult
 from repro.kernel.process import Process
 from repro.obs import events as obs_events
 
@@ -130,34 +129,20 @@ class IoUring:
                          pid=self.proc.pid, crossing_ns=0, syscall_ns=0,
                          uring_ns=cost.iouring_sqe_ns, path="uring",
                          span=span)
-            yield from kernel.cpus.run_thread(cost.filesystem_ns)
-            segments = kernel.fs.map_range(file.inode, sqe.offset, sqe.length,
-                                           span=span, path="uring")
-            yield from kernel.cpus.run_thread(cost.bio_ns)
-            if bus.enabled:
-                bus.emit(obs_events.BIO_SUBMIT, sim.now, cpu_ns=cost.bio_ns,
-                         segments=len(segments), span=span, path="uring")
-                if len(segments) > 1:
-                    bus.emit(obs_events.BIO_SPLIT, sim.now,
-                             segments=len(segments), span=span, path="uring")
+            segments = yield from kernel.map_bio(file, sqe.offset,
+                                                 sqe.length, span, "uring")
             self._in_flight += 1
             state = _SqeState(self, sqe, len(segments), span=span)
             # All of this ring's plain I/O rides the submitter's queue
             # pair; tagged chains pick the same pair inside the chain
             # engine (both key off the owning process).
             queue = kernel.queue_for(self.proc)
+            tenant = kernel.tenant_of(self.proc)
             for lba, sectors in segments:
                 yield from kernel.cpus.run_thread(cost.nvme_driver_ns)
-                event = sim.event()
+                event = kernel.post("read", lba, sectors, span=span,
+                                    path="uring", queue=queue, tenant=tenant)
                 event.add_callback(state.segment_done)
-                command = NvmeCommand("read", lba, sectors,
-                                      cookie=IoCookie("irq", event=event),
-                                      queue=queue)
-                if bus.enabled:
-                    command.span = span
-                    command.path = "uring"
-                    command.driver_ns = cost.nvme_driver_ns
-                kernel.device.submit(command)
 
         if wait_nr > len(self._cq) + self._in_flight:
             raise IoError(

@@ -15,6 +15,11 @@ Figure 2:
   handler that runs in interrupt context (installed by :mod:`repro.core`),
   which can recycle the command straight back to the device.
 
+All three share one read-side descent (:meth:`Kernel.map_bio`) and one
+submission site: :meth:`Kernel.post` builds and tags every command,
+:meth:`Kernel.repost` recycles one, and ``_check`` maps a completion status
+to a typed error.
+
 The kernel knows nothing about BPF: it only exposes the two hook slots and
 an ioctl-handler registry that :mod:`repro.core` fills in.
 """
@@ -545,39 +550,24 @@ class Kernel:
                           span=span, path="write")
         queue = self.queue_for(proc)
         tenant = self.tenant_of(proc)
-        if self.retry_enabled:
-            consumed = 0
-            for lba, sectors in segments:
-                chunk = data[consumed : consumed + sectors * 512]
-                consumed += sectors * 512
+        retry = self.retry_enabled
+        events = []
+        consumed = 0
+        for lba, sectors in segments:
+            chunk = data[consumed : consumed + sectors * 512]
+            consumed += sectors * 512
+            if retry:
                 yield from self._nvme_rw_retry("write", lba, sectors,
                                                chunk, span, "write",
                                                queue=queue, tenant=tenant)
-        else:
-            events = []
-            consumed = 0
-            for lba, sectors in segments:
+            else:
                 yield from self.cpus.run_thread(cost.nvme_driver_ns)
-                chunk = data[consumed : consumed + sectors * 512]
-                consumed += sectors * 512
-                event = self.sim.event()
-                command = NvmeCommand("write", lba, sectors, data=chunk,
-                                      cookie=IoCookie("irq", event=event),
-                                      queue=queue)
-                command.tenant = tenant
-                if span:
-                    command.span = span
-                    command.path = "write"
-                    command.driver_ns = cost.nvme_driver_ns
-                self.device.submit(command)
-                events.append(event)
-            for event in events:
-                completed = yield event
-                if completed.status == STATUS_POWER_FAIL:
-                    raise PowerLossError(
-                        f"power lost during write at lba {completed.lba}")
-                if completed.status != 0:
-                    raise IoError(f"media error at lba {completed.lba}")
+                events.append(self.post("write", lba, sectors, data=chunk,
+                                        span=span, path="write",
+                                        queue=queue, tenant=tenant))
+        for event in events:
+            completed = yield event
+            self._check(completed, "write")
         yield from self._maybe_sync_commit(span, "write")
         yield from self.cpus.run_thread(cost.context_switch_ns)
         if self.bus.enabled:
@@ -630,22 +620,10 @@ class Kernel:
         arrives on; ``queue`` only selects the pair (and completion
         vector) carrying the command.
         """
-        cost = self.cost
-        yield from self.cpus.run_thread(cost.nvme_driver_ns)
-        event = self.sim.event()
-        command = NvmeCommand("flush", 0, 0,
-                              cookie=IoCookie("irq", event=event),
-                              queue=queue)
-        if self.bus.enabled:
-            command.span = span
-            command.path = path
-            command.driver_ns = cost.nvme_driver_ns
-        self.device.submit(command)
-        completed = yield event
-        if completed.status == STATUS_POWER_FAIL:
-            raise PowerLossError("power lost during flush")
-        if completed.status != 0:
-            raise IoError("flush failed")
+        yield from self.cpus.run_thread(self.cost.nvme_driver_ns)
+        completed = yield self.post("flush", 0, 0, span=span, path=path,
+                                    queue=queue)
+        self._check(completed, "flush")
 
     def _commit_journal(self, span: int, path: str, queue: int = 0):
         """FUA-write every pending journal txn frame, in order (timed)."""
@@ -662,21 +640,11 @@ class Kernel:
         frames = journal.encode_pending()
         for lba, frame in frames:
             yield from self.cpus.run_thread(cost.nvme_driver_ns)
-            event = self.sim.event()
-            command = NvmeCommand("write", lba, len(frame) // 512,
-                                  data=frame, fua=True, source="journal",
-                                  cookie=IoCookie("irq", event=event),
-                                  queue=queue)
-            if self.bus.enabled:
-                command.span = span
-                command.path = path
-                command.driver_ns = cost.nvme_driver_ns
-            self.device.submit(command)
-            completed = yield event
-            if completed.status == STATUS_POWER_FAIL:
-                raise PowerLossError("power lost during journal commit")
-            if completed.status != 0:
-                raise IoError(f"journal write failed at lba {completed.lba}")
+            completed = yield self.post("write", lba, len(frame) // 512,
+                                        data=frame, fua=True,
+                                        source="journal", span=span,
+                                        path=path, queue=queue)
+            self._check(completed, "journal commit")
         journal.note_committed(frames)
 
     def _maybe_sync_commit(self, span: int, path: str):
@@ -744,27 +712,16 @@ class Kernel:
                 yield self.sim.timeout(cost.nvme_driver_ns)
             else:
                 yield from self.cpus.run_thread(cost.nvme_driver_ns)
-            event = self.sim.event()
-            command = NvmeCommand(
-                opcode, lba, sectors, data=data,
-                cookie=IoCookie("poll" if held else "irq", event=event),
-                queue=queue)
-            command.tenant = tenant
-            if attempt > 1:
-                command.source = "retry"
-            if self.bus.enabled:
-                command.span = span
-                command.path = path
-                command.driver_ns = cost.nvme_driver_ns
-            self.device.submit(command)
-            completed = yield event
+            completed = yield self.post(
+                opcode, lba, sectors, kind="poll" if held else "irq",
+                data=data, source="bio" if attempt == 1 else "retry",
+                span=span, path=path, queue=queue, tenant=tenant)
             if completed.status == 0:
                 return completed
             if completed.status == STATUS_POWER_FAIL:
                 # Not a media error: the device is gone, retrying is
                 # pointless.
-                raise PowerLossError(
-                    f"power lost during {opcode} at lba {lba}")
+                self._check(completed, f"{opcode} at lba {lba}")
             reason = ("timeout" if completed.status == STATUS_TIMEOUT
                       else "media")
             if completed.status == STATUS_TIMEOUT:
@@ -793,6 +750,55 @@ class Kernel:
                           queue: int = 0, tenant: Optional[str] = None):
         """ext4 -> BIO -> driver -> device for one read; returns bytes."""
         cost = self.cost
+        segments = yield from self.map_bio(file, offset, length, span, path)
+        held = self.should_poll()
+        if held:
+            # The thread holds a core across submission and the device
+            # round trip (hybrid polling).
+            request = self.cpus.request(CpuSet.PRIORITY_THREAD)
+            yield request
+        try:
+            chunks = []
+            if self.retry_enabled:
+                # Error-recovering path: one command at a time so a
+                # failure can be retried with backoff before the next
+                # segment is issued.
+                for lba, sectors in segments:
+                    completed = yield from self._nvme_rw_retry(
+                        "read", lba, sectors, None, span, path, held=held,
+                        queue=queue, tenant=tenant)
+                    chunks.append(completed.data)
+            else:
+                events = []
+                for lba, sectors in segments:
+                    if held:
+                        yield self.sim.timeout(cost.nvme_driver_ns)
+                    else:
+                        yield from self.cpus.run_thread(cost.nvme_driver_ns)
+                    events.append(self.post(
+                        "read", lba, sectors, kind="poll" if held else "irq",
+                        span=span, path=path, queue=queue, tenant=tenant))
+                for event in events:
+                    completed = yield event
+                    chunks.append(self._check(completed, "read").data)
+        finally:
+            if held:
+                self.cpus.release(request)
+        if not held:
+            # Interrupt-driven: the thread slept and was woken by the IRQ
+            # handler.
+            yield from self.cpus.run_thread(cost.context_switch_ns)
+            if self.bus.enabled:
+                self.bus.emit(obs_events.CONTEXT_SWITCH, self.sim.now,
+                              cpu_ns=cost.context_switch_ns, span=span,
+                              path=path)
+        return b"".join(chunks)
+
+    def map_bio(self, file: File, offset: int, length: int, span: int,
+                path: str):
+        """The read-side ext4 + BIO descent (thread context); returns the
+        ``(lba, sectors)`` segments the range maps to."""
+        cost = self.cost
         yield from self.cpus.run_thread(cost.filesystem_ns)
         segments = self.fs.map_range(file.inode, offset, length,
                                      span=span, path=path)
@@ -804,95 +810,58 @@ class Kernel:
             if len(segments) > 1:
                 self.bus.emit(obs_events.BIO_SPLIT, self.sim.now,
                               segments=len(segments), span=span, path=path)
+        return segments
 
-        if self.should_poll():
-            # The thread holds a core across submission and the device
-            # round trip (hybrid polling).
-            request = self.cpus.request(CpuSet.PRIORITY_THREAD)
-            yield request
-            try:
-                if self.retry_enabled:
-                    # Error-recovering path: one command at a time so a
-                    # failure can be retried with backoff before the next
-                    # segment is issued.
-                    chunks = []
-                    for lba, sectors in segments:
-                        completed = yield from self._nvme_rw_retry(
-                            "read", lba, sectors, None, span, path,
-                            held=True, queue=queue, tenant=tenant)
-                        chunks.append(completed.data)
-                else:
-                    events = []
-                    for lba, sectors in segments:
-                        yield self.sim.timeout(cost.nvme_driver_ns)
-                        event = self.sim.event()
-                        command = NvmeCommand(
-                            "read", lba, sectors,
-                            cookie=IoCookie("poll", event=event),
-                            queue=queue)
-                        command.tenant = tenant
-                        if self.bus.enabled:
-                            command.span = span
-                            command.path = path
-                            command.driver_ns = cost.nvme_driver_ns
-                        self.device.submit(command)
-                        events.append(event)
-                    chunks = []
-                    for event in events:
-                        completed = yield event
-                        if completed.status != 0:
-                            raise IoError(
-                                f"media error at lba {completed.lba}")
-                        chunks.append(completed.data)
-            finally:
-                self.cpus.release(request)
-            return b"".join(chunks)
+    def post(self, opcode: str, lba: int, sectors: int, kind: str = "irq",
+             data: Optional[bytes] = None, fua: bool = False,
+             source: str = "bio", span: int = 0, path: str = "normal",
+             queue: int = 0, tenant: Optional[str] = None,
+             chain: Any = None):
+        """Build, tag and submit one command; returns its completion event.
 
-        # Interrupt-driven: submit, sleep, get woken by the IRQ handler.
-        if self.retry_enabled:
-            chunks = []
-            for lba, sectors in segments:
-                completed = yield from self._nvme_rw_retry(
-                    "read", lba, sectors, None, span, path, queue=queue,
-                    tenant=tenant)
-                chunks.append(completed.data)
-        else:
-            events = []
-            for lba, sectors in segments:
-                yield from self.cpus.run_thread(cost.nvme_driver_ns)
-                event = self.sim.event()
-                command = NvmeCommand("read", lba, sectors,
-                                      cookie=IoCookie("irq", event=event),
-                                      queue=queue)
-                command.tenant = tenant
-                if self.bus.enabled:
-                    command.span = span
-                    command.path = path
-                    command.driver_ns = cost.nvme_driver_ns
-                self.device.submit(command)
-                events.append(event)
-            chunks = []
-            for event in events:
-                completed = yield event
-                if completed.status != 0:
-                    raise IoError(f"media error at lba {completed.lba}")
-                chunks.append(completed.data)
-        yield from self.cpus.run_thread(cost.context_switch_ns)
-        if self.bus.enabled:
-            self.bus.emit(obs_events.CONTEXT_SWITCH, self.sim.now,
-                          cpu_ns=cost.context_switch_ns, span=span, path=path)
-        return b"".join(chunks)
-
-    def submit_chain_command(self, command: NvmeCommand):
-        """Charge driver submission cost and post a chain command.
-
-        Used by repro.core both for the first hop (thread context) and for
-        recycled resubmissions (IRQ context charges its own cost).
+        The one place a kernel-originated command gets its fields, so a new
+        per-command field is added here and nowhere else.  The caller
+        charges ``nvme_driver_ns`` first, in its own context (thread work,
+        a held core's timeout, or ``run_irq``).  A plain function, not a
+        generator: it runs once per command.  The event fires with the
+        completed command for ``kind`` "poll" and "irq"; a "chain"
+        completion goes to the chain handler instead (``chain`` is its
+        state), so there is no event to return.
         """
-        yield from self.cpus.run_thread(self.cost.nvme_driver_ns)
+        event = self.sim.event() if chain is None else None
+        command = NvmeCommand(opcode, lba, sectors, data=data,
+                              cookie=IoCookie(kind, event=event, chain=chain),
+                              source=source, fua=fua, queue=queue)
+        command.tenant = tenant
         if self.bus.enabled:
+            command.span = span
+            command.path = path
             command.driver_ns = self.cost.nvme_driver_ns
         self.device.submit(command)
+        return event
+
+    def repost(self, command: NvmeCommand, lba: int, sectors: int,
+               source: str, span: int) -> None:
+        """Recycle a completed descriptor for a new read and submit it (§4).
+
+        ``retarget`` clears what the last service stamped and keeps the
+        caller-owned context (queue, tenant, path, cookie); the caller
+        charges ``nvme_driver_ns`` first, as for :meth:`post`.
+        """
+        command.retarget(lba, sectors)
+        command.source = source
+        if self.bus.enabled:
+            command.span = span
+            command.driver_ns = self.cost.nvme_driver_ns
+        self.device.submit(command)
+
+    def _check(self, completed: NvmeCommand, what: str) -> NvmeCommand:
+        """Turn a completion status into a typed error, or return the command."""
+        if completed.status == STATUS_POWER_FAIL:
+            raise PowerLossError(f"power lost during {what}")
+        if completed.status != 0:
+            raise IoError(f"media error at lba {completed.lba} ({what})")
+        return completed
 
     # ------------------------------------------------------------------
     # Completion side

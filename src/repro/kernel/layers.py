@@ -19,7 +19,7 @@ reported bands; every one of them is a single field an ablation can perturb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import InvalidArgument
 
@@ -84,19 +84,10 @@ class CostModel:
         return (self.kernel_crossing_ns + self.syscall_ns +
                 self.filesystem_ns + self.bio_ns + self.nvme_driver_ns)
 
-    def submit_path_ns(self) -> int:
-        """Cost from syscall entry to doorbell for one read."""
-        return (self.kernel_crossing_ns + self.syscall_ns +
-                self.filesystem_ns + self.bio_ns + self.nvme_driver_ns)
-
     def bpf_run_ns(self, instructions: int, jit: bool) -> int:
         """CPU cost of one hook invocation executing ``instructions``."""
         per_insn = self.bpf_insn_jit_ns if jit else self.bpf_insn_interp_ns
         return self.bpf_dispatch_ns + instructions * per_insn
-
-    def with_overrides(self, **kwargs) -> "CostModel":
-        """A copy with selected costs replaced (for ablations)."""
-        return replace(self, **kwargs)
 
     def table1_rows(self, device_ns: int):
         """(layer, ns) rows in Table 1 order, including the device."""

@@ -52,14 +52,6 @@ class TraceBus:
             self._subs.setdefault(etype, []).append(handler)
         return handler
 
-    def unsubscribe(self, handler: Handler, etype: Optional[str] = None) -> None:
-        """Remove a previously registered handler (no-op if absent)."""
-        pool = self._all_subs if etype is None else self._subs.get(etype, [])
-        try:
-            pool.remove(handler)
-        except ValueError:
-            pass
-
     # -- emission ----------------------------------------------------------
 
     def emit(self, etype: str, ts: int, **fields: Any) -> None:

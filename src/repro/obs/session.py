@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs.bus import TraceBus, set_default_bus
-from repro.obs.export import JsonlRecorder, dump_metrics_jsonl
+from repro.obs.export import JsonlRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanCollector
 from repro.obs.subscribers import (
@@ -56,9 +56,6 @@ class ObsSession:
         if self.recorder is None:
             raise ValueError("session was created with record_jsonl=False")
         return self.recorder.write(path)
-
-    def metrics_jsonl(self) -> str:
-        return dump_metrics_jsonl(self.registry)
 
     # -- reporting ---------------------------------------------------------
 

@@ -148,13 +148,6 @@ class SpanCollector:
             return list(self.roots)
         return [s for s in self.roots if s.name == name]
 
-    def layers_used(self, span: Span) -> List[str]:
-        """Sorted set of layers charged anywhere in ``span``'s tree."""
-        seen = set()
-        for node in span.walk():
-            seen.update(node.layers)
-        return sorted(seen)
-
     # -- rendering ---------------------------------------------------------
 
     def render_span(self, span: Span, indent: int = 0) -> List[str]:

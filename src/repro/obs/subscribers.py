@@ -101,13 +101,6 @@ class LayerAttribution:
     def layer_ns(self, path: str, layer: str) -> int:
         return self.ns.get((path, layer), 0)
 
-    def path_total_ns(self, path: str) -> int:
-        return sum(ns for (p, _), ns in self.ns.items() if p == path)
-
-    def layers_for_path(self, path: str) -> List[str]:
-        present = {layer for (p, layer) in self.ns if p == path}
-        return [layer for layer in LAYER_ORDER if layer in present]
-
     def per_io(self, path: str, layer: str) -> float:
         """Average ns per completed I/O on ``path`` for ``layer``."""
         ops = self.ops.get(path, 0)

@@ -1,5 +1,7 @@
 """Integration tests for the chain engine (the paper's core mechanism)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from chainutil import (
@@ -10,7 +12,9 @@ from chainutil import (
     walker_program,
 )
 from repro.core import Hook
-from repro.errors import ChainLimitExceeded, NotInstalled
+from repro.core.chains import ChainState, _SplitGather
+from repro.device import STATUS_MEDIA_ERROR
+from repro.errors import ChainLimitExceeded, NotInstalled, PowerLossError
 from repro.kernel import ChainStatus, IoUring
 
 ORDER = [3, 5, 0, 7, 2, 6, 1, 4]
@@ -382,6 +386,68 @@ def test_first_hop_split_falls_back_and_recovers():
     result = kernel.run_syscall(workload())
     assert result.ok
     assert result.value == 1000 + order[-1]
+
+
+def test_first_hop_split_surfaces_power_loss():
+    # A dead device is not a media error: with or without a retry policy
+    # the split first hop raises instead of returning an EIO result.
+    order = list(range(11))
+    sim, kernel, bpf = build_machine(max_extent_blocks=2)
+    kernel.create_file("/list", linked_file_bytes(order) + bytes(4096))
+    proc, fd = install_walker(sim, kernel, bpf, "/list", block_size=8192)
+
+    def cut():
+        # The first segment's read is in flight.
+        yield sim.timeout(kernel.cost.software_total_ns() +
+                          NVM2_EXACT.read_ns // 2)
+        kernel.crash()
+
+    sim.spawn(cut(), name="cut")
+    with pytest.raises(PowerLossError):
+        kernel.run_syscall(bpf.read_chain(proc, fd, 4096, 8192))
+
+
+@pytest.mark.parametrize("prior_hops", [0, 3],
+                         ids=["uring-first-hop", "mid-chain"])
+def test_split_gather_delivers_once(prior_hops):
+    # The io_uring first hop gathers before any completion step has run
+    # (hops == 0); the mid-chain split gathers after ``prior_hops`` of them.
+    sim, kernel, bpf = make_list_machine()
+    proc, fd = install_walker(sim, kernel, bpf, "/list")
+    file = proc.file(fd)
+
+    def gather_of(segments):
+        delivered = []
+        state = ChainState(proc, file, file.bpf_install, 8192, 4096,
+                           (0, 0, 0, 0), b"abc", delivered.append)
+        state.hops = prior_hops
+        return _SplitGather(state, segments), state, delivered
+
+    def done(status, data=b""):
+        command = SimpleNamespace(status=status, data=data)
+        return SimpleNamespace(value=command)
+
+    gather, state, delivered = gather_of(2)
+    gather.segment_done(done(0, b"left"))
+    assert delivered == []
+    gather.segment_done(done(0, b"right"))
+    (result,) = delivered
+    assert result.status == ChainStatus.SPLIT_FALLBACK
+    assert (result.data, result.hops, result.final_offset) == \
+        (b"leftright", prior_hops + 1, 8192)
+    assert result.scratch == bytes(state.scratch)
+    assert result.scratch.startswith(b"abc")
+
+    gather, state, delivered = gather_of(3)
+    gather.segment_done(done(0, b"left"))
+    gather.segment_done(done(STATUS_MEDIA_ERROR))
+    gather.segment_done(done(STATUS_MEDIA_ERROR))  # ignored
+    gather.segment_done(done(0, b"late"))          # ignored
+    (result,) = delivered
+    assert result.status == ChainStatus.EIO
+    assert (result.data, result.hops, result.final_offset) == \
+        (b"", prior_hops + 1, 8192)
+    assert state.hops == prior_hops + 1
 
 
 def test_contiguous_chain_never_falls_back():

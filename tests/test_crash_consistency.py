@@ -12,7 +12,7 @@ harness itself, and the crash-path observability counters.
 import pytest
 
 from repro.core.extent_cache import NvmeExtentCache
-from repro.device import NVM_GEN2, BlockDevice
+from repro.device import NAND_SSD, NVM_GEN2, BlockDevice
 from repro.device.blockdev import SECTOR_SIZE
 from repro.device.writecache import WriteCache
 from repro.errors import (
@@ -391,6 +391,28 @@ def test_syscalls_surface_power_loss():
     kernel.crash()
     with pytest.raises(PowerLossError):
         kernel.run_syscall(kernel.sys_pwrite(proc, fd, 0, b"y" * 4096))
+
+
+@pytest.mark.parametrize("model", [NVM_GEN2, NAND_SSD],
+                         ids=["polling", "interrupt"])
+def test_read_in_flight_at_power_cut_reports_power_loss(model):
+    # No fault plan, so no retry policy: the plain read loops.
+    sim = Simulator()
+    kernel = Kernel(sim, model, KernelConfig(seed=7, capacity_sectors=CAPACITY))
+    proc = kernel.spawn_process("t")
+    kernel.create_file("/f", b"x" * 4096)
+    fd = open_file(kernel, proc, "/f", create=False)
+
+    def cut():
+        # Past the doorbell, half way through the device's service time.
+        yield sim.timeout(kernel.cost.software_total_ns() +
+                          model.read_ns // 2)
+        kernel.crash()
+
+    sim.spawn(cut(), name="cut")
+    assert kernel.should_poll() == (model is NVM_GEN2)
+    with pytest.raises(PowerLossError):
+        kernel.run_syscall(kernel.sys_pread(proc, fd, 0, 512))
 
 
 def test_extent_cache_drops_snapshots_across_recovery():

@@ -13,6 +13,12 @@ import json
 
 import pytest
 
+from chainutil import (
+    NVM2_EXACT,
+    build_machine,
+    install_walker,
+    linked_file_bytes,
+)
 from repro.bench.experiments import tenants
 from repro.bench.runner import NVM2_BENCH, BtreeBench
 from repro.core import Hook
@@ -20,7 +26,9 @@ from repro.core.accounting import ChainAccounting
 from repro.core.api import InstallRequest
 from repro.core.library import index_traversal_program
 from repro.errors import Errno, InvalidArgument, QosRejected, RemoteError
-from repro.kernel import KernelConfig
+from repro.device import NAND_SSD
+from repro.kernel import IoUring, JournalConfig, KernelConfig
+from repro.kernel.kernel import NvmeRetryPolicy
 from repro.kernel.process import Process
 from repro.net import (
     Connection,
@@ -29,7 +37,7 @@ from repro.net import (
     StorageTarget,
     wire,
 )
-from repro.obs import events as obs_events
+from repro.obs import SpanCollector, events as obs_events
 from repro.obs.bus import TraceBus
 from repro.qos import QosConfig, QosManager, Tenant
 from repro.qos.shapers import SCALE, TokenBucket, WfqScheduler
@@ -523,3 +531,128 @@ def test_qos_rejected_is_typed_eagain():
     assert error.errno is Errno.EAGAIN
     assert error.retry_after_ns == 500
     assert "retry after 500 ns" in str(error)
+
+
+# ---------------------------------------------------------------------------
+# Tag completeness: every command a tenanted process causes is built at the
+# one submission site (Kernel.post / Kernel.repost)
+# ---------------------------------------------------------------------------
+
+
+def drive_every_entry_point(model, retry, bus):
+    """One tenanted process drives every kernel entry point that reaches
+    the device; returns ``(kernel, proc, commands)`` where ``commands``
+    holds one ``(step, snapshot)`` per ``NvmeDevice.submit``, taken at
+    submit time (recycled descriptors are mutated afterwards)."""
+    order = list(range(11))
+    sim, kernel, bpf = build_machine(
+        model=model, bus=bus, seed=3, queue_pairs=2, max_extent_blocks=2,
+        retry=NvmeRetryPolicy() if retry else None,
+        journal=JournalConfig(journal_blocks=32),
+        qos=QosConfig(tenants=(Tenant("gold", weight=4),)))
+    # 4 KiB reads of /list never split (recycled hops); 8 KiB reads of
+    # /wide cross a two-block extent boundary at every odd block.
+    kernel.create_file("/list", linked_file_bytes([3, 0, 2, 1]))
+    kernel.create_file("/wide", linked_file_bytes(order) + bytes(4096))
+    proc = kernel.spawn_process("t", tenant="gold")
+    assert kernel.queue_for(proc) == 1  # not the default queue
+    _, fd = install_walker(sim, kernel, bpf, "/list", proc=proc)
+    _, wide = install_walker(sim, kernel, bpf, "/wide", proc=proc,
+                             block_size=8192)
+    commands = []
+    step = [None]
+    submit = kernel.device.submit
+
+    def spy(command):
+        commands.append((step[0], dict(
+            opcode=command.opcode, source=command.source,
+            tenant=command.tenant, queue=command.queue, span=command.span,
+            path=command.path, driver_ns=command.driver_ns)))
+        submit(command)
+
+    kernel.device.submit = spy
+
+    def uring(offset, tagged, target=fd, length=4096):
+        ring = IoUring(kernel, proc)
+        ring.chain_submitter = bpf.engine.submit_uring_chain
+        ring.prep_read(target, offset, length, tagged=tagged)
+        return ring.enter(wait_nr=1)
+
+    steps = [
+        ("pread", lambda: kernel.sys_pread(proc, fd, 0, 4096)),
+        ("pread_split", lambda: kernel.sys_pread(proc, wide, 4096, 8192)),
+        ("pwrite", lambda: kernel.sys_pwrite(proc, fd, 16 * 4096,
+                                             b"w" * 4096)),
+        ("fsync", lambda: kernel.sys_fsync(proc, fd)),
+        ("uring_plain", lambda: uring(0, tagged=False)),
+        ("uring_chain", lambda: uring(3 * 4096, tagged=True)),
+        ("uring_split", lambda: uring(4096, True, wide, 8192)),
+        ("chain", lambda: bpf.read_chain(proc, fd, 3 * 4096, 4096)),
+        # First hop maps to one extent, the second hop splits mid-chain.
+        ("chain_mid_split", lambda: bpf.read_chain(proc, wide, 0, 8192)),
+        ("chain_first_split", lambda: bpf.read_chain(proc, wide, 4096,
+                                                     8192)),
+    ]
+    for name, make in steps:
+        step[0] = name
+        kernel.run_syscall(make())
+    return kernel, proc, commands
+
+
+@pytest.mark.parametrize("retry", [False, True], ids=["plain", "retry"])
+@pytest.mark.parametrize("model", [NVM2_EXACT, NAND_SSD],
+                         ids=["polling", "interrupt"])
+def test_every_command_carries_its_tenant_and_queue(model, retry):
+    kernel, proc, commands = drive_every_entry_point(
+        model, retry, TraceBus(enabled=False))
+    by_step = {}
+    for name, snap in commands:
+        by_step.setdefault(name, []).append(snap)
+    # Every entry point reached the device, the split ones more than once
+    # and the chains through recycled descriptors.
+    assert len(by_step) == 10
+    for name in ("pread_split", "uring_split", "chain_first_split"):
+        assert len(by_step[name]) == 2, name
+    assert [s["source"] for s in by_step["chain"]] == \
+        ["bio", "bpf-recycle", "bpf-recycle", "bpf-recycle"]
+    assert [s["source"] for s in by_step["uring_chain"]] == \
+        ["bio", "bpf-recycle", "bpf-recycle", "bpf-recycle"]
+    assert [s["source"] for s in by_step["chain_mid_split"]] == \
+        ["bio", "bio", "bio"]
+    assert {s["opcode"] for s in by_step["fsync"]} == {"flush", "write"}
+    untagged = []
+    for name, snap in commands:
+        internal = snap["opcode"] == "flush" or snap["source"] == "journal"
+        if snap["tenant"] != (None if internal else "gold"):
+            untagged.append((name, snap["opcode"], snap["source"]))
+        assert snap["queue"] == kernel.queue_for(proc), (name, snap)
+        # Bus off: the observability fields keep their defaults.
+        assert (snap["span"], snap["path"], snap["driver_ns"]) == \
+            (0, "normal", 0), (name, snap)
+    assert untagged == []
+
+
+def test_every_command_is_stamped_with_span_path_and_driver_cost():
+    bus = TraceBus(enabled=True)
+    spans = SpanCollector(bus, max_roots=1 << 16)
+    kernel, proc, commands = drive_every_entry_point(NAND_SSD, False, bus)
+    expected = {  # step -> (path, names of the spans its commands ride)
+        "pread": ("normal", {"sys_pread"}),
+        "pread_split": ("normal", {"sys_pread"}),
+        "pwrite": ("write", {"sys_pwrite"}),
+        "fsync": ("write", {"sys_fsync"}),
+        "uring_plain": ("uring", {"uring_sqe"}),
+        "uring_chain": ("chain", {"read_chain", "chain_hop"}),
+        "uring_split": ("chain", {"read_chain"}),
+        "chain": ("chain", {"read_chain", "chain_hop"}),
+        "chain_mid_split": ("chain", {"read_chain", "chain_hop"}),
+        "chain_first_split": ("chain", {"read_chain"}),
+    }
+    span_name = {node.sid: node.name
+                 for root in spans.roots for node in root.walk()}
+    seen = {}
+    for name, snap in commands:
+        assert snap["driver_ns"] == kernel.cost.nvme_driver_ns, (name, snap)
+        assert snap["path"] == expected[name][0], (name, snap)
+        seen.setdefault(name, set()).add(span_name[snap["span"]])
+    assert seen == {name: names for name, (_, names) in expected.items()}
