@@ -8,8 +8,8 @@ harness (``python benchmarks/harness.py --all --smoke --out DIR``).
 Wall-clock comparison uses the min over rounds on both sides — the
 least-noisy estimator available — with a relative tolerance band
 (``--tolerance 0.25`` means a fresh min more than 1.25x the baseline
-min fails).  Simulated results (``sim_time_ns``, ``throughput``, every
-``metrics`` value) are deterministic functions of the workload, so any
+min fails).  Simulated results (``throughput``, every ``metrics``
+value) are deterministic functions of the workload, so any
 difference there is result drift, not noise: reported as a warning by
 default, a failure under ``--strict``.  The metrics of a row the
 experiment table marks non-deterministic (``obs``, whose metrics are
@@ -96,10 +96,6 @@ def compare(baseline: Dict[str, Any], fresh: Dict[str, Any],
 
     # Simulated-time results are deterministic: drift means the workload
     # or the simulation changed, which deserves a refreshed baseline.
-    if fresh["sim_time_ns"] != baseline["sim_time_ns"]:
-        drifts.append(
-            f"{name}: sim_time_ns {baseline['sim_time_ns']} -> "
-            f"{fresh['sim_time_ns']}")
     if fresh["throughput"] != baseline["throughput"]:
         drifts.append(
             f"{name}: throughput {baseline['throughput']} -> "
@@ -137,7 +133,7 @@ def main(argv=None) -> int:
                              "benchmarks tolerate scheduler noise "
                              "(default: 0.1)")
     parser.add_argument("--strict", action="store_true",
-                        help="fail on sim-time/throughput/metric drift, "
+                        help="fail on throughput/metric drift, "
                              "not just wall-clock regressions")
     args = parser.parse_args(argv)
 

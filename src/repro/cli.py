@@ -20,12 +20,12 @@ Commands:
   print per-layer CPU-ns attribution (reconciled against Table 1), the
   chain-bypass summary, stack-health metrics (including fault-path
   counters when ``--fault-plan`` is armed), and exemplar span trees.
-* ``profile <name>`` — run one experiment under the self-profiler
-  (``repro.perf``) and print the wall-clock hotspot report: self and
-  cumulative time by subsystem (engine / vm / kernel / device / net /
-  obs), the hottest call sites, and eBPF program/opcode statistics.
-  ``--collapsed PATH`` additionally writes flamegraph-format collapsed
-  stacks (``-`` for stdout).
+* ``profile <name>`` — run one experiment (any row) under the standard
+  library's ``cProfile`` and print the wall-clock hotspot report: self
+  time by package (sim / ebpf / kernel / device / net / ...), the
+  hottest functions, and the exact counts ``repro.perf`` keeps (events
+  dispatched, instructions retired per eBPF program).  ``--dump PATH``
+  additionally writes the ``pstats`` file any profile viewer reads.
 * ``disasm <program>`` — print a library program's verified assembly
   (index, scan, linked, wisckey).
 * ``verify-demo`` — show the verifier accepting a safe program and
@@ -143,23 +143,24 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro.perf import collapsed_stacks, profiling, render_profile
+    import cProfile
+    from time import perf_counter
+
+    from repro.perf import profiling, render_profile
 
     exp = BY_NAME[args.name]
-    with _fault_context(args):
-        with profiling() as profiler:
-            exp.run(args.quick)
+    # builtins=False: a C call's time stays in the function that made it.
+    timer = cProfile.Profile(builtins=False)
+    with _fault_context(args), profiling() as counts:
+        started = perf_counter()
+        timer.runcall(exp.run, args.quick)
+        wall_s = perf_counter() - started
     print(f"{exp.title} — simulator self-profile (wall clock)")
     print()
-    print(render_profile(profiler, top=args.top))
-    if args.collapsed:
-        text = collapsed_stacks(profiler)
-        if args.collapsed == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.collapsed, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"\ncollapsed stacks -> {args.collapsed}")
+    print(render_profile(counts, timer, top=args.top, wall_s=wall_s))
+    if args.dump:
+        timer.dump_stats(args.dump)
+        print(f"\npstats dump -> {args.dump}")
     return 0
 
 
@@ -280,12 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = _add_runner_parser(
         sub, "profile", "run one experiment under the self-profiler",
-        _cmd_profile)
+        _cmd_profile, experiments=EXPERIMENTS)
     profile.add_argument("--top", type=int, default=15, metavar="N",
-                         help="call sites to list (default 15)")
-    profile.add_argument("--collapsed", metavar="PATH", default=None,
-                         help="write flamegraph collapsed stacks to PATH "
-                              "('-' for stdout)")
+                         help="functions to list (default 15)")
+    profile.add_argument("--dump", metavar="PATH", default=None,
+                         help="write the pstats file to PATH")
 
     disasm = sub.add_parser("disasm",
                             help="disassemble a library BPF program")

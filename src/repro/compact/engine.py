@@ -103,9 +103,6 @@ class CompactionReport:
     duration_ns: int = 0
     output_path: Optional[str] = None
 
-    def as_row(self) -> Dict:
-        return dataclasses.asdict(self)
-
 
 class CompactionEngine:
     """Runs LSM compactions against a :class:`~repro.core.StorageBpf`."""

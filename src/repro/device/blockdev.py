@@ -40,10 +40,6 @@ class BlockDevice:
         self.bus = NULL_BUS
         self.clock: Callable[[], int] = lambda: 0
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.capacity_sectors * SECTOR_SIZE
-
     def _check_range(self, lba: int, count: int) -> None:
         if count < 1:
             raise InvalidArgument(f"sector count must be positive, got {count}")

@@ -201,11 +201,6 @@ class NvmeDevice:
                           name=(f"nvme-slot-{slot}" if queues == 1
                                 else f"nvme-q{queue}-slot-{slot}"))
 
-    @property
-    def submission_queue(self) -> Store:
-        """The first (and, pre-multi-queue, only) submission queue."""
-        return self.submission_queues[0]
-
     # -- fault injection -----------------------------------------------------
 
     def inject_media_error(self, lba: int, sectors: int = 1) -> None:

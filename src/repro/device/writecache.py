@@ -55,10 +55,6 @@ class WriteCache:
     def __len__(self) -> int:
         return len(self._records)
 
-    @property
-    def dirty_sectors(self) -> int:
-        return sum(record.sectors for record in self._records)
-
     def write(self, lba: int, data: bytes) -> None:
         """Acknowledge a write into the cache, destaging FIFO on overflow."""
         self._records.append(CachedWrite(lba, data))

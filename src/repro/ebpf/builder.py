@@ -146,15 +146,6 @@ class ProgramBuilder:
     def exit(self) -> "ProgramBuilder":
         return self.emit(Instruction("exit"))
 
-    def ctx_load(self, size: str, dst: int, field_name: str
-                 ) -> "ProgramBuilder":
-        """Load a context field by name from the ctx pointer in r1.
-
-        Only valid while r1 still holds the context pointer (i.e. before any
-        helper call clobbers it or the program moves it elsewhere).
-        """
-        return self.ldx(size, dst, 1, self.ctx_layout.offset_of(field_name))
-
     # -- finalisation ----------------------------------------------------------
 
     def build(self) -> Program:

@@ -27,7 +27,6 @@ layout marks writable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import VmFault
@@ -132,7 +131,6 @@ class Vm:
         self.mode = mode
         self.max_instructions = max_instructions
         self._trace: List[int] = []
-        self._opclasses: Optional[List[str]] = None  # lazy; profiling only
         # What every run needs from the layout, resolved once.
         layout = program.ctx_layout
         self._ctx_size = layout.size
@@ -218,7 +216,11 @@ class Vm:
         self._trace = state.trace_log
         profiler = get_default_profiler()
         if profiler.enabled:
-            return self._run_profiled(state, profiler)
+            # Counted after the run, so only a run that returned is.
+            result = (self._run_block(state) if self.mode == "block"
+                      else self._run_interp(state))
+            profiler.on_program(self.program.name, self.mode, state.executed)
+            return result
         if self.mode == "block":
             return self._run_block(state)
         return self._run_interp(state)
@@ -256,56 +258,6 @@ class Vm:
         if pc < 0:
             return state.result()
         return self._run_interp(state, pc=pc)
-
-    # -- profiled mode ----------------------------------------------------
-
-    def _run_profiled(self, state: "_RunState",
-                      profiler) -> ExecutionResult:
-        """One run inside a ``("vm", "run.<name>")`` profiler frame.
-
-        Only taken when a default profiler is enabled, so neither hot
-        path pays for the timing calls.  A block-mode VM runs the same
-        compiled function it runs unprofiled: the row reports the tier
-        that was asked for.  The per-opcode-class split needs a timer
-        around every instruction, so only ``interp`` VMs have it.
-        """
-        name = self.program.name
-        profiler.push(("vm", f"run.{name}"))
-        try:
-            if self.mode == "block":
-                result = self._run_block(state)
-            else:
-                result = self._run_interp_timed(state, profiler)
-        finally:
-            wall_ns = profiler.pop()
-        profiler.on_program(name, self.mode, state.executed, wall_ns)
-        return result
-
-    def _run_interp_timed(self, state: "_RunState",
-                          profiler) -> ExecutionResult:
-        """`_run_interp` with each instruction timed by opcode class."""
-        classes = self._opclasses
-        if classes is None:
-            classes = self._opclasses = [
-                _opcode_class(insn.opcode)
-                for insn in self.program.instructions
-            ]
-        insns = self.program.instructions
-        limit = self.max_instructions
-        pc = 0
-        while True:
-            if state.executed >= limit:
-                raise VmFault("instruction budget exhausted", pc)
-            if not 0 <= pc < len(insns):
-                raise VmFault(f"pc {pc} out of program", pc)
-            state.executed += 1
-            started = perf_counter_ns()
-            next_pc = _step(state, insns[pc], pc)
-            profiler.on_opcode(classes[pc], perf_counter_ns() - started)
-            if next_pc is None:
-                break
-            pc = next_pc
-        return state.result()
 
 
 class _RunState:
@@ -369,23 +321,6 @@ _JMP_FN = {
     "jslt": lambda a, b: _s64(a) < _s64(b),
     "jsle": lambda a, b: _s64(a) <= _s64(b),
 }
-
-
-def _opcode_class(op: str) -> str:
-    """Profiling bucket for an opcode: exit/call/imm/jmp/load/store/alu."""
-    if op == "exit":
-        return "exit"
-    if op == "call":
-        return "call"
-    if op == "lddw":
-        return "imm"
-    if op == "ja" or op in _JMP_FN:
-        return "jmp"
-    if op.startswith("ldx"):
-        return "load"
-    if op.startswith("stx") or op.startswith("st"):
-        return "store"
-    return "alu"
 
 
 def _as_scalar(value: Any, what: str, pc: int) -> int:

@@ -77,12 +77,6 @@ class IoUring:
         self._sq.append(Sqe(fd, offset, length, user_data, tagged, args,
                             scratch_init))
 
-    def sq_pending(self) -> int:
-        return len(self._sq)
-
-    def cq_ready(self) -> int:
-        return len(self._cq)
-
     def enter(self, wait_nr: int = 0):
         """Submit all queued SQEs and wait for ``wait_nr`` completions.
 

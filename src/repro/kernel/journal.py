@@ -165,10 +165,6 @@ class Journal:
     # ------------------------------------------------------------------
 
     @property
-    def in_txn(self) -> bool:
-        return self._txn_depth > 0
-
-    @property
     def pending_txns(self) -> int:
         return len(self._pending)
 

@@ -47,12 +47,6 @@ class RecoveryReport:
     files: int
     dirs: int
 
-    def as_dict(self) -> Dict[str, int]:
-        return {"checkpoint_seq": self.checkpoint_seq,
-                "replayed_txns": self.replayed_txns,
-                "discarded_txns": self.discarded_txns,
-                "files": self.files, "dirs": self.dirs}
-
 
 @dataclass
 class FsckReport:

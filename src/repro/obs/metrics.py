@@ -120,10 +120,6 @@ class Histogram:
                 series.bucket_counts[i] += 1
                 break
 
-    def series_count(self, **labels: Any) -> int:
-        series = self._series.get(_label_key(labels))
-        return series.recorder.count if series else 0
-
     def samples(self) -> List[Dict[str, Any]]:
         out = []
         for key in sorted(self._series):

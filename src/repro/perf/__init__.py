@@ -3,13 +3,13 @@
 `repro.obs` observes the *simulated* stack; `repro.perf` observes the
 simulator.  Three pieces:
 
-* :mod:`repro.perf.profiler` — frame-stack profiler hooked into the
-  sim engine's event dispatch and the eBPF VM's instruction loop; off
-  by default, one attribute check when off.
+* :mod:`repro.perf.profiler` — two counting hooks (events dispatched by
+  type and heap depth in the sim engine, instructions retired per eBPF
+  program run: exact, no clock); off by default, one check when off.
 * :mod:`repro.perf.benchresult` — the ``repro-bench/1`` schema every
   benchmark emits as ``BENCH_<name>.json`` (see ``benchmarks/harness.py``).
-* :mod:`repro.perf.report` — hotspot tables and collapsed flamegraph
-  output for ``python -m repro profile``.
+* :mod:`repro.perf.report` — ``python -m repro profile``'s tables: wall
+  time by function and by package as ``cProfile`` measured it, + counts.
 
 This package is imported by ``sim/engine.py``, so it must stay
 import-light: nothing here may pull in ``repro.bench``, ``repro.kernel``
@@ -29,15 +29,15 @@ from repro.perf.profiler import (
     profiling,
     set_default_profiler,
 )
-from repro.perf.report import collapsed_stacks, render_profile, subsystem_totals
+from repro.perf.report import function_totals, render_profile, subsystem_totals
 
 __all__ = [
     "BENCH_SCHEMA",
     "BenchResult",
     "NULL_PROFILER",
     "Profiler",
-    "collapsed_stacks",
     "fingerprint",
+    "function_totals",
     "get_default_profiler",
     "profiling",
     "render_profile",

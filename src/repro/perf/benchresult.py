@@ -16,7 +16,6 @@ Schema version ``repro-bench/1``::
       "mode": "full" | "smoke",
       "rounds": 3,
       "wall_s": {"mean": ..., "min": ..., "max": ..., "per_round": [...]},
-      "sim_time_ns": 12345 | null,         # deterministic, exact-comparable
       "throughput": {"value": ..., "unit": "kops/s"} | null,
       "metrics": {...},                    # deterministic scalars, sorted
       "fingerprint": {"git_sha", "python", "implementation",
@@ -24,10 +23,10 @@ Schema version ``repro-bench/1``::
       "created_unix": 1710000000
     }
 
-``wall_s`` is the only noisy field; everything in ``sim_time_ns`` /
-``throughput`` / ``metrics`` is a pure function of the bench's seed and
-parameters, so the regression checker compares those exactly (drift
-there means *behaviour* changed, not the machine).
+``wall_s`` is the only noisy field; everything in ``throughput`` /
+``metrics`` is a pure function of the bench's seed and parameters, so
+the regression checker compares those exactly (drift there means
+*behaviour* changed, not the machine).
 """
 
 from __future__ import annotations
@@ -101,7 +100,6 @@ class BenchResult:
         title: str,
         mode: str,
         wall_rounds_s: List[float],
-        sim_time_ns: Optional[int] = None,
         throughput: Optional[Dict[str, Any]] = None,
         metrics: Optional[Dict[str, Any]] = None,
     ):
@@ -118,7 +116,6 @@ class BenchResult:
         self.title = title
         self.mode = mode
         self.wall_rounds_s = [float(w) for w in wall_rounds_s]
-        self.sim_time_ns = sim_time_ns
         self.throughput = throughput
         self.metrics = dict(metrics or {})
 
@@ -136,7 +133,6 @@ class BenchResult:
                 "max": max(rounds),
                 "per_round": rounds,
             },
-            "sim_time_ns": self.sim_time_ns,
             "throughput": self.throughput,
             "metrics": self.metrics,
             "fingerprint": fingerprint(),
@@ -191,9 +187,6 @@ def validate_bench_json(data: Any) -> List[str]:
         for stat in ("mean", "min", "max"):
             if stat in wall and not isinstance(wall[stat], (int, float)):
                 problems.append(f"wall_s.{stat} must be a number")
-    sim_time = data.get("sim_time_ns", 0)
-    if sim_time is not None and not isinstance(sim_time, int):
-        problems.append("sim_time_ns must be an integer or null")
     throughput = data.get("throughput", None)
     if throughput is not None:
         if not isinstance(throughput, dict) or \

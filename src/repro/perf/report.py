@@ -1,13 +1,18 @@
-"""Render :class:`~repro.perf.profiler.Profiler` data for humans.
+"""Render one profiled run for humans: ``python -m repro profile``.
 
-Two outputs:
+Two instruments feed :func:`render_profile`.  The *timer* is a
+``cProfile.Profile(builtins=False)`` the run was made under: the
+interpreter times every Python function itself, a generator resume by
+resume, and folds C calls into the function that made them, so every
+nanosecond lands on a line of this repo or of the standard library.  The
+*counts* are a :class:`~repro.perf.profiler.Profiler`: events dispatched
+and instructions retired, exact on any box.
 
-* :func:`render_profile` — the ``python -m repro profile`` hotspot view:
-  a per-subsystem self/cumulative wall-clock table, the top call sites,
-  per-program VM stats, and per-opcode-class VM stats.
-* :func:`collapsed_stacks` — Brendan Gregg "collapsed" flamegraph lines
-  (``frame;frame;frame <self_ns>``), one per distinct frame stack, ready
-  for ``flamegraph.pl`` or speedscope.
+A function's subsystem is where its file sits: the package directory
+under ``repro/`` (``sim``, ``ebpf``, ``kernel``, ...: the names
+``bench_e2e`` prints as ``<layer>.host_self_pct``), ``ebpf`` for the
+block tier's generated ``<bpf:NAME>`` code, ``repro`` for a module
+directly under ``repro/`` and ``python`` for everything else.
 
 Imports from ``repro.bench`` happen inside functions: this module is
 pulled in via ``repro.perf`` by ``sim/engine.py``, which must not drag
@@ -17,155 +22,155 @@ engine import.
 
 from __future__ import annotations
 
-from typing import Dict, List
+import os
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.perf.profiler import Profiler
 
-__all__ = ["collapsed_stacks", "render_profile", "subsystem_totals"]
+__all__ = ["function_totals", "render_profile", "subsystem_totals"]
 
-#: Display order for the subsystem table.
-_SUBSYSTEM_ORDER = ["engine", "vm", "kernel", "device", "net", "cluster",
-                    "qos", "obs", "faults", "structures", "compact", "app"]
+SiteKey = Tuple[str, str]  # (subsystem, "file.function")
 
 
-def subsystem_totals(profiler: Profiler) -> Dict[str, Dict[str, int]]:
-    """Per-subsystem ``{"self_ns", "cum_ns", "calls"}`` attribution.
+def _site_from_code(code) -> SiteKey:
+    """(subsystem, site-label) for a code object, from its file path."""
+    filename = code.co_filename
+    if filename.startswith("<bpf:"):
+        return ("ebpf", f"{filename[1:-1]}.{code.co_name}")
+    parts = os.path.normpath(filename).split(os.sep)
+    subsystem = "python"
+    if "repro" in parts[:-1]:
+        # Rightmost "repro" component: .../src/repro/<package>/module.py
+        index = len(parts) - 1 - parts[::-1].index("repro")
+        subsystem = parts[index + 1] if index + 2 < len(parts) else "repro"
+    stem = os.path.splitext(parts[-1])[0]
+    name = getattr(code, "co_qualname", None) or code.co_name
+    return (subsystem, f"{stem}.{name}")
 
-    Self time sums site self-ns.  Cumulative time is computed from the
-    collapsed stacks: each stack's self-ns is credited once to every
-    *distinct* subsystem appearing in it, so nested same-subsystem
-    frames (kernel calling kernel) are not double-counted and the
-    engine's cumulative equals total profiled time.
+
+def function_totals(timer: Any) -> Dict[SiteKey, List[float]]:
+    """``(subsystem, site) -> [calls, self_s, cum_s]`` from the timer.
+
+    ``timer`` is anything with cProfile's ``getstats()``.  A generator's
+    ``calls`` are its resumes.  Code objects that share a label (two
+    lambdas of one function) share a row.
     """
-    totals: Dict[str, Dict[str, int]] = {}
-    for (subsystem, _site), (calls, self_ns, _cum) in profiler.sites.items():
-        entry = totals.setdefault(
-            subsystem, {"self_ns": 0, "cum_ns": 0, "calls": 0})
-        entry["self_ns"] += self_ns
-        entry["calls"] += calls
-    for stack, self_ns in profiler.stacks.items():
-        for subsystem in set(key[0] for key in stack):
-            entry = totals.setdefault(
-                subsystem, {"self_ns": 0, "cum_ns": 0, "calls": 0})
-            entry["cum_ns"] += self_ns
+    totals: Dict[SiteKey, List[float]] = {}
+    for entry in timer.getstats():
+        code = entry.code
+        if isinstance(code, str):  # a C function: the timer kept builtins
+            key = ("python", code)
+        else:
+            key = _site_from_code(code)
+        stat = totals.setdefault(key, [0, 0.0, 0.0])
+        stat[0] += entry.callcount
+        stat[1] += entry.inlinetime
+        stat[2] += entry.totaltime
     return totals
 
 
-def _fmt_ms(ns: int) -> float:
-    return round(ns / 1e6, 3)
+def subsystem_totals(
+        functions: Dict[SiteKey, List[float]]) -> Dict[str, Dict[str, float]]:
+    """:func:`function_totals` folded per subsystem: ``{"self_s", "calls"}``.
+
+    Self times partition the run, so they sum to the timed wall.  There
+    is no cumulative column: a subsystem calls into itself through
+    others, and the timer keeps no stacks to untangle that with.
+    """
+    totals: Dict[str, Dict[str, float]] = {}
+    for (subsystem, _site), (calls, self_s, _cum) in functions.items():
+        entry = totals.setdefault(subsystem, {"self_s": 0.0, "calls": 0})
+        entry["self_s"] += self_s
+        entry["calls"] += calls
+    return totals
 
 
-def render_profile(profiler: Profiler, top: int = 15) -> str:
-    """The full hotspot report as printable text."""
+def _fmt_ms(seconds: float) -> float:
+    return round(seconds * 1e3, 3)
+
+
+def render_profile(counts: Profiler, timer: Any, top: int = 15,
+                   wall_s: Optional[float] = None) -> str:
+    """The full hotspot report as printable text.
+
+    ``wall_s``, the wall clock measured around the run, adds the share
+    of it the timer attributed to the summary.
+    """
     from repro.bench.tables import format_table
 
-    total = profiler.total_ns or 1
+    functions = function_totals(timer)
+    timed_s = sum(stat[1] for stat in functions.values())
+    total = timed_s or 1.0
     sections: List[str] = []
 
-    totals = subsystem_totals(profiler)
-    order = {name: index for index, name in enumerate(_SUBSYSTEM_ORDER)}
+    totals = subsystem_totals(functions)
     sub_rows = []
-    for subsystem in sorted(totals,
-                            key=lambda s: (order.get(s, 99), s)):
+    for subsystem in sorted(totals, key=lambda s: totals[s]["self_s"],
+                            reverse=True):
         entry = totals[subsystem]
         sub_rows.append({
             "subsystem": subsystem,
-            "self_ms": _fmt_ms(entry["self_ns"]),
-            "self_pct": round(100.0 * entry["self_ns"] / total, 1),
-            "cum_ms": _fmt_ms(entry["cum_ns"]),
-            "cum_pct": round(100.0 * entry["cum_ns"] / total, 1),
+            "self_ms": _fmt_ms(entry["self_s"]),
+            "self_pct": round(100.0 * entry["self_s"] / total, 1),
             "calls": entry["calls"],
         })
     sections.append(format_table(
-        "Wall-clock by subsystem (self/cumulative)",
-        ["subsystem", "self_ms", "self_pct", "cum_ms", "cum_pct", "calls"],
+        "Wall-clock by subsystem (self time)",
+        ["subsystem", "self_ms", "self_pct", "calls"],
         sub_rows,
     ))
 
     site_rows = []
-    ranked = sorted(profiler.sites.items(),
+    ranked = sorted(functions.items(),
                     key=lambda item: item[1][1], reverse=True)
-    for (subsystem, site), (calls, self_ns, cum_ns) in ranked[:top]:
+    for (subsystem, site), (calls, self_s, cum_s) in ranked[:top]:
         site_rows.append({
-            "site": site,
+            "function": site,
             "subsystem": subsystem,
             "calls": calls,
-            "self_ms": _fmt_ms(self_ns),
-            "self_pct": round(100.0 * self_ns / total, 1),
-            "cum_ms": _fmt_ms(cum_ns),
+            "self_ms": _fmt_ms(self_s),
+            "self_pct": round(100.0 * self_s / total, 1),
+            "cum_ms": _fmt_ms(cum_s),
         })
     sections.append(format_table(
-        f"Hottest call sites (top {min(top, len(ranked))} of {len(ranked)})",
-        ["site", "subsystem", "calls", "self_ms", "self_pct", "cum_ms"],
+        f"Hottest functions (top {min(top, len(ranked))} of {len(ranked)})",
+        ["function", "subsystem", "calls", "self_ms", "self_pct", "cum_ms"],
         site_rows,
     ))
 
-    if profiler.programs:
+    if counts.programs:
         prog_rows = []
-        for (name, mode), (runs, insns, wall_ns) in sorted(
-                profiler.programs.items(),
-                key=lambda item: item[1][2], reverse=True):
+        for (name, mode), (runs, insns) in sorted(
+                counts.programs.items(),
+                key=lambda item: item[1][1], reverse=True):
             prog_rows.append({
                 "program": name,
                 "mode": mode,
                 "runs": runs,
                 "insns": insns,
-                "wall_ms": _fmt_ms(wall_ns),
-                "ns_per_insn": round(wall_ns / insns, 1) if insns else 0.0,
             })
         sections.append(format_table(
             "eBPF programs (instructions retired)",
-            ["program", "mode", "runs", "insns", "wall_ms", "ns_per_insn"],
+            ["program", "mode", "runs", "insns"],
             prog_rows,
         ))
 
-    if profiler.opcodes:
-        op_total = sum(stat[1] for stat in profiler.opcodes.values()) or 1
-        op_rows = []
-        for opclass, (opcount, wall_ns) in sorted(
-                profiler.opcodes.items(),
-                key=lambda item: item[1][1], reverse=True):
-            op_rows.append({
-                "class": opclass,
-                "count": opcount,
-                "wall_ms": _fmt_ms(wall_ns),
-                "pct": round(100.0 * wall_ns / op_total, 1),
-            })
-        sections.append(format_table(
-            "eBPF opcode classes (interpreter wall time)",
-            ["class", "count", "wall_ms", "pct"],
-            op_rows,
-        ))
-
+    timed = f"timed wall        : {timed_s * 1e3:.3f} ms"
+    if wall_s:
+        timed += (f"  ({100.0 * timed_s / wall_s:.1f} % of the"
+                  f" {wall_s * 1e3:.3f} ms measured around the run)")
     summary = [
         "",
-        f"events dispatched : {profiler.events_dispatched:,}"
-        f"  (heap depth avg {profiler.heap_depth_avg():.1f},"
-        f" max {profiler.heap_max})",
-        f"vm instructions   : {profiler.instructions_retired:,}",
-        f"profiled wall     : {profiler.total_ns / 1e6:.3f} ms",
+        f"events dispatched : {counts.events_dispatched:,}"
+        f"  (heap depth avg {counts.heap_depth_avg():.1f},"
+        f" max {counts.heap_max})",
+        f"vm instructions   : {counts.instructions_retired:,}",
+        timed,
     ]
-    if profiler.events:
-        top_events = sorted(profiler.events.items(),
+    if counts.events:
+        top_events = sorted(counts.events.items(),
                             key=lambda item: item[1], reverse=True)[:6]
         summary.append("top event types   : " + ", ".join(
             f"{name}={count:,}" for name, count in top_events))
     sections.append("\n".join(summary))
     return "\n\n".join(sections)
-
-
-def collapsed_stacks(profiler: Profiler) -> str:
-    """Flamegraph "collapsed" format: ``frame;frame <self_ns>`` lines.
-
-    Frames render as ``subsystem:site``; line order is deterministic
-    (sorted by stack) so output diffs cleanly between runs.
-    """
-    lines = []
-    for stack in sorted(profiler.stacks):
-        self_ns = profiler.stacks[stack]
-        if self_ns <= 0:
-            continue
-        frames = ";".join(
-            f"{subsystem}:{site}" for subsystem, site in stack)
-        lines.append(f"{frames} {self_ns}")
-    return "\n".join(lines) + ("\n" if lines else "")

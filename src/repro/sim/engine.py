@@ -19,12 +19,13 @@ Determinism: events scheduled for the same timestamp trigger in schedule
 order; there is no wall-clock or hash-order dependence anywhere.
 
 Dispatch is one virtual call: the loop takes the next queue entry and
-calls its ``_fire`` (``_fire_profiled`` under the profiler).  For every
-event defined here that sets the value and runs the callbacks.  A
-subclass may do engine work there instead and fire later:
-:class:`repro.sim.resources.Charge`, a whole CPU charge, is dispatched
-twice (grant, then expiry) and wakes its waiter only the second time.
-Both dispatches count as events to the profiler.
+calls its ``_fire``.  For every event defined here that sets the value
+and runs the callbacks.  A subclass may do engine work there instead
+and fire later: :class:`repro.sim.resources.Charge`, a whole CPU charge,
+is dispatched twice (grant, then expiry) and wakes its waiter only the
+second time.  An enabled profiler (``repro.perf``) is told of each
+dispatch before it happens, both of a charge's included; it counts
+them and reads no clock.
 """
 
 from __future__ import annotations
@@ -127,28 +128,6 @@ class Event:
         callbacks, self.callbacks = self.callbacks, []
         for callback in callbacks:
             callback(self)
-
-    def _fire_profiled(self, profiler) -> None:
-        """`_fire` with each callback attributed to its call site.
-
-        Identical control flow to :meth:`_fire` — same value/exception
-        handling, same callback order — plus a profiler frame around
-        each callback.  The pop sits in a ``finally`` because a
-        callback may legitimately raise (unwaited process crashes
-        propagate through here).
-        """
-        if self._pending_exception is not None:
-            self._exception = self._pending_exception
-            self._value = None
-        else:
-            self._value = self._pending_value
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            profiler.push(profiler.site_for_callback(callback))
-            try:
-                callback(self)
-            finally:
-                profiler.pop()
 
     # -- composition ----------------------------------------------------------
 
@@ -380,12 +359,7 @@ class Simulator:
         profiler = self._profiler
         if profiler.enabled:
             profiler.on_step(event, len(heap) + len(immediate))
-            try:
-                event._fire_profiled(profiler)
-            finally:
-                profiler.end_step()
-        else:
-            event._fire()
+        event._fire()
 
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue drains, or until simulated time ``until``.
@@ -418,12 +392,7 @@ class Simulator:
                 self._now = when
             if profiler.enabled:
                 profiler.on_step(event, len(heap) + len(immediate))
-                try:
-                    event._fire_profiled(profiler)
-                finally:
-                    profiler.end_step()
-            else:
-                event._fire()
+            event._fire()
         if until is not None and self._now < until:
             self._now = until
 

@@ -91,14 +91,6 @@ class Charge(Request):
         for callback in callbacks:
             callback(self)
 
-    def _fire_profiled(self, profiler) -> None:
-        if self._hold_ns > 0:
-            self._fire()  # the grant runs no callback: nothing to attribute
-        else:
-            self.resource.release(self)
-            self._pending_value = None
-            super()._fire_profiled(profiler)
-
 
 class Resource:
     """A resource with ``capacity`` identical slots and a priority wait queue."""

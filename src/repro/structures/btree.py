@@ -207,9 +207,6 @@ class BTree:
     def depth(self) -> int:
         return self.meta.depth
 
-    def page_count(self) -> int:
-        return self.backend.size // PAGE_SIZE
-
     @staticmethod
     def keys_for_depth(depth: int, fanout: int) -> int:
         """Smallest key count that yields exactly ``depth`` levels."""

@@ -576,8 +576,3 @@ class LsmTree:
 
     def table_count(self) -> int:
         return sum(len(level) for level in self.levels)
-
-    def total_entries(self) -> int:
-        disk = sum(t.num_entries for level in self.levels
-                   for _p, t in level)
-        return disk + len(self.memtable)

@@ -19,17 +19,18 @@ def test_experiment_quick_runs(capsys):
 
 
 def test_experiment_names_all_registered():
-    # The parser offers every row of the table; the commands that wrap a
-    # run in a second instrument only the deterministic ones.
+    # The parser offers every row of the table to ``experiment`` and
+    # ``profile``; ``metrics`` reports simulated time, so it takes only
+    # the deterministic ones.
     parser = build_parser()
     for exp in EXPERIMENTS:
-        assert parser.parse_args(["experiment", exp.name]).name == exp.name
-        for command in ("metrics", "profile"):
-            if exp.deterministic:
-                assert parser.parse_args([command, exp.name]).name == exp.name
-            else:
-                with pytest.raises(SystemExit):
-                    parser.parse_args([command, exp.name])
+        for command in ("experiment", "profile"):
+            assert parser.parse_args([command, exp.name]).name == exp.name
+        if exp.deterministic:
+            assert parser.parse_args(["metrics", exp.name]).name == exp.name
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args(["metrics", exp.name])
 
 
 def test_crash_at_unknown_point_fails(capsys):
@@ -121,27 +122,27 @@ def test_profile_quick_prints_hotspot_table(capsys):
     assert main(["profile", "fig3c", "--quick", "--top", "5"]) == 0
     out = capsys.readouterr().out
     assert "self-profile" in out
-    assert "engine" in out
-    assert "vm" in out
+    assert "sim" in out
+    assert "ebpf" in out
     assert "events dispatched" in out
 
 
-def test_profile_collapsed_to_stdout(capsys):
-    assert main(["profile", "table1", "--quick", "--collapsed", "-"]) == 0
+def test_profile_takes_the_wall_clock_row(capsys):
+    # `obs` times its own runs, so `metrics` does not offer it; the
+    # timer needs no determinism.
+    assert main(["profile", "obs", "--quick", "--top", "5"]) == 0
     out = capsys.readouterr().out
-    # Collapsed lines are "subsystem:site;... self_ns".
-    folded = [line for line in out.splitlines()
-              if line.startswith("engine:") and line.rsplit(" ", 1)[-1].isdigit()]
-    assert folded
+    assert "Observability overhead" in out
+    assert "Hottest functions (top 5 of" in out
 
 
-def test_profile_collapsed_to_file(tmp_path, capsys):
-    target = tmp_path / "prof.folded"
-    assert main(["profile", "table1", "--quick",
-                 "--collapsed", str(target)]) == 0
-    text = target.read_text()
-    assert text.strip()
-    assert "collapsed stacks ->" in capsys.readouterr().out
+def test_profile_dump_loads_in_pstats(tmp_path, capsys):
+    import pstats
+
+    target = tmp_path / "prof.pstats"
+    assert main(["profile", "table1", "--quick", "--dump", str(target)]) == 0
+    assert f"pstats dump -> {target}" in capsys.readouterr().out
+    assert pstats.Stats(str(target)).total_calls > 0
 
 
 def test_profile_rejects_unknown_experiment():

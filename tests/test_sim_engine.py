@@ -344,8 +344,8 @@ def test_tie_order_is_reproducible():
 
 
 def test_tie_order_identical_with_profiler_enabled():
-    # The profiled dispatch path (Event._fire_profiled) must preserve
-    # callback order exactly — observation never perturbs ordering.
+    # The profiler's dispatch hook must preserve callback order
+    # exactly — observation never perturbs ordering.
     from repro.perf import profiling
 
     plain = _tie_workload()
