@@ -7,8 +7,9 @@ report to stdout:
     python scripts/generate_experiments_report.py > /tmp/report.md
 
 With ``--json`` each experiment is emitted as a JSON document instead
-(the same serialisation as ``python -m repro experiment <name> --json``),
-for scripted consumers that would otherwise scrape the tables.
+(title, rows and the run's exact ``work`` counts: the same serialisation
+as ``python -m repro experiment <name> --json``), for scripted consumers
+that would otherwise scrape the tables.
 """
 
 import argparse
@@ -16,17 +17,6 @@ import sys
 
 from repro.bench import rows_to_json
 from repro.bench.registry import DETERMINISTIC
-
-#: Set by main() from --json; switches emit() to JSON documents.
-JSON_MODE = False
-
-
-def emit(title, columns, rows):
-    if JSON_MODE:
-        print(rows_to_json(title, rows))
-        print()
-    else:
-        emit_markdown(title, columns, rows)
 
 
 def emit_markdown(title, columns, rows):
@@ -46,18 +36,21 @@ def emit_markdown(title, columns, rows):
 
 
 def main():
-    global JSON_MODE
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--json", action="store_true",
                         help="emit JSON documents instead of markdown")
-    JSON_MODE = parser.parse_args().json
+    as_json = parser.parse_args().json
 
-    if not JSON_MODE:
+    if not as_json:
         print("<!-- generated by scripts/generate_experiments_report.py -->\n")
 
     for exp in DETERMINISTIC:
-        rows = exp.run(quick=False)
-        emit(exp.title, list(rows[0]), rows)
+        rows, work = exp.run_counted(quick=False)
+        if as_json:
+            print(rows_to_json(exp.title, rows, work))
+            print()
+        else:
+            emit_markdown(exp.title, list(rows[0]), rows)
         sys.stdout.flush()
 
 

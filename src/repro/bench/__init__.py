@@ -21,11 +21,10 @@
   the bus, the profiler and idle fault hooks), and the ablations.
 * :mod:`~repro.bench.registry` — the experiment table: one row per
   experiment (name, title, function, ``quick``/``full`` kwargs, shape
-  checks, bench metrics) that the CLI, ``benchmarks/harness.py``, the
-  report script, the goldens and CI all read.
+  checks) that the CLI, the report script, the goldens and CI all read.
 
-Each experiment returns plain row dictionaries so the CLI, the bench
-suite, ``EXPERIMENTS.md``, and tests all consume the same data.
+Each experiment returns plain row dictionaries so the CLI,
+``EXPERIMENTS.md``, and tests all consume the same data.
 """
 
 from repro.bench.experiments import (

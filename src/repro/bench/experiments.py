@@ -377,7 +377,12 @@ def extent_stability(sim_hours: float = 1.0,
 
     changes = sorted(grow_times + unmap_times)
     intervals = [b - a for a, b in zip(changes, changes[1:])]
-    mean_interval = (sum(intervals) / len(intervals)) if intervals else \
+    # Added left to right: from Python 3.12 the builtin sum() compensates
+    # float addition, which moves the last digit the golden pins.
+    total_interval = 0.0
+    for interval in intervals:
+        total_interval += interval
+    mean_interval = (total_interval / len(intervals)) if intervals else \
         float("inf")
     hours = total_ops * op_interval / 3600
     # Short windows may contain no GC pass at all; derive the steady-state

@@ -2,25 +2,22 @@
 
 Each :class:`Experiment` row carries everything any front end needs to
 know about one experiment: its name (the CLI command and the
-``BENCH_<name>.json`` stem), its title, the function that produces its
-rows, the literal keyword arguments of its two scales, its shape checks,
-and what the bench suite records from its rows.  ``python -m repro
-{report,experiment,metrics,profile}``, ``benchmarks/harness.py``,
+``benchmarks/golden/<name>_quick.json`` stem), its title, the function
+that produces its rows, the literal keyword arguments of its two scales
+and its shape checks.  ``python -m repro
+{report,experiment,metrics,profile}``,
 ``scripts/generate_experiments_report.py``, the golden-JSON test and the
 docs guard all iterate :data:`EXPERIMENTS`; nothing else declares a
 scale, a title or a check (``docs/profiling.md``, "Adding an
 experiment").
 
 ``quick`` is the miniature scale (seconds; what ``benchmarks/golden/``
-and ``benchmarks/baselines/`` pin) and ``full`` the paper's.
-``check(rows)`` asserts the shape invariants that hold at both scales;
-``check_full(rows)`` the ones that need the full sweep (a specific depth,
-thread count or paper band).  ``metric_cols`` name row columns whose mean
-goes into the bench JSON's deterministic ``metrics``; ``metrics_fn(rows)``
-adds arbitrary extra entries; ``throughput`` is an optional ``(column,
-unit, "max"|"mean")`` triple.  A row that is not ``deterministic``
-carries wall-clock values, so it is skipped wherever outputs are diffed
-or a second instrument would wrap it.
+pins) and ``full`` the paper's.  ``check(rows)`` asserts the shape
+invariants that hold at both scales; ``check_full(rows)`` the ones that
+need the full sweep (a specific depth, thread count or paper band).  A
+row that is not ``deterministic`` carries wall-clock values, so it is
+skipped wherever outputs are diffed or a second instrument would wrap
+it.
 """
 
 from __future__ import annotations
@@ -51,6 +48,7 @@ from repro.bench.experiments import (
     table1_breakdown,
     tenants,
 )
+from repro.perf import profiling
 
 __all__ = ["BY_NAME", "DETERMINISTIC", "EXPERIMENTS", "Experiment"]
 
@@ -68,13 +66,16 @@ class Experiment:
     full: Dict[str, Any]
     check: Callable[[Rows], None]
     check_full: Optional[Callable[[Rows], None]] = None
-    metric_cols: Tuple[str, ...] = ()
-    throughput: Optional[Tuple[str, str, str]] = None
-    metrics_fn: Optional[Callable[[Rows], Dict[str, Any]]] = None
     deterministic: bool = True
 
     def run(self, quick: bool) -> Rows:
         return self.func(**(self.quick if quick else self.full))
+
+    def run_counted(self, quick: bool) -> Tuple[Rows, Dict[str, Any]]:
+        """``run`` inside the counting hooks: the rows and their ``work``."""
+        with profiling() as counts:
+            rows = self.run(quick)
+        return rows, counts.work()
 
 
 # ---------------------------------------------------------------------------
@@ -456,18 +457,6 @@ def _check_full_obs(rows):
     assert by_mode["idle-fault-plan"]["overhead_x"] < 1.10
 
 
-def _obs_metrics(rows):
-    by_mode = {row["instrumentation"]: row for row in rows}
-    return {
-        "disabled_vs_enabled_x": round(
-            by_mode["off"]["best_s"] / by_mode["obs-bus"]["best_s"], 4),
-        "profiler_overhead_x": by_mode["profiler"]["overhead_x"],
-        "obs_bus_overhead_x": by_mode["obs-bus"]["overhead_x"],
-        "idle_fault_plan_overhead_x":
-            by_mode["idle-fault-plan"]["overhead_x"],
-    }
-
-
 # ---------------------------------------------------------------------------
 # The table
 # ---------------------------------------------------------------------------
@@ -480,9 +469,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         quick={"reads": 50},
         full={"reads": 300},
         check=_check_fig1,
-        metrics_fn=lambda rows: {
-            f"{row['device']}_software_pct": round(row["software_pct"], 4)
-            for row in rows},
     ),
     Experiment(
         name="table1",
@@ -491,9 +477,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         quick={"reads": 50},
         full={"reads": 300},
         check=_check_table1,
-        metrics_fn=lambda rows: {
-            f"{row['layer'].replace(' ', '_')}_ns": row["measured_ns"]
-            for row in rows},
     ),
     Experiment(
         name="fig3a",
@@ -505,8 +488,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
               "threads": (1, 2, 4, 6, 8, 12), "duration_ns": 8_000_000},
         check=_check_fig3a,
         check_full=_check_full_fig3a,
-        metric_cols=("speedup",),
-        throughput=("syscall_klookups", "klookups/s", "max"),
     ),
     Experiment(
         name="fig3b",
@@ -518,8 +499,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
               "threads": (1, 2, 4, 6, 8, 12), "duration_ns": 8_000_000},
         check=_check_fig3b,
         check_full=_check_full_fig3b,
-        metric_cols=("speedup",),
-        throughput=("nvme_klookups", "klookups/s", "max"),
     ),
     Experiment(
         name="fig3c",
@@ -529,7 +508,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         full={"depths": (1, 2, 3, 4, 6, 8, 10, 16), "operations": 100},
         check=_check_fig3c,
         check_full=_check_full_fig3c,
-        metric_cols=("nvme_reduction_pct", "nvme_us", "baseline_us"),
     ),
     Experiment(
         name="fig3d",
@@ -540,8 +518,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
               "duration_ns": 8_000_000},
         check=_check_fig3d,
         check_full=_check_full_fig3d,
-        metric_cols=("speedup",),
-        throughput=("bpf_klookups", "klookups/s", "max"),
     ),
     Experiment(
         name="stability",
@@ -555,8 +531,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
               "initial_keys": 20_000},
         check=_check_stability,
         check_full=_check_full_stability,
-        metric_cols=("mean_change_interval_s", "unmaps_per_24h",
-                     "extent_changes"),
     ),
     Experiment(
         name="hooks",
@@ -565,7 +539,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         quick={"depths": (6,), "operations": 30},
         full={"depths": (6,), "operations": 200},
         check=_check_hooks,
-        metric_cols=("nvme_reduction_pct", "nvme_us", "baseline_us"),
     ),
     Experiment(
         name="bound",
@@ -576,7 +549,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
               "lookups": 50},
         check=_check_bound,
         check_full=_check_full_bound,
-        metric_cols=("kills_per_lookup", "mean_latency_us"),
     ),
     Experiment(
         name="churn",
@@ -587,8 +559,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
               "duration_ns": 8_000_000},
         check=_check_churn,
         check_full=_check_full_churn,
-        metric_cols=("invalidations", "refresh_ioctls", "mean_latency_us"),
-        throughput=("klookups_per_s", "klookups/s", "max"),
     ),
     Experiment(
         name="vmmode",
@@ -597,7 +567,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         quick={"depth": 3, "operations": 30},
         full={"depth": 6, "operations": 200},
         check=_check_vmmode,
-        metric_cols=("mean_latency_us", "speedup_vs_baseline"),
     ),
     Experiment(
         name="appcache",
@@ -608,7 +577,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
               "operations": 150},
         check=_check_appcache,
         check_full=_check_full_appcache,
-        metric_cols=("mean_latency_us", "device_reads_per_lookup"),
     ),
     Experiment(
         name="lsmget",
@@ -617,7 +585,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         quick={"num_keys": 8_000, "reads": 60},
         full={"num_keys": 30_000, "reads": 400},
         check=_check_lsmget,
-        metric_cols=("speedup", "chain_us_per_get", "baseline_us_per_get"),
     ),
     Experiment(
         name="interference",
@@ -627,7 +594,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         full={"chain_threads": 12, "duration_ns": 8_000_000},
         check=_check_interference,
         check_full=_check_full_interference,
-        metric_cols=("plain_kreads_per_s", "plain_mean_latency_us"),
     ),
     Experiment(
         name="resilience",
@@ -636,8 +602,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         quick={"rates": (0.0, 0.01), "duration_ns": 1_500_000},
         full={"rates": (0.0, 0.001, 0.01, 0.05), "duration_ns": 4_000_000},
         check=_check_resilience,
-        metric_cols=("availability_pct", "p99_latency_us"),
-        throughput=("klookups_per_s", "klookups/s", "max"),
     ),
     Experiment(
         name="crash",
@@ -646,8 +610,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         quick={"modes": ("flush", "op-torn")},
         full={"modes": ("flush", "op", "op-torn", "sync")},
         check=_check_crash,
-        metric_cols=("replayed_txns", "discarded_txns", "dropped_writes",
-                     "torn_sectors"),
     ),
     Experiment(
         name="recovery",
@@ -656,7 +618,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         quick={"files": 24, "fsync_every": 3, "write_kib": 4},
         full={"files": 120, "fsync_every": 3, "write_kib": 8},
         check=_check_recovery,
-        metric_cols=("fsync_avg_us", "replayed_txns", "checkpoints"),
     ),
     Experiment(
         name="scale",
@@ -667,8 +628,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         full={"queue_pairs": (1, 2, 4, 8), "threads": (24, 32),
               "duration_ns": 2_000_000},
         check=_check_scale,
-        metric_cols=("speedup_vs_1q", "busiest_q_pct"),
-        throughput=("kiops", "kiops", "max"),
     ),
     Experiment(
         name="pushdown",
@@ -678,8 +637,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         full={"depths": (1, 2, 3, 4, 5, 6), "rtts_us": (5, 10, 20, 50),
               "gets": 30},
         check=_check_pushdown,
-        metric_cols=("speedup", "pushdown_rpcs_per_get"),
-        throughput=("pushdown_kiops", "kiops", "max"),
     ),
     Experiment(
         name="cluster",
@@ -688,8 +645,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         quick={"shard_counts": (1, 2, 4), "ops": 80, "initial_keys": 32},
         full={"shard_counts": (1, 2, 4, 8), "ops": 160, "initial_keys": 48},
         check=_check_cluster,
-        metric_cols=("gap_us", "failovers", "lost_acked", "stale_reads"),
-        throughput=("kiops", "kiops", "max"),
     ),
     Experiment(
         name="tenants",
@@ -698,8 +653,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         quick={"duration_ns": 2_000_000},
         full={"duration_ns": 8_000_000},
         check=_check_tenants,
-        metric_cols=("victim_p99_us", "victim_kops_per_s",
-                     "aggregate_kops_per_s"),
     ),
     Experiment(
         name="compaction",
@@ -708,7 +661,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         quick={"runs": 3, "keys_per_run": 200, "tombstones_per_run": 20},
         full={"runs": 4, "keys_per_run": 600, "tombstones_per_run": 40},
         check=_check_compaction,
-        metric_cols=("boundary_kb", "compaction_us", "fg_p99_us"),
     ),
     Experiment(
         name="obs",
@@ -721,7 +673,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         full={"workload": None, "rounds": 3, "assert_bound": True},
         check=_check_obs,
         check_full=_check_full_obs,
-        metrics_fn=_obs_metrics,
         deterministic=False,
     ),
 )

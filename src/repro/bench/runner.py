@@ -41,7 +41,7 @@ from repro.obs import events as obs_events
 from repro.qos import QosConfig
 from repro.sim import LatencyRecorder, RandomStreams, Simulator, ThroughputMeter
 from repro.structures import BTree, FsBackend
-from repro.structures.pages import PAGE_SIZE, FileBackend, search_page
+from repro.structures.pages import PAGE_SIZE, MemoryBackend, search_page
 
 __all__ = ["BtreeBench", "NVM2_BENCH", "choose_fanout", "load_btree",
            "mean_latency", "plain_reader", "run_closed_loop"]
@@ -66,31 +66,6 @@ def _bench_program(fanout: int):
     return program
 
 
-class _MemBackend(FileBackend):
-    """In-memory backend for building cacheable tree images."""
-
-    def __init__(self):
-        self.data = bytearray()
-
-    def _grow(self, end: int) -> None:
-        if len(self.data) < end:
-            self.data.extend(bytes(end - len(self.data)))
-
-    def read(self, offset: int, length: int) -> bytes:
-        return bytes(self.data[offset:offset + length])
-
-    def write(self, offset: int, data: bytes) -> None:
-        self._grow(offset + len(data))
-        self.data[offset:offset + len(data)] = data
-
-    def preallocate(self, offset: int, length: int) -> None:
-        self._grow(offset + length)
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
-
-
 # Built-tree image cache.  The tree for a (depth, fanout) pair is a pure
 # function of those two numbers, but every experiment variant used to
 # re-serialise it page by page through the simulated FS — thousands of
@@ -106,10 +81,10 @@ def _tree_image(depth: int, fanout: int) -> bytes:
     image = _TREE_IMAGE_CACHE.get((depth, fanout))
     if image is None:
         num_keys = BTree.keys_for_depth(depth, fanout)
-        mem = _MemBackend()
+        mem = MemoryBackend()
         BTree.build(mem, [(key * 3 + 1, key) for key in range(num_keys)],
                     fanout=fanout)
-        image = _TREE_IMAGE_CACHE[(depth, fanout)] = bytes(mem.data)
+        image = _TREE_IMAGE_CACHE[(depth, fanout)] = mem.read(0, mem.size)
     return image
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["format_table", "rows_to_json"]
 
@@ -41,15 +41,21 @@ def format_table(title: str, columns: Sequence[str],
     return "\n".join(lines)
 
 
-def rows_to_json(title: str, rows: List[Dict], indent: int = 2) -> str:
+def rows_to_json(title: str, rows: List[Dict],
+                 work: Optional[Dict] = None) -> str:
     """Deterministic JSON for an experiment's result rows.
 
     The structure mirrors what :func:`format_table` prints — a title plus
     the row dicts verbatim — so scripted consumers (``--json`` mode, the
     experiments-report generator) parse instead of scraping the table.
+    ``work`` (:meth:`repro.perf.Profiler.work`: the exact counts of what
+    the simulator did to produce the rows) is the third key of a golden
+    document; a run made outside the counting hooks has none.
     """
-    return json.dumps({"title": title, "rows": rows},
-                      indent=indent, sort_keys=True)
+    document = {"title": title, "rows": rows}
+    if work is not None:
+        document["work"] = work
+    return json.dumps(document, indent=2, sort_keys=True)
 
 
 def _is_numeric(cell: str) -> bool:

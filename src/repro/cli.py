@@ -2,20 +2,25 @@
 
 Commands:
 
-* ``report [--quick]`` — run every deterministic experiment and print its
-  paper-style table (``--quick`` runs miniature versions in a few
-  seconds).
+* ``report [--quick]`` — run every deterministic experiment, print its
+  paper-style table and assert its shape checks (``check``, and
+  ``check_full`` at full scale); a violated check exits non-zero naming
+  the row.  ``--quick`` runs miniature versions in a few seconds.
 * ``experiment <name>`` — run one row of the experiment table
   (:mod:`repro.bench.registry`: fig1, table1, fig3a ... compaction, obs).
   An experiment name may also be
   used as the top-level command (``python -m repro scale --json`` is
   shorthand for ``python -m repro experiment scale --json``).
-  ``--json`` prints the rows as JSON instead of a table; ``--trace-jsonl
-  PATH`` additionally records the full tracepoint stream to ``PATH``;
+  ``--json`` prints the golden document (``benchmarks/golden/``: title,
+  rows, and the exact ``work`` counts of the run) instead of a table;
+  ``--trace-jsonl PATH`` additionally records the full tracepoint stream
+  to ``PATH``;
   ``--fault-plan SPEC`` arms a deterministic fault plan (see
   ``docs/faults.md``) for every kernel the experiment builds;
   ``--crash-at MODE:INDEX`` narrows the ``crash`` experiment to a single
-  enumerated crash point (e.g. ``flush:2`` or ``op-torn:9``).
+  enumerated crash point (e.g. ``flush:2`` or ``op-torn:9``).  Without
+  those two run-shaping flags the row's shape checks are asserted as
+  ``report`` asserts them.
 * ``metrics <name>`` — run one experiment under the observability bus and
   print per-layer CPU-ns attribution (reconciled against Table 1), the
   chain-bypass summary, stack-health metrics (including fault-path
@@ -37,11 +42,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import traceback
 
 from repro.bench import format_table, rows_to_json
 from repro.bench.registry import BY_NAME, DETERMINISTIC, EXPERIMENTS
 from repro.faults import fault_injection, parse_fault_spec
 from repro.obs import ObsSession
+from repro.perf import profiling, render_profile
 
 __all__ = ["main"]
 
@@ -63,11 +70,25 @@ def _library():
     return library
 
 
+def _assert_shape(exp, rows, quick: bool) -> None:
+    """The row's shape checks (``check``, and ``check_full`` at full
+    scale); a violated one ends the command non-zero, naming the row and
+    the assertion."""
+    try:
+        exp.check(rows)
+        if not quick and exp.check_full is not None:
+            exp.check_full(rows)
+    except AssertionError:
+        raise SystemExit(
+            f"{exp.name}: shape check failed\n{traceback.format_exc()}")
+
+
 def _cmd_report(args) -> int:
     for exp in DETERMINISTIC:
         rows = exp.run(args.quick)
         print(format_table(exp.title, list(rows[0]), rows))
         print()
+        _assert_shape(exp, rows, args.quick)
     return 0
 
 
@@ -107,7 +128,11 @@ def _cmd_experiment(args) -> int:
         mode, point = _parse_crash_at(crash_at)
         title = f"{title} [{mode}:{point}]"
         kwargs = {"modes": (mode,), "point": point}
-    with _fault_context(args):
+    # ``--json`` counts the run's ``work``.  ``obs`` times its own runs,
+    # one of them under the hooks: it gets no second profiler around it.
+    counting = (profiling() if args.json and exp.deterministic
+                else contextlib.nullcontext())
+    with _fault_context(args), counting as counts:
         if args.trace_jsonl:
             _touch(args.trace_jsonl)
             with ObsSession(record_jsonl=True) as obs:
@@ -121,9 +146,12 @@ def _cmd_experiment(args) -> int:
             f"--crash-at {crash_at}: the {mode!r} sweep has no crash point "
             f"{point}; it has {len(points)} ({points[0]} .. {points[-1]})")
     if args.json:
-        print(rows_to_json(title, rows))
+        print(rows_to_json(title, rows, counts.work() if counts else None))
     else:
         print(format_table(title, list(rows[0]), rows))
+    # A fault plan or a single crash point reshapes the rows on purpose.
+    if not crash_at and not args.fault_plan:
+        _assert_shape(exp, rows, args.quick)
     return 0
 
 
@@ -145,8 +173,6 @@ def _cmd_metrics(args) -> int:
 def _cmd_profile(args) -> int:
     import cProfile
     from time import perf_counter
-
-    from repro.perf import profiling, render_profile
 
     exp = BY_NAME[args.name]
     # builtins=False: a C call's time stays in the function that made it.

@@ -35,18 +35,21 @@ from repro.sim import exponential_backoff_ns
 
 __all__ = ["ClusterClient"]
 
+#: Timed-out attempts on one op (each reported to the cluster, which may
+#: promote the replica) before the ``RpcTimeout`` reaches the caller, and
+#: the base of the exponential backoff between them.
+_MAX_FAILOVER_RETRIES = 4
+_RETRY_BACKOFF_NS = 100_000
+
 
 class ClusterClient:
     """One application's routed, failover-aware session with a cluster."""
 
     def __init__(self, cluster: StorageCluster, name: str = "client",
-                 window: int = 8, max_failover_retries: int = 4,
-                 retry_backoff_ns: int = 100_000,
+                 window: int = 8,
                  tenant: Optional[str] = None, max_qos_retries: int = 8,
                  **conn_kwargs):
         self.cluster = cluster
-        self.max_failover_retries = max_failover_retries
-        self.retry_backoff_ns = retry_backoff_ns
         self.max_qos_retries = max_qos_retries
         # One logical client is one tenant on every target it talks to
         # (default: the client name, when any target has QoS armed).
@@ -120,10 +123,10 @@ class ClusterClient:
                 attempt += 1
                 if self.cluster.report_timeout(target_id, cause=timeout):
                     self.failovers_observed += 1
-                if attempt > self.max_failover_retries:
+                if attempt > _MAX_FAILOVER_RETRIES:
                     raise
                 yield self.cluster.sim.timeout(exponential_backoff_ns(
-                    self.retry_backoff_ns, attempt))
+                    _RETRY_BACKOFF_NS, attempt))
                 continue
             self._note_ok(shard, started)
             return result

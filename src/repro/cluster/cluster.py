@@ -72,6 +72,11 @@ _RECORD_HEADER = struct.Struct("!IQQQ")  # magic, key, version, value
 #: Every target stores its records in this pre-allocated file.
 DATA_PATH = "/shard"
 
+#: Transport budget of a primary -> replica connection: retransmissions
+#: of one replication RPC and the timeout of each.
+_REPL_RETRIES = 2
+_REPL_TIMEOUT_NS = 300_000
+
 
 def encode_record(key: int, version: int, value: int) -> bytes:
     """One durable record, padded to exactly one sector."""
@@ -227,8 +232,7 @@ class StorageCluster:
                  rtt_us: int = 10, cache_depth: int = 8,
                  journal_blocks: int = 64,
                  fault_spec: Optional[FaultSpec] = None,
-                 crash_victim: int = 0, repl_retries: int = 2,
-                 repl_timeout_ns: int = 300_000,
+                 crash_victim: int = 0,
                  qos: Optional[QosConfig] = None):
         if shards < 1:
             raise InvalidArgument("cluster needs at least one shard")
@@ -267,8 +271,6 @@ class StorageCluster:
         self._repl_conn_target: Dict[int, int] = {}
         self._repl_generation = 0
         self._ctl_remotes: Dict[int, RemoteClient] = {}
-        self._repl_retries = repl_retries
-        self._repl_timeout_ns = repl_timeout_ns
         for s in range(shards):
             if self.replica[s] is not None:
                 self._make_repl_conn(s)
@@ -301,8 +303,8 @@ class StorageCluster:
         # Replication is system traffic: never admission-controlled.
         self._repl_remotes[shard] = self.targets[replica].connect(
             self.fabric, f"repl-s{shard}-g{self._repl_generation}",
-            tenant="", timeout_ns=self._repl_timeout_ns,
-            max_retries=self._repl_retries)
+            tenant="", timeout_ns=_REPL_TIMEOUT_NS,
+            max_retries=_REPL_RETRIES)
         self._repl_generation += 1
         self._repl_conn_target[shard] = replica
 

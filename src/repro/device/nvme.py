@@ -154,12 +154,12 @@ class NvmeDevice:
             if queues > 1 else None)
         #: QoS manager (a :class:`repro.qos.QosManager`) and per-queue
         #: weighted-fair schedulers.  Only materialised when the kernel
-        #: was built with a QosConfig that arms WFQ; otherwise submission
-        #: queues stay strict FIFO and behaviour is byte-identical to a
-        #: device predating QoS.
+        #: was built with a QosConfig; otherwise submission queues stay
+        #: strict FIFO and behaviour is byte-identical to a device
+        #: predating QoS.
         self.qos = qos
         self._wfq = None
-        if qos is not None and qos.config.wfq:
+        if qos is not None:
             from repro.qos.shapers import WfqScheduler
             self._wfq = [WfqScheduler(qos.weight_of) for _ in range(queues)]
         #: Registered by the NVMe driver; invoked once per completion at the

@@ -27,7 +27,6 @@ workload setup; timed data paths go through the kernel's BIO/NVMe layers.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.device.blockdev import SECTOR_SIZE, BlockDevice
@@ -78,8 +77,8 @@ class _Allocator:
     def free_blocks(self) -> int:
         return sum(count for _start, count in self._free)
 
-    def allocate(self, blocks: int, max_run: int,
-                 rng: Optional[random.Random]) -> List[Tuple[int, int]]:
+    def allocate(self, blocks: int,
+                 max_run: int) -> List[Tuple[int, int]]:
         """Take ``blocks`` blocks as one or more runs of at most ``max_run``.
 
         When ``max_run`` truncates a run, a one-block guard gap is skipped
@@ -95,19 +94,16 @@ class _Allocator:
         pieces: List[Tuple[int, int]] = []
         need = blocks
         while need > 0:
-            index = 0
-            if rng is not None and len(self._free) > 1:
-                index = rng.randrange(len(self._free))
-            start, count = self._free[index]
+            start, count = self._free[0]
             take = min(need, count, max_run)
             pieces.append((start, take))
             consumed = take
             if take < need and take == max_run and count > take:
                 consumed = min(count, take + 1)  # guard gap
             if consumed == count:
-                self._free.pop(index)
+                self._free.pop(0)
             else:
-                self._free[index] = (start + consumed, count - consumed)
+                self._free[0] = (start + consumed, count - consumed)
             need -= take
         return pieces
 
@@ -175,9 +171,7 @@ class ExtFs:
 
     def __init__(self, media: BlockDevice,
                  max_extent_blocks: int = 32768,
-                 scatter_rng: Optional[random.Random] = None,
-                 journal_config: Optional[JournalConfig] = None,
-                 format_media: bool = True):
+                 journal_config: Optional[JournalConfig] = None):
         self.media = media
         self.total_blocks = media.capacity_sectors // SECTORS_PER_BLOCK
         if journal_config is not None:
@@ -188,7 +182,6 @@ class ExtFs:
             reserved = 1
         self._allocator = _Allocator(self.total_blocks, reserved=reserved)
         self.max_extent_blocks = max_extent_blocks
-        self.scatter_rng = scatter_rng
         self._next_ino = 2
         self.root = Inode(1, is_dir=True)
         #: Subscribers notified as ``fn(inode, kind)`` with kind in
@@ -218,7 +211,7 @@ class ExtFs:
         if self.journal is not None:
             self.journal.commit_listeners.append(self._release_pending_frees)
             self.journal.commit_listeners.append(self._apply_pending_zeroes)
-        if self.journal is not None and format_media:
+        if self.journal is not None:
             # mkfs: an empty checkpoint + superblock, so a crash before the
             # first commit still recovers to a valid (empty) file system.
             self.journal.checkpoint_sync(serialize_fs(self))
@@ -463,7 +456,7 @@ class ExtFs:
                     hole_end += 1
                 need = hole_end - block
                 pieces = self._allocator.allocate(
-                    need, self.max_extent_blocks, self.scatter_rng)
+                    need, self.max_extent_blocks)
                 file_block = block
                 for start, count in pieces:
                     inode.extents.add(Extent(file_block, start, count))

@@ -107,8 +107,6 @@ class KernelConfig:
     #: Blocks per extent cap for the allocator (small values force
     #: fragmented files and exercise the BIO split fallback).
     max_extent_blocks: int = 32768
-    #: Scatter allocations randomly across free runs (fragmentation knob).
-    scatter_allocations: bool = False
     #: Tracepoint bus; None picks up the process default (NULL_BUS unless
     #: an ObsSession is active), keeping tracing off-by-default-cheap.
     bus: Optional[TraceBus] = None
@@ -293,11 +291,8 @@ class Kernel:
         if self.retry_policy is not None and self.retry_policy.enabled:
             self.device.command_timeout_ns = \
                 self.retry_policy.resolve_timeout_ns(device_model)
-        scatter = (self.streams.stream("alloc")
-                   if self.config.scatter_allocations else None)
         self.fs = ExtFs(self.media,
                         max_extent_blocks=self.config.max_extent_blocks,
-                        scatter_rng=scatter,
                         journal_config=self.config.journal)
         self.fs.bus = self.bus
         self.fs.clock = lambda: sim.now
@@ -534,47 +529,50 @@ class Kernel:
             span = self.bus.span_start("sys_pwrite", self.sim.now,
                                        pid=proc.pid, path="write")
             self._emit_syscall("pwrite", proc.pid, path="write", span=span)
-        yield from self.cpus.run_thread(cost.filesystem_ns)
-        # Allocation and the size update land in ONE journal transaction,
-        # so replay can never leave blocks mapped past EOF.
-        with self.fs.txn():
-            self.fs.ensure_allocated(file.inode, offset, len(data))
-            self.fs.set_size(file.inode,
-                             max(file.inode.size, offset + len(data)))
-        segments = self.fs.map_range(file.inode, offset, len(data),
-                                     span=span, path="write")
-        yield from self.cpus.run_thread(cost.bio_ns)
-        if self.bus.enabled:
-            self.bus.emit(obs_events.BIO_SUBMIT, self.sim.now,
-                          cpu_ns=cost.bio_ns, segments=len(segments),
-                          span=span, path="write")
-        queue = self.queue_for(proc)
-        tenant = self.tenant_of(proc)
-        retry = self.retry_enabled
-        events = []
-        consumed = 0
-        for lba, sectors in segments:
-            chunk = data[consumed : consumed + sectors * 512]
-            consumed += sectors * 512
-            if retry:
-                yield from self._nvme_rw_retry("write", lba, sectors,
-                                               chunk, span, "write",
-                                               queue=queue, tenant=tenant)
-            else:
-                yield from self.cpus.run_thread(cost.nvme_driver_ns)
-                events.append(self.post("write", lba, sectors, data=chunk,
-                                        span=span, path="write",
-                                        queue=queue, tenant=tenant))
-        for event in events:
-            completed = yield event
-            self._check(completed, "write")
-        yield from self._maybe_sync_commit(span, "write")
-        yield from self.cpus.run_thread(cost.context_switch_ns)
-        if self.bus.enabled:
-            self.bus.emit(obs_events.CONTEXT_SWITCH, self.sim.now,
-                          cpu_ns=cost.context_switch_ns, span=span,
-                          path="write")
-            self.bus.span_end(span, self.sim.now)
+        try:
+            yield from self.cpus.run_thread(cost.filesystem_ns)
+            # Allocation and the size update land in ONE journal transaction,
+            # so replay can never leave blocks mapped past EOF.
+            with self.fs.txn():
+                self.fs.ensure_allocated(file.inode, offset, len(data))
+                self.fs.set_size(file.inode,
+                                 max(file.inode.size, offset + len(data)))
+            segments = self.fs.map_range(file.inode, offset, len(data),
+                                         span=span, path="write")
+            yield from self.cpus.run_thread(cost.bio_ns)
+            if self.bus.enabled:
+                self.bus.emit(obs_events.BIO_SUBMIT, self.sim.now,
+                              cpu_ns=cost.bio_ns, segments=len(segments),
+                              span=span, path="write")
+            queue = self.queue_for(proc)
+            tenant = self.tenant_of(proc)
+            retry = self.retry_enabled
+            events = []
+            consumed = 0
+            for lba, sectors in segments:
+                chunk = data[consumed : consumed + sectors * 512]
+                consumed += sectors * 512
+                if retry:
+                    yield from self._nvme_rw_retry("write", lba, sectors,
+                                                   chunk, span, "write",
+                                                   queue=queue, tenant=tenant)
+                else:
+                    yield from self.cpus.run_thread(cost.nvme_driver_ns)
+                    events.append(self.post("write", lba, sectors, data=chunk,
+                                            span=span, path="write",
+                                            queue=queue, tenant=tenant))
+            for event in events:
+                completed = yield event
+                self._check(completed, "write")
+            yield from self._maybe_sync_commit(span, "write")
+            yield from self.cpus.run_thread(cost.context_switch_ns)
+            if self.bus.enabled:
+                self.bus.emit(obs_events.CONTEXT_SWITCH, self.sim.now,
+                              cpu_ns=cost.context_switch_ns, span=span,
+                              path="write")
+        finally:
+            if span:
+                self.bus.span_end(span, self.sim.now)
         return len(data)
 
     def sys_fsync(self, proc: Process, fd: int):

@@ -1,13 +1,13 @@
 """Self-profiling for the simulator (`wall-clock`, not simulated ns).
 
 `repro.obs` observes the *simulated* stack; `repro.perf` observes the
-simulator.  Three pieces:
+simulator.  Two pieces:
 
 * :mod:`repro.perf.profiler` — two counting hooks (events dispatched by
   type and heap depth in the sim engine, instructions retired per eBPF
   program run: exact, no clock); off by default, one check when off.
-* :mod:`repro.perf.benchresult` — the ``repro-bench/1`` schema every
-  benchmark emits as ``BENCH_<name>.json`` (see ``benchmarks/harness.py``).
+  :meth:`Profiler.work` is the ``work`` block every golden document in
+  ``benchmarks/golden/`` pins.
 * :mod:`repro.perf.report` — ``python -m repro profile``'s tables: wall
   time by function and by package as ``cProfile`` measured it, + counts.
 
@@ -16,12 +16,6 @@ import-light: nothing here may pull in ``repro.bench``, ``repro.kernel``
 or anything that imports the engine at module level.
 """
 
-from repro.perf.benchresult import (
-    BENCH_SCHEMA,
-    BenchResult,
-    fingerprint,
-    validate_bench_json,
-)
 from repro.perf.profiler import (
     NULL_PROFILER,
     Profiler,
@@ -32,16 +26,12 @@ from repro.perf.profiler import (
 from repro.perf.report import function_totals, render_profile, subsystem_totals
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "BenchResult",
     "NULL_PROFILER",
     "Profiler",
-    "fingerprint",
     "function_totals",
     "get_default_profiler",
     "profiling",
     "render_profile",
     "set_default_profiler",
     "subsystem_totals",
-    "validate_bench_json",
 ]

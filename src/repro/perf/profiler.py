@@ -92,6 +92,19 @@ class Profiler:
     def heap_depth_avg(self) -> float:
         return self.heap_sum / self.steps if self.steps else 0.0
 
+    def work(self) -> Dict[str, Any]:
+        """The exact counts as the ``work`` block of a golden document.
+
+        Integers only (no mean, no clock), so the block is the same bytes
+        on any box and any Python; ``programs`` is keyed ``name/tier``.
+        """
+        return {
+            "events": dict(self.events),
+            "heap_max": self.heap_max,
+            "programs": {f"{name}/{mode}": list(stat)
+                         for (name, mode), stat in self.programs.items()},
+        }
+
 
 #: Permanently disabled profiler: the process default unless overridden.
 NULL_PROFILER = Profiler(enabled=False)

@@ -68,7 +68,9 @@ class QosConfig:
       never dropped) so one tenant's chain storm cannot monopolise the
       IRQ path.  The per-tenant rate scales with the tenant's weight.
       ``0`` disables the throttle.
-    * ``wfq`` arms weighted-fair queueing at the NVMe submission queues.
+
+    Weighted-fair queueing at the NVMe submission queues is armed
+    whenever a kernel is built with a ``QosConfig``.
     """
 
     tenants: Tuple[Tenant, ...] = ()
@@ -78,7 +80,6 @@ class QosConfig:
     admit_burst: int = 32
     chain_tokens_per_ms: int = 0
     chain_burst: int = 32
-    wfq: bool = True
 
     def __post_init__(self) -> None:
         if self.default_weight < 1 or self.system_weight < 1:

@@ -59,6 +59,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 #: Keys hashed per big-integer operation by :meth:`BloomFilter.add_many`.
 _LANES = 4096
 
+#: Capacity growth from one level of an :class:`LsmTree` to the next.
+_LEVEL_RATIO = 4
+
 
 def _require_u64(what: str, *numbers: int) -> None:
     """Pages hold u64 pairs: name what ``encode_page`` could not pack."""
@@ -359,7 +362,7 @@ class LsmTree:
     """Memtable + L0 + leveled runs over files in the simulated FS."""
 
     def __init__(self, fs, directory: str, memtable_limit: int = 1024,
-                 l0_limit: int = 4, level_ratio: int = 4):
+                 l0_limit: int = 4):
         if memtable_limit < 1:
             raise InvalidArgument("memtable_limit must be >= 1")
         self.fs = fs
@@ -369,7 +372,6 @@ class LsmTree:
         self.memtable: Dict[int, int] = {}
         self.memtable_limit = memtable_limit
         self.l0_limit = l0_limit
-        self.level_ratio = level_ratio
         #: levels[0] is the overlapping L0 (newest last); deeper levels are
         #: single sorted runs (one table each, possibly large).
         self.levels: List[List[Tuple[str, SsTable]]] = [[]]
@@ -437,7 +439,7 @@ class LsmTree:
     def _level_capacity(self, level: int) -> int:
         """Max entries allowed in ``level`` (levels >= 1)."""
         base = self.memtable_limit * self.l0_limit
-        return base * (self.level_ratio ** level)
+        return base * (_LEVEL_RATIO ** level)
 
     def _maybe_compact(self) -> None:
         if len(self.levels[0]) > self.l0_limit:

@@ -1,8 +1,11 @@
 """Tests for the command-line front end."""
 
+import dataclasses
+
 import pytest
 
-from repro.bench.registry import EXPERIMENTS
+import repro.cli as cli
+from repro.bench.registry import BY_NAME, EXPERIMENTS
 from repro.cli import _PROGRAMS, build_parser, main
 
 
@@ -31,6 +34,23 @@ def test_experiment_names_all_registered():
         else:
             with pytest.raises(SystemExit):
                 parser.parse_args(["metrics", exp.name])
+
+
+def test_violated_check_exits_nonzero_naming_the_row(monkeypatch, capsys):
+    def violated(rows):
+        assert rows == [], "expected no rows"
+
+    broken = dataclasses.replace(BY_NAME["table1"], check=violated)
+    monkeypatch.setattr(cli, "DETERMINISTIC", (broken,))
+    monkeypatch.setitem(cli.BY_NAME, "table1", broken)
+    for argv in (["report", "--quick"], ["table1", "--quick"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert "table1: shape check failed" in str(excinfo.value.code)
+        assert "expected no rows" in str(excinfo.value.code)
+        assert "Table 1" in capsys.readouterr().out  # printed before it fails
+    # A fault plan reshapes the rows on purpose: no check.
+    assert main(["table1", "--quick", "--fault-plan", "seed=1"]) == 0
 
 
 def test_crash_at_unknown_point_fails(capsys):

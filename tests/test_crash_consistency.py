@@ -498,7 +498,7 @@ def test_fsck_flags_out_of_bounds_extent():
 
 def test_fsck_flags_allocator_skew():
     fs = corrupted_fs()
-    runs = fs._allocator.allocate(1, 1, None)   # leak a block
+    runs = fs._allocator.allocate(1, 1)   # leak a block
     assert runs
     report = fsck(fs)
     assert not report.ok

@@ -21,9 +21,12 @@ def test_readme_quickstart_snippet_executes():
 
 
 def test_documented_benchmarks_exist():
-    # Every bench command DESIGN.md cites names a row of the table.
+    # Every command DESIGN.md's experiment index cites names a row of the
+    # table.
     design = (REPO / "DESIGN.md").read_text()
-    cited = re.findall(r"harness\.py --only (\w+)", design)
+    index = design[design.index("| Experiment | Paper content"):]
+    cited = re.findall(r"`python -m repro (\w+)`",
+                       index[:index.index("\n\n")])
     assert cited, "DESIGN.md lost its experiment index"
     for name in cited:
         assert name in BY_NAME, name
@@ -33,7 +36,7 @@ def test_every_benchmark_is_indexed_in_design():
     design = (REPO / "DESIGN.md").read_text()
     experiments = (REPO / "EXPERIMENTS.md").read_text()
     for exp in EXPERIMENTS:
-        assert f"--only {exp.name}`" in design, \
+        assert f"`python -m repro {exp.name}`" in design, \
             f"{exp.name} missing from DESIGN.md"
         assert f"python -m repro {exp.name}" in experiments, \
             f"{exp.name} missing from EXPERIMENTS.md"

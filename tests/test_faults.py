@@ -223,6 +223,26 @@ def test_retry_exhaustion_surfaces_io_error():
     assert kernel.nvme_retries == 4
 
 
+def test_faulted_pwrite_closes_its_span():
+    # A write that ends in IoError must not leave a span with no end in
+    # the trace (sys_pread and sys_fsync close theirs in ``finally`` too).
+    with ObsSession() as obs:
+        sim, kernel, bpf = build_machine(fault_plan=IDLE)
+        kernel.create_file("/f", bytes(4096))
+        kernel.fault_plan.inject(lba_of_block(kernel, "/f", 0), times=5,
+                                 opcode="write")
+        proc = kernel.spawn_process()
+
+        def workload():
+            fd = yield from kernel.sys_open(proc, "/f")
+            yield from kernel.sys_pwrite(proc, fd, 0, b"x" * 512)
+
+        with pytest.raises(IoError, match="failed after 5 attempts"):
+            kernel.run_syscall(workload())
+    (root,) = obs.spans.find_roots("sys_pwrite")
+    assert root.end_ns == sim.now
+
+
 def test_backoff_charges_simulated_time():
     policy = NvmeRetryPolicy(backoff_base_ns=50_000)
     sim, kernel, bpf = build_machine(fault_plan=IDLE, retry=policy)

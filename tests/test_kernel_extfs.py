@@ -14,13 +14,11 @@ from repro.errors import (
     NotADirectory,
 )
 from repro.kernel.extfs import BLOCK_SIZE, ExtFs
-from repro.sim import RandomStreams
 
 
-def make_fs(blocks=256, max_extent_blocks=32768, scatter=False):
+def make_fs(blocks=256, max_extent_blocks=32768):
     media = BlockDevice(blocks * 8)
-    rng = RandomStreams(5).stream("alloc") if scatter else None
-    return ExtFs(media, max_extent_blocks=max_extent_blocks, scatter_rng=rng)
+    return ExtFs(media, max_extent_blocks=max_extent_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +139,8 @@ def test_max_extent_blocks_forces_fragmentation():
     assert fs.read_sync(inode, 0, 20 * BLOCK_SIZE) == b"q" * (20 * BLOCK_SIZE)
 
 
-def test_scatter_allocations_fragment_interleaved_files():
-    fs = make_fs(scatter=True, max_extent_blocks=2)
+def test_interleaved_files_fragment():
+    fs = make_fs(max_extent_blocks=2)
     a = fs.create("/a")
     b = fs.create("/b")
     for index in range(8):

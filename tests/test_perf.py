@@ -1,24 +1,20 @@
-"""Tests for the self-profiler, bench-result schema, and regression gate.
+"""Tests for the self-profiler.
 
-Covers the three contracts ``repro.perf`` makes:
+Covers the two contracts ``repro.perf`` makes:
 
 * off by default and free when off (the NULL profiler is the process
   default; enabling one never perturbs simulation results);
 * honest attribution of a run made under ``cProfile`` (self time sums to
   the measured wall, the innermost generator is charged, no row is one
-  lump, sites map to their package, call counts are exact);
-* a validated ``BENCH_*.json`` schema that the committed baselines obey
-  and that ``scripts/check_bench_regression.py`` gates CI with.
+  lump, sites map to their package, call counts are exact).
 """
 
 import cProfile
 import functools
-import importlib.util
 import json
 import os
 import pathlib
 import pstats
-import shutil
 import subprocess
 import sys
 import time
@@ -26,10 +22,9 @@ import time
 import pytest
 
 from repro.bench import fig3c_latency
-from repro.bench.registry import BY_NAME, EXPERIMENTS, Experiment
+from repro.bench.registry import BY_NAME
 from repro.perf import (
     NULL_PROFILER,
-    BenchResult,
     Profiler,
     function_totals,
     get_default_profiler,
@@ -37,13 +32,11 @@ from repro.perf import (
     render_profile,
     set_default_profiler,
     subsystem_totals,
-    validate_bench_json,
 )
 from repro.perf.report import _site_from_code
 from repro.sim import Simulator
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_DIR = os.path.join(REPO, "benchmarks", "baselines")
 
 WORKLOAD = {"depths": (2, 4), "operations": 10}
 
@@ -343,178 +336,3 @@ def test_render_profile_mentions_subsystems():
     assert "events dispatched" in text
     assert "measured around the run" in text
     assert "Hottest functions (top 5 of" in text
-
-
-# -- BenchResult schema ----------------------------------------------------
-
-
-def test_bench_result_round_trips_schema():
-    result = BenchResult(
-        name="demo", title="Demo", mode="smoke",
-        wall_rounds_s=[0.5, 0.4, 0.6],
-        throughput={"value": 10.0, "unit": "kiops"},
-        metrics={"speedup": 1.5},
-    )
-    data = json.loads(result.to_json())
-    assert validate_bench_json(data) == []
-    assert data["rounds"] == 3
-    assert data["wall_s"]["min"] == 0.4
-    assert data["fingerprint"]["python"]
-
-
-def test_bench_result_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        BenchResult("x", "X", "fast", [0.1])  # bad mode
-    with pytest.raises(ValueError):
-        BenchResult("x", "X", "full", [])  # no rounds
-    with pytest.raises(ValueError):
-        BenchResult("x", "X", "full", [0.1],
-                    throughput={"value": 1.0})  # missing unit
-
-
-def test_validate_flags_malformed_documents():
-    assert validate_bench_json([]) != []
-    assert validate_bench_json({"schema": "other/9"}) != []
-    good = json.loads(BenchResult("x", "X", "smoke", [0.1]).to_json())
-    assert validate_bench_json(good) == []
-    bad = dict(good)
-    bad["wall_s"] = {"mean": 0.1}  # missing min/max/per_round
-    assert any("wall_s" in p for p in validate_bench_json(bad))
-    bad = dict(good)
-    bad["throughput"] = {"value": 1.0}
-    assert any("throughput" in p for p in validate_bench_json(bad))
-
-
-def test_committed_baselines_are_valid():
-    names = sorted(f for f in os.listdir(BASELINE_DIR)
-                   if f.startswith("BENCH_") and f.endswith(".json"))
-    assert names == sorted(f"BENCH_{exp.name}.json" for exp in EXPERIMENTS)
-    for fname in names:
-        with open(os.path.join(BASELINE_DIR, fname)) as fh:
-            data = json.load(fh)
-        assert validate_bench_json(data) == [], fname
-        assert fname == f"BENCH_{data['name']}.json"
-        assert data["mode"] == "smoke", fname
-
-
-# -- regression checker ----------------------------------------------------
-
-
-def _load_checker():
-    path = os.path.join(REPO, "scripts", "check_bench_regression.py")
-    spec = importlib.util.spec_from_file_location("check_bench_regression",
-                                                  path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _write_result(directory, name, wall_s):
-    result = BenchResult(name=name, title=name.title(), mode="smoke",
-                         wall_rounds_s=[wall_s])
-    result.write(os.path.join(directory, f"BENCH_{name}.json"))
-
-
-@pytest.fixture
-def checker_dirs(tmp_path):
-    base = tmp_path / "baselines"
-    fresh = tmp_path / "fresh"
-    base.mkdir()
-    fresh.mkdir()
-    return _load_checker(), str(base), str(fresh)
-
-
-def test_checker_passes_within_tolerance(checker_dirs, capsys):
-    checker, base, fresh = checker_dirs
-    _write_result(base, "demo", 1.0)
-    _write_result(fresh, "demo", 1.1)
-    assert checker.main(["--fresh", fresh, "--baselines", base,
-                         "--tolerance", "0.25"]) == 0
-    assert "within 25%" in capsys.readouterr().out
-
-
-def test_checker_fails_on_injected_2x_slowdown(checker_dirs, capsys):
-    checker, base, fresh = checker_dirs
-    _write_result(base, "demo", 1.0)
-    _write_result(fresh, "demo", 2.0)
-    assert checker.main(["--fresh", fresh, "--baselines", base,
-                         "--tolerance", "0.25"]) == 1
-    assert "regression" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("name,strict_exit", [("fig1", 1), ("obs", 0)])
-def test_checker_metric_value_drift(checker_dirs, capsys, name, strict_exit):
-    # One changed metric value in a deterministic row is result drift
-    # (fails --strict); in a wall-clock row it is only a warning.
-    checker, base, fresh = checker_dirs
-    fname = f"BENCH_{name}.json"
-    shutil.copy(os.path.join(BASELINE_DIR, fname), base)
-    with open(os.path.join(base, fname)) as fh:
-        data = json.load(fh)
-    key = sorted(data["metrics"])[0]
-    data["metrics"][key] += 1
-    with open(os.path.join(fresh, fname), "w") as fh:
-        json.dump(data, fh)
-    assert checker.main(["--fresh", fresh, "--baselines", base]) == 0
-    assert f"metric {key}" in capsys.readouterr().err
-    assert checker.main(["--fresh", fresh, "--baselines", base,
-                         "--strict"]) == strict_exit
-
-
-def test_checker_rejects_corrupt_baseline(checker_dirs, capsys):
-    checker, base, fresh = checker_dirs
-    with open(os.path.join(base, "BENCH_demo.json"), "w") as fh:
-        fh.write('{"schema": "nope"}')
-    _write_result(fresh, "demo", 1.0)
-    assert checker.main(["--fresh", fresh, "--baselines", base]) == 2
-    assert "schema error" in capsys.readouterr().err
-
-
-def test_checker_requires_fresh_result_per_baseline(checker_dirs, capsys):
-    checker, base, fresh = checker_dirs
-    _write_result(base, "demo", 1.0)
-    assert checker.main(["--fresh", fresh, "--baselines", base]) == 2
-    assert "no fresh result" in capsys.readouterr().err
-
-
-# -- shared bench harness --------------------------------------------------
-
-
-def _load_harness():
-    sys.path.insert(0, os.path.join(REPO, "benchmarks"))
-    try:
-        import harness
-    finally:
-        sys.path.pop(0)
-    return harness
-
-
-def test_run_spec_produces_valid_bench_result():
-    harness = _load_harness()
-    spec = Experiment(
-        name="unit_demo", title="Unit demo",
-        func=lambda scale=2: [{"x": scale}],
-        quick={"scale": 2}, full={"scale": 4},
-        check=lambda rows: None,
-        metric_cols=("x",),
-    )
-    rows, result = harness.run_spec(spec, mode="smoke", rounds=2)
-    assert rows == [{"x": 2}]
-    data = json.loads(result.to_json())
-    assert validate_bench_json(data) == []
-    assert data["mode"] == "smoke"
-    assert data["rounds"] == 2
-    assert data["metrics"]["x_mean"] == 2
-
-
-def test_run_spec_detects_nondeterminism():
-    harness = _load_harness()
-    ticker = iter(range(100))
-
-    def flappy():
-        return [{"x": next(ticker)}]
-
-    spec = Experiment(name="flappy", title="Flappy", func=flappy,
-                      quick={}, full={}, check=lambda rows: None)
-    with pytest.raises(AssertionError):
-        harness.run_spec(spec, mode="full", rounds=2)
