@@ -32,7 +32,9 @@ Commands:
   dispatched, instructions retired per eBPF program).  ``--dump PATH``
   additionally writes the ``pstats`` file any profile viewer reads.
 * ``disasm <program>`` — print a library program's verified assembly
-  (index, scan, linked, wisckey).
+  (index, scan, linked, merge, wisckey), each instruction annotated with
+  what the verifier's proof says of the registers it reads and marked
+  ``guarded`` where the block tier's code keeps its run-time checks.
 * ``verify-demo`` — show the verifier accepting a safe program and
   rejecting unsafe ones, with reasons.
 """
@@ -60,6 +62,7 @@ _PROGRAMS = {
     "index": lambda: _library().index_traversal_program(fanout=16),
     "scan": lambda: _library().scan_aggregate_program(fanout=16),
     "linked": lambda: _library().linked_list_program(),
+    "merge": lambda: _compact_programs().sstable_merge_program(),
     "wisckey": lambda: _library().wisckey_get_program(fanout=16),
 }
 
@@ -68,6 +71,12 @@ def _library():
     import repro.core.library as library
 
     return library
+
+
+def _compact_programs():
+    import repro.compact.programs as programs
+
+    return programs
 
 
 def _assert_shape(exp, rows, quick: bool) -> None:
@@ -192,16 +201,34 @@ def _cmd_profile(args) -> int:
 
 def _cmd_disasm(args) -> int:
     from repro.core.hooks import storage_helpers
-    from repro.ebpf import verify
+    from repro.ebpf import Vm, verify
     from repro.ebpf.disasm import disassemble
+    from repro.ebpf.vm import VmEnvironment
 
     program = _PROGRAMS[args.program]()
     helpers = storage_helpers()
     stats = verify(program, helpers, state_budget=500_000)
     inverse = {v: k for k, v in helpers.names().items()}
+    # What the proof says of the registers each instruction reads, and
+    # where the block tier's code for it keeps its run-time guards all
+    # the same (``Vm.guarded``: what this environment really compiled).
+    guarded = Vm(program, VmEnvironment(helpers), mode="block").guarded
+    comments = {}
+    for pc, known in enumerate(program.proof.facts):
+        notes = ["unreached"] if known is None else [
+            f"r{reg}={fact!r}" for reg, fact in enumerate(known)
+            if fact is not None]
+        if pc in guarded:
+            notes.append("guarded")
+        comments[pc] = " ".join(notes)
+    memory = [pc for pc, insn in enumerate(program.instructions)
+              if insn.opcode.startswith(("ldx", "st"))]
     print(f"; {program.name}: {len(program)} instructions, verified "
           f"({stats.states_explored} states explored)")
-    print(disassemble(program.instructions, helper_names=inverse))
+    print(f"; {sum(pc not in guarded for pc in memory)} of {len(memory)} "
+          "memory sites proven")
+    print(disassemble(program.instructions, helper_names=inverse,
+                      comments=comments))
     return 0
 
 

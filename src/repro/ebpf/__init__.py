@@ -2,15 +2,18 @@
 
 This package reproduces the part of Linux eBPF the paper's safety argument
 rests on: a register machine with a *static verifier* that proves memory
-safety and termination before a program may be attached to a kernel hook, an
-interpreter with defence-in-depth runtime checks, helper functions, and maps.
+safety and termination before a program may be attached to a kernel hook (and
+hands what it proved to the block tier, which drops the run-time checks the
+proof covers), an interpreter that keeps every check, helper functions, and
+maps.
 
 Layout:
 
 * :mod:`~repro.ebpf.isa` — instruction set and encoding.
 * :mod:`~repro.ebpf.assembler` — two-pass textual assembler with labels.
 * :mod:`~repro.ebpf.program` — program container plus context layout.
-* :mod:`~repro.ebpf.verifier` — abstract-interpretation verifier.
+* :mod:`~repro.ebpf.verifier` — abstract-interpretation verifier; emits the
+  per-instruction ``Proof``.
 * :mod:`~repro.ebpf.vm` — interpreter ("interp") and whole-program block
   compiler ("block", the JIT stand-in: one generated function per program)
   execution engines.

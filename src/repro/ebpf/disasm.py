@@ -34,19 +34,26 @@ def _collect_labels(instructions: List[Instruction]) -> Dict[int, str]:
 
 
 def disassemble(instructions: List[Instruction],
-                helper_names: Optional[Dict[int, str]] = None) -> str:
+                helper_names: Optional[Dict[int, str]] = None,
+                comments: Optional[Dict[int, str]] = None) -> str:
     """Render ``instructions`` as re-assemblable text.
 
     ``helper_names`` optionally maps helper ids to names (the inverse of
     ``HelperRegistry.names()``); unknown ids are emitted numerically.
+    ``comments`` optionally maps a pc to a trailing ``;`` comment on its
+    line.
     """
     helper_names = helper_names or {}
+    comments = comments or {}
     labels = _collect_labels(instructions)
     lines: List[str] = []
     for pc, insn in enumerate(instructions):
         if pc in labels:
             lines.append(f"{labels[pc]}:")
-        lines.append("    " + _render(insn, pc, labels, helper_names))
+        line = "    " + _render(insn, pc, labels, helper_names)
+        if comments.get(pc):
+            line = f"{line:<32}; {comments[pc]}"
+        lines.append(line)
     # A trailing branch may target one past the last instruction.
     if len(instructions) in labels:
         raise AssemblerError("branch targets past program end")

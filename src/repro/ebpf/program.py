@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AssemblerError
 from repro.ebpf.isa import Instruction, MAX_INSNS
+
+if TYPE_CHECKING:
+    from repro.ebpf.verifier import Proof
 
 __all__ = ["CtxField", "CtxLayout", "FieldKind", "Program"]
 
@@ -102,11 +105,11 @@ class Program:
     name: str = "prog"
     #: Set by the verifier on success.
     verified: bool = field(default=False, compare=False)
-    #: What that proof was made against besides the program itself (see
-    #: :func:`repro.ebpf.verifier.proof_context`): a proof holds only for
-    #: an environment that equals it.
-    verified_against: Optional[tuple] = field(default=None, compare=False,
-                                              repr=False)
+    #: Attached by the verifier on success: what it established about each
+    #: instruction, for which instructions and layout, against which
+    #: environment.  ``verified`` is a flag anyone can set; this is the
+    #: thing itself, and it says what it holds for.
+    proof: Optional["Proof"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.instructions:
@@ -120,3 +123,10 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+    @property
+    def verified_against(self) -> Optional[tuple]:
+        """What the proof was made against besides the program itself (see
+        :func:`repro.ebpf.verifier.proof_context`): a proof holds only for
+        an environment that equals it.  None without a proof."""
+        return self.proof.context if self.proof is not None else None

@@ -32,14 +32,16 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import VerifierError
 from repro.ebpf.helpers import ArgKind, HelperRegistry, RetKind
-from repro.ebpf.isa import FP_REG, MEM_SIZES, STACK_SIZE
-from repro.ebpf.program import FieldKind, Program
+from repro.ebpf.isa import FP_REG, Instruction, MEM_SIZES, STACK_SIZE
+from repro.ebpf.program import CtxField, FieldKind, Program
 
-__all__ = ["VerifierStats", "Verifier", "proof_context", "verify"]
+__all__ = ["Proof", "Ptr", "Scalar", "VerifierStats", "Verifier",
+           "proof_context", "verify"]
 
 U64_MAX = 2**64 - 1
 U32_MAX = 2**32 - 1
@@ -128,6 +130,83 @@ def _initial_state(ctx_size: int) -> State:
     regs[1] = Ptr("ctx", ctx_size)
     regs[FP_REG] = Ptr("stack", STACK_SIZE, STACK_SIZE, STACK_SIZE)
     return State(tuple(regs), {})
+
+
+@dataclass(frozen=True)
+class Proof:
+    """What one successful verification established, and what it holds for.
+
+    ``facts[pc]`` is None for an instruction no explored state reached;
+    otherwise it has one entry per register, holding for each register
+    *that instruction reads* the join of its abstract value over every
+    state explored there, or None where nothing is known:
+
+    * ``Scalar(umin, umax)``: the register is an integer in that range;
+    * ``Ptr(region, size, off_min, off_max)``, never ``maybe_null``: it is
+      a pointer into that region, of that size, at an offset in range.
+
+    The facts hold for a run only of exactly these ``instructions``, over
+    a context of exactly this ``layout``, in an environment whose
+    ``proof_context`` equals ``context``; ``covers`` is that comparison,
+    and whoever spends a fact makes it first (`repro.ebpf.vm` does, at
+    compile time).  A proof holds no `State`.
+    """
+
+    instructions: Tuple[Instruction, ...]
+    layout: Tuple[CtxField, ...]
+    context: tuple
+    facts: Tuple[Optional[tuple], ...]
+
+    def covers(self, program: Program, context: tuple) -> bool:
+        """True if ``program``, as it is now, run under ``context`` (a
+        `proof_context`), is what this proof was made for and against."""
+        return (self.instructions == tuple(program.instructions)
+                and self.layout == tuple(program.ctx_layout.fields)
+                and self.context == context)
+
+
+def _join(values):
+    """The least fact covering every abstract value in ``values``: the
+    range hull of scalars, the offset hull of non-null pointers into one
+    region of one size, and None (nothing known) for anything else: an
+    uninitialised register, a pointer that may be NULL, mixed classes."""
+    kinds = set(map(type, values))
+    if kinds == {Scalar}:
+        return Scalar(min(map(_UMIN, values)), max(map(_UMAX, values)))
+    if kinds != {Ptr}:
+        return None
+    first = values[0]
+    if any(value.maybe_null or value.region != first.region
+           or value.size != first.size for value in values):
+        return None
+    return Ptr(first.region, first.size, min(map(_OFF_MIN, values)),
+               max(map(_OFF_MAX, values)))
+
+
+_UMIN, _UMAX = attrgetter("umin"), attrgetter("umax")
+_OFF_MIN, _OFF_MAX = attrgetter("off_min"), attrgetter("off_max")
+
+
+def _registers_read(insn: Instruction, helpers: HelperRegistry) -> tuple:
+    """The registers whose values decide what ``insn`` does: a load's base,
+    a store's base and stored register, both operands of an ALU operation
+    or a branch, the arguments the called helper's spec names."""
+    op = insn.opcode
+    if op == "call":
+        spec = helpers.specs.get(insn.imm)
+        return tuple(range(1, 1 + len(spec.args))) if spec else ()
+    if op in ("exit", "ja", "lddw"):
+        return ()
+    if op.startswith("ldx"):
+        return (insn.src,)
+    if op.startswith("stx"):
+        return (insn.dst, insn.src)
+    if op.startswith("st"):
+        return (insn.dst,)
+    base = op[:-2] if op.endswith("32") else op
+    if base == "mov":
+        return (insn.src,) if insn.src_is_reg else ()
+    return (insn.dst, insn.src) if insn.src_is_reg else (insn.dst,)
 
 
 @dataclass
@@ -351,8 +430,32 @@ class Verifier:
                 recorded.leave(state)
                 frames.pop()
         self.program.verified = True
-        self.program.verified_against = proof_context(self.helpers, self.maps)
+        self.program.proof = Proof(
+            tuple(self.program.instructions),
+            tuple(self.program.ctx_layout.fields),
+            proof_context(self.helpers, self.maps), self._facts())
         return stats
+
+    def _facts(self) -> tuple:
+        """`Proof.facts` of a finished exploration.
+
+        Every state explored at a pc is in its fully explored set by now,
+        and a state pruned there was subsumed by one of those, so each of
+        its values lies inside the join already: the facts are sound
+        exactly when pruning is (docs/verifier.md, "What the proof says").
+        Joining afterwards keeps the exploration loop free of it.
+        """
+        facts: List[Optional[tuple]] = []
+        for insn, recorded in zip(self.program.instructions, self._recorded):
+            if not recorded.done:
+                facts.append(None)
+                continue
+            known: List[object] = [None] * 11
+            for reg in _registers_read(insn, self.helpers):
+                known[reg] = _join([state.regs[reg]
+                                    for state in recorded.done])
+            facts.append(tuple(known))
+        return tuple(facts)
 
     def _covered(self, table: _Table, held, state: State) -> bool:
         """True if a state in ``table`` subsumes ``state``, which holds
@@ -922,7 +1025,9 @@ def _scalar_alu(base: str, a: Scalar, b: Scalar, is32: bool) -> Scalar:
             else:
                 result = Scalar(0, b.const - 1)
     elif base == "arsh":
-        if a.umax < 2**63 and b.const is not None:
+        # Equal to the logical shift only below the operand's sign bit,
+        # which for a 32-bit operand is bit 31.
+        if a.umax < (2**31 if is32 else 2**63) and b.const is not None:
             shift = b.const & (31 if is32 else 63)
             result = Scalar(a.umin >> shift, a.umax >> shift)
 
@@ -1071,7 +1176,8 @@ def proof_context(helpers: HelperRegistry,
     sizes of each map bound the accesses through its pointers.  A program
     proved against one context may fault under another, so whoever relies
     on ``program.verified`` compares this with ``program.verified_against``
-    (the install ioctl re-verifies on a mismatch).
+    (the install ioctl re-verifies on a mismatch; the block tier compiles
+    its guards back in, see `Proof.covers`).
     """
     return (dict(helpers.specs),
             {map_id: (bpf_map.key_size, bpf_map.value_size)
@@ -1083,7 +1189,8 @@ def verify(program: Program, helpers: HelperRegistry,
            state_budget: int = 200_000) -> VerifierStats:
     """Verify ``program``; raises :class:`VerifierError` on rejection.
 
-    On success, marks ``program.verified``, records what the proof was made
-    against in ``program.verified_against`` and returns exploration stats.
+    On success, marks ``program.verified``, attaches the `Proof` (what was
+    established per instruction, and what it was made for and against) as
+    ``program.proof`` and returns exploration stats.
     """
     return Verifier(program, helpers, maps, state_budget).run()

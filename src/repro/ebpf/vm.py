@@ -1,9 +1,10 @@
 """Execution engines for verified programs.
 
-Two modes with identical semantics and identical runtime safety checks:
+Two modes with identical semantics:
 
 * ``interp`` — decode-and-dispatch per instruction (the kernel's
   interpreter, and the reference the differential tests compare against).
+  It checks everything, always, and reads no proof.
 * ``block`` — the default, standing in for the kernel's JIT: at load time
   the whole program is compiled into ONE generated Python function.
   Registers and the retired-instruction count are locals, basic blocks
@@ -11,17 +12,36 @@ Two modes with identical semantics and identical runtime safety checks:
   once per block, no per-instruction pc bounds check), each helper call
   site is specialised by the `HelperSpec` known at compile time, and
   context accesses go through exact ``(offset, size)`` tables built from
-  the program's layout.  The ablation benchmark compares the two.
+  the program's layout.  Like the kernel's JIT it spends the verifier's
+  proof: a site the program's `Proof` covers is emitted without its
+  run-time guards (see below).  The ablation benchmark compares the two.
 
 Memory model.  Registers hold either 64-bit unsigned integers or
 :class:`Pointer` values tagged with the :class:`Region` they point into.
-Every load/store is bounds-checked against its region even though the
-verifier already proved safety — the same defence-in-depth the kernel keeps
-for helper arguments, and both modes keep all of it.  The context struct is
-special-cased: loads of pointer-kind fields (per the program's
-:class:`~repro.ebpf.program.CtxLayout`) materialise pointers to the buffer
-regions the hook passed in, and stores are only allowed to fields the
-layout marks writable.
+A load or store is bounds-checked against its region unless the block tier
+holds a proof of it: `verify` attaches a
+:class:`~repro.ebpf.verifier.Proof` to the program, and a ``block`` Vm,
+when it is built, compares what that proof was made for and against (the
+instructions, the ctx layout, the helper specs and map sizes) with what it
+is about to run.  Only on a match are the proof's per-instruction facts
+handed to the code generator.  ``program.verified`` is never consulted
+for this: a forged flag has no proof and gets every guard.  Which sites
+keep their checks even under a proof, and why:
+
+* any site the proof has no fact for (an instruction no explored state
+  reached, a register the verifier knows nothing firm about);
+* stack accesses: a slot may hold a spilled pointer, and the rules for
+  reading or overwriting one are run-time state;
+* map-value accesses: `Vm.run` checks at entry that every ctx region is
+  present and exactly its declared size, and nothing checks a map value's;
+* what is not a memory site at all: the instruction budget, a pointer in
+  r0 at exit, the helpers' own ``mem_read`` / ``mem_write`` bounds, and
+  those entry checks themselves, on which the unguarded sites rest.
+
+The context struct is special-cased: loads of pointer-kind fields (per the
+program's :class:`~repro.ebpf.program.CtxLayout`) materialise pointers to
+the buffer regions the hook passed in, and stores are only allowed to
+fields the layout marks writable.
 """
 
 from __future__ import annotations
@@ -35,6 +55,7 @@ from repro.ebpf.helpers import ArgKind, HelperRegistry, HelperSpec, RetKind
 from repro.ebpf.isa import FP_REG, MEM_SIZES, STACK_SIZE
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import FieldKind, Program
+from repro.ebpf.verifier import Ptr, Scalar, proof_context
 
 __all__ = ["ExecutionResult", "Pointer", "Region", "Vm", "VmEnvironment"]
 
@@ -139,8 +160,13 @@ class Vm:
             for ctx_field in layout.fields
             if ctx_field.kind is FieldKind.POINTER)
         self._compiled: Optional[Callable[["_RunState"], int]] = None
+        #: Block tier: the pcs whose generated code keeps run-time guards
+        #: (every checked site, without a proof that covers this Vm).
+        self.guarded: frozenset = frozenset()
         if mode == "block":
-            self._compiled = _compiled_for(self)
+            binder = _binder_for(self)
+            self.guarded = binder.guarded
+            self._compiled = binder(self)
 
     def trace_append(self, value: int) -> None:
         """Append to the *current run's* trace (helper support)."""
@@ -177,9 +203,12 @@ class Vm:
         region.data[ptr.offset : ptr.offset + len(data)] = data
 
     def map_value_pointer(self, map_id: int, value: bytearray) -> Pointer:
-        """Wrap a live map value buffer as a pointer (helper support)."""
-        bpf_map = self.env.map(map_id)
-        return Pointer(Region(f"map_value:{bpf_map.name}", value), 0)
+        """Wrap a live map value buffer as a pointer (helper support).
+
+        The region carries the verifier's name for it (``Ptr.region``, its
+        rejections), so a fault here and a rejection there name one thing.
+        """
+        return Pointer(Region(f"map_value:{map_id}", value), 0)
 
     # ------------------------------------------------------------------
     # Running
@@ -192,6 +221,26 @@ class Vm:
         ``regions`` supplies backing storage for every pointer-kind ctx field
         (keyed by the field's region name).  Output fields written by the
         program land in ``ctx`` in place.
+        """
+        state = self._enter(ctx, regions)
+        profiler = get_default_profiler()
+        if profiler.enabled:
+            # Counted after the run, so only a run that returned is.
+            result = (self._run_block(state) if self.mode == "block"
+                      else self._run_interp(state))
+            profiler.on_program(self.program.name, self.mode, state.executed)
+            return result
+        if self.mode == "block":
+            return self._run_block(state)
+        return self._run_interp(state)
+
+    def _enter(self, ctx: bytearray,
+               regions: Optional[Dict[str, bytearray]]) -> "_RunState":
+        """The entry checks, and the state of a run about to start.
+
+        What the checks establish is what the block tier's proven sites
+        rest on besides the proof: ``ctx`` covers the layout, and every
+        pointer field's region is present and exactly its declared size.
         """
         if len(ctx) < self._ctx_size:
             raise VmFault(
@@ -214,16 +263,7 @@ class Vm:
         # The trace lives in the run's state (and travels out in the
         # ExecutionResult); helpers reach it through trace_append.
         self._trace = state.trace_log
-        profiler = get_default_profiler()
-        if profiler.enabled:
-            # Counted after the run, so only a run that returned is.
-            result = (self._run_block(state) if self.mode == "block"
-                      else self._run_interp(state))
-            profiler.on_program(self.program.name, self.mode, state.executed)
-            return result
-        if self.mode == "block":
-            return self._run_block(state)
-        return self._run_interp(state)
+        return state
 
     # -- interpreter ----------------------------------------------------
 
@@ -621,18 +661,29 @@ def _step(state: _RunState, insn, pc: int) -> Optional[int]:
 #     at compile time (argument classes checked in one guard, the return
 #     kind applied inline) and calls the implementation bound from the
 #     running Vm's registry; a site whose id the registry does not know,
-#     or whose guard fails, goes through `_call_helper`;
+#     or whose guard fails, goes through `_call_helper`; the calls the
+#     function makes itself are counted in a local, like ``n``;
 #   * context accesses are looked up in exact per-size offset tables built
 #     from the program's `CtxLayout`; ``pointer +/- scalar`` is inline.
 #
-# Fast paths are guarded with exact ``__class__ is int`` / ``is Pointer``
-# checks and keep every region check (readable/writable, bounds against
-# ``len(region.data)``, ctx field writability, spilled-pointer rules);
-# whatever a guard turns away falls back to the shared `_alu`/`_load`/
-# `_store`/`_jump_compare`/`_call_helper` routines, which is what keeps
-# fault messages and semantics identical to the interpreter.  Register
-# invariant relied on throughout: integer register values are always
-# already reduced to [0, 2**64).
+# Every emitter takes the proof's facts for its pc (``known``: one entry
+# per register, all None without a proof that covers the program) and
+# emits one of two things.  Where the facts cover the site, the bare
+# operation: a ctx access at a proven constant offset resolves its field
+# now, a load or store proven inside a region `Vm.run` sizes at entry
+# indexes the region's buffer (``_D_<region>``, bound in the prologue),
+# scalar ALU operations and branches lose their class tests and provably
+# idle masks, a call with proven argument classes loses its guard.
+# Everywhere else, the guarded form: fast paths behind exact ``__class__
+# is int`` / ``is Pointer`` tests that keep every region check
+# (readable/writable, bounds against ``len(region.data)``, ctx field
+# writability, spilled-pointer rules); whatever a guard turns away falls
+# back to the shared `_alu`/`_load`/`_store`/`_jump_compare`/`_call_helper`
+# routines, which is what keeps fault messages and semantics identical to
+# the interpreter.  Without facts the output is exactly the guarded form
+# (`tests/data/guarded_block_source.txt` pins it).  Register invariant
+# relied on throughout: integer register values are always already reduced
+# to [0, 2**64).
 
 #: Consecutive blocks per leaf of the dispatch tree (linear inside a leaf).
 _LEAF_BLOCKS = 8
@@ -682,37 +733,100 @@ _COND = {
 #: `_s64` of an in-range integer register, as an inline expression.
 _SIGNED = "({v} - 18446744073709551616 if {v} >= 9223372036854775808 else {v})"
 
+#: Signed conditions and the unsigned ones they equal on [0, 2**63).
+_UNSIGNED = {"jsgt": "jgt", "jsge": "jge", "jslt": "jlt", "jsle": "jle"}
+
 _SCALAR_ARGS = (ArgKind.SCALAR, ArgKind.CONST, ArgKind.MAP_ID, ArgKind.SIZE)
+#: The facts of a pc the proof says nothing about, one per register.
+_NOTHING_KNOWN = (None,) * 11
 _ALL_REGS = ", ".join(f"r{reg}" for reg in range(11))
 
 
+def _bare_alu(base: str, is32: bool, d: str, s: str, a: Any,
+              b: Any) -> Optional[str]:
+    """The result as one unguarded expression, if the facts ``a`` and ``b``
+    of the two operands (named ``d`` and ``s``) decide which it is."""
+    if type(a) is Scalar and type(b) is Scalar:
+        if is32:
+            return _EXPR32[base].format(a=d, b=s)
+        # The ``& U64`` goes where the ranges prove it a no-op.
+        if base == "add" and a.umax + b.umax <= U64:
+            return f"{d} + {s}"
+        if base == "sub" and a.umin >= b.umax:
+            return f"{d} - {s}"
+        if base == "mul" and a.umax * b.umax <= U64:
+            return f"{d} * {s}"
+        if base == "lsh" and b.const is not None:
+            shift = b.const & 63
+            fits = a.umax << shift <= U64
+            return f"{d} << {shift}" if fits else f"({d} << {shift}) & U64"
+        return _EXPR64[base].format(a=d, b=s)
+    if is32 or base not in ("add", "sub"):
+        return None
+    # pointer +/- scalar; the signed reading of the scalar goes where the
+    # range proves it non-negative, and is folded into a constant.
+    if type(a) is Ptr and type(b) is Scalar:
+        ptr, scalar, delta = d, b, s
+    elif base == "add" and type(a) is Scalar and type(b) is Ptr:
+        ptr, scalar, delta = s, a, d
+    else:
+        return None
+    if scalar.const is not None:
+        moved = _s64(scalar.const)
+        return f"Pointer({ptr}.region, {ptr}.offset + " \
+               f"({moved if base == 'add' else -moved}))"
+    if scalar.umax >= 2**63:
+        delta = _SIGNED.format(v=delta)
+    return f"Pointer({ptr}.region, {ptr}.offset " \
+           f"{'+' if base == 'add' else '-'} {delta})"
+
+
 def _emit_alu(out: List[str], pad: str, insn, pc: int, base: str,
-              is32: bool) -> None:
+              is32: bool, known: tuple) -> bool:
+    """Emit one ALU instruction; True if its code keeps run-time guards.
+
+    ``known`` is the proof's fact per register at this pc (all None
+    without a proof); so for every emitter below.
+    """
     if insn.dst == FP_REG:
         out.append(f"{pad}raise VmFault('write to frame pointer r10', {pc})")
-        return
+        return True
     d = f"r{insn.dst}"
     if base == "mov":
         if not insn.src_is_reg:
             value = insn.imm & U64
             out.append(f"{pad}{d} = {value & U32 if is32 else value}")
-        elif is32:
+        elif not is32:
+            out.append(f"{pad}{d} = r{insn.src}")
+        elif type(known[insn.src]) is Scalar:
+            out.append(f"{pad}{d} = r{insn.src} & U32")
+        else:
             s = f"r{insn.src}"
             out.append(f"{pad}{d} = {s} & U32 if {s}.__class__ is int else "
                        f"_alu(state, 'mov', True, 0, {s}, {pc})")
-        else:
-            out.append(f"{pad}{d} = r{insn.src}")
-        return
+            return True
+        return False
     if base == "neg":
         fast = f"(-({d} & U32)) & U32" if is32 else f"(-{d}) & U64"
+        if type(known[insn.dst]) is Scalar:
+            out.append(f"{pad}{d} = {fast}")
+            return False
         out.append(f"{pad}{d} = {fast} if {d}.__class__ is int else "
                    f"_alu(state, 'neg', {is32}, {d}, 0, {pc})")
-        return
+        return True
+    if insn.src_is_reg:
+        s, src_fact = f"r{insn.src}", known[insn.src]
+    else:
+        s = str(insn.imm & U64)
+        src_fact = Scalar(insn.imm & U64, insn.imm & U64)
+    bare = _bare_alu(base, is32, d, s, known[insn.dst], src_fact)
+    if bare is not None:
+        out.append(f"{pad}{d} = {bare}")
+        return False
     table = _EXPR32 if is32 else _EXPR64
     # 64-bit add/sub also move a pointer by a scalar inline.
     moves = not is32 and base in ("add", "sub")
     if insn.src_is_reg:
-        s = f"r{insn.src}"
         out.append(f"{pad}if {d}.__class__ is int and {s}.__class__ is int:")
         out.append(f"{pad} {d} = {table[base].format(a=d, b=s)}")
         if moves:
@@ -727,7 +841,6 @@ def _emit_alu(out: List[str], pad: str, insn, pc: int, base: str,
             out.append(f"{pad} {d} = Pointer({s}.region, {s}.offset + "
                        f"{_SIGNED.format(v=d)})")
     else:
-        s = str(insn.imm & U64)
         out.append(f"{pad}if {d}.__class__ is int:")
         out.append(f"{pad} {d} = {table[base].format(a=d, b=s)}")
         if moves:
@@ -737,36 +850,120 @@ def _emit_alu(out: List[str], pad: str, insn, pc: int, base: str,
                        f"({delta if base == 'add' else -delta}))")
     out.append(f"{pad}else:")
     out.append(f"{pad} {d} = _alu(state, {base!r}, {is32}, {d}, {s}, {pc})")
+    return True
 
 
-def _jump_test(insn, pc: int, op: str) -> str:
-    """The branch condition of a conditional jump, as one expression."""
+def _jump_test(insn, pc: int, op: str, known: tuple) -> Tuple[str, bool]:
+    """The branch condition of a conditional jump, as one expression, and
+    whether it keeps its class guard."""
     d = f"r{insn.dst}"
     if insn.src_is_reg:
-        s = f"r{insn.src}"
+        s, src_fact = f"r{insn.src}", known[insn.src]
         guard = f"{d}.__class__ is int and {s}.__class__ is int"
     else:
         s = str(insn.imm & U64)
+        src_fact = Scalar(insn.imm & U64, insn.imm & U64)
         guard = f"{d}.__class__ is int"
+    dst_fact = known[insn.dst]
+    if type(dst_fact) is Scalar and type(src_fact) is Scalar:
+        if dst_fact.umax < 2**63 and src_fact.umax < 2**63:
+            # Signed and unsigned order agree on the non-negative half.
+            op = _UNSIGNED.get(op, op)
+        return _COND[op].format(a=d, b=s), False
     return (f"({_COND[op].format(a=d, b=s)}) if {guard} "
-            f"else _jump_compare({op!r}, {d}, {s}, {pc})")
+            f"else _jump_compare({op!r}, {d}, {s}, {pc})"), True
 
 
-def _emit_load(out: List[str], pad: str, insn, pc: int, size: int) -> None:
+class _Memory:
+    """What the load and store emitters know about the program's memory.
+
+    ``fields`` is the layout's exact-access index.  ``sized`` maps each
+    region a proven site may address directly to its ctx pointer field:
+    the regions `Vm.run` checks at entry to be present and exactly
+    ``region_size`` long.  The stack (spilled-pointer rules) and map values
+    (no entry check covers their size) are not among them, so their sites
+    keep every guard.  ``bound`` collects the regions the emitted code does
+    address directly, for the function's prologue to bind.
+    """
+
+    def __init__(self, layout):
+        self.fields = layout.by_access
+        self.ctx_size = layout.size
+        named: Dict[str, List[Any]] = {}
+        for ctx_field in layout.fields:
+            if ctx_field.kind is FieldKind.POINTER:
+                named.setdefault(ctx_field.region, []).append(ctx_field)
+        self.sized = {name: fields[0] for name, fields in named.items()
+                      if len(fields) == 1 and name.isidentifier()}
+        self.bound: set = set()
+
+    def ctx_field(self, base: Any, offset: int, size: int):
+        """The field an access through the fact ``base`` lands on exactly,
+        if ``base`` is the ctx pointer at a proven constant offset."""
+        if type(base) is not Ptr or base.region != "ctx" or \
+                base.off_min != base.off_max or base.size != self.ctx_size:
+            return None
+        return self.fields.get((base.off_min + offset, size))
+
+    def site(self, out: List[str], pad: str, p: str, base: Any, offset: int,
+             size: int, write: bool) -> Optional[str]:
+        """The bytes an access through register ``p`` names, as a target
+        (``ctx[40:48]``, ``_D_data[_o:_o + 8]``), if the fact ``base``
+        proves them inside a scalar ctx field or a region sized at entry,
+        writable if ``write``; else None, and the site keeps its guards."""
+        ctx_field = self.ctx_field(base, offset, size)
+        if ctx_field is not None:
+            if ctx_field.kind is not FieldKind.SCALAR:
+                return None
+            buffer = "ctx"
+        else:
+            if type(base) is not Ptr:
+                return None
+            ctx_field = self.sized.get(base.region)
+            if ctx_field is None or ctx_field.region_size != base.size or \
+                    base.off_min + offset < 0 or \
+                    base.off_max + offset + size > base.size:
+                return None
+            buffer = f"_D_{base.region}"
+        if write and not ctx_field.writable:
+            return None
+        if buffer != "ctx":
+            self.bound.add(base.region)
+        if base.off_min == base.off_max:
+            at = base.off_min + offset
+            return (f"{buffer}[{at}]" if size == 1 else
+                    f"{buffer}[{at}:{at + size}]")
+        out.append(f"{pad}_o = {p}.offset" + (f" + {offset}" if offset else ""))
+        return f"{buffer}[_o]" if size == 1 else f"{buffer}[_o:_o + {size}]"
+
+
+def _emit_load(out: List[str], pad: str, insn, pc: int, size: int,
+               known: tuple, memory: _Memory) -> bool:
     d, p, off = f"r{insn.dst}", f"r{insn.src}", insn.offset
     slow = f"{d} = _load(state, {p}, {off}, {size}, {pc})"
 
-    def fetch(data: str) -> str:
+    def fetch(source: str) -> str:
         if size == 1:
-            return f"{d} = {data}[_o]"
-        return f"{d} = _from_bytes({data}[_o:_o + {size}], 'little')"
+            return f"{d} = {source}"
+        return f"{d} = _from_bytes({source}, 'little')"
 
+    base = known[insn.src]
+    source = memory.site(out, pad, p, base, off, size, write=False)
+    if source is not None:
+        out.append(f"{pad}{fetch(source)}")
+        return False
+    ctx_field = memory.ctx_field(base, off, size)
+    if ctx_field is not None and ctx_field.region in memory.sized:
+        memory.bound.add(ctx_field.region)
+        out.append(f"{pad}{d} = Pointer(_R_{ctx_field.region}, 0)")
+        return False
+    where = "[_o]" if size == 1 else f"[_o:_o + {size}]"
     out.append(f"{pad}if {p}.__class__ is Pointer:")
     out.append(f"{pad} _r = {p}.region")
     out.append(f"{pad} _o = {p}.offset" + (f" + {off}" if off else ""))
     out.append(f"{pad} if _r is ctx_region:")
     out.append(f"{pad}  if _o in _CS{size}:")
-    out.append(f"{pad}   {fetch('ctx')}")
+    out.append(f"{pad}   {fetch('ctx' + where)}")
     out.append(f"{pad}  else:")
     if size == 8:  # the only size a pointer-kind field has
         out.append(f"{pad}   _t = regions.get(_CP.get(_o))")
@@ -780,23 +977,27 @@ def _emit_load(out: List[str], pad: str, insn, pc: int, size: int) -> None:
                f" or _o < 0 or _o + {size} > len(_r.data)):")
     out.append(f"{pad}  {slow}")
     out.append(f"{pad} else:")
-    out.append(f"{pad}  {fetch('_r.data')}")
+    out.append(f"{pad}  {fetch('_r.data' + where)}")
     out.append(f"{pad}else:")
     out.append(f"{pad} {slow}")
+    return True
 
 
 def _emit_store(out: List[str], pad: str, insn, pc: int, size: int,
-                value_reg: Optional[int]) -> None:
+                value_reg: Optional[int], known: tuple,
+                memory: _Memory) -> bool:
     p, off = f"r{insn.dst}", insn.offset
     mask = (1 << (8 * size)) - 1
     guard = f"{p}.__class__ is Pointer"
     if value_reg is None:
         const = insn.imm & U64
         value = str(const)
+        scalar = True
         data = (str(const & mask) if size == 1 else
                 repr((const & mask).to_bytes(size, "little")))
     else:
         value = f"r{value_reg}"
+        scalar = type(known[value_reg]) is Scalar
         guard += f" and {value}.__class__ is int"
         if size == 1:
             data = f"{value} & 255"
@@ -804,6 +1005,11 @@ def _emit_store(out: List[str], pad: str, insn, pc: int, size: int,
             data = f"{value}.to_bytes(8, 'little')"
         else:
             data = f"({value} & {mask}).to_bytes({size}, 'little')"
+    target = memory.site(out, pad, p, known[insn.dst], off, size,
+                         write=True) if scalar else None
+    if target is not None:
+        out.append(f"{pad}{target} = {data}")
+        return False
     where = "[_o]" if size == 1 else f"[_o:_o + {size}]"
     slow = f"_store(state, {p}, {off}, {size}, {value}, {pc})"
     out.append(f"{pad}if {guard}:")
@@ -821,6 +1027,7 @@ def _emit_store(out: List[str], pad: str, insn, pc: int, size: int,
     out.append(f"{pad}  _r.data{where} = {data}")
     out.append(f"{pad}else:")
     out.append(f"{pad} {slow}")
+    return True
 
 
 def _impl_name(helper_id: int) -> str:
@@ -829,21 +1036,26 @@ def _impl_name(helper_id: int) -> str:
 
 
 def _emit_call(out: List[str], pad: str, helper_id: int,
-               spec: Optional[HelperSpec], pc: int) -> None:
+               spec: Optional[HelperSpec], pc: int, known: tuple) -> bool:
     slow = f"r0 = _slow_call(state, {helper_id}, {pc}, r1, r2, r3, r4, r5)"
+    guard = ""
     if spec is None:  # unknown at compile time: decided when reached
         out.append(f"{pad}{slow}")
     else:
         args = [f"r{index + 1}" for index in range(len(spec.args))]
-        guard = " and ".join(
-            f"{reg}.__class__ is "
-            f"{'int' if kind in _SCALAR_ARGS else 'Pointer'}"
-            for reg, kind in zip(args, spec.args))
+        classes = [Scalar if kind in _SCALAR_ARGS else Ptr
+                   for kind in spec.args]
+        if not all(type(known[index + 1]) is wanted
+                   for index, wanted in enumerate(classes)):
+            guard = " and ".join(
+                f"{reg}.__class__ is "
+                f"{'int' if wanted is Scalar else 'Pointer'}"
+                for reg, wanted in zip(args, classes))
         inner = pad + " " if guard else pad
         call = f"{_impl_name(helper_id)}({', '.join(['vm'] + args)})"
         if guard:
             out.append(f"{pad}if {guard}:")
-        out.append(f"{inner}state.helper_calls += 1")
+        out.append(f"{inner}_calls += 1")
         if spec.ret is RetKind.VOID:
             out.append(f"{inner}{call}")
             out.append(f"{inner}r0 = 0")
@@ -859,6 +1071,7 @@ def _emit_call(out: List[str], pad: str, helper_id: int,
             out.append(f"{pad} {slow}")
     # Clobber caller-saved registers like the kernel ABI.
     out.append(f"{pad}r1 = r2 = r3 = r4 = r5 = 0")
+    return spec is None or bool(guard)
 
 
 def _slow_call(state: "_RunState", helper_id: int, pc: int,
@@ -906,18 +1119,18 @@ def _ctx_tables(layout) -> Dict[str, Any]:
     return tables
 
 
-def _compile_program(program: Program, limit: int,
-                     specs: Dict[int, Optional[HelperSpec]]) -> Callable:
-    """Generate the program's one function; returns its per-Vm binder.
+def _generate(program: Program, limit: int,
+              specs: Dict[int, Optional[HelperSpec]],
+              facts: Optional[tuple]) -> Tuple[str, List[int], frozenset]:
+    """The source of the program's one function (see `_compile_program`),
+    its `_UNRETIRED` table, and the pcs whose code keeps run-time guards.
 
-    ``binder(vm)`` closes the function over the helper implementations of
-    ``vm.env.helpers``.  The function runs a fresh `_RunState` and returns
-    ``-1`` after ``exit`` (r0 and the count written back), or the pc of the
-    first instruction of the block the budget ran out in (every register
-    written back) for the interpreter to resume at.
+    ``facts`` is `Proof.facts` of a proof that covers this program in the
+    running Vm's environment, or None: then every site is guarded.
     """
     insns = program.instructions
     count = len(insns)
+    facts = facts or (None,) * count
     leaders = {0}
     for pc, insn in enumerate(insns):
         op = insn.opcode
@@ -934,6 +1147,13 @@ def _compile_program(program: Program, limit: int,
     # Charged-but-unretired instructions when the one at a pc faults.
     unretired = [0] * count
     out: List[str] = []
+    memory = _Memory(program.ctx_layout)
+    guarded = set()
+    bound = sorted(helper_id for helper_id, spec in specs.items()
+                   if spec is not None)
+    # The calls the function makes itself are counted in a local, written
+    # back where ``n`` is; `_slow_call` counts its own on the state.
+    calls = bool(bound)
 
     def emit_block(k: int, pad: str, leaf_end: int) -> None:
         start = starts[k]
@@ -958,20 +1178,28 @@ def _compile_program(program: Program, limit: int,
             insn = insns[pc]
             op = insn.opcode
             kind, base, is32, size = _DECODE.get(op) or _decode_op(op)
+            # A pc no explored state reached has no fact: all guards.
+            known = facts[pc] or _NOTHING_KNOWN
+            keeps = False
             if kind == _K_ALU:
-                _emit_alu(body, inner, insn, pc, base, is32)
+                keeps = _emit_alu(body, inner, insn, pc, base, is32, known)
             elif kind == _K_LDX:
-                _emit_load(body, inner, insn, pc, size)
+                keeps = _emit_load(body, inner, insn, pc, size, known,
+                                   memory)
             elif kind == _K_STX:
-                _emit_store(body, inner, insn, pc, size, insn.src)
+                keeps = _emit_store(body, inner, insn, pc, size, insn.src,
+                                    known, memory)
             elif kind == _K_ST:
-                _emit_store(body, inner, insn, pc, size, None)
+                keeps = _emit_store(body, inner, insn, pc, size, None,
+                                    known, memory)
             elif kind == _K_CALL:
-                _emit_call(body, inner, insn.imm, specs[insn.imm], pc)
+                keeps = _emit_call(body, inner, insn.imm, specs[insn.imm],
+                                   pc, known)
             elif kind == _K_LDDW:
                 body.append(f"{inner}r{insn.dst} = {insn.imm & U64}")
             elif kind == _K_JMP:
-                body.append(f"{inner}if {_jump_test(insn, pc, op)}:")
+                test, keeps = _jump_test(insn, pc, op, known)
+                body.append(f"{inner}if {test}:")
                 goto(pc + 1 + insn.offset, inner + " ")
             elif kind == _K_JA:
                 goto(pc + 1 + insn.offset, inner)
@@ -979,12 +1207,16 @@ def _compile_program(program: Program, limit: int,
             elif kind == _K_EXIT:
                 body.append(f"{inner}state.regs[0] = r0")
                 body.append(f"{inner}state.executed = n")
+                if calls:
+                    body.append(f"{inner}state.helper_calls += _calls")
                 body.append(f"{inner}return -1")
                 falls = False
             else:
                 message = f"unknown opcode {op!r}"
                 body.append(f"{inner}raise VmFault({message!r}, {pc})")
                 falls = False
+            if keeps:
+                guarded.add(pc)
             pc += 1
         if falls and k + 1 == leaf_end:
             goto(pc, inner)
@@ -1011,9 +1243,10 @@ def _compile_program(program: Program, limit: int,
         out.append(f"{pad}else:")
         emit_tree(mid, hi, pad + " ")
 
+    # The dispatch tree first: the prologue binds what its sites use.
+    emit_tree(0, -(-len(starts) // _LEAF_BLOCKS), "    ")
+    tree, out = out, []
     out.append("def _bind(vm):")
-    bound = sorted(helper_id for helper_id, spec in specs.items()
-                   if spec is not None)
     if bound:
         out.append(" _impls = vm.env.helpers.impls")
     for helper_id in bound:
@@ -1030,23 +1263,48 @@ def _compile_program(program: Program, limit: int,
     out.append("  stack_region = state.stack_region")
     out.append("  slots = state.stack_ptr_slots")
     out.append("  regions = state.regions")
+    # What the proven sites address directly: sized at entry by `Vm.run`.
+    for name in sorted(memory.bound):
+        out.append(f"  _R_{name} = regions[{name!r}]")
+        out.append(f"  _D_{name} = _R_{name}.data")
     out.append("  n = state.executed")
+    if calls:
+        out.append("  _calls = 0")
     out.append("  _blk = 0")
     out.append("  try:")
     out.append("   while True:")
-    emit_tree(0, -(-len(starts) // _LEAF_BLOCKS), "    ")
+    out.extend(tree)
     out.append("  except VmFault as _fault:")
     # The block was charged whole on entry; put the count back to
     # "instructions actually retired" when the fault names one of them.
     out.append("   _pc = _fault.pc")
     out.append(f"   state.executed = (n - _UNRETIRED[_pc] "
                f"if 0 <= _pc < {count} else n)")
+    if calls:
+        out.append("   state.helper_calls += _calls")
     out.append("   raise")
     out.append(f"  state.regs[:] = ({_ALL_REGS})")
     out.append("  state.executed = n")
+    if calls:
+        out.append("  state.helper_calls += _calls")
     out.append("  return _pc")
     out.append(" return _run")
+    return "\n".join(out), unretired, frozenset(guarded)
 
+
+def _compile_program(program: Program, limit: int,
+                     specs: Dict[int, Optional[HelperSpec]],
+                     facts: Optional[tuple]) -> Callable:
+    """Generate the program's one function; returns its per-Vm binder.
+
+    ``binder(vm)`` closes the function over the helper implementations of
+    ``vm.env.helpers``.  The function runs a fresh `_RunState` and returns
+    ``-1`` after ``exit`` (r0 and the count written back), or the pc of the
+    first instruction of the block the budget ran out in (every register
+    written back) for the interpreter to resume at.  ``binder.guarded``
+    is the set of pcs whose code keeps run-time guards.
+    """
+    source, unretired, guarded = _generate(program, limit, specs, facts)
     ns: Dict[str, Any] = {
         "_alu": _alu, "_load": _load, "_store": _store,
         "_jump_compare": _jump_compare, "_slow_call": _slow_call,
@@ -1056,30 +1314,54 @@ def _compile_program(program: Program, limit: int,
         "_from_bytes": int.from_bytes, "_UNRETIRED": unretired,
     }
     ns.update(_ctx_tables(program.ctx_layout))
-    exec(compile("\n".join(out), f"<bpf:{program.name}>", "exec"), ns)
-    return ns["_bind"]
+    exec(compile(source, f"<bpf:{program.name}>", "exec"), ns)
+    binder = ns["_bind"]
+    binder.guarded = guarded
+    return binder
 
 
-def _compiled_for(vm: "Vm") -> Callable[["_RunState"], int]:
-    """``vm``'s program as one function, the generated code cached on it.
+def _code_inputs(program: Program, env: VmEnvironment
+                 ) -> Tuple[Dict[int, Optional[HelperSpec]], Optional[tuple]]:
+    """What the generated code depends on besides the budget: the
+    `HelperSpec` ``env`` gives each helper id the program calls (None for
+    one it does not know), and the facts of the program's proof, or None.
+
+    The proof is spent only if it covers the program as it is now, in this
+    environment: that is compared here, never read from
+    ``program.verified``.  A forged flag, an instruction replaced or a
+    layout swapped since `verify`, or another registry or map size, gets
+    no facts, so the fully guarded code.
+    """
+    called = sorted({insn.imm for insn in program.instructions
+                     if insn.opcode == "call"})
+    specs = {helper_id: env.helpers.specs.get(helper_id)
+             for helper_id in called}
+    proof = program.proof
+    if proof is None or not proof.covers(
+            program, proof_context(env.helpers, env.maps)):
+        return specs, None
+    return specs, proof.facts
+
+
+def _binder_for(vm: "Vm") -> Callable:
+    """The binder of ``vm``'s program (see `_compile_program`), the
+    generated code cached on the program.
 
     One installation's Program is shared by many Vm instances (chain
     executions, remote re-verification); compiling once keeps load cost
-    amortised exactly like the kernel's JIT cache.  The generated code
-    depends on the budget and on the `HelperSpec` of every helper id the
-    program calls (by value: two installs of one Program may carry
-    different registries), so both are the cache key; the implementations
-    are bound per Vm.
+    amortised exactly like the kernel's JIT cache.  The key is what the
+    code depends on: the budget, the specs of the helpers it calls (by
+    value: two installs of one Program may carry different registries) and
+    whether a proof was spent; an entry also remembers *which* facts, and
+    is replaced if the program has been verified again since.  The
+    implementations are bound per Vm.
     """
     program = vm.program
-    helpers = vm.env.helpers
-    called = sorted({insn.imm for insn in program.instructions
-                     if insn.opcode == "call"})
-    specs = tuple(helpers.specs.get(helper_id) for helper_id in called)
+    specs, facts = _code_inputs(program, vm.env)
     cache = program.__dict__.setdefault("_block_cache", {})
-    key = (vm.max_instructions, specs)
-    binder = cache.get(key)
-    if binder is None:
-        binder = cache[key] = _compile_program(
-            program, vm.max_instructions, dict(zip(called, specs)))
-    return binder(vm)
+    key = (vm.max_instructions, tuple(specs.values()), facts is not None)
+    binder, spent = cache.get(key, (None, None))
+    if binder is None or spent is not facts:
+        binder = _compile_program(program, vm.max_instructions, specs, facts)
+        cache[key] = (binder, facts)
+    return binder

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -92,7 +93,28 @@ def test_disasm_outputs_assembly(capsys):
 @pytest.mark.parametrize("program", sorted(_PROGRAMS))
 def test_disasm_all_programs(program, capsys):
     assert main(["disasm", program]) == 0
-    assert "verified" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "verified" in out
+    # The annotated listing: every memory site of a library program is
+    # proven, so none of its instructions is marked ``guarded``.
+    header = re.search(r"^; (\d+) of (\d+) memory sites proven$", out, re.M)
+    assert header and header.group(1) == header.group(2) != "0"
+    assert "Ptr(ctx+[0,0])" in out and "guarded" not in out
+
+
+def test_disasm_merge_annotates_facts_and_reassembles(capsys):
+    from repro.core.hooks import storage_helpers
+    from repro.ebpf import assemble
+
+    assert "merge" in _PROGRAMS
+    assert main(["disasm", "merge"]) == 0
+    out = capsys.readouterr().out
+    assert "; 19 of 19 memory sites proven" in out
+    assert re.search(r"ldxdw r1, \[r2\] +; r2=Ptr\(data\+\[16,4080\]\)", out)
+    assert re.search(r"mov r8, 254 +; unreached", out)
+    # Comments and all, the listing is still the program.
+    assert assemble(out, storage_helpers().names()) == \
+        _PROGRAMS["merge"]().instructions
 
 
 def test_verify_demo_shows_both_outcomes(capsys):

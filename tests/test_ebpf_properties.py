@@ -1,19 +1,23 @@
 """Property-based tests of the eBPF toolchain.
 
-Four properties:
+Four properties, the first three run **three ways** (`three_ways`): the
+interpreter, the block tier compiled without the program's proof (every
+run-time guard in place) and the block tier spending it (the guards of
+every proven site dropped).  Under the first three, the **proof
+checker** (``proofcheck.py``) re-runs every accepted program asserting,
+before each instruction, each fact the proof claims for it.
 
-1. **Differential execution** — the two VM tiers (the interpreter and
-   the whole-program block compiler) agree exactly (full
-   ExecutionResult) on random straight-line ALU programs, and both match
+1. **Differential execution** — the tiers agree exactly (full
+   ExecutionResult) on random straight-line ALU programs, and all match
    an independent Python reference evaluator.
 2. **Verifier soundness (safety) and tier equivalence** — any randomly
    generated structured program (ALU, loads, stores, branches, a bounded
    loop, pointer arithmetic, spills, helper calls) the verifier *accepts*
    executes on random inputs without a single VM fault, and every
-   program, accepted or not, has the same outcome in both tiers: result,
+   program, accepted or not, has the same outcome every way: result,
    memory and side effects, or the same fault at the same instruction.
 3. **The shipped programs** — the six programs ``verify_install`` makes
-   ready walk real pages hop by hop identically in both tiers.
+   ready walk real pages hop by hop identically every way.
 4. **Encode/assemble/disassemble closure** — random programs survive
    wire encoding and disassembly unchanged.
 
@@ -21,6 +25,7 @@ Every example is derived from a fixed seed (``derandomize``), so a run
 is reproducible.
 """
 
+import dataclasses
 import struct
 
 import pytest
@@ -42,10 +47,23 @@ from repro.structures import (BTREE_PAGE_MAGIC, BTree, SsTable,
                               WisckeyStore)
 from repro.structures.pages import MemoryBackend, PAGE_SIZE, encode_page
 
+from proofcheck import checked_run
+
 HELPERS = storage_helpers()
 NAMES = HELPERS.names()
 LAYOUT = storage_ctx_layout(256, 64)
-MODES = ("interp", "block")
+
+
+def three_ways(program):
+    """``(label, program, mode)`` for the reference, the block tier kept
+    from the proof (a copy of the program without it) and the block tier
+    spending it.  A program the verifier rejected has no proof to strip:
+    its last two ways are the same guarded code."""
+    return (("interp", program, "interp"),
+            ("block, no proof", dataclasses.replace(program, proof=None),
+             "block"),
+            ("block, proof", program, "block"))
+
 
 U64 = 0xFFFFFFFFFFFFFFFF
 U32 = 0xFFFFFFFF
@@ -148,21 +166,27 @@ def test_interp_jit_and_reference_agree(steps, seeds):
         operand = regs[value] if kind == "reg" else value & U64
         regs[dst] = _reference_alu(op, regs[dst], operand, is32)
 
-    results = {}
-    outputs = {}
-    for mode in ("interp", "block"):
-        vm = Vm(program, VmEnvironment(HELPERS), mode=mode)
+    def fresh_ctx():
         ctx = bytearray(LAYOUT.size)
         for index, seed in enumerate(seeds):
             ctx[40 + 8 * index : 48 + 8 * index] = seed.to_bytes(8, "little")
-        results[mode] = vm.run(ctx, {"data": bytearray(256),
-                                     "scratch": bytearray(64)})
-        outputs[mode] = int.from_bytes(ctx[88:96], "little")
+        return ctx
 
-    assert outputs["interp"] == outputs["block"] == regs[2]
+    results = {}
+    for way, built, mode in three_ways(program):
+        vm = Vm(built, VmEnvironment(HELPERS), mode=mode)
+        assert bool(vm.guarded) == (way == "block, no proof")
+        ctx = fresh_ctx()
+        results[way] = vm.run(ctx, {"data": bytearray(256),
+                                    "scratch": bytearray(64)})
+        assert int.from_bytes(ctx[88:96], "little") == regs[2], way
     # The full ExecutionResult (return value, instruction count, trace,
-    # helper calls) must be identical across both tiers.
-    assert results["interp"] == results["block"]
+    # helper calls) must be identical every way.
+    assert results["interp"] == results["block, no proof"] \
+        == results["block, proof"]
+    assert results["interp"] == checked_run(
+        Vm(program, VmEnvironment(HELPERS)), fresh_ctx(),
+        {"data": bytearray(256), "scratch": bytearray(64)})
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +344,10 @@ def _lookup_map():
     return bpf_map
 
 
-def _outcome(program, mode, arg0, data, budget, require_verified):
-    """Everything observable about one run, fault or not."""
+def _outcome(program, mode, arg0, data, budget, require_verified,
+             run=Vm.run):
+    """Everything observable about one run, fault or not.  ``run`` may be
+    the proof checker's stand-in for ``Vm.run``."""
     bpf_map = _lookup_map()
     env = VmEnvironment(HELPERS, maps={1: bpf_map}, clock=lambda: 12345)
     vm = Vm(program, env, mode=mode, max_instructions=budget,
@@ -331,7 +357,7 @@ def _outcome(program, mode, arg0, data, budget, require_verified):
     ctx[40:48] = arg0.to_bytes(8, "little")
     regions = {"data": bytearray(data), "scratch": bytearray(64)}
     try:
-        result = vm.run(ctx, regions)
+        result = run(vm, ctx, regions)
     except VmFault as fault:
         result = ("fault", fault.reason, fault.pc)
     return (result, bytes(ctx), bytes(regions["data"]),
@@ -350,10 +376,13 @@ def test_verified_programs_never_fault(source, arg0, data, budget):
                state_budget=30_000)
     except VerifierError:
         pass  # rejected: the tiers must still agree, fault for fault
-    interp, block = (
-        _outcome(program, mode, arg0, data, budget,
-                 require_verified=False) for mode in MODES)
-    assert interp == block, source
+    interp, guarded, proven = (
+        _outcome(built, mode, arg0, data, budget, require_verified=False)
+        for _way, built, mode in three_ways(program))
+    assert interp == guarded == proven, source
+    if program.verified:
+        assert interp == _outcome(program, "interp", arg0, data, budget,
+                                  require_verified=False, run=checked_run)
     if program.verified and budget == 10_000:
         assert not isinstance(interp[0], tuple), (
             f"verifier accepted but VM faulted: {interp[0]}\n{source}")
@@ -367,9 +396,11 @@ _HOP_INPUTS = struct.Struct("<QQQ8x4Q")   # from CTX_DATA_LEN: see core.chains
 _HOP_OUTPUTS = struct.Struct("<4Q")       # from CTX_ACTION
 
 
-def _walk(program, mode, image, offset, args=(), scratch_size=256):
+def _walk(program, mode, image, offset, args=(), scratch_size=256,
+          run=Vm.run):
     """Run ``program`` hop by hop over the file ``image`` the way the chain
-    engine does; returns every hop's (result, ctx, scratch) and the sink."""
+    engine does; returns every hop's (result, ctx, scratch) and the sink.
+    ``run`` may be the proof checker's stand-in for ``Vm.run``."""
     vm = Vm(program, VmEnvironment(HELPERS), mode=mode)
     vm.compact_sink = sink = _RecordingSink()
     scratch = bytearray(scratch_size)
@@ -379,7 +410,7 @@ def _walk(program, mode, image, offset, args=(), scratch_size=256):
         _HOP_INPUTS.pack_into(ctx, CTX_DATA_LEN, PAGE_SIZE, offset,
                               len(hops), *(tuple(args) + (0,) * 4)[:4])
         page = bytearray(image[offset:offset + PAGE_SIZE])
-        result = vm.run(ctx, {"data": page, "scratch": scratch})
+        result = run(vm, ctx, {"data": page, "scratch": scratch})
         hops.append((result, bytes(ctx), bytes(scratch)))
         action, offset, _, _ = _HOP_OUTPUTS.unpack_from(ctx, CTX_ACTION)
         if action != ACTION_RESUBMIT:
@@ -442,9 +473,13 @@ def _install_cases():
 def test_install_programs_walk_real_pages_identically(case):
     name, program, image, offset, args, scratch_size, expected = case
     verify(program, HELPERS)
-    interp, block = (_walk(program, mode, image, offset, args, scratch_size)
-                     for mode in MODES)
-    assert interp == block
+    interp, guarded, proven = (
+        _walk(built, mode, image, offset, args, scratch_size)
+        for _way, built, mode in three_ways(program))
+    assert interp == guarded == proven
+    # Every fact the proof claims holds on every instruction of the walk.
+    assert interp == _walk(program, "interp", image, offset, args,
+                           scratch_size, run=checked_run)
     hops, emitted = interp
     # ... and the walk did the program's job, not merely the same nothing.
     final_ctx = hops[-1][1]

@@ -9,12 +9,14 @@ accepted program may explore fewer states, and a program that used to run
 out of state budget may get further.
 """
 
+import dataclasses
 import json
 import random
 
 import pytest
 
 import verifier_corpus as corpus
+from proofcheck import checked_run
 from repro.ebpf import Vm
 from repro.ebpf.vm import VmEnvironment
 from repro.errors import VmFault
@@ -64,8 +66,10 @@ def test_verdicts_match_the_parent_commit(recorded):
 
 
 def test_accepted_programs_stay_cheap_and_never_fault(recorded):
-    """verified => no memory fault in any VM tier, on the same corpus; and
-    the loop and prune checks stay within a constant per state explored."""
+    """verified => no memory fault in any VM tier, on the same corpus (the
+    block tier spends each program's proof here; under the proof checker
+    no fact of it is contradicted); and the loop and prune checks stay
+    within a constant per state explored."""
     rng = random.Random(corpus.SEED)
     for source, row in recorded:
         if not row["accepted"]:
@@ -78,13 +82,19 @@ def test_accepted_programs_stay_cheap_and_never_fault(recorded):
             value = rng.choice([0, 1, 7, 255, rng.getrandbits(64)])
             ctx[offset:offset + 8] = value.to_bytes(8, "little")
         data = bytes(rng.getrandbits(8) for _ in range(corpus.DATA_SIZE))
-        for mode in ("interp", "block"):
-            vm = Vm(program, VmEnvironment(corpus.HELPERS,
-                                           corpus.make_maps()), mode=mode)
+        guarded = dataclasses.replace(program, proof=None)
+        results = []
+        for built, mode, run in ((program, "interp", Vm.run),
+                                (guarded, "block", Vm.run),
+                                (program, "block", Vm.run),
+                                (program, "interp", checked_run)):
+            vm = Vm(built, VmEnvironment(corpus.HELPERS,
+                                         corpus.make_maps()), mode=mode)
             try:
-                vm.run(bytearray(ctx), {
+                results.append(run(vm, bytearray(ctx), {
                     "data": bytearray(data),
-                    "scratch": bytearray(corpus.SCRATCH_SIZE)})
+                    "scratch": bytearray(corpus.SCRATCH_SIZE)}))
             except VmFault as fault:
                 pytest.fail(f"verifier accepted but the {mode} VM "
                             f"faulted: {fault}\n{source}")
+        assert results.count(results[0]) == 4, source
