@@ -237,8 +237,8 @@ class StorageBpf:
             raise InvalidArgument(
                 f"chain reads recycle one descriptor: length {length} must "
                 f"equal the installed block size {installation.block_size}")
-        kernel.syscall_count += 1
         if installation.hook is Hook.NVME:
+            kernel.syscall_count += 1
             yield from kernel.cpus.run_thread(kernel.cost.kernel_crossing_ns +
                                               kernel.cost.syscall_ns)
             if kernel.bus.enabled:
@@ -254,8 +254,7 @@ class StorageBpf:
                 proc, file, offset, length, args, scratch_init)
             return result
         # Syscall-dispatch hook: reuse the kernel's reissue loop, seeding
-        # the per-call hook state with our args.
-        kernel.syscall_count -= 1  # sys_pread counts itself
+        # the per-call hook state with our args (sys_pread counts itself).
         hook_state = {"args": tuple(args) +
                       installation.default_args[len(args):],
                       "scratch_init": scratch_init}

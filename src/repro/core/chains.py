@@ -15,7 +15,9 @@ BPF + driver costs — the installed program over the fetched block and either:
   resubmission bound (``ECHAINLIM``), or a split translation, which falls
   back to the application exactly as §4's granularity-mismatch rule
   prescribes (buffer + ``SPLIT_FALLBACK`` status, app restarts the chain at
-  the next hop).
+  the next hop).  A split read is an ordinary segmented read:
+  :meth:`Kernel.transfer` for a blocked reader's first hop,
+  :meth:`Kernel.gather` for an io_uring first hop and a mid-chain hop.
 
 The same engine also implements the syscall-dispatch hook: the program runs
 in thread context after each completed read and asks the dispatch layer to
@@ -27,6 +29,7 @@ Figure 3a speedup against the large Figure 3b one.
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import Any, Callable, Optional, Tuple
 
 from repro.device import NvmeCommand, STATUS_TIMEOUT
@@ -211,25 +214,14 @@ class ChainEngine:
         if len(segments) > 1:
             # First hop already spans discontiguous extents: do it as a
             # normal BIO and let the application restart the chain (§4).
-            # One command at a time; a media error ends the read as EIO.
-            tenant = kernel.tenant_of(proc)
-            chunks = []
+            # A media error ends the read as EIO.
             try:
-                for lba, sectors in segments:
-                    if kernel.retry_enabled:
-                        completed = yield from kernel._nvme_rw_retry(
-                            "read", lba, sectors, None, state.span, "chain",
-                            queue=state.queue, tenant=tenant)
-                    else:
-                        yield from kernel.cpus.run_thread(cost.nvme_driver_ns)
-                        completed = yield kernel.post(
-                            "read", lba, sectors, span=state.span,
-                            path="chain", queue=state.queue, tenant=tenant)
-                        kernel._check(completed, "chain read")
-                    chunks.append(completed.data)
+                data = yield from kernel.transfer(
+                    "read", segments, what="chain read", span=state.span,
+                    path="chain", queue=state.queue,
+                    tenant=kernel.tenant_of(proc))
                 self.split_fallbacks += 1
-                result = ReadResult(b"".join(chunks),
-                                    status=ChainStatus.SPLIT_FALLBACK,
+                result = ReadResult(data, status=ChainStatus.SPLIT_FALLBACK,
                                     final_offset=offset,
                                     scratch=bytes(state.scratch))
             except IoError:
@@ -262,20 +254,31 @@ class ChainEngine:
             deliver, uring=True)
         if len(segments) > 1:
             # Split first hop: complete as a normal read with fallback
-            # status, all segments in flight at once.
-            gather = _SplitGather(state, len(segments))
-            tenant = kernel.tenant_of(proc)
-            for lba, sectors in segments:
-                yield from kernel.cpus.run_thread(kernel.cost.nvme_driver_ns)
-                event = kernel.post("read", lba, sectors, span=state.span,
-                                    path="chain", queue=state.queue,
-                                    tenant=tenant)
-                event.add_callback(gather.segment_done)
+            # status.
+            yield from kernel.gather(
+                segments, kernel.cpus.run_thread,
+                partial(self._finish_split, state), span=state.span,
+                path="chain", queue=state.queue, tenant=kernel.tenant_of(proc))
             self.split_fallbacks += 1
             return
         yield from self._first_hop(state, *segments[0])
 
     # -- completion side ---------------------------------------------------
+
+    @staticmethod
+    def _finish_split(state: ChainState, data: Optional[bytes]) -> None:
+        """Deliver a split read gathered in the chain's name: the freshly
+        fetched buffer as SPLIT_FALLBACK (the application runs the program
+        itself and restarts the chain), or EIO if a segment failed."""
+        state.hops += 1
+        if data is None:
+            state.finish(ReadResult(b"", status=ChainStatus.EIO,
+                                    hops=state.hops,
+                                    final_offset=state.offset))
+            return
+        state.finish(ReadResult(data, status=ChainStatus.SPLIT_FALLBACK,
+                                hops=state.hops, final_offset=state.offset,
+                                scratch=bytes(state.scratch)))
 
     def handle_completion(self, command: NvmeCommand) -> None:
         """Registered as the kernel's chain completion handler."""
@@ -306,8 +309,7 @@ class ChainEngine:
                          path="chain")
 
             if command.status != 0:
-                policy = kernel.retry_policy
-                if policy is not None and policy.enabled:
+                if kernel.retry_policy is not None:
                     yield from self._handle_faulted_hop(state, command,
                                                         hop_span)
                     return
@@ -397,14 +399,11 @@ class ChainEngine:
                                  segments=len(segments), span=hop_span,
                                  path="chain")
                     state.offset = next_offset
-                    gather = _SplitGather(state, len(segments))
-                    tenant = kernel.tenant_of(state.proc)
-                    for lba, sectors in segments:
-                        yield from kernel.run_irq(cost.nvme_driver_ns, queue)
-                        event = kernel.post(
-                            "read", lba, sectors, span=hop_span,
-                            path="chain", queue=queue, tenant=tenant)
-                        event.add_callback(gather.segment_done)
+                    yield from kernel.gather(
+                        segments, partial(kernel.run_irq, queue=queue),
+                        partial(self._finish_split, state), span=hop_span,
+                        path="chain", queue=queue,
+                        tenant=kernel.tenant_of(state.proc))
                     return
                 self.accounting.charge(state.proc)
                 install.resubmissions += 1
@@ -451,7 +450,7 @@ class ChainEngine:
 
     def _handle_faulted_hop(self, state: ChainState, command: NvmeCommand,
                             hop_span: int):
-        """Recover a failed chain read in IRQ context (policy enabled).
+        """Recover a failed chain read in IRQ context (policy armed).
 
         Retries recycle the same descriptor with backoff, each retry
         charged against the per-process resubmission bound exactly like a
@@ -575,34 +574,3 @@ class ChainEngine:
                                     value=value,
                                     value2=value2)
 
-
-class _SplitGather:
-    """Gathers the BIO segments of a split chain read (an io_uring chain's
-    first hop, or a mid-chain hop), then hands the freshly fetched buffer
-    back to the application as SPLIT_FALLBACK."""
-
-    def __init__(self, state: ChainState, segment_count: int):
-        self.state = state
-        self.remaining = segment_count
-        self.chunks = []
-
-    def segment_done(self, event) -> None:
-        state = self.state
-        if state.done:
-            return  # an earlier failed segment already delivered
-        command = event.value
-        if command.status != 0:
-            state.hops += 1
-            state.finish(ReadResult(b"", status=ChainStatus.EIO,
-                                    hops=state.hops,
-                                    final_offset=state.offset))
-            return
-        self.chunks.append(command.data)
-        self.remaining -= 1
-        if self.remaining == 0:
-            state.hops += 1
-            state.finish(ReadResult(b"".join(self.chunks),
-                                    status=ChainStatus.SPLIT_FALLBACK,
-                                    hops=state.hops,
-                                    final_offset=state.offset,
-                                    scratch=bytes(state.scratch)))

@@ -14,6 +14,7 @@ Tagged SQEs (BPF chains) are dispatched through the chain submitter that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, List, Optional
 
 from repro.errors import InvalidArgument, IoError
@@ -126,17 +127,14 @@ class IoUring:
             segments = yield from kernel.map_bio(file, sqe.offset,
                                                  sqe.length, span, "uring")
             self._in_flight += 1
-            state = _SqeState(self, sqe, len(segments), span=span)
             # All of this ring's plain I/O rides the submitter's queue
             # pair; tagged chains pick the same pair inside the chain
             # engine (both key off the owning process).
-            queue = kernel.queue_for(self.proc)
-            tenant = kernel.tenant_of(self.proc)
-            for lba, sectors in segments:
-                yield from kernel.cpus.run_thread(cost.nvme_driver_ns)
-                event = kernel.post("read", lba, sectors, span=span,
-                                    path="uring", queue=queue, tenant=tenant)
-                event.add_callback(state.segment_done)
+            yield from kernel.gather(
+                segments, kernel.cpus.run_thread,
+                partial(self._complete_sqe, sqe, span), span=span,
+                path="uring", queue=kernel.queue_for(self.proc),
+                tenant=kernel.tenant_of(self.proc))
 
         if wait_nr > len(self._cq) + self._in_flight:
             raise IoError(
@@ -167,6 +165,16 @@ class IoUring:
 
     # -- kernel side -------------------------------------------------------
 
+    def _complete_sqe(self, sqe: Sqe, span: int,
+                      data: Optional[bytes]) -> None:
+        """Post the CQE of a plain SQE once :meth:`Kernel.gather` has it
+        (``data`` None: a segment failed)."""
+        status = ChainStatus.OK if data is not None else ChainStatus.EIO
+        if span:
+            self.kernel.bus.span_end(span, self.kernel.sim.now, status=status)
+        self._post_cqe(sqe.user_data, ReadResult(data or b"", status=status,
+                                                 final_offset=sqe.offset))
+
     def _post_cqe(self, user_data: Any, result: ReadResult) -> None:
         """Called (in IRQ context) when an I/O or chain finishes."""
         self._cq.append(Cqe(user_data, result))
@@ -175,39 +183,3 @@ class IoUring:
             waiter, self._waiter = self._waiter, None
             waiter.succeed()
 
-
-class _SqeState:
-    """Tracks a (possibly split) normal SQE until all segments complete."""
-
-    def __init__(self, ring: IoUring, sqe: Sqe, segment_count: int,
-                 span: int = 0):
-        self.ring = ring
-        self.sqe = sqe
-        self.remaining = segment_count
-        self.chunks: List[bytes] = []
-        self.failed = False
-        self.span = span
-
-    def _close_span(self, status: str) -> None:
-        if self.span:
-            kernel = self.ring.kernel
-            kernel.bus.span_end(self.span, kernel.sim.now, status=status)
-
-    def segment_done(self, event) -> None:
-        command = event.value
-        if command.status != 0:
-            self.failed = True
-        self.chunks.append(command.data)
-        self.remaining -= 1
-        if self.remaining == 0:
-            if self.failed:
-                self._close_span(ChainStatus.EIO)
-                self.ring._post_cqe(self.sqe.user_data,
-                                    ReadResult(b"", status=ChainStatus.EIO,
-                                               final_offset=self.sqe.offset))
-                return
-            data = b"".join(self.chunks)
-            self._close_span(ChainStatus.OK)
-            self.ring._post_cqe(self.sqe.user_data,
-                                ReadResult(data,
-                                           final_offset=self.sqe.offset))

@@ -18,7 +18,10 @@ Figure 2:
 All three share one read-side descent (:meth:`Kernel.map_bio`) and one
 submission site: :meth:`Kernel.post` builds and tags every command,
 :meth:`Kernel.repost` recycles one, and ``_check`` maps a completion status
-to a typed error.
+to a typed error.  The segments of a data I/O are posted only by
+:meth:`Kernel.transfer` (a waiting caller; failed segments retried in
+place) and :meth:`Kernel.gather` (a callback), both joining chunks in
+segment order.
 
 The kernel knows nothing about BPF: it only exposes the two hook slots and
 an ioctl-handler registry that :mod:`repro.core` fills in.
@@ -64,20 +67,18 @@ __all__ = ["ChainStatus", "IoCookie", "Kernel", "KernelConfig",
 class NvmeRetryPolicy:
     """The NVMe driver's error-recovery policy.
 
-    Armed automatically when a kernel is built with a fault plan (and
-    configurable independently).  The driver resubmits a failed command up
-    to ``max_retries`` times, sleeping an exponentially growing backoff
-    (charged as *simulated* time) between attempts; the per-command
-    timeout is programmed into the device's controller watchdog so a
-    swallowed command still completes — with ``STATUS_TIMEOUT`` — instead
-    of hanging the stack.
+    Armed exactly when a kernel is built with a fault plan.  The driver
+    resubmits a failed command up to ``max_retries`` times, sleeping an
+    exponentially growing backoff (charged as *simulated* time) between
+    attempts; the per-command timeout is programmed into the device's
+    controller watchdog so a swallowed command still completes — with
+    ``STATUS_TIMEOUT`` — instead of hanging the stack.
     """
 
     max_retries: int = 4
     #: Controller watchdog; None derives ~20x the device read latency.
     timeout_ns: Optional[int] = None
     backoff_base_ns: int = 2_000
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -113,10 +114,6 @@ class KernelConfig:
     #: Fault plan spec; None picks up the process default installed by
     #: ``repro.faults.fault_injection`` (no plan unless one is active).
     fault_plan: Optional[FaultSpec] = None
-    #: NVMe driver retry policy; None arms the default policy exactly
-    #: when a fault plan is present, leaving the fault-free fast path
-    #: byte-identical to a build without this subsystem.
-    retry: Optional[NvmeRetryPolicy] = None
     #: Volatile write-cache depth (records) on the NVMe device.  0 keeps
     #: the pre-crash-consistency write-through behaviour — and the
     #: byte-identical traces that go with it.
@@ -280,15 +277,11 @@ class Kernel:
         self.fault_plan: Optional[FaultPlan] = (
             FaultPlan(spec, kernel_seed=self.config.seed)
             if spec is not None else None)
-        if self.config.retry is not None:
-            self.retry_policy: Optional[NvmeRetryPolicy] = self.config.retry
-        elif self.fault_plan is not None:
-            self.retry_policy = NvmeRetryPolicy()
-        else:
-            self.retry_policy = None
+        #: The driver's retry policy, armed exactly when a fault plan is.
+        self.retry_policy: Optional[NvmeRetryPolicy] = None
         if self.fault_plan is not None:
+            self.retry_policy = NvmeRetryPolicy()
             self.device.fault_plan = self.fault_plan
-        if self.retry_policy is not None and self.retry_policy.enabled:
             self.device.command_timeout_ns = \
                 self.retry_policy.resolve_timeout_ns(device_model)
         self.fs = ExtFs(self.media,
@@ -544,26 +537,9 @@ class Kernel:
                 self.bus.emit(obs_events.BIO_SUBMIT, self.sim.now,
                               cpu_ns=cost.bio_ns, segments=len(segments),
                               span=span, path="write")
-            queue = self.queue_for(proc)
-            tenant = self.tenant_of(proc)
-            retry = self.retry_enabled
-            events = []
-            consumed = 0
-            for lba, sectors in segments:
-                chunk = data[consumed : consumed + sectors * 512]
-                consumed += sectors * 512
-                if retry:
-                    yield from self._nvme_rw_retry("write", lba, sectors,
-                                                   chunk, span, "write",
-                                                   queue=queue, tenant=tenant)
-                else:
-                    yield from self.cpus.run_thread(cost.nvme_driver_ns)
-                    events.append(self.post("write", lba, sectors, data=chunk,
-                                            span=span, path="write",
-                                            queue=queue, tenant=tenant))
-            for event in events:
-                completed = yield event
-                self._check(completed, "write")
+            yield from self.transfer("write", segments, data, span=span,
+                                     path="write", queue=self.queue_for(proc),
+                                     tenant=self.tenant_of(proc))
             yield from self._maybe_sync_commit(span, "write")
             yield from self.cpus.run_thread(cost.context_switch_ns)
             if self.bus.enabled:
@@ -684,38 +660,111 @@ class Kernel:
             return self.cpus.run_irq(cost)
         return self.irq_lanes[queue % len(self.irq_lanes)].execute(cost)
 
-    @property
-    def retry_enabled(self) -> bool:
-        return self.retry_policy is not None and self.retry_policy.enabled
+    def _spin(self, cost: int):
+        """Charge ``cost`` to a core the caller already holds (polling)."""
+        yield self.sim.timeout(cost)
 
-    def _nvme_rw_retry(self, opcode: str, lba: int, sectors: int,
-                       data: Optional[bytes], span: int, path: str,
-                       held: bool = False, queue: int = 0,
-                       tenant: Optional[str] = None):
-        """Submit one command with the driver retry policy; returns the
-        successful completion or raises :class:`IoError`.
+    def transfer(self, opcode: str, segments: List[Tuple[int, int]],
+                 data: Optional[bytes] = None, held: bool = False,
+                 what: str = "", span: int = 0, path: str = "normal",
+                 queue: int = 0, tenant: Optional[str] = None):
+        """Generator: move ``segments`` for a waiting caller; returns the
+        bytes, joined in segment order.
 
-        ``held=True`` means the caller is polling and already holds a core
-        (driver cost is charged as held time); otherwise driver cost runs
-        as thread work and the completion arrives via IRQ wake.  Backoff
-        is simulated sleep, not CPU work.  Each attempt uses a fresh
-        descriptor — recycling is the chain engine's job.
+        Every segment is posted back to back (``data`` is sliced across
+        them for a write), then waited for in segment order.  ``held``
+        means the caller polls on a core it holds: driver cost is that
+        core's time and completions are reaped without an interrupt;
+        otherwise driver cost is thread work and each completion wakes the
+        caller by IRQ.  A failed segment is retried in place
+        (:meth:`_retry`).  Once one has failed for good the rest are only
+        waited for, and its error is raised after every segment completed.
+        """
+        kind = "poll" if held else "irq"
+        charge = self._spin if held else self.cpus.run_thread
+        posted = yield from self._post_all(opcode, segments, data, charge,
+                                           kind, span, path, queue, tenant)
+        chunks = []
+        error = None
+        for chunk, event in posted:
+            completed = yield event
+            if completed.status and error is None:
+                try:
+                    completed = yield from self._retry(
+                        completed, chunk, what or opcode, charge, kind, span,
+                        path, queue, tenant)
+                except (IoError, PowerLossError) as exc:
+                    error = exc
+            chunks.append(completed.data)
+        if error is not None:
+            raise error
+        return b"".join(chunks)
+
+    def gather(self, segments: List[Tuple[int, int]], charge: Callable,
+               deliver: Callable[[Optional[bytes]], None], span: int = 0,
+               path: str = "normal", queue: int = 0,
+               tenant: Optional[str] = None):
+        """Generator: read ``segments`` for a caller that does not wait.
+
+        Posts like :meth:`transfer`, charging driver cost through
+        ``charge``, the caller's context (``cpus.run_thread``, or
+        ``run_irq`` bound to its queue).  ``deliver`` is called exactly
+        once, when the last segment completes, with the chunks joined in
+        segment order, or None if any segment failed.  Nothing is retried.
+        """
+        posted = yield from self._post_all("read", segments, None, charge,
+                                           "irq", span, path, queue, tenant)
+        events = [event for _chunk, event in posted]
+        remaining = len(events)
+
+        def done(_event) -> None:
+            nonlocal remaining
+            remaining -= 1
+            if remaining == 0:
+                commands = [event.value for event in events]
+                deliver(None if any(command.status for command in commands)
+                        else b"".join(command.data for command in commands))
+
+        for event in events:
+            event.add_callback(done)
+
+    def _post_all(self, opcode: str, segments: List[Tuple[int, int]],
+                  data: Optional[bytes], charge: Callable, kind: str,
+                  span: int, path: str, queue: int, tenant: Optional[str]):
+        """Generator: charge and post each segment in turn; returns the
+        ``(payload, completion event)`` pairs in segment order."""
+        posted = []
+        offset = 0
+        for lba, sectors in segments:
+            chunk = None
+            if data is not None:
+                chunk = data[offset : offset + sectors * 512]
+                offset += sectors * 512
+            yield from charge(self.cost.nvme_driver_ns)
+            posted.append((chunk, self.post(
+                opcode, lba, sectors, kind=kind, data=chunk, span=span,
+                path=path, queue=queue, tenant=tenant)))
+        return posted
+
+    def _retry(self, completed: NvmeCommand, data: Optional[bytes],
+               what: str, charge: Callable, kind: str, span: int, path: str,
+               queue: int, tenant: Optional[str]):
+        """Generator: recover one failed segment; returns the successful
+        completion or raises.
+
+        With no :attr:`retry_policy` the failure is ``_check``'s typed
+        error.  Under the policy the segment is resubmitted (a fresh
+        descriptor, ``source="retry"``; recycling is the chain engine's
+        job) after a backoff slept in simulated time, until it succeeds or
+        ``max_retries`` resubmissions have failed.
         """
         policy = self.retry_policy
-        cost = self.cost
-        attempt = 0
-        while True:
-            attempt += 1
-            if held:
-                yield self.sim.timeout(cost.nvme_driver_ns)
-            else:
-                yield from self.cpus.run_thread(cost.nvme_driver_ns)
-            completed = yield self.post(
-                opcode, lba, sectors, kind="poll" if held else "irq",
-                data=data, source="bio" if attempt == 1 else "retry",
-                span=span, path=path, queue=queue, tenant=tenant)
-            if completed.status == 0:
-                return completed
+        if policy is None:
+            self._check(completed, what)  # raises
+        opcode, lba = completed.opcode, completed.lba
+        sectors = completed.sectors
+        attempt = 1
+        while completed.status:
             if completed.status == STATUS_POWER_FAIL:
                 # Not a media error: the device is gone, retrying is
                 # pointless.
@@ -742,6 +791,12 @@ class Kernel:
                               span=span, path=path)
             if backoff:
                 yield self.sim.timeout(backoff)
+            attempt += 1
+            yield from charge(self.cost.nvme_driver_ns)
+            completed = yield self.post(
+                opcode, lba, sectors, kind=kind, data=data, source="retry",
+                span=span, path=path, queue=queue, tenant=tenant)
+        return completed
 
     def _normal_read_path(self, file: File, offset: int, length: int,
                           span: int = 0, path: str = "normal",
@@ -756,29 +811,9 @@ class Kernel:
             request = self.cpus.request(CpuSet.PRIORITY_THREAD)
             yield request
         try:
-            chunks = []
-            if self.retry_enabled:
-                # Error-recovering path: one command at a time so a
-                # failure can be retried with backoff before the next
-                # segment is issued.
-                for lba, sectors in segments:
-                    completed = yield from self._nvme_rw_retry(
-                        "read", lba, sectors, None, span, path, held=held,
-                        queue=queue, tenant=tenant)
-                    chunks.append(completed.data)
-            else:
-                events = []
-                for lba, sectors in segments:
-                    if held:
-                        yield self.sim.timeout(cost.nvme_driver_ns)
-                    else:
-                        yield from self.cpus.run_thread(cost.nvme_driver_ns)
-                    events.append(self.post(
-                        "read", lba, sectors, kind="poll" if held else "irq",
-                        span=span, path=path, queue=queue, tenant=tenant))
-                for event in events:
-                    completed = yield event
-                    chunks.append(self._check(completed, "read").data)
+            data = yield from self.transfer("read", segments, held=held,
+                                            span=span, path=path, queue=queue,
+                                            tenant=tenant)
         finally:
             if held:
                 self.cpus.release(request)
@@ -790,7 +825,7 @@ class Kernel:
                 self.bus.emit(obs_events.CONTEXT_SWITCH, self.sim.now,
                               cpu_ns=cost.context_switch_ns, span=span,
                               path=path)
-        return b"".join(chunks)
+        return data
 
     def map_bio(self, file: File, offset: int, length: int, span: int,
                 path: str):

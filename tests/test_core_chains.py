@@ -1,6 +1,6 @@
 """Integration tests for the chain engine (the paper's core mechanism)."""
 
-from types import SimpleNamespace
+from functools import partial
 
 import pytest
 
@@ -12,8 +12,7 @@ from chainutil import (
     walker_program,
 )
 from repro.core import Hook
-from repro.core.chains import ChainState, _SplitGather
-from repro.device import STATUS_MEDIA_ERROR
+from repro.core.chains import ChainEngine, ChainState
 from repro.errors import ChainLimitExceeded, NotInstalled, PowerLossError
 from repro.kernel import ChainStatus, IoUring
 
@@ -410,40 +409,37 @@ def test_first_hop_split_surfaces_power_loss():
 @pytest.mark.parametrize("prior_hops", [0, 3],
                          ids=["uring-first-hop", "mid-chain"])
 def test_split_gather_delivers_once(prior_hops):
-    # The io_uring first hop gathers before any completion step has run
-    # (hops == 0); the mid-chain split gathers after ``prior_hops`` of them.
+    # A split chain read is gathered by Kernel.gather and delivered by
+    # ChainEngine._finish_split.  The io_uring first hop gathers before any
+    # completion step has run (hops == 0); the mid-chain split gathers
+    # after ``prior_hops`` of them.
     sim, kernel, bpf = make_list_machine()
     proc, fd = install_walker(sim, kernel, bpf, "/list")
     file = proc.file(fd)
+    contents = linked_file_bytes(ORDER)
+    blocks = (5, 0, 3)
+    segments = [(file.inode.extents.lookup(block) * 8, 8) for block in blocks]
 
-    def gather_of(segments):
+    def gather(count):
         delivered = []
         state = ChainState(proc, file, file.bpf_install, 8192, 4096,
                            (0, 0, 0, 0), b"abc", delivered.append)
         state.hops = prior_hops
-        return _SplitGather(state, segments), state, delivered
+        kernel.run_syscall(kernel.gather(
+            segments[:count], kernel.cpus.run_thread,
+            partial(ChainEngine._finish_split, state)))
+        return delivered, state
 
-    def done(status, data=b""):
-        command = SimpleNamespace(status=status, data=data)
-        return SimpleNamespace(value=command)
-
-    gather, state, delivered = gather_of(2)
-    gather.segment_done(done(0, b"left"))
-    assert delivered == []
-    gather.segment_done(done(0, b"right"))
-    (result,) = delivered
+    (result,), state = gather(2)
     assert result.status == ChainStatus.SPLIT_FALLBACK
-    assert (result.data, result.hops, result.final_offset) == \
-        (b"leftright", prior_hops + 1, 8192)
+    assert result.data == b"".join(contents[block * 4096:(block + 1) * 4096]
+                                   for block in blocks[:2])
+    assert (result.hops, result.final_offset) == (prior_hops + 1, 8192)
     assert result.scratch == bytes(state.scratch)
     assert result.scratch.startswith(b"abc")
 
-    gather, state, delivered = gather_of(3)
-    gather.segment_done(done(0, b"left"))
-    gather.segment_done(done(STATUS_MEDIA_ERROR))
-    gather.segment_done(done(STATUS_MEDIA_ERROR))  # ignored
-    gather.segment_done(done(0, b"late"))          # ignored
-    (result,) = delivered
+    kernel.device.inject_media_error(segments[1][0])
+    (result,), state = gather(3)
     assert result.status == ChainStatus.EIO
     assert (result.data, result.hops, result.final_offset) == \
         (b"", prior_hops + 1, 8192)

@@ -94,11 +94,11 @@ def test_default_spec_plumbing():
         assert get_default_fault_spec() is spec
         sim, kernel, bpf = build_machine()
         assert kernel.fault_plan is not None
-        assert kernel.retry_enabled
+        assert kernel.retry_policy is not None
     assert get_default_fault_spec() is None
     _, plain_kernel, _ = build_machine()
     assert plain_kernel.fault_plan is None
-    assert not plain_kernel.retry_enabled
+    assert plain_kernel.retry_policy is None
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +244,28 @@ def test_faulted_pwrite_closes_its_span():
 
 
 def test_backoff_charges_simulated_time():
-    policy = NvmeRetryPolicy(backoff_base_ns=50_000)
-    sim, kernel, bpf = build_machine(fault_plan=IDLE, retry=policy)
+    sim, kernel, bpf = build_machine(fault_plan=IDLE)
     kernel.create_file("/f", bytes(4096))
-    kernel.fault_plan.inject(lba_of_block(kernel, "/f", 0), times=2)
     proc = kernel.spawn_process()
 
-    def workload():
-        fd = yield from kernel.sys_open(proc, "/f")
+    def timed_read(fd):
         start = sim.now
         yield from kernel.sys_pread(proc, fd, 0, 512)
         return sim.now - start
 
-    elapsed = kernel.run_syscall(workload())
-    # Two retries: 50 us + 100 us of backoff, plus three service times.
-    assert elapsed >= 150_000 + 3 * kernel.model.read_ns
+    def workload():
+        fd = yield from kernel.sys_open(proc, "/f")
+        clean = yield from timed_read(fd)
+        kernel.fault_plan.inject(lba_of_block(kernel, "/f", 0), times=2)
+        faulted = yield from timed_read(fd)
+        return faulted - clean
+
+    extra = kernel.run_syscall(workload())
+    # Two retries on a polled (held) core: each pays the default backoff
+    # (2 us, then 4 us) as sleep, then the driver cost and a service time.
+    assert kernel.nvme_retries == 2
+    assert extra == 2_000 + 4_000 + 2 * (kernel.cost.nvme_driver_ns +
+                                         kernel.model.read_ns)
 
 
 def test_timeout_recovers_after_watchdog():

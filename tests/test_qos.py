@@ -27,8 +27,8 @@ from repro.core.api import InstallRequest
 from repro.core.library import index_traversal_program
 from repro.errors import Errno, InvalidArgument, QosRejected, RemoteError
 from repro.device import NAND_SSD
+from repro.faults import FaultSpec
 from repro.kernel import IoUring, JournalConfig, KernelConfig
-from repro.kernel.kernel import NvmeRetryPolicy
 from repro.kernel.process import Process
 from repro.net import (
     Connection,
@@ -547,7 +547,7 @@ def drive_every_entry_point(model, retry, bus):
     order = list(range(11))
     sim, kernel, bpf = build_machine(
         model=model, bus=bus, seed=3, queue_pairs=2, max_extent_blocks=2,
-        retry=NvmeRetryPolicy() if retry else None,
+        fault_plan=FaultSpec() if retry else None,
         journal=JournalConfig(journal_blocks=32),
         qos=QosConfig(tenants=(Tenant("gold", weight=4),)))
     # 4 KiB reads of /list never split (recycled hops); 8 KiB reads of
