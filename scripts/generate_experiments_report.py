@@ -1,6 +1,6 @@
 """Regenerate the measured tables embedded in EXPERIMENTS.md.
 
-Runs every deterministic row of the experiment table
+Runs every row of the experiment table
 (:mod:`repro.bench.registry`) at its ``full`` scale and prints a markdown
 report to stdout:
 
@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from repro.bench import rows_to_json
-from repro.bench.registry import DETERMINISTIC
+from repro.bench.registry import EXPERIMENTS
 
 
 def emit_markdown(title, columns, rows):
@@ -44,7 +44,7 @@ def main():
     if not as_json:
         print("<!-- generated by scripts/generate_experiments_report.py -->\n")
 
-    for exp in DETERMINISTIC:
+    for exp in EXPERIMENTS:
         rows, work = exp.run_counted(quick=False)
         if as_json:
             print(rows_to_json(exp.title, rows, work))

@@ -17,8 +17,7 @@
   compaction boundary bytes: user-space vs chain-offloaded vs one-RPC
   remote offload), ``crash_recovery_sweep`` (fsync cost and replay vs
   checkpoint cadence), ``lsm_get`` (LSM point gets, chains vs
-  application traversal), ``overhead_comparison`` (wall-clock cost of
-  the bus, the profiler and idle fault hooks), and the ablations.
+  application traversal), and the ablations.
 * :mod:`~repro.bench.registry` — the experiment table: one row per
   experiment (name, title, function, ``quick``/``full`` kwargs, shape
   checks) that the CLI, the report script, the goldens and CI all read.
@@ -46,7 +45,6 @@ from repro.bench.experiments import (
     lsm_get,
     mq_scaling,
     net_pushdown,
-    overhead_comparison,
     table1_breakdown,
     tenants,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "lsm_get",
     "mq_scaling",
     "net_pushdown",
-    "overhead_comparison",
     "rows_to_json",
     "run_closed_loop",
     "table1_breakdown",

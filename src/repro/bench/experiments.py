@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import struct
-import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import Hook, StorageBpf
@@ -21,8 +20,6 @@ from repro.errors import ExtentInvalidated, InvalidArgument, IoError
 from repro.faults import FaultSpec, fault_injection
 from repro.kernel import (CostModel, IoUring, JournalConfig, Kernel,
                           KernelConfig, fsck)
-from repro.obs import ObsSession
-from repro.perf import profiling
 from repro.qos import QosConfig, Tenant
 from repro.sim import Simulator
 from repro.structures import FsBackend, KvStore, LsmTree, SsTable
@@ -51,7 +48,6 @@ __all__ = [
     "lsm_get",
     "mq_scaling",
     "net_pushdown",
-    "overhead_comparison",
     "table1_breakdown",
     "tenants",
 ]
@@ -1423,95 +1419,3 @@ def lsm_get(num_keys=30_000, reads=400):
         "speedup": baseline_ns / chain_ns,
         "verified_against_reference": checked,
     }]
-
-
-# ---------------------------------------------------------------------------
-# Observability overhead — the disabled bus must be a no-op fast path
-# ---------------------------------------------------------------------------
-#
-# Every tracepoint call site is guarded by ``if bus.enabled:`` so a run
-# with the default (disabled) bus pays only a predicate check per event
-# site; the self-profiler and the fault-injection hooks make the same
-# contract.  The same Figure-3b workload is timed under each instrument
-# and must produce identical rows every time (they are all read-only).
-
-FULL_WORKLOAD = {"hook": "nvme", "depths": (4,), "threads": (1, 6),
-                 "duration_ns": 8_000_000}
-
-
-def _timed_best(fn, rounds):
-    """Best-of-N wall time plus the (identical) rows of every round."""
-    best_s = None
-    rows = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        out = fn()
-        elapsed = time.perf_counter() - start
-        if rows is None:
-            rows = out
-        else:
-            assert out == rows, "workload rows changed between rounds"
-        if best_s is None or elapsed < best_s:
-            best_s = elapsed
-    return best_s, rows
-
-
-def overhead_comparison(workload=None, rounds=3, assert_bound=True):
-    """One workload, four instrumentation settings, identical results.
-
-    Returns one row per setting with best-of-``rounds`` wall time and
-    the overhead relative to the uninstrumented run.  ``assert_bound``
-    (full mode) enforces the documented <5 % disabled-bus bound.
-    """
-    workload = workload or FULL_WORKLOAD
-
-    disabled_s, rows_disabled = _timed_best(
-        lambda: fig3_throughput(**workload), rounds)
-
-    def enabled_run():
-        with ObsSession():
-            return fig3_throughput(**workload)
-
-    enabled_s, rows_enabled = _timed_best(enabled_run, rounds)
-
-    def profiled_run():
-        with profiling():
-            return fig3_throughput(**workload)
-
-    profiled_s, rows_profiled = _timed_best(profiled_run, rounds)
-
-    # An armed plan whose every rate is zero draws from its own RNG
-    # streams, never the device's, so the hooks must stay invisible.
-    idle_spec = FaultSpec(seed=5)
-    assert not idle_spec.any_faults()
-
-    def idle_fault_run():
-        with fault_injection(idle_spec):
-            return fig3_throughput(**workload)
-
-    idle_fault_s, rows_idle_fault = _timed_best(idle_fault_run, rounds)
-
-    # Neither the bus, the profiler nor an idle fault plan may perturb
-    # the simulation.
-    assert rows_enabled == rows_disabled
-    assert rows_profiled == rows_disabled
-    assert rows_idle_fault == rows_disabled
-
-    if assert_bound:
-        # The documented bound: the disabled fast path costs at most 5 %
-        # of a fully-observed run's wall time.
-        assert disabled_s <= enabled_s * 1.05, (
-            f"disabled bus not a fast path: {disabled_s:.4f}s vs "
-            f"enabled {enabled_s:.4f}s")
-
-    return [
-        {"instrumentation": "off", "best_s": round(disabled_s, 4),
-         "overhead_x": 1.0},
-        {"instrumentation": "obs-bus", "best_s": round(enabled_s, 4),
-         "overhead_x": round(enabled_s / disabled_s, 3)},
-        {"instrumentation": "profiler", "best_s": round(profiled_s, 4),
-         "overhead_x": round(profiled_s / disabled_s, 3)},
-        {"instrumentation": "idle-fault-plan",
-         "best_s": round(idle_fault_s, 4),
-         "overhead_x": round(idle_fault_s / disabled_s, 3)},
-    ]

@@ -14,10 +14,7 @@ experiment").
 ``quick`` is the miniature scale (seconds; what ``benchmarks/golden/``
 pins) and ``full`` the paper's.  ``check(rows)`` asserts the shape
 invariants that hold at both scales; ``check_full(rows)`` the ones that
-need the full sweep (a specific depth, thread count or paper band).  A
-row that is not ``deterministic`` carries wall-clock values, so it is
-skipped wherever outputs are diffed or a second instrument would wrap
-it.
+need the full sweep (a specific depth, thread count or paper band).
 """
 
 from __future__ import annotations
@@ -44,13 +41,12 @@ from repro.bench.experiments import (
     lsm_get,
     mq_scaling,
     net_pushdown,
-    overhead_comparison,
     table1_breakdown,
     tenants,
 )
 from repro.perf import profiling
 
-__all__ = ["BY_NAME", "DETERMINISTIC", "EXPERIMENTS", "Experiment"]
+__all__ = ["BY_NAME", "EXPERIMENTS", "Experiment"]
 
 Rows = List[Dict[str, Any]]
 
@@ -66,7 +62,6 @@ class Experiment:
     full: Dict[str, Any]
     check: Callable[[Rows], None]
     check_full: Optional[Callable[[Rows], None]] = None
-    deterministic: bool = True
 
     def run(self, quick: bool) -> Rows:
         return self.func(**(self.quick if quick else self.full))
@@ -440,23 +435,6 @@ def _check_compaction(rows):
     assert user["boundary_kb"] >= 5 * remote["boundary_kb"]
 
 
-def _check_obs(rows):
-    # That every setting leaves the simulated rows identical is asserted
-    # inside ``overhead_comparison`` itself.
-    by_mode = {row["instrumentation"]: row for row in rows}
-    assert by_mode["off"]["overhead_x"] == 1.0
-    assert by_mode["obs-bus"]["best_s"] > 0
-    assert by_mode["profiler"]["best_s"] > 0
-    assert by_mode["idle-fault-plan"]["best_s"] > 0
-
-
-def _check_full_obs(rows):
-    by_mode = {row["instrumentation"]: row for row in rows}
-    # Armed-but-idle fault hooks stay within timer noise of no hooks
-    # (the disabled-bus bound, 1.05x, is ``assert_bound``'s).
-    assert by_mode["idle-fault-plan"]["overhead_x"] < 1.10
-
-
 # ---------------------------------------------------------------------------
 # The table
 # ---------------------------------------------------------------------------
@@ -662,26 +640,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         full={"runs": 4, "keys_per_run": 600, "tombstones_per_run": 40},
         check=_check_compaction,
     ),
-    Experiment(
-        name="obs",
-        title="Observability overhead — off vs obs-bus vs profiler vs "
-              "idle fault plan",
-        func=overhead_comparison,
-        quick={"workload": {"hook": "nvme", "depths": (4,),
-                            "threads": (1, 6), "duration_ns": 2_000_000},
-               "rounds": 1, "assert_bound": False},
-        full={"workload": None, "rounds": 3, "assert_bound": True},
-        check=_check_obs,
-        check_full=_check_full_obs,
-        deterministic=False,
-    ),
 )
 
 BY_NAME: Dict[str, Experiment] = {exp.name: exp for exp in EXPERIMENTS}
-
-#: Rows whose output is a pure function of their kwargs: the ones
-#: ``report``/``metrics``/``profile``, the report script and the goldens
-#: cover (wrapping ``obs`` in a second instrument, or diffing its
-#: wall-clock rows, would defeat what it measures).
-DETERMINISTIC: Tuple[Experiment, ...] = tuple(
-    exp for exp in EXPERIMENTS if exp.deterministic)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 __all__ = ["format_table", "rows_to_json"]
 
@@ -41,8 +41,7 @@ def format_table(title: str, columns: Sequence[str],
     return "\n".join(lines)
 
 
-def rows_to_json(title: str, rows: List[Dict],
-                 work: Optional[Dict] = None) -> str:
+def rows_to_json(title: str, rows: List[Dict], work: Dict) -> str:
     """Deterministic JSON for an experiment's result rows.
 
     The structure mirrors what :func:`format_table` prints — a title plus
@@ -50,12 +49,10 @@ def rows_to_json(title: str, rows: List[Dict],
     experiments-report generator) parse instead of scraping the table.
     ``work`` (:meth:`repro.perf.Profiler.work`: the exact counts of what
     the simulator did to produce the rows) is the third key of a golden
-    document; a run made outside the counting hooks has none.
+    document.
     """
-    document = {"title": title, "rows": rows}
-    if work is not None:
-        document["work"] = work
-    return json.dumps(document, indent=2, sort_keys=True)
+    return json.dumps({"title": title, "rows": rows, "work": work},
+                      indent=2, sort_keys=True)
 
 
 def _is_numeric(cell: str) -> bool:

@@ -2,12 +2,12 @@
 
 Commands:
 
-* ``report [--quick]`` — run every deterministic experiment, print its
-  paper-style table and assert its shape checks (``check``, and
-  ``check_full`` at full scale); a violated check exits non-zero naming
-  the row.  ``--quick`` runs miniature versions in a few seconds.
+* ``report [--quick]`` — run every experiment, print its paper-style
+  table and assert its shape checks (``check``, and ``check_full`` at
+  full scale); a violated check exits non-zero naming the row.
+  ``--quick`` runs miniature versions in a few seconds.
 * ``experiment <name>`` — run one row of the experiment table
-  (:mod:`repro.bench.registry`: fig1, table1, fig3a ... compaction, obs).
+  (:mod:`repro.bench.registry`: fig1, table1, fig3a ... compaction).
   An experiment name may also be
   used as the top-level command (``python -m repro scale --json`` is
   shorthand for ``python -m repro experiment scale --json``).
@@ -47,7 +47,7 @@ import sys
 import traceback
 
 from repro.bench import format_table, rows_to_json
-from repro.bench.registry import BY_NAME, DETERMINISTIC, EXPERIMENTS
+from repro.bench.registry import BY_NAME, EXPERIMENTS
 from repro.faults import fault_injection, parse_fault_spec
 from repro.obs import ObsSession
 from repro.perf import profiling, render_profile
@@ -93,7 +93,7 @@ def _assert_shape(exp, rows, quick: bool) -> None:
 
 
 def _cmd_report(args) -> int:
-    for exp in DETERMINISTIC:
+    for exp in EXPERIMENTS:
         rows = exp.run(args.quick)
         print(format_table(exp.title, list(rows[0]), rows))
         print()
@@ -137,10 +137,7 @@ def _cmd_experiment(args) -> int:
         mode, point = _parse_crash_at(crash_at)
         title = f"{title} [{mode}:{point}]"
         kwargs = {"modes": (mode,), "point": point}
-    # ``--json`` counts the run's ``work``.  ``obs`` times its own runs,
-    # one of them under the hooks: it gets no second profiler around it.
-    counting = (profiling() if args.json and exp.deterministic
-                else contextlib.nullcontext())
+    counting = profiling() if args.json else contextlib.nullcontext()
     with _fault_context(args), counting as counts:
         if args.trace_jsonl:
             _touch(args.trace_jsonl)
@@ -155,7 +152,7 @@ def _cmd_experiment(args) -> int:
             f"--crash-at {crash_at}: the {mode!r} sweep has no crash point "
             f"{point}; it has {len(points)} ({points[0]} .. {points[-1]})")
     if args.json:
-        print(rows_to_json(title, rows, counts.work() if counts else None))
+        print(rows_to_json(title, rows, counts.work()))
     else:
         print(format_table(title, list(rows[0]), rows))
     # A fault plan or a single crash point reshapes the rows on purpose.
@@ -281,8 +278,7 @@ def _cmd_verify_demo(args) -> int:
     return 0
 
 
-def _add_runner_parser(sub, command: str, help_text: str, func,
-                       experiments=DETERMINISTIC):
+def _add_runner_parser(sub, command: str, help_text: str, func):
     """One experiment-running subcommand: shared name/flag wiring.
 
     ``experiment``, ``metrics`` and ``profile`` take an experiment name
@@ -292,7 +288,7 @@ def _add_runner_parser(sub, command: str, help_text: str, func,
     """
     parser = sub.add_parser(command, help=help_text)
     parser.add_argument("name",
-                        choices=sorted(exp.name for exp in experiments))
+                        choices=sorted(BY_NAME))
     parser.add_argument("--quick", action="store_true",
                         help="miniature run (seconds instead of minutes)")
     parser.add_argument(
@@ -309,15 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="BPF-for-storage reproduction: experiments and tooling")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    report = sub.add_parser("report",
-                            help="run every deterministic experiment")
+    report = sub.add_parser("report", help="run every experiment")
     report.add_argument("--quick", action="store_true",
                         help="miniature runs (seconds instead of minutes)")
     report.set_defaults(func=_cmd_report)
 
     experiment = _add_runner_parser(sub, "experiment",
-                                    "run one experiment", _cmd_experiment,
-                                    experiments=EXPERIMENTS)
+                                    "run one experiment", _cmd_experiment)
     experiment.add_argument("--json", action="store_true",
                             help="print result rows as JSON")
     experiment.add_argument(
@@ -334,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = _add_runner_parser(
         sub, "profile", "run one experiment under the self-profiler",
-        _cmd_profile, experiments=EXPERIMENTS)
+        _cmd_profile)
     profile.add_argument("--top", type=int, default=15, metavar="N",
                          help="functions to list (default 15)")
     profile.add_argument("--dump", metavar="PATH", default=None,

@@ -1,9 +1,11 @@
 """Zero-dependency pub/sub tracepoint bus.
 
 The :class:`TraceBus` is the spine of the observability layer: every
-instrumented call site does ``if bus.enabled: bus.emit(...)`` so a
-disabled bus costs a single attribute check (verified by
-``python -m repro obs``).  Subscribers register per event
+instrumented call site does ``if bus.enabled: bus.emit(...)`` (a span
+site, ``if span:``) so a disabled bus costs a single attribute check
+and no call: ``tests/test_registry.py`` counts the calls every
+experiment row makes on a disabled bus and pins them at zero.
+Subscribers register per event
 type or as wildcards and receive :class:`~repro.obs.events.TraceEvent`
 records synchronously, in subscription order, which keeps traces
 deterministic under the single-threaded simulation engine.

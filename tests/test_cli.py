@@ -23,18 +23,11 @@ def test_experiment_quick_runs(capsys):
 
 
 def test_experiment_names_all_registered():
-    # The parser offers every row of the table to ``experiment`` and
-    # ``profile``; ``metrics`` reports simulated time, so it takes only
-    # the deterministic ones.
+    # The parser offers every row of the table to every runner.
     parser = build_parser()
     for exp in EXPERIMENTS:
-        for command in ("experiment", "profile"):
+        for command in ("experiment", "metrics", "profile"):
             assert parser.parse_args([command, exp.name]).name == exp.name
-        if exp.deterministic:
-            assert parser.parse_args(["metrics", exp.name]).name == exp.name
-        else:
-            with pytest.raises(SystemExit):
-                parser.parse_args(["metrics", exp.name])
 
 
 def test_violated_check_exits_nonzero_naming_the_row(monkeypatch, capsys):
@@ -42,7 +35,7 @@ def test_violated_check_exits_nonzero_naming_the_row(monkeypatch, capsys):
         assert rows == [], "expected no rows"
 
     broken = dataclasses.replace(BY_NAME["table1"], check=violated)
-    monkeypatch.setattr(cli, "DETERMINISTIC", (broken,))
+    monkeypatch.setattr(cli, "EXPERIMENTS", (broken,))
     monkeypatch.setitem(cli.BY_NAME, "table1", broken)
     for argv in (["report", "--quick"], ["table1", "--quick"]):
         with pytest.raises(SystemExit) as excinfo:
@@ -167,14 +160,6 @@ def test_profile_quick_prints_hotspot_table(capsys):
     assert "sim" in out
     assert "ebpf" in out
     assert "events dispatched" in out
-
-
-def test_profile_takes_the_wall_clock_row(capsys):
-    # `obs` times its own runs, so `metrics` does not offer it; the
-    # timer needs no determinism.
-    assert main(["profile", "obs", "--quick", "--top", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "Observability overhead" in out
     assert "Hottest functions (top 5 of" in out
 
 

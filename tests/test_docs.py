@@ -1,11 +1,13 @@
 """Documentation guards: the README's code must actually run, and the
 documented repo structure must exist."""
 
+import argparse
 import importlib
 import re
 from pathlib import Path
 
 from repro.bench.registry import BY_NAME, EXPERIMENTS
+from repro.cli import build_parser
 
 REPO = Path(__file__).parent.parent
 
@@ -21,15 +23,21 @@ def test_readme_quickstart_snippet_executes():
 
 
 def test_documented_benchmarks_exist():
-    # Every command DESIGN.md's experiment index cites names a row of the
-    # table.
-    design = (REPO / "DESIGN.md").read_text()
-    index = design[design.index("| Experiment | Paper content"):]
-    cited = re.findall(r"`python -m repro (\w+)`",
-                       index[:index.index("\n\n")])
-    assert cited, "DESIGN.md lost its experiment index"
-    for name in cited:
-        assert name in BY_NAME, name
+    # Every ``python -m repro WORD`` (and ``... experiment|metrics|profile
+    # WORD``) the docs cite names a subcommand or a row of the table.
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    stale = []
+    for doc in _REFERENCE_DOCS:
+        for first, second in re.findall(
+                r"python -m repro ([a-z][\w-]*)(?: ([a-z][\w-]*))?",
+                doc.read_text()):
+            if first not in commands and first not in BY_NAME:
+                stale.append(f"{doc.name}: {first}")
+            if first in ("experiment", "metrics", "profile") and second \
+                    and second not in BY_NAME:
+                stale.append(f"{doc.name}: {first} {second}")
+    assert not stale, stale
 
 
 def test_every_benchmark_is_indexed_in_design():
