@@ -16,7 +16,9 @@ of a pair sit seconds apart, inside one phase.
 Printed per side: rep wall seconds (min, quartiles), ``ops/s`` from the
 fast-quartile rep as ``host_ops_per_s`` computes it, and the rep pairs
 won; then parent/change ratios of the minima, the fast quartiles and
-the medians.
+the medians; last a verdict line: "gain" only if at least ten pairs ran,
+the change won at least nine tenths of them and the medians differ by
+more than the parent's interquartile spread (:func:`verdict`).
 
 Exit codes: 0 compared; 1 the two sides' ``Rep.signature()`` differ (a
 simulated number moved), a rep failed or an interpreter died; 2 a
@@ -95,10 +97,40 @@ class Side:
         self.walls.append(self.result()["wall_s"])
         return self.walls[-1]
 
-    def quartiles(self):
-        ordered = sorted(self.walls)
-        return (ordered[0], ordered[len(ordered) // 4], median(ordered),
-                ordered[3 * len(ordered) // 4])
+
+def quartiles(walls: List[float]):
+    """``(min, q1, median, q3)`` of rep wall seconds."""
+    ordered = sorted(walls)
+    return (ordered[0], ordered[len(ordered) // 4], median(ordered),
+            ordered[3 * len(ordered) // 4])
+
+
+def verdict(parent: List[float], change: List[float], won: int) -> str:
+    """The gain rule of the ``choosing-metrics`` guide, section 8, on rep
+    wall seconds (lower is better) of ``len(parent)`` interleaved pairs,
+    ``won`` of which the change won (ties count for neither side).
+
+    A gain needs at least ten pairs, the change winning at least nine
+    tenths of them, and the change's median below the parent's by more
+    than the parent's interquartile spread (q3 - q1).
+    """
+    pairs = len(parent)
+    _low, q1, parent_median, q3 = quartiles(parent)
+    gap = parent_median - median(change)
+    spread = q3 - q1
+    misses = []
+    if pairs < 10:
+        misses.append(f"{pairs} pairs, fewer than 10")
+    if won * 10 < pairs * 9:
+        misses.append(f"change won {won} of {pairs} pairs, under 9/10")
+    if gap <= spread:
+        misses.append(f"median gap {gap:.3f} s not above the parent's "
+                      f"interquartile spread {spread:.3f} s")
+    if misses:
+        return "verdict: no gain (" + "; ".join(misses) + ")"
+    return (f"verdict: gain (change won {won} of {pairs} pairs; median gap "
+            f"{gap:.3f} s above the parent's interquartile spread "
+            f"{spread:.3f} s)")
 
 
 def compare(args) -> int:
@@ -135,14 +167,15 @@ def compare(args) -> int:
           f"{', QUICK' if args.quick else ''}: {args.reps} interleaved rep "
           f"pairs, wall s of one rep")
     for side in sides:
-        low, fast, mid, slow = side.quartiles()
+        low, fast, mid, slow = quartiles(side.walls)
         print(f"  {side.label}: min {low:.3f}  q1 {fast:.3f}  median "
               f"{mid:.3f}  q3 {slow:.3f}  ops/s at the fast quartile "
               f"{side.last['ops_per_s']:,.0f}  pairs won {side.won}")
     for what, parent, change in zip(("minima", "fast quartiles", "medians"),
-                                    sides[0].quartiles(),
-                                    sides[1].quartiles()):
+                                    quartiles(sides[0].walls),
+                                    quartiles(sides[1].walls)):
         print(f"  parent / change on {what}: x{parent / change:.2f}")
+    print(verdict(sides[0].walls, sides[1].walls, sides[1].won))
     return 0
 
 

@@ -66,7 +66,7 @@ class ChainState:
 
     __slots__ = ("proc", "file", "install", "offset", "length", "scratch",
                  "args", "hops", "attempts", "deliver", "done", "span",
-                 "queue")
+                 "queue", "wake")
 
     def __init__(self, proc: Process, file: File, install: BpfInstallation,
                  offset: int, length: int, args: Tuple[int, ...],
@@ -94,6 +94,10 @@ class ChainState:
         #: hop reuses it, so the whole chain's completion work stays on
         #: the core owning that pair (never crossing the CpuSet).
         self.queue = 0
+        #: The event the chain's interrupt-context process waits on while
+        #: a recycled command is in flight; None before the first
+        #: completion and once the chain's process has ended.
+        self.wake = None
 
     def finish(self, result: ReadResult) -> None:
         if self.done:
@@ -281,14 +285,37 @@ class ChainEngine:
                                 scratch=bytes(state.scratch)))
 
     def handle_completion(self, command: NvmeCommand) -> None:
-        """Registered as the kernel's chain completion handler."""
-        self.kernel.sim.spawn(self._irq_chain_step(command), name="chain-irq")
+        """Registered as the kernel's chain completion handler.
 
-    def _irq_chain_step(self, command: NvmeCommand):
+        The chain's first completion starts its interrupt-context process;
+        every later one wakes it.  The wake is queued exactly where
+        starting a fresh process would queue its starter, so the dispatch
+        order does not depend on how hops map onto processes.
+        """
+        state: ChainState = command.cookie.chain
+        wake = state.wake
+        if wake is None:
+            self.kernel.sim.start(self._irq_chain(state, command),
+                                  "chain-irq")
+        else:
+            state.wake = None
+            wake.succeed()
+
+    def _irq_chain(self, state: ChainState, command: NvmeCommand):
+        """Generator: every hop of one chain, in interrupt context.  Between
+        hops it waits on ``state.wake`` for the recycled descriptor."""
+        event = self.kernel.sim.event
+        while (yield from self._irq_hop(state, command)):
+            state.wake = wake = event()
+            yield wake
+
+    def _irq_hop(self, state: ChainState, command: NvmeCommand):
+        """Generator: one completed hop.  Returns True if ``command`` went
+        back out (resubmission or retry), False once the chain has been
+        delivered or handed to a split read."""
         kernel = self.kernel
         cost = kernel.cost
         bus = kernel.bus
-        state: ChainState = command.cookie.chain
         install = state.install
         state.hops += 1
         kernel.irq_count += 1
@@ -310,14 +337,13 @@ class ChainEngine:
 
             if command.status != 0:
                 if kernel.retry_policy is not None:
-                    yield from self._handle_faulted_hop(state, command,
-                                                        hop_span)
-                    return
+                    return (yield from self._handle_faulted_hop(
+                        state, command, hop_span))
                 # No retry policy: surface it, do not run the program.
                 state.finish(ReadResult(b"", status=ChainStatus.EIO,
                                         hops=state.hops,
                                         final_offset=state.offset))
-                return
+                return False
             state.attempts = 0
 
             entry = install.cache_entry
@@ -339,7 +365,7 @@ class ChainEngine:
                                         status=ChainStatus.EXTENT_INVALIDATED,
                                         hops=state.hops,
                                         final_offset=state.offset))
-                return
+                return False
 
             (action, next_offset, value, value2), instructions = \
                 self._run_program(state, command.data)
@@ -368,7 +394,7 @@ class ChainEngine:
                                             hops=state.hops,
                                             final_offset=next_offset,
                                             scratch=bytes(state.scratch)))
-                    return
+                    return False
                 translation = entry.translate(next_offset, state.length,
                                               span=hop_span)
                 if translation.status == Translation.MISS:
@@ -378,7 +404,7 @@ class ChainEngine:
                                    status=ChainStatus.EXTENT_INVALIDATED,
                                    hops=state.hops,
                                    final_offset=next_offset))
-                    return
+                    return False
                 if translation.status == Translation.SPLIT:
                     # Granularity mismatch (§4): perform the split I/O as a
                     # normal BIO from the completion path and hand the *new*
@@ -404,7 +430,7 @@ class ChainEngine:
                         partial(self._finish_split, state), span=hop_span,
                         path="chain", queue=queue,
                         tenant=kernel.tenant_of(state.proc))
-                    return
+                    return False
                 self.accounting.charge(state.proc)
                 install.resubmissions += 1
                 qos = kernel.qos
@@ -427,7 +453,7 @@ class ChainEngine:
                 # this hop touch" directly readable.
                 kernel.repost(command, translation.lba, translation.sectors,
                               "bpf-recycle", hop_span)
-                return
+                return True
 
             if action == ACTION_RETURN_BUFFER:
                 self.chains_completed += 1
@@ -435,14 +461,14 @@ class ChainEngine:
                                         final_offset=state.offset,
                                         value=value,
                                         value2=value2))
-                return
+                return False
             if action == ACTION_RETURN_VALUE:
                 self.chains_completed += 1
                 state.finish(ReadResult(b"", hops=state.hops,
                                         final_offset=state.offset,
                                         value=value,
                                         value2=value2))
-                return
+                return False
             raise IoError(f"program returned unknown action {action}")
         finally:
             if hop_span:
@@ -457,7 +483,8 @@ class ChainEngine:
         program-driven hop.  When the bound or the retry budget runs out,
         the chain degrades gracefully: it is handed back to the
         application (``FAULT_FALLBACK``, like the split fallback) instead
-        of killing the request with a hard error.
+        of killing the request with a hard error.  Returns True if the
+        descriptor went back out.
         """
         kernel = self.kernel
         cost = kernel.cost
@@ -490,7 +517,7 @@ class ChainEngine:
             yield from kernel.run_irq(cost.nvme_driver_ns, state.queue)
             kernel.repost(command, command.lba, command.sectors,
                           "chain-retry", hop_span)
-            return
+            return True
         # Budget exhausted: degrade to user space with the continuation
         # (offset + scratch) so a robust caller restarts a fresh bounded
         # chain from the faulted hop.
@@ -503,6 +530,7 @@ class ChainEngine:
         state.finish(ReadResult(b"", status=ChainStatus.FAULT_FALLBACK,
                                 hops=state.hops, final_offset=state.offset,
                                 scratch=bytes(state.scratch)))
+        return False
 
     # ------------------------------------------------------------------
     # Syscall-dispatch hook

@@ -913,7 +913,7 @@ class Kernel:
                 raise IoError("chain completion but no handler installed")
             self.chain_completion_handler(command)
             return
-        self.sim.spawn(self._irq_complete(command), name="irq")
+        self.sim.start(self._irq_complete(command), "irq")
 
     def _irq_complete(self, command: NvmeCommand):
         """The plain completion interrupt: bookkeeping, then wake the waiter."""

@@ -110,15 +110,15 @@ class NetworkFabric:
     def transmit(self, link: Link, frame: bytes, request_id: int = 0) -> None:
         """Ship ``frame`` down ``link`` (fire-and-forget, like a NIC).
 
-        Spawns a background process: serialize (queueing behind earlier
-        frames), consult the fault plan, then propagate and deliver.
-        ``request_id`` keys the drop episodes so a retransmission of the
-        same RPC frame is recognised by the plan.
+        Starts a background process nobody waits on: serialize (queueing
+        behind earlier frames), consult the fault plan, then propagate and
+        deliver.  ``request_id`` keys the drop episodes so a
+        retransmission of the same RPC frame is recognised by the plan.
         """
         if link.deliver is None:
             raise InvalidArgument(f"link {link.name!r} has no receiver")
-        self.sim.spawn(self._ship(link, frame, request_id),
-                       name=f"net-{link.name}")
+        self.sim.start(self._ship(link, frame, request_id),
+                       f"net-{link.name}")
 
     def _ship(self, link: Link, frame: bytes, request_id: int):
         config = self.config

@@ -187,7 +187,8 @@ class Process(Event):
 
     The generator's ``return`` value becomes the process's :attr:`value`; an
     uncaught exception inside the generator fails the process event (and
-    propagates to anything waiting on it).
+    propagates to anything waiting on it).  A process begun with
+    :meth:`Simulator.start` never fires: nothing holds it to wait on.
     """
 
     __slots__ = ("_generator", "name", "_send", "_wake")
@@ -217,13 +218,18 @@ class Process(Event):
                     target = send(event._value)
             except StopIteration as stop:
                 self._send = self._wake = None
-                self.succeed(stop.value)
+                # A process begun by `Simulator.start` is marked scheduled
+                # from the outset: nothing can wait on it, so its finish
+                # is not dispatched.
+                if not self._scheduled:
+                    self.succeed(stop.value)
                 return
             except BaseException as exc:  # noqa: BLE001 - propagate to waiters
                 self._send = self._wake = None
                 if not self.callbacks and not self.sim.suppress_crashes:
                     raise
-                self.fail(exc)
+                if not self._scheduled:
+                    self.fail(exc)
                 return
             if not isinstance(target, Event):
                 raise SimulationError(
@@ -332,6 +338,17 @@ class Simulator:
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Start a generator as a process; returns its Process event."""
         return Process(self, generator, name)
+
+    def start(self, generator: Generator, name: str = "") -> None:
+        """Start a generator as a process nobody waits on.
+
+        Dispatches exactly what :meth:`spawn` does, minus the process's
+        finish: with no :class:`Process` handed out, nothing could observe
+        it.  Goes through ``self.spawn`` so a wrapper installed there still
+        sees the process.  An uncaught exception propagates out of
+        :meth:`run` as for any unwaited process.
+        """
+        self.spawn(generator, name)._scheduled = True
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -21,14 +21,16 @@ completion queues.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Generator, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import Event, Simulator, whole_ns
+from repro.sim.engine import PENDING, Event, Simulator, whole_ns
 
 __all__ = ["Charge", "CpuSet", "Request", "Resource", "Store"]
+
+_new = object.__new__
 
 
 class Request(Event):
@@ -66,26 +68,41 @@ class Charge(Request):
     slot is free: pushing the expiry at ``execute`` time would give it an
     earlier sequence number than pushes made by events already queued for
     this instant, and same-timestamp ties would flip.
+
+    Built only by :meth:`Resource.execute`.  Construction, claim and
+    grant there, and expiry and release here, are written out inline:
+    every modelled software layer is a charge, so on the uncontended path
+    a charge costs no Python call beyond ``execute`` and the two
+    dispatches.  Only handing a freed slot to a queued waiter goes
+    through :meth:`Resource._grant`.
     """
 
-    __slots__ = ("_hold_ns",)
-
-    def __init__(self, sim: Simulator, resource: "Resource", priority: int,
-                 cost: int):
-        if type(cost) is not int:
-            cost = whole_ns(cost, "charge cost")
-        super().__init__(sim, resource, priority)
-        self._hold_ns = cost  # still to hold; zeroed once the hold starts
+    __slots__ = ("_hold_ns",)  # still to hold; zeroed once the hold starts
 
     def _fire(self) -> None:
         hold = self._hold_ns
+        sim = self.sim
         if hold > 0:
             self._hold_ns = 0
-            self.sim._schedule(hold, self)
+            sim._sequence += 1
+            heappush(sim._heap, (sim._now + hold, sim._sequence, self))
             return
-        self.resource.release(self)
-        # `Event._fire`, inlined: this is the hottest dispatch there is.
-        # The pending value was the charge itself; `None` drops the cycle.
+        # `Resource.release`, inlined.
+        resource = self.resource
+        if not self.granted:
+            raise SimulationError(
+                f"release of ungranted request on {resource.name}")
+        self.granted = False
+        now = sim._now
+        if now != resource._last_change:
+            resource._busy_time += resource._in_use * (
+                now - resource._last_change)
+            resource._last_change = now
+        resource._in_use -= 1
+        if resource._waiting:
+            resource._grant_waiters()
+        # `Event._fire`, inlined.  A charge granted from the wait queue had
+        # itself as its pending value; `None` drops that cycle.
         self._value = self._pending_value = None
         callbacks, self.callbacks = self.callbacks, []
         for callback in callbacks:
@@ -138,7 +155,7 @@ class Resource:
             self._grant(req)
         else:
             self._sequence += 1
-            heapq.heappush(self._waiting, (req.priority, self._sequence, req))
+            heappush(self._waiting, (req.priority, self._sequence, req))
         return req
 
     def _grant(self, req: Request) -> None:
@@ -154,8 +171,13 @@ class Resource:
         req.granted = False
         self._account()
         self._in_use -= 1
+        if self._waiting:
+            self._grant_waiters()
+
+    def _grant_waiters(self) -> None:
+        """Hand freed slots to queued waiters, most urgent first."""
         while self._waiting and self._in_use < self.capacity:
-            _prio, _seq, waiter = heapq.heappop(self._waiting)
+            _prio, _seq, waiter = heappop(self._waiting)
             self._grant(waiter)
 
     def execute(self, cost: int, priority: int = 0) -> Generator:
@@ -164,9 +186,35 @@ class Resource:
         Usage inside a process: ``yield from resource.execute(350)``.  The
         one way to charge a resource: a single :class:`Charge`, which the
         engine holds and releases itself.  ``cost <= 0`` holds the slot for
-        no time but still waits its turn.
+        no time but still waits its turn.  ``cost`` is coerced like a
+        timeout's delay.
         """
-        yield self._claim(Charge(self.sim, self, priority, cost))
+        if type(cost) is not int:
+            cost = whole_ns(cost, "charge cost")
+        sim = self.sim
+        # Construction, `_claim`, `_grant` and `succeed`, inlined (see
+        # `Charge`).
+        charge = _new(Charge)
+        charge.sim = sim
+        charge.callbacks = []
+        charge._value = PENDING
+        charge._exception = None
+        charge.resource = self
+        charge.priority = priority
+        charge._hold_ns = cost
+        if self._in_use < self.capacity and not self._waiting:
+            now = sim._now
+            if now != self._last_change:
+                self._busy_time += self._in_use * (now - self._last_change)
+                self._last_change = now
+            self._in_use += 1
+            charge.granted = charge._scheduled = True
+            sim._immediate.append(charge)
+        else:
+            charge.granted = charge._scheduled = False
+            self._sequence += 1
+            heappush(self._waiting, (priority, self._sequence, charge))
+        yield charge
 
 
 class CpuSet(Resource):

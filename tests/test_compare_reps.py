@@ -1,0 +1,48 @@
+"""The verdict rule of ``scripts/compare_reps.py``."""
+
+import importlib.util
+from pathlib import Path
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reps.py"
+_spec = importlib.util.spec_from_file_location("compare_reps", _SCRIPT)
+compare_reps = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_reps)
+verdict = compare_reps.verdict
+
+#: Ten parent reps: median 1.05 s, q1 1.02 s, q3 1.08 s (spread 0.06 s).
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.06, 1.07, 1.08, 1.09, 1.10]
+
+
+def shifted(by):
+    return [wall - by for wall in PARENT]
+
+
+def test_quartiles_are_the_printed_ones():
+    assert compare_reps.quartiles(PARENT) == (1.00, 1.02, 1.05, 1.08)
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_above_the_spread():
+    line = verdict(PARENT, shifted(0.10), won=9)
+    assert line.startswith("verdict: gain (")
+    assert "won 9 of 10" in line and "gap 0.100 s" in line
+    assert "spread 0.060 s" in line
+
+
+def test_eight_of_ten_pairs_is_no_gain():
+    line = verdict(PARENT, shifted(0.10), won=8)
+    assert line == "verdict: no gain (change won 8 of 10 pairs, under 9/10)"
+
+
+def test_a_gap_inside_the_parent_spread_is_no_gain():
+    line = verdict(PARENT, shifted(0.05), won=10)
+    assert line.startswith("verdict: no gain (median gap 0.050 s not above")
+
+
+def test_fewer_than_ten_pairs_is_no_gain_however_clear():
+    line = verdict(PARENT[:6], shifted(1.0)[:6], won=6)
+    assert line.startswith("verdict: no gain (6 pairs, fewer than 10")
+
+
+def test_a_slower_change_fails_every_part_of_the_rule():
+    line = verdict(PARENT, [wall + 0.2 for wall in PARENT], won=0)
+    assert "won 0 of 10" in line and "median gap -0.200 s" in line

@@ -14,7 +14,10 @@ from chainutil import (
 from repro.core import Hook
 from repro.core.chains import ChainEngine, ChainState
 from repro.errors import ChainLimitExceeded, NotInstalled, PowerLossError
+from repro.faults import FaultSpec
 from repro.kernel import ChainStatus, IoUring
+from repro.obs import SpanCollector, TraceBus
+from repro.perf import profiling
 
 ORDER = [3, 5, 0, 7, 2, 6, 1, 4]
 
@@ -458,6 +461,149 @@ def test_contiguous_chain_never_falls_back():
     result = kernel.run_syscall(workload())
     assert result.ok
     assert bpf.engine.split_fallbacks == 0
+
+
+# ---------------------------------------------------------------------------
+# One interrupt-context process per chain
+# ---------------------------------------------------------------------------
+
+
+def count_spawns(sim):
+    """Count the processes ``sim`` spawns, by name."""
+    counts = {}
+    spawn = sim.spawn
+
+    def counted(generator, name=""):
+        counts[name] = counts.get(name, 0) + 1
+        return spawn(generator, name)
+
+    sim.spawn = counted
+    return counts
+
+
+def test_deep_chain_runs_in_one_process_with_no_finish_dispatch():
+    depth = 6
+    with profiling() as prof:
+        sim, kernel, bpf = make_list_machine(list(range(depth)))
+        proc, fd = install_walker(sim, kernel, bpf, "/list")
+        spawns = count_spawns(sim)
+        result = kernel.run_syscall(bpf.read_chain(proc, fd, 0, 4096))
+    assert result.ok and result.hops == depth
+    # One starter for all six hops, and the chain process's finish is not
+    # dispatched: the two Process events are the finishes of the drivers
+    # that install_walker and run_syscall spawn.
+    assert spawns["chain-irq"] == 1
+    assert prof.events["Process"] == 2
+
+
+def test_every_hop_of_one_process_keeps_its_own_span():
+    bus = TraceBus(enabled=True)
+    spans = SpanCollector(bus)
+    sim, kernel, bpf = build_machine(bus=bus)
+    kernel.create_file("/list", linked_file_bytes(ORDER))
+    proc, fd = install_walker(sim, kernel, bpf, "/list")
+    spawns = count_spawns(sim)
+    result = kernel.run_syscall(bpf.read_chain(proc, fd, ORDER[0] * 4096,
+                                               4096))
+    assert result.hops == len(ORDER)
+    assert spawns["chain-irq"] == 1
+    root, = spans.find_roots("read_chain")
+    hops = [span for span in root.children if span.name == "chain_hop"]
+    assert [hop.attrs["hop"] for hop in hops] == \
+        list(range(1, len(ORDER) + 1))
+    assert all(hop.parent == root.sid and hop.end_ns is not None
+               for hop in hops)
+    assert [hop.start_ns for hop in hops] == \
+        sorted(hop.start_ns for hop in hops)
+
+
+def watch_chains(kernel):
+    """``[state, deliveries]`` of every chain whose completion reaches the
+    chain engine."""
+    seen = []
+    handler = kernel.chain_completion_handler
+
+    def watched(command):
+        state = command.cookie.chain
+        if not any(entry[0] is state for entry in seen):
+            entry = [state, 0]
+            seen.append(entry)
+            deliver = state.deliver
+
+            def counted(result):
+                entry[1] += 1
+                deliver(result)
+
+            state.deliver = counted
+        handler(command)
+
+    kernel.chain_completion_handler = watched
+    return seen
+
+
+def _resubmitting_chain():
+    sim, kernel, bpf = make_list_machine()
+    proc, fd = install_walker(sim, kernel, bpf, "/list")
+    return kernel, bpf.read_chain(proc, fd, ORDER[0] * 4096, 4096)
+
+
+def _retried_chain():
+    sim, kernel, bpf = make_list_machine(fault_plan=FaultSpec(seed=1))
+    block = kernel.fs.lookup("/list").extents.lookup(ORDER[2])
+    kernel.fault_plan.inject(block * 8, times=2)
+    proc, fd = install_walker(sim, kernel, bpf, "/list")
+    return kernel, bpf.read_chain(proc, fd, ORDER[0] * 4096, 4096)
+
+
+def _killed_chain():
+    sim, kernel, bpf = make_list_machine(list(range(20)), max_chain_hops=5)
+    proc, fd = install_walker(sim, kernel, bpf, "/list")
+    return kernel, bpf.read_chain(proc, fd, 0, 4096)
+
+
+def _aborted_chain():
+    # Block 1 points past the extent snapshot: the second hop misses.
+    import struct
+
+    sim, kernel, bpf = make_list_machine([0, 1, 2])
+    proc, fd = install_walker(sim, kernel, bpf, "/list")
+    inode = kernel.fs.lookup("/list")
+    kernel.fs.write_sync(inode, 50 * 4096, bytes(4096))
+    block = bytearray(kernel.fs.read_sync(inode, 4096, 4096))
+    struct.pack_into("<Q", block, 0, 50 * 4096)
+    kernel.fs.write_sync(inode, 4096, bytes(block))
+    return kernel, bpf.read_chain(proc, fd, 0, 4096)
+
+
+def _split_chain():
+    sim, kernel, bpf = build_machine(max_extent_blocks=2)
+    kernel.create_file("/list", linked_file_bytes(list(range(11)))
+                       + bytes(4096))
+    proc, fd = install_walker(sim, kernel, bpf, "/list", block_size=8192)
+    return kernel, bpf.read_chain(proc, fd, 0, 8192)
+
+
+@pytest.mark.parametrize("scenario,status,hops,source", [
+    (_resubmitting_chain, ChainStatus.OK, len(ORDER), "bpf-recycle"),
+    (_retried_chain, ChainStatus.OK, len(ORDER) + 2, "chain-retry"),
+    (_killed_chain, ChainStatus.CHAIN_LIMIT, 5, "bpf-recycle"),
+    (_aborted_chain, ChainStatus.EXTENT_INVALIDATED, 2, "bpf-recycle"),
+    (_split_chain, ChainStatus.SPLIT_FALLBACK, 2, None),
+], ids=["resubmit", "fault-retry", "chain-limit", "extent-abort",
+        "split-fallback"])
+def test_every_chain_ending_delivers_once_and_leaves_no_wake(
+        scenario, status, hops, source):
+    kernel, chain = scenario()
+    chains = watch_chains(kernel)
+    spawns = count_spawns(kernel.sim)
+    result = kernel.run_syscall(chain)
+    assert (result.status, result.hops) == (status, hops)
+    if source is not None:
+        assert kernel.trace.count(source=source) >= 1
+    (state, deliveries), = chains
+    assert deliveries == 1 and state.done
+    assert state.wake is None
+    assert spawns["chain-irq"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.perf import profiling
+from repro.sim import CpuSet, Simulator
 from repro.sim.engine import AllOf, AnyOf
 
 
@@ -380,6 +381,141 @@ def test_finished_process_is_freed_by_reference_counting_alone():
         ref = weakref.ref(process)
         del process
         assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+# -- fire-and-forget processes (Simulator.start) --------------------------------
+
+
+def _background_scenario(launch):
+    """Workers contending for one core and one gate, plus one background
+    process begun with ``launch`` ("spawn" or "start") that finishes at an
+    instant where the others are queued.  Returns the ``(now, tag)`` log
+    and the profiler's event counts."""
+    with profiling() as prof:
+        sim = Simulator()
+        cpu = CpuSet(sim, cores=1)
+        gate = sim.event()
+        log = []
+
+        def worker(tag, delay):
+            yield sim.timeout(delay)
+            yield from cpu.run_thread(10)
+            log.append((sim.now, tag))
+            yield gate
+            log.append((sim.now, tag + ":gate"))
+            yield sim.timeout(0)
+            log.append((sim.now, tag + ":after"))
+
+        def background():
+            yield sim.timeout(5)
+            yield from cpu.run_irq(7)
+            log.append((sim.now, "bg"))
+            gate.succeed()
+            return "nobody reads this"
+
+        def watcher():
+            yield sim.timeout(12)
+            log.append((sim.now, "watcher"))
+            yield from cpu.run_irq(0)
+            log.append((sim.now, "watcher:irq"))
+
+        sim.spawn(worker("w1", 0))
+        getattr(sim, launch)(background(), "bg")
+        sim.spawn(worker("w2", 0))
+        sim.spawn(watcher())
+        sim.spawn(worker("w3", 12))
+        sim.run()
+    return log, sim.now, prof.events
+
+
+def test_start_keeps_every_other_process_s_trace():
+    spawned_log, spawned_end, _ = _background_scenario("spawn")
+    started_log, started_end, _ = _background_scenario("start")
+    # The background's finish lands among the gate's wake-ups and the
+    # watcher's charge, all at t=17.
+    assert (17, "bg") in started_log and (17, "watcher:irq") in started_log
+    assert started_log == spawned_log
+    assert started_end == spawned_end
+
+
+def test_start_dispatches_one_process_event_fewer_and_returns_none():
+    _, _, spawned = _background_scenario("spawn")
+    _, _, started = _background_scenario("start")
+    assert spawned["Process"] - started["Process"] == 1
+    spawned.pop("Process")
+    started.pop("Process")
+    assert started == spawned
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(1)
+
+    assert sim.start(proc()) is None
+    sim.run()
+    assert sim.now == 1
+
+
+def test_started_process_crash_propagates_out_of_run():
+    sim = Simulator()
+
+    def child():
+        yield sim.timeout(1)
+        raise RuntimeError("unhandled")
+
+    sim.start(child(), "child")
+    with pytest.raises(RuntimeError, match="unhandled"):
+        sim.run()
+
+    with profiling() as prof:
+        quiet = Simulator(suppress_crashes=True)
+
+        def suppressed():
+            yield quiet.timeout(1)
+            raise RuntimeError("suppressed")
+
+        quiet.start(suppressed())
+        quiet.run()
+    assert quiet.now == 1
+    assert "Process" not in prof.events
+
+
+def test_finished_started_process_is_freed_by_reference_counting_alone():
+    import gc
+    import weakref
+
+    class Watched(Simulator):
+        """Keeps a weak reference to every process it spawns."""
+
+        def __init__(self):
+            super().__init__()
+            self.refs = []
+
+        def spawn(self, generator, name=""):
+            process = super().spawn(generator, name)
+            self.refs.append((weakref.ref(process), weakref.ref(generator)))
+            return process
+
+    sim = Watched()
+
+    def child():
+        yield sim.timeout(5)
+        yield sim.timeout(5)
+        return "done"
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim.start(child(), "child")
+        (process, generator), = sim.refs
+        assert process() is not None  # its starter is queued
+        sim.run(until=7)
+        assert process() is not None  # waiting on its second timeout
+        sim.run()
+        assert sim.now == 10
+        assert process() is None and generator() is None
     finally:
         if was_enabled:
             gc.enable()
