@@ -18,8 +18,8 @@ from repro.core.library import index_traversal_program, linked_list_program
 from repro.device import DEVICE_PROFILES, NVM_GEN2, LatencyModel
 from repro.errors import ExtentInvalidated, InvalidArgument, IoError
 from repro.faults import FaultSpec, fault_injection
-from repro.kernel import (CostModel, IoUring, JournalConfig, Kernel,
-                          KernelConfig, fsck)
+from repro.kernel import IoUring, JournalConfig, Kernel, KernelConfig, fsck
+from repro.obs import SpanCollector, TraceBus, get_default_bus
 from repro.qos import QosConfig, Tenant
 from repro.sim import Simulator
 from repro.structures import FsBackend, KvStore, LsmTree, SsTable
@@ -58,15 +58,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _mean_read_latency(model: LatencyModel, config: KernelConfig,
-                       reads: int) -> float:
-    """Mean latency (ns) of ``reads`` 512 B random reads by one process
-    alone on a fresh machine."""
-    kernel = Kernel(Simulator(), model, config)
+def _read_ledger(model: LatencyModel, reads: int) -> Dict[str, float]:
+    """The mean ledger (ns per layer, plus ``total``) of ``reads`` 512 B
+    random reads by one process alone on a fresh machine, traced on the
+    process default bus if it is enabled, else on a private one."""
+    default = get_default_bus()
+    bus = default if default.enabled else TraceBus(enabled=True)
+    ledger = SpanCollector(bus, max_roots=0)
+    kernel = Kernel(Simulator(), model, KernelConfig(seed=1, bus=bus))
     kernel.create_file("/data", bytes(1 << 20))
-    return mean_latency(
+    mean_latency(
         kernel, plain_reader(kernel, "/data", RandomStreams(2), "read"),
         reads)
+    return ledger.mean("normal")
 
 
 def fig1_latency_breakdown(reads: int = 200) -> List[Dict]:
@@ -81,15 +85,16 @@ def fig1_latency_breakdown(reads: int = 200) -> List[Dict]:
     for name in ("hdd", "nand", "nvm1", "nvm2"):
         # Jitter-free device models so the software share is exact.
         model = replace(DEVICE_PROFILES[name], jitter=0.0)
-        mean_total = _mean_read_latency(model, KernelConfig(seed=1), reads)
-        device_ns = model.read_ns
-        software_ns = mean_total - device_ns
+        ledger = _read_ledger(model, reads)
+        total_ns = ledger["total"]
+        device_ns = ledger["storage device"]
+        software_ns = total_ns - device_ns
         rows.append({
             "device": model.name,
-            "total_us": mean_total / 1000,
+            "total_us": total_ns / 1000,
             "device_us": device_ns / 1000,
             "software_us": software_ns / 1000,
-            "software_pct": 100.0 * software_ns / mean_total,
+            "software_pct": 100.0 * software_ns / total_ns,
         })
     return rows
 
@@ -110,23 +115,22 @@ TABLE1_PAPER = {
 
 
 def table1_breakdown(reads: int = 200) -> List[Dict]:
-    """Table 1: where a 512 B read's 6.27 us go on gen-2 Optane."""
-    cost = CostModel()
-    mean_total = _mean_read_latency(
-        NVM2_BENCH, KernelConfig(seed=1, cost_model=cost), reads)
-    software = cost.software_total_ns()
-    measured_device = mean_total - software
+    """Table 1: where a 512 B read's 6.27 us go on gen-2 Optane, every
+    row measured by the ledger."""
+    ledger = _read_ledger(NVM2_BENCH, reads)
+    total_ns = round(ledger["total"])
     rows = []
-    for layer, layer_ns in cost.table1_rows(int(measured_device)):
+    for layer, paper_ns in TABLE1_PAPER.items():
+        layer_ns = round(ledger.get(layer, 0))
         rows.append({
             "layer": layer,
             "measured_ns": layer_ns,
-            "paper_ns": TABLE1_PAPER[layer],
-            "measured_pct": 100.0 * layer_ns / mean_total,
+            "paper_ns": paper_ns,
+            "measured_pct": 100.0 * layer_ns / total_ns,
         })
     rows.append({
         "layer": "total",
-        "measured_ns": int(mean_total),
+        "measured_ns": total_ns,
         "paper_ns": 6272,
         "measured_pct": 100.0,
     })

@@ -94,6 +94,10 @@ def _check_fig1(rows):
 
 def _check_table1(rows):
     by_layer = {row["layer"]: row for row in rows}
+    # The ledger puts every ns of the read in exactly one of the six
+    # layers: no wait, nothing unattributed.
+    assert sum(row["measured_ns"] for row in rows[:-1]) == \
+        by_layer["total"]["measured_ns"]
     # Every layer within 2 % of the paper's measurement.
     for layer, row in by_layer.items():
         assert abs(row["measured_ns"] - row["paper_ns"]) <= \

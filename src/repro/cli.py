@@ -22,9 +22,12 @@ Commands:
   those two run-shaping flags the row's shape checks are asserted as
   ``report`` asserts them.
 * ``metrics <name>`` — run one experiment under the observability bus and
-  print per-layer CPU-ns attribution (reconciled against Table 1), the
-  chain-bypass summary, stack-health metrics (including fault-path
-  counters when ``--fault-plan`` is armed), and exemplar span trees.
+  print the layer ledger (per path, the mean ns per operation of every
+  layer, waits included, plus ``total`` and ``unattributed``), the
+  charges outside any operation, the chain-bypass line, stack-health
+  metrics (including fault-path counters when ``--fault-plan`` is
+  armed), and exemplar span trees.  Exits non-zero, naming the
+  operation, when a closed operation leaves time unattributed.
 * ``profile <name>`` — run one experiment (any row) under the standard
   library's ``cProfile`` and print the wall-clock hotspot report: self
   time by package (sim / ebpf / kernel / device / net / ...), the
@@ -173,6 +176,12 @@ def _cmd_metrics(args) -> int:
     print(f"{exp.title} — observability report")
     print()
     print(obs.render_report())
+    leaks = obs.spans.unattributed
+    if leaks:
+        root = leaks[0]
+        raise SystemExit(
+            f"{exp.name}: {len(leaks)} operations leave time unattributed, "
+            f"first {root.name} #{root.sid}: {root.ledger['unattributed']} ns")
     return 0
 
 

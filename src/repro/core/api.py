@@ -239,19 +239,23 @@ class StorageBpf:
                 f"equal the installed block size {installation.block_size}")
         if installation.hook is Hook.NVME:
             kernel.syscall_count += 1
+            bus = kernel.bus
+            span = 0
+            if bus.enabled:
+                # The chain's root, before its first charge; start_chain
+                # closes it.
+                span = bus.span_start("read_chain", kernel.sim.now,
+                                      pid=proc.pid, path="chain")
             yield from kernel.cpus.run_thread(kernel.cost.kernel_crossing_ns +
                                               kernel.cost.syscall_ns)
-            if kernel.bus.enabled:
-                # The chain root span opens inside start_chain; this event
-                # attributes the boundary-crossing cost to the chain path.
-                kernel.bus.emit(
-                    obs_events.SYSCALL_ENTER, kernel.sim.now,
-                    op="chain_entry",
-                    pid=proc.pid,
-                    crossing_ns=kernel.cost.kernel_crossing_ns,
-                    syscall_ns=kernel.cost.syscall_ns, path="chain", span=0)
+            if bus.enabled:
+                bus.emit(obs_events.SYSCALL_ENTER, kernel.sim.now,
+                         op="chain_entry", pid=proc.pid,
+                         crossing_ns=kernel.cost.kernel_crossing_ns,
+                         syscall_ns=kernel.cost.syscall_ns, path="chain",
+                         span=span)
             result = yield from self.engine.start_chain(
-                proc, file, offset, length, args, scratch_init)
+                proc, file, offset, length, args, scratch_init, span)
             return result
         # Syscall-dispatch hook: reuse the kernel's reissue loop, seeding
         # the per-call hook state with our args (sys_pread counts itself).
@@ -264,10 +268,10 @@ class StorageBpf:
         return result
 
     def _tagged_read(self, proc: Process, file: File, offset: int,
-                     length: int):
+                     length: int, span: int):
         """Registered as kernel.tagged_read_handler for plain sys_pread."""
         result = yield from self.engine.start_chain(proc, file, offset,
-                                                    length)
+                                                    length, span=span)
         return result
 
     # ------------------------------------------------------------------

@@ -158,21 +158,14 @@ class ChainEngine:
 
     def _begin(self, proc: Process, file: File, offset: int, length: int,
                args: Tuple[int, ...], scratch_init: bytes,
-               deliver: Callable[[ReadResult], None], **span_attrs):
+               deliver: Callable[[ReadResult], None], span: int):
         """Generator: what both entry points do before the first command
-        (thread context): open the root span, descend ext4 + BIO, build
-        the :class:`ChainState`.  Returns ``(state, segments)``."""
+        (thread context): descend ext4 + BIO and build the
+        :class:`ChainState` under the root ``span`` the caller opened.
+        Returns ``(state, segments)``."""
         kernel = self.kernel
-        bus = kernel.bus
         install: BpfInstallation = file.bpf_install
         self.chains_started += 1
-        span = 0
-        if bus.enabled:
-            span = bus.span_start("read_chain", kernel.sim.now,
-                                  pid=proc.pid, path="chain", **span_attrs)
-            bus.emit(obs_events.SYSCALL_ENTER, kernel.sim.now,
-                     op="read_chain", pid=proc.pid, crossing_ns=0,
-                     syscall_ns=0, path="chain", span=span)
         segments = yield from kernel.map_bio(file, offset, length, span,
                                              "chain")
         state = ChainState(proc, file, install, offset, length,
@@ -203,18 +196,20 @@ class ChainEngine:
 
     def start_chain(self, proc: Process, file: File, offset: int,
                     length: int, args: Tuple[int, ...] = (),
-                    scratch_init: bytes = b""):
+                    scratch_init: bytes = b"", span: int = 0):
         """Generator (thread context, syscall entry already charged).
 
         Runs the first hop through the full stack, then blocks while the
-        chain progresses in interrupt context.  Returns a ReadResult.
+        chain progresses in interrupt context; closes the root ``span``
+        the syscall opened.  Returns a ReadResult.
         """
         kernel = self.kernel
         cost = kernel.cost
         bus = kernel.bus
         waiter = kernel.sim.event()
         state, segments = yield from self._begin(
-            proc, file, offset, length, args, scratch_init, waiter.succeed)
+            proc, file, offset, length, args, scratch_init, waiter.succeed,
+            span)
         if len(segments) > 1:
             # First hop already spans discontiguous extents: do it as a
             # normal BIO and let the application restart the chain (§4).
@@ -244,8 +239,10 @@ class ChainEngine:
         return result
 
     def submit_uring_chain(self, proc: Process, file: File, sqe,
-                           post_cqe: Callable[[Any, ReadResult], None]):
-        """Generator used as the io_uring chain submitter (thread context)."""
+                           post_cqe: Callable[[Any, ReadResult], None],
+                           span: int):
+        """Generator used as the io_uring chain submitter (thread context);
+        the chain closes the SQE's root ``span`` when it delivers."""
         kernel = self.kernel
 
         def deliver(result: ReadResult) -> None:  # runs after _begin
@@ -255,7 +252,7 @@ class ChainEngine:
 
         state, segments = yield from self._begin(
             proc, file, sqe.offset, sqe.length, sqe.args, sqe.scratch_init,
-            deliver, uring=True)
+            deliver, span)
         if len(segments) > 1:
             # Split first hop: complete as a normal read with fallback
             # status.
@@ -439,7 +436,8 @@ class ChainEngine:
                     # still happens, but beyond the configured rate it
                     # waits out a deterministic delay first, so the IRQ
                     # path cannot be monopolised by one tenant.
-                    delay = qos.chain_pace(qos.tenant_of(state.proc))
+                    delay = qos.chain_pace(qos.tenant_of(state.proc),
+                                           span=hop_span)
                     if delay:
                         yield kernel.sim.timeout(delay)
                 state.offset = next_offset
@@ -470,6 +468,9 @@ class ChainEngine:
                                         value2=value2))
                 return False
             raise IoError(f"program returned unknown action {action}")
+        except GeneratorExit:
+            hop_span = 0  # abandoned mid-flight: the hop never ended
+            raise
         finally:
             if hop_span:
                 bus.span_end(hop_span, kernel.sim.now)

@@ -221,6 +221,11 @@ class NvmeDevice:
         """Post a command to the submission queue (no CPU cost here; the
         driver charges its own submission cost)."""
         if self.powered_off:
+            if self.bus.enabled:  # the driver's cost is spent all the same
+                self.bus.emit(obs_events.NVME_SUBMIT, self.sim.now,
+                              opcode=command.opcode, source=command.source,
+                              driver_ns=command.driver_ns, span=command.span,
+                              path=command.path, rejected=True)
             raise PowerLossError(
                 f"submit to powered-off device: {command!r}")
         if command.complete_ns != -1:

@@ -64,7 +64,8 @@ class IoUring:
         self._waiter = None
         self._in_flight = 0
         #: Chain submitter installed by repro.core: generator
-        #: fn(proc, file, sqe, post_cqe) scheduling a tagged chain.
+        #: fn(proc, file, sqe, post_cqe, span) scheduling a tagged chain
+        #: under the SQE's root ``span``.
         self.chain_submitter: Optional[Callable] = None
 
     # -- user-space side -------------------------------------------------
@@ -102,28 +103,26 @@ class IoUring:
 
         for sqe in submitted:
             file = self.proc.file(sqe.fd)
-            yield from kernel.cpus.run_thread(cost.iouring_sqe_ns)
-            if sqe.tagged and self.chain_submitter is not None and \
-                    file.bpf_install is not None:
-                if bus.enabled:
-                    bus.emit(obs_events.SYSCALL_ENTER, sim.now,
-                             op="uring_sqe", pid=self.proc.pid,
-                             crossing_ns=0, syscall_ns=0,
-                             uring_ns=cost.iouring_sqe_ns, path="chain",
-                             span=0)
-                self._in_flight += 1
-                yield from self.chain_submitter(self.proc, file, sqe,
-                                                self._post_cqe)
-                continue
-            # Normal async path: fs -> bio -> driver, completion by IRQ.
+            chained = (sqe.tagged and self.chain_submitter is not None and
+                       file.bpf_install is not None)
+            path = "chain" if chained else "uring"
             span = 0
             if bus.enabled:
-                span = bus.span_start("uring_sqe", sim.now,
-                                      pid=self.proc.pid, path="uring")
+                # The SQE's root, before its first charge; the chain or
+                # the plain completion closes it.
+                span = bus.span_start("read_chain" if chained else "uring_sqe",
+                                      sim.now, pid=self.proc.pid, path=path)
+            yield from kernel.cpus.run_thread(cost.iouring_sqe_ns)
+            if bus.enabled:
                 bus.emit(obs_events.SYSCALL_ENTER, sim.now, op="uring_sqe",
                          pid=self.proc.pid, crossing_ns=0, syscall_ns=0,
-                         uring_ns=cost.iouring_sqe_ns, path="uring",
-                         span=span)
+                         uring_ns=cost.iouring_sqe_ns, path=path, span=span)
+            if chained:
+                self._in_flight += 1
+                yield from self.chain_submitter(self.proc, file, sqe,
+                                                self._post_cqe, span)
+                continue
+            # Normal async path: fs -> bio -> driver, completion by IRQ.
             segments = yield from kernel.map_bio(file, sqe.offset,
                                                  sqe.length, span, "uring")
             self._in_flight += 1

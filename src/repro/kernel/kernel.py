@@ -308,7 +308,8 @@ class Kernel:
         #: sys_pread call so the hook can keep loop state across reissues.
         self.syscall_read_hook: Optional[Callable] = None
         #: Generator run instead of the normal data path for tagged reads:
-        #: fn(proc, file, offset, length) -> ReadResult.
+        #: fn(proc, file, offset, length, span) -> ReadResult, where
+        #: ``span`` is the chain's root, which the handler closes.
         self.tagged_read_handler: Optional[Callable] = None
         #: ioctl dispatch: op code -> generator fn(proc, file, arg) -> int.
         self.ioctl_handlers: Dict[int, Callable] = {}
@@ -445,13 +446,6 @@ class Kernel:
             raise InvalidArgument("read length must be >= 0")
         file = proc.file(fd)
         self.syscall_count += 1
-        yield from self.cpus.run_thread(self.cost.kernel_crossing_ns +
-                                        self.cost.syscall_ns)
-        if length == 0:
-            # POSIX pread: zero-length reads succeed with no data and
-            # never reach the device.
-            return ReadResult(b"", final_offset=offset)
-
         nvme_tagged = (tagged and self.tagged_read_handler is not None and
                        file.bpf_install is not None and
                        getattr(file.bpf_install, "hook_kind", None) == "nvme")
@@ -462,16 +456,18 @@ class Kernel:
                    else "syscall" if syscall_hooked else "normal")
         span = 0
         if self.bus.enabled:
-            if not nvme_tagged:
-                # NVMe-hook chains get their root span from the chain
-                # engine; everything else roots at the syscall boundary.
-                span = self.bus.span_start("sys_pread", self.sim.now,
-                                           pid=proc.pid, path=io_path)
+            # The operation's root, before its first charge.  An NVMe-hook
+            # chain's root is closed by the chain engine.
+            span = self.bus.span_start(
+                "read_chain" if nvme_tagged else "sys_pread", self.sim.now,
+                pid=proc.pid, path=io_path)
+        yield from self.cpus.run_thread(self.cost.kernel_crossing_ns +
+                                        self.cost.syscall_ns)
+        if self.bus.enabled:
             self._emit_syscall("pread", proc.pid, path=io_path, span=span)
-
-        if nvme_tagged:
+        if nvme_tagged and length:
             result = yield from self.tagged_read_handler(proc, file, offset,
-                                                         length)
+                                                         length, span)
             return result
 
         if hook_state is None:
@@ -480,6 +476,10 @@ class Kernel:
         queue = self.queue_for(proc)
         tenant = self.tenant_of(proc)
         try:
+            if length == 0:
+                # POSIX pread: zero-length reads succeed with no data and
+                # never reach the device.
+                return ReadResult(b"", final_offset=offset)
             while True:  # syscall-dispatch hook reissue loop
                 data = yield from self._normal_read_path(file, offset, length,
                                                          span=span,
@@ -504,6 +504,9 @@ class Kernel:
                         return payload
                     raise IoError(f"bad syscall hook action {action!r}")
                 return result
+        except GeneratorExit:
+            span = 0  # abandoned mid-flight: the operation never ended
+            raise
         finally:
             if span:
                 self.bus.span_end(span, self.sim.now)
@@ -513,16 +516,18 @@ class Kernel:
         file = proc.file(fd)
         self.syscall_count += 1
         cost = self.cost
-        yield from self.cpus.run_thread(cost.kernel_crossing_ns +
-                                        cost.syscall_ns)
-        if not data:
-            return 0
         span = 0
         if self.bus.enabled:
             span = self.bus.span_start("sys_pwrite", self.sim.now,
                                        pid=proc.pid, path="write")
-            self._emit_syscall("pwrite", proc.pid, path="write", span=span)
         try:
+            yield from self.cpus.run_thread(cost.kernel_crossing_ns +
+                                            cost.syscall_ns)
+            if self.bus.enabled:
+                self._emit_syscall("pwrite", proc.pid, path="write",
+                                   span=span)
+            if not data:
+                return 0
             yield from self.cpus.run_thread(cost.filesystem_ns)
             # Allocation and the size update land in ONE journal transaction,
             # so replay can never leave blocks mapped past EOF.
@@ -546,6 +551,9 @@ class Kernel:
                 self.bus.emit(obs_events.CONTEXT_SWITCH, self.sim.now,
                               cpu_ns=cost.context_switch_ns, span=span,
                               path="write")
+        except GeneratorExit:
+            span = 0  # abandoned mid-flight: the operation never ended
+            raise
         finally:
             if span:
                 self.bus.span_end(span, self.sim.now)
@@ -564,15 +572,16 @@ class Kernel:
         self.syscall_count += 1
         self.fsyncs += 1
         cost = self.cost
-        yield from self.cpus.run_thread(cost.kernel_crossing_ns +
-                                        cost.syscall_ns)
         span = 0
         if self.bus.enabled:
             span = self.bus.span_start("sys_fsync", self.sim.now,
                                        pid=proc.pid, path="write")
-            self._emit_syscall("fsync", proc.pid, path="write", span=span)
         queue = self.queue_for(proc)
         try:
+            yield from self.cpus.run_thread(cost.kernel_crossing_ns +
+                                            cost.syscall_ns)
+            if self.bus.enabled:
+                self._emit_syscall("fsync", proc.pid, path="write", span=span)
             yield from self._device_flush(span, "write", queue=queue)
             journal = self.fs.journal
             if journal is not None and journal.pending_txns:
@@ -582,6 +591,9 @@ class Kernel:
                 self.bus.emit(obs_events.CONTEXT_SWITCH, self.sim.now,
                               cpu_ns=cost.context_switch_ns, span=span,
                               path="write")
+        except GeneratorExit:
+            span = 0  # abandoned mid-flight: the operation never ended
+            raise
         finally:
             if span:
                 self.bus.span_end(span, self.sim.now)
@@ -604,6 +616,11 @@ class Kernel:
         journal = self.fs.journal
         cost = self.cost
         yield from self.cpus.run_thread(cost.filesystem_ns)
+        if self.bus.enabled:
+            self.bus.emit(obs_events.JOURNAL_BEGIN, self.sim.now,
+                          cpu_ns=cost.filesystem_ns,
+                          txns=journal.pending_txns, span=span,
+                          path=path)
         if journal.checkpoint_due() or not journal.fits_pending():
             # Untimed maintenance, the kjournald/background-writeback
             # analogue: serialise metadata, truncate + TRIM the log.

@@ -88,14 +88,3 @@ class CostModel:
         """CPU cost of one hook invocation executing ``instructions``."""
         per_insn = self.bpf_insn_jit_ns if jit else self.bpf_insn_interp_ns
         return self.bpf_dispatch_ns + instructions * per_insn
-
-    def table1_rows(self, device_ns: int):
-        """(layer, ns) rows in Table 1 order, including the device."""
-        return [
-            ("kernel crossing", self.kernel_crossing_ns),
-            ("read syscall", self.syscall_ns),
-            ("ext4", self.filesystem_ns),
-            ("bio", self.bio_ns),
-            ("NVMe driver", self.nvme_driver_ns),
-            ("storage device", device_ns),
-        ]

@@ -9,10 +9,11 @@ and per-request attribution:
 - :mod:`repro.obs.events` — the typed event catalogue.
 - :mod:`repro.obs.metrics` — Prometheus-style counters / gauges /
   fixed-bucket histograms and a :class:`MetricsRegistry`.
-- :mod:`repro.obs.subscribers` — Table-1 layer attribution and the
-  standard stack-health metrics.
-- :mod:`repro.obs.spans` — per-I/O span trees with flamegraph-style
-  rendering that shows which layers a BPF-recycled I/O bypassed.
+- :mod:`repro.obs.subscribers` — the standard stack-health metrics.
+- :mod:`repro.obs.spans` — per-operation span trees and the layer
+  ledger: every simulated ns of an operation in exactly one layer, with
+  flamegraph-style rendering that shows which layers a BPF-recycled I/O
+  bypassed.
 - :mod:`repro.obs.export` — deterministic JSONL export.
 - :mod:`repro.obs.session` — :class:`ObsSession`, the bundle the CLI
   ``metrics`` subcommand uses.
@@ -26,12 +27,8 @@ from repro.obs.events import TraceEvent
 from repro.obs.export import JsonlRecorder, dump_metrics_jsonl, load_metrics_jsonl
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.session import ObsSession
-from repro.obs.spans import Span, SpanCollector
-from repro.obs.subscribers import (
-    ATTRIBUTION,
-    LayerAttribution,
-    attach_standard_metrics,
-)
+from repro.obs.spans import ATTRIBUTION, Span, SpanCollector
+from repro.obs.subscribers import attach_standard_metrics
 
 __all__ = [
     "ATTRIBUTION",
@@ -39,7 +36,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonlRecorder",
-    "LayerAttribution",
     "MetricsRegistry",
     "NULL_BUS",
     "ObsSession",

@@ -11,7 +11,7 @@ Event catalogue (all fields are plain JSON-serialisable values):
 event type                emitted by / meaning
 ========================  =====================================================
 ``syscall_enter``         syscall dispatch layer: one boundary crossing.
-                          Fields: ``op`` (pread/open/ioctl/read_chain/
+                          Fields: ``op`` (pread/open/ioctl/chain_entry/
                           io_uring_enter/reissue/...), ``pid``,
                           ``crossing_ns``, ``syscall_ns``, ``path``, ``span``.
 ``fs_resolve``            ext4 extent resolution (``ExtFs.map_range``):
@@ -24,7 +24,8 @@ event type                emitted by / meaning
 ``nvme_submit``           a command was posted to the device submission
                           queue; ``opcode``, ``lba``, ``sectors``,
                           ``source``, ``driver_ns``, ``queue_depth``,
-                          ``queue`` (owning SQ/CQ pair).
+                          ``queue`` (owning SQ/CQ pair); ``rejected``
+                          when a powered-off device refused it.
 ``nvme_complete``         device finished servicing a command;
                           ``service_ns`` (media time, excludes queueing),
                           ``queue_ns`` (time spent queued), ``status``,
@@ -65,7 +66,7 @@ event type                emitted by / meaning
 ``nvme_retry``            the driver (or chain engine) resubmitted a
                           failed command; ``reason`` ("media"/
                           "timeout"), ``attempt``, ``backoff_ns``,
-                          ``lba``.
+                          ``lba``; emitted when the backoff sleep starts.
 ``chain_fallback``        a faulted chain hop exhausted its retries and
                           the chain was handed back to user space;
                           ``pid``, ``hops``, ``offset``, ``reason``.
@@ -79,6 +80,8 @@ event type                emitted by / meaning
                           ``flushes`` (completed flushes at the cut).
 ``blockdev_discard``      media TRIM (journal checkpoint, punch_range);
                           ``lba``, ``sectors``.
+``journal_begin``         a journal commit charged its ext4 CPU; ``cpu_ns``,
+                          ``txns`` (pending), ``span``, ``path``.
 ``journal_commit``        metadata txns became durable; ``txns``,
                           ``frames``, ``bytes``, ``seq`` (last committed).
 ``journal_replay``        recovery scanned the journal; ``replayed``,
@@ -118,7 +121,8 @@ event type                emitted by / meaning
                           (cumulative refusals for this tenant).
 ``qos_throttle``          the chain engine paced a tenant's resubmission
                           to stay within rate; ``tenant``, ``delay_ns``,
-                          ``throttles`` (cumulative).
+                          ``throttles`` (cumulative), ``span``; emitted
+                          when the delay starts.
 ``qos_tenant_depth``      a command entered a WFQ submission queue;
                           ``tenant`` ("_system" for kernel-internal
                           I/O), ``queue``, ``depth`` (the tenant's
@@ -165,6 +169,7 @@ __all__ = [
     "FSCK_REPORT",
     "FS_RESOLVE",
     "IRQ_ENTRY",
+    "JOURNAL_BEGIN",
     "JOURNAL_CHECKPOINT",
     "JOURNAL_COMMIT",
     "JOURNAL_REPLAY",
@@ -217,6 +222,7 @@ SPAN_END = "span_end"
 NVME_FLUSH = "nvme_flush"
 POWER_LOSS = "power_loss"
 BLOCKDEV_DISCARD = "blockdev_discard"
+JOURNAL_BEGIN = "journal_begin"
 JOURNAL_COMMIT = "journal_commit"
 JOURNAL_REPLAY = "journal_replay"
 JOURNAL_CHECKPOINT = "journal_checkpoint"

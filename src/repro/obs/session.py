@@ -2,10 +2,11 @@
 
 ``ObsSession`` bundles an enabled :class:`~repro.obs.bus.TraceBus`, a
 :class:`~repro.obs.metrics.MetricsRegistry` with the standard
-subscribers attached, a :class:`~repro.obs.spans.SpanCollector`, and an
-optional JSONL recorder.  Used as a context manager it installs its bus
-as the process default, so experiment code that builds Kernels without
-an explicit bus is observed transparently::
+subscribers attached, a :class:`~repro.obs.spans.SpanCollector` (span
+trees and the layer ledger), and an optional JSONL recorder.  Used as a
+context manager it installs its bus as the process default, so
+experiment code that builds Kernels without an explicit bus is observed
+transparently::
 
     with ObsSession(record_jsonl=True) as obs:
         fig3_throughput(quick=True)
@@ -15,29 +16,26 @@ an explicit bus is observed transparently::
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.obs.bus import TraceBus, set_default_bus
 from repro.obs.export import JsonlRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanCollector
-from repro.obs.subscribers import (
-    LayerAttribution,
-    attach_standard_metrics,
-)
+from repro.obs.subscribers import attach_standard_metrics
 
 __all__ = ["ObsSession"]
 
 
 class ObsSession:
-    """Enabled bus + registry + attribution + spans, as a context manager."""
+    """Enabled bus + registry + ledger + spans, as a context manager."""
 
     def __init__(self, record_jsonl: bool = False, max_roots: int = 256):
         self.bus = TraceBus(enabled=True)
         self.registry = MetricsRegistry()
-        self.attribution = LayerAttribution(self.bus, self.registry)
         attach_standard_metrics(self.bus, self.registry)
-        self.spans = SpanCollector(self.bus, max_roots=max_roots)
+        self.spans = SpanCollector(self.bus, max_roots=max_roots,
+                                   registry=self.registry)
         self.recorder = JsonlRecorder(self.bus) if record_jsonl else None
         self._previous_bus: Optional[TraceBus] = None
 
@@ -59,44 +57,23 @@ class ObsSession:
 
     # -- reporting ---------------------------------------------------------
 
-    def render_report(self, cost_model=None,
-                      device_ns: Optional[int] = None) -> str:
-        """Attribution table + chain-bypass summary + counters + spans."""
+    def render_report(self) -> str:
+        """Ledger table + span-0 line + chain bypass + metrics + spans."""
         from repro.bench.tables import format_table  # local: avoid cycle
 
-        lines: List[str] = []
-        rows = self.attribution.table1_comparison(cost_model, device_ns)
-        table_rows = []
-        for row in rows:
-            table_rows.append({
-                "layer": row["layer"],
-                "table1_ns": ("-" if row["table1_ns"] is None
-                              else str(row["table1_ns"])),
-                "normal_per_io": f"{row['normal_per_io']:.0f}",
-                "delta": ("-" if row["delta"] is None
-                          else f"{row['delta']:+.0f}"),
-                "chain_per_io": f"{row['chain_per_io']:.0f}",
-            })
-        lines.append(format_table(
-            "Per-layer CPU-ns attribution (per completed I/O)",
-            ("layer", "table1_ns", "normal_per_io", "delta", "chain_per_io"),
-            table_rows,
-        ))
-        summary = self.attribution.bypass_summary()
-        if summary["chain_ios"]:
-            # A layer is "skipped" when recycled hops pay (much) less for
-            # it than a normal I/O does — it is charged once per chain at
-            # setup, not once per hop.
-            skipped = [entry["layer"] for entry in summary["layers"]
-                       if entry["normal_per_io"] == 0
-                       or entry["chain_per_hop"]
-                       < 0.5 * entry["normal_per_io"]]
+        spans = self.spans
+        rows = spans.ledger_rows()
+        lines = [format_table(
+            "Layer ledger (mean ns per closed operation, by path)",
+            list(rows[0]), rows)]
+        if spans.outside:
             lines.append("")
-            lines.append(
-                f"chain bypass: {summary['chain_ios']} chained I/Os, "
-                f"{summary['total_hops']} hops "
-                f"({summary['recycled_hops']} recycled in IRQ context); "
-                f"recycled hops skip: {', '.join(skipped)}")
+            lines.append("outside any operation (span 0), ns: " + ", ".join(
+                f"{path} {ns}" for path, ns in sorted(spans.outside.items())))
+        bypass = spans.bypass_line()
+        if bypass is not None:
+            lines.append("")
+            lines.append(bypass)
         lines.append("")
         lines.append("-- metrics --")
         lines.append(self.registry.render())

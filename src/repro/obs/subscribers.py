@@ -1,178 +1,22 @@
-"""Standard bus subscribers: Table-1 attribution and stack metrics.
+"""Standard bus subscribers: the stack-health metrics.
 
-``ATTRIBUTION`` maps ``(event_type, field)`` pairs to the layer names
-used by :meth:`repro.kernel.layers.CostModel.table1_rows`, so per-layer
-CPU-ns totals accumulated from the event stream reconcile directly
-against the paper's Table 1.  :class:`LayerAttribution` does that
-accumulation per I/O path (normal / chain / syscall / uring / ...),
-and :func:`attach_standard_metrics` wires the remaining stack health
-metrics — chain-depth histograms, extent-cache hit ratios, per-pid
-resubmission fairness, kill counts — into a
-:class:`~repro.obs.metrics.MetricsRegistry`.
+:func:`attach_standard_metrics` wires chain-depth histograms, extent-cache
+hit ratios, per-pid resubmission fairness, kill counts and the fault,
+crash, network and cluster counters into a
+:class:`~repro.obs.metrics.MetricsRegistry`.  Per-layer time is the
+ledger's (:class:`~repro.obs.spans.SpanCollector`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict
 
 from repro.obs import events as ev
 from repro.obs.bus import TraceBus
 from repro.obs.events import TraceEvent
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["ATTRIBUTION", "LayerAttribution", "attach_standard_metrics"]
-
-#: (event type, ns field) -> Table-1 layer name (plus the calibrated
-#: layers that Table 1 does not list but the simulation charges).
-ATTRIBUTION: Dict[Tuple[str, str], str] = {
-    (ev.SYSCALL_ENTER, "crossing_ns"): "kernel crossing",
-    (ev.SYSCALL_ENTER, "syscall_ns"): "read syscall",
-    (ev.SYSCALL_ENTER, "uring_ns"): "io_uring",
-    (ev.FS_RESOLVE, "cpu_ns"): "ext4",
-    (ev.BIO_SUBMIT, "cpu_ns"): "bio",
-    (ev.NVME_SUBMIT, "driver_ns"): "NVMe driver",
-    (ev.NVME_COMPLETE, "service_ns"): "storage device",
-    (ev.IRQ_ENTRY, "cpu_ns"): "irq",
-    (ev.BPF_HOOK_DISPATCH, "cpu_ns"): "bpf",
-    (ev.CONTEXT_SWITCH, "cpu_ns"): "context switch",
-    (ev.APP_PROCESS, "cpu_ns"): "application",
-}
-
-#: Table-1 layer names in presentation order, then calibrated extras.
-LAYER_ORDER: List[str] = [
-    "kernel crossing", "read syscall", "ext4", "bio", "NVMe driver",
-    "storage device", "io_uring", "irq", "bpf", "context switch",
-    "application",
-]
-
-#: The software layers a successful NVMe-hook chain hop never touches.
-BYPASSED_BY_CHAIN: Tuple[str, ...] = ("kernel crossing", "read syscall",
-                                      "ext4", "bio")
-
-
-class LayerAttribution:
-    """Accumulates CPU/device nanoseconds per (path, layer) from the bus.
-
-    ``paths`` follow the taxonomy used by the instrumentation: ``normal``
-    (baseline read), ``chain`` (NVMe-hook resubmission), ``syscall``
-    (syscall-layer hook reissue loop), ``uring``, ``write``, and ``ctl``
-    (open/ioctl/close plumbing, excluded from read-path tables).
-    """
-
-    def __init__(self, bus: TraceBus,
-                 registry: Optional[MetricsRegistry] = None):
-        self.ns: Dict[Tuple[str, str], int] = {}
-        self.ops: Dict[str, int] = {}
-        self.hops = 0
-        self.stack_entries: Dict[str, int] = {}
-        self._counter = (registry.counter(
-            "layer_cpu_ns_total", "CPU/device ns attributed per layer")
-            if registry is not None else None)
-        self._fields_by_etype: Dict[str, List[Tuple[str, str]]] = {}
-        for (etype, field), layer in ATTRIBUTION.items():
-            self._fields_by_etype.setdefault(etype, []).append((field, layer))
-        bus.subscribe(self._on_event)
-
-    def _on_event(self, event: TraceEvent) -> None:
-        etype = event.etype
-        path = event.get("path", "normal")
-        fields = self._fields_by_etype.get(etype)
-        if fields:
-            for field, layer in fields:
-                ns = event.get(field, 0)
-                if ns:
-                    key = (path, layer)
-                    self.ns[key] = self.ns.get(key, 0) + ns
-                    if self._counter is not None:
-                        self._counter.inc(ns, path=path, layer=layer)
-        if etype == ev.SYSCALL_ENTER:
-            op = event.get("op", "")
-            # One completed I/O per chain root or per (non-chain) pread;
-            # a chain entered via sys_pread emits both, count it once.
-            if op == "read_chain" or (op == "pread" and path != "chain"):
-                self.ops[path] = self.ops.get(path, 0) + 1
-        elif etype == ev.CHAIN_HOP and path == "chain":
-            self.hops += 1
-        elif etype == ev.FS_RESOLVE:
-            self.stack_entries[path] = self.stack_entries.get(path, 0) + 1
-
-    # -- queries -----------------------------------------------------------
-
-    def layer_ns(self, path: str, layer: str) -> int:
-        return self.ns.get((path, layer), 0)
-
-    def per_io(self, path: str, layer: str) -> float:
-        """Average ns per completed I/O on ``path`` for ``layer``."""
-        ops = self.ops.get(path, 0)
-        if ops == 0:
-            return 0.0
-        return self.layer_ns(path, layer) / ops
-
-    def per_hop(self, layer: str) -> float:
-        """Average ns per chain hop (root submission + recycles)."""
-        if self.hops == 0:
-            return 0.0
-        return self.layer_ns("chain", layer) / self.hops
-
-    def table1_comparison(self, cost_model=None,
-                          device_ns: Optional[int] = None) -> List[Dict[str, Any]]:
-        """Per-layer rows reconciling observed ns against Table 1.
-
-        ``normal_per_io`` should match the Table-1 column exactly for
-        the baseline path; ``chain_per_io`` shows which software layers
-        a BPF-recycled I/O amortises over the whole chain (ext4/bio are
-        charged once per chain, not once per hop).
-        """
-        if cost_model is None:
-            from repro.kernel.layers import CostModel  # local: avoid cycle
-            cost_model = CostModel()
-        if device_ns is None:
-            from repro.device.latency import NVM_GEN2
-            device_ns = NVM_GEN2.read_ns
-        expected = dict(cost_model.table1_rows(device_ns))
-        rows = []
-        chain_ops = self.ops.get("chain", 0)
-        for layer in LAYER_ORDER:
-            table1_ns = expected.get(layer)
-            normal = self.per_io("normal", layer)
-            chain = (self.layer_ns("chain", layer) / chain_ops
-                     if chain_ops else 0.0)
-            if table1_ns is None and normal == 0 and chain == 0:
-                continue
-            rows.append({
-                "layer": layer,
-                "table1_ns": table1_ns,
-                "normal_per_io": normal,
-                "delta": (normal - table1_ns) if table1_ns is not None else None,
-                "chain_per_io": chain,
-            })
-        return rows
-
-    def bypass_summary(self) -> Dict[str, Any]:
-        """How much software-layer work the chain path skipped.
-
-        A chain of ``h`` hops charges ext4/bio/syscall once (at setup)
-        instead of once per hop; the bypassed layers are those with zero
-        incremental cost per recycled hop.
-        """
-        chain_ops = self.ops.get("chain", 0)
-        recycled = self.hops - chain_ops if self.hops > chain_ops else 0
-        skipped = []
-        for layer in BYPASSED_BY_CHAIN:
-            per_io = (self.layer_ns("chain", layer) / chain_ops
-                      if chain_ops else 0.0)
-            skipped.append({
-                "layer": layer,
-                "chain_per_io": per_io,
-                "chain_per_hop": self.per_hop(layer),
-                "normal_per_io": self.per_io("normal", layer),
-            })
-        return {
-            "chain_ios": chain_ops,
-            "total_hops": self.hops,
-            "recycled_hops": recycled,
-            "layers": skipped,
-        }
+__all__ = ["attach_standard_metrics"]
 
 
 def attach_standard_metrics(bus: TraceBus, registry: MetricsRegistry) -> None:
@@ -260,6 +104,8 @@ def attach_standard_metrics(bus: TraceBus, registry: MetricsRegistry) -> None:
     qpair_in_flight: Dict[int, int] = {}
 
     def _on_nvme_submit(event: TraceEvent) -> None:
+        if event.get("rejected"):
+            return  # a powered-off device refused it: never in flight
         nvme.inc(source=event.get("source", "bio"))
         qdepth.set(event.get("queue_depth", 0))
         queue = event.get("queue", 0)

@@ -102,8 +102,9 @@ class QosManager:
     # Chain-engine pacing (IRQ-context resubmissions)
     # ------------------------------------------------------------------
 
-    def chain_pace(self, tenant_name: Optional[str]) -> int:
-        """ns a chain resubmission must wait to stay within rate.
+    def chain_pace(self, tenant_name: Optional[str], span: int = 0) -> int:
+        """ns a chain resubmission must wait to stay within rate (the
+        ``qos_throttle`` event names the hop's ``span``).
 
         Pacing, not refusal: the resubmission always proceeds, but a
         tenant whose chain storm exceeds ``chain_tokens_per_ms * weight``
@@ -128,7 +129,8 @@ class QosManager:
             if self.bus.enabled:
                 self.bus.emit(obs_events.QOS_THROTTLE, self.clock(),
                               tenant=tenant_name, delay_ns=delay,
-                              throttles=self.chain_throttles[tenant_name])
+                              throttles=self.chain_throttles[tenant_name],
+                              span=span, path="chain")
         return delay
 
     # ------------------------------------------------------------------

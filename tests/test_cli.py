@@ -153,6 +153,30 @@ def test_metrics_with_fault_plan_reports_fault_counters(capsys):
     assert "nvme_retries_total" in out
 
 
+def test_metrics_prints_the_ledger(capsys):
+    assert main(["metrics", "table1", "--quick"]) == 0
+    out = capsys.readouterr().out
+    assert "Layer ledger" in out
+    ledger = dict(re.findall(r"^(\w[\w ]*?) +(\d+)$", out, re.M))
+    assert ledger["storage device"] == "3224"
+    assert ledger["unattributed"] == "0"
+    assert ledger["total"] == "6272"
+
+
+def test_metrics_fails_naming_an_operation_with_unattributed_time(
+        monkeypatch, capsys):
+    from repro.obs import ATTRIBUTION, events
+
+    # Unclaimed device time ends every polled read: the ledger cannot
+    # name it, so it is left over at close.
+    monkeypatch.delitem(ATTRIBUTION, (events.NVME_COMPLETE, "service_ns"))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["metrics", "table1", "--quick"])
+    assert "table1: 50 operations leave time unattributed" in \
+        str(excinfo.value)
+    assert "sys_pread" in str(excinfo.value)
+
+
 def test_profile_quick_prints_hotspot_table(capsys):
     assert main(["profile", "fig3c", "--quick", "--top", "5"]) == 0
     out = capsys.readouterr().out

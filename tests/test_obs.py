@@ -8,12 +8,12 @@ import json
 import pytest
 
 from chainutil import build_machine, install_walker, linked_file_bytes
-from repro.bench.registry import BY_NAME
+from repro.bench.experiments import fig3c_latency
+from repro.bench.registry import BY_NAME, EXPERIMENTS
 from repro.faults import fault_injection, parse_fault_spec
 from repro.obs import (
     ATTRIBUTION,
     JsonlRecorder,
-    LayerAttribution,
     MetricsRegistry,
     ObsSession,
     SpanCollector,
@@ -82,39 +82,53 @@ def test_trace_jsonl_is_deterministic_across_runs():
     assert texts[0] == texts[1]
 
 
-# SHA-256 of the whole JSONL bus trace of two quick runs, recorded by running
-# this test body at e80b9f5 (Python 3.11; the events hold integers and
-# strings only), before the NVMe submission sites were folded into
-# ``Kernel.post``.  Two runs of one commit agreeing (the test above) says
-# nothing about emission order, span ids or stamped ``driver_ns`` surviving a
-# refactor; this does.  The cyclic collector is off while the run records:
-# a process still blocked when its cell ends closes its span from a
-# generator ``finally`` whenever it is finalised, so with the collector on
-# the trace depends on the allocation history of the interpreter (which
-# modules pytest imported first), at the parent commit too.  A change that
-# moves the trace on purpose re-records both digests.
+# SHA-256 of the whole JSONL bus trace of two quick runs.  Two runs of one
+# commit agreeing (the test above) says nothing about emission order, span
+# ids or stamped ``driver_ns`` surviving a refactor; this does.  First
+# recorded before the NVMe submission sites were folded into
+# ``Kernel.post``; re-recorded when every root span moved to open before
+# its operation's first charge (and the journal commit's ext4 charge and a
+# refused submission got their events).  A change that moves the trace on
+# purpose re-records both digests.
 PINNED_TRACES = [
     ("fig3b", None,
-     "2e290c0e1d7621f2ac567ca25269c6b160316d43332e75eb68979ab7719e9e06"),
+     "189b77fab53837a789788092c452b7aad48342628239a60587dc376b68c75f25"),
     ("fig3c", "seed=7,read_error_rate=0.02,error_burst=2",
-     "f712a630ec900818ee69fefbbc268511c2c63d4622e50cc2aca159971a7d1104"),
+     "b9437c8d71ced39eaccffd2639d76ef9cebbce5696e6981c0c2b95ff9dc544be"),
 ]
+
+
+def traced_text(name, fault_plan=None):
+    faults = (fault_injection(parse_fault_spec(fault_plan)) if fault_plan
+              else contextlib.nullcontext())
+    with faults, ObsSession(record_jsonl=True) as obs:
+        BY_NAME[name].run(quick=True)
+    return obs.recorder
 
 
 @pytest.mark.parametrize("name,fault_plan,digest", PINNED_TRACES,
                          ids=["fig3b", "fig3c-faulted"])
 def test_trace_jsonl_is_pinned_across_commits(name, fault_plan, digest):
-    faults = (fault_injection(parse_fault_spec(fault_plan)) if fault_plan
-              else contextlib.nullcontext())
+    text = traced_text(name, fault_plan).text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_trace_does_not_depend_on_the_garbage_collector():
+    # A closed-loop cell ends with operations in flight; their generators
+    # are finalised whenever the collector reaches them.  An abandoned
+    # operation leaves its span open instead of closing it at that
+    # moment, so nothing lands on the bus after the run.
+    with_gc = traced_text("fig3b").text()
     gc.collect()
     gc.disable()
     try:
-        with faults, ObsSession(record_jsonl=True) as obs:
-            BY_NAME[name].run(quick=True)
+        recorder = traced_text("fig3b")
+        during = len(recorder.lines)
+        gc.collect()
     finally:
         gc.enable()
-    text = obs.recorder.text()
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert len(recorder.lines) == during
+    assert recorder.text() == with_gc
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +214,9 @@ def test_chain_span_tree_parent_child_integrity():
         assert hop.parent == root.sid
         assert hop.end_ns is not None
         assert hop.start_ns >= root.start_ns
+    # The root's ledger is the whole operation, in integer ns.
+    assert sum(root.ledger.values()) == root.duration_ns
+    assert "unattributed" not in root.ledger
     # The chain setup charges fs/bio once, on the root span.
     assert root.layers.get("ext4", 0) > 0
     assert root.layers.get("bio", 0) > 0
@@ -236,24 +253,84 @@ def test_baseline_read_spans_show_full_stack():
 
 
 # ---------------------------------------------------------------------------
-# Attribution
+# The layer ledger
 # ---------------------------------------------------------------------------
 
 
 def test_chain_attribution_matches_cost_model():
     bus = TraceBus(enabled=True)
-    attribution = LayerAttribution(bus)
+    spans = SpanCollector(bus)
     _, kernel, bpf, proc, fd = chain_machine(bus=bus)
+    start = kernel.sim.now
     run_chain(kernel, bpf, proc, fd)
+    latency = kernel.sim.now - start
     cost = kernel.cost
+    chain = spans.totals["chain"]
     # ext4 and bio are charged once per chain, not once per hop.
-    assert attribution.layer_ns("chain", "ext4") == cost.filesystem_ns
-    assert attribution.layer_ns("chain", "bio") == cost.bio_ns
+    assert chain["ext4"] == cost.filesystem_ns
+    assert chain["bio"] == cost.bio_ns
     # Driver submission cost accrues on every hop that issued an I/O.
-    assert attribution.layer_ns("chain", "NVMe driver") == \
-        cost.nvme_driver_ns * len(ORDER)
-    assert attribution.hops == len(ORDER)
-    assert attribution.ops.get("chain") == 1
+    assert chain["NVMe driver"] == cost.nvme_driver_ns * len(ORDER)
+    assert spans.hops == len(ORDER)
+    assert spans.ops == {"chain": 1}
+    # One unloaded chain: no wait of any kind, nothing unattributed.
+    assert not {"cpu wait", "sq wait", "sleep", "unattributed"} & set(chain)
+    assert sum(chain.values()) == latency
+
+
+def test_ledger_claims_each_ns_once():
+    bus = TraceBus(enabled=True)
+    spans = SpanCollector(bus)
+    root = bus.span_start("op", 0, path="normal")
+    hop = bus.span_start("hop", 100, parent=root)
+    # 50 ns waited for a core, then 100 ns of syscall.
+    bus.emit(events.SYSCALL_ENTER, 150, crossing_ns=60, syscall_ns=40,
+             span=root)
+    # Two parallel device reads: the second adds only its tail.
+    bus.emit(events.NVME_COMPLETE, 400, queue_ns=50, service_ns=200,
+             span=root)
+    bus.emit(events.NVME_COMPLETE, 420, queue_ns=20, service_ns=250,
+             span=hop)
+    bus.span_end(hop, 420)
+    # A sleep is announced when it starts; a child's events charge the
+    # root even after the child closed.
+    bus.emit(events.NVME_RETRY, 420, backoff_ns=80, span=hop)
+    bus.emit(events.IRQ_ENTRY, 600, cpu_ns=50, span=hop)
+    bus.span_end(root, 620)
+    (op,) = spans.roots
+    assert op.ledger == {
+        "cpu wait": 50 + 50, "kernel crossing": 60, "read syscall": 40,
+        "sq wait": 50, "storage device": 200 + 20, "sleep": 80, "irq": 50,
+        "unattributed": 20}
+    assert sum(op.ledger.values()) == op.duration_ns
+    assert spans.unattributed == [op]
+    assert spans.mean("normal")["total"] == 620
+
+
+#: Rows whose operations never wait: one client, nothing queued.
+UNLOADED = {"fig1", "table1", "fig3c", "hooks", "crash"}
+
+
+@pytest.mark.parametrize("exp", EXPERIMENTS, ids=lambda exp: exp.name)
+def test_every_closed_operation_is_fully_ledgered(exp):
+    with ObsSession(max_roots=0) as obs:
+        exp.run(quick=True)
+    spans = obs.spans
+    # Per closed root: sum(layers) == end - start with nothing left over
+    # (a missing or double claim would show as unattributed time).
+    assert [(root.name, root.ledger) for root in spans.unattributed] == []
+    if exp.name in UNLOADED:
+        assert spans.ops
+        for path, totals in spans.totals.items():
+            assert not {"cpu wait", "sq wait", "sleep"} & set(totals), path
+
+
+def test_fig3c_columns_are_the_ledger_means():
+    with ObsSession(max_roots=0) as obs:
+        (row,) = fig3c_latency(depths=(4,), operations=20)
+    # A chained lookup and a syscall-hook lookup are one root each.
+    assert obs.spans.mean("chain")["total"] / 1000 == row["nvme_us"]
+    assert obs.spans.mean("syscall")["total"] / 1000 == row["syscall_us"]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +398,7 @@ def test_obs_session_installs_and_restores_default_bus():
         run_chain(kernel, bpf, proc, fd)
     assert get_default_bus() is before
     report = obs.render_report()
-    assert "Per-layer CPU-ns attribution" in report
+    assert "Layer ledger" in report
     assert "chain bypass" in report
     assert "read_chain" in report
 

@@ -541,9 +541,11 @@ def test_qos_rejected_is_typed_eagain():
 
 def drive_every_entry_point(model, retry, bus):
     """One tenanted process drives every kernel entry point that reaches
-    the device; returns ``(kernel, proc, commands)`` where ``commands``
-    holds one ``(step, snapshot)`` per ``NvmeDevice.submit``, taken at
-    submit time (recycled descriptors are mutated afterwards)."""
+    the device; returns ``(kernel, proc, commands, latency)`` where
+    ``commands`` holds one ``(step, snapshot)`` per ``NvmeDevice.submit``,
+    taken at submit time (recycled descriptors are mutated afterwards),
+    and ``latency`` maps each step, in order, to the ns it took as its
+    caller measured it."""
     order = list(range(11))
     sim, kernel, bpf = build_machine(
         model=model, bus=bus, seed=3, queue_pairs=2, max_extent_blocks=2,
@@ -593,17 +595,24 @@ def drive_every_entry_point(model, retry, bus):
         ("chain_first_split", lambda: bpf.read_chain(proc, wide, 4096,
                                                      8192)),
     ]
+    latency = {}
+
+    def timed(name, op):
+        start = sim.now
+        yield from op
+        latency[name] = sim.now - start
+
     for name, make in steps:
         step[0] = name
-        kernel.run_syscall(make())
-    return kernel, proc, commands
+        kernel.run_syscall(timed(name, make()))
+    return kernel, proc, commands, latency
 
 
 @pytest.mark.parametrize("retry", [False, True], ids=["plain", "retry"])
 @pytest.mark.parametrize("model", [NVM2_EXACT, NAND_SSD],
                          ids=["polling", "interrupt"])
 def test_every_command_carries_its_tenant_and_queue(model, retry):
-    kernel, proc, commands = drive_every_entry_point(
+    kernel, proc, commands, _ = drive_every_entry_point(
         model, retry, TraceBus(enabled=False))
     by_step = {}
     for name, snap in commands:
@@ -635,7 +644,7 @@ def test_every_command_carries_its_tenant_and_queue(model, retry):
 def test_every_command_is_stamped_with_span_path_and_driver_cost():
     bus = TraceBus(enabled=True)
     spans = SpanCollector(bus, max_roots=1 << 16)
-    kernel, proc, commands = drive_every_entry_point(NAND_SSD, False, bus)
+    kernel, proc, commands, _ = drive_every_entry_point(NAND_SSD, False, bus)
     expected = {  # step -> (path, names of the spans its commands ride)
         "pread": ("normal", {"sys_pread"}),
         "pread_split": ("normal", {"sys_pread"}),
@@ -656,3 +665,26 @@ def test_every_command_is_stamped_with_span_path_and_driver_cost():
         assert snap["path"] == expected[name][0], (name, snap)
         seen.setdefault(name, set()).add(span_name[snap["span"]])
     assert seen == {name: names for name, (_, names) in expected.items()}
+
+
+@pytest.mark.parametrize("retry", [False, True], ids=["plain", "retry"])
+@pytest.mark.parametrize("model", [NVM2_EXACT, NAND_SSD],
+                         ids=["polling", "interrupt"])
+def test_every_entry_point_closes_a_whole_ledger(model, retry):
+    bus = TraceBus(enabled=True)
+    spans = SpanCollector(bus, max_roots=1 << 16)
+    kernel, proc, commands, latency = drive_every_entry_point(model, retry,
+                                                              bus)
+    # One root per step, opened before its first charge, in step order.
+    assert spans.ops == {"normal": 2, "write": 2, "uring": 1, "chain": 5}
+    assert len(spans.roots) == len(latency)
+    for (name, took), root in zip(latency.items(), spans.roots):
+        # Every ns of the operation lands in exactly one layer.
+        assert sum(root.ledger.values()) == root.duration_ns, name
+        assert "unattributed" not in root.ledger, (name, root.ledger)
+        if name.startswith("uring"):
+            # io_uring_enter and the reap are the batch's, not the SQE's.
+            assert root.duration_ns < took, name
+        else:
+            assert root.duration_ns == took, name
+    assert spans.unattributed == []

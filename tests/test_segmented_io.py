@@ -18,6 +18,7 @@ from repro.device import LatencyModel
 from repro.errors import IoError
 from repro.faults import FaultSpec
 from repro.kernel import ChainStatus, IoUring
+from repro.obs import SpanCollector, TraceBus
 
 #: Service times spread +-50 %, so back-to-back segments overtake each
 #: other.
@@ -54,6 +55,34 @@ def test_uring_sqe_joins_segments_in_file_order():
     assert control.data == payload
     assert result.ok
     assert result.data == payload
+
+
+def test_split_read_ledger_adds_the_critical_path_once():
+    # Four segments in flight at once on a jittered device: the ledger
+    # claims the overlapping device times once, whatever order they
+    # complete in, and the read's ledger is exactly its latency.
+    bus = TraceBus(enabled=True)
+    spans = SpanCollector(bus)
+    sim, kernel, bpf = build_machine(model=JITTERED, seed=0, bus=bus,
+                                     max_extent_blocks=1)
+    kernel.create_file("/f", bytes(4 * 4096))
+    proc = kernel.spawn_process()
+
+    def workload():
+        fd = yield from kernel.sys_open(proc, "/f")
+        start = sim.now
+        yield from kernel.sys_pread(proc, fd, 0, 4 * 4096)
+        return sim.now - start
+
+    latency = kernel.run_syscall(workload())
+    # The trace logs completions; segments were posted in segment order.
+    posted = [entry.submit_ns for entry in kernel.trace]
+    assert posted != sorted(posted)
+    (root,) = spans.find_roots("sys_pread")
+    assert sum(root.ledger.values()) == root.duration_ns == latency
+    assert "unattributed" not in root.ledger
+    assert root.ledger["NVMe driver"] == 4 * kernel.cost.nvme_driver_ns
+    assert root.ledger["storage device"] < 4 * JITTERED.read_ns
 
 
 @pytest.mark.parametrize("offset", [4096, 0],
