@@ -7,7 +7,7 @@ deterministic discrete-event simulator.  Subpackages:
 * :mod:`repro.ebpf` — the eBPF subset: assembler, verifier, VM, maps.
 * :mod:`repro.device` — block store, latency models, the NVMe device.
 * :mod:`repro.kernel` — the simulated storage stack (Table 1 costs, extent
-  FS, BIO, driver, io_uring) with BPF hook slots.
+  FS, BIO, driver, io_uring) with one BPF chain slot.
 * :mod:`repro.core` — the paper's contribution: install ioctl, chain
   engine, extent cache, accounting, the program library.
 * :mod:`repro.structures` — on-disk B+-trees, LSM trees, WiscKey stores.

@@ -286,7 +286,6 @@ def _iouring_chain_tput(depth: int, batch: int, duration_ns: int) -> float:
                                      hook=Hook.NVME,
                                      vm_mode=bench.vm_mode)
         ring = IoUring(kernel, proc)
-        ring.chain_submitter = bench.bpf.engine.submit_uring_chain
         next_key = bench._key_stream(index)
 
         def one_batch():

@@ -25,19 +25,19 @@ from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import Program
 from repro.ebpf.verifier import proof_context, verify
 from repro.ebpf.vm import VmEnvironment
-from repro.errors import ChainLimitExceeded, ExtentInvalidated, InvalidArgument
+from repro.errors import (
+    ChainLimitExceeded,
+    ExtentInvalidated,
+    InvalidArgument,
+    IoError,
+    NotInstalled,
+)
 from repro.kernel import ChainStatus, Kernel, ReadResult
 from repro.kernel.process import File, Process
 from repro.core.accounting import ChainAccounting
 from repro.core.chains import ChainEngine, ChainState
 from repro.core.extent_cache import NvmeExtentCache
-from repro.core.hooks import (
-    ACTION_RESUBMIT,
-    ACTION_RETURN_BUFFER,
-    ACTION_RETURN_VALUE,
-    Hook,
-    storage_helpers,
-)
+from repro.core.hooks import Hook, storage_helpers
 from repro.core.handle import ChainHandle
 from repro.core.install import (
     IOCTL_INSTALL_BPF,
@@ -104,8 +104,7 @@ class StorageBpf:
         self.accounting.bus = kernel.bus
         self.accounting.clock = clock
         self.engine = ChainEngine(kernel, self.cache, self.accounting)
-        kernel.tagged_read_handler = self._tagged_read
-        kernel.syscall_read_hook = self.engine.syscall_hook
+        kernel.chains = self.engine
         kernel.ioctl_handlers[IOCTL_INSTALL_BPF] = self._ioctl_install
         kernel.ioctl_handlers[IOCTL_UNINSTALL_BPF] = self._ioctl_uninstall
         kernel.ioctl_handlers[IOCTL_REFRESH_EXTENTS] = self._ioctl_refresh
@@ -223,55 +222,24 @@ class StorageBpf:
 
     def read_chain(self, proc: Process, fd: int, offset: int, length: int,
                    args: Tuple[int, ...] = (), scratch_init: bytes = b""):
-        """One tagged read: a full syscall driving the installed hook."""
+        """One tagged read: a ``sys_pread`` the installed hook drives.
+
+        Checks what the chain needs (at most 4 args, an installation, a
+        length equal to its block size), then enters the kernel like any
+        tagged read, carrying the args and scratch in the hook state.
+        """
         if len(args) > 4:
             raise InvalidArgument("at most 4 per-read args")
-        kernel = self.kernel
-        file = proc.file(fd)
-        installation: Optional[BpfInstallation] = file.bpf_install
+        installation: Optional[BpfInstallation] = proc.file(fd).bpf_install
         if installation is None:
-            from repro.errors import NotInstalled
-
             raise NotInstalled(f"fd {fd} has no installed program")
         if length != installation.block_size:
             raise InvalidArgument(
                 f"chain reads recycle one descriptor: length {length} must "
                 f"equal the installed block size {installation.block_size}")
-        if installation.hook is Hook.NVME:
-            kernel.syscall_count += 1
-            bus = kernel.bus
-            span = 0
-            if bus.enabled:
-                # The chain's root, before its first charge; start_chain
-                # closes it.
-                span = bus.span_start("read_chain", kernel.sim.now,
-                                      pid=proc.pid, path="chain")
-            yield from kernel.cpus.run_thread(kernel.cost.kernel_crossing_ns +
-                                              kernel.cost.syscall_ns)
-            if bus.enabled:
-                bus.emit(obs_events.SYSCALL_ENTER, kernel.sim.now,
-                         op="chain_entry", pid=proc.pid,
-                         crossing_ns=kernel.cost.kernel_crossing_ns,
-                         syscall_ns=kernel.cost.syscall_ns, path="chain",
-                         span=span)
-            result = yield from self.engine.start_chain(
-                proc, file, offset, length, args, scratch_init, span)
-            return result
-        # Syscall-dispatch hook: reuse the kernel's reissue loop, seeding
-        # the per-call hook state with our args (sys_pread counts itself).
-        hook_state = {"args": tuple(args) +
-                      installation.default_args[len(args):],
-                      "scratch_init": scratch_init}
-        result = yield from kernel.sys_pread(proc, fd, offset, length,
-                                             tagged=True,
-                                             hook_state=hook_state)
-        return result
-
-    def _tagged_read(self, proc: Process, file: File, offset: int,
-                     length: int, span: int):
-        """Registered as kernel.tagged_read_handler for plain sys_pread."""
-        result = yield from self.engine.start_chain(proc, file, offset,
-                                                    length, span=span)
+        result = yield from self.kernel.sys_pread(
+            proc, fd, offset, length, tagged=True,
+            hook_state={"args": args, "scratch_init": scratch_init})
         return result
 
     # ------------------------------------------------------------------
@@ -299,10 +267,9 @@ class StorageBpf:
           :class:`ChainLimitExceeded`.
 
         Returns the final OK ReadResult or raises after ``max_retries``
-        recovery attempts.
+        recovery attempts; a program asking for an action the hooks do
+        not define (``EINVAL``) raises :class:`InvalidArgument`.
         """
-        kernel = self.kernel
-        file = proc.file(fd)
         current_offset = offset
         current_scratch = scratch_init
         total_hops = 0
@@ -313,6 +280,16 @@ class StorageBpf:
                                                 current_scratch)
             total_hops += result.hops
             last_status = result.status
+            if result.status == ChainStatus.SPLIT_FALLBACK:
+                # Run the program *in user space* over the returned buffer
+                # and restart the kernel chain at the next hop, unless it
+                # ended the chain here.
+                next_offset, final, current_scratch = \
+                    yield from self._user_space_step(proc, fd, result, args)
+                if final is None:
+                    current_offset = next_offset
+                    continue
+                result = final
             if result.ok:
                 result.hops = total_hops
                 return result
@@ -324,20 +301,7 @@ class StorageBpf:
                 current_scratch = scratch_init
                 total_hops = 0
                 continue
-            if result.status == ChainStatus.SPLIT_FALLBACK:
-                # Run the program *in user space* over the returned buffer
-                # and restart the kernel chain at the next hop.
-                step = yield from self._user_space_step(
-                    file, result, args, current_offset)
-                if step is None:
-                    result.hops = total_hops
-                    result.status = ChainStatus.OK
-                    return result
-                current_offset, current_scratch = step
-                continue
             if result.status == ChainStatus.EIO:
-                from repro.errors import IoError
-
                 raise IoError(
                     f"media error during chain at offset "
                     f"{result.final_offset}")
@@ -358,55 +322,38 @@ class StorageBpf:
                 continue
             raise InvalidArgument(f"unexpected chain status {result.status}")
         if last_status == ChainStatus.FAULT_FALLBACK:
-            from repro.errors import IoError
-
             raise IoError(
                 f"chain did not recover from injected faults after "
                 f"{max_retries} attempts (offset {current_offset})")
         raise ExtentInvalidated(
             f"chain did not settle after {max_retries} retries")
 
-    def _user_space_step(self, file: File, result: ReadResult,
-                         args: Tuple[int, ...], offset: int):
-        """Execute one hop of the program in user space (fallback path).
+    def _user_space_step(self, proc: Process, fd: int, result: ReadResult,
+                         args: Tuple[int, ...]):
+        """Generator: one hop of the program in user space (fallback path).
 
         ``result`` is a SPLIT_FALLBACK whose data is the block at
         ``result.final_offset`` that the kernel fetched as a normal BIO but
-        did not run the program on.  Returns (next_offset, scratch bytes)
-        to restart the chain, or None if the program finished here.
+        did not run the program on.  Returns ``(next_offset, final,
+        scratch)``: ``final`` is None and the chain restarts at
+        ``next_offset`` with ``scratch``, or ``final`` is the ReadResult
+        the program ended the chain with.
         """
         kernel = self.kernel
-        installation: BpfInstallation = file.bpf_install
-        scratch = bytearray(installation.scratch_size)
-        if result.scratch:
-            scratch[: len(result.scratch)] = result.scratch
-        state = ChainState(None, file, installation, result.final_offset,
-                           len(result.data) or installation.block_size,
-                           tuple(args) + installation.default_args[len(args):],
-                           bytes(scratch), deliver=lambda _res: None)
+        cost = kernel.cost
+        file = proc.file(fd)
+        state = ChainState(proc, file, file.bpf_install, result.final_offset,
+                           len(result.data), args, result.scratch or b"",
+                           None)
         state.hops = result.hops
-        data = result.data[: installation.block_size]
-        (action, next_offset, value, value2), instructions = \
-            self.engine._run_program(state, data)
-        yield from kernel.cpus.run_thread(
-            kernel.cost.user_process_ns +
-            kernel.cost.bpf_run_ns(instructions, installation.jit))
-        if kernel.bus.enabled:
-            kernel.bus.emit(obs_events.APP_PROCESS, kernel.sim.now,
-                            cpu_ns=kernel.cost.user_process_ns, path="chain")
-            kernel.bus.emit(
-                obs_events.BPF_HOOK_DISPATCH, kernel.sim.now, hook="user",
-                cpu_ns=kernel.cost.bpf_run_ns(instructions,
-                                              installation.jit),
-                instructions=instructions, action=action,
-                span=0, path="chain")
-        if action == ACTION_RESUBMIT:
-            return next_offset, bytes(state.scratch)
-        if action == ACTION_RETURN_VALUE:
-            result.value = value
-            result.value2 = value2
-            result.data = b""
-            return None
-        if action == ACTION_RETURN_BUFFER:
-            return None
-        raise InvalidArgument(f"unknown action {action}")
+
+        def charge(bpf_ns: int):
+            # The application's processing and its run of the program.
+            yield from kernel.cpus.run_thread(cost.user_process_ns + bpf_ns)
+            if kernel.bus.enabled:
+                kernel.bus.emit(obs_events.APP_PROCESS, kernel.sim.now,
+                                cpu_ns=cost.user_process_ns, path="chain")
+
+        next_offset, final = yield from self.engine.verdict(
+            state, result.data, charge, "user", 0, "chain")
+        return next_offset, final, bytes(state.scratch)

@@ -12,18 +12,25 @@ BPF + driver costs — the installed program over the fetched block and either:
 * **completes**: wakes the blocked reader (or posts an io_uring CQE) with
   the buffer or with scalar results;
 * **aborts**: extent-cache invalidation (``EEXTENT``), the per-process
-  resubmission bound (``ECHAINLIM``), or a split translation, which falls
-  back to the application exactly as §4's granularity-mismatch rule
-  prescribes (buffer + ``SPLIT_FALLBACK`` status, app restarts the chain at
-  the next hop).  A split read is an ordinary segmented read:
-  :meth:`Kernel.transfer` for a blocked reader's first hop,
-  :meth:`Kernel.gather` for an io_uring first hop and a mid-chain hop.
+  resubmission bound (``ECHAINLIM``), an action the hooks do not define
+  (``EINVAL``), or a split translation, which falls back to the
+  application exactly as §4's granularity-mismatch rule prescribes (buffer
+  + ``SPLIT_FALLBACK`` status, app restarts the chain at the next hop).  A
+  split read is an ordinary segmented read: :meth:`Kernel.transfer` for a
+  blocked reader's first hop, :meth:`Kernel.gather` for an io_uring first
+  hop and a mid-chain hop.
 
 The same engine also implements the syscall-dispatch hook: the program runs
 in thread context after each completed read and asks the dispatch layer to
 reissue, which skips boundary crossings and app-side processing but still
 pays the file system and BIO layers per hop — reproducing the modest
 Figure 3a speedup against the large Figure 3b one.
+
+Every hook, and the application's own run of the program after a split
+fallback, reads the program's verdict in one place
+(:meth:`ChainEngine.verdict`); every command a chain sends from interrupt
+context leaves through :meth:`ChainEngine._irq_chain`, which ends the chain
+``EIO`` instead of raising if the device has lost power.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ import struct
 from functools import partial
 from typing import Any, Callable, Optional, Tuple
 
-from repro.device import NvmeCommand, STATUS_TIMEOUT
-from repro.errors import InvalidArgument, IoError
+from repro.device import NvmeCommand
+from repro.errors import InvalidArgument, IoError, PowerLossError
 from repro.kernel import ChainStatus, Kernel, ReadResult
 from repro.kernel.process import File, Process
 from repro.core.accounting import ChainAccounting
@@ -45,7 +52,6 @@ from repro.core.hooks import (
     CTX_ACTION,
     CTX_DATA_LEN,
     CTX_SIZE,
-    Hook,
 )
 from repro.core.install import BpfInstallation
 from repro.obs import events as obs_events
@@ -71,10 +77,10 @@ class ChainState:
     def __init__(self, proc: Process, file: File, install: BpfInstallation,
                  offset: int, length: int, args: Tuple[int, ...],
                  scratch_init: bytes,
-                 deliver: Callable[[ReadResult], None]):
-        if len(args) != 4:  # arg0-arg3 of the context struct, no more
+                 deliver: Optional[Callable[[ReadResult], None]]):
+        if len(args) > 4:  # arg0-arg3 of the context struct, no more
             raise InvalidArgument(
-                f"a chain carries exactly 4 args, got {len(args)}")
+                f"a chain carries at most 4 args, got {len(args)}")
         self.proc = proc
         self.file = file
         self.install = install
@@ -82,7 +88,8 @@ class ChainState:
         self.length = length
         self.scratch = bytearray(install.scratch_size)
         self.scratch[: len(scratch_init)] = scratch_init
-        self.args = args
+        #: arg0-arg3: the caller's, then the installation's defaults.
+        self.args = tuple(args) + install.default_args[len(args):]
         self.hops = 0
         #: Consecutive retries of the current hop's read (reset on success).
         self.attempts = 0
@@ -105,16 +112,20 @@ class ChainState:
         self.done = True
         self.deliver(result)
 
+    def fail(self, status: ChainStatus) -> None:
+        """End the chain with ``status``, no data, at the current offset."""
+        self.finish(ReadResult(b"", status=status, hops=self.hops,
+                               final_offset=self.offset))
+
 
 class ChainEngine:
-    """Wires the chain machinery into one kernel instance."""
+    """The chain machinery of one kernel instance (its ``chains`` slot)."""
 
     def __init__(self, kernel: Kernel, cache: NvmeExtentCache,
                  accounting: ChainAccounting):
         self.kernel = kernel
         self.cache = cache
         self.accounting = accounting
-        kernel.chain_completion_handler = self.handle_completion
         # Statistics.
         self.chains_started = 0
         self.chains_completed = 0
@@ -124,17 +135,26 @@ class ChainEngine:
         self.fault_fallbacks = 0
 
     # ------------------------------------------------------------------
-    # Program execution (shared by both hooks)
+    # The program's verdict (both hooks and the user-space step)
     # ------------------------------------------------------------------
 
-    def _run_program(self, state: ChainState,
-                     data: bytes) -> "tuple[tuple, int]":
-        """Run the installed program over ``data``.
+    def verdict(self, state: ChainState, data: bytes, charge: Callable,
+                hook: str, span: int, path: str):
+        """Generator: run the installed program over ``data`` and read its
+        verdict, the one place any caller does.
 
-        Returns ``((action, next_offset, result, result2), insns)``.  Pure
-        execution — the caller charges the CPU cost in its own context
-        (IRQ for the NVMe hook, thread for the syscall hook).
+        The program's ``bpf_run_ns`` is charged through ``charge``, the
+        caller's context: ``run_irq`` on the chain's queue (NVMe hook),
+        ``run_thread`` (syscall hook), or the user-space step's single
+        charge.  Returns ``(next_offset, None)`` to resubmit, or
+        ``(None, result)`` with the ReadResult that ends the chain: the
+        buffer (RETURN_BUFFER) or no buffer (RETURN_VALUE) with the
+        scalars, ``EINVAL`` for any other action, and ``CHAIN_LIMIT``, with
+        the continuation, for a kernel hook's resubmission past the
+        fairness bound.
         """
+        kernel = self.kernel
+        bus = kernel.bus
         install = state.install
         ctx = bytearray(CTX_SIZE)
         arg0, arg1, arg2, arg3 = state.args
@@ -148,9 +168,41 @@ class ChainEngine:
             block = bytearray(install.block_size)
             block[: len(data)] = data
         install.vm.chain_budget = self.accounting.budget_remaining(state.hops)
-        result = install.vm.run(ctx, {"data": block, "scratch": state.scratch})
+        run = install.vm.run(ctx, {"data": block, "scratch": state.scratch})
         install.invocations += 1
-        return _CTX_OUTPUTS.unpack_from(ctx, CTX_ACTION), result.instructions
+        action, next_offset, value, value2 = \
+            _CTX_OUTPUTS.unpack_from(ctx, CTX_ACTION)
+        bpf_ns = kernel.cost.bpf_run_ns(run.instructions, install.jit)
+        yield from charge(bpf_ns)
+        if bus.enabled:
+            bus.emit(obs_events.BPF_HOOK_DISPATCH, kernel.sim.now, hook=hook,
+                     cpu_ns=bpf_ns, instructions=run.instructions,
+                     action=action, span=span, path=path)
+        if action == ACTION_RESUBMIT:
+            if hook == "user" or \
+                    self.accounting.may_resubmit(state.proc, state.hops):
+                return next_offset, None
+            # Kill the chain for fairness.  The result carries the next
+            # offset and the scratch so the application can continue with
+            # a fresh (bounded) chain from where this one stopped.
+            self.accounting.record_kill(state.proc)
+            if bus.enabled:
+                bus.emit(obs_events.CHAIN_KILL, kernel.sim.now,
+                         pid=state.proc.pid, hops=state.hops, span=span,
+                         path=path)
+            return None, ReadResult(b"", status=ChainStatus.CHAIN_LIMIT,
+                                    hops=state.hops, final_offset=next_offset,
+                                    scratch=bytes(state.scratch))
+        if action == ACTION_RETURN_BUFFER:
+            return None, ReadResult(data, hops=state.hops,
+                                    final_offset=state.offset, value=value,
+                                    value2=value2)
+        if action == ACTION_RETURN_VALUE:
+            return None, ReadResult(b"", hops=state.hops,
+                                    final_offset=state.offset, value=value,
+                                    value2=value2)
+        return None, ReadResult(b"", status=ChainStatus.EINVAL,
+                                hops=state.hops, final_offset=state.offset)
 
     # ------------------------------------------------------------------
     # NVMe-hook chains
@@ -164,13 +216,11 @@ class ChainEngine:
         :class:`ChainState` under the root ``span`` the caller opened.
         Returns ``(state, segments)``."""
         kernel = self.kernel
-        install: BpfInstallation = file.bpf_install
         self.chains_started += 1
         segments = yield from kernel.map_bio(file, offset, length, span,
                                              "chain")
-        state = ChainState(proc, file, install, offset, length,
-                           tuple(args) + install.default_args[len(args):],
-                           scratch_init, deliver)
+        state = ChainState(proc, file, file.bpf_install, offset, length,
+                           args, scratch_init, deliver)
         state.span = span
         state.queue = kernel.queue_for(proc)
         return state, segments
@@ -195,21 +245,22 @@ class ChainEngine:
                      hops=result.hops)
 
     def start_chain(self, proc: Process, file: File, offset: int,
-                    length: int, args: Tuple[int, ...] = (),
-                    scratch_init: bytes = b"", span: int = 0):
-        """Generator (thread context, syscall entry already charged).
+                    length: int, hook_state: dict):
+        """Generator: ``sys_pread``'s NVMe-hook path (thread context,
+        syscall entry already charged).
 
         Runs the first hop through the full stack, then blocks while the
-        chain progresses in interrupt context; closes the root ``span``
-        the syscall opened.  Returns a ReadResult.
+        chain progresses in interrupt context; closes the root span the
+        syscall opened (``hook_state["span"]``).  Returns a ReadResult.
         """
         kernel = self.kernel
         cost = kernel.cost
         bus = kernel.bus
         waiter = kernel.sim.event()
         state, segments = yield from self._begin(
-            proc, file, offset, length, args, scratch_init, waiter.succeed,
-            span)
+            proc, file, offset, length, hook_state.get("args", ()),
+            hook_state.get("scratch_init", b""), waiter.succeed,
+            hook_state["span"])
         if len(segments) > 1:
             # First hop already spans discontiguous extents: do it as a
             # normal BIO and let the application restart the chain (§4).
@@ -241,8 +292,8 @@ class ChainEngine:
     def submit_uring_chain(self, proc: Process, file: File, sqe,
                            post_cqe: Callable[[Any, ReadResult], None],
                            span: int):
-        """Generator used as the io_uring chain submitter (thread context);
-        the chain closes the SQE's root ``span`` when it delivers."""
+        """Generator: io_uring's NVMe-hook path (thread context); the chain
+        closes the SQE's root ``span`` when it delivers."""
         kernel = self.kernel
 
         def deliver(result: ReadResult) -> None:  # runs after _begin
@@ -273,16 +324,15 @@ class ChainEngine:
         itself and restarts the chain), or EIO if a segment failed."""
         state.hops += 1
         if data is None:
-            state.finish(ReadResult(b"", status=ChainStatus.EIO,
-                                    hops=state.hops,
-                                    final_offset=state.offset))
+            state.fail(ChainStatus.EIO)
             return
         state.finish(ReadResult(data, status=ChainStatus.SPLIT_FALLBACK,
                                 hops=state.hops, final_offset=state.offset,
                                 scratch=bytes(state.scratch)))
 
     def handle_completion(self, command: NvmeCommand) -> None:
-        """Registered as the kernel's chain completion handler.
+        """Every completion whose cookie.kind == "chain" (the kernel calls
+        this through its ``chains`` slot).
 
         The chain's first completion starts its interrupt-context process;
         every later one wakes it.  The wake is queued exactly where
@@ -300,11 +350,20 @@ class ChainEngine:
 
     def _irq_chain(self, state: ChainState, command: NvmeCommand):
         """Generator: every hop of one chain, in interrupt context.  Between
-        hops it waits on ``state.wake`` for the recycled descriptor."""
+        hops it waits on ``state.wake`` for the recycled descriptor.
+
+        The one way out of interrupt context: every command the chain
+        sends from here (the program's recycle, a fault retry, a mid-chain
+        split's gather) meets a powered-off device by ending the chain
+        ``EIO``, as a completion failed by the power cut does.
+        """
         event = self.kernel.sim.event
-        while (yield from self._irq_hop(state, command)):
-            state.wake = wake = event()
-            yield wake
+        try:
+            while (yield from self._irq_hop(state, command)):
+                state.wake = wake = event()
+                yield wake
+        except PowerLossError:
+            state.fail(ChainStatus.EIO)
 
     def _irq_hop(self, state: ChainState, command: NvmeCommand):
         """Generator: one completed hop.  Returns True if ``command`` went
@@ -333,14 +392,8 @@ class ChainEngine:
                          path="chain")
 
             if command.status != 0:
-                if kernel.retry_policy is not None:
-                    return (yield from self._handle_faulted_hop(
-                        state, command, hop_span))
-                # No retry policy: surface it, do not run the program.
-                state.finish(ReadResult(b"", status=ChainStatus.EIO,
-                                        hops=state.hops,
-                                        final_offset=state.offset))
-                return False
+                return (yield from self._handle_faulted_hop(
+                    state, command, hop_span))
             state.attempts = 0
 
             entry = install.cache_entry
@@ -358,116 +411,71 @@ class ChainEngine:
             if entry is None or not entry.valid:
                 # Invalidated mid-chain: discard the recycled I/O, error out.
                 self.extent_aborts += 1
-                state.finish(ReadResult(b"",
-                                        status=ChainStatus.EXTENT_INVALIDATED,
-                                        hops=state.hops,
-                                        final_offset=state.offset))
+                state.fail(ChainStatus.EXTENT_INVALIDATED)
                 return False
 
-            (action, next_offset, value, value2), instructions = \
-                self._run_program(state, command.data)
-            bpf_ns = cost.bpf_run_ns(instructions, install.jit)
-            yield from kernel.run_irq(bpf_ns, queue)
-            if bus.enabled:
-                bus.emit(obs_events.BPF_HOOK_DISPATCH, kernel.sim.now,
-                         hook="nvme", cpu_ns=bpf_ns,
-                         instructions=instructions, action=action,
-                         span=hop_span, path="chain")
-
-            if action == ACTION_RESUBMIT:
-                if not self.accounting.may_resubmit(state.proc,
-                                                    state.hops):
-                    # Kill the chain for fairness.  The result carries the
-                    # next offset and the scratch so the application can
-                    # continue with a fresh (bounded) chain from where this
-                    # one stopped.
-                    self.accounting.record_kill(state.proc)
-                    if bus.enabled:
-                        bus.emit(obs_events.CHAIN_KILL, kernel.sim.now,
-                                 pid=state.proc.pid, hops=state.hops,
-                                 span=hop_span, path="chain")
-                    state.finish(ReadResult(b"",
-                                            status=ChainStatus.CHAIN_LIMIT,
-                                            hops=state.hops,
-                                            final_offset=next_offset,
-                                            scratch=bytes(state.scratch)))
-                    return False
-                translation = entry.translate(next_offset, state.length,
-                                              span=hop_span)
-                if translation.status == Translation.MISS:
-                    self.extent_aborts += 1
-                    state.finish(
-                        ReadResult(b"",
-                                   status=ChainStatus.EXTENT_INVALIDATED,
-                                   hops=state.hops,
-                                   final_offset=next_offset))
-                    return False
-                if translation.status == Translation.SPLIT:
-                    # Granularity mismatch (§4): perform the split I/O as a
-                    # normal BIO from the completion path and hand the *new*
-                    # buffer to the application, which runs the function
-                    # itself and restarts the chain at the next hop.
-                    self.split_fallbacks += 1
-                    yield from kernel.run_irq(cost.bio_ns, queue)
-                    segments = kernel.fs.map_range(state.file.inode,
-                                                   next_offset, state.length,
-                                                   span=hop_span,
-                                                   path="chain",
-                                                   resolve_ns=0)
-                    if bus.enabled:
-                        bus.emit(obs_events.BIO_SUBMIT, kernel.sim.now,
-                                 cpu_ns=cost.bio_ns, segments=len(segments),
-                                 span=hop_span, path="chain")
-                        bus.emit(obs_events.BIO_SPLIT, kernel.sim.now,
-                                 segments=len(segments), span=hop_span,
-                                 path="chain")
-                    state.offset = next_offset
-                    yield from kernel.gather(
-                        segments, partial(kernel.run_irq, queue=queue),
-                        partial(self._finish_split, state), span=hop_span,
-                        path="chain", queue=queue,
-                        tenant=kernel.tenant_of(state.proc))
-                    return False
-                self.accounting.charge(state.proc)
-                install.resubmissions += 1
-                qos = kernel.qos
-                if qos is not None:
-                    # Pace this tenant's chain storm: the resubmission
-                    # still happens, but beyond the configured rate it
-                    # waits out a deterministic delay first, so the IRQ
-                    # path cannot be monopolised by one tenant.
-                    delay = qos.chain_pace(qos.tenant_of(state.proc),
-                                           span=hop_span)
-                    if delay:
-                        yield kernel.sim.timeout(delay)
-                state.offset = next_offset
-                yield from kernel.run_irq(cost.nvme_driver_ns, queue)
-                # repost() preserves command.queue, so the recycled hop
-                # goes back out on the pair it arrived on and its next
-                # completion fires on the same core's vector (core-local,
-                # never crossing the CpuSet contention point).  It moves
-                # the command into this hop's span: the next completion
-                # charges its device time here, making "which layers did
-                # this hop touch" directly readable.
-                kernel.repost(command, translation.lba, translation.sectors,
-                              "bpf-recycle", hop_span)
-                return True
-
-            if action == ACTION_RETURN_BUFFER:
-                self.chains_completed += 1
-                state.finish(ReadResult(command.data, hops=state.hops,
-                                        final_offset=state.offset,
-                                        value=value,
-                                        value2=value2))
+            next_offset, result = yield from self.verdict(
+                state, command.data, partial(kernel.run_irq, queue=queue),
+                "nvme", hop_span, "chain")
+            if result is not None:
+                if result.ok:
+                    self.chains_completed += 1
+                state.finish(result)
                 return False
-            if action == ACTION_RETURN_VALUE:
-                self.chains_completed += 1
-                state.finish(ReadResult(b"", hops=state.hops,
-                                        final_offset=state.offset,
-                                        value=value,
-                                        value2=value2))
+            translation = entry.translate(next_offset, state.length,
+                                          span=hop_span)
+            state.offset = next_offset
+            if translation.status == Translation.MISS:
+                self.extent_aborts += 1
+                state.fail(ChainStatus.EXTENT_INVALIDATED)
                 return False
-            raise IoError(f"program returned unknown action {action}")
+            if translation.status == Translation.SPLIT:
+                # Granularity mismatch (§4): perform the split I/O as a
+                # normal BIO from the completion path and hand the *new*
+                # buffer to the application, which runs the function
+                # itself and restarts the chain at the next hop.
+                self.split_fallbacks += 1
+                yield from kernel.run_irq(cost.bio_ns, queue)
+                segments = kernel.fs.map_range(state.file.inode,
+                                               next_offset, state.length,
+                                               span=hop_span, path="chain",
+                                               resolve_ns=0)
+                if bus.enabled:
+                    bus.emit(obs_events.BIO_SUBMIT, kernel.sim.now,
+                             cpu_ns=cost.bio_ns, segments=len(segments),
+                             span=hop_span, path="chain")
+                    bus.emit(obs_events.BIO_SPLIT, kernel.sim.now,
+                             segments=len(segments), span=hop_span,
+                             path="chain")
+                yield from kernel.gather(
+                    segments, partial(kernel.run_irq, queue=queue),
+                    partial(self._finish_split, state), span=hop_span,
+                    path="chain", queue=queue,
+                    tenant=kernel.tenant_of(state.proc))
+                return False
+            self.accounting.charge(state.proc)
+            install.resubmissions += 1
+            qos = kernel.qos
+            if qos is not None:
+                # Pace this tenant's chain storm: the resubmission still
+                # happens, but beyond the configured rate it waits out a
+                # deterministic delay first, so the IRQ path cannot be
+                # monopolised by one tenant.
+                delay = qos.chain_pace(qos.tenant_of(state.proc),
+                                       span=hop_span)
+                if delay:
+                    yield kernel.sim.timeout(delay)
+            yield from kernel.run_irq(cost.nvme_driver_ns, queue)
+            # repost() preserves command.queue, so the recycled hop goes
+            # back out on the pair it arrived on and its next completion
+            # fires on the same core's vector (core-local, never crossing
+            # the CpuSet contention point).  It moves the command into
+            # this hop's span: the next completion charges its device time
+            # here, making "which layers did this hop touch" directly
+            # readable.
+            kernel.repost(command, translation.lba, translation.sectors,
+                          "bpf-recycle", hop_span)
+            return True
         except GeneratorExit:
             hop_span = 0  # abandoned mid-flight: the hop never ended
             raise
@@ -477,48 +485,37 @@ class ChainEngine:
 
     def _handle_faulted_hop(self, state: ChainState, command: NvmeCommand,
                             hop_span: int):
-        """Recover a failed chain read in IRQ context (policy armed).
+        """Recover a failed chain read in IRQ context.
 
-        Retries recycle the same descriptor with backoff, each retry
-        charged against the per-process resubmission bound exactly like a
-        program-driven hop.  When the bound or the retry budget runs out,
-        the chain degrades gracefully: it is handed back to the
-        application (``FAULT_FALLBACK``, like the split fallback) instead
-        of killing the request with a hard error.  Returns True if the
-        descriptor went back out.
+        :meth:`Kernel.retry_verdict` reads the failure.  A granted retry
+        recycles the same descriptor after its backoff, charged against
+        the per-process resubmission bound exactly like a program-driven
+        hop.  With no retry policy, or after a power failure, the chain
+        ends ``EIO``.  When the bound or the retry budget runs out, the
+        chain degrades gracefully: it is handed back to the application
+        (``FAULT_FALLBACK``, like the split fallback) instead of killing
+        the request with a hard error.  Returns True if the descriptor
+        went back out.
         """
         kernel = self.kernel
-        cost = kernel.cost
         bus = kernel.bus
-        policy = kernel.retry_policy
-        reason = ("timeout" if command.status == STATUS_TIMEOUT
-                  else "media")
-        if command.status == STATUS_TIMEOUT:
-            kernel.nvme_timeouts += 1
-            if bus.enabled:
-                bus.emit(obs_events.NVME_TIMEOUT, kernel.sim.now,
-                         opcode="read", lba=command.lba,
-                         timeout_ns=kernel.device.command_timeout_ns,
-                         attempt=state.attempts + 1, span=hop_span,
-                         path="chain")
-        if state.attempts < policy.max_retries and \
-                self.accounting.may_resubmit(state.proc, state.hops):
+        reason, backoff = kernel.retry_verdict(
+            command, state.attempts + 1,
+            self.accounting.may_resubmit(state.proc, state.hops), hop_span,
+            "chain")
+        if backoff is not None:
             state.attempts += 1
             self.accounting.charge(state.proc)
             self.fault_retries += 1
-            kernel.nvme_retries += 1
-            backoff = policy.backoff_ns(state.attempts)
-            if bus.enabled:
-                bus.emit(obs_events.NVME_RETRY, kernel.sim.now,
-                         opcode="read", lba=command.lba, reason=reason,
-                         attempt=state.attempts, backoff_ns=backoff,
-                         span=hop_span, path="chain")
             if backoff:
                 yield kernel.sim.timeout(backoff)
-            yield from kernel.run_irq(cost.nvme_driver_ns, state.queue)
+            yield from kernel.run_irq(kernel.cost.nvme_driver_ns, state.queue)
             kernel.repost(command, command.lba, command.sectors,
                           "chain-retry", hop_span)
             return True
+        if reason == "power" or kernel.retry_policy is None:
+            state.fail(ChainStatus.EIO)
+            return False
         # Budget exhausted: degrade to user space with the continuation
         # (offset + scratch) so a robust caller restarts a fresh bounded
         # chain from the faulted hop.
@@ -539,67 +536,32 @@ class ChainEngine:
 
     def syscall_hook(self, proc: Process, file: File, offset: int,
                      result: ReadResult, hook_state: dict):
-        """Generator registered as the kernel's syscall_read_hook.
+        """Generator: one step of ``sys_pread``'s dispatch loop on a
+        syscall-hook installation (thread context).
 
-        Runs the program in thread context over the completed read and asks
-        the dispatch layer to reissue without returning to user space.
+        Runs the program over the completed read.  Returns
+        ``(next_offset, None)`` to reissue without returning to user
+        space, or ``(None, result)`` to end the read.
         """
         kernel = self.kernel
-        cost = kernel.cost
-        install: BpfInstallation = file.bpf_install
-        if install is None or install.hook is not Hook.SYSCALL:
-            return "return", result
-
         state = hook_state.get("chain")
         if state is None:
-            state = ChainState(proc, file, install, offset,
-                               len(result.data),
-                               hook_state.get("args",
-                                              install.default_args),
-                               hook_state.get("scratch_init", b""),
-                               deliver=lambda _res: None)
+            state = ChainState(proc, file, file.bpf_install, offset,
+                               len(result.data), hook_state.get("args", ()),
+                               hook_state.get("scratch_init", b""), None)
             hook_state["chain"] = state
         state.offset = offset
         state.hops += 1
-
-        bus = kernel.bus
-        span = hook_state.get("span", 0)
-        (action, next_offset, value, value2), instructions = \
-            self._run_program(state, result.data)
-        bpf_ns = cost.bpf_run_ns(instructions, install.jit)
-        yield from kernel.cpus.run_thread(bpf_ns)
-
-        if bus.enabled:
-            bus.emit(obs_events.BPF_HOOK_DISPATCH, kernel.sim.now,
-                     hook="syscall", cpu_ns=bpf_ns,
-                     instructions=instructions, action=action,
-                     span=span, path="syscall")
-        if action == ACTION_RESUBMIT:
-            if not self.accounting.may_resubmit(proc, state.hops):
-                self.accounting.record_kill(proc)
-                if bus.enabled:
-                    bus.emit(obs_events.CHAIN_KILL, kernel.sim.now,
-                             pid=proc.pid, hops=state.hops, span=span,
-                             path="syscall")
-                return "return", ReadResult(result.data,
-                                            status=ChainStatus.CHAIN_LIMIT,
-                                            hops=state.hops,
-                                            final_offset=state.offset)
+        span = hook_state["span"]
+        next_offset, final = yield from self.verdict(
+            state, result.data, kernel.cpus.run_thread, "syscall", span,
+            "syscall")
+        if final is None:
             self.accounting.charge(proc)
-            install.resubmissions += 1
-            if bus.enabled:
-                bus.emit(obs_events.CHAIN_HOP, kernel.sim.now,
-                         hop=state.hops, offset=next_offset,
-                         pid=proc.pid, span=span, parent=span,
-                         path="syscall")
-            return "reissue", next_offset
-        if action == ACTION_RETURN_VALUE:
-            return "return", ReadResult(b"", hops=state.hops,
-                                        final_offset=state.offset,
-                                        value=value,
-                                        value2=value2)
-        return "return", ReadResult(result.data, hops=state.hops,
-                                    final_offset=state.offset,
-                                    value=value,
-                                    value2=value2)
-
+            state.install.resubmissions += 1
+            if kernel.bus.enabled:
+                kernel.bus.emit(obs_events.CHAIN_HOP, kernel.sim.now,
+                                hop=state.hops, offset=next_offset,
+                                pid=proc.pid, span=span, parent=span,
+                                path="syscall")
+        return next_offset, final

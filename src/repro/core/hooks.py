@@ -56,6 +56,7 @@ ACTION_RESUBMIT = 1
 #: Complete with the scalar ``result``/``result2`` and no buffer (the
 #: selection/projection/aggregation case of §4).
 ACTION_RETURN_VALUE = 2
+# Any other action ends the chain with ChainStatus.EINVAL.
 
 # Field offsets (also usable from raw assembly).
 CTX_DATA = 0

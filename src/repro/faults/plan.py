@@ -215,8 +215,9 @@ class FaultPlan:
         self._episodes: Dict[Tuple[str, int], Tuple[str, int]] = {}
         #: Targets whose next service is guaranteed to succeed.
         self._cooldown: set = set()
-        #: (link, request_id) -> remaining losses for open drop episodes.
-        self._net_episodes: Dict[Tuple[str, int], int] = {}
+        #: (link, request_id) -> (kind, remaining losses) for open drop
+        #: episodes.
+        self._net_episodes: Dict[Tuple[str, int], Tuple[str, int]] = {}
         #: Frames whose next transmission is guaranteed to arrive.
         self._net_cooldown: set = set()
         #: Injected-fault counters by kind, for metrics reconciliation.
@@ -254,19 +255,9 @@ class FaultPlan:
         decisions stay deterministic regardless of which are enabled.
         """
         key = (command.opcode, command.lba)
-        episode = self._episodes.get(key)
-        if episode is not None:
-            kind, remaining = episode
-            if remaining <= 1:
-                del self._episodes[key]
-                self._cooldown.add(key)
-            else:
-                self._episodes[key] = (kind, remaining - 1)
-            self.injected[kind] += 1
+        decided, kind = self._replay(self._episodes, self._cooldown, key)
+        if decided:
             return kind
-        if key in self._cooldown:
-            self._cooldown.discard(key)
-            return None
         spec = self.spec
         if not spec.active(now):
             return None
@@ -277,12 +268,8 @@ class FaultPlan:
             return None
         draw = self._media_rng.random()
         if draw < error_rate:
-            if spec.error_burst > 1:
-                self._episodes[key] = (FAULT_TRANSIENT, spec.error_burst - 1)
-            else:
-                self._cooldown.add(key)
-            self.injected[FAULT_TRANSIENT] += 1
-            return FAULT_TRANSIENT
+            return self._open(self._episodes, self._cooldown, key,
+                              FAULT_TRANSIENT, spec.error_burst)
         draw -= error_rate
         if draw < spec.timeout_rate:
             self.injected[FAULT_TIMEOUT] += 1
@@ -306,34 +293,59 @@ class FaultPlan:
         media-error episodes, and the draws come from a dedicated RNG
         stream so arming net faults never perturbs media decisions.
         """
-        remaining = self._net_episodes.get(key)
-        if remaining is not None:
-            if remaining <= 1:
-                del self._net_episodes[key]
-                self._net_cooldown.add(key)
-            else:
-                self._net_episodes[key] = remaining - 1
-            self.injected[FAULT_NET_DROP] += 1
-            return FAULT_NET_DROP
-        if key in self._net_cooldown:
-            self._net_cooldown.discard(key)
-            return None
+        decided, kind = self._replay(self._net_episodes, self._net_cooldown,
+                                     key)
+        if decided:
+            return kind
         spec = self.spec
         if not spec.active(now) or not spec.any_net_faults():
             return None
         draw = self._net_rng.random()
         if draw < spec.net_drop_rate:
-            if spec.net_drop_burst > 1:
-                self._net_episodes[key] = spec.net_drop_burst - 1
-            else:
-                self._net_cooldown.add(key)
-            self.injected[FAULT_NET_DROP] += 1
-            return FAULT_NET_DROP
+            return self._open(self._net_episodes, self._net_cooldown, key,
+                              FAULT_NET_DROP, spec.net_drop_burst)
         draw -= spec.net_drop_rate
         if draw < spec.net_delay_rate:
             self.injected[FAULT_NET_DELAY] += 1
             return FAULT_NET_DELAY
         return None
+
+    # -- episodes (shared by the media and network decisions) -----------
+
+    def _replay(self, episodes: Dict, cooldown: set,
+                key: Tuple) -> Tuple[bool, Optional[str]]:
+        """Consume ``key``'s open episode, or its one-shot cooldown.
+
+        Returns ``(True, kind)`` when either decides the fate without an
+        RNG draw (the episode's fault kind; None on cooldown, the
+        guaranteed success), else ``(False, None)``.  An episode's last
+        failure moves ``key`` to cooldown.
+        """
+        episode = episodes.get(key)
+        if episode is not None:
+            kind, remaining = episode
+            if remaining <= 1:
+                del episodes[key]
+                cooldown.add(key)
+            else:
+                episodes[key] = (kind, remaining - 1)
+            self.injected[kind] += 1
+            return True, kind
+        if key in cooldown:
+            cooldown.discard(key)
+            return True, None
+        return False, None
+
+    def _open(self, episodes: Dict, cooldown: set, key: Tuple, kind: str,
+              burst: int) -> str:
+        """A drawn fault of ``kind``: ``key``'s next ``burst - 1`` services
+        fail too, and the one after is guaranteed to succeed."""
+        if burst > 1:
+            episodes[key] = (kind, burst - 1)
+        else:
+            cooldown.add(key)
+        self.injected[kind] += 1
+        return kind
 
     # -- extent-cache staleness (consumed by the chain engine) ----------
 

@@ -3,11 +3,11 @@
 Layer costs come from the paper's Table 1; the layers themselves really move
 bytes: the extent file system maps file offsets to physical blocks, the BIO
 layer splits I/Os across discontiguous extents, and the NVMe driver talks to
-the device model and handles completion interrupts.  Hook points for the
-paper's BPF-for-storage mechanism (`nvme_completion_hook`,
-`syscall_read_hook`, ioctl handlers) are declared here and filled in by
-:mod:`repro.core`, keeping the kernel ignorant of BPF exactly as the layering
-in the paper prescribes.
+the device model and handles completion interrupts.  The paper's
+BPF-for-storage mechanism plugs in through one slot, ``Kernel.chains``
+(the chain engine), and the ioctl handlers, both filled in by
+:mod:`repro.core`, keeping the kernel ignorant of BPF exactly as the
+layering in the paper prescribes.
 
 Crash consistency lives in :mod:`repro.kernel.journal` (write-ahead
 metadata journal + checkpoints) and :mod:`repro.kernel.recovery`

@@ -7,15 +7,18 @@ and driver layers (this is the paper's point — io_uring amortises crossings,
 not the stack).  Completions arrive over interrupts into the CQ; the
 reaping thread blocks until ``wait_nr`` CQEs are available.
 
-Tagged SQEs (BPF chains) are dispatched through the chain submitter that
-:mod:`repro.core` installs; their CQE is posted only when the chain finishes.
+A tagged SQE goes where :meth:`Kernel.read_path` sends a tagged
+``sys_pread``: on an NVMe-hook installation to the kernel's chain engine,
+whose CQE is posted only when the chain finishes.  io_uring has no dispatch
+loop to run the syscall hook in, so an SQE tagged for it completes at once
+with ``EINVAL`` and no device I/O.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 from repro.errors import InvalidArgument, IoError
 from repro.kernel.kernel import ChainStatus, Kernel, ReadResult
@@ -63,10 +66,6 @@ class IoUring:
         self._cq: List[Cqe] = []
         self._waiter = None
         self._in_flight = 0
-        #: Chain submitter installed by repro.core: generator
-        #: fn(proc, file, sqe, post_cqe, span) scheduling a tagged chain
-        #: under the SQE's root ``span``.
-        self.chain_submitter: Optional[Callable] = None
 
     # -- user-space side -------------------------------------------------
 
@@ -103,8 +102,12 @@ class IoUring:
 
         for sqe in submitted:
             file = self.proc.file(sqe.fd)
-            chained = (sqe.tagged and self.chain_submitter is not None and
-                       file.bpf_install is not None)
+            path = kernel.read_path(file, sqe.tagged)
+            if path == "syscall":
+                self._cq.append(Cqe(sqe.user_data, ReadResult(
+                    b"", status=ChainStatus.EINVAL, final_offset=sqe.offset)))
+                continue
+            chained = path == "chain"
             path = "chain" if chained else "uring"
             span = 0
             if bus.enabled:
@@ -119,8 +122,8 @@ class IoUring:
                          uring_ns=cost.iouring_sqe_ns, path=path, span=span)
             if chained:
                 self._in_flight += 1
-                yield from self.chain_submitter(self.proc, file, sqe,
-                                                self._post_cqe, span)
+                yield from kernel.chains.submit_uring_chain(
+                    self.proc, file, sqe, self._post_cqe, span)
                 continue
             # Normal async path: fs -> bio -> driver, completion by IRQ.
             segments = yield from kernel.map_bio(file, sqe.offset,

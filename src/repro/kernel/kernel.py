@@ -8,23 +8,26 @@ Figure 2:
   then either polls (microsecond devices; the thread burns its core for the
   whole round trip, which is why the Figure 3 baseline saturates six cores
   with six threads) or blocks and is woken by the completion IRQ;
-* the **syscall-dispatch hook**: after each completed read, a registered
-  hook may ask for a reissue at a new offset without returning to user
+* the **syscall-dispatch hook**: after each completed read, the chain
+  engine may ask for a reissue at a new offset without returning to user
   space (saves the boundary crossing and the app-side processing per hop);
-* the **NVMe-driver hook**: tagged reads hand their completions to a chain
-  handler that runs in interrupt context (installed by :mod:`repro.core`),
-  which can recycle the command straight back to the device.
+* the **NVMe-driver hook**: tagged reads hand their completions to the
+  chain engine, which runs in interrupt context and can recycle the
+  command straight back to the device.
 
-All three share one read-side descent (:meth:`Kernel.map_bio`) and one
-submission site: :meth:`Kernel.post` builds and tags every command,
-:meth:`Kernel.repost` recycles one, and ``_check`` maps a completion status
-to a typed error.  The segments of a data I/O are posted only by
-:meth:`Kernel.transfer` (a waiting caller; failed segments retried in
-place) and :meth:`Kernel.gather` (a callback), both joining chunks in
-segment order.
+:meth:`Kernel.read_path` is the one rule picking among them, for
+``sys_pread`` and io_uring alike.  All three share one read-side descent
+(:meth:`Kernel.map_bio`) and one submission site: :meth:`Kernel.post`
+builds and tags every command, :meth:`Kernel.repost` recycles one, and
+``_check`` maps a completion status to a typed error.  The segments of a
+data I/O are posted only by :meth:`Kernel.transfer` (a waiting caller;
+failed segments retried in place) and :meth:`Kernel.gather` (a callback),
+both joining chunks in segment order; :meth:`Kernel.retry_verdict` reads
+every failed completion under the retry policy.
 
-The kernel knows nothing about BPF: it only exposes the two hook slots and
-an ioctl-handler registry that :mod:`repro.core` fills in.
+The kernel knows nothing about BPF: it only exposes one slot,
+:attr:`Kernel.chains`, and an ioctl-handler registry that
+:mod:`repro.core` fills in.
 """
 
 from __future__ import annotations
@@ -162,6 +165,9 @@ class ChainStatus(str, enum.Enum):
     FAULT_FALLBACK = "fault-fallback"
     CHAIN_LIMIT = "echainlim"
     EIO = "eio"
+    #: The program asked for an action the hooks do not define; also an
+    #: io_uring SQE tagged for the syscall hook, which io_uring cannot run.
+    EINVAL = "einval"
 
     # Render as the bare value ("ok", not "ChainStatus.OK") on every
     # supported Python version, so tables, f-strings, and label keys are
@@ -185,8 +191,7 @@ class ReadResult:
         try:
             self.status = ChainStatus(status)
         except ValueError:
-            # Unknown/caller-defined status strings pass through untyped.
-            self.status = status
+            raise InvalidArgument(f"unknown read status {status!r}") from None
         self.hops = hops
         self.final_offset = final_offset
         #: Scalar results a BPF chain chose to return instead of a buffer.
@@ -211,8 +216,8 @@ class IoCookie:
     ``kind`` selects the completion discipline: ``"poll"`` (the submitting
     thread is spinning and reaps the completion itself), ``"irq"`` (the
     kernel runs an interrupt handler which wakes the waiter), or
-    ``"chain"`` (the completion belongs to a BPF chain and is handed to the
-    chain handler registered by repro.core).
+    ``"chain"`` (the completion belongs to a BPF chain and is handed to
+    :attr:`Kernel.chains`).
     """
 
     __slots__ = ("kind", "event", "chain")
@@ -296,21 +301,14 @@ class Kernel:
         self.model = device_model
         self._next_pid = 1
 
-        # --- hook slots filled in by repro.core --------------------------
-        #: Handles completions whose cookie.kind == "chain"; called in
-        #: device-completion context, must schedule its own CPU work.
-        self.chain_completion_handler: Optional[
-            Callable[[NvmeCommand], None]] = None
-        #: Generator hook run at the syscall dispatch layer after a read
-        #: completes: fn(proc, file, offset, result, hook_state) ->
-        #: (action, payload) where action is "return" or "reissue"
-        #: (payload = next offset).  ``hook_state`` is a dict scoped to one
-        #: sys_pread call so the hook can keep loop state across reissues.
-        self.syscall_read_hook: Optional[Callable] = None
-        #: Generator run instead of the normal data path for tagged reads:
-        #: fn(proc, file, offset, length, span) -> ReadResult, where
-        #: ``span`` is the chain's root, which the handler closes.
-        self.tagged_read_handler: Optional[Callable] = None
+        # --- slots filled in by repro.core --------------------------------
+        #: The chain engine (``repro.core.chains.ChainEngine``, duck-typed),
+        #: or None.  It takes every tagged read :meth:`read_path` sends
+        #: down a hook: ``start_chain`` (NVMe hook) and ``syscall_hook``
+        #: (the dispatch loop's step) for ``sys_pread``,
+        #: ``submit_uring_chain`` for io_uring; and ``handle_completion``
+        #: takes every completion whose cookie.kind == "chain".
+        self.chains: Any = None
         #: ioctl dispatch: op code -> generator fn(proc, file, arg) -> int.
         self.ioctl_handlers: Dict[int, Callable] = {}
 
@@ -433,46 +431,52 @@ class Kernel:
         yield from self._maybe_sync_commit(0, "write")
         return 0
 
+    @staticmethod
+    def read_path(file: File, tagged: bool) -> str:
+        """The one dispatch rule for a read, by the installation's hook:
+        ``"chain"`` (NVMe hook), ``"syscall"`` (syscall hook), or
+        ``"normal"`` for an untagged read or a plain descriptor."""
+        install = file.bpf_install
+        if not tagged or install is None:
+            return "normal"
+        return "chain" if install.hook_kind == "nvme" else "syscall"
+
     def sys_pread(self, proc: Process, fd: int, offset: int, length: int,
                   tagged: bool = False,
                   hook_state: Optional[Dict[str, Any]] = None):
         """A synchronous O_DIRECT positional read.
 
-        With ``tagged=True`` and a chain handler installed, the read is
-        dispatched down the tagged path (the paper's NVMe-hook chain); the
+        A ``tagged`` read goes where :meth:`read_path` sends it: down the
+        NVMe-hook chain, or round the syscall hook's dispatch loop; the
         returned :class:`ReadResult` then reports chain status and hops.
+        ``hook_state`` (a dict scoped to this call, optionally carrying the
+        chain's ``"args"`` and ``"scratch_init"``) goes to the chain engine
+        with the root ``"span"`` added.
         """
         if length < 0:
             raise InvalidArgument("read length must be >= 0")
         file = proc.file(fd)
         self.syscall_count += 1
-        nvme_tagged = (tagged and self.tagged_read_handler is not None and
-                       file.bpf_install is not None and
-                       getattr(file.bpf_install, "hook_kind", None) == "nvme")
-        syscall_hooked = (tagged and not nvme_tagged and
-                          self.syscall_read_hook is not None and
-                          file.bpf_install is not None)
-        io_path = ("chain" if nvme_tagged
-                   else "syscall" if syscall_hooked else "normal")
+        io_path = self.read_path(file, tagged)
         span = 0
         if self.bus.enabled:
             # The operation's root, before its first charge.  An NVMe-hook
             # chain's root is closed by the chain engine.
             span = self.bus.span_start(
-                "read_chain" if nvme_tagged else "sys_pread", self.sim.now,
-                pid=proc.pid, path=io_path)
+                "read_chain" if io_path == "chain" else "sys_pread",
+                self.sim.now, pid=proc.pid, path=io_path)
         yield from self.cpus.run_thread(self.cost.kernel_crossing_ns +
                                         self.cost.syscall_ns)
         if self.bus.enabled:
             self._emit_syscall("pread", proc.pid, path=io_path, span=span)
-        if nvme_tagged and length:
-            result = yield from self.tagged_read_handler(proc, file, offset,
-                                                         length, span)
-            return result
-
         if hook_state is None:
             hook_state = {}
         hook_state["span"] = span
+        if io_path == "chain" and length:
+            result = yield from self.chains.start_chain(proc, file, offset,
+                                                        length, hook_state)
+            return result
+
         queue = self.queue_for(proc)
         tenant = self.tenant_of(proc)
         try:
@@ -487,23 +491,18 @@ class Kernel:
                                                          queue=queue,
                                                          tenant=tenant)
                 result = ReadResult(data, final_offset=offset)
-                if syscall_hooked:
-                    action, payload = yield from self.syscall_read_hook(
-                        proc, file, offset, result, hook_state)
-                    if action == "reissue":
-                        offset = payload
-                        # Re-enter the dispatch layer without a boundary
-                        # crossing or app-side processing.
-                        yield from self.cpus.run_thread(self.cost.syscall_ns)
-                        if self.bus.enabled:
-                            self._emit_syscall("reissue", proc.pid,
-                                               path=io_path, crossing_ns=0,
-                                               span=span)
-                        continue
-                    if action == "return":
-                        return payload
-                    raise IoError(f"bad syscall hook action {action!r}")
-                return result
+                if io_path != "syscall":
+                    return result
+                offset, result = yield from self.chains.syscall_hook(
+                    proc, file, offset, result, hook_state)
+                if result is not None:
+                    return result
+                # Re-enter the dispatch layer without a boundary crossing
+                # or app-side processing.
+                yield from self.cpus.run_thread(self.cost.syscall_ns)
+                if self.bus.enabled:
+                    self._emit_syscall("reissue", proc.pid, path=io_path,
+                                       crossing_ns=0, span=span)
         except GeneratorExit:
             span = 0  # abandoned mid-flight: the operation never ended
             raise
@@ -769,43 +768,25 @@ class Kernel:
         """Generator: recover one failed segment; returns the successful
         completion or raises.
 
-        With no :attr:`retry_policy` the failure is ``_check``'s typed
-        error.  Under the policy the segment is resubmitted (a fresh
-        descriptor, ``source="retry"``; recycling is the chain engine's
-        job) after a backoff slept in simulated time, until it succeeds or
-        ``max_retries`` resubmissions have failed.
+        The segment is resubmitted (a fresh descriptor, ``source="retry"``;
+        recycling is the chain engine's job) after a backoff slept in
+        simulated time, for as long as :meth:`retry_verdict` allows.  A
+        refusal raises ``_check``'s typed error when there is no policy or
+        the device lost power, and :class:`IoError` once the budget is
+        spent.
         """
-        policy = self.retry_policy
-        if policy is None:
-            self._check(completed, what)  # raises
         opcode, lba = completed.opcode, completed.lba
         sectors = completed.sectors
         attempt = 1
         while completed.status:
-            if completed.status == STATUS_POWER_FAIL:
-                # Not a media error: the device is gone, retrying is
-                # pointless.
-                self._check(completed, f"{opcode} at lba {lba}")
-            reason = ("timeout" if completed.status == STATUS_TIMEOUT
-                      else "media")
-            if completed.status == STATUS_TIMEOUT:
-                self.nvme_timeouts += 1
-                if self.bus.enabled:
-                    self.bus.emit(obs_events.NVME_TIMEOUT, self.sim.now,
-                                  opcode=opcode, lba=lba,
-                                  timeout_ns=self.device.command_timeout_ns,
-                                  attempt=attempt, span=span, path=path)
-            if attempt > policy.max_retries:
+            reason, backoff = self.retry_verdict(completed, attempt, True,
+                                                 span, path)
+            if backoff is None:
+                if reason == "power" or self.retry_policy is None:
+                    self._check(completed, what)  # raises
                 raise IoError(
                     f"nvme {opcode} at lba {lba} failed after "
                     f"{attempt} attempts ({reason})")
-            self.nvme_retries += 1
-            backoff = policy.backoff_ns(attempt)
-            if self.bus.enabled:
-                self.bus.emit(obs_events.NVME_RETRY, self.sim.now,
-                              opcode=opcode, lba=lba, reason=reason,
-                              attempt=attempt, backoff_ns=backoff,
-                              span=span, path=path)
             if backoff:
                 yield self.sim.timeout(backoff)
             attempt += 1
@@ -814,6 +795,46 @@ class Kernel:
                 opcode, lba, sectors, kind=kind, data=data, source="retry",
                 span=span, path=path, queue=queue, tenant=tenant)
         return completed
+
+    def retry_verdict(self, completed: NvmeCommand, attempt: int,
+                      allowed: bool, span: int,
+                      path: str) -> Tuple[str, Optional[int]]:
+        """Read one failed completion, the ``attempt``-th try (1-based), for
+        every caller that may retry it (``_retry`` and the chain engine).
+
+        Returns ``(reason, backoff)``: ``reason`` is ``"power"``,
+        ``"timeout"`` or ``"media"``; ``backoff`` is the simulated sleep
+        before the retry, or None when the command must not be retried: no
+        retry policy, a power failure (the device is gone, so retrying is
+        pointless), the policy's budget spent, or ``allowed`` false (the
+        caller's own bound).  Counts and publishes each timeout and each
+        granted retry.
+        """
+        policy = self.retry_policy
+        status = completed.status
+        if status == STATUS_POWER_FAIL:
+            return "power", None
+        reason = "timeout" if status == STATUS_TIMEOUT else "media"
+        if policy is None:
+            return reason, None
+        opcode, lba = completed.opcode, completed.lba
+        if status == STATUS_TIMEOUT:
+            self.nvme_timeouts += 1
+            if self.bus.enabled:
+                self.bus.emit(obs_events.NVME_TIMEOUT, self.sim.now,
+                              opcode=opcode, lba=lba,
+                              timeout_ns=self.device.command_timeout_ns,
+                              attempt=attempt, span=span, path=path)
+        if attempt > policy.max_retries or not allowed:
+            return reason, None
+        self.nvme_retries += 1
+        backoff = policy.backoff_ns(attempt)
+        if self.bus.enabled:
+            self.bus.emit(obs_events.NVME_RETRY, self.sim.now,
+                          opcode=opcode, lba=lba, reason=reason,
+                          attempt=attempt, backoff_ns=backoff, span=span,
+                          path=path)
+        return reason, backoff
 
     def _normal_read_path(self, file: File, offset: int, length: int,
                           span: int = 0, path: str = "normal",
@@ -926,9 +947,7 @@ class Kernel:
             cookie.event.succeed(command)
             return
         if cookie.kind == "chain":
-            if self.chain_completion_handler is None:
-                raise IoError("chain completion but no handler installed")
-            self.chain_completion_handler(command)
+            self.chains.handle_completion(command)
             return
         self.sim.start(self._irq_complete(command), "irq")
 

@@ -265,9 +265,8 @@ class StorageTarget:
             raise InvalidArgument(f"unknown chain id {chain_id}")
         result = yield from self.bpf.read_chain_robust(
             state.proc, fd, offset, length, args=args)
-        return (str(result.status.value if hasattr(result.status, "value")
-                    else result.status),
-                result.hops, (result.value, result.value2), result.data)
+        return (result.status.value, result.hops,
+                (result.value, result.value2), result.data)
 
     def _op_compact(self, state: _ClientState, output_path: str,
                     drop_tombstones: bool, input_paths):

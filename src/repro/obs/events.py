@@ -11,8 +11,8 @@ Event catalogue (all fields are plain JSON-serialisable values):
 event type                emitted by / meaning
 ========================  =====================================================
 ``syscall_enter``         syscall dispatch layer: one boundary crossing.
-                          Fields: ``op`` (pread/open/ioctl/chain_entry/
-                          io_uring_enter/reissue/...), ``pid``,
+                          Fields: ``op`` (pread/open/ioctl/io_uring_enter/
+                          reissue/...), ``pid``,
                           ``crossing_ns``, ``syscall_ns``, ``path``, ``span``.
 ``fs_resolve``            ext4 extent resolution (``ExtFs.map_range``):
                           ``ino``, ``offset``, ``length``, ``segments``,

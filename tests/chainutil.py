@@ -38,6 +38,12 @@ done:
     exit
 """
 
+#: The walker ending the list with action 3, which no hook defines: a
+#: verified program that asks for something the kernel cannot do.
+UNKNOWN_ACTION_SRC = WALKER_SRC.replace(
+    "mov   r5, 2           ; ACTION_RETURN_VALUE",
+    "mov   r5, 3           ; no such action")
+
 
 def linked_file_bytes(order, payload_base=1000):
     """Bytes of a file whose blocks chain in ``order`` (block indices)."""
@@ -59,18 +65,19 @@ def build_machine(model=NVM2_EXACT, max_chain_hops=64, **config_kwargs):
     return sim, kernel, bpf
 
 
-def walker_program(bpf, name="walker", block_size=4096):
-    program = Program(assemble(WALKER_SRC, bpf.helpers.names()),
+def walker_program(bpf, name="walker", block_size=4096, source=WALKER_SRC):
+    program = Program(assemble(source, bpf.helpers.names()),
                       storage_ctx_layout(block_size, 256), name=name)
     bpf.verify_program(program)
     return program
 
 
 def install_walker(sim, kernel, bpf, path, hook=Hook.NVME, vm_mode="block",
-                   proc=None, block_size=4096):
-    """Open ``path``, install the walker; returns (proc, fd)."""
+                   proc=None, block_size=4096, source=WALKER_SRC):
+    """Open ``path``, install the walker (or ``source``); returns
+    (proc, fd)."""
     proc = proc or kernel.spawn_process()
-    program = walker_program(bpf, block_size=block_size)
+    program = walker_program(bpf, block_size=block_size, source=source)
 
     def setup():
         fd = yield from kernel.sys_open(proc, path)

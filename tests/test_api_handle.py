@@ -122,6 +122,8 @@ def test_read_result_coerces_status_strings():
     result = ReadResult(b"", status="eextent")
     assert result.status is ChainStatus.EXTENT_INVALIDATED
     assert not result.ok
+    with pytest.raises(InvalidArgument, match="unknown read status"):
+        ReadResult(b"", status="maybe")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from chainutil import (
     NVM2_EXACT,
+    UNKNOWN_ACTION_SRC,
     build_machine,
     install_walker,
     linked_file_bytes,
@@ -13,7 +14,12 @@ from chainutil import (
 )
 from repro.core import Hook
 from repro.core.chains import ChainEngine, ChainState
-from repro.errors import ChainLimitExceeded, NotInstalled, PowerLossError
+from repro.errors import (
+    ChainLimitExceeded,
+    InvalidArgument,
+    NotInstalled,
+    PowerLossError,
+)
 from repro.faults import FaultSpec
 from repro.kernel import ChainStatus, IoUring
 from repro.obs import SpanCollector, TraceBus
@@ -202,6 +208,19 @@ def test_chain_limit_kills_long_chain():
     assert result.hops == 5
     # The kill hands back the next offset so the app can continue.
     assert result.final_offset == 5 * 4096
+    assert bpf.accounting.chains_killed[proc.pid] == 1
+
+
+def test_syscall_hook_chain_limit_hands_back_the_continuation():
+    # The fairness kill is one piece of code for both hooks: the syscall
+    # hook's kill carries the next offset and the scratch too.
+    sim, kernel, bpf = make_list_machine(list(range(20)), max_chain_hops=5)
+    proc, fd = install_walker(sim, kernel, bpf, "/list", hook=Hook.SYSCALL)
+    result = kernel.run_syscall(bpf.read_chain(proc, fd, 0, 4096,
+                                               scratch_init=b"s"))
+    assert (result.status, result.hops, result.final_offset, result.data) == \
+        (ChainStatus.CHAIN_LIMIT, 5, 5 * 4096, b"")
+    assert result.scratch.startswith(b"s")
     assert bpf.accounting.chains_killed[proc.pid] == 1
 
 
@@ -521,7 +540,8 @@ def watch_chains(kernel):
     """``[state, deliveries]`` of every chain whose completion reaches the
     chain engine."""
     seen = []
-    handler = kernel.chain_completion_handler
+    engine = kernel.chains
+    handler = engine.handle_completion
 
     def watched(command):
         state = command.cookie.chain
@@ -537,7 +557,7 @@ def watch_chains(kernel):
             state.deliver = counted
         handler(command)
 
-    kernel.chain_completion_handler = watched
+    engine.handle_completion = watched
     return seen
 
 
@@ -583,14 +603,63 @@ def _split_chain():
     return kernel, bpf.read_chain(proc, fd, 0, 8192)
 
 
+def _unknown_action_chain():
+    sim, kernel, bpf = make_list_machine()
+    proc, fd = install_walker(sim, kernel, bpf, "/list",
+                              source=UNKNOWN_ACTION_SRC)
+    return kernel, bpf.read_chain(proc, fd, ORDER[0] * 4096, 4096)
+
+
+def _power_cut_chain(fault_plan, before_repost):
+    """A chain whose device loses power at the third hop: while that hop's
+    read is in service, or between its completion and the program's
+    recycle."""
+    sim, kernel, bpf = make_list_machine(fault_plan=fault_plan)
+    proc, fd = install_walker(sim, kernel, bpf, "/list")
+    device = kernel.device
+    seen = []
+    if before_repost:
+        complete = device.completion_handler
+
+        def cut(command):
+            seen.append(command)
+            if len(seen) == 3:
+                kernel.crash()
+            complete(command)
+
+        device.completion_handler = cut
+    else:
+        submit = device.submit
+
+        def cut(command):
+            submit(command)
+            seen.append(command)
+            if len(seen) == 3:
+                kernel.crash()
+
+        device.submit = cut
+    return kernel, bpf.read_chain(proc, fd, ORDER[0] * 4096, 4096)
+
+
 @pytest.mark.parametrize("scenario,status,hops,source", [
     (_resubmitting_chain, ChainStatus.OK, len(ORDER), "bpf-recycle"),
     (_retried_chain, ChainStatus.OK, len(ORDER) + 2, "chain-retry"),
     (_killed_chain, ChainStatus.CHAIN_LIMIT, 5, "bpf-recycle"),
     (_aborted_chain, ChainStatus.EXTENT_INVALIDATED, 2, "bpf-recycle"),
     (_split_chain, ChainStatus.SPLIT_FALLBACK, 2, None),
+    (_unknown_action_chain, ChainStatus.EINVAL, len(ORDER), "bpf-recycle"),
+    (partial(_power_cut_chain, None, False), ChainStatus.EIO, 3,
+     "bpf-recycle"),
+    (partial(_power_cut_chain, None, True), ChainStatus.EIO, 3,
+     "bpf-recycle"),
+    (partial(_power_cut_chain, FaultSpec(seed=1), False), ChainStatus.EIO,
+     3, "bpf-recycle"),
+    (partial(_power_cut_chain, FaultSpec(seed=1), True), ChainStatus.EIO, 3,
+     "bpf-recycle"),
 ], ids=["resubmit", "fault-retry", "chain-limit", "extent-abort",
-        "split-fallback"])
+        "split-fallback", "unknown-action", "power-cut-in-service",
+        "power-cut-before-repost", "power-cut-in-service-idle-plan",
+        "power-cut-before-repost-idle-plan"])
 def test_every_chain_ending_delivers_once_and_leaves_no_wake(
         scenario, status, hops, source):
     kernel, chain = scenario()
@@ -606,6 +675,74 @@ def test_every_chain_ending_delivers_once_and_leaves_no_wake(
     assert spawns["chain-irq"] == 1
 
 
+@pytest.mark.parametrize("fault_plan", [None, FaultSpec(seed=1)],
+                         ids=["no-plan", "idle-plan"])
+def test_a_power_cut_anywhere_in_a_chain_ends_the_read(fault_plan):
+    # Cut instants spread over a 6-hop chain up to its last completion.
+    # A cut before the first submission raises in the reading thread;
+    # every other ends the read EIO.  None raises out of the simulator
+    # from the chain's interrupt context.
+    def world():
+        sim, kernel, bpf = make_list_machine(list(range(6)),
+                                             fault_plan=fault_plan)
+        proc, fd = install_walker(sim, kernel, bpf, "/list")
+        return sim, kernel, bpf.read_chain(proc, fd, 0, 4096)
+
+    def reader(chain):
+        try:
+            return (yield from chain).status
+        except PowerLossError:
+            return "PowerLossError"
+
+    sim, kernel, chain = world()
+    start = sim.now
+    assert kernel.run_syscall(reader(chain)) == ChainStatus.OK
+    window = kernel.trace.entries[-1].complete_ns - start
+    outcomes = set()
+    for index in range(64):
+        sim, kernel, chain = world()
+
+        def cut(at=index * window // 64, kernel=kernel):
+            yield kernel.sim.timeout(at)
+            kernel.crash()
+
+        sim.spawn(cut(), name="cut")
+        outcomes.add(kernel.run_syscall(reader(chain)))
+    assert outcomes == {ChainStatus.EIO, "PowerLossError"}
+
+
+@pytest.mark.parametrize("hook", [Hook.NVME, Hook.SYSCALL])
+def test_unknown_action_ends_the_chain_einval(hook):
+    sim, kernel, bpf = make_list_machine()
+    proc, fd = install_walker(sim, kernel, bpf, "/list", hook=hook,
+                              source=UNKNOWN_ACTION_SRC)
+    result = kernel.run_syscall(bpf.read_chain(proc, fd, ORDER[0] * 4096,
+                                               4096))
+    assert (result.status, result.hops, result.data, result.value) == \
+        (ChainStatus.EINVAL, len(ORDER), b"", None)
+    with pytest.raises(InvalidArgument):
+        kernel.run_syscall(bpf.read_chain_robust(proc, fd, ORDER[0] * 4096,
+                                                 4096))
+
+
+def test_unknown_action_in_the_user_space_step_ends_einval():
+    sim, kernel, bpf = build_machine(max_extent_blocks=2)
+    kernel.create_file("/list", linked_file_bytes([0, 1]) + bytes(4096))
+    proc, fd = install_walker(sim, kernel, bpf, "/list", block_size=8192,
+                              source=UNKNOWN_ACTION_SRC)
+    # Blocks 1-2 sit in different extents, so the first hop falls back,
+    # and block 1 ends the list: the application's own run of the program
+    # reads the undefined action.
+    split = kernel.run_syscall(bpf.read_chain(proc, fd, 4096, 8192))
+    assert split.status == ChainStatus.SPLIT_FALLBACK
+    next_offset, final, _scratch = kernel.run_syscall(
+        bpf._user_space_step(proc, fd, split, ()))
+    assert next_offset is None
+    assert (final.status, final.final_offset) == (ChainStatus.EINVAL, 4096)
+    with pytest.raises(InvalidArgument):
+        kernel.run_syscall(bpf.read_chain_robust(proc, fd, 4096, 8192))
+
+
 # ---------------------------------------------------------------------------
 # io_uring chains
 # ---------------------------------------------------------------------------
@@ -617,7 +754,6 @@ def test_iouring_tagged_chains_complete():
 
     def workload():
         ring = IoUring(kernel, proc)
-        ring.chain_submitter = bpf.engine.submit_uring_chain
         for index in range(4):
             ring.prep_read(fd, ORDER[0] * 4096, 4096, user_data=index,
                            tagged=True)
@@ -639,7 +775,6 @@ def test_iouring_untagged_sqes_unaffected_by_installation():
 
     def workload():
         ring = IoUring(kernel, proc)
-        ring.chain_submitter = bpf.engine.submit_uring_chain
         ring.prep_read(fd, 0, 4096, user_data="plain")
         cqes = yield from ring.enter(wait_nr=1)
         return cqes
@@ -647,6 +782,24 @@ def test_iouring_untagged_sqes_unaffected_by_installation():
     cqes = kernel.run_syscall(workload())
     assert cqes[0].result.hops == 1
     assert len(cqes[0].result.data) == 4096
+
+
+def test_iouring_sqe_tagged_for_the_syscall_hook_is_einval():
+    # io_uring has no dispatch loop to run the syscall hook in.
+    sim, kernel, bpf = make_list_machine()
+    proc, fd = install_walker(sim, kernel, bpf, "/list", hook=Hook.SYSCALL)
+    completed = kernel.device.completed
+
+    def workload():
+        ring = IoUring(kernel, proc)
+        ring.prep_read(fd, ORDER[0] * 4096, 4096, user_data="tagged",
+                       tagged=True)
+        return (yield from ring.enter(wait_nr=1))
+
+    (cqe,) = kernel.run_syscall(workload())
+    assert (cqe.user_data, cqe.result.status, cqe.result.data) == \
+        ("tagged", ChainStatus.EINVAL, b"")
+    assert kernel.device.completed == completed  # no device I/O
 
 
 # ---------------------------------------------------------------------------

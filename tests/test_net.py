@@ -383,6 +383,31 @@ def test_unsafe_program_is_refused_with_reason():
     assert target.executed["install_chain"] == 1
 
 
+def test_unknown_action_is_refused_and_target_keeps_serving():
+    # A verified program may still ask for an action no hook defines.  It
+    # used to raise out of the target's chain interrupt and take the
+    # whole fabric down; now the chain ends EINVAL and the RPC is refused.
+    sim, target, _fabric, _connection, client = build_rig()
+    target.create_file("/data", bytes(8192))
+    rogue = Program(assemble("mov r2, 3\nstxdw [r1+72], r2\nmov r0, 0\n"
+                             "exit"),
+                    storage_ctx_layout(PAGE_SIZE, 256), name="rogue")
+
+    def workload():
+        chain_id = yield from client.install_chain("/data", rogue)
+        try:
+            yield from client.exec_chain(chain_id, 0)
+        except RemoteError as error:
+            refusal = error.remote_errno
+        data = yield from client.read("/data", 0, 512)
+        return refusal, data
+
+    refusal, data = sim.run_process(workload())
+    assert refusal is Errno.EINVAL
+    assert data == bytes(512)
+    assert target.refused == {"EINVAL": 1}
+
+
 def test_exec_unknown_chain_id_is_refused():
     sim, _target, _fabric, _connection, client = build_rig()
 

@@ -88,13 +88,16 @@ def test_trace_jsonl_is_deterministic_across_runs():
 # recorded before the NVMe submission sites were folded into
 # ``Kernel.post``; re-recorded when every root span moved to open before
 # its operation's first charge (and the journal commit's ext4 charge and a
-# refused submission got their events).  A change that moves the trace on
-# purpose re-records both digests.
+# refused submission got their events).  Re-recorded when ``read_chain``
+# began entering the kernel through ``sys_pread``: the only difference is
+# the ``op`` of an NVMe-hook chain read's ``syscall_enter``, ``chain_entry``
+# before and ``pread`` now (1,772 lines of fig3b, 60 of fig3c).  A change
+# that moves the trace on purpose re-records both digests.
 PINNED_TRACES = [
     ("fig3b", None,
-     "189b77fab53837a789788092c452b7aad48342628239a60587dc376b68c75f25"),
+     "d7388d34f5d8b312f46c542addb6b6c970377956026ab1443c74268d025f5ff1"),
     ("fig3c", "seed=7,read_error_rate=0.02,error_burst=2",
-     "b9437c8d71ced39eaccffd2639d76ef9cebbce5696e6981c0c2b95ff9dc544be"),
+     "b67bdb7fcd431bae181dfcc2eacca95365ae82cc32bffacea7cd79acf2537248"),
 ]
 
 

@@ -576,7 +576,6 @@ def drive_every_entry_point(model, retry, bus):
 
     def uring(offset, tagged, target=fd, length=4096):
         ring = IoUring(kernel, proc)
-        ring.chain_submitter = bpf.engine.submit_uring_chain
         ring.prep_read(target, offset, length, tagged=tagged)
         return ring.enter(wait_nr=1)
 

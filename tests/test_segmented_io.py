@@ -95,7 +95,6 @@ def test_uring_chain_split_fallback_holds_blocks_in_file_order(offset):
 
     def workload():
         ring = IoUring(kernel, proc)
-        ring.chain_submitter = bpf.engine.submit_uring_chain
         ring.prep_read(fd, offset, 8192, tagged=True)
         (cqe,) = yield from ring.enter(wait_nr=1)
         control = yield from bpf.read_chain(proc, fd, 4096, 8192)
@@ -148,7 +147,6 @@ def test_failed_segment_is_delivered_after_the_others_complete(tagged):
     inode = kernel.fs.lookup("/wide")
     kernel.fault_plan.inject(inode.extents.lookup(1) * 8, times=1)
     ring = IoUring(kernel, proc)
-    ring.chain_submitter = bpf.engine.submit_uring_chain
     post_cqe = ring._post_cqe
     in_flight_at_delivery = []
 
