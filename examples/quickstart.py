@@ -16,6 +16,7 @@ from repro.bench.runner import NVM2_BENCH
 from repro.core import Hook, StorageBpf
 from repro.core.library import index_traversal_program
 from repro.kernel import Kernel, KernelConfig
+from repro.obs import ObsSession
 from repro.sim import Simulator
 from repro.structures import BTree, FsBackend
 from repro.structures.pages import PAGE_SIZE, search_page
@@ -27,7 +28,7 @@ TARGET_KEY = 3 * 1234 + 1
 
 def build_machine():
     sim = Simulator()
-    kernel = Kernel(sim, NVM2_BENCH, KernelConfig(cores=6, trace_device=True))
+    kernel = Kernel(sim, NVM2_BENCH, KernelConfig(cores=6))
     bpf = StorageBpf(kernel)
     inode = kernel.fs.create("/index")
     items = [(3 * i + 1, i * 10) for i in range(DEPTH_KEYS)]
@@ -53,7 +54,8 @@ def baseline_lookup(sim, kernel, proc, fd, tree, key):
 
 
 def main():
-    sim, kernel, bpf, tree = build_machine()
+    with ObsSession() as obs:  # the kernel built here reports to its bus
+        sim, kernel, bpf, tree = build_machine()
     program = index_traversal_program(fanout=FANOUT)
     bpf.verify_program(program)
     print(f"B-tree: {tree.meta.num_keys} keys, depth {tree.depth}, "
@@ -95,7 +97,8 @@ def main():
               f"({baseline_ns / ns:4.2f}x)")
         assert value == expected, path
 
-    recycled = kernel.trace.count(source="bpf-recycle")
+    recycled = obs.registry.get("nvme_commands_total").value(
+        source="bpf-recycle")
     print(f"\nNVMe chain: {result.hops} hops, {recycled} of them recycled "
           "inside the driver interrupt handler")
     print("Per-process resubmission accounting:",

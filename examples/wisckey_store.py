@@ -14,6 +14,7 @@ from repro.bench.runner import NVM2_BENCH
 from repro.core import StorageBpf
 from repro.core.library import wisckey_get_program
 from repro.kernel import Kernel, KernelConfig
+from repro.obs import ObsSession
 from repro.sim import Simulator
 from repro.structures import FsBackend, WisckeyStore
 from repro.structures.pages import PAGE_SIZE, search_page
@@ -24,8 +25,8 @@ FANOUT = 16
 
 def main():
     sim = Simulator()
-    kernel = Kernel(sim, NVM2_BENCH, KernelConfig(cores=6,
-                                                  trace_device=True))
+    with ObsSession() as obs:  # the kernel built here reports to its bus
+        kernel = Kernel(sim, NVM2_BENCH, KernelConfig(cores=6))
     bpf = StorageBpf(kernel)
 
     inode = kernel.fs.create("/store")
@@ -94,7 +95,8 @@ def main():
         print(f"{probe:8d}  {shown:20s} {base_ns / 1000:9.2f}u "
               f"{chain_ns / 1000:9.2f}u {base_ns / chain_ns:7.2f}x")
 
-    recycled = kernel.trace.count(source="bpf-recycle")
+    recycled = obs.registry.get("nvme_commands_total").value(
+        source="bpf-recycle")
     print(f"\ndescriptors recycled in the completion interrupt: {recycled} "
           f"(index hops + value-log dereferences)")
 

@@ -408,10 +408,7 @@ class ChainEngine:
                     bus.emit(obs_events.FAULT_INJECT, kernel.sim.now,
                              kind="stale", ino=entry.ino, span=hop_span,
                              path="chain")
-            if entry is None or not entry.valid:
-                # Invalidated mid-chain: discard the recycled I/O, error out.
-                self.extent_aborts += 1
-                state.fail(ChainStatus.EXTENT_INVALIDATED)
+            if self._snapshot_lost(state, entry):
                 return False
 
             next_offset, result = yield from self.verdict(
@@ -436,6 +433,8 @@ class ChainEngine:
                 # itself and restarts the chain at the next hop.
                 self.split_fallbacks += 1
                 yield from kernel.run_irq(cost.bio_ns, queue)
+                if self._snapshot_lost(state, entry):
+                    return False
                 segments = kernel.fs.map_range(state.file.inode,
                                                next_offset, state.length,
                                                span=hop_span, path="chain",
@@ -466,6 +465,8 @@ class ChainEngine:
                 if delay:
                     yield kernel.sim.timeout(delay)
             yield from kernel.run_irq(cost.nvme_driver_ns, queue)
+            if self._snapshot_lost(state, entry):
+                return False
             # repost() preserves command.queue, so the recycled hop goes
             # back out on the pair it arrived on and its next completion
             # fires on the same core's vector (core-local, never crossing
@@ -482,6 +483,22 @@ class ChainEngine:
         finally:
             if hop_span:
                 bus.span_end(hop_span, kernel.sim.now)
+
+    def _snapshot_lost(self, state: ChainState, entry) -> bool:
+        """End the chain ``EEXTENT`` if the extent snapshot ``entry`` is
+        gone (None) or invalidated; True when it did.
+
+        Called at the hop's entry and again immediately before every send
+        from interrupt context (a recycle, a fault retry, a split's
+        ``map_range``): simulated time passes in between (the program's
+        run, QoS pacing, the driver charge, a retry's backoff), and an
+        unmap in that window must not let the chain reach freed blocks.
+        """
+        if entry is not None and entry.valid:
+            return False
+        self.extent_aborts += 1
+        state.fail(ChainStatus.EXTENT_INVALIDATED)
+        return True
 
     def _handle_faulted_hop(self, state: ChainState, command: NvmeCommand,
                             hop_span: int):
@@ -510,6 +527,8 @@ class ChainEngine:
             if backoff:
                 yield kernel.sim.timeout(backoff)
             yield from kernel.run_irq(kernel.cost.nvme_driver_ns, state.queue)
+            if self._snapshot_lost(state, state.install.cache_entry):
+                return False
             kernel.repost(command, command.lba, command.sectors,
                           "chain-retry", hop_span)
             return True

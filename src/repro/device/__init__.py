@@ -7,7 +7,6 @@
   second-generation Optane).
 * :mod:`~repro.device.nvme` — the NVMe device: submission/completion queues,
   bounded internal parallelism, interrupt delivery into the simulated kernel.
-* :mod:`~repro.device.trace` — I/O trace recording for tests and debugging.
 * :mod:`~repro.device.writecache` — the volatile write cache behind NVMe
   FLUSH/FUA semantics and power-loss injection.
 """
@@ -29,7 +28,6 @@ from repro.device.nvme import (
     STATUS_POWER_FAIL,
     STATUS_TIMEOUT,
 )
-from repro.device.trace import IoTrace, TraceEntry
 from repro.device.writecache import CachedWrite, WriteCache
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
     "CachedWrite",
     "DEVICE_PROFILES",
     "HDD",
-    "IoTrace",
     "LatencyModel",
     "NAND_SSD",
     "NVM_GEN1",
@@ -48,6 +45,5 @@ __all__ = [
     "STATUS_OK",
     "STATUS_POWER_FAIL",
     "STATUS_TIMEOUT",
-    "TraceEntry",
     "WriteCache",
 ]

@@ -25,7 +25,6 @@ from typing import Any, Callable, List, Optional
 from repro.errors import InvalidArgument, IoError, PowerLossError
 from repro.device.blockdev import SECTOR_SIZE, BlockDevice
 from repro.device.latency import LatencyModel
-from repro.device.trace import IoTrace, TraceEntry
 from repro.device.writecache import WriteCache
 from repro.obs import events as obs_events
 from repro.obs.bus import NULL_BUS, TraceBus
@@ -129,7 +128,6 @@ class NvmeDevice:
 
     def __init__(self, sim: Simulator, model: LatencyModel,
                  media: BlockDevice, rng: random.Random,
-                 trace: Optional[IoTrace] = None,
                  bus: Optional[TraceBus] = None,
                  cache_depth: int = 0, queues: int = 1, qos=None):
         if queues < 1:
@@ -138,7 +136,6 @@ class NvmeDevice:
         self.model = model
         self.media = media
         self.rng = rng
-        self.trace = trace if trace is not None else IoTrace(enabled=False)
         self.bus = bus if bus is not None else NULL_BUS
         self.queues = queues
         self.submission_queues: List[Store] = [
@@ -324,12 +321,6 @@ class NvmeDevice:
             self.completed += 1
             self.queue_in_flight[queue] -= 1
             self.queue_completed[queue] += 1
-            if self.trace.enabled:
-                self.trace.record(
-                    TraceEntry(command.submit_ns, command.complete_ns,
-                               command.opcode, command.lba, command.sectors,
-                               command.source)
-                )
             if self.bus.enabled:
                 # service_ns is the sampled media time, excluding queue
                 # wait, so layer attribution stays exact under queueing.

@@ -38,7 +38,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.device import (
     BlockDevice,
-    IoTrace,
     LatencyModel,
     NvmeCommand,
     NvmeDevice,
@@ -107,7 +106,6 @@ class KernelConfig:
     cost_model: CostModel = field(default_factory=CostModel)
     capacity_sectors: int = 4 * 1024 * 1024  # 2 GiB
     seed: int = 0
-    trace_device: bool = False
     #: Blocks per extent cap for the allocator (small values force
     #: fragmented files and exercise the BIO split fallback).
     max_extent_blocks: int = 32768
@@ -241,7 +239,6 @@ class Kernel:
         self.cpus = CpuSet(sim, self.config.cores)
         self.streams = RandomStreams(self.config.seed)
         self.media = BlockDevice(self.config.capacity_sectors)
-        self.trace = IoTrace(enabled=self.config.trace_device)
         self.bus = (self.config.bus if self.config.bus is not None
                     else get_default_bus())
         if self.config.queue_pairs < 1:
@@ -253,8 +250,7 @@ class Kernel:
                        clock=lambda: sim.now)
             if self.config.qos is not None else None)
         self.device = NvmeDevice(sim, device_model, self.media,
-                                 self.streams.stream("nvme"), trace=self.trace,
-                                 bus=self.bus,
+                                 self.streams.stream("nvme"), bus=self.bus,
                                  cache_depth=self.config.write_cache_depth,
                                  queues=self.config.queue_pairs,
                                  qos=self.qos)

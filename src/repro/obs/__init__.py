@@ -24,7 +24,7 @@ See ``docs/observability.md`` for the full catalogue and examples.
 from repro.obs import events
 from repro.obs.bus import NULL_BUS, TraceBus, get_default_bus, set_default_bus
 from repro.obs.events import TraceEvent
-from repro.obs.export import JsonlRecorder, dump_metrics_jsonl, load_metrics_jsonl
+from repro.obs.export import JsonlRecorder
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.session import ObsSession
 from repro.obs.spans import ATTRIBUTION, Span, SpanCollector
@@ -44,9 +44,7 @@ __all__ = [
     "TraceBus",
     "TraceEvent",
     "attach_standard_metrics",
-    "dump_metrics_jsonl",
     "events",
     "get_default_bus",
-    "load_metrics_jsonl",
     "set_default_bus",
 ]

@@ -1,4 +1,4 @@
-"""Deterministic JSONL export for trace events and metrics snapshots.
+"""Deterministic JSONL export for trace events.
 
 Every line is ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
 over fields that are pure functions of the simulation (simulated-time
@@ -10,13 +10,12 @@ checks.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import List
 
 from repro.obs.bus import TraceBus
 from repro.obs.events import TraceEvent
-from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["JsonlRecorder", "dump_metrics_jsonl", "load_metrics_jsonl"]
+__all__ = ["JsonlRecorder"]
 
 _COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
@@ -47,13 +46,3 @@ class JsonlRecorder:
             fh.write(self.text())
         return len(self.lines)
 
-
-def dump_metrics_jsonl(registry: MetricsRegistry) -> str:
-    """Serialise a metrics snapshot, one metric per JSONL line."""
-    return "".join(json.dumps(entry, **_COMPACT) + "\n"
-                   for entry in registry.snapshot())
-
-
-def load_metrics_jsonl(text: str) -> List[Dict[str, Any]]:
-    """Parse a snapshot produced by :func:`dump_metrics_jsonl`."""
-    return [json.loads(line) for line in text.splitlines() if line.strip()]

@@ -30,12 +30,11 @@ __all__ = ["ObsSession"]
 class ObsSession:
     """Enabled bus + registry + ledger + spans, as a context manager."""
 
-    def __init__(self, record_jsonl: bool = False, max_roots: int = 256):
+    def __init__(self, record_jsonl: bool = False):
         self.bus = TraceBus(enabled=True)
         self.registry = MetricsRegistry()
         attach_standard_metrics(self.bus, self.registry)
-        self.spans = SpanCollector(self.bus, max_roots=max_roots,
-                                   registry=self.registry)
+        self.spans = SpanCollector(self.bus, registry=self.registry)
         self.recorder = JsonlRecorder(self.bus) if record_jsonl else None
         self._previous_bus: Optional[TraceBus] = None
 

@@ -57,9 +57,8 @@ def linked_file_bytes(order, payload_base=1000):
 
 
 def build_machine(model=NVM2_EXACT, max_chain_hops=64, **config_kwargs):
-    """(sim, kernel, bpf) with tracing on."""
+    """(sim, kernel, bpf); ``config_kwargs`` go to :class:`KernelConfig`."""
     sim = Simulator()
-    config_kwargs.setdefault("trace_device", True)
     kernel = Kernel(sim, model, KernelConfig(**config_kwargs))
     bpf = StorageBpf(kernel, max_chain_hops=max_chain_hops)
     return sim, kernel, bpf

@@ -22,7 +22,7 @@ from repro.errors import (
 )
 from repro.faults import FaultSpec
 from repro.kernel import ChainStatus, IoUring
-from repro.obs import SpanCollector, TraceBus
+from repro.obs import ObsSession, SpanCollector, TraceBus, events
 from repro.perf import profiling
 
 ORDER = [3, 5, 0, 7, 2, 6, 1, 4]
@@ -55,15 +55,17 @@ def test_nvme_chain_walks_to_the_end(vm_mode):
 
 
 def test_nvme_chain_reissues_from_driver_not_bio():
-    sim, kernel, bpf = make_list_machine()
+    with ObsSession() as obs:
+        sim, kernel, bpf = make_list_machine()
     proc, fd = install_walker(sim, kernel, bpf, "/list")
 
     def workload():
         yield from bpf.read_chain(proc, fd, ORDER[0] * 4096, 4096)
 
     kernel.run_syscall(workload())
-    assert kernel.trace.count(source="bpf-recycle") == len(ORDER) - 1
-    assert kernel.trace.count(source="bio") == 1
+    commands = obs.registry.get("nvme_commands_total")
+    assert commands.value(source="bpf-recycle") == len(ORDER) - 1
+    assert commands.value(source="bio") == 1
 
 
 def test_nvme_chain_latency_beats_baseline():
@@ -155,7 +157,8 @@ def test_untagged_read_ignores_installation():
 
 
 def test_syscall_hook_chain_completes():
-    sim, kernel, bpf = make_list_machine()
+    with ObsSession() as obs:
+        sim, kernel, bpf = make_list_machine()
     proc, fd = install_walker(sim, kernel, bpf, "/list", hook=Hook.SYSCALL)
 
     def workload():
@@ -167,8 +170,9 @@ def test_syscall_hook_chain_completes():
     assert result.hops == len(ORDER)
     assert result.value == 1000 + ORDER[-1]
     # Syscall-layer reissues still walk the BIO layer -> all commands "bio".
-    assert kernel.trace.count(source="bpf-recycle") == 0
-    assert kernel.trace.count(source="bio") == len(ORDER)
+    commands = obs.registry.get("nvme_commands_total")
+    assert commands.value(source="bpf-recycle") == 0
+    assert commands.value(source="bio") == len(ORDER)
 
 
 def test_syscall_hook_is_slower_than_nvme_hook():
@@ -662,13 +666,15 @@ def _power_cut_chain(fault_plan, before_repost):
         "power-cut-before-repost-idle-plan"])
 def test_every_chain_ending_delivers_once_and_leaves_no_wake(
         scenario, status, hops, source):
-    kernel, chain = scenario()
+    with ObsSession() as obs:
+        kernel, chain = scenario()
     chains = watch_chains(kernel)
     spawns = count_spawns(kernel.sim)
     result = kernel.run_syscall(chain)
     assert (result.status, result.hops) == (status, hops)
     if source is not None:
-        assert kernel.trace.count(source=source) >= 1
+        assert obs.registry.get("nvme_commands_total").value(
+            source=source) >= 1
     (state, deliveries), = chains
     assert deliveries == 1 and state.done
     assert state.wake is None
@@ -682,9 +688,9 @@ def test_a_power_cut_anywhere_in_a_chain_ends_the_read(fault_plan):
     # A cut before the first submission raises in the reading thread;
     # every other ends the read EIO.  None raises out of the simulator
     # from the chain's interrupt context.
-    def world():
+    def world(bus=None):
         sim, kernel, bpf = make_list_machine(list(range(6)),
-                                             fault_plan=fault_plan)
+                                             fault_plan=fault_plan, bus=bus)
         proc, fd = install_walker(sim, kernel, bpf, "/list")
         return sim, kernel, bpf.read_chain(proc, fd, 0, 4096)
 
@@ -694,10 +700,13 @@ def test_a_power_cut_anywhere_in_a_chain_ends_the_read(fault_plan):
         except PowerLossError:
             return "PowerLossError"
 
-    sim, kernel, chain = world()
+    bus = TraceBus(enabled=True)
+    completions = []
+    bus.subscribe(lambda e: completions.append(e.ts), events.NVME_COMPLETE)
+    sim, kernel, chain = world(bus)
     start = sim.now
     assert kernel.run_syscall(reader(chain)) == ChainStatus.OK
-    window = kernel.trace.entries[-1].complete_ns - start
+    window = completions[-1] - start
     outcomes = set()
     for index in range(64):
         sim, kernel, chain = world()
@@ -749,7 +758,8 @@ def test_unknown_action_in_the_user_space_step_ends_einval():
 
 
 def test_iouring_tagged_chains_complete():
-    sim, kernel, bpf = make_list_machine()
+    with ObsSession() as obs:
+        sim, kernel, bpf = make_list_machine()
     proc, fd = install_walker(sim, kernel, bpf, "/list")
 
     def workload():
@@ -766,7 +776,8 @@ def test_iouring_tagged_chains_complete():
         assert cqe.result.ok
         assert cqe.result.value == 1000 + ORDER[-1]
     # 4 chains x (depth-1) recycles.
-    assert kernel.trace.count(source="bpf-recycle") == 4 * (len(ORDER) - 1)
+    assert obs.registry.get("nvme_commands_total").value(
+        source="bpf-recycle") == 4 * (len(ORDER) - 1)
 
 
 def test_iouring_untagged_sqes_unaffected_by_installation():

@@ -9,6 +9,7 @@ from repro.core.library import (
     linked_list_program,
     scan_aggregate_program,
 )
+from repro.obs import ObsSession
 from repro.structures import BTree, FsBackend, SsTable
 from repro.structures.pages import PAGE_SIZE
 
@@ -144,7 +145,8 @@ def test_sstable_chain_get():
 
 
 def test_scan_aggregate_counts_and_sums():
-    sim, kernel, bpf = build_machine()
+    with ObsSession() as obs:
+        sim, kernel, bpf = build_machine()
     from repro.structures.pages import BTREE_PAGE_MAGIC, encode_page
 
     # Lay out 8 consecutive data pages of 100 entries each.
@@ -181,7 +183,8 @@ def test_scan_aggregate_counts_and_sums():
     assert result.value == expected_sum
     assert result.value2 == expected_count
     # 7 of the 8 pages were fetched by recycled descriptors.
-    assert kernel.trace.count(source="bpf-recycle") == 7
+    assert obs.registry.get("nvme_commands_total").value(
+        source="bpf-recycle") == 7
 
 
 def test_scan_aggregate_single_page():

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from repro.device import (
     DEVICE_PROFILES,
     BlockDevice,
-    IoTrace,
     LatencyModel,
     NVM_GEN2,
     NvmeCommand,
     NvmeDevice,
-    TraceEntry,
 )
 from repro.errors import InvalidArgument, IoError
 from repro.sim import RandomStreams, Simulator
@@ -131,13 +129,13 @@ def test_bad_model_rejected():
 # ---------------------------------------------------------------------------
 
 
-def make_device(parallelism=2, jitter=0.0, read_ns=1000, trace=None):
+def make_device(parallelism=2, jitter=0.0, read_ns=1000):
     sim = Simulator()
     model = LatencyModel("t", read_ns=read_ns, write_ns=read_ns,
                          parallelism=parallelism, jitter=jitter)
     media = BlockDevice(64)
     rng = RandomStreams(7).stream("nvme")
-    device = NvmeDevice(sim, model, media, rng, trace=trace)
+    device = NvmeDevice(sim, model, media, rng)
     return sim, device, media
 
 
@@ -178,54 +176,6 @@ def test_nvme_completion_without_handler_raises():
     device.submit(NvmeCommand("read", 0, 1))
     with pytest.raises(IoError):
         sim.run()
-
-
-def test_nvme_trace_records_source():
-    trace = IoTrace()
-    sim, device, _ = make_device(trace=trace)
-    device.completion_handler = lambda cmd: None
-    device.submit(NvmeCommand("read", 0, 1, source="bpf-recycle"))
-    device.submit(NvmeCommand("read", 1, 1))
-    sim.run()
-    assert trace.count(source="bpf-recycle") == 1
-    assert trace.count(source="bio") == 1
-    assert all(entry.service_ns == 1000 for entry in trace)
-
-
-def test_nvme_builds_no_trace_entry_when_trace_disabled(monkeypatch):
-    # The default (KernelConfig.trace_device=False): a completion must not
-    # pay for a frozen dataclass that IoTrace.record would throw away.
-    def forbidden(*args, **kwargs):
-        raise AssertionError("TraceEntry built with the trace disabled")
-
-    monkeypatch.setattr("repro.device.nvme.TraceEntry", forbidden)
-    trace = IoTrace(enabled=False)
-    sim, device, _ = make_device(trace=trace)
-    done = []
-    device.completion_handler = done.append
-    device.submit(NvmeCommand("read", 0, 1))
-    sim.run()
-    assert len(done) == 1 and done[0].complete_ns == 1000
-    assert len(trace) == 0 and trace.recorded_total == 0
-
-
-def test_io_trace_ring_buffer_bounds_memory():
-    trace = IoTrace(max_entries=4)
-    for lba in range(10):
-        trace.record(TraceEntry(submit_ns=lba, complete_ns=lba + 1,
-                                opcode="read", lba=lba, sectors=1,
-                                source="bio" if lba % 2 else "bpf-recycle"))
-    assert len(trace) == 4
-    assert trace.recorded_total == 10
-    # Only the newest max_entries are retained, and count() agrees.
-    assert [entry.lba for entry in trace] == [6, 7, 8, 9]
-    assert trace.count(source="bio") == 2
-    assert trace.count(source="bpf-recycle") == 2
-
-
-def test_io_trace_rejects_bad_max_entries():
-    with pytest.raises(ValueError):
-        IoTrace(max_entries=0)
 
 
 def test_nvme_command_validation():

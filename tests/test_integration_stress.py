@@ -5,6 +5,7 @@ import pytest
 from chainutil import build_machine
 from repro.bench import BtreeBench
 from repro.core import Hook
+from repro.obs import ObsSession
 from repro.structures.pages import PAGE_SIZE
 
 
@@ -58,13 +59,10 @@ def test_concurrent_chains_under_extent_churn_stay_correct():
 
 
 def test_accounting_matches_device_trace():
-    """Total charged resubmissions == recycled commands the device saw."""
-    bench = BtreeBench(5, seed=22)
-    # Rebuild the bench machine with tracing on.
-    from repro.bench.runner import BtreeBench as BB
-
-    bench = BB(5, seed=22)
-    bench.kernel.trace.enabled = True
+    """Total charged resubmissions == recycled commands the device saw
+    (``nvme_commands_total{source="bpf-recycle"}`` on the bus)."""
+    with ObsSession() as obs:
+        bench = BtreeBench(5, seed=22)
     sim = bench.sim
     stop_at = 3_000_000
 
@@ -86,7 +84,8 @@ def test_accounting_matches_device_trace():
     sim.run()  # drain in-flight chains so submit/complete counts align
 
     charged = sum(bench.bpf.accounting.totals.values())
-    recycled = bench.kernel.trace.count(source="bpf-recycle")
+    recycled = obs.registry.get("nvme_commands_total").value(
+        source="bpf-recycle")
     assert charged == recycled > 0
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.device import LatencyModel
 from repro.errors import BadFileDescriptor, InvalidArgument
 from repro.kernel import CostModel, IoUring, Kernel, KernelConfig
+from repro.obs import TraceBus, events
 from repro.sim import Simulator
 
 # A deterministic gen-2 Optane: Table 1 device latency, no jitter.
@@ -128,7 +129,11 @@ def test_poll_mode_six_threads_saturate_six_cores():
 
 
 def test_fragmented_file_read_issues_multiple_commands():
-    sim, kernel = make_kernel(max_extent_blocks=1, trace_device=True)
+    bus = TraceBus(enabled=True)
+    opcodes = []
+    bus.subscribe(lambda e: opcodes.append(e.get("opcode")),
+                  events.NVME_COMPLETE)
+    sim, kernel = make_kernel(max_extent_blocks=1, bus=bus)
     kernel.create_file("/f", b"z" * (4 * 4096))
     assert kernel.fs.fragmentation_of(kernel.fs.lookup("/f")) == 4
     proc = kernel.spawn_process()
@@ -140,7 +145,7 @@ def test_fragmented_file_read_issues_multiple_commands():
 
     result = kernel.run_syscall(workload())
     assert result.data == b"z" * (4 * 4096)
-    assert kernel.trace.count(opcode="read") == 4
+    assert opcodes.count("read") == 4
 
 
 def test_write_path_persists_and_charges():

@@ -18,7 +18,7 @@ from repro.device import LatencyModel
 from repro.errors import IoError
 from repro.faults import FaultSpec
 from repro.kernel import ChainStatus, IoUring
-from repro.obs import SpanCollector, TraceBus
+from repro.obs import ObsSession, SpanCollector, TraceBus, events
 
 #: Service times spread +-50 %, so back-to-back segments overtake each
 #: other.
@@ -36,8 +36,9 @@ SPLIT = WIDE[4096:12288]
 
 
 def test_uring_sqe_joins_segments_in_file_order():
-    sim, kernel, bpf = build_machine(model=JITTERED, seed=0,
-                                     max_extent_blocks=1)
+    with ObsSession() as obs:
+        sim, kernel, bpf = build_machine(model=JITTERED, seed=0,
+                                         max_extent_blocks=1)
     payload = b"".join(bytes([65 + block]) * 4096 for block in range(4))
     kernel.create_file("/f", payload)
     proc = kernel.spawn_process()
@@ -51,7 +52,8 @@ def test_uring_sqe_joins_segments_in_file_order():
         return cqe.result, control
 
     result, control = kernel.run_syscall(workload())
-    assert kernel.trace.count(source="bio") == 8  # 4 segments, twice
+    commands = obs.registry.get("nvme_commands_total")
+    assert commands.value(source="bio") == 8  # 4 segments, twice
     assert control.data == payload
     assert result.ok
     assert result.data == payload
@@ -63,6 +65,11 @@ def test_split_read_ledger_adds_the_critical_path_once():
     # complete in, and the read's ledger is exactly its latency.
     bus = TraceBus(enabled=True)
     spans = SpanCollector(bus)
+    # Completions in completion order, each with its submit instant.
+    posted = []
+    bus.subscribe(lambda e: posted.append(e.ts - e.get("service_ns")
+                                          - e.get("queue_ns")),
+                  events.NVME_COMPLETE)
     sim, kernel, bpf = build_machine(model=JITTERED, seed=0, bus=bus,
                                      max_extent_blocks=1)
     kernel.create_file("/f", bytes(4 * 4096))
@@ -75,8 +82,7 @@ def test_split_read_ledger_adds_the_critical_path_once():
         return sim.now - start
 
     latency = kernel.run_syscall(workload())
-    # The trace logs completions; segments were posted in segment order.
-    posted = [entry.submit_ns for entry in kernel.trace]
+    # Segments were posted in segment order and completed out of it.
     assert posted != sorted(posted)
     (root,) = spans.find_roots("sys_pread")
     assert sum(root.ledger.values()) == root.duration_ns == latency
@@ -113,8 +119,9 @@ def test_idle_fault_plan_leaves_split_latency_unchanged(op):
     # An armed retry policy with nothing to retry must not change how the
     # eight segments are issued: all in flight at once, as without a plan.
     def latency(fault_plan):
-        sim, kernel, bpf = build_machine(max_extent_blocks=1,
-                                         fault_plan=fault_plan)
+        with ObsSession() as obs:
+            sim, kernel, bpf = build_machine(max_extent_blocks=1,
+                                             fault_plan=fault_plan)
         kernel.create_file("/f", bytes(8 * 4096))
         proc = kernel.spawn_process()
 
@@ -128,7 +135,8 @@ def test_idle_fault_plan_leaves_split_latency_unchanged(op):
             return sim.now - start
 
         elapsed = kernel.run_syscall(workload())
-        assert kernel.trace.count(source="bio") == 8
+        commands = obs.registry.get("nvme_commands_total")
+        assert commands.value(source="bio") == 8
         assert (kernel.retry_policy is None) == (fault_plan is None)
         return elapsed
 
@@ -170,12 +178,13 @@ def test_failed_segment_is_delivered_after_the_others_complete(tagged):
 
 def test_transfer_retries_in_place_and_raises_after_every_segment():
     def machine(fault_plan):
-        sim, kernel, bpf = build_machine(max_extent_blocks=1,
-                                         fault_plan=fault_plan)
+        with ObsSession() as obs:
+            sim, kernel, bpf = build_machine(max_extent_blocks=1,
+                                             fault_plan=fault_plan)
         payload = b"".join(bytes([65 + block]) * 4096 for block in range(4))
         kernel.create_file("/f", payload)
         lba = kernel.fs.lookup("/f").extents.lookup(1) * 8
-        return kernel, payload, lba
+        return kernel, payload, lba, obs.registry.get("nvme_commands_total")
 
     def pread(kernel, payload):
         proc = kernel.spawn_process()
@@ -192,17 +201,17 @@ def test_transfer_retries_in_place_and_raises_after_every_segment():
         return kernel.run_syscall(workload())
 
     # Under the policy the second segment is retried where it failed.
-    kernel, payload, lba = machine(FaultSpec(seed=1))
+    kernel, payload, lba, commands = machine(FaultSpec(seed=1))
     kernel.fault_plan.inject(lba, times=1)
     result, _ = pread(kernel, payload)
     assert result.data == payload
     assert kernel.nvme_retries == 1
-    assert kernel.trace.count(source="retry") == 1
+    assert commands.value(source="retry") == 1
 
     # Without one it is _check's error, raised once nothing is in flight.
-    kernel, payload, lba = machine(None)
+    kernel, payload, lba, commands = machine(None)
     kernel.device.inject_media_error(lba)
     error, in_flight = pread(kernel, payload)
     assert f"media error at lba {lba} (read)" in str(error)
     assert in_flight == 0
-    assert kernel.trace.count(source="bio") == 4
+    assert commands.value(source="bio") == 4

@@ -8,6 +8,7 @@ from chainutil import build_machine
 from repro.core import Hook
 from repro.core.library import wisckey_get_program
 from repro.errors import InvalidArgument
+from repro.obs import ObsSession
 from repro.structures import FsBackend, MemoryBackend, WisckeyStore
 from repro.structures.pages import PAGE_SIZE
 from repro.structures.wisckey import MAX_PAYLOAD
@@ -145,10 +146,10 @@ def test_chain_get_agrees_with_reference():
 
 
 def test_chain_log_hop_is_recycled():
-    sim, kernel, bpf, store, proc, fd = make_chain_machine()
-    kernel.trace.clear()
+    with ObsSession() as obs:
+        sim, kernel, bpf, store, proc, fd = make_chain_machine()
     chain_get(kernel, bpf, store, proc, fd, 200)
     # Every hop after the first — including the log dereference — was a
     # recycled descriptor.
-    assert kernel.trace.count(source="bpf-recycle") == \
-        store.hops_per_get() - 1
+    assert obs.registry.get("nvme_commands_total").value(
+        source="bpf-recycle") == store.hops_per_get() - 1
