@@ -507,12 +507,11 @@ class ChainEngine:
         :meth:`Kernel.retry_verdict` reads the failure.  A granted retry
         recycles the same descriptor after its backoff, charged against
         the per-process resubmission bound exactly like a program-driven
-        hop.  With no retry policy, or after a power failure, the chain
-        ends ``EIO``.  When the bound or the retry budget runs out, the
-        chain degrades gracefully: it is handed back to the application
-        (``FAULT_FALLBACK``, like the split fallback) instead of killing
-        the request with a hard error.  Returns True if the descriptor
-        went back out.
+        hop.  After a power failure the chain ends ``EIO``.  When the
+        bound or the retry budget runs out, the chain degrades gracefully:
+        it is handed back to the application (``FAULT_FALLBACK``, like the
+        split fallback) instead of killing the request with a hard error.
+        Returns True if the descriptor went back out.
         """
         kernel = self.kernel
         bus = kernel.bus
@@ -532,7 +531,7 @@ class ChainEngine:
             kernel.repost(command, command.lba, command.sectors,
                           "chain-retry", hop_span)
             return True
-        if reason == "power" or kernel.retry_policy is None:
+        if reason == "power":
             state.fail(ChainStatus.EIO)
             return False
         # Budget exhausted: degrade to user space with the continuation

@@ -180,14 +180,13 @@ class NvmeDevice:
         self.power_cycles = 0
         #: Optional :class:`repro.faults.FaultPlan` consulted once per
         #: command as it enters a service slot (transients/timeouts/spikes).
+        #: Besides a power cut, it is the only way a command fails.
         self.fault_plan = None
-        #: Controller watchdog, programmed by the driver (0 = disarmed):
-        #: a command whose service would exceed this completes with
-        #: ``STATUS_TIMEOUT`` after exactly ``command_timeout_ns``.
+        #: Controller watchdog, programmed by the driver (0 = disarmed) and
+        #: read only under a fault plan: a command whose service would
+        #: exceed this completes with ``STATUS_TIMEOUT`` after exactly
+        #: ``command_timeout_ns``.
         self.command_timeout_ns = 0
-        #: Fault injection: commands touching these LBAs complete with a
-        #: non-zero status (media error) instead of moving data.
-        self._failing_lbas: set = set()
         # One pair: parallelism service loops on the single queue (the
         # historical layout).  Multi-queue: every pair gets its own full
         # complement of loops so any one queue can use the whole device,
@@ -197,22 +196,6 @@ class NvmeDevice:
                 sim.spawn(self._service_loop(queue),
                           name=(f"nvme-slot-{slot}" if queues == 1
                                 else f"nvme-q{queue}-slot-{slot}"))
-
-    # -- fault injection -----------------------------------------------------
-
-    def inject_media_error(self, lba: int, sectors: int = 1) -> None:
-        """Make reads/writes touching [lba, lba+sectors) fail."""
-        self._failing_lbas.update(range(lba, lba + sectors))
-
-    def clear_media_errors(self) -> None:
-        self._failing_lbas.clear()
-
-    def _command_fails(self, command: NvmeCommand) -> bool:
-        if not self._failing_lbas:
-            return False
-        return any(lba in self._failing_lbas
-                   for lba in range(command.lba,
-                                    command.lba + command.sectors))
 
     def submit(self, command: NvmeCommand) -> None:
         """Post a command to the submission queue (no CPU cost here; the
@@ -354,11 +337,6 @@ class NvmeDevice:
                 self.bus.emit(obs_events.NVME_FLUSH, self.sim.now,
                               records=flushed, span=command.span,
                               path=command.path)
-            return
-        if self._command_fails(command):
-            command.status = STATUS_MEDIA_ERROR
-            command.data = None
-            self.media_errors += 1
             return
         if command.opcode == "read":
             if self.write_cache is not None:

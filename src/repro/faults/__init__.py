@@ -3,7 +3,7 @@
 See :mod:`repro.faults.plan` for the model, :mod:`repro.faults.crashpoints`
 for the ALICE/CrashMonkey-style crash-point enumeration harness, and
 ``docs/faults.md`` / ``docs/crash_consistency.md`` for the full story
-(fault classes, the NVMe retry policy, chain degradation, power loss,
+(fault classes, the NVMe retry rule, chain degradation, power loss,
 and the observability additions).
 """
 

@@ -21,9 +21,9 @@ Two properties drive the design:
   therefore always makes progress.
 
 The plan is consumed by :class:`~repro.device.nvme.NvmeDevice` (media
-errors, timeouts, spikes) and by the chain engine (staleness); the NVMe
-driver's retry policy in :mod:`repro.kernel.kernel` is armed automatically
-whenever a kernel is built with a plan.
+errors, timeouts, spikes) and by the chain engine (staleness).  Besides a
+power cut it is the only way a command fails; the NVMe driver's retry rule
+in :mod:`repro.kernel.kernel` is armed in every kernel.
 """
 
 from __future__ import annotations

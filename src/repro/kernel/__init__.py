@@ -24,7 +24,6 @@ from repro.kernel.kernel import (
     ChainStatus,
     Kernel,
     KernelConfig,
-    NvmeRetryPolicy,
     ReadResult,
 )
 from repro.kernel.layers import CostModel
@@ -44,7 +43,6 @@ __all__ = [
     "JournalConfig",
     "Kernel",
     "KernelConfig",
-    "NvmeRetryPolicy",
     "Process",
     "ReadResult",
     "RecoveryReport",

@@ -23,7 +23,8 @@ builds and tags every command, :meth:`Kernel.repost` recycles one, and
 data I/O are posted only by :meth:`Kernel.transfer` (a waiting caller;
 failed segments retried in place) and :meth:`Kernel.gather` (a callback),
 both joining chunks in segment order; :meth:`Kernel.retry_verdict` reads
-every failed completion under the retry policy.
+every failed completion under the driver's one retry rule
+(``NVME_MAX_RETRIES``, ``NVME_BACKOFF_BASE_NS``).
 
 The kernel knows nothing about BPF: it only exposes one slot,
 :attr:`Kernel.chains`, and an ioctl-handler registry that
@@ -62,40 +63,16 @@ from repro.sim import (
 )
 
 __all__ = ["ChainStatus", "IoCookie", "Kernel", "KernelConfig",
-           "NvmeRetryPolicy", "ReadResult"]
+           "NVME_BACKOFF_BASE_NS", "NVME_MAX_RETRIES", "ReadResult"]
 
 
-@dataclass(frozen=True)
-class NvmeRetryPolicy:
-    """The NVMe driver's error-recovery policy.
-
-    Armed exactly when a kernel is built with a fault plan.  The driver
-    resubmits a failed command up to ``max_retries`` times, sleeping an
-    exponentially growing backoff (charged as *simulated* time) between
-    attempts; the per-command timeout is programmed into the device's
-    controller watchdog so a swallowed command still completes — with
-    ``STATUS_TIMEOUT`` — instead of hanging the stack.
-    """
-
-    max_retries: int = 4
-    #: Controller watchdog; None derives ~20x the device read latency.
-    timeout_ns: Optional[int] = None
-    backoff_base_ns: int = 2_000
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise InvalidArgument("max_retries must be >= 0")
-        if self.backoff_base_ns < 0:
-            raise InvalidArgument("backoff_base_ns must be >= 0")
-
-    def backoff_ns(self, attempt: int) -> int:
-        """Backoff before retry ``attempt`` (1-based, so >= 1), doubling."""
-        return exponential_backoff_ns(self.backoff_base_ns, attempt)
-
-    def resolve_timeout_ns(self, model: LatencyModel) -> int:
-        if self.timeout_ns is not None:
-            return self.timeout_ns
-        return 20 * max(model.read_ns, model.write_ns)
+#: The NVMe driver's retry rule, armed in every kernel: a failed command
+#: is resubmitted up to ``NVME_MAX_RETRIES`` times, after a backoff slept
+#: in simulated time that starts at ``NVME_BACKOFF_BASE_NS`` and doubles
+#: (:func:`~repro.sim.exponential_backoff_ns`).  A power failure is never
+#: retried.
+NVME_MAX_RETRIES = 4
+NVME_BACKOFF_BASE_NS = 2_000
 
 
 @dataclass
@@ -272,19 +249,15 @@ class Kernel:
         self.media.bus = self.bus
         self.media.clock = lambda: sim.now
         self.device.completion_handler = self._on_device_completion
-        # --- fault plan + driver retry policy ----------------------------
+        # --- fault plan + controller watchdog ----------------------------
         spec = (self.config.fault_plan if self.config.fault_plan is not None
                 else get_default_fault_spec())
         self.fault_plan: Optional[FaultPlan] = (
             FaultPlan(spec, kernel_seed=self.config.seed)
             if spec is not None else None)
-        #: The driver's retry policy, armed exactly when a fault plan is.
-        self.retry_policy: Optional[NvmeRetryPolicy] = None
-        if self.fault_plan is not None:
-            self.retry_policy = NvmeRetryPolicy()
-            self.device.fault_plan = self.fault_plan
-            self.device.command_timeout_ns = \
-                self.retry_policy.resolve_timeout_ns(device_model)
+        self.device.fault_plan = self.fault_plan
+        self.device.command_timeout_ns = 20 * max(device_model.read_ns,
+                                                  device_model.write_ns)
         self.fs = ExtFs(self.media,
                         max_extent_blocks=self.config.max_extent_blocks,
                         journal_config=self.config.journal)
@@ -607,7 +580,11 @@ class Kernel:
         self._check(completed, "flush")
 
     def _commit_journal(self, span: int, path: str, queue: int = 0):
-        """FUA-write every pending journal txn frame, in order (timed)."""
+        """FUA-write every pending journal txn frame, in order (timed).
+
+        A failed frame is retried in place under the driver's rule
+        (:meth:`_retry`), FUA and all.
+        """
         journal = self.fs.journal
         cost = self.cost
         yield from self.cpus.run_thread(cost.filesystem_ns)
@@ -630,7 +607,10 @@ class Kernel:
                                         data=frame, fua=True,
                                         source="journal", span=span,
                                         path=path, queue=queue)
-            self._check(completed, "journal commit")
+            if completed.status:
+                yield from self._retry(completed, frame, "journal commit",
+                                       self.cpus.run_thread, "irq", span,
+                                       path, queue, None)
         journal.note_committed(frames)
 
     def _maybe_sync_commit(self, span: int, path: str):
@@ -764,21 +744,21 @@ class Kernel:
         """Generator: recover one failed segment; returns the successful
         completion or raises.
 
-        The segment is resubmitted (a fresh descriptor, ``source="retry"``;
-        recycling is the chain engine's job) after a backoff slept in
-        simulated time, for as long as :meth:`retry_verdict` allows.  A
-        refusal raises ``_check``'s typed error when there is no policy or
-        the device lost power, and :class:`IoError` once the budget is
-        spent.
+        The segment is resubmitted (a fresh descriptor, ``source="retry"``,
+        keeping the command's FUA bit; recycling is the chain engine's job)
+        after a backoff slept in simulated time, for as long as
+        :meth:`retry_verdict` allows.  A refusal raises ``_check``'s typed
+        error when the device lost power, and :class:`IoError` once the
+        budget is spent.
         """
         opcode, lba = completed.opcode, completed.lba
-        sectors = completed.sectors
+        sectors, fua = completed.sectors, completed.fua
         attempt = 1
         while completed.status:
             reason, backoff = self.retry_verdict(completed, attempt, True,
                                                  span, path)
             if backoff is None:
-                if reason == "power" or self.retry_policy is None:
+                if reason == "power":
                     self._check(completed, what)  # raises
                 raise IoError(
                     f"nvme {opcode} at lba {lba} failed after "
@@ -788,8 +768,9 @@ class Kernel:
             attempt += 1
             yield from charge(self.cost.nvme_driver_ns)
             completed = yield self.post(
-                opcode, lba, sectors, kind=kind, data=data, source="retry",
-                span=span, path=path, queue=queue, tenant=tenant)
+                opcode, lba, sectors, kind=kind, data=data, fua=fua,
+                source="retry", span=span, path=path, queue=queue,
+                tenant=tenant)
         return completed
 
     def retry_verdict(self, completed: NvmeCommand, attempt: int,
@@ -800,19 +781,16 @@ class Kernel:
 
         Returns ``(reason, backoff)``: ``reason`` is ``"power"``,
         ``"timeout"`` or ``"media"``; ``backoff`` is the simulated sleep
-        before the retry, or None when the command must not be retried: no
-        retry policy, a power failure (the device is gone, so retrying is
-        pointless), the policy's budget spent, or ``allowed`` false (the
+        before the retry, or None when the command must not be retried: a
+        power failure (the device is gone, so retrying is pointless), the
+        ``NVME_MAX_RETRIES`` budget spent, or ``allowed`` false (the
         caller's own bound).  Counts and publishes each timeout and each
         granted retry.
         """
-        policy = self.retry_policy
         status = completed.status
         if status == STATUS_POWER_FAIL:
             return "power", None
         reason = "timeout" if status == STATUS_TIMEOUT else "media"
-        if policy is None:
-            return reason, None
         opcode, lba = completed.opcode, completed.lba
         if status == STATUS_TIMEOUT:
             self.nvme_timeouts += 1
@@ -821,10 +799,10 @@ class Kernel:
                               opcode=opcode, lba=lba,
                               timeout_ns=self.device.command_timeout_ns,
                               attempt=attempt, span=span, path=path)
-        if attempt > policy.max_retries or not allowed:
+        if attempt > NVME_MAX_RETRIES or not allowed:
             return reason, None
         self.nvme_retries += 1
-        backoff = policy.backoff_ns(attempt)
+        backoff = exponential_backoff_ns(NVME_BACKOFF_BASE_NS, attempt)
         if self.bus.enabled:
             self.bus.emit(obs_events.NVME_RETRY, self.sim.now,
                           opcode=opcode, lba=lba, reason=reason,

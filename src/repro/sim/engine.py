@@ -226,7 +226,7 @@ class Process(Event):
                 return
             except BaseException as exc:  # noqa: BLE001 - propagate to waiters
                 self._send = self._wake = None
-                if not self.callbacks and not self.sim.suppress_crashes:
+                if not self.callbacks:
                     raise
                 if not self._scheduled:
                     self.fail(exc)
@@ -302,15 +302,13 @@ class Simulator:
     push order, reproduces the old (time, sequence) order exactly.
     """
 
-    def __init__(self, suppress_crashes: bool = False):
+    def __init__(self):
         self._now = 0
         self._heap: List = []
         self._immediate: deque = deque()
         self._sequence = 0
-        #: If True, a crashing process fails silently even with no waiters.
-        self.suppress_crashes = suppress_crashes
         # Captured at construction, like Kernel does with the obs bus:
-        # when profiling is off this costs one attribute check per step.
+        # when profiling is off this costs one attribute check per event.
         self._profiler = get_default_profiler()
 
     @property
@@ -358,35 +356,17 @@ class Simulator:
 
     # -- running --------------------------------------------------------------
 
-    def step(self) -> None:
-        """Process the next scheduled event."""
-        heap = self._heap
-        immediate = self._immediate
-        # Heap entries due *now* were scheduled before anything in the
-        # immediate deque could have been (see class docstring).
-        if heap and (not immediate or heap[0][0] <= self._now):
-            when, _seq, event = heapq.heappop(heap)
-            if when < self._now:
-                raise SimulationError("event scheduled in the past")
-            self._now = when
-        elif immediate:
-            event = immediate.popleft()
-        else:
-            raise SimulationError("step() with an empty event queue")
-        profiler = self._profiler
-        if profiler.enabled:
-            profiler.on_step(event, len(heap) + len(immediate))
-        event._fire()
-
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue drains, or until simulated time ``until``.
 
         With ``until`` set, the clock is left exactly at ``until`` even if
         the next event lies beyond it; an ``until`` already in the past is
         an error (the clock never moves backwards), ``until == now`` drains
-        what is due now.  This is ``step()`` unrolled into a
-        tight loop: queue heads are re-read from locals and every event due
-        at the current timestamp fires without a per-callback heap pop.
+        what is due now.  The one dispatch loop: queue heads are re-read
+        from locals and every event due at the current timestamp fires
+        without a per-callback heap pop.  Heap entries due *now* were
+        scheduled before anything in the immediate deque could have been
+        (see the class docstring), so they fire first.
         """
         if until is not None and until < self._now:
             raise SimulationError(

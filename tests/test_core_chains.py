@@ -414,7 +414,7 @@ def test_first_hop_split_falls_back_and_recovers():
 
 
 def test_first_hop_split_surfaces_power_loss():
-    # A dead device is not a media error: with or without a retry policy
+    # A dead device is not a media error: the driver does not retry it, and
     # the split first hop raises instead of returning an EIO result.
     order = list(range(11))
     sim, kernel, bpf = build_machine(max_extent_blocks=2)
@@ -439,7 +439,7 @@ def test_split_gather_delivers_once(prior_hops):
     # ChainEngine._finish_split.  The io_uring first hop gathers before any
     # completion step has run (hops == 0); the mid-chain split gathers
     # after ``prior_hops`` of them.
-    sim, kernel, bpf = make_list_machine()
+    sim, kernel, bpf = make_list_machine(fault_plan=FaultSpec())
     proc, fd = install_walker(sim, kernel, bpf, "/list")
     file = proc.file(fd)
     contents = linked_file_bytes(ORDER)
@@ -464,7 +464,7 @@ def test_split_gather_delivers_once(prior_hops):
     assert result.scratch == bytes(state.scratch)
     assert result.scratch.startswith(b"abc")
 
-    kernel.device.inject_media_error(segments[1][0])
+    kernel.fault_plan.inject(segments[1][0])  # gather does not retry
     (result,), state = gather(3)
     assert result.status == ChainStatus.EIO
     assert (result.data, result.hops, result.final_offset) == \

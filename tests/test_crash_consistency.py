@@ -17,12 +17,17 @@ from repro.device.blockdev import SECTOR_SIZE
 from repro.device.writecache import WriteCache
 from repro.errors import (
     InvalidArgument,
+    IoError,
     JournalCorrupt,
     NoSpace,
     PowerLossError,
 )
 from repro.faults import FaultSpec, fault_injection
 from repro.faults.crashpoints import (
+    _build_machine,
+    _compare,
+    _read_back,
+    _run_ops,
     count_flush_boundaries,
     enumerate_crash_points,
     mixed_workload,
@@ -396,7 +401,7 @@ def test_syscalls_surface_power_loss():
 @pytest.mark.parametrize("model", [NVM_GEN2, NAND_SSD],
                          ids=["polling", "interrupt"])
 def test_read_in_flight_at_power_cut_reports_power_loss(model):
-    # No fault plan, so no retry policy: the plain read loops.
+    # No fault plan: the power cut is the read's only failure.
     sim = Simulator()
     kernel = Kernel(sim, model, KernelConfig(seed=7, capacity_sectors=CAPACITY))
     proc = kernel.spawn_process("t")
@@ -550,6 +555,59 @@ def test_sync_commit_write_through_loses_nothing():
         assert result.ok, result.describe()
         # Every completed op is durable: recovery loses zero operations.
         assert result.commit_index == result.ops_completed
+
+
+# ---------------------------------------------------------------------------
+# Write faults on the durability path
+# ---------------------------------------------------------------------------
+
+
+def test_fsync_retries_a_faulted_journal_frame_with_fua():
+    # A transient fault on the first journal frame is retried under the
+    # driver's rule like any data write; the retry keeps FUA, so a power
+    # cut right after fsync returns still finds the frame on media.
+    sim, kernel = make_kernel(cache_depth=8, fault_plan=FaultSpec())
+    journal = kernel.fs.journal
+    kernel.fault_plan.inject(journal.journal_start + journal.head_sector,
+                             opcode="write")
+    proc = kernel.spawn_process("t")
+    fd = open_file(kernel, proc, "/f")
+    kernel.run_syscall(kernel.sys_pwrite(proc, fd, 0, b"j" * 8192))
+    assert kernel.run_syscall(kernel.sys_fsync(proc, fd)) == 0
+    assert kernel.nvme_retries == 1
+    kernel.crash()
+    kernel.recover()
+    assert fsck(kernel.fs).ok
+    inode = kernel.fs.lookup("/f")
+    assert kernel.fs.read_sync(inode, 0, inode.size) == b"j" * 8192
+
+
+def test_seeded_write_fault_schedule_keeps_every_fsync_durable():
+    # Seeds 0..39 of the crash workload under random write faults and
+    # timeouts: the retry rule absorbs every fault (no syscall fails), and
+    # a power cut after the last fsync recovers a clean file system equal
+    # to the shadow state it committed.
+    failures = {}
+    for seed in range(40):
+        spec = FaultSpec(seed=seed, write_error_rate=0.05,
+                         timeout_rate=0.005)
+        kernel = _build_machine(seed, 8, JournalConfig(), spec, CAPACITY)
+        ops = mixed_workload(seed)
+        try:
+            run = _run_ops(kernel, ops, seed)
+        except IoError as exc:
+            failures[seed] = f"IoError: {exc}"
+            continue
+        if run.crashed or run.completed != len(ops) - 1:
+            failures[seed] = f"stopped after op {run.completed}"
+            continue
+        kernel.crash()
+        kernel.recover()
+        problems = list(fsck(kernel.fs).violations)
+        problems += _compare(run.committed_state, _read_back(kernel.fs))
+        if problems:
+            failures[seed] = problems
+    assert failures == {}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.device import (
     NvmeDevice,
 )
 from repro.errors import InvalidArgument, IoError
+from repro.faults import FaultPlan, FaultSpec
 from repro.sim import RandomStreams, Simulator
 
 
@@ -233,7 +234,8 @@ def test_nvme_error_completion_has_no_payload():
     sim, device, _ = make_device(parallelism=1)
     seen = []
     device.completion_handler = seen.append
-    device.inject_media_error(5)
+    device.fault_plan = FaultPlan(FaultSpec())
+    device.fault_plan.inject(5)
     device.submit(NvmeCommand("read", 5, 2))
     device.submit(NvmeCommand("read", 8, 2))
     sim.run()

@@ -1,7 +1,7 @@
 """The fault-plan subsystem: injection, retry/backoff, graceful degradation.
 
 Covers the spec/plan unit semantics (episodes, cooldown, windows,
-staleness, determinism), the NVMe driver's retry policy on the plain read
+staleness, determinism), the NVMe driver's retry rule on the plain read
 and write paths, the chain engine's in-IRQ retries and fallback to user
 space, the interaction with the resubmission bound, and the end-to-end
 determinism + metrics-reconciliation acceptance criteria.
@@ -24,13 +24,13 @@ from repro.faults import (
     get_default_fault_spec,
     parse_fault_spec,
 )
-from repro.kernel import ChainStatus, NvmeRetryPolicy
+from repro.kernel import ChainStatus
 from repro.obs import ObsSession
 
 ORDER = [0, 1, 2, 3]
 
-#: Zero-rate plan: arms the retry machinery without random faults, so
-#: tests drive failures deterministically through ``plan.inject``.
+#: Zero-rate plan: no random faults, so tests drive failures
+#: deterministically through ``plan.inject``.
 IDLE = FaultSpec(seed=1)
 
 
@@ -94,11 +94,9 @@ def test_default_spec_plumbing():
         assert get_default_fault_spec() is spec
         sim, kernel, bpf = build_machine()
         assert kernel.fault_plan is not None
-        assert kernel.retry_policy is not None
     assert get_default_fault_spec() is None
     _, plain_kernel, _ = build_machine()
     assert plain_kernel.fault_plan is None
-    assert plain_kernel.retry_policy is None
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +168,6 @@ def test_stale_due_fixed_interval_steps():
 
 
 # ---------------------------------------------------------------------------
-# NvmeRetryPolicy
-# ---------------------------------------------------------------------------
-
-
-def test_retry_policy_validation_and_backoff():
-    policy = NvmeRetryPolicy(backoff_base_ns=1000)
-    assert [policy.backoff_ns(n) for n in (1, 2, 3)] == [1000, 2000, 4000]
-    with pytest.raises(InvalidArgument):
-        NvmeRetryPolicy(max_retries=-1)
-    with pytest.raises(InvalidArgument):
-        NvmeRetryPolicy(backoff_base_ns=-1)
-
-
-# ---------------------------------------------------------------------------
 # Driver retry on the plain read/write paths
 # ---------------------------------------------------------------------------
 
@@ -210,7 +194,7 @@ def test_transient_read_recovers():
 def test_retry_exhaustion_surfaces_io_error():
     sim, kernel, bpf = build_machine(fault_plan=IDLE)
     kernel.create_file("/f", bytes(4096))
-    # Default policy: 4 retries = 5 attempts; fail all five.
+    # The driver's rule: 4 retries = 5 attempts; fail all five.
     kernel.fault_plan.inject(lba_of_block(kernel, "/f", 0), times=5)
     proc = kernel.spawn_process()
 
@@ -371,7 +355,7 @@ def test_chain_falls_back_to_user_space_when_budget_exhausted():
     assert result.final_offset == 2 * 4096
     assert result.scratch is not None
     assert bpf.engine.fault_fallbacks == 1
-    # Retries stopped at the policy budget (4), not at episode length.
+    # Retries stopped at the driver's budget (4), not at episode length.
     assert bpf.engine.fault_retries == 4
 
 
@@ -402,7 +386,7 @@ def test_robust_read_raises_when_faults_never_recover():
 def test_resubmission_bound_limits_fault_retries():
     # Bound of 4 hops: the clean walk needs 3 recycles, so by the time
     # block 2 faults only one more resubmission is affordable — the bound
-    # cuts the retry loop short well before the policy budget of 4.
+    # cuts the retry loop short well before the driver's budget of 4.
     sim, kernel, bpf, proc, fd = make_faulted_chain(times=10,
                                                     max_chain_hops=4)
 

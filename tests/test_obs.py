@@ -309,7 +309,7 @@ def test_ledger_claims_each_ns_once():
 
 
 #: Rows whose operations never wait: one client, nothing queued.
-UNLOADED = {"fig1", "table1", "fig3c", "hooks", "crash"}
+UNLOADED = {"fig1", "table1", "fig3c", "crash"}
 
 
 @pytest.mark.parametrize("exp", EXPERIMENTS, ids=lambda exp: exp.name)

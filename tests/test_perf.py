@@ -200,9 +200,9 @@ def test_site_subsystem_mapping():
     from repro.qos import manager as qos_mod
     from repro.sim import engine as engine_mod
 
-    subsystem, site = _site_from_code(engine_mod.Simulator.step.__code__)
+    subsystem, site = _site_from_code(engine_mod.Simulator.run.__code__)
     assert subsystem == "sim"
-    assert site.startswith("engine.") and site.endswith("step")
+    assert site.startswith("engine.") and site.endswith("run")
     subsystem, site = _site_from_code(vm_mod.Vm.run.__code__)
     assert subsystem == "ebpf"
     assert site.startswith("vm.") and site.endswith("run")

@@ -80,7 +80,7 @@ def test_quick_rows_match_golden(exp, monkeypatch):
         f"{exp.name}: calls on a disabled bus: {sorted(set(disabled_calls))}"
 
 
-@pytest.mark.parametrize("name", ["hooks", "fig3b", "pushdown", "cluster",
+@pytest.mark.parametrize("name", ["fig3c", "fig3b", "pushdown", "cluster",
                                   "tenants", "compaction"])
 def test_instrumentation_changes_no_work(name):
     # The bus and an armed fault plan whose every rate is zero only

@@ -116,8 +116,9 @@ def test_uring_chain_split_fallback_holds_blocks_in_file_order(offset):
 
 @pytest.mark.parametrize("op", ["pread", "pwrite"])
 def test_idle_fault_plan_leaves_split_latency_unchanged(op):
-    # An armed retry policy with nothing to retry must not change how the
-    # eight segments are issued: all in flight at once, as without a plan.
+    # An idle plan (the retry rule has nothing to retry) must not change
+    # how the eight segments are issued: all in flight at once, as without
+    # a plan.
     def latency(fault_plan):
         with ObsSession() as obs:
             sim, kernel, bpf = build_machine(max_extent_blocks=1,
@@ -137,7 +138,7 @@ def test_idle_fault_plan_leaves_split_latency_unchanged(op):
         elapsed = kernel.run_syscall(workload())
         commands = obs.registry.get("nvme_commands_total")
         assert commands.value(source="bio") == 8
-        assert (kernel.retry_policy is None) == (fault_plan is None)
+        assert kernel.nvme_retries == 0
         return elapsed
 
     assert latency(FaultSpec()) == latency(None)
@@ -200,7 +201,7 @@ def test_transfer_retries_in_place_and_raises_after_every_segment():
 
         return kernel.run_syscall(workload())
 
-    # Under the policy the second segment is retried where it failed.
+    # The second segment is retried where it failed.
     kernel, payload, lba, commands = machine(FaultSpec(seed=1))
     kernel.fault_plan.inject(lba, times=1)
     result, _ = pread(kernel, payload)
@@ -208,10 +209,11 @@ def test_transfer_retries_in_place_and_raises_after_every_segment():
     assert kernel.nvme_retries == 1
     assert commands.value(source="retry") == 1
 
-    # Without one it is _check's error, raised once nothing is in flight.
-    kernel, payload, lba, commands = machine(None)
-    kernel.device.inject_media_error(lba)
+    # Past the retry budget its error is raised once nothing is in flight.
+    kernel, payload, lba, commands = machine(FaultSpec(seed=1))
+    kernel.fault_plan.inject(lba, times=5)
     error, in_flight = pread(kernel, payload)
-    assert f"media error at lba {lba} (read)" in str(error)
+    assert f"nvme read at lba {lba} failed after 5 attempts" in str(error)
     assert in_flight == 0
     assert commands.value(source="bio") == 4
+    assert commands.value(source="retry") == 4

@@ -117,19 +117,6 @@ def test_unwaited_process_crash_raises():
         sim.run()
 
 
-def test_suppress_crashes_flag():
-    sim = Simulator(suppress_crashes=True)
-
-    def child(sim):
-        yield sim.timeout(1)
-        raise RuntimeError("suppressed")
-
-    proc = sim.spawn(child(sim))
-    sim.run()
-    assert proc.triggered
-    assert isinstance(proc.exception, RuntimeError)
-
-
 def test_event_succeed_wakes_waiter():
     sim = Simulator()
     gate = sim.event()
@@ -470,15 +457,16 @@ def test_started_process_crash_propagates_out_of_run():
         sim.run()
 
     with profiling() as prof:
-        quiet = Simulator(suppress_crashes=True)
+        again = Simulator()
 
-        def suppressed():
-            yield quiet.timeout(1)
-            raise RuntimeError("suppressed")
+        def crashing():
+            yield again.timeout(1)
+            raise RuntimeError("again")
 
-        quiet.start(suppressed())
-        quiet.run()
-    assert quiet.now == 1
+        again.start(crashing())
+        with pytest.raises(RuntimeError, match="again"):
+            again.run()
+    assert again.now == 1
     assert "Process" not in prof.events
 
 
