@@ -326,7 +326,7 @@ def extent_stability(sim_hours: float = 1.0,
     from repro.kernel.extfs import ExtFs
 
     fs = ExtFs(BlockDevice(4 * 1024 * 1024))  # 2 GiB
-    store = KvStore(fs, "/index", engine="btree", fanout=fanout)
+    store = KvStore(fs, "/index", fanout=fanout)
     store.bulk_load([(key, key) for key in range(initial_keys)])
     cache = NvmeExtentCache(fs)
     cache.install(fs.lookup("/index"))
@@ -367,7 +367,7 @@ def extent_stability(sim_hours: float = 1.0,
         if store.overlay_size >= rebuild_overlay:
             rebuilds += 1
             if rebuilds % gc_every_rebuilds == 0:
-                store.gc_rewrite()
+                store.rebuild()
                 watched.add(fs.lookup("/index").number)
                 # Re-run the install ioctl after the invalidation.
                 cache.install(fs.lookup("/index"))

@@ -426,10 +426,12 @@ def _check_compaction(rows):
     user = by_mode["user"]
     offloaded = by_mode["offloaded"]
     remote = by_mode["remote"]
-    # All three modes produce byte-identical output tables.
+    # All three modes produce byte-identical output tables and count
+    # the entries they stream the same way.
     for row in (offloaded, remote):
         assert row["output_kb"] == user["output_kb"]
         assert row["output_entries"] == user["output_entries"]
+        assert row["emitted"] == user["emitted"]
         assert row["dropped"] == user["dropped"]
     # Offload moves at least 5x fewer bytes across the boundary
     # (acceptance floor; in practice it is orders of magnitude).

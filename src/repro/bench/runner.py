@@ -36,7 +36,7 @@ from repro.core import Hook, StorageBpf
 from repro.core.library import index_traversal_program
 from repro.device import LatencyModel
 from repro.errors import InvalidArgument
-from repro.kernel import CostModel, Kernel, KernelConfig
+from repro.kernel import Kernel, KernelConfig
 from repro.obs import events as obs_events
 from repro.qos import QosConfig
 from repro.sim import LatencyRecorder, RandomStreams, Simulator, ThroughputMeter
@@ -179,16 +179,15 @@ def choose_fanout(depth: int, max_keys: int = 30_000) -> int:
     return fanout
 
 
-def load_btree(fs, path: str, depth: int,
-               fanout: Optional[int] = None) -> BTree:
+def load_btree(fs, path: str, depth: int) -> BTree:
     """Create ``path`` on ``fs`` holding the benchmark B-tree of ``depth``.
 
     The tree maps key ``3k + 1`` to ``k`` for ``k`` in
-    ``range(BTree.keys_for_depth(depth, fanout))``; ``fanout`` defaults
-    to :func:`choose_fanout`.  The file is written from the cached image
-    (see ``_TREE_IMAGE_CACHE``) without simulated time.
+    ``range(BTree.keys_for_depth(depth, choose_fanout(depth)))``.  The
+    file is written from the cached image (see ``_TREE_IMAGE_CACHE``)
+    without simulated time.
     """
-    image = _tree_image(depth, fanout or choose_fanout(depth))
+    image = _tree_image(depth, choose_fanout(depth))
     backend = FsBackend(fs, fs.create(path))
     backend.preallocate(PAGE_SIZE, len(image) - PAGE_SIZE)
     backend.write(PAGE_SIZE, image[PAGE_SIZE:])
@@ -203,24 +202,20 @@ class BtreeBench:
     """One simulated machine with a B-tree index of the requested depth."""
 
     def __init__(self, depth: int, cores: int = 6, seed: int = 0,
-                 model: LatencyModel = NVM2_BENCH,
-                 cost_model: Optional[CostModel] = None,
-                 fanout: Optional[int] = None, vm_mode: str = "block",
-                 max_chain_hops: int = 64, queue_pairs: int = 1,
-                 irq_steering: Optional[bool] = None,
+                 model: LatencyModel = NVM2_BENCH, vm_mode: str = "block",
+                 queue_pairs: int = 1, irq_steering: bool = False,
                  qos: Optional[QosConfig] = None):
         self.depth = depth
-        self.fanout = fanout or choose_fanout(depth)
+        self.fanout = choose_fanout(depth)
         num_keys = BTree.keys_for_depth(depth, self.fanout)
         self.sim = Simulator()
         config = KernelConfig(cores=cores, seed=seed,
-                              cost_model=cost_model or CostModel(),
                               queue_pairs=queue_pairs,
                               irq_steering=irq_steering, qos=qos)
         self.kernel = Kernel(self.sim, model, config)
-        self.bpf = StorageBpf(self.kernel, max_chain_hops=max_chain_hops)
+        self.bpf = StorageBpf(self.kernel)
         self.vm_mode = vm_mode
-        self.tree = load_btree(self.kernel.fs, "/index", depth, self.fanout)
+        self.tree = load_btree(self.kernel.fs, "/index", depth)
         self.keys = [key * 3 + 1 for key in range(num_keys)]
         self.program = _bench_program(self.fanout)
         if not self.program.verified:

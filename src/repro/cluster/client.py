@@ -47,10 +47,8 @@ class ClusterClient:
 
     def __init__(self, cluster: StorageCluster, name: str = "client",
                  window: int = 8,
-                 tenant: Optional[str] = None, max_qos_retries: int = 8,
-                 **conn_kwargs):
+                 tenant: Optional[str] = None, **conn_kwargs):
         self.cluster = cluster
-        self.max_qos_retries = max_qos_retries
         # One logical client is one tenant on every target it talks to
         # (default: the client name, when any target has QoS armed).
         if tenant is None and any(t.kernel.qos is not None
@@ -60,8 +58,7 @@ class ClusterClient:
         self.remotes: Dict[int, RemoteClient] = {
             target.target_id: target.connect(
                 cluster.fabric, f"{name}-t{target.target_id}", tenant=tenant,
-                max_qos_retries=max_qos_retries, window=window,
-                **conn_kwargs)
+                window=window, **conn_kwargs)
             for target in cluster.targets}
         #: key -> (version, value) of the latest *acknowledged* PUT:
         #: the read-your-writes obligation.

@@ -118,8 +118,8 @@ class ClusterTarget(StorageTarget):
     def __init__(self, sim: Simulator, model=None,
                  config: Optional[KernelConfig] = None,
                  target_id: int = 0, cluster: "StorageCluster" = None,
-                 capacity_keys: int = 1024, max_chain_hops: int = 64):
-        super().__init__(sim, model, config, max_chain_hops)
+                 capacity_keys: int = 1024):
+        super().__init__(sim, model, config)
         self.target_id = target_id
         self.cluster = cluster
         self.capacity_keys = capacity_keys

@@ -20,11 +20,13 @@ A third, remote mode lives in :mod:`repro.net`: ``RemoteClient.compact``
 ships the whole plan to a ``StorageTarget`` as a single COMPACT RPC and
 the target runs this engine in ``"offloaded"`` mode server-side.
 
-QoS: the engine's work is keyed as *system* traffic by default
-(``tenant=None``, the kernel's never-refused, never-paced class), so
-background compaction is not starved by tenant shaping — exactly like
-repair traffic.  Pass ``tenant="analytics"`` to opt a tenant's
-compactions into its own QoS budget instead.
+QoS: the engine's work is always keyed as *system* traffic (the
+kernel's never-refused, never-paced class), so background compaction is
+not starved by tenant shaping — exactly like repair traffic.
+
+Metrics: every compaction emits ``compact_start`` / ``compact_complete``
+on the kernel's bus; ``attach_standard_metrics`` derives the
+``compact_*`` counters from the latter.
 """
 
 from __future__ import annotations
@@ -38,18 +40,16 @@ from repro.compact.programs import sstable_merge_program
 from repro.obs import events as obs_events
 from repro.structures import FsBackend, MemoryBackend, SsTable
 from repro.structures.lsm import TOMBSTONE
-from repro.structures.pages import (
-    FANOUT_MAX,
-    PAGE_SIZE,
-    SSTABLE_DATA_MAGIC,
-    decode_page,
-)
+from repro.structures.pages import PAGE_SIZE, SSTABLE_DATA_MAGIC, decode_page
 
 __all__ = ["CompactionEngine", "CompactionReport", "MergeSink"]
 
 #: Bytes that cross the syscall boundary per offloaded run: the two u64
 #: scalar results (emitted, dropped) of the terminating chain hop.
 SCALAR_RESULT_BYTES = 16
+
+#: Scratch bytes of the merge program: the emitted and dropped counters.
+SCRATCH_SIZE = 64
 
 
 class MergeSink:
@@ -107,25 +107,17 @@ class CompactionReport:
 class CompactionEngine:
     """Runs LSM compactions against a :class:`~repro.core.StorageBpf`."""
 
-    def __init__(self, bpf, scratch_size: int = 64,
-                 fanout: int = FANOUT_MAX, metrics=None,
-                 tenant: Optional[str] = None):
+    def __init__(self, bpf):
         self.bpf = bpf
         self.kernel = bpf.kernel
-        self.scratch_size = scratch_size
-        self.metrics = metrics
-        # QoS attribution knob: "" (or None) keys the compaction as
-        # system traffic; a tenant name opts into that tenant's budget.
-        self.tenant = tenant or None
-        self.program = sstable_merge_program(
-            PAGE_SIZE, scratch_size, fanout)
+        self.program = sstable_merge_program(PAGE_SIZE, SCRATCH_SIZE)
         self.bpf.verify_program(self.program)
 
     # ------------------------------------------------------------------
 
     def spawn(self, name: str = "compactor"):
-        """A process carrying this engine's QoS attribution."""
-        return self.kernel.spawn_process(name, tenant=self.tenant)
+        """A compactor process: untenanted, so its I/O is system traffic."""
+        return self.kernel.spawn_process(name)
 
     # ------------------------------------------------------------------
     # The mode-agnostic core (also run server-side by StorageTarget)
@@ -173,7 +165,6 @@ class CompactionEngine:
                      user_bytes=report.user_bytes,
                      kernel_bytes=report.kernel_bytes,
                      chain_hops=report.chain_hops, pid=proc.pid)
-        self._record_metrics(report)
         return report, output
 
     def compact_tree(self, proc, tree, level: int = 0,
@@ -214,15 +205,17 @@ class CompactionEngine:
                 if magic != SSTABLE_DATA_MAGIC:
                     break
                 for key, value in entries:
+                    # Count per streamed entry, as the merge sink does.
                     merged[key] = value
-                    report.emitted += 1
+                    if drop_tombstones and value == TOMBSTONE:
+                        report.dropped += 1
+                    else:
+                        report.emitted += 1
                 offset += PAGE_SIZE
             yield from kernel.sys_close(proc, fd)
         items = sorted(merged.items())
         if drop_tombstones:
-            live = [(k, v) for k, v in items if v != TOMBSTONE]
-            report.dropped = len(items) - len(live)
-            items = live
+            items = [(k, v) for k, v in items if v != TOMBSTONE]
         return items
 
     # ------------------------------------------------------------------
@@ -236,7 +229,7 @@ class CompactionEngine:
         for path in input_paths:  # oldest first, newer overwrites
             handle = yield from self.bpf.open_chain(
                 proc, path, self.program, hook=Hook.NVME,
-                block_size=PAGE_SIZE, scratch_size=self.scratch_size,
+                block_size=PAGE_SIZE, scratch_size=SCRATCH_SIZE,
                 args=(flag,))
             # The helpers reach the sink through the installation's VM
             # (the same channel the chain budget uses).
@@ -270,21 +263,3 @@ class CompactionEngine:
         yield from kernel.sys_close(proc, fd)
         report.output_path = output_path
         return output_path, SsTable(FsBackend(kernel.fs, inode))
-
-    def _record_metrics(self, report):
-        if self.metrics is None:
-            return
-        mode = report.mode
-        self.metrics.counter(
-            "compact_runs_total",
-            "Compactions executed, by mode").inc(mode=mode)
-        boundary = self.metrics.counter(
-            "compact_boundary_bytes_total",
-            "Bytes moved per boundary during compaction")
-        boundary.inc(report.user_bytes, boundary="syscall", mode=mode)
-        boundary.inc(report.kernel_bytes, boundary="kernel", mode=mode)
-        entries = self.metrics.counter(
-            "compact_entries_total",
-            "Entries streamed through compaction merges")
-        entries.inc(report.emitted, result="emitted", mode=mode)
-        entries.inc(report.dropped, result="dropped", mode=mode)

@@ -26,7 +26,6 @@ from repro.ebpf.program import Program
 from repro.ebpf.verifier import proof_context, verify
 from repro.ebpf.vm import VmEnvironment
 from repro.errors import (
-    ChainLimitExceeded,
     ExtentInvalidated,
     InvalidArgument,
     IoError,
@@ -143,13 +142,15 @@ class StorageBpf:
             self.kernel.cost.ioctl_install_ns)
         if arg.hook is Hook.NVME:
             installation.cache_entry = self.cache.install(file.inode)
+        if file.bpf_install is not None:
+            self.cache.drop(file.bpf_install.cache_entry)
         file.bpf_install = installation
         return 0
 
     def _ioctl_uninstall(self, proc: Process, file: File, arg):
         yield from self.kernel.cpus.run_thread(self.kernel.cost.syscall_ns)
         if file.bpf_install is not None:
-            self.cache.drop(file.inode)
+            self.cache.drop(file.bpf_install.cache_entry)
             file.bpf_install = None
         return 0
 
@@ -160,7 +161,9 @@ class StorageBpf:
             raise InvalidArgument("refresh ioctl on a plain descriptor")
         yield from self.kernel.cpus.run_thread(
             self.kernel.cost.ioctl_install_ns)
+        replaced = installation.cache_entry
         installation.cache_entry = self.cache.install(file.inode)
+        self.cache.drop(replaced)
         return 0
 
     # ------------------------------------------------------------------
@@ -249,10 +252,9 @@ class StorageBpf:
     def read_chain_robust(self, proc: Process, fd: int, offset: int,
                           length: int, args: Tuple[int, ...] = (),
                           scratch_init: bytes = b"",
-                          max_retries: int = 8,
-                          continue_on_limit: bool = True):
+                          max_retries: int = 8):
         """A chain read that survives invalidations, split fallbacks, and
-        (optionally) the fairness bound.
+        the fairness bound.
 
         * ``EEXTENT`` → re-run the ioctl (refresh) and retry from scratch;
         * ``SPLIT_FALLBACK`` → execute the program in user space over the
@@ -261,10 +263,9 @@ class StorageBpf:
           budget and the kernel degraded gracefully: restart a fresh
           bounded chain from the faulted hop (the transient episode
           recovers under the fault plan's burst semantics);
-        * ``CHAIN_LIMIT`` → with ``continue_on_limit``, start a fresh
-          bounded chain from where the killed one stopped (each kernel
-          chain stays within the fairness bound); otherwise raise
-          :class:`ChainLimitExceeded`.
+        * ``CHAIN_LIMIT`` → start a fresh bounded chain from where the
+          killed one stopped (each kernel chain stays within the fairness
+          bound).
 
         Returns the final OK ReadResult or raises after ``max_retries``
         recovery attempts; a program asking for an action the hooks do
@@ -305,18 +306,11 @@ class StorageBpf:
                 raise IoError(
                     f"media error during chain at offset "
                     f"{result.final_offset}")
-            if result.status == ChainStatus.FAULT_FALLBACK:
-                # The kernel degraded a faulted chain; restart a fresh
-                # bounded chain from the hop that faulted, keeping the
-                # scratch continuation.
-                current_offset = result.final_offset
-                current_scratch = result.scratch or b""
-                continue
-            if result.status == ChainStatus.CHAIN_LIMIT:
-                if not continue_on_limit:
-                    raise ChainLimitExceeded(
-                        f"chain exceeded {self.accounting.max_chain_hops} "
-                        "hops")
+            if result.status in (ChainStatus.FAULT_FALLBACK,
+                                 ChainStatus.CHAIN_LIMIT):
+                # The kernel degraded a faulted chain or killed one at the
+                # fairness bound; restart a fresh bounded chain from the
+                # hop where it stopped, keeping the scratch continuation.
                 current_offset = result.final_offset
                 current_scratch = result.scratch or b""
                 continue

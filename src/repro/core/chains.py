@@ -460,7 +460,7 @@ class ChainEngine:
                 # happens, but beyond the configured rate it waits out a
                 # deterministic delay first, so the IRQ path cannot be
                 # monopolised by one tenant.
-                delay = qos.chain_pace(qos.tenant_of(state.proc),
+                delay = qos.chain_pace(kernel.tenant_of(state.proc),
                                        span=hop_span)
                 if delay:
                     yield kernel.sim.timeout(delay)

@@ -6,11 +6,14 @@ to LBAs against the snapshot **without any file-system call** — the whole
 point of the design — and can only ever reach blocks belonging to that file
 (the security property).
 
-The file system publishes extent-change events; an *unmap* (blocks removed
-or moved) invalidates the snapshot, ongoing chains are aborted with
-``EEXTENT``, and the application must re-run the ioctl.  Pure growth keeps
-cached translations valid, although offsets beyond the snapshot miss and
-also require a refresh — the heavy-handed-but-simple protocol of the paper.
+Every installation holds its own snapshot, so one file can have several
+(two processes, or two descriptors, with the walker installed on it).  The
+file system publishes extent-change events; an *unmap* (blocks removed or
+moved) invalidates every live snapshot of the file, ongoing chains are
+aborted with ``EEXTENT``, and the application must re-run the ioctl.  Pure
+growth keeps cached translations valid, although offsets beyond the
+snapshot miss and also require a refresh — the heavy-handed-but-simple
+protocol of the paper.
 """
 
 from __future__ import annotations
@@ -105,14 +108,19 @@ class CacheEntry:
 
 
 class NvmeExtentCache:
-    """All snapshots held at the (simulated) NVMe layer, keyed by inode."""
+    """All snapshots held at the (simulated) NVMe layer, keyed by inode.
+
+    Each inode maps to its live snapshots in install order, one per
+    installation; invalidation walks them in that order, so its events
+    are deterministic.
+    """
 
     def __init__(self, fs: ExtFs, bus: Optional[TraceBus] = None,
                  clock: Optional[Callable[[], int]] = None):
         self.fs = fs
         self.bus = bus if bus is not None else NULL_BUS
         self.clock = clock if clock is not None else (lambda: 0)
-        self._entries: Dict[int, CacheEntry] = {}
+        self._entries: Dict[int, List[CacheEntry]] = {}
         self._epoch = 0
         self.invalidations = 0
         self.refreshes = 0
@@ -120,7 +128,8 @@ class NvmeExtentCache:
         fs.recovery_listeners.append(self._on_recovery)
 
     def install(self, inode: Inode) -> CacheEntry:
-        """(Re)snapshot the inode's extents; called by the install ioctl."""
+        """Snapshot the inode's extents; called by the install and refresh
+        ioctls, which then :meth:`drop` the snapshot this one replaces."""
         self._epoch += 1
         snapshot = [
             (extent.file_block, extent.phys_block, extent.count)
@@ -128,7 +137,7 @@ class NvmeExtentCache:
         ]
         entry = CacheEntry(inode.number, snapshot, self._epoch,
                            bus=self.bus, clock=self.clock)
-        self._entries[inode.number] = entry
+        self._entries.setdefault(inode.number, []).append(entry)
         self.refreshes += 1
         if self.bus.enabled:
             self.bus.emit(obs_events.EXTENT_CACHE_INSTALL, self.clock(),
@@ -137,22 +146,25 @@ class NvmeExtentCache:
         return entry
 
     def entry(self, inode: Inode) -> Optional[CacheEntry]:
-        return self._entries.get(inode.number)
+        """The inode's newest snapshot, if any."""
+        entries = self._entries.get(inode.number)
+        return entries[-1] if entries else None
 
     def _on_extent_change(self, inode: Inode, kind: str) -> None:
-        """The new file-system hook of §4: unmaps invalidate the snapshot."""
+        """The new file-system hook of §4: an unmap invalidates every
+        snapshot of the file, not only the newest."""
         if kind != "unmap":
             return
-        entry = self._entries.get(inode.number)
-        if entry is not None and entry.valid:
+        for entry in self._entries.get(inode.number, ()):
             self.force_invalidate(entry, reason="unmap")
 
     def _on_recovery(self) -> None:
         """Crash recovery replaced the file system: every snapshot is
         derived from dead in-memory state and must go.  Chains in flight
         afterwards miss (EEXTENT) and re-run the install protocol."""
-        for entry in list(self._entries.values()):
-            self.force_invalidate(entry, reason="power_loss")
+        for entries in self._entries.values():
+            for entry in entries:
+                self.force_invalidate(entry, reason="power_loss")
         self._entries.clear()
 
     def force_invalidate(self, entry: CacheEntry,
@@ -167,5 +179,11 @@ class NvmeExtentCache:
                           self.clock(), ino=entry.ino, epoch=entry.epoch,
                           reason=reason)
 
-    def drop(self, inode: Inode) -> None:
-        self._entries.pop(inode.number, None)
+    def drop(self, entry: Optional[CacheEntry]) -> None:
+        """Forget one installation's snapshot (uninstall, or replaced by
+        a refresh); the file's other snapshots stay."""
+        entries = self._entries.get(entry.ino) if entry is not None else None
+        if entries and entry in entries:
+            entries.remove(entry)
+            if not entries:
+                del self._entries[entry.ino]

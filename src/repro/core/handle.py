@@ -67,14 +67,14 @@ class ChainHandle:
 
     def read_robust(self, offset: int, length: Optional[int] = None,
                     args: Tuple[int, ...] = (), scratch_init: bytes = b"",
-                    max_retries: int = 8, continue_on_limit: bool = True):
+                    max_retries: int = 8):
         """The §4 recovery protocol (refresh on EEXTENT, user-space
         fallback on splits) over this handle's descriptor."""
         if length is None:
             length = self.block_size
         result = yield from self.bpf.read_chain_robust(
             self.proc, self.fd, offset, length, args, scratch_init,
-            max_retries=max_retries, continue_on_limit=continue_on_limit)
+            max_retries=max_retries)
         return result
 
     def refresh(self):
@@ -105,7 +105,7 @@ class ChainHandle:
         except BadFileDescriptor:
             return
         if file.bpf_install is not None:
-            self.bpf.cache.drop(file.inode)
+            self.bpf.cache.drop(file.bpf_install.cache_entry)
             file.bpf_install = None
         self.proc.close_fd(self.fd)
 

@@ -172,12 +172,6 @@ class ExtentInvalidated(KernelError):
     errno_name = "EEXTENT"
 
 
-class ChainLimitExceeded(KernelError):
-    """The per-process chained-resubmission counter hit its bound (paper §4)."""
-
-    errno_name = "ECHAINLIM"
-
-
 class PowerLossError(KernelError):
     """The simulated device lost power.
 

@@ -107,12 +107,11 @@ class KernelConfig:
     #: Steer each queue pair's completion interrupts to the CPU core that
     #: owns the pair (core ``queue % cores``), serialising that pair's
     #: completion-side work on its core the way a bound IRQ vector does.
-    #: None (default) enables steering exactly when ``queue_pairs > 1``;
-    #: pass True to model a bound vector even for a single pair (all
-    #: completion work then funnels through one core — the contention the
-    #: ``scale`` experiment measures), or False to keep completions on the
-    #: shared run queue.
-    irq_steering: Optional[bool] = None
+    #: Steering is always on when ``queue_pairs > 1``; set True to model a
+    #: bound vector even for a single pair (all completion work then
+    #: funnels through one core — the contention the ``scale`` experiment
+    #: measures).
+    irq_steering: bool = False
     #: Multi-tenant QoS policy (:class:`repro.qos.QosConfig`).  None — the
     #: default — builds no QoS machinery at all: no manager, no WFQ
     #: arbitration, no admission buckets, and byte-identical behaviour to
@@ -240,9 +239,7 @@ class Kernel:
         # simulator cannot express, so the lane bounds completion-path
         # *concurrency* (the scaling-relevant contention) rather than
         # stealing the thread scheduler's cycles.
-        steer = self.config.irq_steering
-        if steer is None:
-            steer = self.config.queue_pairs > 1
+        steer = self.config.queue_pairs > 1 or self.config.irq_steering
         self.irq_lanes: Optional[List[Resource]] = (
             [Resource(sim, 1, name=f"irq-core{core}")
              for core in range(self.config.cores)] if steer else None)

@@ -31,7 +31,12 @@ from repro.net import wire
 from repro.net.transport import Connection
 from repro.structures.pages import PAGE_SIZE, decode_page, search_page
 
-__all__ = ["RemoteChainResult", "RemoteClient", "RemoteCompactResult"]
+__all__ = ["MAX_QOS_RETRIES", "RemoteChainResult", "RemoteClient",
+           "RemoteCompactResult"]
+
+#: EAGAIN backpressure: how many times a client sleeps and retries a
+#: refused RPC before surfacing :class:`~repro.errors.QosRejected`.
+MAX_QOS_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -67,11 +72,8 @@ class RemoteCompactResult:
 class RemoteClient:
     """A storage client talking to one :class:`StorageTarget`."""
 
-    def __init__(self, connection: Connection, max_qos_retries: int = 8):
+    def __init__(self, connection: Connection):
         self.connection = connection
-        #: EAGAIN backpressure: how many times to sleep-and-retry before
-        #: surfacing :class:`~repro.errors.QosRejected` to the caller.
-        self.max_qos_retries = max_qos_retries
         #: Backoffs actually taken (for tests/metrics).
         self.qos_backoffs = 0
         #: Request + reply frame bytes of the most recently completed
@@ -86,7 +88,7 @@ class RemoteClient:
         An EAGAIN refusal carries the target's simulated-time
         ``retry_after_ns``; the client sleeps exactly that long and
         retries, so the same seed replays the same backoff schedule.
-        After ``max_qos_retries`` refusals the typed
+        After :data:`MAX_QOS_RETRIES` refusals the typed
         :class:`~repro.errors.QosRejected` propagates to the caller.
         """
         row = wire.OPS[op]
@@ -95,7 +97,7 @@ class RemoteClient:
         while True:
             status, reply = yield from self.connection.call(op, body)
             if (status == wire.STATUS_EAGAIN
-                    and refusals < self.max_qos_retries):
+                    and refusals < MAX_QOS_RETRIES):
                 refusals += 1
                 self.qos_backoffs += 1
                 retry_after_ns = wire.decode_body(wire.QOS_REJECT, reply)[0]

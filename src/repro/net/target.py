@@ -76,11 +76,10 @@ class StorageTarget:
     """One disaggregated storage server around a simulated kernel."""
 
     def __init__(self, sim: Simulator, model: Optional[LatencyModel] = None,
-                 config: Optional[KernelConfig] = None,
-                 max_chain_hops: int = 64):
+                 config: Optional[KernelConfig] = None):
         self.sim = sim
         self.kernel = Kernel(sim, model or NVM_GEN2, config)
-        self.bpf = StorageBpf(self.kernel, max_chain_hops=max_chain_hops)
+        self.bpf = StorageBpf(self.kernel)
         self._clients: Dict[str, _ClientState] = {}
         self._next_chain_id = 1
         #: Ops actually executed (dedup-cache hits excluded), by op name.
@@ -134,17 +133,16 @@ class StorageTarget:
         connection.serve(lambda op, body: self._handle(state, op, body))
 
     def connect(self, fabric: NetworkFabric, name: str, tenant=None,
-                max_qos_retries: int = 8, **conn_kwargs) -> RemoteClient:
+                **conn_kwargs) -> RemoteClient:
         """Open connection ``name`` over ``fabric``, :meth:`attach` it
         (same ``tenant`` rules) and return its client.
 
         ``conn_kwargs`` go to :class:`~repro.net.transport.Connection`
-        (window, timeout and retry policy); ``max_qos_retries`` bounds
-        the client's EAGAIN sleep-and-retry.
+        (window, timeout and retry policy).
         """
         connection = Connection(fabric, name, **conn_kwargs)
         self.attach(connection, tenant=tenant)
-        return RemoteClient(connection, max_qos_retries=max_qos_retries)
+        return RemoteClient(connection)
 
     def detach(self, name: str) -> None:
         """Forget a client's server-side state (process teardown).

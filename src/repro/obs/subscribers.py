@@ -2,7 +2,7 @@
 
 :func:`attach_standard_metrics` wires chain-depth histograms, extent-cache
 hit ratios, per-pid resubmission fairness, kill counts and the fault,
-crash, network and cluster counters into a
+crash, network, cluster and compaction counters into a
 :class:`~repro.obs.metrics.MetricsRegistry`.  Per-layer time is the
 ledger's (:class:`~repro.obs.spans.SpanCollector`).
 """
@@ -59,6 +59,12 @@ def attach_standard_metrics(bus: TraceBus, registry: MetricsRegistry) -> None:
     ``cluster_replica_lag`` gauge (per shard: acked writes the replica
     has not yet applied — 0 in steady state, grows while the primary
     serves solo after its replica died).
+
+    Compaction metrics (from ``compact_complete``):
+    ``compact_runs_total`` (by mode), ``compact_boundary_bytes_total``
+    (by boundary — ``syscall`` crossed it, ``kernel`` stayed below —
+    and mode), and ``compact_entries_total`` (by result —
+    emitted/dropped — and mode).
     """
     syscalls = registry.counter("syscalls_total", "Syscall entries by op")
     hops = registry.counter("chain_hops_total", "Completed chain hops")
@@ -243,3 +249,27 @@ def attach_standard_metrics(bus: TraceBus, registry: MetricsRegistry) -> None:
     bus.subscribe(lambda e: replica_lag.set(e.get("lag", 0),
                                             shard=e.get("shard", 0)),
                   ev.CLUSTER_REPLICATE)
+
+    # -- compaction (repro.compact) -------------------------------------
+    compact_runs = registry.counter("compact_runs_total",
+                                    "Compactions executed, by mode")
+    compact_bytes = registry.counter(
+        "compact_boundary_bytes_total",
+        "Bytes moved per boundary during compaction")
+    compact_entries = registry.counter(
+        "compact_entries_total",
+        "Entries streamed through compaction merges")
+
+    def _on_compact(event: TraceEvent) -> None:
+        mode = event.get("mode", "?")
+        compact_runs.inc(mode=mode)
+        compact_bytes.inc(event.get("user_bytes", 0), boundary="syscall",
+                          mode=mode)
+        compact_bytes.inc(event.get("kernel_bytes", 0), boundary="kernel",
+                          mode=mode)
+        compact_entries.inc(event.get("emitted", 0), result="emitted",
+                            mode=mode)
+        compact_entries.inc(event.get("dropped", 0), result="dropped",
+                            mode=mode)
+
+    bus.subscribe(_on_compact, ev.COMPACT_COMPLETE)

@@ -47,12 +47,6 @@ class QosManager:
     def weight_of(self, name: Optional[str]) -> int:
         return self.config.weight_of(name)
 
-    @staticmethod
-    def tenant_of(proc) -> Optional[str]:
-        """The accounting key for a process: tenant name, else ``None``."""
-        tenant = getattr(proc, "tenant", None)
-        return tenant.name if tenant is not None else None
-
     # ------------------------------------------------------------------
     # Admission control (storage-target boundary)
     # ------------------------------------------------------------------

@@ -9,8 +9,8 @@
   with two-level block index and bloom filters, leveled compaction.  Its
   immutable-file discipline is the paper's motivating example for stable
   extents.
-* :mod:`~repro.structures.kvstore` — a small KV-store facade over either
-  engine.
+* :mod:`~repro.structures.kvstore` — a small KV store: an on-disk B-tree
+  with an in-memory update overlay, rebuilt in batches.
 
 Structures operate over a :class:`~repro.structures.pages.FileBackend`, so
 they are independent of the simulated kernel; the examples and benchmarks

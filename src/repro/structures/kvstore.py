@@ -1,13 +1,11 @@
-"""A small KV-store facade over the B-tree and LSM engines.
+"""A small KV store over an immutable on-disk B-tree.
 
-Two engines, matching the two application classes the paper targets:
-
-* ``"btree"`` — an immutable on-disk B-tree index with an in-memory update
-  overlay, rebuilt in batches (the TokuDB-style pattern whose stable extents
-  §4 measures).  ``rebuild()`` writes a fresh file and atomically renames it
-  over the old one.
-* ``"lsm"`` — the LSM tree (RocksDB-style), flushing and compacting
-  immutable SSTables.
+The store is the TokuDB-style pattern whose stable extents §4 measures:
+an on-disk B-tree index with an in-memory update overlay, rebuilt in
+batches.  ``rebuild()`` writes a fresh file and atomically renames it over
+the old one; ``rebuild_appending()`` appends the new tree past EOF so the
+file's extents only grow.  The LSM engine (RocksDB-style) is
+:class:`~repro.structures.lsm.LsmTree`.
 
 This facade is deliberately engine-shaped rather than kernel-shaped: the
 BPF acceleration binds at the *file* level in the examples and benchmarks.
@@ -19,40 +17,23 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InvalidArgument
 from repro.structures.btree import BTree
-from repro.structures.lsm import LsmTree
-from repro.structures.pages import FANOUT_MAX, FsBackend
+from repro.structures.pages import FANOUT_MAX, PAGE_SIZE, FsBackend
 
 __all__ = ["KvStore"]
 
 
 class KvStore:
-    """Dictionary-style API over an on-disk engine in the simulated FS."""
+    """Dictionary-style API over an on-disk B-tree in the simulated FS."""
 
-    def __init__(self, fs, path: str, engine: str = "btree",
-                 fanout: int = FANOUT_MAX, memtable_limit: int = 1024):
-        if engine not in ("btree", "lsm"):
-            raise InvalidArgument(f"unknown engine {engine!r}")
+    def __init__(self, fs, path: str, fanout: int = FANOUT_MAX):
         self.fs = fs
         self.path = path
-        self.engine = engine
         self.fanout = fanout
-        if engine == "lsm":
-            self._lsm = LsmTree(fs, path, memtable_limit=memtable_limit)
-            self._tree: Optional[BTree] = None
-            self._overlay: Dict[int, Optional[int]] = {}
-        else:
-            self._lsm = None
-            self._tree = None
-            self._overlay = {}
-
-    # ------------------------------------------------------------------
-    # B-tree engine
-    # ------------------------------------------------------------------
+        self._tree: Optional[BTree] = None
+        self._overlay: Dict[int, Optional[int]] = {}
 
     def bulk_load(self, items: List[Tuple[int, int]]) -> None:
-        """(btree) Build the index file from sorted items."""
-        if self.engine != "btree":
-            raise InvalidArgument("bulk_load is a btree-engine operation")
+        """Build the index file from sorted items."""
         if self.fs.exists(self.path):
             self.fs.unlink(self.path)
         inode = self.fs.create(self.path)
@@ -60,23 +41,23 @@ class KvStore:
                                  fanout=self.fanout)
         self._overlay = {}
 
+    def _merged(self, operation: str) -> List[Tuple[int, int]]:
+        """Every key of the index with the overlay applied."""
+        if self._tree is None:
+            raise InvalidArgument(f"{operation} needs a loaded btree")
+        return self.scan(0, 2**64)
+
     def rebuild(self) -> int:
-        """(btree) Merge the overlay into a fresh index file via rename.
+        """Merge the overlay into a fresh index file via rename.
 
         Returns the number of keys in the rebuilt index.  This is the batch
         index rebuild whose extent behaviour the stability experiment
         measures: a new file is written and renamed over the old one, so
-        the old blocks are unmapped in one burst.
+        the old blocks are unmapped in one burst — the rare whole-file
+        rewrite that also reclaims the garbage appending rebuilds leave
+        (the "5 changes in 24 hours" of the paper's measurement).
         """
-        if self.engine != "btree" or self._tree is None:
-            raise InvalidArgument("rebuild needs a loaded btree")
-        merged: Dict[int, int] = dict(self._tree.range_scan(0, 2**64 - 1))
-        for key, value in self._overlay.items():
-            if value is None:
-                merged.pop(key, None)
-            else:
-                merged[key] = value
-        items = sorted(merged.items())
+        items = self._merged("rebuild")
         temp_path = self.path + ".tmp"
         if self.fs.exists(temp_path):
             self.fs.unlink(temp_path)
@@ -88,25 +69,15 @@ class KvStore:
         return len(items)
 
     def rebuild_appending(self) -> int:
-        """(btree) Merge the overlay into a tree appended at EOF.
+        """Merge the overlay into a tree appended at EOF.
 
         Only the metadata page (offset 0) is overwritten in place; all new
         tree pages land past the current end of file, so the file's extents
         only *grow* — the TokuDB-style pattern the paper observes keeps the
         NVMe extent cache valid.  The superseded pages become garbage until
-        :meth:`gc_rewrite` reclaims them.
+        :meth:`rebuild` reclaims them.
         """
-        if self.engine != "btree" or self._tree is None:
-            raise InvalidArgument("rebuild_appending needs a loaded btree")
-        from repro.structures.pages import PAGE_SIZE
-
-        merged: Dict[int, int] = dict(self._tree.range_scan(0, 2**64 - 1))
-        for key, value in self._overlay.items():
-            if value is None:
-                merged.pop(key, None)
-            else:
-                merged[key] = value
-        items = sorted(merged.items())
+        items = self._merged("rebuild_appending")
         inode = self.fs.lookup(self.path)
         end = (inode.size + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
         end = max(end, PAGE_SIZE)
@@ -116,16 +87,6 @@ class KvStore:
         self._overlay = {}
         return len(items)
 
-    def gc_rewrite(self) -> int:
-        """(btree) Reclaim garbage: compact into a fresh file via rename.
-
-        This is the rare whole-file rewrite that *does* unmap blocks (the
-        "5 changes in 24 hours" of the paper's measurement).
-        """
-        if self.engine != "btree" or self._tree is None:
-            raise InvalidArgument("gc_rewrite needs a loaded btree")
-        return self.rebuild()
-
     @property
     def overlay_size(self) -> int:
         return len(self._overlay)
@@ -134,29 +95,13 @@ class KvStore:
     def tree(self) -> Optional[BTree]:
         return self._tree
 
-    @property
-    def lsm(self) -> Optional[LsmTree]:
-        return self._lsm
-
-    # ------------------------------------------------------------------
-    # Common API
-    # ------------------------------------------------------------------
-
     def put(self, key: int, value: int) -> None:
-        if self.engine == "lsm":
-            self._lsm.put(key, value)
-        else:
-            self._overlay[key] = value
+        self._overlay[key] = value
 
     def delete(self, key: int) -> None:
-        if self.engine == "lsm":
-            self._lsm.delete(key)
-        else:
-            self._overlay[key] = None
+        self._overlay[key] = None
 
     def get(self, key: int) -> Optional[int]:
-        if self.engine == "lsm":
-            return self._lsm.get(key)
         if key in self._overlay:
             return self._overlay[key]
         if self._tree is None:
@@ -165,9 +110,6 @@ class KvStore:
 
     def scan(self, low: int, high: int) -> List[Tuple[int, int]]:
         """All (key, value) with low <= key < high."""
-        if self.engine == "lsm":
-            raise InvalidArgument(
-                "scan is implemented for the btree engine only")
         base = dict(self._tree.range_scan(low, high)) if self._tree else {}
         for key, value in self._overlay.items():
             if low <= key < high:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator
 
 from repro.errors import InvalidArgument
-from repro.workloads.keys import UniformGenerator, ZipfianGenerator
+from repro.workloads.keys import ZipfianGenerator
 
 __all__ = ["OpType", "Operation", "WORKLOAD_MIXES", "YcsbWorkload"]
 
@@ -50,7 +50,7 @@ class YcsbWorkload:
 
     def __init__(self, initial_keys: int, rng: random.Random,
                  mix: str = "paper", theta: float = 0.7,
-                 distribution: str = "zipfian", scan_length: int = 16):
+                 scan_length: int = 16):
         if mix not in WORKLOAD_MIXES:
             raise InvalidArgument(f"unknown mix {mix!r}")
         if initial_keys < 1:
@@ -59,12 +59,7 @@ class YcsbWorkload:
         self.rng = rng
         self.scan_length = scan_length
         self.next_insert_key = initial_keys
-        if distribution == "zipfian":
-            self.keys = ZipfianGenerator(initial_keys, rng, theta=theta)
-        elif distribution == "uniform":
-            self.keys = UniformGenerator(initial_keys, rng)
-        else:
-            raise InvalidArgument(f"unknown distribution {distribution!r}")
+        self.keys = ZipfianGenerator(initial_keys, rng, theta=theta)
         self.counts: Dict[OpType, int] = {op: 0 for op in OpType}
 
     def _draw_op(self) -> OpType:

@@ -2,7 +2,7 @@
 
 Covers the merge sink and helpers, the BPF merge program, the
 CompactionEngine's user/offloaded equivalence and boundary-byte
-accounting, QoS attribution, the COMPACT wire op, the remote
+accounting, system-traffic QoS attribution, the COMPACT wire op, the remote
 (one-RPC) path, and graceful degradation of concurrent chain gets
 across the compaction's extent unlinks.
 """
@@ -17,7 +17,7 @@ from repro.errors import InvalidArgument
 from repro.kernel import Kernel, KernelConfig
 from repro.net import NetConfig, NetworkFabric, StorageTarget
 from repro.net import wire
-from repro.obs import MetricsRegistry
+from repro.obs import ObsSession
 from repro.sim import Simulator
 from repro.structures import FsBackend, LsmTree, SsTable
 from repro.structures.lsm import TOMBSTONE
@@ -114,7 +114,9 @@ def test_user_and_offloaded_produce_identical_tables():
     assert user_items == off_items
     assert user_report.output_bytes == off_report.output_bytes
     assert user_report.output_entries == off_report.output_entries
-    assert user_report.dropped == off_report.dropped
+    # Both modes count per streamed entry.
+    assert (user_report.emitted, user_report.dropped) == \
+        (off_report.emitted, off_report.dropped)
 
 
 def test_offloaded_moves_5x_fewer_boundary_bytes():
@@ -157,13 +159,14 @@ def test_unknown_mode_rejected():
 
 
 def test_engine_metrics_counters():
-    sim, kernel, bpf = make_machine()
-    tree = seed_tree(kernel.fs)
-    registry = MetricsRegistry()
-    engine = CompactionEngine(bpf, metrics=registry)
-    proc = engine.spawn()
-    kernel.run_syscall(engine.compact_tree(proc, tree, 0,
-                                           mode="offloaded"))
+    with ObsSession() as obs:
+        sim, kernel, bpf = make_machine()
+        tree = seed_tree(kernel.fs)
+        engine = CompactionEngine(bpf)
+        proc = engine.spawn()
+        kernel.run_syscall(engine.compact_tree(proc, tree, 0,
+                                               mode="offloaded"))
+    registry = obs.registry
     runs = registry.counter("compact_runs_total", "")
     assert runs.value(mode="offloaded") == 1
     boundary = registry.counter("compact_boundary_bytes_total", "")
@@ -174,21 +177,13 @@ def test_engine_metrics_counters():
 
 
 # ---------------------------------------------------------------------------
-# QoS attribution (system by default, opt-in tenant)
+# QoS attribution (always system traffic)
 # ---------------------------------------------------------------------------
 
 
 def test_compaction_is_system_traffic_by_default():
     _sim, _kernel, bpf = make_machine()
     assert CompactionEngine(bpf).spawn().tenant is None
-    assert CompactionEngine(bpf, tenant="").spawn().tenant is None
-
-
-def test_compaction_tenant_attribution_opt_in():
-    _sim, _kernel, bpf = make_machine()
-    proc = CompactionEngine(bpf, tenant="analytics").spawn()
-    assert proc.tenant is not None
-    assert proc.tenant.name == "analytics"
 
 
 # ---------------------------------------------------------------------------

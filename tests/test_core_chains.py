@@ -1,10 +1,12 @@
 """Integration tests for the chain engine (the paper's core mechanism)."""
 
+import struct
 from functools import partial
 
 import pytest
 
 from chainutil import (
+    END,
     NVM2_EXACT,
     UNKNOWN_ACTION_SRC,
     build_machine,
@@ -15,13 +17,12 @@ from chainutil import (
 from repro.core import Hook
 from repro.core.chains import ChainEngine, ChainState
 from repro.errors import (
-    ChainLimitExceeded,
     InvalidArgument,
     NotInstalled,
     PowerLossError,
 )
 from repro.faults import FaultSpec
-from repro.kernel import ChainStatus, IoUring
+from repro.kernel import ChainStatus, IoUring, JournalConfig
 from repro.obs import ObsSession, SpanCollector, TraceBus, events
 from repro.perf import profiling
 
@@ -228,19 +229,6 @@ def test_syscall_hook_chain_limit_hands_back_the_continuation():
     assert bpf.accounting.chains_killed[proc.pid] == 1
 
 
-def test_chain_limit_robust_read_raises_when_asked():
-    order = list(range(20))
-    sim, kernel, bpf = make_list_machine(order, max_chain_hops=5)
-    proc, fd = install_walker(sim, kernel, bpf, "/list")
-
-    def workload():
-        yield from bpf.read_chain_robust(proc, fd, 0, 4096,
-                                         continue_on_limit=False)
-
-    with pytest.raises(ChainLimitExceeded):
-        kernel.run_syscall(workload())
-
-
 def test_chain_limit_robust_read_continues_in_bounded_chains():
     order = list(range(20))
     sim, kernel, bpf = make_list_machine(order, max_chain_hops=5)
@@ -310,6 +298,59 @@ def test_unmap_invalidates_and_chain_aborts():
     result = kernel.run_syscall(workload())
     assert result.status == ChainStatus.EXTENT_INVALIDATED
     assert bpf.cache.invalidations >= 1
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["unmap", "recovery"])
+def test_unmap_invalidates_every_installation_of_the_file(crash):
+    # Processes A and B each install the walker on /list, so the file has
+    # two snapshots.  The chain's fourth block is punched and its physical
+    # block handed to /secret, which holds a forged terminator.  A chain on
+    # either snapshot must end EEXTENT: one that survived would recycle
+    # into /secret's block and return its payload.  The recovery variant
+    # cuts power between the installs and the punch.
+    kwargs = {"journal": JournalConfig(journal_blocks=32)} if crash else {}
+    sim, kernel, bpf = make_list_machine(**kwargs)
+    syncer = kernel.spawn_process("sync")
+
+    def fsync_list():
+        fd = yield from kernel.sys_open(syncer, "/list")
+        yield from kernel.sys_fsync(syncer, fd)
+
+    if crash:
+        kernel.run_syscall(fsync_list())
+    first = install_walker(sim, kernel, bpf, "/list")
+    second = install_walker(sim, kernel, bpf, "/list")
+    if crash:
+        kernel.crash()
+        kernel.recover()
+    fs = kernel.fs
+    inode = fs.lookup("/list")
+    freed = inode.extents.lookup(ORDER[3])
+    fs.punch_range(inode, ORDER[3] * 4096, 4096)
+    if crash:
+        kernel.run_syscall(fsync_list())  # the freed block rejoins the pool
+    kernel.create_file("/secret",
+                       struct.pack("<QQ", END, 0xBAD).ljust(4096, b"\0"))
+    assert fs.lookup("/secret").extents.lookup(0) == freed
+    for proc, fd in (first, second):
+        result = kernel.run_syscall(
+            bpf.read_chain(proc, fd, ORDER[0] * 4096, 4096))
+        assert (result.status, result.value) == \
+            (ChainStatus.EXTENT_INVALIDATED, None)
+
+
+def test_uninstall_keeps_the_other_installations_snapshot():
+    # Closing one handle drops only its own snapshot: the other process's
+    # snapshot is still invalidated by a later unmap.
+    sim, kernel, bpf = make_list_machine()
+    first = install_walker(sim, kernel, bpf, "/list")
+    second = install_walker(sim, kernel, bpf, "/list")
+    kernel.run_syscall(bpf.uninstall(*second))
+    inode = kernel.fs.lookup("/list")
+    kernel.fs.punch_range(inode, ORDER[3] * 4096, 4096)
+    result = kernel.run_syscall(
+        bpf.read_chain(*first, ORDER[0] * 4096, 4096))
+    assert result.status == ChainStatus.EXTENT_INVALIDATED
 
 
 def test_robust_read_recovers_from_invalidation():

@@ -8,11 +8,13 @@ passes (IRQ entry, the program's run, the driver charge, a retry's
 backoff, a split's BIO charge), so the check must hold at every send, not
 only when the hop starts.
 
-Each case runs one chain on a clean world and reads its interrupt windows
-off the bus: from each chain ``nvme_complete`` to the chain's next
-``nvme_submit``.  The window is split into ``POINTS`` equal strata, and one
-seeded instant is drawn in each.  For every instant the world is rebuilt
-and ``fs.unlink`` of the open file lands at that instant.  A bus
+Each case runs one chain on a clean world (in the ``second-install``
+cases another process has installed the walker on the same file too, so
+the file has two snapshots) and reads its interrupt windows off the bus:
+from each chain ``nvme_complete`` to the chain's next ``nvme_submit``.
+The window is split into ``POINTS`` equal strata, and one seeded instant
+is drawn in each.  For every instant the world is rebuilt and
+``fs.unlink`` of the open file lands at that instant.  A bus
 subscriber checks every chain send against the inode's live extents at
 submit time.  A violation has one of these names:
 
@@ -64,6 +66,10 @@ class World:
             self.kernel.fault_plan.inject(lba, times=2)
         self.proc, self.fd = install_walker(self.sim, self.kernel, self.bpf,
                                             "/list", block_size=block_size)
+        if case.get("second_install"):
+            # Another process's installation: a second snapshot of /list.
+            install_walker(self.sim, self.kernel, self.bpf, "/list",
+                           block_size=block_size)
         self.read = (case["offset"], block_size)
         self.uring = case.get("uring", False)
         self.chain_events = []
@@ -142,19 +148,31 @@ def instants(windows, seed):
     return chosen
 
 
+#: Each case pins the seed of its instants, so adding a case moves none.
 CASES = {
     # The NVMe hook behind sys_pread: 7 recycles from IRQ context.
-    "nvme-hook": {"data": linked_file_bytes(ORDER), "offset": ORDER[0] * 4096},
+    "nvme-hook": {"data": linked_file_bytes(ORDER), "offset": ORDER[0] * 4096,
+                  "seed": 1},
     # The same walk started by a tagged io_uring SQE.
     "uring-sqe": {"data": linked_file_bytes(ORDER), "offset": ORDER[0] * 4096,
-                  "uring": True},
+                  "uring": True, "seed": 3},
     # The third block fails twice: two chain-retry sends after a backoff.
     "faulted-retry": {"data": linked_file_bytes(ORDER),
                       "offset": ORDER[0] * 4096,
-                      "fault_plan": FaultSpec(seed=1), "fault_block": ORDER[2]},
+                      "fault_plan": FaultSpec(seed=1), "fault_block": ORDER[2],
+                      "seed": 0},
     # 8 KiB hops over 2-block extents: the second hop is a mid-chain split.
     "split": {"data": linked_file_bytes(list(range(11))) + bytes(4096),
-              "offset": 0, "block_size": 8192, "max_extent_blocks": 2},
+              "offset": 0, "block_size": 8192, "max_extent_blocks": 2,
+              "seed": 2},
+    # A second process installs the walker on /list after the chain's own
+    # install: the unlink must reach the chain's (older) snapshot too.
+    "second-install": {"data": linked_file_bytes(ORDER),
+                       "offset": ORDER[0] * 4096, "second_install": True,
+                       "seed": 4},
+    "second-install-uring": {"data": linked_file_bytes(ORDER),
+                             "offset": ORDER[0] * 4096, "uring": True,
+                             "second_install": True, "seed": 5},
 }
 
 
@@ -168,7 +186,7 @@ def test_no_chain_send_reaches_a_block_its_file_gave_up(name):
     assert windows, "the chain has no interrupt-context hop"
     outcomes = {}
     findings = []
-    for instant in instants(windows, seed=sorted(CASES).index(name)):
+    for instant in instants(windows, seed=case["seed"]):
         world = World(case)
         world.unlink_at(instant)
         status = world.run()

@@ -342,9 +342,8 @@ def test_connect_attaches_and_hands_back_the_client():
     qos = QosConfig(tenants=(Tenant("alice", weight=3),))
     armed = StorageTarget(sim, model=NVM2_BENCH,
                           config=KernelConfig(cores=4, seed=7, qos=qos))
-    alice = armed.connect(fabric, "alice", max_qos_retries=2)
+    alice = armed.connect(fabric, "alice")
     assert alice.connection.name == "alice"
-    assert alice.max_qos_retries == 2
     assert armed._clients["alice"].proc.tenant.weight == 3  # None -> name
     armed.connect(fabric, "repl", tenant="")
     assert armed._clients["repl"].proc.tenant is None       # system share

@@ -37,6 +37,7 @@ from repro.net import (
     StorageTarget,
     wire,
 )
+from repro.net.client import MAX_QOS_RETRIES
 from repro.obs import SpanCollector, events as obs_events
 from repro.obs.bus import TraceBus
 from repro.qos import QosConfig, QosManager, Tenant
@@ -374,7 +375,7 @@ def test_remote_client_surfaces_qos_rejected_after_max_retries():
     assert excinfo.value.errno is Errno.EAGAIN
     assert excinfo.value.retry_after_ns == 777
     assert excinfo.value.tenant == "client"
-    assert client.qos_backoffs == client.max_qos_retries == 8
+    assert client.qos_backoffs == MAX_QOS_RETRIES == 8
 
 
 def test_system_connections_bypass_admission():

@@ -474,7 +474,7 @@ def test_compaction_plan_orders_inputs_and_merge():
 
 
 def test_kvstore_btree_bulk_and_overlay():
-    store = KvStore(make_fs(), "/index", engine="btree", fanout=8)
+    store = KvStore(make_fs(), "/index", fanout=8)
     store.bulk_load([(i, i) for i in range(100)])
     assert store.get(50) == 50
     store.put(50, 999)
@@ -486,7 +486,7 @@ def test_kvstore_btree_bulk_and_overlay():
 
 def test_kvstore_btree_rebuild_applies_overlay():
     fs = make_fs()
-    store = KvStore(fs, "/index", engine="btree", fanout=8)
+    store = KvStore(fs, "/index", fanout=8)
     store.bulk_load([(i, i) for i in range(100)])
     store.put(200, 42)
     store.delete(3)
@@ -499,22 +499,8 @@ def test_kvstore_btree_rebuild_applies_overlay():
 
 
 def test_kvstore_btree_scan_merges_overlay():
-    store = KvStore(make_fs(), "/index", engine="btree", fanout=8)
+    store = KvStore(make_fs(), "/index", fanout=8)
     store.bulk_load([(i, i) for i in range(10)])
     store.put(5, 500)
     store.delete(6)
     assert store.scan(4, 8) == [(4, 4), (5, 500), (7, 7)]
-
-
-def test_kvstore_lsm_engine_delegates():
-    store = KvStore(make_fs(), "/db", engine="lsm", memtable_limit=8)
-    for key in range(20):
-        store.put(key, key)
-    store.delete(7)
-    assert store.get(7) is None
-    assert store.get(8) == 8
-
-
-def test_kvstore_validates_engine():
-    with pytest.raises(InvalidArgument):
-        KvStore(make_fs(), "/x", engine="hash")

@@ -127,5 +127,3 @@ def test_ycsb_validation():
         YcsbWorkload(100, rng(), mix="zzz")
     with pytest.raises(InvalidArgument):
         YcsbWorkload(0, rng())
-    with pytest.raises(InvalidArgument):
-        YcsbWorkload(100, rng(), distribution="gaussian")
