@@ -23,9 +23,12 @@ B-tree node's bounded binary search verify while an unbounded walk is
 rejected by budget exhaustion.
 
 Verification runs at every ``install``, on every target a program is
-pushed to, so its cost is part of the system: it is linear in the number
-of states explored (``docs/verifier.md`` has the domain, the prune and
-infinite-loop rules, why the candidate index is exact, and measured times).
+pushed to, so its cost is part of the system.  It is linear in the number
+of states explored, and the prune and infinite-loop rules run only at
+prune points (pc 0 and every jump target), on the registers live there
+(``docs/verifier.md`` has the domain, both rules, why the candidate index
+is exact, why clearing dead registers keeps the proof sound, and measured
+times).
 """
 
 from __future__ import annotations
@@ -209,6 +212,68 @@ def _registers_read(insn: Instruction, helpers: HelperRegistry) -> tuple:
     return (insn.dst, insn.src) if insn.src_is_reg else (insn.dst,)
 
 
+def _dead_registers(instructions, helpers: HelperRegistry) -> List[tuple]:
+    """Per pc, the registers no path from there reads before writing.
+
+    One backward fixpoint over the control-flow graph.  An instruction
+    uses what `_registers_read` names, plus r0 at ``exit`` (the exit
+    check reads it); a ``call`` defines r0-r5, an ALU operation, a load
+    and ``lddw`` define ``dst``, and stores and jumps define nothing.
+    r10 is never dead.
+    """
+    count = len(instructions)
+    uses, defines, successors = [], [], []
+    for pc, insn in enumerate(instructions):
+        op = insn.opcode
+        used = 0
+        for reg in _registers_read(insn, helpers):
+            used |= 1 << reg
+        base = op[:-2] if op.endswith("32") else op
+        if op == "call":
+            defined = 0b111111
+        elif op == "lddw" or op.startswith("ldx") or base in _ALU_BASES:
+            defined = 1 << insn.dst
+        else:
+            defined = 0
+        target = pc + 1 + insn.offset
+        if op == "exit":
+            used |= 1
+            following = ()
+        elif op == "ja":
+            following = (target,)
+        elif op in _JMP_REFINERS or op == "jset":
+            following = (pc + 1, target)
+        else:
+            following = (pc + 1,)
+        uses.append(used)
+        defines.append(defined)
+        successors.append([next_pc for next_pc in following
+                           if 0 <= next_pc < count])
+    live = [0] * count
+    changed = True
+    while changed:
+        changed = False
+        for pc in reversed(range(count)):
+            out = 0
+            for next_pc in successors[pc]:
+                out |= live[next_pc]
+            live_in = uses[pc] | (out & ~defines[pc])
+            if live_in != live[pc]:
+                live[pc] = live_in
+                changed = True
+    return [tuple(reg for reg in range(FP_REG) if not mask >> reg & 1)
+            for mask in live]
+
+
+def _without(state: State, dead: tuple) -> State:
+    """``state`` with the registers in ``dead`` cleared to `NOT_INIT`, the
+    one object, so `_subsumes` skips them by identity."""
+    regs = list(state.regs)
+    for reg in dead:
+        regs[reg] = NOT_INIT
+    return State(tuple(regs), state.stack)
+
+
 @dataclass
 class VerifierStats:
     """Bookkeeping returned on success."""
@@ -221,7 +286,8 @@ class VerifierStats:
 
 
 class _Table:
-    """States at one pc, indexed by the scalar in the discriminator register.
+    """States at one prune point, indexed by the scalar in the
+    discriminator register.
 
     ``old`` can subsume ``new`` only if every register of ``old`` covers
     the same register of ``new``.  ``candidates`` yields the states whose
@@ -291,7 +357,8 @@ class _Table:
 
 
 class _Recorded:
-    """The states recorded at one pc: on the DFS path, and fully explored.
+    """The states recorded at one prune point: on the DFS path, and fully
+    explored, each with its dead registers cleared.
 
     Both sets are indexed (see ``_Table``) by the scalar held in one
     *discriminator* register, the one whose bounds vary most over a sample
@@ -368,28 +435,38 @@ class Verifier:
         self.maps = maps or {}
         self.state_budget = state_budget
         self.stats = VerifierStats()
-        self._recorded = [_Recorded() for _ in program.instructions]
 
     # ------------------------------------------------------------------
 
     def run(self) -> VerifierStats:
         """Depth-first exploration with kernel-style loop detection.
 
-        A state subsumed by a *completed* state at the same pc is pruned
-        (that more-general exploration already terminated safely).  A state
-        subsumed by an *ancestor on the current path* is an infinite loop and
-        is rejected — pruning against an ancestor would wrongly certify
-        termination.
+        At a *prune point* (pc 0 and every jump target) the registers dead
+        there are cleared, and then a state subsumed by a *completed* state
+        at the same pc is pruned (that more-general exploration already
+        terminated safely), while a state subsumed by an *ancestor on the
+        current path* is an infinite loop and is rejected: pruning against
+        an ancestor would wrongly certify termination.  Every cycle passes
+        through a jump target, so the loop rule sees every loop.  Any other
+        instruction steps its states straight through; they count against
+        ``state_budget`` and join the proof's facts all the same.
         """
-        insn_count = len(self.program.instructions)
-        self._check_jump_targets()
+        instructions = self.program.instructions
+        insn_count = len(instructions)
+        recorded: List[Optional[_Recorded]] = [None] * insn_count
+        for pc in self._prune_points():
+            recorded[pc] = _Recorded()
+        dead = _dead_registers(instructions, self.helpers)
+        # The registers of every state stepped at each pc: what the
+        # proof's facts join.
+        explored: List[List[tuple]] = [[] for _ in instructions]
         stats = self.stats
         # Each instruction is decoded once, into the function that steps
         # a state across it; thousands of states may visit one pc.  (A
         # local: the closures hold ``self``, and ``self`` holding them
         # would keep every state alive until the cycle collector runs.)
         transfer = [self._decode(pc, insn) for pc, insn in
-                    enumerate(self.program.instructions)]
+                    enumerate(instructions)]
 
         # Explicit DFS frames: [pc, state, successors or None, next index].
         frames: List[list] = [
@@ -398,16 +475,18 @@ class Verifier:
         while frames:
             frame = frames[-1]
             pc, state, successors, index = frame
-            recorded = self._recorded[pc]
+            point = recorded[pc]
             if successors is None:
-                held = state.regs[recorded.reg]
-                if recorded.path and \
-                        self._covered(recorded.active, held, state):
-                    raise VerifierError("infinite loop detected", pc)
-                if recorded.done and \
-                        self._covered(recorded.explored, held, state):
-                    frames.pop()
-                    continue
+                if point is not None:
+                    state = frame[1] = _without(state, dead[pc])
+                    held = state.regs[point.reg]
+                    if point.path and \
+                            self._covered(point.active, held, state):
+                        raise VerifierError("infinite loop detected", pc)
+                    if point.done and \
+                            self._covered(point.explored, held, state):
+                        frames.pop()
+                        continue
                 stats.states_explored += 1
                 if stats.states_explored > self.state_budget:
                     raise VerifierError(
@@ -418,42 +497,52 @@ class Verifier:
                     if next_pc >= insn_count:
                         raise VerifierError(
                             "control falls off the program end", pc)
+                explored[pc].append(state.regs)
+                if point is None and len(successors) == 1:
+                    # Nothing to leave here later: step on in this frame.
+                    frame[0], frame[1] = successors[0]
+                    continue
                 frame[2] = successors
-                recorded.enter(state)
-                if len(recorded.path) > stats.max_states_per_insn:
-                    stats.max_states_per_insn = len(recorded.path)
+                if point is not None:
+                    point.enter(state)
+                    if len(point.path) > stats.max_states_per_insn:
+                        stats.max_states_per_insn = len(point.path)
             if index < len(successors):
                 next_pc, next_state = successors[index]
                 frame[3] = index + 1
                 frames.append([next_pc, next_state, None, 0])
             else:
-                recorded.leave(state)
+                if point is not None:
+                    point.leave(state)
                 frames.pop()
         self.program.verified = True
         self.program.proof = Proof(
-            tuple(self.program.instructions),
+            tuple(instructions),
             tuple(self.program.ctx_layout.fields),
-            proof_context(self.helpers, self.maps), self._facts())
+            proof_context(self.helpers, self.maps), self._facts(explored))
         return stats
 
-    def _facts(self) -> tuple:
-        """`Proof.facts` of a finished exploration.
+    def _facts(self, explored: List[List[tuple]]) -> tuple:
+        """`Proof.facts` of a finished exploration, from the registers of
+        every state stepped at each pc.
 
-        Every state explored at a pc is in its fully explored set by now,
-        and a state pruned there was subsumed by one of those, so each of
-        its values lies inside the join already: the facts are sound
-        exactly when pruning is (docs/verifier.md, "What the proof says").
-        Joining afterwards keeps the exploration loop free of it.
+        A state pruned at a prune point was subsumed there, on the
+        registers live there, by a fully explored state.  Each register
+        an instruction reads is live at it, so every value of a pruned
+        state that a later instruction reads lies inside a value some
+        explored state held there, and so inside the join: the facts are
+        sound exactly when pruning is (docs/verifier.md, "Why pruned
+        states are covered").  Joining afterwards keeps the exploration
+        loop free of it.
         """
         facts: List[Optional[tuple]] = []
-        for insn, recorded in zip(self.program.instructions, self._recorded):
-            if not recorded.done:
+        for insn, seen in zip(self.program.instructions, explored):
+            if not seen:
                 facts.append(None)
                 continue
             known: List[object] = [None] * 11
             for reg in _registers_read(insn, self.helpers):
-                known[reg] = _join([state.regs[reg]
-                                    for state in recorded.done])
+                known[reg] = _join([regs[reg] for regs in seen])
             facts.append(tuple(known))
         return tuple(facts)
 
@@ -467,8 +556,10 @@ class Verifier:
                 return True
         return False
 
-    def _check_jump_targets(self) -> None:
+    def _prune_points(self) -> set:
+        """pc 0 and every jump target; rejects a target out of range."""
         insns = self.program.instructions
+        points = {0}
         for pc, insn in enumerate(insns):
             if insn.opcode == "ja" or insn.opcode in _JMP_REFINERS or \
                     insn.opcode == "jset":
@@ -477,6 +568,8 @@ class Verifier:
                     raise VerifierError(
                         f"jump target {target} out of range", pc
                     )
+                points.add(target)
+        return points
 
     # ------------------------------------------------------------------
     # Transfer function

@@ -17,6 +17,7 @@ The block tier drops the run-time guards of every site the program's
 """
 
 import dataclasses
+import hashlib
 import inspect
 from pathlib import Path
 
@@ -459,23 +460,50 @@ def test_map_value_region_is_named_by_map_id_in_both_tiers():
 
 
 #: The six programs ``verify_install`` makes ready: (memory sites, sites
-#: compiled without guards).  None touches the stack or a map value, so
-#: the proof covers every one; a verifier precision regression that puts a
-#: guard back fails here by name, not as a slower benchmark.
+#: compiled without guards, digest of ``proof.facts``).  None touches the
+#: stack or a map value, so the proof covers every one; a verifier
+#: precision regression that puts a guard back fails here by name, not as
+#: a slower benchmark.  The digests were recorded before the loop and
+#: prune rules moved to prune points, and did not move: a verifier change
+#: that moves any fact fails by name before it moves generated code or a
+#: golden.
 INSTALLABLE = {
-    "index16": (lambda: index_traversal_program(fanout=16), 19, 19),
-    "index6": (lambda: index_traversal_program(fanout=6), 17, 17),
-    "wisckey": (lambda: wisckey_get_program(fanout=FANOUT_MAX), 33, 33),
-    "linked_list": (linked_list_program, 8, 8),
-    "scan_aggregate": (lambda: scan_aggregate_program(fanout=64), 22, 22),
+    "index16": (lambda: index_traversal_program(fanout=16), 19, 19,
+                "77f2e97de9e4d013"),
+    "index6": (lambda: index_traversal_program(fanout=6), 17, 17,
+               "a8f8d41dd0b70042"),
+    "wisckey": (lambda: wisckey_get_program(fanout=FANOUT_MAX), 33, 33,
+                "55b21ca4596187bc"),
+    "linked_list": (linked_list_program, 8, 8, "2fb7101fa7dbdead"),
+    "scan_aggregate": (lambda: scan_aggregate_program(fanout=64), 22, 22,
+                       "8166cc09a387e498"),
     "sstable_merge": (lambda: sstable_merge_program(PAGE_SIZE, 64,
-                                                    FANOUT_MAX), 19, 19),
+                                                    FANOUT_MAX), 19, 19,
+                      "486ad6943b263920"),
 }
+
+
+def facts_digest(facts):
+    """A digest of every fact, each with its class and all its fields."""
+    def encode(fact):
+        return None if fact is None else \
+            (type(fact).__name__, dataclasses.astuple(fact))
+    rows = [None if known is None else tuple(map(encode, known))
+            for known in facts]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(INSTALLABLE))
+def test_installable_program_facts_are_pinned(name):
+    make_program, _sites, _bare, digest = INSTALLABLE[name]
+    program = make_program()
+    verify(program, storage_helpers())
+    assert facts_digest(program.proof.facts) == digest
 
 
 @pytest.mark.parametrize("name", sorted(INSTALLABLE))
 def test_installable_program_memory_sites_are_proven(name):
-    make_program, sites, bare = INSTALLABLE[name]
+    make_program, sites, bare, _digest = INSTALLABLE[name]
     helpers = storage_helpers()
     program = make_program()
     verify(program, helpers)

@@ -14,7 +14,7 @@ from repro.ebpf import (
     base_registry,
     verify,
 )
-from repro.ebpf.verifier import Scalar, _scalar_alu
+from repro.ebpf.verifier import Scalar, _dead_registers, _scalar_alu
 
 HELPERS = base_registry()
 LAYOUT = CtxLayout(
@@ -166,25 +166,101 @@ def test_definite_pointer_never_null():
 # ---------------------------------------------------------------------------
 
 
+# (branch, one arm, the other arm, most states explored)
+DIAMONDS = {
+    # Both arms normalise their temps, so the rejoined states differ only
+    # in the range the branch refined r2 to, and paths that agree on it
+    # prune.  Without completed-state pruning this would be ~2^24 states.
+    "same-temps": ("jgt r2, {}", "mov r4, 1", "mov r4, 1", 1999),
+    # The arms leave different temps, which the join overwrites: r4 is
+    # dead there, so the second arm's state prunes at the join itself.
+    # Per diamond: the branch, one arm's two instructions, the other's
+    # one and the join once (pruning on every register, the join was
+    # stepped twice: 148 states).
+    "dead-temps": ("jset r2, {}", "mov r4, 1", "mov r4, 2", 2 + 5 * 24 + 2),
+}
+
+
 def test_diamond_rejoin_prunes_to_linear_states():
-    # Both branches normalise their temps, so the rejoined states are
-    # identical and the second path prunes: states stay small.
-    source_lines = ["ldxdw r2, [r1+8]", "mov r3, 0"]
-    for index in range(24):
-        source_lines += [
-            f"jgt r2, {index * 3}, t{index}",
-            "mov r4, 1",
-            f"ja j{index}",
-            f"t{index}:",
-            "mov r4, 1",
-            f"j{index}:",
-            "mov r4, 0",
-        ]
-    source_lines += ["mov r0, 0", "exit"]
-    program = Program(assemble("\n".join(source_lines)), LAYOUT)
-    stats = verify(program, HELPERS, state_budget=20_000)
-    # Without completed-state pruning this would be ~2^24 states.
-    assert stats.states_explored < 2000
+    for name, (branch, arm, other, most) in DIAMONDS.items():
+        source_lines = ["ldxdw r2, [r1+8]", "mov r3, 0"]
+        for index in range(24):
+            source_lines += [
+                branch.format(index * 3) + f", t{index}",
+                arm,
+                f"ja j{index}",
+                f"t{index}:",
+                other,
+                f"j{index}:",
+                "mov r4, 0",
+            ]
+        source_lines += ["mov r0, 0", "exit"]
+        program = Program(assemble("\n".join(source_lines)), LAYOUT)
+        stats = verify(program, HELPERS, state_budget=20_000)
+        assert stats.states_explored <= most, name
+
+
+def test_dead_registers_of_a_program_with_a_call_a_loop_and_a_store():
+    source = """
+        mov   r6, r1
+        mov   r7, 0
+    loop:
+        mov   r1, r7
+        call  trace
+        add   r7, 1
+        jlt   r7, 3, loop
+        stxdw [r6+16], r7
+        mov   r0, 0
+        exit
+    """
+    program = Program(assemble(source, HELPERS.names()), LAYOUT)
+    everything = set(range(10))         # r10 is never dead
+    dead = [
+        everything - {1},               # mov r6, r1
+        everything - {6},               # mov r7, 0: r1 is rewritten
+        everything - {6, 7},            # loop head: r6 lives to the store
+        everything - {1, 6, 7},         # call: its argument
+        everything - {6, 7},            # add r7, 1: the call wrote r0-r5
+        everything - {6, 7},            # jlt
+        everything - {6, 7},            # stxdw: base and stored value
+        everything,                     # mov r0, 0
+        everything - {0},               # exit reads r0
+    ]
+    assert [set(regs) for regs in
+            _dead_registers(program.instructions, HELPERS)] == dead
+    accept(source)
+
+
+def test_a_register_read_only_at_exit_stays_live_across_a_loop():
+    # r0 is set before the loop and read only by exit's check: dropping
+    # that use would clear it at the loop head and reject the program.
+    accept(
+        """
+        mov r0, 0
+        mov r2, 0
+    loop:
+        add r2, 1
+        jlt r2, 4, loop
+        exit
+        """
+    )
+
+
+def test_a_stored_register_stays_live_across_a_loop():
+    # r3 crosses the loop head and is read only as a store's value:
+    # forgetting that use would clear it there and reject the store.
+    accept(
+        """
+        mov r3, 7
+        mov r2, 0
+    loop:
+        add r2, 1
+        jlt r2, 4, loop
+        stxdw [r10-8], r3
+        mov r0, 0
+        exit
+        """
+    )
 
 
 def test_loop_with_distinct_states_not_falsely_pruned():
