@@ -16,7 +16,8 @@ of a pair sit seconds apart, inside one phase.
 Printed per side: rep wall seconds (min, quartiles), ``ops/s`` from the
 fast-quartile rep as ``host_ops_per_s`` computes it, and the rep pairs
 won; then parent/change ratios of the minima, the fast quartiles and
-the medians; last a verdict line: "gain" only if at least ten pairs ran,
+the medians; then each side's peak RSS after its reps (``ru_maxrss`` of
+its interpreter, as ``host_peak_rss_mb`` reads it); last a verdict line: "gain" only if at least ten pairs ran,
 the change won at least nine tenths of them and the medians differ by
 more than the parent's interquartile spread (:func:`verdict`).
 
@@ -31,6 +32,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from statistics import median
@@ -60,6 +62,8 @@ def serve(root: str, name: str, seed: int, quick: bool) -> None:
             "correct": outcome.correct,
             "ops_per_s": executed.rep.ops
             / harness.undisturbed_rep_s(timed[1:] or timed),
+            "peak_rss_mb": resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024,
         }) + "\n")
         reply.flush()
         if not sys.stdin.readline():
@@ -103,6 +107,13 @@ def quartiles(walls: List[float]):
     ordered = sorted(walls)
     return (ordered[0], ordered[len(ordered) // 4], median(ordered),
             ordered[3 * len(ordered) // 4])
+
+
+def peak_rss_line(parent_mb: float, change_mb: float) -> str:
+    """Each side's peak RSS in MB after its reps, and their ratio."""
+    return (f"  peak RSS (ru_maxrss after the reps): parent "
+            f"{parent_mb:.1f} MB  change {change_mb:.1f} MB  parent / "
+            f"change x{parent_mb / change_mb:.2f}")
 
 
 def verdict(parent: List[float], change: List[float], won: int) -> str:
@@ -175,6 +186,7 @@ def compare(args) -> int:
                                     quartiles(sides[0].walls),
                                     quartiles(sides[1].walls)):
         print(f"  parent / change on {what}: x{parent / change:.2f}")
+    print(peak_rss_line(*(side.last["peak_rss_mb"] for side in sides)))
     print(verdict(sides[0].walls, sides[1].walls, sides[1].won))
     return 0
 

@@ -185,9 +185,10 @@ def load_btree(fs, path: str, depth: int) -> BTree:
     The tree maps key ``3k + 1`` to ``k`` for ``k`` in
     ``range(BTree.keys_for_depth(depth, choose_fanout(depth)))``.  The
     file is written from the cached image (see ``_TREE_IMAGE_CACHE``)
-    without simulated time.
+    without simulated time, as views: the device's runs share the
+    image's bytes instead of copying them.
     """
-    image = _tree_image(depth, choose_fanout(depth))
+    image = memoryview(_tree_image(depth, choose_fanout(depth)))
     backend = FsBackend(fs, fs.create(path))
     backend.preallocate(PAGE_SIZE, len(image) - PAGE_SIZE)
     backend.write(PAGE_SIZE, image[PAGE_SIZE:])

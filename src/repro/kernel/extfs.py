@@ -258,10 +258,7 @@ class ExtFs:
             phys = inode.extents.lookup(file_block)
             if phys is None or lo >= hi:
                 continue  # block punched/unlinked since; nothing kept
-            lba = phys * SECTORS_PER_BLOCK
-            buffer = bytearray(self.media.read(lba, SECTORS_PER_BLOCK))
-            buffer[lo:hi] = bytes(hi - lo)
-            self.media.write(lba, bytes(buffer))
+            self._patch_block(phys, lo, bytes(hi - lo))
 
     def _zero_block_tail(self, inode: Inode, new_size: int) -> None:
         """Zero ``[new_size, end-of-block)`` of the kept partial block, so
@@ -275,12 +272,8 @@ class ExtFs:
                 (inode, file_block, within, BLOCK_SIZE))
             return
         phys = inode.extents.lookup(file_block)
-        if phys is None:
-            return
-        lba = phys * SECTORS_PER_BLOCK
-        buffer = bytearray(self.media.read(lba, SECTORS_PER_BLOCK))
-        buffer[within:] = bytes(BLOCK_SIZE - within)
-        self.media.write(lba, bytes(buffer))
+        if phys is not None:
+            self._patch_block(phys, within, bytes(BLOCK_SIZE - within))
 
     def _trim_pending_zeroes(self, inode: Inode, offset: int,
                              length: int) -> None:
@@ -578,30 +571,49 @@ class ExtFs:
     # ------------------------------------------------------------------
 
     def write_sync(self, inode: Inode, offset: int, data: bytes) -> None:
-        """Allocate and write immediately, without simulated time."""
+        """Allocate and write immediately, without simulated time.
+
+        The sector-aligned middle goes to the device as one write per
+        physically contiguous piece of the file, each a view of ``data``
+        (the device keeps views of ``bytes`` without copying).  A block
+        the write starts or ends inside mid-sector is read-modified-written.
+        """
         if not data:
             return
         with self.txn():
             self.ensure_allocated(inode, offset, len(data))
             self.set_size(inode, max(inode.size, offset + len(data)))
-        position = offset
-        remaining = memoryview(bytes(data))
-        while remaining:
-            block = position // BLOCK_SIZE
-            within = position % BLOCK_SIZE
-            take = min(len(remaining), BLOCK_SIZE - within)
-            phys = inode.extents.lookup(block)
-            lba = phys * SECTORS_PER_BLOCK
-            if within % SECTOR_SIZE == 0 and take % SECTOR_SIZE == 0:
-                self.media.write(lba + within // SECTOR_SIZE,
-                                 bytes(remaining[:take]))
-            else:
-                # Read-modify-write the containing block.
-                existing = bytearray(self.media.read(lba, SECTORS_PER_BLOCK))
-                existing[within : within + take] = bytes(remaining[:take])
-                self.media.write(lba, bytes(existing))
-            remaining = remaining[take:]
-            position += take
+        data = memoryview(data)
+        lo, hi = offset, offset + len(data)
+        if lo % SECTOR_SIZE:
+            lo = min(hi, (lo // BLOCK_SIZE + 1) * BLOCK_SIZE)
+            self._patch_block(inode.extents.lookup(offset // BLOCK_SIZE),
+                              offset % BLOCK_SIZE, data[:lo - offset])
+        tail = hi
+        if hi % SECTOR_SIZE:
+            tail = max(lo, (hi - 1) // BLOCK_SIZE * BLOCK_SIZE)
+        if lo < tail:
+            block = lo // BLOCK_SIZE
+            blocks = -(-tail // BLOCK_SIZE) - block
+            for phys, count in inode.extents.map_range(block, blocks):
+                stop = min(tail, (block + count) * BLOCK_SIZE)
+                self.media.write(
+                    phys * SECTORS_PER_BLOCK
+                    + (lo - block * BLOCK_SIZE) // SECTOR_SIZE,
+                    data[lo - offset:stop - offset])
+                block += count
+                lo = stop
+        if tail < hi:
+            self._patch_block(inode.extents.lookup(tail // BLOCK_SIZE),
+                              tail % BLOCK_SIZE, data[tail - offset:])
+
+    def _patch_block(self, phys: int, within: int, piece) -> None:
+        """Read-modify-write physical block ``phys``: ``piece`` at byte
+        ``within`` of it."""
+        lba = phys * SECTORS_PER_BLOCK
+        buffer = bytearray(self.media.read(lba, SECTORS_PER_BLOCK))
+        buffer[within:within + len(piece)] = piece
+        self.media.write(lba, bytes(buffer))
 
     def read_sync(self, inode: Inode, offset: int, length: int) -> bytes:
         """Read immediately, without simulated time.

@@ -477,7 +477,13 @@ class Kernel:
                 self.bus.span_end(span, self.sim.now)
 
     def sys_pwrite(self, proc: Process, fd: int, offset: int, data: bytes):
-        """A synchronous O_DIRECT positional write (sector aligned)."""
+        """A synchronous O_DIRECT positional write (sector aligned).
+
+        ``data`` is snapshotted as ``bytes`` on entry: the write cache and
+        the media keep what they are given, and the caller may reuse its
+        buffer while the write is in flight or after it returns.
+        """
+        data = bytes(data)
         file = proc.file(fd)
         self.syscall_count += 1
         cost = self.cost

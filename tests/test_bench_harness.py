@@ -1,5 +1,7 @@
 """Tests for the benchmark harness (small-scale experiment runs)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.bench import (
@@ -15,8 +17,8 @@ from repro.bench import (
     run_closed_loop,
     table1_breakdown,
 )
-from repro.bench.runner import (NVM2_BENCH, choose_fanout, load_btree,
-                                mean_latency)
+from repro.bench.runner import (NVM2_BENCH, _tree_image, choose_fanout,
+                                load_btree, mean_latency)
 from repro.core import Hook
 from repro.errors import InvalidArgument
 from repro.kernel import Kernel, KernelConfig
@@ -104,6 +106,28 @@ def test_load_btree_leaves_the_state_of_a_page_by_page_build(depth):
         paged.fs.read_sync(theirs, 0, theirs.size)
     assert blit.fs.media.image() == paged.fs.media.image()
     assert ours.extents.extents() == theirs.extents.extents()
+
+
+def test_load_btree_shares_the_cached_image():
+    """The device holds the tree as views of the cached image, one run
+    per extent of the file: a second world's load copies none of it."""
+    first, second = (Kernel(Simulator(), NVM2_BENCH, KernelConfig(seed=3))
+                     for _ in range(2))
+    load_btree(first.fs, "/index", 12)  # fills the image cache
+    image = _tree_image(12, choose_fanout(12))
+    budget = len(image) // 10
+    tracemalloc.start()
+    try:
+        load_btree(second.fs, "/index", 12)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
+    inode = second.fs.lookup("/index")
+    assert len(second.fs.media._runs) <= len(inode.extents) + 4
+    for page in range(0, len(image), PAGE_SIZE):
+        assert second.fs.read_sync(inode, page, PAGE_SIZE) == \
+            image[page:page + PAGE_SIZE]
 
 
 def test_load_btree_rejects_a_depth_it_cannot_build():

@@ -1,4 +1,4 @@
-"""The verdict rule of ``scripts/compare_reps.py``."""
+"""The verdict rule and the peak-RSS line of ``scripts/compare_reps.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -46,3 +46,9 @@ def test_fewer_than_ten_pairs_is_no_gain_however_clear():
 def test_a_slower_change_fails_every_part_of_the_rule():
     line = verdict(PARENT, [wall + 0.2 for wall in PARENT], won=0)
     assert "won 0 of 10" in line and "median gap -0.200 s" in line
+
+
+def test_peak_rss_line_pairs_the_sides():
+    line = compare_reps.peak_rss_line(70.4, 50.3)
+    assert line == ("  peak RSS (ru_maxrss after the reps): parent 70.4 MB  "
+                    "change 50.3 MB  parent / change x1.40")

@@ -60,21 +60,68 @@ def test_blockdev_discard():
     assert dev.read(1, 1) == bytes(512)
 
 
+def _sectors_of(first, count):
+    """``count`` sectors whose contents differ sector by sector."""
+    return b"".join(bytes([(first + k) % 256]) * 512 for k in range(count))
+
+
+def test_blockdev_overwrite_splits_runs_on_one_and_both_sides():
+    """Leftovers longer than a 4 KiB block stay views of the cut run's
+    buffer; shorter ones are copies.  Both read back the same."""
+    dev = BlockDevice(64)
+    dev.write(0, _sectors_of(1, 40))
+    dev.write(20, _sectors_of(100, 2))   # inside: splits on both sides
+    dev.write(36, _sectors_of(200, 8))   # overlaps the right end only
+    dev.discard(0, 3)                    # cuts the left end only
+    expected = (bytes(3 * 512) + _sectors_of(4, 17) + _sectors_of(100, 2)
+                + _sectors_of(23, 14) + _sectors_of(200, 8) + bytes(20 * 512))
+    assert dev.read(0, 64) == expected
+    assert dev.read(21, 1) == _sectors_of(101, 1)
+    assert dev.read(19, 4) == expected[19 * 512:23 * 512]
+    assert dev.written_sectors() == 41
+    assert dev.image() == {sector: expected[sector * 512:(sector + 1) * 512]
+                           for sector in range(3, 44)}
+
+
 @given(st.data())
 def test_blockdev_matches_reference_model(data):
+    """Writes (of ``bytes``, of a view of ``bytes``, of a ``bytearray``
+    and of a view of one, the last two mutated right after the write),
+    discards and reads against a flat byte array; partial overlaps cut
+    runs on one side or both."""
     dev = BlockDevice(32)
     reference = bytearray(32 * 512)
+    written = [False] * 32
     for _ in range(data.draw(st.integers(min_value=1, max_value=20))):
         lba = data.draw(st.integers(min_value=0, max_value=30))
         count = data.draw(st.integers(min_value=1, max_value=32 - lba))
-        if data.draw(st.booleans()):
-            payload = bytes([data.draw(st.integers(0, 255))]) * (count * 512)
-            dev.write(lba, payload)
-            reference[lba * 512 : (lba + count) * 512] = payload
+        span = slice(lba * 512, (lba + count) * 512)
+        op = data.draw(st.sampled_from(
+            ["bytes", "bytes view", "bytearray", "bytearray view",
+             "discard", "read"]))
+        if op == "read":
+            assert dev.read(lba, count) == bytes(reference[span])
+        elif op == "discard":
+            dev.discard(lba, count)
+            reference[span] = bytes(count * 512)
+            written[lba:lba + count] = [False] * count
         else:
-            assert dev.read(lba, count) == bytes(
-                reference[lba * 512 : (lba + count) * 512]
-            )
+            payload = _sectors_of(data.draw(st.integers(0, 255)), count)
+            if op == "bytes":
+                dev.write(lba, payload)
+            elif op == "bytes view":
+                dev.write(lba, memoryview(bytes(512) + payload)[512:])
+            else:
+                buf = bytearray(payload)
+                dev.write(lba, buf if op == "bytearray" else memoryview(buf))
+                buf[:] = b"\xee" * len(buf)
+            reference[span] = payload
+            written[lba:lba + count] = [True] * count
+    assert dev.read(0, 32) == bytes(reference)
+    assert dev.written_sectors() == sum(written)
+    assert dev.image() == {
+        sector: bytes(reference[sector * 512:(sector + 1) * 512])
+        for sector in range(32) if written[sector]}
 
 
 # ---------------------------------------------------------------------------

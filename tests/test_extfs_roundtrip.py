@@ -28,11 +28,15 @@ def make_fs(journaled=False, blocks=512):
     return ExtFs(media, journal_config=config)
 
 
-#: Offsets biased toward block edges, where the RMW tail bugs live.
+#: Offsets biased toward block edges, where the RMW tail bugs live, and
+#: sector edges inside a block (a sector-aligned start need not be
+#: block-aligned).
 def edge_biased_offsets(draw):
     block = draw(st.integers(0, FILE_SIZE // BLOCK_SIZE - 1))
+    sector = draw(st.one_of(st.just(0), st.integers(1, 7)))
     fuzz = draw(st.integers(-3, 3))
-    return max(0, min(FILE_SIZE - 1, block * BLOCK_SIZE + fuzz))
+    return max(0, min(FILE_SIZE - 1,
+                      block * BLOCK_SIZE + sector * 512 + fuzz))
 
 
 @settings(max_examples=60, deadline=None)

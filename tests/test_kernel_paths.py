@@ -166,6 +166,25 @@ def test_write_path_persists_and_charges():
     assert inode.size == 1024
 
 
+@pytest.mark.parametrize("cache_depth", [0, 8])
+def test_write_does_not_alias_the_callers_buffer(cache_depth):
+    """Reusing the buffer after ``sys_pwrite`` returns must not change
+    what was written, whether it sits in the write cache or on media."""
+    sim, kernel = make_kernel(write_cache_depth=cache_depth)
+    kernel.create_file("/f", b"")
+    proc = kernel.spawn_process()
+    buf = bytearray(b"A" * 512)
+
+    def workload():
+        fd = yield from kernel.sys_open(proc, "/f")
+        yield from kernel.sys_pwrite(proc, fd, 0, memoryview(buf))
+        buf[:] = b"B" * 512
+        result = yield from kernel.sys_pread(proc, fd, 0, 512)
+        return result
+
+    assert kernel.run_syscall(workload()).data == b"A" * 512
+
+
 def test_open_missing_file_raises():
     sim, kernel = make_kernel()
     proc = kernel.spawn_process()
