@@ -40,8 +40,8 @@ from repro.kernel import Kernel, KernelConfig
 from repro.obs import events as obs_events
 from repro.qos import QosConfig
 from repro.sim import LatencyRecorder, RandomStreams, Simulator, ThroughputMeter
-from repro.structures import BTree, FsBackend
-from repro.structures.pages import PAGE_SIZE, MemoryBackend, search_page
+from repro.structures import BTree
+from repro.structures.pages import PAGE_SIZE, search_page
 
 __all__ = ["BtreeBench", "NVM2_BENCH", "choose_fanout", "load_btree",
            "mean_latency", "plain_reader", "run_closed_loop"]
@@ -81,10 +81,8 @@ def _tree_image(depth: int, fanout: int) -> bytes:
     image = _TREE_IMAGE_CACHE.get((depth, fanout))
     if image is None:
         num_keys = BTree.keys_for_depth(depth, fanout)
-        mem = MemoryBackend()
-        BTree.build(mem, [(key * 3 + 1, key) for key in range(num_keys)],
-                    fanout=fanout)
-        image = _TREE_IMAGE_CACHE[(depth, fanout)] = mem.read(0, mem.size)
+        image = _TREE_IMAGE_CACHE[(depth, fanout)] = BTree.build_image(
+            [(key * 3 + 1, key) for key in range(num_keys)], fanout=fanout)
     return image
 
 
@@ -188,12 +186,8 @@ def load_btree(fs, path: str, depth: int) -> BTree:
     without simulated time, as views: the device's runs share the
     image's bytes instead of copying them.
     """
-    image = memoryview(_tree_image(depth, choose_fanout(depth)))
-    backend = FsBackend(fs, fs.create(path))
-    backend.preallocate(PAGE_SIZE, len(image) - PAGE_SIZE)
-    backend.write(PAGE_SIZE, image[PAGE_SIZE:])
-    backend.write(0, image[:PAGE_SIZE])
-    tree = BTree(backend)
+    tree = BTree.write_image(fs, path,
+                             _tree_image(depth, choose_fanout(depth)))
     if tree.depth != depth:
         raise InvalidArgument(f"built depth {tree.depth}, wanted {depth}")
     return tree

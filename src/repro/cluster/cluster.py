@@ -60,6 +60,7 @@ from repro.net import (
 from repro.obs import events as obs_events
 from repro.qos import QosConfig
 from repro.sim import Simulator
+from repro.structures import BTree
 
 __all__ = ["ClusterTarget", "DATA_PATH", "RECORD_SIZE", "RejoinReport",
            "StorageCluster", "decode_record", "encode_record"]
@@ -245,6 +246,9 @@ class StorageCluster:
         self.bus = self.fabric.bus
         self.ring = HashRing(range(shards))
         self.targets: List[ClusterTarget] = []
+        # One zero fill for every target's data file: the devices keep
+        # views of it instead of a copy each.
+        zeros = bytes(capacity_keys * RECORD_SIZE)
         for t in range(shards):
             config = KernelConfig(
                 cores=cores, seed=seed + t, write_cache_depth=cache_depth,
@@ -253,8 +257,7 @@ class StorageCluster:
             target = ClusterTarget(sim, model=model, config=config,
                                    target_id=t, cluster=self,
                                    capacity_keys=capacity_keys)
-            target.create_file(DATA_PATH,
-                               bytes(capacity_keys * RECORD_SIZE))
+            target.create_file(DATA_PATH, zeros)
             # Make the untimed setup durable: without a checkpoint, a
             # crash would recover this target to an *empty* file system.
             target.kernel.fs.checkpoint_sync()
@@ -491,21 +494,14 @@ class StorageCluster:
                     fanout: int = 16):
         """Build the same B-tree on every target (for chain pushdown).
 
-        Returns the (identical) root offset.  Called before traffic, so
-        the trees land in each target's setup checkpoint and survive a
-        crash; chains against them are installed per connection by the
-        client.
+        Returns the root offset.  The tree is built once, in memory, and
+        that one image is written into every target as views, so the
+        targets' devices share its bytes.  Called before traffic, so the
+        trees land in each target's setup checkpoint and survive a crash;
+        chains against them are installed per connection by the client.
         """
-        from repro.structures import BTree, FsBackend
-
-        root = None
+        image = BTree.build_image(items, fanout=fanout)
         for target in self.targets:
-            inode = target.kernel.fs.create(path)
-            tree = BTree.build(FsBackend(target.kernel.fs, inode),
-                               list(items), fanout=fanout)
+            tree = BTree.write_image(target.kernel.fs, path, image)
             target.kernel.fs.checkpoint_sync()
-            if root is None:
-                root = tree.meta.root_offset
-            elif root != tree.meta.root_offset:
-                raise InvalidArgument("index build diverged across targets")
-        return root
+        return tree.meta.root_offset

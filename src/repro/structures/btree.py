@@ -28,6 +28,8 @@ from repro.structures.pages import (
     FANOUT_MAX,
     PAGE_SIZE,
     FileBackend,
+    FsBackend,
+    MemoryBackend,
     decode_page,
     encode_page,
     search_page,
@@ -149,6 +151,34 @@ class BTree:
         meta = BTreeMeta(depth=len(levels), fanout=fanout,
                          root_offset=offsets[-1][0], num_keys=len(items))
         backend.write(0, meta.encode())
+        return BTree(backend)
+
+    @staticmethod
+    def build_image(items: Iterable[Tuple[int, int]],
+                    fanout: int = FANOUT_MAX) -> bytes:
+        """The file :meth:`build` writes, built in memory: the meta page
+        at 0 and the tree pages from ``PAGE_SIZE``."""
+        memory = MemoryBackend()
+        BTree.build(memory, items, fanout=fanout)
+        return memory.read(0, memory.size)
+
+    @staticmethod
+    def write_image(fs, path: str, image: bytes) -> "BTree":
+        """Create ``path`` on ``fs`` holding ``image`` (from
+        :meth:`build_image`), without simulated time.
+
+        The tree pages are preallocated in one burst and written as one
+        view, then the meta page, so the file's bytes and extents and the
+        data blocks on the device are those of :meth:`build` through an
+        :class:`~repro.structures.pages.FsBackend`.  The device keeps views
+        of ``bytes``, so every file written from one image shares its
+        bytes.
+        """
+        image = memoryview(image)
+        backend = FsBackend(fs, fs.create(path))
+        backend.preallocate(PAGE_SIZE, len(image) - PAGE_SIZE)
+        backend.write(PAGE_SIZE, image[PAGE_SIZE:])
+        backend.write(0, image[:PAGE_SIZE])
         return BTree(backend)
 
     # ------------------------------------------------------------------

@@ -143,7 +143,7 @@ class MemoryBackend(FileBackend):
             raise InvalidArgument(
                 f"read [{offset}, {offset + length}) beyond EOF "
                 f"({len(self._data)})")
-        return bytes(self._data[offset : offset + length])
+        return bytes(memoryview(self._data)[offset : offset + length])
 
     def write(self, offset: int, data: bytes) -> None:
         if offset + len(data) > len(self._data):

@@ -6,8 +6,11 @@ in steady state), the headline robustness guarantee — killing one of N
 targets mid-workload loses **zero acknowledged writes** and serves
 **zero stale reads** across the failover — plus journal-replay rejoin
 with catch-up, chain pushdown surviving promotion and reinstalling on
-the rejoined target, and whole-cluster determinism.
+the rejoined target, whole-cluster determinism, and a set-up that
+holds the index image and the zero fill once per cluster.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -26,6 +29,7 @@ from repro.core.library import index_traversal_program
 from repro.errors import Errno, InvalidArgument, RemoteError
 from repro.faults import FaultSpec
 from repro.sim import Simulator
+from repro.structures import BTree, FsBackend
 
 
 def build_cluster(shards=3, seed=11, capacity_keys=64, **kwargs):
@@ -313,6 +317,63 @@ def test_rejoin_requires_a_crashed_target():
     sim, cluster, _client = build_cluster(shards=2)
     with pytest.raises(InvalidArgument, match="not crashed"):
         sim.run_process(cluster.rejoin(0))
+
+
+# ---------------------------------------------------------------------------
+# Set-up: one index image and one zero fill per cluster
+# ---------------------------------------------------------------------------
+
+
+def test_build_index_leaves_the_state_of_a_build_per_target():
+    """One in-memory image written into every target leaves each target
+    as a page-by-page build through its own file system did."""
+    fanout = 16
+    items = [(key * 3 + 1, key)
+             for key in range(BTree.keys_for_depth(4, fanout))]
+    shared, paged = (StorageCluster(Simulator(), 4, model=NVM2_BENCH,
+                                    seed=11, capacity_keys=64)
+                     for _ in range(2))
+    root = shared.build_index("/cindex", items, fanout=fanout)
+    for ours, theirs in zip(shared.targets, paged.targets):
+        fs = theirs.kernel.fs
+        tree = BTree.build(FsBackend(fs, fs.create("/cindex")), items,
+                           fanout=fanout)
+        fs.checkpoint_sync()
+        assert tree.meta.root_offset == root
+        ours_fs = ours.kernel.fs
+        ours_inode, theirs_inode = (ours_fs.lookup("/cindex"),
+                                    fs.lookup("/cindex"))
+        assert ours_fs.read_sync(ours_inode, 0, ours_inode.size) == \
+            fs.read_sync(theirs_inode, 0, theirs_inode.size)
+        assert ours_inode.extents.extents() == theirs_inode.extents.extents()
+        # Sector 0 is the journal superblock.  It records the sequence
+        # number of the last checkpoint, and the page-by-page build
+        # opened one transaction per page; the image write opens four.
+        ours_super = ours_fs.journal.read_superblock()
+        theirs_super = fs.journal.read_superblock()
+        assert ours_super.pop("ckpt_seq") < theirs_super.pop("ckpt_seq")
+        assert ours_super == theirs_super
+        image, reference = ours_fs.media.image(), fs.media.image()
+        del image[0], reference[0]
+        assert image == reference
+
+
+def test_cluster_set_up_holds_each_byte_once():
+    """A cluster shaped like the ``cluster_ycsb`` benchmark's (4 shards,
+    3,520 keys each, a depth-4 fanout-16 index) shares one zero fill and
+    one index image among its targets.  A copy per target allocates
+    12.7 MB here; one of each, 4.3 MB."""
+    items = [(key * 3 + 1, key)
+             for key in range(BTree.keys_for_depth(4, 16))]
+    tracemalloc.start()
+    try:
+        cluster = StorageCluster(Simulator(), 4, model=NVM2_BENCH, cores=2,
+                                 capacity_keys=3520)
+        cluster.build_index("/cindex", items, fanout=16)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for page codecs and the on-disk B+-tree."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +125,20 @@ def test_build_rejects_bad_input():
         BTree.build(MemoryBackend(), [(1, 0), (1, 1)])
     with pytest.raises(InvalidArgument):
         BTree.build(MemoryBackend(), [(1, 0)], fanout=1)
+
+
+def test_memory_backend_read_copies_the_image_once():
+    """A read of the whole backend holds one copy of it at its peak."""
+    size = 1 << 20
+    backend = MemoryBackend(bytes(range(256)) * (size // 256))
+    tracemalloc.start()
+    try:
+        data = backend.read(0, size)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data == bytes(range(256)) * (size // 256)
+    assert peak < 1.25 * size
 
 
 def test_range_scan():
