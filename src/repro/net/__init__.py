@@ -6,9 +6,9 @@ round trip per pointer hop pays the network latency k times, while
 pushing the verified BPF chain to the target pays it once.  This
 package reproduces that shape on top of the existing chain engine:
 
-* :mod:`~repro.net.fabric` — :class:`NetworkFabric`, a latency /
-  bandwidth / jitter model on the discrete-event simulator, with
-  fault-plan drop/delay episodes.
+* :mod:`~repro.net.fabric` — :class:`NetworkFabric`, a latency and
+  serialization model on the discrete-event simulator in which each
+  link delivers in send order, with fault-plan drop/delay episodes.
 * :mod:`~repro.net.wire` — length-prefixed frames and the op table
   (each of the eight ops declared once; both body codecs derive from
   it); programs cross the wire in the real 8-byte eBPF slot encoding.

@@ -2,11 +2,11 @@
 
 A :class:`Connection` is one client's point-to-point session with a
 storage target: two unidirectional fabric links (``c2s`` requests,
-``s2c`` replies), a client-side demultiplexer matching replies to
-pending request ids, and a bounded *in-flight window* (a one-per-slot
-:class:`~repro.sim.resources.Resource`) so a client can never have more
-than ``window`` RPCs outstanding — the flow-control half of a credit
-scheme.
+``s2c`` replies), a client-side reply handler matching each reply to
+its pending request id as it arrives, and a bounded *in-flight window*
+(a one-per-slot :class:`~repro.sim.resources.Resource`) so a client
+can never have more than ``window`` RPCs outstanding — the
+flow-control half of a credit scheme.
 
 Reliability is end-to-end, client-driven:
 
@@ -18,7 +18,7 @@ Reliability is end-to-end, client-driven:
   **not** executed twice, which is what makes non-idempotent ops
   (WRITE, INSTALL_CHAIN, chains with side effects) safe under loss.
 * A reply that arrives after the client gave up (or after a duplicate
-  reply) is dropped by the demultiplexer.
+  reply) is dropped by the reply handler.
 
 Everything is emitted to the trace bus as ``net_rpc_send`` /
 ``net_rpc_recv`` / ``net_retry`` events, all behind the
@@ -60,10 +60,9 @@ class Connection:
         self.dedup_capacity = dedup_capacity
         self.c2s = fabric.new_link(f"{name}/c2s")
         self.s2c = fabric.new_link(f"{name}/s2c")
-        self._client_rx: Store = Store(self.sim, name=f"{name}/client-rx")
         self._server_rx: Store = Store(self.sim, name=f"{name}/server-rx")
         self.c2s.deliver = self._server_rx.put
-        self.s2c.deliver = self._client_rx.put
+        self.s2c.deliver = self._on_reply
         self.window = Resource(self.sim, window, name=f"{name}/window")
         self._pending: Dict[int, Event] = {}
         self._next_id = 1
@@ -83,7 +82,6 @@ class Connection:
         self.dropped_requests = 0
         self.bad_frames = 0
         self.max_inflight = 0
-        self.sim.spawn(self._demux(), name=f"{name}/demux")
 
     # ------------------------------------------------------------------
     # Client side
@@ -141,27 +139,25 @@ class Connection:
             yield sim.timeout(backoff)
             attempt += 1
 
-    def _demux(self):
-        """Match reply frames to pending calls; drop stale duplicates."""
-        while True:
-            frame = yield self._client_rx.get()
-            try:
-                op, status, request_id, body = decode_frame(frame)
-            except FramingError:
-                self.bad_frames += 1
-                continue
-            event = self._pending.pop(request_id, None)
-            if event is None:
-                # The call gave up, or a duplicate reply already won.
-                self.stale_replies += 1
-                continue
-            if self.bus.enabled:
-                self.bus.emit(obs_events.NET_RPC_RECV, self.sim.now,
-                              op=OP_NAMES.get(op & ~REPLY, "?"),
-                              request_id=request_id, bytes=len(frame),
-                              side="client", dup=False,
-                              inflight=len(self._pending))
-            event.succeed((status, body))
+    def _on_reply(self, frame: bytes) -> None:
+        """Match a reply frame to its pending call; drop stale duplicates."""
+        try:
+            op, status, request_id, body = decode_frame(frame)
+        except FramingError:
+            self.bad_frames += 1
+            return
+        event = self._pending.pop(request_id, None)
+        if event is None:
+            # The call gave up, or a duplicate reply already won.
+            self.stale_replies += 1
+            return
+        if self.bus.enabled:
+            self.bus.emit(obs_events.NET_RPC_RECV, self.sim.now,
+                          op=OP_NAMES.get(op & ~REPLY, "?"),
+                          request_id=request_id, bytes=len(frame),
+                          side="client", dup=False,
+                          inflight=len(self._pending))
+        event.succeed((status, body))
 
     # ------------------------------------------------------------------
     # Target side

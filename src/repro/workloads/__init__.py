@@ -1,20 +1,18 @@
 """Workload generators for the experiments.
 
-* :mod:`~repro.workloads.keys` — key-popularity distributions (uniform,
-  zipfian with the YCSB parameterisation, latest).
+* :mod:`~repro.workloads.keys` — the scrambled zipfian key distribution
+  with the YCSB parameterisation.
 * :mod:`~repro.workloads.ycsb` — YCSB-style mixed operation streams,
   including the exact 40 % read / 40 % update / 20 % insert zipf(0.7) mix
   the paper runs against TokuDB for its extent-stability measurement.
 """
 
-from repro.workloads.keys import LatestGenerator, UniformGenerator, ZipfianGenerator
+from repro.workloads.keys import ZipfianGenerator
 from repro.workloads.ycsb import Operation, OpType, YcsbWorkload, WORKLOAD_MIXES
 
 __all__ = [
-    "LatestGenerator",
     "Operation",
     "OpType",
-    "UniformGenerator",
     "WORKLOAD_MIXES",
     "YcsbWorkload",
     "ZipfianGenerator",

@@ -1,6 +1,6 @@
-"""Key-popularity distributions.
+"""Key popularity: the scrambled zipfian distribution YCSB draws from.
 
-The zipfian generator uses the standard YCSB/Gray et al. rejection-free
+The generator uses the standard YCSB/Gray et al. rejection-free
 construction (precomputed harmonic constants), so ``theta=0.7`` here means
 the same skew the paper's YCSB configuration means.
 """
@@ -11,25 +11,7 @@ import random
 
 from repro.errors import InvalidArgument
 
-__all__ = ["LatestGenerator", "UniformGenerator", "ZipfianGenerator"]
-
-
-class UniformGenerator:
-    """Uniform keys over [0, item_count)."""
-
-    def __init__(self, item_count: int, rng: random.Random):
-        if item_count < 1:
-            raise InvalidArgument("item_count must be >= 1")
-        self.item_count = item_count
-        self.rng = rng
-
-    def next_key(self) -> int:
-        return self.rng.randrange(self.item_count)
-
-    def grow(self, new_count: int) -> None:
-        if new_count < self.item_count:
-            raise InvalidArgument("item_count cannot shrink")
-        self.item_count = new_count
+__all__ = ["ZipfianGenerator"]
 
 
 class ZipfianGenerator:
@@ -41,14 +23,13 @@ class ZipfianGenerator:
     """
 
     def __init__(self, item_count: int, rng: random.Random,
-                 theta: float = 0.99, scrambled: bool = True):
+                 theta: float = 0.99):
         if item_count < 1:
             raise InvalidArgument("item_count must be >= 1")
         if not 0.0 < theta < 1.0:
             raise InvalidArgument("theta must be in (0, 1)")
         self.rng = rng
         self.theta = theta
-        self.scrambled = scrambled
         self._set_count(item_count)
 
     def _set_count(self, item_count: int) -> None:
@@ -76,8 +57,6 @@ class ZipfianGenerator:
 
     def next_key(self) -> int:
         rank = min(self.next_rank(), self.item_count - 1)
-        if not self.scrambled:
-            return rank
         return (rank * 0x9E3779B97F4A7C15 % (2**64)) % self.item_count
 
     def grow(self, new_count: int) -> None:
@@ -95,23 +74,3 @@ class ZipfianGenerator:
         self.item_count = new_count
         self._eta = (1 - (2.0 / new_count) ** (1 - self.theta)) / \
                     (1 - self._zeta2 / self._zetan)
-
-
-class LatestGenerator:
-    """Skewed toward recently inserted keys (YCSB's 'latest')."""
-
-    def __init__(self, item_count: int, rng: random.Random,
-                 theta: float = 0.99):
-        self._zipf = ZipfianGenerator(item_count, rng, theta,
-                                      scrambled=False)
-
-    @property
-    def item_count(self) -> int:
-        return self._zipf.item_count
-
-    def next_key(self) -> int:
-        rank = min(self._zipf.next_rank(), self.item_count - 1)
-        return self.item_count - 1 - rank
-
-    def grow(self, new_count: int) -> None:
-        self._zipf.grow(new_count)

@@ -26,9 +26,11 @@ from repro.errors import (
 from repro.faults import FaultPlan, FaultSpec
 from repro.kernel import KernelConfig
 from repro.net import NetConfig, NetworkFabric, StorageTarget, wire
+from repro.net.fabric import serialize_ns
 from repro.qos import QosConfig, Tenant
 from repro.sim import Simulator
 from repro.structures.pages import PAGE_SIZE
+from shuffled_dispatch import shuffle_immediate
 
 
 def build_rig(rtt_us=20, seed=7, plan=None, **conn_kwargs):
@@ -502,13 +504,12 @@ def test_drop_recovery_executes_exactly_once():
     assert connection.dedup_hits > 0
 
 
-def test_dedup_cache_evicts_lru_not_insertion_order():
-    # Regression: with a tiny cache and insertion-order eviction, a
-    # request id the client is *still retransmitting* gets displaced by
-    # newer traffic and the op re-executes — breaking exactly-once.
-    # The LRU touch on a dedup hit keeps the hot id alive instead.
+def _dedup_lru_scenario(seed=None):
+    """Five sends through a 2-entry dedup cache; ``seed`` shuffles dispatch."""
     sim, target, fabric, connection, _client = build_rig(dedup_capacity=2)
     target.create_file("/data", bytes(8192))
+    if seed is not None:
+        shuffle_immediate(sim, seed)
 
     def send(request_id):
         frame = wire.encode_frame(wire.OP_READ, request_id,
@@ -526,6 +527,21 @@ def test_dedup_cache_evicts_lru_not_insertion_order():
     assert target.executed == {"read": 3}        # never re-executed
     assert connection.dedup_hits == 2
     assert connection.dedup_evictions == 1
+
+
+def test_dedup_cache_evicts_lru_not_insertion_order():
+    # Regression: with a tiny cache and insertion-order eviction, a
+    # request id the client is *still retransmitting* gets displaced by
+    # newer traffic and the op re-executes — breaking exactly-once.
+    # The LRU touch on a dedup hit keeps the hot id alive instead.
+    _dedup_lru_scenario()
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_dedup_cache_evicts_lru_under_shuffled_dispatch(seed):
+    # The scenario relies on the five requests arriving in send order;
+    # that is the link's rule, not an accident of same-instant dispatch.
+    _dedup_lru_scenario(seed)
 
 
 def test_persistent_loss_raises_rpc_timeout():
@@ -657,54 +673,46 @@ def test_inflight_window_bounds_concurrency():
 
 
 def test_serialization_queues_behind_earlier_frames():
-    config = NetConfig(one_way_ns=0, gbit_per_s=1.0)  # 8 ns per byte
-    assert config.serialize_ns(1000) == 8000
+    assert serialize_ns(1000) == 80  # 100 Gbit/s: 0.08 ns per byte
     sim = Simulator()
-    fabric = NetworkFabric(sim, config)
+    fabric = NetworkFabric(sim, NetConfig(one_way_ns=0))
     link = fabric.new_link("wire")
     arrivals = []
     link.deliver = lambda frame: arrivals.append((sim.now, len(frame)))
     fabric.transmit(link, bytes(1000))
     fabric.transmit(link, bytes(1000))
     sim.run(until=100_000)
-    # The second frame waits for the first to clock out: 8 us then 16 us.
-    assert arrivals == [(8000, 1000), (16000, 1000)]
+    # The second frame waits for the first to clock out: 80 ns then 160.
+    assert arrivals == [(80, 1000), (160, 1000)]
     assert link.bytes_sent == 2000
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_link_delivers_in_send_order(seed):
+    # Frames sent at one instant leave the link in send order however
+    # the engine orders that instant's ready events.
+    sim = Simulator()
+    fabric = NetworkFabric(sim, NetConfig(one_way_ns=5_000))
+    link = fabric.new_link("wire")
+    arrivals = []
+    link.deliver = arrivals.append
+    shuffle_immediate(sim, seed)
+    frames = [bytes([index]) * 100 for index in range(8)]
+    for frame in frames:
+        fabric.transmit(link, frame)
+    sim.run()
+    assert arrivals == frames
 
 
 def test_net_config_validation():
     with pytest.raises(InvalidArgument, match="one_way_ns"):
         NetConfig(one_way_ns=-1)
-    with pytest.raises(InvalidArgument, match="gbit_per_s"):
-        NetConfig(gbit_per_s=0)
-    with pytest.raises(InvalidArgument, match="jitter"):
-        NetConfig(jitter=1.5)
     with pytest.raises(InvalidArgument, match="window"):
         build_rig(window=0)
     with pytest.raises(InvalidArgument, match="no receiver"):
         sim = Simulator()
         fabric = NetworkFabric(sim, NetConfig())
         fabric.transmit(fabric.new_link("dangling"), b"frame")
-
-
-def test_jitter_is_deterministic_and_bounded():
-    def run(seed):
-        sim = Simulator()
-        fabric = NetworkFabric(sim, NetConfig(one_way_ns=10_000,
-                                              jitter=0.5, seed=seed))
-        link = fabric.new_link("wire")
-        arrivals = []
-        link.deliver = lambda frame: arrivals.append(sim.now)
-        for _ in range(20):
-            fabric.transmit(link, bytes(100))
-        sim.run(until=10_000_000)
-        return arrivals
-
-    first, second = run(5), run(5)
-    assert first == second
-    assert run(5) != run(6)
-    # Jitter only ever adds: no frame arrives before the base latency.
-    assert all(now >= 10_000 for now in first)
 
 
 # ---------------------------------------------------------------------------

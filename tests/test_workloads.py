@@ -5,32 +5,11 @@ from collections import Counter
 
 from repro.errors import InvalidArgument
 from repro.sim import RandomStreams
-from repro.workloads import (
-    LatestGenerator,
-    OpType,
-    UniformGenerator,
-    YcsbWorkload,
-    ZipfianGenerator,
-)
+from repro.workloads import OpType, YcsbWorkload, ZipfianGenerator
 
 
 def rng(name="w"):
     return RandomStreams(11).stream(name)
-
-
-def test_uniform_covers_range():
-    gen = UniformGenerator(100, rng())
-    keys = {gen.next_key() for _ in range(5000)}
-    assert min(keys) >= 0 and max(keys) < 100
-    assert len(keys) == 100
-
-
-def test_uniform_grow():
-    gen = UniformGenerator(10, rng())
-    gen.grow(20)
-    assert gen.item_count == 20
-    with pytest.raises(InvalidArgument):
-        gen.grow(5)
 
 
 def test_zipfian_keys_in_range():
@@ -40,25 +19,24 @@ def test_zipfian_keys_in_range():
 
 
 def test_zipfian_is_skewed():
-    gen = ZipfianGenerator(10_000, rng(), theta=0.99, scrambled=False)
-    counts = Counter(gen.next_key() for _ in range(20_000))
-    top_share = sum(count for key, count in counts.items()
-                    if key < 100) / 20_000
+    gen = ZipfianGenerator(10_000, rng(), theta=0.99)
+    counts = Counter(gen.next_rank() for _ in range(20_000))
+    top_share = sum(count for rank, count in counts.items()
+                    if rank < 100) / 20_000
     assert top_share > 0.4  # the hottest 1% of ranks dominate
 
 
 def test_zipfian_lower_theta_is_less_skewed():
     def top_share(theta):
-        gen = ZipfianGenerator(10_000, rng(f"t{theta}"), theta=theta,
-                               scrambled=False)
-        counts = Counter(gen.next_key() for _ in range(20_000))
-        return sum(c for k, c in counts.items() if k < 100) / 20_000
+        gen = ZipfianGenerator(10_000, rng(f"t{theta}"), theta=theta)
+        counts = Counter(gen.next_rank() for _ in range(20_000))
+        return sum(c for rank, c in counts.items() if rank < 100) / 20_000
 
     assert top_share(0.5) < top_share(0.95)
 
 
 def test_zipfian_scrambles_hot_keys_across_space():
-    gen = ZipfianGenerator(10_000, rng(), theta=0.99, scrambled=True)
+    gen = ZipfianGenerator(10_000, rng(), theta=0.99)
     counts = Counter(gen.next_key() for _ in range(20_000))
     hottest = counts.most_common(5)
     assert max(key for key, _count in hottest) > 1000
@@ -77,12 +55,6 @@ def test_zipfian_validation():
         ZipfianGenerator(0, rng())
     with pytest.raises(InvalidArgument):
         ZipfianGenerator(10, rng(), theta=1.5)
-
-
-def test_latest_prefers_recent_keys():
-    gen = LatestGenerator(1000, rng(), theta=0.99)
-    keys = [gen.next_key() for _ in range(5000)]
-    assert sum(1 for key in keys if key > 900) / len(keys) > 0.4
 
 
 def test_ycsb_paper_mix_fractions():
