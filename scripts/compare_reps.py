@@ -16,10 +16,13 @@ of a pair sit seconds apart, inside one phase.
 Printed per side: rep wall seconds (min, quartiles), ``ops/s`` from the
 fast-quartile rep as ``host_ops_per_s`` computes it, and the rep pairs
 won; then parent/change ratios of the minima, the fast quartiles and
-the medians; then each side's peak RSS after its reps (``ru_maxrss`` of
-its interpreter, as ``host_peak_rss_mb`` reads it); last a verdict line: "gain" only if at least ten pairs ran,
-the change won at least nine tenths of them and the medians differ by
-more than the parent's interquartile spread (:func:`verdict`).
+the medians; then each side's peak RSS (``ru_maxrss`` of its
+interpreter, as ``host_peak_rss_mb`` reads it) after set-up and the
+warm-up rep, and again after its reps, so one sees whether a workload's
+peak is set at set-up or grows with the reps; last a verdict line:
+"gain" only if at least ten pairs ran, the change won at least nine
+tenths of them and the medians differ by more than the parent's
+interquartile spread (:func:`verdict`).
 
 Exit codes: 0 compared; 1 the two sides' ``Rep.signature()`` differ (a
 simulated number moved), a rep failed or an interpreter died; 2 a
@@ -109,9 +112,10 @@ def quartiles(walls: List[float]):
             ordered[3 * len(ordered) // 4])
 
 
-def peak_rss_line(parent_mb: float, change_mb: float) -> str:
-    """Each side's peak RSS in MB after its reps, and their ratio."""
-    return (f"  peak RSS (ru_maxrss after the reps): parent "
+def peak_rss_line(parent_mb: float, change_mb: float,
+                  when: str = "after the reps") -> str:
+    """Each side's peak RSS in MB at ``when``, and their ratio."""
+    return (f"  peak RSS (ru_maxrss {when}): parent "
             f"{parent_mb:.1f} MB  change {change_mb:.1f} MB  parent / "
             f"change x{parent_mb / change_mb:.2f}")
 
@@ -156,6 +160,7 @@ def compare(args) -> int:
     try:
         same = sides[0].result()["signature"] \
             == sides[1].result()["signature"]  # the warm-up reps
+        warm_rss = [side.last["peak_rss_mb"] for side in sides]
         for pair in range(args.reps):
             if not same:
                 break
@@ -186,6 +191,7 @@ def compare(args) -> int:
                                     quartiles(sides[0].walls),
                                     quartiles(sides[1].walls)):
         print(f"  parent / change on {what}: x{parent / change:.2f}")
+    print(peak_rss_line(*warm_rss, when="after set-up and the warm-up rep"))
     print(peak_rss_line(*(side.last["peak_rss_mb"] for side in sides)))
     print(verdict(sides[0].walls, sides[1].walls, sides[1].won))
     return 0

@@ -211,7 +211,7 @@ class BtreeBench:
         self.bpf = StorageBpf(self.kernel)
         self.vm_mode = vm_mode
         self.tree = load_btree(self.kernel.fs, "/index", depth)
-        self.keys = [key * 3 + 1 for key in range(num_keys)]
+        self.keys = range(1, 3 * num_keys + 1, 3)  # key 3k + 1 for each k
         self.program = _bench_program(self.fanout)
         if not self.program.verified:
             self.bpf.verify_program(self.program)

@@ -17,6 +17,7 @@ kernel" of §4.
 
 from __future__ import annotations
 
+import io
 import struct
 from typing import List, Optional, Tuple
 
@@ -133,26 +134,39 @@ class FileBackend:
 
 
 class MemoryBackend(FileBackend):
-    """An in-memory backend for structure unit tests."""
+    """A file held in memory, in one growable buffer.
+
+    Every in-memory image is built here: each B-tree image
+    (:meth:`~repro.structures.btree.BTree.build_image`, so every tree
+    load and a cluster's index) and compaction's output table.  A read of
+    the whole file hands over the buffer itself, with no copy; a partial
+    read copies only its range; and a write after a whole read copies the
+    buffer first, so bytes a read returned never change.
+    """
 
     def __init__(self, data: bytes = b""):
-        self._data = bytearray(data)
+        self._file = io.BytesIO(data)
 
     def read(self, offset: int, length: int) -> bytes:
-        if offset + length > len(self._data):
+        size = self.size
+        if offset + length > size:
             raise InvalidArgument(
-                f"read [{offset}, {offset + length}) beyond EOF "
-                f"({len(self._data)})")
-        return bytes(memoryview(self._data)[offset : offset + length])
+                f"read [{offset}, {offset + length}) beyond EOF ({size})")
+        if offset == 0 and length == size:
+            # CPython's getvalue() returns the buffer's own bytes object,
+            # trimmed to size, and copies it on the next write.
+            return self._file.getvalue()
+        self._file.seek(offset)
+        return self._file.read(length)
 
     def write(self, offset: int, data: bytes) -> None:
-        if offset + len(data) > len(self._data):
-            self._data.extend(bytes(offset + len(data) - len(self._data)))
-        self._data[offset : offset + len(data)] = data
+        # Past EOF the gap reads as zeros; an empty write changes nothing.
+        self._file.seek(offset)
+        self._file.write(data)
 
     @property
     def size(self) -> int:
-        return len(self._data)
+        return self._file.seek(0, io.SEEK_END)
 
 
 class FsBackend(FileBackend):

@@ -19,7 +19,8 @@ from repro.net import NetConfig, NetworkFabric, StorageTarget
 from repro.net import wire
 from repro.obs import ObsSession
 from repro.sim import Simulator
-from repro.structures import FsBackend, LsmTree, SsTable
+from repro.compact import engine as compact_engine
+from repro.structures import FsBackend, LsmTree, MemoryBackend, SsTable
 from repro.structures.lsm import TOMBSTONE
 
 
@@ -126,6 +127,33 @@ def test_offloaded_moves_5x_fewer_boundary_bytes():
     # The offloaded rewrite still moves the image — below the boundary.
     assert off_report.kernel_bytes == off_report.output_bytes
     assert off_report.chain_hops > 0
+
+
+def test_output_image_is_written_from_the_staging_buffer(monkeypatch):
+    """The output table is staged in memory and handed to ``sys_pwrite``
+    as the staging backend's own buffer, not a copy of it."""
+    sim, kernel, bpf = make_machine()
+    tree = seed_tree(kernel.fs)
+    staged, written = [], []
+
+    class Staging(MemoryBackend):
+        def __init__(self):
+            super().__init__()
+            staged.append(self)
+
+    def sys_pwrite(proc, fd, offset, data):
+        written.append(data)
+        return (yield from pwrite(proc, fd, offset, data))
+
+    pwrite = kernel.sys_pwrite
+    monkeypatch.setattr(compact_engine, "MemoryBackend", Staging)
+    monkeypatch.setattr(kernel, "sys_pwrite", sys_pwrite)
+    engine = CompactionEngine(bpf)
+    proc = engine.spawn()
+    kernel.run_syscall(engine.compact_tree(proc, tree, 0, mode="offloaded"))
+    [staging] = staged
+    [image] = written
+    assert image is staging.read(0, staging.size)
 
 
 def test_bottom_level_compaction_drops_tombstones():

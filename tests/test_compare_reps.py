@@ -2,6 +2,7 @@
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reps.py"
 _spec = importlib.util.spec_from_file_location("compare_reps", _SCRIPT)
@@ -52,3 +53,39 @@ def test_peak_rss_line_pairs_the_sides():
     line = compare_reps.peak_rss_line(70.4, 50.3)
     assert line == ("  peak RSS (ru_maxrss after the reps): parent 70.4 MB  "
                     "change 50.3 MB  parent / change x1.40")
+
+
+def test_peak_rss_lines_read_the_warm_up_reply_then_the_last(monkeypatch,
+                                                             capsys):
+    """The first RSS line is each side's peak after set-up and the warm-up
+    rep (its first reply); the second, unchanged, after its last rep."""
+
+    class Side:
+        def __init__(self, label, root, args):
+            self.label, self.walls, self.won = label, [], 0
+            self.replies = iter([40.0, 41.0, 42.0] if label == "parent"
+                                else [30.0, 33.0, 35.0])
+            self.process = SimpleNamespace(
+                stdin=SimpleNamespace(close=lambda: None), wait=lambda: 0)
+
+        def result(self):
+            self.last = {"signature": "same", "wall_s": 1.0,
+                         "ops_per_s": 1.0,
+                         "peak_rss_mb": next(self.replies)}
+            return self.last
+
+        def rep(self):
+            self.walls.append(self.result()["wall_s"])
+            return self.walls[-1]
+
+    monkeypatch.setattr(compare_reps, "Side", Side)
+    args = SimpleNamespace(parent=".", change=".", workload="btree_chain",
+                           seed=1, reps=2, quick=True)
+    assert compare_reps.compare(args) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if "peak RSS" in line]
+    assert lines == [
+        "  peak RSS (ru_maxrss after set-up and the warm-up rep): parent "
+        "40.0 MB  change 30.0 MB  parent / change x1.33",
+        "  peak RSS (ru_maxrss after the reps): parent 42.0 MB  change "
+        "35.0 MB  parent / change x1.20"]
