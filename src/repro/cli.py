@@ -36,8 +36,10 @@ Commands:
   additionally writes the ``pstats`` file any profile viewer reads.
 * ``disasm <program>`` — print a library program's verified assembly
   (index, scan, linked, merge, wisckey), each instruction annotated with
-  what the verifier's proof says of the registers it reads and marked
-  ``guarded`` where the block tier's code keeps its run-time checks.
+  what the verifier's proof says of the registers it reads, marked
+  ``guarded`` where the block tier's code keeps its run-time checks and
+  ``unboxed`` where the pointer it makes is never built (only its offset
+  is kept); the header counts both.
 * ``verify-demo`` — show the verifier accepting a safe program and
   rejecting unsafe ones, with reasons.
 """
@@ -209,30 +211,36 @@ def _cmd_disasm(args) -> int:
     from repro.core.hooks import storage_helpers
     from repro.ebpf import Vm, verify
     from repro.ebpf.disasm import disassemble
-    from repro.ebpf.vm import VmEnvironment
+    from repro.ebpf.vm import VmEnvironment, pointer_values
 
     program = _PROGRAMS[args.program]()
     helpers = storage_helpers()
     stats = verify(program, helpers, state_budget=500_000)
     inverse = {v: k for k, v in helpers.names().items()}
-    # What the proof says of the registers each instruction reads, and
-    # where the block tier's code for it keeps its run-time guards all
-    # the same (``Vm.guarded``: what this environment really compiled).
-    guarded = Vm(program, VmEnvironment(helpers), mode="block").guarded
+    # What the proof says of the registers each instruction reads, where
+    # the block tier's code for it keeps its run-time guards all the same
+    # and which pointers it never builds (``Vm.guarded``, ``Vm.unboxed``:
+    # what this environment really compiled).
+    vm = Vm(program, VmEnvironment(helpers), mode="block")
     comments = {}
     for pc, known in enumerate(program.proof.facts):
         notes = ["unreached"] if known is None else [
             f"r{reg}={fact!r}" for reg, fact in enumerate(known)
             if fact is not None]
-        if pc in guarded:
+        if pc in vm.guarded:
             notes.append("guarded")
+        if pc in vm.unboxed:
+            notes.append("unboxed")
         comments[pc] = " ".join(notes)
     memory = [pc for pc, insn in enumerate(program.instructions)
               if insn.opcode.startswith(("ldx", "st"))]
     print(f"; {program.name}: {len(program)} instructions, verified "
           f"({stats.states_explored} states explored)")
-    print(f"; {sum(pc not in guarded for pc in memory)} of {len(memory)} "
-          "memory sites proven")
+    print(f"; {sum(pc not in vm.guarded for pc in memory)} of "
+          f"{len(memory)} memory sites proven")
+    print(f"; {len(vm.unboxed)} of "
+          f"{len(pointer_values(program, program.proof.facts))} pointer "
+          "values never built")
     print(disassemble(program.instructions, helper_names=inverse,
                       comments=comments))
     return 0

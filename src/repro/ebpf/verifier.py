@@ -36,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import VerifierError
 from repro.ebpf.helpers import ArgKind, HelperRegistry, RetKind
@@ -44,7 +44,7 @@ from repro.ebpf.isa import FP_REG, Instruction, MEM_SIZES, STACK_SIZE
 from repro.ebpf.program import CtxField, FieldKind, Program
 
 __all__ = ["Proof", "Ptr", "Scalar", "VerifierStats", "Verifier",
-           "proof_context", "verify"]
+           "dead_registers", "proof_context", "registers_read", "verify"]
 
 U64_MAX = 2**64 - 1
 U32_MAX = 2**32 - 1
@@ -190,13 +190,14 @@ _UMIN, _UMAX = attrgetter("umin"), attrgetter("umax")
 _OFF_MIN, _OFF_MAX = attrgetter("off_min"), attrgetter("off_max")
 
 
-def _registers_read(insn: Instruction, helpers: HelperRegistry) -> tuple:
+def registers_read(insn: Instruction, specs: Mapping[int, object]) -> tuple:
     """The registers whose values decide what ``insn`` does: a load's base,
     a store's base and stored register, both operands of an ALU operation
-    or a branch, the arguments the called helper's spec names."""
+    or a branch, the arguments the called helper's spec (in ``specs``, by
+    helper id) names."""
     op = insn.opcode
     if op == "call":
-        spec = helpers.specs.get(insn.imm)
+        spec = specs.get(insn.imm)
         return tuple(range(1, 1 + len(spec.args))) if spec else ()
     if op in ("exit", "ja", "lddw"):
         return ()
@@ -212,11 +213,11 @@ def _registers_read(insn: Instruction, helpers: HelperRegistry) -> tuple:
     return (insn.dst, insn.src) if insn.src_is_reg else (insn.dst,)
 
 
-def _dead_registers(instructions, helpers: HelperRegistry) -> List[tuple]:
+def dead_registers(instructions, specs: Mapping[int, object]) -> List[tuple]:
     """Per pc, the registers no path from there reads before writing.
 
     One backward fixpoint over the control-flow graph.  An instruction
-    uses what `_registers_read` names, plus r0 at ``exit`` (the exit
+    uses what `registers_read` names, plus r0 at ``exit`` (the exit
     check reads it); a ``call`` defines r0-r5, an ALU operation, a load
     and ``lddw`` define ``dst``, and stores and jumps define nothing.
     r10 is never dead.
@@ -226,7 +227,7 @@ def _dead_registers(instructions, helpers: HelperRegistry) -> List[tuple]:
     for pc, insn in enumerate(instructions):
         op = insn.opcode
         used = 0
-        for reg in _registers_read(insn, helpers):
+        for reg in registers_read(insn, specs):
             used |= 1 << reg
         base = op[:-2] if op.endswith("32") else op
         if op == "call":
@@ -456,7 +457,7 @@ class Verifier:
         recorded: List[Optional[_Recorded]] = [None] * insn_count
         for pc in self._prune_points():
             recorded[pc] = _Recorded()
-        dead = _dead_registers(instructions, self.helpers)
+        dead = dead_registers(instructions, self.helpers.specs)
         # The registers of every state stepped at each pc: what the
         # proof's facts join.
         explored: List[List[tuple]] = [[] for _ in instructions]
@@ -541,7 +542,7 @@ class Verifier:
                 facts.append(None)
                 continue
             known: List[object] = [None] * 11
-            for reg in _registers_read(insn, self.helpers):
+            for reg in registers_read(insn, self.helpers.specs):
                 known[reg] = _join([regs[reg] for regs in seen])
             facts.append(tuple(known))
         return tuple(facts)

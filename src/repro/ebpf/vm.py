@@ -38,6 +38,13 @@ keep their checks even under a proof, and why:
   r0 at exit, the helpers' own ``mem_read`` / ``mem_write`` bounds, and
   those entry checks themselves, on which the unguarded sites rest.
 
+A proven site of 2, 4 or 8 bytes is one call to a precompiled
+little-endian `struct.Struct` method.  Inside one basic block, a proven
+pointer into a region sized at entry may live as a bare offset local
+instead of a :class:`Pointer`: where nothing but proven sites and bare
+``pointer +/- scalar`` read it before it is overwritten or dies (see
+`_unboxed`; ``Vm.unboxed`` lists those pcs).
+
 The context struct is special-cased: loads of pointer-kind fields (per the
 program's :class:`~repro.ebpf.program.CtxLayout`) materialise pointers to
 the buffer regions the hook passed in, and stores are only allowed to
@@ -46,6 +53,7 @@ fields the layout marks writable.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -55,7 +63,8 @@ from repro.ebpf.helpers import ArgKind, HelperRegistry, HelperSpec, RetKind
 from repro.ebpf.isa import FP_REG, MEM_SIZES, STACK_SIZE
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import FieldKind, Program
-from repro.ebpf.verifier import Ptr, Scalar, proof_context
+from repro.ebpf.verifier import (Ptr, Scalar, dead_registers, proof_context,
+                                 registers_read)
 
 __all__ = ["ExecutionResult", "Pointer", "Region", "Vm", "VmEnvironment"]
 
@@ -163,9 +172,13 @@ class Vm:
         #: Block tier: the pcs whose generated code keeps run-time guards
         #: (every checked site, without a proof that covers this Vm).
         self.guarded: frozenset = frozenset()
+        #: Block tier: the pcs whose pointer the generated code never
+        #: builds, keeping only its offset (see `_unboxed`).
+        self.unboxed: frozenset = frozenset()
         if mode == "block":
             binder = _binder_for(self)
             self.guarded = binder.guarded
+            self.unboxed = binder.unboxed
             self._compiled = binder(self)
 
     def trace_append(self, value: int) -> None:
@@ -671,9 +684,13 @@ def _step(state: _RunState, insn, pc: int) -> Optional[int]:
 # emits one of two things.  Where the facts cover the site, the bare
 # operation: a ctx access at a proven constant offset resolves its field
 # now, a load or store proven inside a region `Vm.run` sizes at entry
-# indexes the region's buffer (``_D_<region>``, bound in the prologue),
-# scalar ALU operations and branches lose their class tests and provably
+# addresses the region's buffer (``_D_<region>``, bound in the prologue),
+# both by one `_PACKERS` call (or an index, for a byte), scalar ALU
+# operations and branches lose their class tests and provably
 # idle masks, a call with proven argument classes loses its guard.
+# A pointer the proof places in such a region, read only for its offset
+# before it dies inside its block, is never built: the offset local
+# ``_q<reg>`` stands in for it (`_unboxed` decides).
 # Everywhere else, the guarded form: fast paths behind exact ``__class__
 # is int`` / ``is Pointer`` tests that keep every region check
 # (readable/writable, bounds against ``len(region.data)``, ctx field
@@ -687,6 +704,12 @@ def _step(state: _RunState, insn, pc: int) -> Optional[int]:
 
 #: Consecutive blocks per leaf of the dispatch tree (linear inside a leaf).
 _LEAF_BLOCKS = 8
+
+#: Little-endian unsigned access by size for proven sites, bound into the
+#: generated function: ``_L8(buffer, offset)[0]`` reads 8 bytes and
+#: ``_S8(buffer, offset, value)`` writes them, allocating nothing.
+_PACKERS = {size: struct.Struct("<" + code)
+            for size, code in ((2, "H"), (4, "I"), (8, "Q"))}
 
 # Int-only expression templates.  They reproduce `_alu`'s results exactly
 # for in-range integer operands (see the invariant above), skipping masks
@@ -742,51 +765,69 @@ _NOTHING_KNOWN = (None,) * 11
 _ALL_REGS = ", ".join(f"r{reg}" for reg in range(11))
 
 
+def _source(insn, known: tuple) -> Tuple[str, Any]:
+    """The second operand of an ALU operation or a branch: what the
+    generated code calls it, and its fact."""
+    if insn.src_is_reg:
+        return f"r{insn.src}", known[insn.src]
+    imm = insn.imm & U64
+    return str(imm), Scalar(imm, imm)
+
+
 def _bare_alu(base: str, is32: bool, d: str, s: str, a: Any,
               b: Any) -> Optional[str]:
     """The result as one unguarded expression, if the facts ``a`` and ``b``
-    of the two operands (named ``d`` and ``s``) decide which it is."""
-    if type(a) is Scalar and type(b) is Scalar:
-        if is32:
-            return _EXPR32[base].format(a=d, b=s)
-        # The ``& U64`` goes where the ranges prove it a no-op.
-        if base == "add" and a.umax + b.umax <= U64:
-            return f"{d} + {s}"
-        if base == "sub" and a.umin >= b.umax:
-            return f"{d} - {s}"
-        if base == "mul" and a.umax * b.umax <= U64:
-            return f"{d} * {s}"
-        if base == "lsh" and b.const is not None:
-            shift = b.const & 63
-            fits = a.umax << shift <= U64
-            return f"{d} << {shift}" if fits else f"({d} << {shift}) & U64"
-        return _EXPR64[base].format(a=d, b=s)
+    of the two operands (named ``d`` and ``s``) prove both scalars."""
+    if type(a) is not Scalar or type(b) is not Scalar:
+        return None
+    if is32:
+        return _EXPR32[base].format(a=d, b=s)
+    # The ``& U64`` goes where the ranges prove it a no-op.
+    if base == "add" and a.umax + b.umax <= U64:
+        return f"{d} + {s}"
+    if base == "sub" and a.umin >= b.umax:
+        return f"{d} - {s}"
+    if base == "mul" and a.umax * b.umax <= U64:
+        return f"{d} * {s}"
+    if base == "lsh" and b.const is not None:
+        shift = b.const & 63
+        fits = a.umax << shift <= U64
+        return f"{d} << {shift}" if fits else f"({d} << {shift}) & U64"
+    return _EXPR64[base].format(a=d, b=s)
+
+
+def _pointer_move(base: str, is32: bool, insn,
+                  known: tuple) -> Optional[Tuple[int, str]]:
+    """If the facts prove the ALU operation ``insn`` a bare ``pointer +/-
+    scalar``: the register holding the pointer, and what moves its offset
+    (`` + r2``, `` + (16)``).  The signed reading of the scalar goes where
+    the range proves it non-negative, and is folded into a constant."""
     if is32 or base not in ("add", "sub"):
         return None
-    # pointer +/- scalar; the signed reading of the scalar goes where the
-    # range proves it non-negative, and is folded into a constant.
+    s, b = _source(insn, known)
+    a = known[insn.dst]
     if type(a) is Ptr and type(b) is Scalar:
-        ptr, scalar, delta = d, b, s
+        ptr, scalar, delta = insn.dst, b, s
     elif base == "add" and type(a) is Scalar and type(b) is Ptr:
-        ptr, scalar, delta = s, a, d
+        ptr, scalar, delta = insn.src, a, f"r{insn.dst}"
     else:
         return None
     if scalar.const is not None:
         moved = _s64(scalar.const)
-        return f"Pointer({ptr}.region, {ptr}.offset + " \
-               f"({moved if base == 'add' else -moved}))"
+        return ptr, f" + ({moved if base == 'add' else -moved})"
     if scalar.umax >= 2**63:
         delta = _SIGNED.format(v=delta)
-    return f"Pointer({ptr}.region, {ptr}.offset " \
-           f"{'+' if base == 'add' else '-'} {delta})"
+    return ptr, f" {'+' if base == 'add' else '-'} {delta}"
 
 
 def _emit_alu(out: List[str], pad: str, insn, pc: int, base: str,
-              is32: bool, known: tuple) -> bool:
+              is32: bool, known: tuple, memory: "_Memory",
+              unbox: bool) -> bool:
     """Emit one ALU instruction; True if its code keeps run-time guards.
 
     ``known`` is the proof's fact per register at this pc (all None
-    without a proof); so for every emitter below.
+    without a proof); so for every emitter below.  ``unbox``: the pointer
+    this pc makes is kept as the offset local ``_q<dst>`` (see `_unboxed`).
     """
     if insn.dst == FP_REG:
         out.append(f"{pad}raise VmFault('write to frame pointer r10', {pc})")
@@ -814,11 +855,20 @@ def _emit_alu(out: List[str], pad: str, insn, pc: int, base: str,
         out.append(f"{pad}{d} = {fast} if {d}.__class__ is int else "
                    f"_alu(state, 'neg', {is32}, {d}, 0, {pc})")
         return True
-    if insn.src_is_reg:
-        s, src_fact = f"r{insn.src}", known[insn.src]
-    else:
-        s = str(insn.imm & U64)
-        src_fact = Scalar(insn.imm & U64, insn.imm & U64)
+    move = _pointer_move(base, is32, insn, known)
+    if move is not None:
+        ptr, delta = move
+        offset = memory.offset_of(ptr) + delta
+        if unbox:
+            out.append(f"{pad}_q{insn.dst} = {offset}")
+        elif ptr in memory.held:
+            region = memory.held[ptr]
+            memory.bound.add(region)
+            out.append(f"{pad}{d} = Pointer(_R_{region}, {offset})")
+        else:
+            out.append(f"{pad}{d} = Pointer(r{ptr}.region, {offset})")
+        return False
+    s, src_fact = _source(insn, known)
     bare = _bare_alu(base, is32, d, s, known[insn.dst], src_fact)
     if bare is not None:
         out.append(f"{pad}{d} = {bare}")
@@ -857,13 +907,10 @@ def _jump_test(insn, pc: int, op: str, known: tuple) -> Tuple[str, bool]:
     """The branch condition of a conditional jump, as one expression, and
     whether it keeps its class guard."""
     d = f"r{insn.dst}"
+    s, src_fact = _source(insn, known)
+    guard = f"{d}.__class__ is int"
     if insn.src_is_reg:
-        s, src_fact = f"r{insn.src}", known[insn.src]
-        guard = f"{d}.__class__ is int and {s}.__class__ is int"
-    else:
-        s = str(insn.imm & U64)
-        src_fact = Scalar(insn.imm & U64, insn.imm & U64)
-        guard = f"{d}.__class__ is int"
+        guard += f" and {s}.__class__ is int"
     dst_fact = known[insn.dst]
     if type(dst_fact) is Scalar and type(src_fact) is Scalar:
         if dst_fact.umax < 2**63 and src_fact.umax < 2**63:
@@ -883,7 +930,9 @@ class _Memory:
     ``region_size`` long.  The stack (spilled-pointer rules) and map values
     (no entry check covers their size) are not among them, so their sites
     keep every guard.  ``bound`` collects the regions the emitted code does
-    address directly, for the function's prologue to bind.
+    address directly, for the function's prologue to bind.  ``held`` maps
+    each register whose pointer the current block keeps as the offset
+    local ``_q<reg>`` to the pointer's region.
     """
 
     def __init__(self, layout):
@@ -896,6 +945,7 @@ class _Memory:
         self.sized = {name: fields[0] for name, fields in named.items()
                       if len(fields) == 1 and name.isidentifier()}
         self.bound: set = set()
+        self.held: Dict[int, str] = {}
 
     def ctx_field(self, base: Any, offset: int, size: int):
         """The field an access through the fact ``base`` lands on exactly,
@@ -905,40 +955,63 @@ class _Memory:
             return None
         return self.fields.get((base.off_min + offset, size))
 
-    def site(self, out: List[str], pad: str, p: str, base: Any, offset: int,
-             size: int, write: bool) -> Optional[str]:
-        """The bytes an access through register ``p`` names, as a target
-        (``ctx[40:48]``, ``_D_data[_o:_o + 8]``), if the fact ``base``
-        proves them inside a scalar ctx field or a region sized at entry,
-        writable if ``write``; else None, and the site keeps its guards."""
+    def pointer_field(self, base: Any, offset: int, size: int
+                      ) -> Optional[str]:
+        """The region a load through the fact ``base`` reads the pointer
+        to, if it is a ctx pointer field to a region sized at entry."""
+        ctx_field = self.ctx_field(base, offset, size)
+        if ctx_field is None or ctx_field.region not in self.sized:
+            return None
+        return ctx_field.region
+
+    def is_sized(self, fact: Any) -> bool:
+        """True if ``fact`` is a pointer into a region sized at entry."""
+        return type(fact) is Ptr and fact.region in self.sized and \
+            self.sized[fact.region].region_size == fact.size
+
+    def proven(self, base: Any, offset: int, size: int,
+               write: bool) -> Optional[str]:
+        """The buffer an access through the fact ``base`` addresses
+        (``ctx``, ``_D_data``), if the fact proves the bytes inside a
+        scalar ctx field or a region sized at entry, writable if
+        ``write``; else None, and the site keeps its guards."""
         ctx_field = self.ctx_field(base, offset, size)
         if ctx_field is not None:
             if ctx_field.kind is not FieldKind.SCALAR:
                 return None
             buffer = "ctx"
         else:
-            if type(base) is not Ptr:
-                return None
-            ctx_field = self.sized.get(base.region)
-            if ctx_field is None or ctx_field.region_size != base.size or \
-                    base.off_min + offset < 0 or \
+            if not self.is_sized(base) or base.off_min + offset < 0 or \
                     base.off_max + offset + size > base.size:
                 return None
+            ctx_field = self.sized[base.region]
             buffer = f"_D_{base.region}"
         if write and not ctx_field.writable:
+            return None
+        return buffer
+
+    def offset_of(self, reg: int) -> str:
+        """The offset of the pointer in ``reg``, as an expression."""
+        return f"_q{reg}" if reg in self.held else f"r{reg}.offset"
+
+    def site(self, reg: int, base: Any, offset: int, size: int,
+             write: bool) -> Optional[Tuple[str, str]]:
+        """The buffer and the byte offset an access through register
+        ``reg`` names (``ctx``, ``40``; ``_D_data``, ``_q2 + 8``), if it is
+        `proven`; else None."""
+        buffer = self.proven(base, offset, size, write)
+        if buffer is None:
             return None
         if buffer != "ctx":
             self.bound.add(base.region)
         if base.off_min == base.off_max:
-            at = base.off_min + offset
-            return (f"{buffer}[{at}]" if size == 1 else
-                    f"{buffer}[{at}:{at + size}]")
-        out.append(f"{pad}_o = {p}.offset" + (f" + {offset}" if offset else ""))
-        return f"{buffer}[_o]" if size == 1 else f"{buffer}[_o:_o + {size}]"
+            return buffer, str(base.off_min + offset)
+        return buffer, self.offset_of(reg) + (f" + {offset}" if offset
+                                              else "")
 
 
 def _emit_load(out: List[str], pad: str, insn, pc: int, size: int,
-               known: tuple, memory: _Memory) -> bool:
+               known: tuple, memory: _Memory, unbox: bool) -> bool:
     d, p, off = f"r{insn.dst}", f"r{insn.src}", insn.offset
     slow = f"{d} = _load(state, {p}, {off}, {size}, {pc})"
 
@@ -948,14 +1021,17 @@ def _emit_load(out: List[str], pad: str, insn, pc: int, size: int,
         return f"{d} = _from_bytes({source}, 'little')"
 
     base = known[insn.src]
-    source = memory.site(out, pad, p, base, off, size, write=False)
-    if source is not None:
-        out.append(f"{pad}{fetch(source)}")
+    site = memory.site(insn.src, base, off, size, write=False)
+    if site is not None:
+        buffer, at = site
+        out.append(f"{pad}{d} = {buffer}[{at}]" if size == 1 else
+                   f"{pad}{d} = _L{size}({buffer}, {at})[0]")
         return False
-    ctx_field = memory.ctx_field(base, off, size)
-    if ctx_field is not None and ctx_field.region in memory.sized:
-        memory.bound.add(ctx_field.region)
-        out.append(f"{pad}{d} = Pointer(_R_{ctx_field.region}, 0)")
+    region = memory.pointer_field(base, off, size)
+    if region is not None:
+        memory.bound.add(region)
+        out.append(f"{pad}_q{insn.dst} = 0" if unbox else
+                   f"{pad}{d} = Pointer(_R_{region}, 0)")
         return False
     where = "[_o]" if size == 1 else f"[_o:_o + {size}]"
     out.append(f"{pad}if {p}.__class__ is Pointer:")
@@ -993,22 +1069,26 @@ def _emit_store(out: List[str], pad: str, insn, pc: int, size: int,
         const = insn.imm & U64
         value = str(const)
         scalar = True
-        data = (str(const & mask) if size == 1 else
+        masked = str(const & mask)
+        data = (masked if size == 1 else
                 repr((const & mask).to_bytes(size, "little")))
     else:
         value = f"r{value_reg}"
         scalar = type(known[value_reg]) is Scalar
         guard += f" and {value}.__class__ is int"
+        masked = value if size == 8 else f"{value} & {mask}"
         if size == 1:
             data = f"{value} & 255"
         elif size == 8:
             data = f"{value}.to_bytes(8, 'little')"
         else:
             data = f"({value} & {mask}).to_bytes({size}, 'little')"
-    target = memory.site(out, pad, p, known[insn.dst], off, size,
-                         write=True) if scalar else None
-    if target is not None:
-        out.append(f"{pad}{target} = {data}")
+    site = memory.site(insn.dst, known[insn.dst], off, size,
+                       write=True) if scalar else None
+    if site is not None:
+        buffer, at = site
+        out.append(f"{pad}{buffer}[{at}] = {masked}" if size == 1 else
+                   f"{pad}_S{size}({buffer}, {at}, {masked})")
         return False
     where = "[_o]" if size == 1 else f"[_o:_o + {size}]"
     slow = f"_store(state, {p}, {off}, {size}, {value}, {pc})"
@@ -1119,17 +1199,108 @@ def _ctx_tables(layout) -> Dict[str, Any]:
     return tables
 
 
+def pointer_values(program: Program, facts: Optional[tuple]
+                   ) -> Dict[int, str]:
+    """The pcs whose instruction makes a proven pointer into a region
+    `Vm.run` sizes at entry, by a bare ``pointer +/- scalar`` or a ctx
+    pointer-field load, each with that region (none without facts)."""
+    memory = _Memory(program.ctx_layout)
+    made: Dict[int, str] = {}
+    for pc, insn in enumerate(program.instructions):
+        known = facts[pc] if facts else None
+        if known is None or insn.dst == FP_REG:
+            continue
+        kind, base, is32, size = _DECODE.get(insn.opcode) or \
+            _decode_op(insn.opcode)
+        if kind == _K_ALU:
+            move = _pointer_move(base, is32, insn, known)
+            if move is not None and memory.is_sized(known[move[0]]):
+                made[pc] = known[move[0]].region
+        elif kind == _K_LDX:
+            region = memory.pointer_field(known[insn.src], insn.offset, size)
+            if region is not None:
+                made[pc] = region
+    return made
+
+
+def _reads_offset(insn, known: tuple, reg: int, region: str,
+                  memory: _Memory) -> bool:
+    """True if ``insn`` reads the pointer into ``region`` in ``reg`` only
+    for its offset: as the base of a proven site, or as the pointer of a
+    bare ``pointer +/- scalar``."""
+    fact = known[reg]
+    if type(fact) is not Ptr or fact.region != region:
+        return False
+    kind, base, is32, size = _DECODE.get(insn.opcode) or \
+        _decode_op(insn.opcode)
+    if kind == _K_LDX:
+        return memory.proven(fact, insn.offset, size, False) is not None
+    if kind == _K_ST or (kind == _K_STX and insn.src != reg
+                         and type(known[insn.src]) is Scalar):
+        return insn.dst == reg and \
+            memory.proven(fact, insn.offset, size, True) is not None
+    if kind == _K_ALU:
+        move = _pointer_move(base, is32, insn, known)
+        return move is not None and move[0] == reg
+    return False
+
+
+def _unboxed(program: Program, facts: tuple, ends: List[int],
+             specs: Dict[int, Optional[HelperSpec]],
+             memory: _Memory) -> Dict[int, str]:
+    """The `pointer_values` the generated code never builds a `Pointer`
+    for, keeping the offset local ``_q<reg>`` instead, each with its
+    region.  ``ends[pc]`` is where the basic block of ``pc`` ends.
+
+    A value qualifies if every read of it, up to where it is overwritten
+    or dies (`dead_registers`), is one `_reads_offset` accepts and lies in
+    its block: it is never compared, copied, spilled, passed to a helper,
+    returned, read at a guarded site or live into another block.  Then
+    neither the budget tail (which hands every register to the
+    interpreter at a block's start) nor a fault (which hands none) can see
+    that its `Pointer` was never built.
+    """
+    insns = program.instructions
+    dead = dead_registers(insns, specs)
+
+    def offset_only(pc: int, region: str) -> bool:
+        reg, end = insns[pc].dst, ends[pc]
+        read = True  # by the instruction before ``at``, which falls through
+        for at in range(pc + 1, end):
+            if reg in dead[at]:
+                return True
+            insn = insns[at]
+            read = reg in registers_read(insn, specs)
+            if read:
+                if not _reads_offset(insn, facts[at] or _NOTHING_KNOWN, reg,
+                                     region, memory):
+                    return False
+                if insn.dst == reg and not insn.opcode.startswith("st"):
+                    return True  # read, then overwritten (a store writes none)
+        # Live after the block's last instruction.  One that does not read
+        # it passes it on to a successor; one that does (a load, a store,
+        # an ALU operation) falls through to ``end``.
+        return read and end < len(insns) and reg in dead[end]
+
+    return {pc: region
+            for pc, region in pointer_values(program, facts).items()
+            if offset_only(pc, region)}
+
+
 def _generate(program: Program, limit: int,
               specs: Dict[int, Optional[HelperSpec]],
-              facts: Optional[tuple]) -> Tuple[str, List[int], frozenset]:
+              facts: Optional[tuple]
+              ) -> Tuple[str, List[int], frozenset, frozenset]:
     """The source of the program's one function (see `_compile_program`),
-    its `_UNRETIRED` table, and the pcs whose code keeps run-time guards.
+    its `_UNRETIRED` table, the pcs whose code keeps run-time guards and
+    the pcs whose pointer it never builds (see `_unboxed`).
 
     ``facts`` is `Proof.facts` of a proof that covers this program in the
     running Vm's environment, or None: then every site is guarded.
     """
     insns = program.instructions
     count = len(insns)
+    proven = facts is not None
     facts = facts or (None,) * count
     leaders = {0}
     for pc, insn in enumerate(insns):
@@ -1144,10 +1315,14 @@ def _generate(program: Program, limit: int,
             leaders.add(pc + 1)
     starts = sorted(leaders)
     index_of = {start: index for index, start in enumerate(starts)}
+    ends = [0] * count
+    for start, end in zip(starts, starts[1:] + [count]):
+        ends[start:end] = [end] * (end - start)
+    memory = _Memory(program.ctx_layout)
+    unboxed = _unboxed(program, facts, ends, specs, memory) if proven else {}
     # Charged-but-unretired instructions when the one at a pc faults.
     unretired = [0] * count
     out: List[str] = []
-    memory = _Memory(program.ctx_layout)
     guarded = set()
     bound = sorted(helper_id for helper_id, spec in specs.items()
                    if spec is not None)
@@ -1160,6 +1335,7 @@ def _generate(program: Program, limit: int,
         end = starts[k + 1] if k + 1 < len(starts) else count
         inner = pad + " "
         body: List[str] = []
+        memory.held.clear()
 
         def goto(target: int, at: str) -> None:
             if not 0 <= target < count:
@@ -1182,10 +1358,11 @@ def _generate(program: Program, limit: int,
             known = facts[pc] or _NOTHING_KNOWN
             keeps = False
             if kind == _K_ALU:
-                keeps = _emit_alu(body, inner, insn, pc, base, is32, known)
+                keeps = _emit_alu(body, inner, insn, pc, base, is32, known,
+                                  memory, pc in unboxed)
             elif kind == _K_LDX:
                 keeps = _emit_load(body, inner, insn, pc, size, known,
-                                   memory)
+                                   memory, pc in unboxed)
             elif kind == _K_STX:
                 keeps = _emit_store(body, inner, insn, pc, size, insn.src,
                                     known, memory)
@@ -1217,6 +1394,14 @@ def _generate(program: Program, limit: int,
                 falls = False
             if keeps:
                 guarded.add(pc)
+            # What this pc overwrites no longer holds an offset local.
+            if kind in (_K_ALU, _K_LDX, _K_LDDW):
+                memory.held.pop(insn.dst, None)
+            elif kind == _K_CALL:
+                for reg in range(6):
+                    memory.held.pop(reg, None)
+            if pc in unboxed:
+                memory.held[insn.dst] = unboxed[pc]
             pc += 1
         if falls and k + 1 == leaf_end:
             goto(pc, inner)
@@ -1289,7 +1474,7 @@ def _generate(program: Program, limit: int,
         out.append("  state.helper_calls += _calls")
     out.append("  return _pc")
     out.append(" return _run")
-    return "\n".join(out), unretired, frozenset(guarded)
+    return "\n".join(out), unretired, frozenset(guarded), frozenset(unboxed)
 
 
 def _compile_program(program: Program, limit: int,
@@ -1302,9 +1487,11 @@ def _compile_program(program: Program, limit: int,
     ``-1`` after ``exit`` (r0 and the count written back), or the pc of the
     first instruction of the block the budget ran out in (every register
     written back) for the interpreter to resume at.  ``binder.guarded``
-    is the set of pcs whose code keeps run-time guards.
+    is the set of pcs whose code keeps run-time guards, ``binder.unboxed``
+    the set of pcs whose pointer it never builds.
     """
-    source, unretired, guarded = _generate(program, limit, specs, facts)
+    source, unretired, guarded, unboxed = _generate(program, limit, specs,
+                                                    facts)
     ns: Dict[str, Any] = {
         "_alu": _alu, "_load": _load, "_store": _store,
         "_jump_compare": _jump_compare, "_slow_call": _slow_call,
@@ -1313,10 +1500,14 @@ def _compile_program(program: Program, limit: int,
         "VmFault": VmFault, "Pointer": Pointer,
         "_from_bytes": int.from_bytes, "_UNRETIRED": unretired,
     }
+    for size, packer in _PACKERS.items():
+        ns[f"_L{size}"] = packer.unpack_from
+        ns[f"_S{size}"] = packer.pack_into
     ns.update(_ctx_tables(program.ctx_layout))
     exec(compile(source, f"<bpf:{program.name}>", "exec"), ns)
     binder = ns["_bind"]
     binder.guarded = guarded
+    binder.unboxed = unboxed
     return binder
 
 

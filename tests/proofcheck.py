@@ -12,7 +12,13 @@ The block tier drops the run-time guard of every site a fact covers, so
 a wrong fact there is a memory-safety bug with nothing left to catch it.
 Here it is caught as a violated fact, on a run that need not fault at
 all: a verifier soundness bug found without a memory fault.
+
+``three_ways`` names the three ways the differential tests run a program:
+the interpreter, the block tier without the proof, the block tier
+spending it.
 """
+
+import dataclasses
 
 from repro.ebpf.verifier import Ptr, Scalar
 from repro.ebpf.vm import Pointer, _step
@@ -84,3 +90,14 @@ def checked_run(vm, ctx, regions):
         return state.result()
     finally:
         assert not violations, "\n".join(violations)
+
+
+def three_ways(program):
+    """``(label, program, mode)`` for the reference, the block tier kept
+    from the proof (a copy of the program without it) and the block tier
+    spending it.  A program the verifier rejected has no proof to strip:
+    its last two ways are the same guarded code."""
+    return (("interp", program, "interp"),
+            ("block, no proof", dataclasses.replace(program, proof=None),
+             "block"),
+            ("block, proof", program, "block"))

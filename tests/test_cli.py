@@ -103,7 +103,13 @@ def test_disasm_merge_annotates_facts_and_reassembles(capsys):
     assert main(["disasm", "merge"]) == 0
     out = capsys.readouterr().out
     assert "; 19 of 19 memory sites proven" in out
+    assert "; 4 of 5 pointer values never built" in out
     assert re.search(r"ldxdw r1, \[r2\] +; r2=Ptr\(data\+\[16,4080\]\)", out)
+    # The loop's ``data + i`` keeps only its offset; the data pointer
+    # itself is live into the loop's blocks, so it is built.
+    assert re.search(r"add r2, r7 +; .* unboxed$", out, re.M)
+    assert re.search(r"ldxdw r7, \[r6\] +; r6=Ptr\(ctx\+\[0,0\]\)$", out,
+                     re.M)
     assert re.search(r"mov r8, 254 +; unreached", out)
     # Comments and all, the listing is still the program.
     assert assemble(out, storage_helpers().names()) == \

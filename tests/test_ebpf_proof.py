@@ -13,19 +13,25 @@ The block tier drops the run-time guards of every site the program's
 (c) those differential tests run three ways (interp / block without the
     proof / block with it);
 (d) a proof that no longer covers the program (an instruction replaced,
-    the layout swapped, another registry) is not spent.
+    the layout swapped, another registry) is not spent;
+(e) a proven pointer is kept as a bare offset only while nothing but
+    proven sites and bare ``ptr +/- scalar`` read it inside its block, and
+    the budget tail of the merge program matches the interpreter at every
+    kind of limit.
 """
 
 import dataclasses
 import hashlib
 import inspect
+import struct
 from pathlib import Path
 
 import pytest
 
-from proofcheck import checked_run
+from proofcheck import checked_run, three_ways
 from repro.compact.programs import sstable_merge_program
-from repro.core.hooks import storage_helpers
+from repro.core.hooks import (CTX_ARG0, CTX_DATA_LEN, CTX_SIZE,
+                              storage_helpers)
 from repro.core.library import (index_traversal_program,
                                 linked_list_program,
                                 scan_aggregate_program,
@@ -35,10 +41,11 @@ from repro.ebpf import (CtxField, CtxLayout, FieldKind, HashMap, Program,
 from repro.ebpf.helpers import ArgKind, HelperRegistry, HelperSpec, RetKind
 from repro.ebpf.verifier import (NOT_INIT, Proof, Ptr, Scalar, _join,
                                  proof_context)
-from repro.ebpf.vm import VmEnvironment, _code_inputs, _generate
+from repro.ebpf.vm import (VmEnvironment, _code_inputs, _generate,
+                            pointer_values)
 from repro.errors import VerifierError, VmFault
-from repro.structures import FANOUT_MAX
-from repro.structures.pages import PAGE_SIZE
+from repro.structures import FANOUT_MAX, TOMBSTONE, SsTable
+from repro.structures.pages import MemoryBackend, PAGE_SIZE
 
 HELPERS = base_registry()
 
@@ -427,6 +434,188 @@ def test_verifying_again_replaces_the_code_compiled_from_the_old_proof():
 
 
 # ---------------------------------------------------------------------------
+# (e) Pointers kept as offsets
+# ---------------------------------------------------------------------------
+
+#: ``data + a`` (a masked to 0-15) made twice: at pc 5 in r5, read by one
+#: load and then dead, and at pc 8 in r3, read by a load and then by each
+#: fence below.  r7, the data pointer loaded at pc 1, is read only by the
+#: two ``add``s.
+OFFSETS = """
+    mov   r6, r1
+    ldxdw r7, [r6+24]
+    ldxdw r4, [r6+0]
+    and   r4, 15
+    mov   r5, r4
+    add   r5, r7
+    ldxb  r0, [r5+0]
+    mov   r3, r4
+    add   r3, r7
+    ldxb  r0, [r3+1]
+"""
+
+#: Each way of reading r3 that keeps its `Pointer` built: (the rest of the
+#: program, the pcs kept as offsets, or None where the verifier rejects
+#: the program and it runs forged).
+FENCES = {
+    "live into the next block": ("""
+        jeq   r0, 7, skip
+        ldxb  r0, [r3+2]
+    skip:
+        exit
+    """, {1, 5}),
+    "live into a block emitted after one that remakes it": ("""
+        jeq   r0, 7, other
+        mov   r3, r4
+        add   r3, r7
+        ldxb  r0, [r3+2]
+        exit
+    other:
+        ldxb  r0, [r3+3]
+        exit
+    """, {5, 12}),
+    "passed to a helper": ("""
+        ldxdw r1, [r6+32]
+        mov   r2, 4
+        mov   r4, 4
+        call  memcmp
+        exit
+    """, {1, 5}),
+    "spilled to the stack": ("""
+        stxdw [r10-8], r3
+        ldxdw r2, [r10-8]
+        ldxb  r0, [r2+3]
+        exit
+    """, {1, 5}),
+    "compared in a branch": ("""
+        jeq   r3, r7, skip
+        mov   r0, 1
+    skip:
+        exit
+    """, {5}),
+    "copied by mov": ("""
+        mov   r2, r3
+        ldxb  r0, [r2+2]
+        exit
+    """, {1, 5}),
+    "left in r0 at exit": ("""
+        mov   r0, r3
+        exit
+    """, None),
+    "used at a guarded site": ("""
+        ldxdw r0, [r3+60]
+        exit
+    """, None),
+}
+
+
+def offsets_outcome(program, mode, a):
+    """The result or the fault as ``(reason, pc)``, and the ctx and buf
+    bytes, of one run over a data region holding 0-63."""
+    vm = Vm(program, VmEnvironment(HELPERS), mode=mode)
+    ctx = bytearray(40)
+    ctx[0:8] = a.to_bytes(8, "little")
+    regions = {"data": bytearray(range(64)), "buf": bytearray(32)}
+    try:
+        result = vm.run(ctx, regions)
+    except VmFault as fault:
+        result = fault.reason, fault.pc
+    return result, bytes(ctx), bytes(regions["buf"])
+
+
+def test_a_pointer_read_only_for_its_offset_is_never_built():
+    program = program_of(OFFSETS + "exit")
+    verify(program, HELPERS)
+    vm = Vm(program, VmEnvironment(HELPERS), mode="block")
+    assert vm.unboxed == {1, 5, 8} and not vm.guarded
+    source = source_of(program)
+    assert "Pointer(" not in source
+    assert "_q5 = _q7 + r5" in source and "r0 = _D_data[_q3 + 1]" in source
+    for a in (0, 6, 15, 2**64 - 1):
+        interp, guarded, proven = (offsets_outcome(built, mode, a)
+                                   for _way, built, mode in three_ways(program))
+        assert interp == guarded == proven, a
+
+
+@pytest.mark.parametrize("fence", sorted(FENCES))
+def test_a_pointer_read_any_other_way_is_built(fence):
+    rest, unboxed = FENCES[fence]
+    program = program_of(OFFSETS + rest)
+    if unboxed is None:
+        with pytest.raises(VerifierError):
+            verify(program, HELPERS)
+        program.verified = True  # forged: every way runs it all the same
+        unboxed = set()
+    else:
+        verify(program, HELPERS)
+    assert Vm(program, VmEnvironment(HELPERS), mode="block").unboxed \
+        == unboxed
+    for a in (5, 6, 15):
+        interp, guarded, proven = (offsets_outcome(built, mode, a)
+                                   for _way, built, mode in three_ways(program))
+        assert interp == guarded == proven, a
+
+
+class _CountingSink:
+    """Stands in for the compaction merge sink: counts what it is given."""
+
+    def __init__(self):
+        self.count = 0
+
+    def emit(self, key, value):
+        self.count += 1
+        return self.count
+
+    def drop(self, key):
+        return self.emit(key, None)
+
+
+def merge_outcome(program, helpers, mode, page, limit):
+    """Everything observable of the merge program run over ``page`` with
+    tombstones dropped, under the instruction budget ``limit``."""
+    vm = Vm(program, VmEnvironment(helpers), mode=mode,
+            max_instructions=limit)
+    vm.compact_sink = sink = _CountingSink()
+    ctx = bytearray(CTX_SIZE)
+    struct.pack_into("<QQ", ctx, CTX_DATA_LEN, PAGE_SIZE, PAGE_SIZE)
+    struct.pack_into("<Q", ctx, CTX_ARG0, 1)
+    scratch = bytearray(64)
+    try:
+        result = vm.run(ctx, {"data": bytearray(page), "scratch": scratch})
+    except VmFault as fault:
+        result = fault.reason, fault.pc
+    return result, bytes(ctx), bytes(scratch), sink.count
+
+
+def test_merge_budget_tail_matches_the_interpreter_at_every_limit():
+    # A full page of 255 entries, every seventh a tombstone, so both the
+    # emit and the drop legs run.  The block tier charges a block whole
+    # on entry and hands the block the budget runs out in to the
+    # interpreter from its first instruction, with every register: where
+    # a pointer is kept as an offset, only dead registers may go stale.
+    # Every limit near either end, and every 13th between: the loop
+    # repeats every 7 entries (6 emits of 17 instructions, a drop of 20:
+    # 122, prime to 13), so the stride lands on every instruction of it.
+    helpers = storage_helpers()
+    program = sstable_merge_program(PAGE_SIZE, 64)
+    verify(program, helpers)
+    assert Vm(program, VmEnvironment(helpers), mode="block").unboxed
+    backend = MemoryBackend()
+    SsTable.build(backend, [(key * 5, TOMBSTONE if key % 7 == 3
+                             else key * 11 + 1) for key in range(1500)])
+    page = backend.read(PAGE_SIZE, PAGE_SIZE)
+    assert struct.unpack_from("<H", page, 6)[0] == 255
+    full = merge_outcome(program, helpers, "interp", page, 10**6)
+    total = full[0].instructions
+    assert full[3] == 255 and total > 4000
+    limits = sorted(set(range(1, 300)) | set(range(300, total - 300, 13))
+                    | set(range(total - 300, total + 3)))
+    for limit in limits:
+        assert merge_outcome(program, helpers, "block", page, limit) \
+            == merge_outcome(program, helpers, "interp", page, limit), limit
+
+
+# ---------------------------------------------------------------------------
 # Satellites
 # ---------------------------------------------------------------------------
 
@@ -514,3 +703,33 @@ def test_installable_program_memory_sites_are_proven(name):
         == (sites, bare)
     # Nor does any ALU op, branch or call of theirs keep a guard.
     assert not vm.guarded
+
+
+#: Per installable program: its pointer values (`pointer_values`), how many
+#: of them the block tier never builds (``Vm.unboxed``), and how many
+#: ``Pointer(`` its generated source still has.  Every one still built is
+#: live into another block: each program's page pointer, read past a
+#: branch, and scan_aggregate's scratch pointer and its entry pointer,
+#: read again after the key-range branches.
+BUILT = {
+    "index16": (7, 6, 1),
+    "index6": (5, 4, 1),
+    "wisckey": (12, 11, 1),
+    "linked_list": (1, 0, 1),
+    "scan_aggregate": (3, 0, 3),
+    "sstable_merge": (5, 4, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INSTALLABLE))
+def test_installable_program_sources_build_few_pointers(name):
+    helpers = storage_helpers()
+    program = INSTALLABLE[name][0]()
+    verify(program, helpers)
+    env = VmEnvironment(helpers)
+    source = _generate(program, 1_000_000, *_code_inputs(program, env))[0]
+    # Every site is proven, so every access is a struct call or an index.
+    assert "_from_bytes(" not in source and ".to_bytes(" not in source
+    assert (len(pointer_values(program, program.proof.facts)),
+            len(Vm(program, env, mode="block").unboxed),
+            source.count("Pointer(")) == BUILT[name]

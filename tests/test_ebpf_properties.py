@@ -25,7 +25,6 @@ Every example is derived from a fixed seed (``derandomize``), so a run
 is reproducible.
 """
 
-import dataclasses
 import struct
 
 import pytest
@@ -47,22 +46,11 @@ from repro.structures import (BTREE_PAGE_MAGIC, BTree, SsTable,
                               WisckeyStore)
 from repro.structures.pages import MemoryBackend, PAGE_SIZE, encode_page
 
-from proofcheck import checked_run
+from proofcheck import checked_run, three_ways
 
 HELPERS = storage_helpers()
 NAMES = HELPERS.names()
 LAYOUT = storage_ctx_layout(256, 64)
-
-
-def three_ways(program):
-    """``(label, program, mode)`` for the reference, the block tier kept
-    from the proof (a copy of the program without it) and the block tier
-    spending it.  A program the verifier rejected has no proof to strip:
-    its last two ways are the same guarded code."""
-    return (("interp", program, "interp"),
-            ("block, no proof", dataclasses.replace(program, proof=None),
-             "block"),
-            ("block, proof", program, "block"))
 
 
 U64 = 0xFFFFFFFFFFFFFFFF
@@ -205,14 +193,15 @@ _PROLOGUE = ["mov r6, r1",               # ctx
 def _structured_program(draw):
     """Random programs over the shapes the block tier specialises: ALU,
     masked and unmasked loads, stores, forward branches, a bounded
-    back-edge loop, ``ptr + reg`` / ``ptr - imm``, pointer spill and fill,
-    and helper calls with scalar, pointer + size and map arguments.  Some
-    verify, some do not."""
+    back-edge loop, ``ptr + reg`` / ``ptr - imm`` (one read only by loads
+    and stores and then overwritten, one still live where its block ends),
+    pointer spill and fill, and helper calls with scalar, pointer + size
+    and map arguments.  Some verify, some do not."""
     lines = list(_PROLOGUE)
     labels = 0
     open_labels = []
     for _ in range(draw(st.integers(1, 18))):
-        choice = draw(st.integers(0, 14))
+        choice = draw(st.integers(0, 16))
         # Now and then a helper is handed the wrong class of argument.
         wrong = choice >= 10 and draw(st.integers(0, 7)) == 0
         if choice == 0:
@@ -311,6 +300,26 @@ def _structured_program(draw):
             if draw(st.booleans()):
                 lines.append("stxdw [r0+0], r9")
             lines.append(f"miss{labels}:")
+        elif choice == 15:
+            # data + i and scratch + i, read only by loads and stores and
+            # then overwritten (the block tier keeps just their offsets);
+            # the widest masks reach past the regions.
+            mask = draw(st.sampled_from([15, 31, 63, 255]))
+            lines += ["ldxdw r4, [r6+40]", f"and r4, {mask}",
+                      "mov r3, r4", "add r3, r7",
+                      f"ldxdw r2, [r3+{draw(st.sampled_from([0, 8]))}]",
+                      "add r9, r2", "ldxw r3, [r3+4]", "add r9, r3",
+                      "mov r3, r8", "add r3, r4", "stxw [r3+4], r9",
+                      "stxh [r3+2], r9", "mov r3, 0"]
+        elif choice == 16:
+            # data + i still live where its block ends: read on both sides
+            # of a branch.
+            labels += 1
+            lines += ["ldxdw r4, [r6+40]", "and r4, 63", "mov r3, r7",
+                      "add r3, r4", "ldxb r2, [r3+0]",
+                      f"jgt r2, {draw(st.integers(0, 255))}, live{labels}",
+                      "ldxb r2, [r3+1]", "add r9, r2", f"live{labels}:",
+                      "ldxh r2, [r3+2]", "add r9, r2"]
         else:
             lines += ["mov r1, r9",
                       f"mov r2, {'r8' if wrong else draw(st.integers(0, 99))}",

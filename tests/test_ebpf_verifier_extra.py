@@ -14,7 +14,7 @@ from repro.ebpf import (
     base_registry,
     verify,
 )
-from repro.ebpf.verifier import Scalar, _dead_registers, _scalar_alu
+from repro.ebpf.verifier import Scalar, _scalar_alu, dead_registers
 
 HELPERS = base_registry()
 LAYOUT = CtxLayout(
@@ -227,7 +227,7 @@ def test_dead_registers_of_a_program_with_a_call_a_loop_and_a_store():
         everything - {0},               # exit reads r0
     ]
     assert [set(regs) for regs in
-            _dead_registers(program.instructions, HELPERS)] == dead
+            dead_registers(program.instructions, HELPERS.specs)] == dead
     accept(source)
 
 
