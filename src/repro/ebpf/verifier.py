@@ -34,8 +34,10 @@ times).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, replace
-from operator import attrgetter
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
+from operator import attrgetter, is_not, itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import VerifierError
@@ -102,12 +104,15 @@ class NotInit:
 
 NOT_INIT = NotInit()
 
+#: ``Scalar(umin, umax)`` and ``Ptr(region, size, off_min, off_max,
+#: maybe_null)``, one shared object per value while the cache holds it.
+#: Building a frozen dataclass costs about a microsecond, and a
+#: verification builds the same few thousand values over and over.
+_scalar = lru_cache(maxsize=1 << 14)(Scalar)
+_ptr = lru_cache(maxsize=1 << 14)(Ptr)
+
 _ALU_BASES = frozenset(("add", "sub", "mul", "div", "mod", "or", "and", "xor",
                         "lsh", "rsh", "arsh", "mov", "neg"))
-
-# Stack slot contents: ("ptr", Ptr) or ("bytes", frozenset of initialised
-# byte offsets within the slot).
-_SLOT_COUNT = STACK_SIZE // 8
 
 
 class State:
@@ -119,19 +124,11 @@ class State:
         self.regs = regs          # tuple of 11 abstract values
         self.stack = stack        # dict slot_index -> ("ptr", Ptr)|("bytes", frozenset)
 
-    def with_reg(self, index: int, value) -> "State":
-        regs = list(self.regs)
-        regs[index] = value
-        return State(tuple(regs), self.stack)
-
-    def with_stack(self, stack) -> "State":
-        return State(self.regs, stack)
-
 
 def _initial_state(ctx_size: int) -> State:
     regs = [NOT_INIT] * 11
-    regs[1] = Ptr("ctx", ctx_size)
-    regs[FP_REG] = Ptr("stack", STACK_SIZE, STACK_SIZE, STACK_SIZE)
+    regs[1] = _ptr("ctx", ctx_size, 0, 0, False)
+    regs[FP_REG] = _ptr("stack", STACK_SIZE, STACK_SIZE, STACK_SIZE, False)
     return State(tuple(regs), {})
 
 
@@ -148,6 +145,10 @@ class Proof:
     * ``Ptr(region, size, off_min, off_max)``, never ``maybe_null``: it is
       a pointer into that region, of that size, at an offset in range.
 
+    ``dead[pc]`` names the registers no path from ``pc`` reads before
+    writing (`dead_registers`): those the exploration cleared at its prune
+    points, and what the code generator's liveness questions need.
+
     The facts hold for a run only of exactly these ``instructions``, over
     a context of exactly this ``layout``, in an environment whose
     ``proof_context`` equals ``context``; ``covers`` is that comparison,
@@ -159,6 +160,7 @@ class Proof:
     layout: Tuple[CtxField, ...]
     context: tuple
     facts: Tuple[Optional[tuple], ...]
+    dead: Tuple[tuple, ...]
 
     def covers(self, program: Program, context: tuple) -> bool:
         """True if ``program``, as it is now, run under ``context`` (a
@@ -175,19 +177,19 @@ def _join(values):
     uninitialised register, a pointer that may be NULL, mixed classes."""
     kinds = set(map(type, values))
     if kinds == {Scalar}:
-        return Scalar(min(map(_UMIN, values)), max(map(_UMAX, values)))
+        return _scalar(min(map(_UMIN, values)), max(map(_UMAX, values)))
     if kinds != {Ptr}:
         return None
     first = values[0]
-    if any(value.maybe_null or value.region != first.region
-           or value.size != first.size for value in values):
+    if first.maybe_null or len(set(map(_PTR_KIND, values))) > 1:
         return None
-    return Ptr(first.region, first.size, min(map(_OFF_MIN, values)),
-               max(map(_OFF_MAX, values)))
+    return _ptr(first.region, first.size, min(map(_OFF_MIN, values)),
+                max(map(_OFF_MAX, values)), False)
 
 
 _UMIN, _UMAX = attrgetter("umin"), attrgetter("umax")
 _OFF_MIN, _OFF_MAX = attrgetter("off_min"), attrgetter("off_max")
+_PTR_KIND = attrgetter("region", "size", "maybe_null")
 
 
 def registers_read(insn: Instruction, specs: Mapping[int, object]) -> tuple:
@@ -242,7 +244,7 @@ def dead_registers(instructions, specs: Mapping[int, object]) -> List[tuple]:
             following = ()
         elif op == "ja":
             following = (target,)
-        elif op in _JMP_REFINERS or op == "jset":
+        elif op in _EDGES or op == "jset":
             following = (pc + 1, target)
         else:
             following = (pc + 1,)
@@ -262,17 +264,49 @@ def dead_registers(instructions, specs: Mapping[int, object]) -> List[tuple]:
             if live_in != live[pc]:
                 live[pc] = live_in
                 changed = True
-    return [tuple(reg for reg in range(FP_REG) if not mask >> reg & 1)
-            for mask in live]
+    dead = {mask: tuple(reg for reg in range(FP_REG) if not mask >> reg & 1)
+            for mask in set(live)}
+    return [dead[mask] for mask in live]
 
 
-def _without(state: State, dead: tuple) -> State:
-    """``state`` with the registers in ``dead`` cleared to `NOT_INIT`, the
-    one object, so `_subsumes` skips them by identity."""
-    regs = list(state.regs)
-    for reg in dead:
-        regs[reg] = NOT_INIT
-    return State(tuple(regs), state.stack)
+def _snapshot(dead: tuple) -> itemgetter:
+    """A function of a run's register list (the 11 registers, then
+    `NOT_INIT`) to the register tuple of a state, with those in ``dead``
+    cleared to `NOT_INIT`, the one object, so `_subsumes` skips them by
+    identity."""
+    return itemgetter(*(11 if reg in dead else reg for reg in range(11)))
+
+
+_KEEP = _snapshot(())
+
+
+def _exhausted(pc: int) -> VerifierError:
+    return VerifierError("state budget exhausted — program too complex or "
+                         "contains a loop the verifier cannot bound", pc)
+
+
+def _then(step, following: int, snapshot: itemgetter):
+    """The end of a run whose last instruction, ``step``, has the one
+    successor ``following``, a prune point whose registers ``snapshot``
+    takes."""
+    def then(regs, stack):
+        stack = step(regs, stack)
+        return following, State(snapshot(regs), stack)
+    return then
+
+
+def _last(end, pc: int):
+    """``end``, of the run holding the last instruction (at ``pc``),
+    rejecting a successor past it: only the last instruction can fall off
+    the end."""
+    def last(regs, stack):
+        successors = end(regs, stack)
+        for next_pc, _state in ((successors,) if successors.__class__ is
+                                tuple else successors):
+            if next_pc > pc:
+                raise VerifierError("control falls off the program end", pc)
+        return successors
+    return last
 
 
 @dataclass
@@ -337,24 +371,26 @@ class _Table:
             del self.by_umin[bisect_left(self.by_umin, (value.umin, seq))]
             del self.by_umax[bisect_left(self.by_umax, (value.umax, seq))]
 
-    def candidates(self, value):
-        """The states here that may subsume one holding ``value``."""
-        yield from self.rest
-        if type(value) is not Scalar:
-            return
+    def candidates(self, value) -> list:
+        """The states here that may subsume one holding ``value``, in the
+        order they are tried."""
+        if value.__class__ is not Scalar:
+            return self.rest
         umin, umax = value.umin, value.umax
+        found = self.rest
         if umin == umax:
-            yield from self.constants.get(umin, ())
+            bucket = self.constants.get(umin)
+            if bucket:
+                found = found + bucket if found else bucket
+        if not self.by_umin:
+            return found
         below = bisect_left(self.by_umin, (umin + 1,))   # old.umin <= umin
         above = bisect_left(self.by_umax, (umax,))       # old.umax >= umax
         if below <= len(self.by_umax) - above:
-            for _, _, old_umax, state in self.by_umin[:below]:
-                if old_umax >= umax:
-                    yield state
-        else:
-            for _, _, old_umin, state in self.by_umax[above:]:
-                if old_umin <= umin:
-                    yield state
+            return found + [state for _, _, old_umax, state
+                            in self.by_umin[:below] if old_umax >= umax]
+        return found + [state for _, _, old_umin, state
+                        in self.by_umax[above:] if old_umin <= umin]
 
 
 class _Recorded:
@@ -404,16 +440,16 @@ class _Recorded:
 
     def _choose_discriminator(self) -> None:
         seen = self.path + self.done
-        sample = seen[::max(1, len(seen) // 16)]
+        sample = [state.regs for state in seen[::max(1, len(seen) // 16)]]
 
         def spread(reg: int) -> int:
             # Ranges that share a bound nest, and nested ranges cover one
             # another, so a register tells states apart only as far as
             # both of its bounds vary.
-            scalars = [state.regs[reg] for state in sample
-                       if type(state.regs[reg]) is Scalar]
-            return min(len({scalar.umin for scalar in scalars}),
-                       len({scalar.umax for scalar in scalars}))
+            scalars = [value for value in map(itemgetter(reg), sample)
+                       if value.__class__ is Scalar]
+            return min(len(set(map(_UMIN, scalars))),
+                       len(set(map(_UMAX, scalars))))
 
         reg = max(range(11), key=spread)
         if reg != self.reg:
@@ -448,121 +484,154 @@ class Verifier:
         terminated safely), while a state subsumed by an *ancestor on the
         current path* is an infinite loop and is rejected: pruning against
         an ancestor would wrongly certify termination.  Every cycle passes
-        through a jump target, so the loop rule sees every loop.  Any other
-        instruction steps its states straight through; they count against
-        ``state_budget`` and join the proof's facts all the same.
-        """
-        instructions = self.program.instructions
-        insn_count = len(instructions)
-        recorded: List[Optional[_Recorded]] = [None] * insn_count
-        for pc in self._prune_points():
-            recorded[pc] = _Recorded()
-        dead = dead_registers(instructions, self.helpers.specs)
-        # The registers of every state stepped at each pc: what the
-        # proof's facts join.
-        explored: List[List[tuple]] = [[] for _ in instructions]
-        stats = self.stats
-        # Each instruction is decoded once, into the function that steps
-        # a state across it; thousands of states may visit one pc.  (A
-        # local: the closures hold ``self``, and ``self`` holding them
-        # would keep every state alive until the cycle collector runs.)
-        transfer = [self._decode(pc, insn) for pc, insn in
-                    enumerate(instructions)]
+        through a jump target, so the loop rule sees every loop.
 
-        # Explicit DFS frames: [pc, state, successors or None, next index].
-        frames: List[list] = [
-            [0, _initial_state(self.program.ctx_layout.size), None, 0]
-        ]
-        while frames:
-            frame = frames[-1]
-            pc, state, successors, index = frame
-            point = recorded[pc]
-            if successors is None:
-                if point is not None:
-                    state = frame[1] = _without(state, dead[pc])
-                    held = state.regs[point.reg]
-                    if point.path and \
-                            self._covered(point.active, held, state):
-                        raise VerifierError("infinite loop detected", pc)
-                    if point.done and \
-                            self._covered(point.explored, held, state):
-                        frames.pop()
-                        continue
-                stats.states_explored += 1
-                if stats.states_explored > self.state_budget:
-                    raise VerifierError(
-                        "state budget exhausted — program too complex or "
-                        "contains a loop the verifier cannot bound", pc)
-                successors = transfer[pc](state)
-                for next_pc, _next_state in successors:
-                    if next_pc >= insn_count:
-                        raise VerifierError(
-                            "control falls off the program end", pc)
-                explored[pc].append(state.regs)
-                if point is None and len(successors) == 1:
-                    # Nothing to leave here later: step on in this frame.
-                    frame[0], frame[1] = successors[0]
+        Between prune points a state is stepped through its *run*, the
+        instructions up to the next branch, ``exit``, ``ja`` or prune
+        point, on one mutable register list: one list and one successor
+        `State` per run, not per instruction.  Each instruction of a run
+        still counts as one state against ``state_budget`` and in
+        ``states_explored``, an error names the instruction that raised
+        it, and every register an instruction reads joins its pc's fact.
+        """
+        program = self.program
+        instructions = program.instructions
+        specs = self.helpers.specs
+        insn_count = len(instructions)
+        points = self._prune_points()
+        dead = dead_registers(instructions, specs)
+        recorded: List[Optional[_Recorded]] = [None] * insn_count
+        for pc in points:
+            recorded[pc] = _Recorded()
+        # Per successor pc (one past the end too), the function taking a
+        # run's register list to the state's register tuple: at a prune
+        # point it clears the registers dead there.
+        self._snaps = [_snapshot(dead[pc]) if pc in points else _KEEP
+                       for pc in range(insn_count)] + [_KEEP]
+        # Per pc, each register the instruction reads -> every value it
+        # held there, in the order stepped: what the proof's facts join.
+        seen = [{reg: [] for reg in registers_read(insn, specs)}
+                for insn in instructions]
+        runs = self._runs(points, seen)
+        ran = bytearray(insn_count)
+        subsumes = _subsumes
+        budget = self.state_budget
+        states = checks = widest = 0
+        initial = _initial_state(program.ctx_layout.size)
+        # The DFS's work: ``(pc, state)`` to explore, or ``(~pc, state)``
+        # to leave once everything pushed after it is explored.
+        work = [(0, State(self._snaps[0]([*initial.regs, NOT_INIT]),
+                          initial.stack))]
+        pop, push, extend = work.pop, work.append, work.extend
+        try:
+            while work:
+                pc, state = pop()
+                if pc < 0:
+                    recorded[~pc].leave(state)
                     continue
-                frame[2] = successors
-                if point is not None:
-                    point.enter(state)
-                    if len(point.path) > stats.max_states_per_insn:
-                        stats.max_states_per_insn = len(point.path)
-            if index < len(successors):
-                next_pc, next_state = successors[index]
-                frame[3] = index + 1
-                frames.append([next_pc, next_state, None, 0])
-            else:
-                if point is not None:
-                    point.leave(state)
-                frames.pop()
-        self.program.verified = True
-        self.program.proof = Proof(
-            tuple(instructions),
-            tuple(self.program.ctx_layout.fields),
-            proof_context(self.helpers, self.maps), self._facts(explored))
+                # Step on in this frame while there is one successor.
+                while True:
+                    point = recorded[pc]
+                    if point is not None:
+                        held = state.regs[point.reg]
+                        if point.path:
+                            for old in point.active.candidates(held):
+                                checks += 1
+                                if subsumes(old, state):
+                                    raise VerifierError(
+                                        "infinite loop detected", pc)
+                        if point.done:
+                            for old in point.explored.candidates(held):
+                                checks += 1
+                                if subsumes(old, state):
+                                    break
+                            else:
+                                old = None
+                            if old is not None:
+                                break
+                    length, steps, end = runs[pc]
+                    states += length
+                    ran[pc] = 1
+                    regs = [*state.regs, NOT_INIT]
+                    stack = state.stack
+                    try:
+                        if states > budget:
+                            # Step the states the budget has left, then
+                            # fail at the first one it has not.
+                            left = budget + length - states
+                            for step in steps[:left]:
+                                stack = step(regs, stack)
+                            raise _exhausted(pc + left)
+                        for step in steps:
+                            stack = step(regs, stack)
+                        successors = end(regs, stack)
+                    except VerifierError as error:
+                        # Count the run's states up to the one that failed,
+                        # and the prune point's if it was stepped.
+                        states += error.pc - pc + 1 - length
+                        if point is not None and error.pc != pc:
+                            widest = max(widest, len(point.path) + 1)
+                        raise
+                    if point is not None:
+                        # Left once everything explored from here is.
+                        point.enter(state)
+                        if len(point.path) > widest:
+                            widest = len(point.path)
+                        push((~pc, state))
+                    if successors.__class__ is not tuple:
+                        extend(successors)
+                        break
+                    pc, state = successors
+        finally:
+            stats = self.stats
+            stats.states_explored = states
+            stats.max_states_per_insn = max(stats.max_states_per_insn, widest)
+            stats.subsumption_checks += checks
+        program.verified = True
+        program.proof = Proof(
+            tuple(instructions), tuple(program.ctx_layout.fields),
+            proof_context(self.helpers, self.maps),
+            _facts(seen, runs, ran), tuple(dead))
         return stats
 
-    def _facts(self, explored: List[List[tuple]]) -> tuple:
-        """`Proof.facts` of a finished exploration, from the registers of
-        every state stepped at each pc.
-
-        A state pruned at a prune point was subsumed there, on the
-        registers live there, by a fully explored state.  Each register
-        an instruction reads is live at it, so every value of a pruned
-        state that a later instruction reads lies inside a value some
-        explored state held there, and so inside the join: the facts are
-        sound exactly when pruning is (docs/verifier.md, "Why pruned
-        states are covered").  Joining afterwards keeps the exploration
-        loop free of it.
-        """
-        facts: List[Optional[tuple]] = []
-        for insn, seen in zip(self.program.instructions, explored):
-            if not seen:
-                facts.append(None)
-                continue
-            known: List[object] = [None] * 11
-            for reg in registers_read(insn, self.helpers.specs):
-                known[reg] = _join([regs[reg] for regs in seen])
-            facts.append(tuple(known))
-        return tuple(facts)
-
-    def _covered(self, table: _Table, held, state: State) -> bool:
-        """True if a state in ``table`` subsumes ``state``, which holds
-        ``held`` in the discriminator register."""
-        stats = self.stats
-        for old in table.candidates(held):
-            stats.subsumption_checks += 1
-            if _subsumes(old, state):
-                return True
-        return False
+    def _runs(self, points: set, seen: list) -> list:
+        """Per pc that starts a run (a prune point, or the instruction
+        after a conditional branch), ``(length, steps, end)``: the
+        transfer functions of all but its last instruction, and ``end``,
+        which steps the last and returns its successors, one ``(next pc,
+        next state)`` pair or a list of them, the one to explore first
+        last; None at every other pc."""
+        insns = self.program.instructions
+        count = len(insns)
+        decoded = list(map(self._decode, range(count), insns, seen))
+        starts = set(points)
+        starts.update(pc + 1 for pc, (step, end) in enumerate(decoded)
+                      if end is not None and insns[pc].opcode != "ja"
+                      and insns[pc].opcode != "exit" and pc + 1 < count)
+        runs: List[Optional[tuple]] = [None] * count
+        for start in starts:
+            steps = []
+            pc = start
+            while True:
+                step, end = decoded[pc]
+                if end is not None:
+                    break
+                if pc + 1 == count or pc + 1 in points:
+                    end = _then(step, pc + 1, self._snaps[pc + 1])
+                    break
+                steps.append(step)
+                pc += 1
+            if pc == count - 1:
+                end = _last(end, pc)
+            runs[start] = (pc - start + 1, tuple(steps), end)
+        return runs
 
     def _prune_points(self) -> set:
         """pc 0 and every jump target; rejects a target out of range."""
         insns = self.program.instructions
         points = {0}
         for pc, insn in enumerate(insns):
-            if insn.opcode == "ja" or insn.opcode in _JMP_REFINERS or \
+            if insn.opcode == "ja" or insn.opcode in _EDGES or \
                     insn.opcode == "jset":
                 target = pc + 1 + insn.offset
                 if not 0 <= target < len(insns):
@@ -576,57 +645,176 @@ class Verifier:
     # Transfer function
     # ------------------------------------------------------------------
 
-    def _decode(self, pc: int, insn):
-        """The transfer function of the instruction at ``pc``: a callable
-        taking a state there to its ``(next pc, next state)`` successors."""
+    def _decode(self, pc: int, insn, seen: dict) -> tuple:
+        """The transfer function of the instruction at ``pc``, as ``(step,
+        None)`` or ``(None, end)``.
+
+        ``step(regs, stack)`` steps an instruction whose one successor is
+        ``pc + 1``: it updates the register list ``regs`` in place and
+        returns the stack, a new dict if it wrote one.  ``end(regs,
+        stack)`` steps ``exit``, ``ja`` or a conditional branch and returns
+        its successors, as a run's ``end`` does.  Both first add every
+        register the instruction reads to its list in ``seen``.
+
+        The operands, the immediate and the edge refiners are bound here.
+        The common cases (an operation on two scalars, a move, a branch on
+        two scalars) are stepped inline; every other case, every error
+        among them, goes through the ``_check_*`` method of its class, so
+        errors, their order and their text are those of that method.
+        """
         op = insn.opcode
         following = pc + 1
+        dst, src, from_reg = insn.dst, insn.src, insn.src_is_reg
+        notes = tuple((reg, values.append) for reg, values in seen.items())
+
+        def noted(check):
+            def step(regs, stack):
+                for reg, note in notes:
+                    note(regs[reg])
+                return check(regs, stack)
+            return step
 
         if op == "exit":
-            return lambda state: self._check_exit(pc, state)
+            return None, lambda regs, stack: self._check_exit(pc, regs)
 
         if op == "call":
-            return lambda state: [
-                (following, self._check_call(pc, state, insn.imm))]
+            def call(regs, stack):
+                self._check_call(pc, regs, stack, insn.imm)
+                return stack
+            return noted(call), None
 
         if op == "ja":
             target = following + insn.offset
-            return lambda state: [(target, state)]
+            at_target = self._snaps[target]
+            return None, lambda regs, stack: (target,
+                                              State(at_target(regs), stack))
 
-        imm = Scalar(insn.imm & U64_MAX, insn.imm & U64_MAX)
+        def set_to(value):
+            def constant(regs, stack):
+                regs[dst] = value
+                return stack
+            return constant
+
+        imm = _scalar(insn.imm & U64_MAX, insn.imm & U64_MAX)
         if op == "lddw":
-            return lambda state: [(following, state.with_reg(insn.dst, imm))]
+            return set_to(imm), None
 
         is32 = op.endswith("32")
         base = op[:-2] if is32 else op
         if base in _ALU_BASES:
-            return lambda state: [
-                (following,
-                 self._check_alu(pc, state, insn, base, is32, imm))]
+            check_alu = self._check_alu
 
-        if op in _JMP_REFINERS or op == "jset":
-            return lambda state: self._check_jump(pc, state, insn, op, imm)
+            def generic_alu(regs, stack):
+                regs[dst] = check_alu(pc, regs, insn, base, is32, imm)
+                return stack
+            if dst == FP_REG or base == "neg":
+                return noted(generic_alu), None
+            if base == "mov":
+                if not from_reg:
+                    return set_to(_clamp32(imm) if is32 else imm), None
+                note = seen[src].append
+
+                def move(regs, stack):
+                    value = regs[src]
+                    note(value)
+                    if value.__class__ is Scalar:
+                        regs[dst] = _clamp32(value) if is32 else value
+                    elif is32 or value is NOT_INIT:
+                        return generic_alu(regs, stack)
+                    else:
+                        regs[dst] = value
+                    return stack
+                return move, None
+            arith = _ARITH[base, is32]
+            note_dst = seen[dst].append
+            note_src = seen[src].append if from_reg else None
+
+            def alu(regs, stack):
+                a = regs[dst]
+                note_dst(a)
+                if from_reg:
+                    b = regs[src]
+                    note_src(b)
+                else:
+                    b = imm
+                if a.__class__ is not Scalar or b.__class__ is not Scalar:
+                    return generic_alu(regs, stack)
+                regs[dst] = arith(a, b)
+                return stack
+            return alu, None
+
+        if op in _EDGES or op == "jset":
+            def check_jump(regs, stack):
+                return self._check_jump(pc, regs, stack, insn, op, imm)
+            if op == "jset":
+                return None, noted(check_jump)
+            target = following + insn.offset
+            taken_edge, fall_edge = _EDGES[op], _EDGES[_NEGATION[op]]
+            at_following, at_target = self._snaps[following], \
+                self._snaps[target]
+            note_dst = seen[dst].append
+            note_src = seen[src].append if from_reg else None
+
+            def jump(regs, stack):
+                a = regs[dst]
+                note_dst(a)
+                if from_reg:
+                    b = regs[src]
+                    note_src(b)
+                else:
+                    b = imm
+                if a.__class__ is not Scalar or b.__class__ is not Scalar:
+                    return check_jump(regs, stack)
+                taken, fall = taken_edge(a, b), fall_edge(a, b)
+                if fall is None:
+                    if taken is None:
+                        raise VerifierError("branch with no feasible outcome",
+                                            pc)
+                    regs[dst] = taken[0]
+                    if from_reg:
+                        regs[src] = taken[1]
+                    return target, State(at_target(regs), stack)
+                regs[dst] = fall[0]
+                if from_reg:
+                    regs[src] = fall[1]
+                fall = following, State(at_following(regs), stack)
+                if taken is None:
+                    return fall
+                regs[dst] = taken[0]
+                if from_reg:
+                    regs[src] = taken[1]
+                return [fall, (target, State(at_target(regs), stack))]
+            return None, jump
 
         if op.startswith("ldx") and op[3:] in MEM_SIZES:
             size = MEM_SIZES[op[3:]]
-            return lambda state: [
-                (following, self._check_load(pc, state, insn, size))]
+            check_load = self._check_load
+            note = seen[src].append
+
+            def load(regs, stack):
+                note(regs[src])
+                regs[dst] = check_load(pc, regs, stack, insn, size)
+                return stack
+            return load, None
+
         if op.startswith("st"):
-            from_reg = op.startswith("stx")
-            width = op[3:] if from_reg else op[2:]
+            stx = op.startswith("stx")
+            width = op[3:] if stx else op[2:]
             if width in MEM_SIZES:
                 size = MEM_SIZES[width]
-                return lambda state: [
-                    (following,
-                     self._check_store(pc, state, insn, size,
-                                       None if from_reg else imm))]
+                stored = None if stx else imm
+                check_store = self._check_store
 
-        def unknown(state):
+                def store(regs, stack):
+                    return check_store(pc, regs, stack, insn, size, stored)
+                return noted(store), None
+
+        def unknown(regs, stack):
             raise VerifierError(f"unknown opcode {op!r}", pc)
-        return unknown
+        return unknown, None
 
-    def _check_exit(self, pc: int, state: State) -> List[Tuple[int, State]]:
-        r0 = state.regs[0]
+    def _check_exit(self, pc: int, regs: list) -> list:
+        r0 = regs[0]
         if r0 is NOT_INIT:
             raise VerifierError("exit with uninitialised r0", pc)
         if isinstance(r0, Ptr):
@@ -635,69 +823,62 @@ class Verifier:
 
     # -- ALU ------------------------------------------------------------
 
-    def _check_alu(self, pc: int, state: State, insn, base: str,
-                   is32: bool, imm: Scalar) -> State:
+    def _check_alu(self, pc: int, regs: list, insn, base: str,
+                   is32: bool, imm: Scalar):
+        """The new value of ``dst`` after a write to r10, a ``neg``, or an
+        operation on a pointer or an uninitialised register; `_decode`
+        steps a move and an operation on two scalars inline."""
         if insn.dst == FP_REG:
             raise VerifierError("write to frame pointer r10", pc)
-        dst_val = state.regs[insn.dst]
+        dst_val = regs[insn.dst]
         if base == "neg":
             if dst_val is NOT_INIT:
                 raise VerifierError(f"neg of uninitialised r{insn.dst}", pc)
             if isinstance(dst_val, Ptr):
                 raise VerifierError("neg of pointer", pc)
-            return state.with_reg(insn.dst, UNKNOWN if not is32 else
-                                  Scalar(0, U32_MAX))
+            return UNKNOWN if not is32 else _U32_RANGE
 
         if insn.src_is_reg:
-            src_val = state.regs[insn.src]
+            src_val = regs[insn.src]
             if src_val is NOT_INIT:
                 raise VerifierError(f"use of uninitialised r{insn.src}", pc)
         else:
             src_val = imm
 
         if base == "mov":
-            if is32:
-                if isinstance(src_val, Ptr):
-                    raise VerifierError("mov32 of pointer", pc)
-                return state.with_reg(insn.dst, _clamp32(src_val))
-            return state.with_reg(insn.dst, src_val)
+            # The one move `_decode` leaves: a pointer's low 32 bits.
+            raise VerifierError("mov32 of pointer", pc)
 
         if dst_val is NOT_INIT:
             raise VerifierError(f"use of uninitialised r{insn.dst}", pc)
 
+        # Both operands are initialised and not both scalars.
         dst_ptr = isinstance(dst_val, Ptr)
         src_ptr = isinstance(src_val, Ptr)
-        if dst_ptr or src_ptr:
-            if is32:
-                raise VerifierError("32-bit ALU on pointer", pc)
-            if (dst_ptr and dst_val.maybe_null) or \
-                    (src_ptr and src_val.maybe_null):
-                raise VerifierError("arithmetic on maybe-null pointer", pc)
-            if base == "add":
-                if dst_ptr and src_ptr:
-                    raise VerifierError("pointer + pointer", pc)
-                ptr, scalar = (dst_val, src_val) if dst_ptr else (src_val,
-                                                                  dst_val)
-                return state.with_reg(insn.dst,
-                                      self._ptr_add(pc, ptr, scalar))
-            if base == "sub":
-                if dst_ptr and src_ptr:
-                    if dst_val.region != src_val.region:
-                        raise VerifierError(
-                            "pointer difference across regions", pc)
-                    return state.with_reg(insn.dst, UNKNOWN)
-                if dst_ptr and isinstance(src_val, Scalar) and \
-                        src_val.const is not None:
-                    delta = (-src_val.const) & U64_MAX
-                    return state.with_reg(
-                        insn.dst,
-                        self._ptr_add(pc, dst_val, Scalar(delta, delta)))
-                raise VerifierError(
-                    "pointer minus unknown value is unbounded", pc)
-            raise VerifierError(f"ALU op {base!r} on pointer", pc)
-
-        result = _scalar_alu(base, dst_val, src_val, is32)
-        return state.with_reg(insn.dst, result)
+        if is32:
+            raise VerifierError("32-bit ALU on pointer", pc)
+        if (dst_ptr and dst_val.maybe_null) or \
+                (src_ptr and src_val.maybe_null):
+            raise VerifierError("arithmetic on maybe-null pointer", pc)
+        if base == "add":
+            if dst_ptr and src_ptr:
+                raise VerifierError("pointer + pointer", pc)
+            ptr, scalar = (dst_val, src_val) if dst_ptr else (src_val,
+                                                              dst_val)
+            return self._ptr_add(pc, ptr, scalar)
+        if base == "sub":
+            if dst_ptr and src_ptr:
+                if dst_val.region != src_val.region:
+                    raise VerifierError("pointer difference across regions",
+                                        pc)
+                return UNKNOWN
+            if dst_ptr and isinstance(src_val, Scalar) and \
+                    src_val.const is not None:
+                delta = (-src_val.const) & U64_MAX
+                return self._ptr_add(pc, dst_val, _scalar(delta, delta))
+            raise VerifierError(
+                "pointer minus unknown value is unbounded", pc)
+        raise VerifierError(f"ALU op {base!r} on pointer", pc)
 
     def _ptr_add(self, pc: int, ptr: Ptr, scalar) -> Ptr:
         if not isinstance(scalar, Scalar):
@@ -714,24 +895,28 @@ class Verifier:
         off_max = ptr.off_max + smax
         if off_min < -_OFF_LIMIT or off_max > _OFF_LIMIT:
             raise VerifierError("pointer offset out of tractable range", pc)
-        return replace(ptr, off_min=off_min, off_max=off_max)
+        return _ptr(ptr.region, ptr.size, off_min, off_max, ptr.maybe_null)
 
     # -- jumps ------------------------------------------------------------
 
-    def _check_jump(self, pc: int, state: State, insn, op: str,
-                    imm: Scalar) -> List[Tuple[int, State]]:
-        dst_val = state.regs[insn.dst]
+    def _check_jump(self, pc: int, regs: list, stack: dict, insn, op: str,
+                    imm: Scalar):
+        """The successors of a branch on a pointer or an uninitialised
+        register, or of a ``jset``; `_decode` refines a branch on two
+        scalars inline."""
+        dst_val = regs[insn.dst]
         if dst_val is NOT_INIT:
             raise VerifierError(f"jump on uninitialised r{insn.dst}", pc)
         if insn.src_is_reg:
-            src_val = state.regs[insn.src]
+            src_val = regs[insn.src]
             if src_val is NOT_INIT:
                 raise VerifierError(f"jump on uninitialised r{insn.src}", pc)
         else:
             src_val = imm
 
         taken_pc = pc + 1 + insn.offset
-        out: List[Tuple[int, State]] = []
+        at_fall, at_taken = self._snaps[pc + 1], self._snaps[taken_pc]
+        fall, taken = State(at_fall(regs), stack), State(at_taken(regs), stack)
 
         # Pointer null-checks and pointer comparisons.
         if isinstance(dst_val, Ptr) or isinstance(src_val, Ptr):
@@ -745,52 +930,26 @@ class Verifier:
             )
             if isinstance(other, Ptr):
                 # ptr vs ptr: both outcomes possible, no refinement.
-                return [(taken_pc, state), (pc + 1, state)]
+                return [(pc + 1, fall), (taken_pc, taken)]
             if isinstance(other, Scalar) and other.const == 0:
-                non_null = replace(ptr, maybe_null=False)
-                null_scalar = Scalar(0, 0)
                 if ptr.maybe_null:
-                    if op == "jeq":
-                        out.append((taken_pc,
-                                    state.with_reg(ptr_reg, null_scalar)))
-                        out.append((pc + 1, state.with_reg(ptr_reg, non_null)))
-                    else:
-                        out.append((taken_pc,
-                                    state.with_reg(ptr_reg, non_null)))
-                        out.append((pc + 1,
-                                    state.with_reg(ptr_reg, null_scalar)))
-                    return out
+                    non_null = _ptr(ptr.region, ptr.size, ptr.off_min,
+                                    ptr.off_max, False)
+                    regs[ptr_reg] = non_null if op == "jne" else _ZERO
+                    taken = State(at_taken(regs), stack)
+                    regs[ptr_reg] = _ZERO if op == "jne" else non_null
+                    return [(pc + 1, State(at_fall(regs), stack)),
+                            (taken_pc, taken)]
                 # Definite pointer never equals NULL.
-                return [(pc + 1, state)] if op == "jeq" else [(taken_pc,
-                                                               state)]
+                return (pc + 1, fall) if op == "jeq" else (taken_pc, taken)
             # ptr vs non-zero scalar: never equal.
-            return [(pc + 1, state)] if op == "jeq" else [(taken_pc, state)]
+            return (pc + 1, fall) if op == "jeq" else (taken_pc, taken)
 
-        if op == "jset":
-            if dst_val.const is not None and src_val.const is not None:
-                taken = (dst_val.const & src_val.const) != 0
-                return [(taken_pc if taken else pc + 1, state)]
-            return [(taken_pc, state), (pc + 1, state)]
-
-        refine = _JMP_REFINERS[op]
-        results = []
-        taken = refine(dst_val, src_val, True)
-        if taken is not None:
-            new_dst, new_src = taken
-            new_state = state.with_reg(insn.dst, new_dst)
-            if insn.src_is_reg:
-                new_state = new_state.with_reg(insn.src, new_src)
-            results.append((taken_pc, new_state))
-        not_taken = refine(dst_val, src_val, False)
-        if not_taken is not None:
-            new_dst, new_src = not_taken
-            new_state = state.with_reg(insn.dst, new_dst)
-            if insn.src_is_reg:
-                new_state = new_state.with_reg(insn.src, new_src)
-            results.append((pc + 1, new_state))
-        if not results:
-            raise VerifierError("branch with no feasible outcome", pc)
-        return results
+        if dst_val.const is not None and src_val.const is not None:
+            if dst_val.const & src_val.const:
+                return taken_pc, taken
+            return pc + 1, fall
+        return [(pc + 1, fall), (taken_pc, taken)]
 
     # -- memory ------------------------------------------------------------
 
@@ -801,8 +960,10 @@ class Verifier:
                 "without a null check", pc)
         return ptr
 
-    def _check_load(self, pc: int, state: State, insn, size: int) -> State:
-        base = state.regs[insn.src]
+    def _check_load(self, pc: int, regs: list, stack: dict, insn,
+                    size: int):
+        """The value a load leaves in ``dst``."""
+        base = regs[insn.src]
         if base is NOT_INIT:
             raise VerifierError(f"load via uninitialised r{insn.src}", pc)
         if not isinstance(base, Ptr):
@@ -821,34 +982,33 @@ class Verifier:
                 raise VerifierError(
                     f"ctx load at ({lo}, {size}) matches no field", pc)
             if ctx_field.kind is FieldKind.POINTER:
-                return state.with_reg(
-                    insn.dst, Ptr(ctx_field.region, ctx_field.region_size))
-            return state.with_reg(insn.dst, _range_of_size(size))
+                return _ptr(ctx_field.region, ctx_field.region_size, 0, 0,
+                            False)
+            return _RANGE_OF_SIZE[size]
 
         if base.region == "stack":
-            return self._stack_load(pc, state, insn, lo, hi, size)
+            return self._stack_load(pc, base, stack, lo, hi, size)
 
         if lo < 0 or hi > base.size:
             raise VerifierError(
                 f"load [{lo}, {hi}) out of bounds of {base.region!r} "
                 f"({base.size}B)", pc)
-        return state.with_reg(insn.dst, _range_of_size(size))
+        return _RANGE_OF_SIZE[size]
 
-    def _stack_load(self, pc: int, state: State, insn, lo: int, hi: int,
-                    size: int) -> State:
+    def _stack_load(self, pc: int, base: Ptr, stack: dict, lo: int, hi: int,
+                    size: int):
         if lo < 0 or hi > STACK_SIZE:
             raise VerifierError(f"stack load [{lo}, {hi}) out of bounds", pc)
-        base = state.regs[insn.src]
         if base.off_min != base.off_max:
             raise VerifierError("stack access with variable offset", pc)
         slot = lo // 8
-        entry = state.stack.get(slot)
+        entry = stack.get(slot)
         if size == 8 and lo % 8 == 0 and entry is not None and \
                 entry[0] == "ptr":
-            return state.with_reg(insn.dst, entry[1])
+            return entry[1]
         # Scalar load: every byte must be initialised.
         for byte in range(lo, hi):
-            slot_entry = state.stack.get(byte // 8)
+            slot_entry = stack.get(byte // 8)
             if slot_entry is None:
                 raise VerifierError(
                     f"read of uninitialised stack byte {byte}", pc)
@@ -858,12 +1018,13 @@ class Verifier:
             if (byte % 8) not in slot_entry[1]:
                 raise VerifierError(
                     f"read of uninitialised stack byte {byte}", pc)
-        return state.with_reg(insn.dst, _range_of_size(size))
+        return _RANGE_OF_SIZE[size]
 
-    def _check_store(self, pc: int, state: State, insn, size: int,
-                     imm: Optional[Scalar]) -> State:
-        """``imm`` is the stored immediate, or None to store ``insn.src``."""
-        base = state.regs[insn.dst]
+    def _check_store(self, pc: int, regs: list, stack: dict, insn,
+                     size: int, imm: Optional[Scalar]) -> dict:
+        """The stack after a store; ``imm`` is the stored immediate, or
+        None to store ``insn.src``."""
+        base = regs[insn.dst]
         if base is NOT_INIT:
             raise VerifierError(f"store via uninitialised r{insn.dst}", pc)
         if not isinstance(base, Ptr):
@@ -871,7 +1032,7 @@ class Verifier:
         self._region_of(pc, base)
 
         if imm is None:
-            value = state.regs[insn.src]
+            value = regs[insn.src]
             if value is NOT_INIT:
                 raise VerifierError(
                     f"store of uninitialised r{insn.src}", pc)
@@ -895,7 +1056,7 @@ class Verifier:
                     f"ctx field {ctx_field.name!r} is not writable", pc)
             if isinstance(value, Ptr):
                 raise VerifierError("pointer stored to ctx", pc)
-            return state
+            return stack
 
         if base.region == "stack":
             if base.off_min != base.off_max:
@@ -903,7 +1064,7 @@ class Verifier:
             if lo < 0 or hi > STACK_SIZE:
                 raise VerifierError(
                     f"stack store [{lo}, {hi}) out of bounds", pc)
-            stack = dict(state.stack)
+            stack = dict(stack)
             if isinstance(value, Ptr):
                 if size != 8 or lo % 8 != 0:
                     raise VerifierError(
@@ -911,7 +1072,7 @@ class Verifier:
                 if value.maybe_null:
                     raise VerifierError("spill of maybe-null pointer", pc)
                 stack[lo // 8] = ("ptr", value)
-                return state.with_stack(stack)
+                return stack
             for byte in range(lo, hi):
                 slot = byte // 8
                 entry = stack.get(slot)
@@ -920,7 +1081,7 @@ class Verifier:
                 else:
                     initialised = entry[1]
                 stack[slot] = ("bytes", initialised | {byte % 8})
-            return state.with_stack(stack)
+            return stack
 
         if isinstance(value, Ptr):
             raise VerifierError(
@@ -933,7 +1094,7 @@ class Verifier:
         if not writable:
             raise VerifierError(f"store to read-only region {base.region!r}",
                                 pc)
-        return state
+        return stack
 
     def _region_writable(self, region: str) -> bool:
         if region.startswith("map_value:"):
@@ -946,7 +1107,9 @@ class Verifier:
 
     # -- helper calls --------------------------------------------------------
 
-    def _check_call(self, pc: int, state: State, helper_id: int) -> State:
+    def _check_call(self, pc: int, regs: list, stack: dict,
+                    helper_id: int) -> None:
+        """Checks a call's arguments and sets r0-r5 as it leaves them."""
         try:
             spec = self.helpers.spec(helper_id)
         except Exception:
@@ -957,7 +1120,7 @@ class Verifier:
         args = list(spec.args)
         for index, kind in enumerate(args):
             reg = 1 + index
-            value = state.regs[reg]
+            value = regs[reg]
             if value is NOT_INIT:
                 raise VerifierError(
                     f"helper {spec.name!r}: r{reg} uninitialised", pc)
@@ -983,10 +1146,10 @@ class Verifier:
                         f"helper {spec.name!r}: map arg before MAP_ID", pc)
                 needed = (map_for_call.key_size if kind is ArgKind.MAP_KEY
                           else map_for_call.value_size)
-                self._check_mem_arg(pc, state, spec, reg, value, needed,
+                self._check_mem_arg(pc, stack, spec, reg, value, needed,
                                     writable=False)
             elif kind in (ArgKind.PTR_MEM, ArgKind.PTR_MEM_WRITABLE):
-                size_val = state.regs[reg + 1]
+                size_val = regs[reg + 1]
                 if size_val is NOT_INIT or isinstance(size_val, Ptr):
                     raise VerifierError(
                         f"helper {spec.name!r}: r{reg + 1} must be a scalar "
@@ -996,7 +1159,7 @@ class Verifier:
                         f"helper {spec.name!r}: size in r{reg + 1} unbounded "
                         f"(umax={size_val.umax})", pc)
                 self._check_mem_arg(
-                    pc, state, spec, reg, value, size_val.umax,
+                    pc, stack, spec, reg, value, size_val.umax,
                     writable=(kind is ArgKind.PTR_MEM_WRITABLE))
             elif kind is ArgKind.SIZE:
                 continue  # validated together with its pointer
@@ -1009,23 +1172,21 @@ class Verifier:
                 raise VerifierError(
                     f"helper {spec.name!r}: unhandled arg kind {kind}", pc)
 
-        regs = list(state.regs)
         for reg in range(1, 6):
             regs[reg] = NOT_INIT
         if spec.ret is RetKind.VOID:
-            regs[0] = Scalar(0, 0)
+            regs[0] = _ZERO
         elif spec.ret is RetKind.MAP_VALUE_OR_NULL:
             if map_for_call is None:
                 raise VerifierError(
                     f"helper {spec.name!r}: returns map value but no map",
                     pc)
-            regs[0] = Ptr(f"map_value:{map_id_for_call}",
-                          map_for_call.value_size, maybe_null=True)
+            regs[0] = _ptr(f"map_value:{map_id_for_call}",
+                           map_for_call.value_size, 0, 0, True)
         else:
             regs[0] = UNKNOWN
-        return State(tuple(regs), state.stack)
 
-    def _check_mem_arg(self, pc: int, state: State, spec, reg: int, value,
+    def _check_mem_arg(self, pc: int, stack: dict, spec, reg: int, value,
                        needed: int, writable: bool) -> None:
         if not isinstance(value, Ptr):
             raise VerifierError(
@@ -1042,7 +1203,7 @@ class Verifier:
                     "bounds", pc)
             if not writable:
                 for byte in range(lo, hi):
-                    entry = state.stack.get(byte // 8)
+                    entry = stack.get(byte // 8)
                     if entry is None or entry[0] == "ptr" or \
                             (byte % 8) not in entry[1]:
                         raise VerifierError(
@@ -1063,139 +1224,196 @@ class Verifier:
                 "read-only", pc)
 
 
+def _facts(seen: list, runs: list, ran: bytearray) -> tuple:
+    """`Proof.facts` of a finished exploration: at each pc of every run
+    stepped, the join of the values each register it reads held there.
+
+    A state pruned at a prune point was subsumed there, on the registers
+    live there, by a fully explored state.  Each register an instruction
+    reads is live at it, so every value of a pruned state that a later
+    instruction reads lies inside a value some explored state held there,
+    and so inside the join: the facts are sound exactly when pruning is
+    (docs/verifier.md, "Why pruned states are covered").
+    """
+    facts: List[Optional[tuple]] = [None] * len(seen)
+    for start, run in enumerate(runs):
+        if run is None or not ran[start]:
+            continue
+        for pc in range(start, start + run[0]):
+            known: List[object] = [None] * 11
+            for reg, values in seen[pc].items():
+                known[reg] = _join(values)
+            facts[pc] = tuple(known)
+    return tuple(facts)
+
+
 # ---------------------------------------------------------------------------
 # Scalar arithmetic and branch refinement
 # ---------------------------------------------------------------------------
 
 
-def _range_of_size(size: int) -> Scalar:
-    return Scalar(0, (1 << (8 * size)) - 1)
+#: What a load of each width yields, and other ranges used often.
+_RANGE_OF_SIZE = {size: _scalar(0, (1 << (8 * size)) - 1)
+                  for size in MEM_SIZES.values()}
+_U32_RANGE = _scalar(0, U32_MAX)
+_ZERO = _scalar(0, 0)
 
 
 def _clamp32(value: Scalar) -> Scalar:
     if value.umax <= U32_MAX:
         return value
-    return Scalar(0, U32_MAX)
+    return _U32_RANGE
+
+
+def _arith(base: str, is32: bool):
+    """The scalar transfer of the ALU operation ``base``, 64- or 32-bit:
+    a function of the operands' ranges to the result's."""
+    top = U32_MAX if is32 else U64_MAX
+    unknown = _scalar(0, top)
+    mask = 31 if is32 else 63
+
+    if base == "add":
+        def arith(a, b):
+            if a.umax + b.umax > top:
+                return unknown
+            return _scalar(a.umin + b.umin, a.umax + b.umax)
+    elif base == "sub":
+        def arith(a, b):
+            if a.umin < b.umax:
+                return unknown
+            return _scalar(a.umin - b.umax, a.umax - b.umin)
+    elif base == "mul":
+        def arith(a, b):
+            if a.umax * b.umax > top:
+                return unknown
+            return _scalar(a.umin * b.umin, a.umax * b.umax)
+    elif base == "and":
+        def arith(a, b):
+            return _scalar(0, min(a.umax, b.umax))
+    elif base in ("or", "xor"):
+        def arith(a, b):
+            bits = max(a.umax, b.umax).bit_length()
+            return _scalar(0, (1 << bits) - 1) if bits < 64 else unknown
+    elif base == "lsh":
+        def arith(a, b):
+            by = b.umin & mask
+            if b.umin != b.umax or a.umax << by > top:
+                return unknown
+            return _scalar(a.umin << by, a.umax << by)
+    elif base in ("rsh", "arsh"):
+        # An arithmetic shift equals the logical one only below the
+        # operand's sign bit, which for a 32-bit operand is bit 31.
+        below = (2**31 if is32 else 2**63) if base == "arsh" else 2**64
+
+        def arith(a, b):
+            if b.umin != b.umax or a.umax >= below:
+                return unknown
+            by = b.umin & mask
+            return _scalar(a.umin >> by, a.umax >> by)
+    elif base in ("div", "mod"):
+        def arith(a, b):
+            if b.umin != b.umax or b.umin == 0:
+                return unknown
+            if base == "div":
+                return _scalar(a.umin // b.umin, a.umax // b.umin)
+            return a if a.umax < b.umin else _scalar(0, b.umin - 1)
+    else:
+        raise ValueError(base)
+    if not is32:
+        return arith
+
+    def arith32(a, b):
+        result = arith(_clamp32(a), _clamp32(b))
+        return _U32_RANGE if result.umax > U32_MAX else result
+    return arith32
+
+
+_ARITH = {(base, is32): _arith(base, is32)
+          for base in _ALU_BASES - {"mov", "neg"} for is32 in (False, True)}
 
 
 def _scalar_alu(base: str, a: Scalar, b: Scalar, is32: bool) -> Scalar:
-    if is32:
-        a = _clamp32(a) if a.umax <= U32_MAX else Scalar(0, U32_MAX)
-        b = _clamp32(b) if b.umax <= U32_MAX else Scalar(0, U32_MAX)
-    top = U32_MAX if is32 else U64_MAX
-
-    result = None
-    if base == "add":
-        if a.umax + b.umax <= top:
-            result = Scalar(a.umin + b.umin, a.umax + b.umax)
-    elif base == "sub":
-        if a.umin >= b.umax:
-            result = Scalar(a.umin - b.umax, a.umax - b.umin)
-    elif base == "mul":
-        if a.umax * b.umax <= top:
-            result = Scalar(a.umin * b.umin, a.umax * b.umax)
-    elif base == "and":
-        result = Scalar(0, min(a.umax, b.umax))
-    elif base in ("or", "xor"):
-        bits = max(a.umax, b.umax).bit_length()
-        if bits < 64:
-            result = Scalar(0, (1 << bits) - 1)
-    elif base == "lsh":
-        if b.const is not None:
-            shift = b.const & (31 if is32 else 63)
-            if a.umax << shift <= top:
-                result = Scalar(a.umin << shift, a.umax << shift)
-    elif base == "rsh":
-        if b.const is not None:
-            shift = b.const & (31 if is32 else 63)
-            result = Scalar(a.umin >> shift, a.umax >> shift)
-    elif base == "div":
-        if b.const is not None and b.const > 0:
-            result = Scalar(a.umin // b.const, a.umax // b.const)
-    elif base == "mod":
-        if b.const is not None and b.const > 0:
-            if a.umax < b.const:
-                result = a
-            else:
-                result = Scalar(0, b.const - 1)
-    elif base == "arsh":
-        # Equal to the logical shift only below the operand's sign bit,
-        # which for a 32-bit operand is bit 31.
-        if a.umax < (2**31 if is32 else 2**63) and b.const is not None:
-            shift = b.const & (31 if is32 else 63)
-            result = Scalar(a.umin >> shift, a.umax >> shift)
-
-    if result is None:
-        result = Scalar(0, top)
-    if is32 and result.umax > U32_MAX:
-        result = Scalar(0, U32_MAX)
-    return result
+    """`_ARITH`'s transfer of one operation, applied to ``a`` and ``b``."""
+    return _ARITH[base, is32](a, b)
 
 
-def _refine(op):
-    """Build a refinement function for an unsigned comparison.
+# Branch refinement: per comparison, a function of the two operands'
+# ranges to their ranges on the edge where the comparison holds, or None
+# if it cannot hold.
 
-    Returns ``fn(a, b, taken)`` yielding refined ``(a, b)`` scalars for the
-    requested edge, or None if that edge is infeasible.
-    """
+def _jeq(a: Scalar, b: Scalar):
+    lo = max(a.umin, b.umin)
+    hi = min(a.umax, b.umax)
+    if lo > hi:
+        return None
+    both = _scalar(lo, hi)
+    return both, both
 
-    def refine(a: Scalar, b: Scalar, taken: bool):
-        effective = op if taken else _NEGATION[op]
-        if effective == "jeq":
-            lo = max(a.umin, b.umin)
-            hi = min(a.umax, b.umax)
-            if lo > hi:
-                return None
-            return Scalar(lo, hi), Scalar(lo, hi)
-        if effective == "jne":
-            if a.const is not None and a.const == b.const:
-                return None
-            # Shave the boundary when one side is constant.
-            new_a, new_b = a, b
-            if b.const is not None:
-                if a.umin == b.const and a.umin < a.umax:
-                    new_a = Scalar(a.umin + 1, a.umax)
-                elif a.umax == b.const and a.umin < a.umax:
-                    new_a = Scalar(a.umin, a.umax - 1)
-            if a.const is not None:
-                if b.umin == a.const and b.umin < b.umax:
-                    new_b = Scalar(b.umin + 1, b.umax)
-                elif b.umax == a.const and b.umin < b.umax:
-                    new_b = Scalar(b.umin, b.umax - 1)
-            return new_a, new_b
-        if effective == "jgt":  # a > b
-            if a.umax <= b.umin:
-                return None
-            return (Scalar(max(a.umin, b.umin + 1), a.umax),
-                    Scalar(b.umin, min(b.umax, a.umax - 1)))
-        if effective == "jge":  # a >= b
-            if a.umax < b.umin:
-                return None
-            return (Scalar(max(a.umin, b.umin), a.umax),
-                    Scalar(b.umin, min(b.umax, a.umax)))
-        if effective == "jlt":  # a < b
-            if a.umin >= b.umax:
-                return None
-            return (Scalar(a.umin, min(a.umax, b.umax - 1)),
-                    Scalar(max(b.umin, a.umin + 1), b.umax))
-        if effective == "jle":  # a <= b
-            if a.umin > b.umax:
-                return None
-            return (Scalar(a.umin, min(a.umax, b.umax)),
-                    Scalar(max(b.umin, a.umin), b.umax))
-        if effective in ("jsgt", "jsge", "jslt", "jsle"):
-            # Signed comparisons: when both ranges sit in the non-negative
-            # half they coincide with the unsigned refiners; otherwise give
-            # up refinement but keep both edges feasible.
-            if a.umax < 2**63 and b.umax < 2**63:
-                unsigned = {"jsgt": "jgt", "jsge": "jge", "jslt": "jlt",
-                            "jsle": "jle"}[effective]
-                return _refine_table(unsigned)(a, b, True)
-            return a, b
-        raise AssertionError(effective)
 
+def _jne(a: Scalar, b: Scalar):
+    a_const = a.umin == a.umax
+    b_const = b.umin == b.umax
+    if a_const and b_const and a.umin == b.umin:
+        return None
+    # Shave the boundary when one side is constant.
+    new_a, new_b = a, b
+    if b_const and not a_const:
+        if a.umin == b.umin:
+            new_a = _scalar(a.umin + 1, a.umax)
+        elif a.umax == b.umin:
+            new_a = _scalar(a.umin, a.umax - 1)
+    if a_const and not b_const:
+        if b.umin == a.umin:
+            new_b = _scalar(b.umin + 1, b.umax)
+        elif b.umax == a.umin:
+            new_b = _scalar(b.umin, b.umax - 1)
+    return new_a, new_b
+
+
+# An operand whose range the comparison does not narrow is kept as it is.
+
+def _jgt(a: Scalar, b: Scalar):  # a > b
+    if a.umax <= b.umin:
+        return None
+    return (a if a.umin > b.umin else _scalar(b.umin + 1, a.umax),
+            b if b.umax < a.umax else _scalar(b.umin, a.umax - 1))
+
+
+def _jge(a: Scalar, b: Scalar):  # a >= b
+    if a.umax < b.umin:
+        return None
+    return (a if a.umin >= b.umin else _scalar(b.umin, a.umax),
+            b if b.umax <= a.umax else _scalar(b.umin, a.umax))
+
+
+def _jlt(a: Scalar, b: Scalar):  # a < b
+    if a.umin >= b.umax:
+        return None
+    return (a if a.umax < b.umax else _scalar(a.umin, b.umax - 1),
+            b if b.umin > a.umin else _scalar(a.umin + 1, b.umax))
+
+
+def _jle(a: Scalar, b: Scalar):  # a <= b
+    if a.umin > b.umax:
+        return None
+    return (a if a.umax <= b.umax else _scalar(a.umin, b.umax),
+            b if b.umin >= a.umin else _scalar(a.umin, b.umax))
+
+
+def _signed(unsigned):
+    """A signed comparison: when both ranges sit in the non-negative half
+    it coincides with ``unsigned``; otherwise give up refinement but keep
+    the edge feasible."""
+    def refine(a: Scalar, b: Scalar):
+        if a.umax < 2**63 and b.umax < 2**63:
+            return unsigned(a, b)
+        return a, b
     return refine
 
+
+_EDGES = {"jeq": _jeq, "jne": _jne, "jgt": _jgt, "jge": _jge, "jlt": _jlt,
+          "jle": _jle, "jsgt": _signed(_jgt), "jsge": _signed(_jge),
+          "jslt": _signed(_jlt), "jsle": _signed(_jle)}
 
 _NEGATION = {
     "jeq": "jne", "jne": "jeq",
@@ -1203,21 +1421,6 @@ _NEGATION = {
     "jge": "jlt", "jlt": "jge",
     "jsgt": "jsle", "jsle": "jsgt",
     "jsge": "jslt", "jslt": "jsge",
-}
-
-_REFINERS_CACHE: Dict[str, object] = {}
-
-
-def _refine_table(op: str):
-    if op not in _REFINERS_CACHE:
-        _REFINERS_CACHE[op] = _refine(op)
-    return _REFINERS_CACHE[op]
-
-
-_JMP_REFINERS = {
-    op: _refine_table(op)
-    for op in ("jeq", "jne", "jgt", "jge", "jlt", "jle", "jsgt", "jsge",
-               "jslt", "jsle")
 }
 
 
@@ -1242,9 +1445,14 @@ def _value_subsumes(old, new) -> bool:
 
 
 def _subsumes(old: State, new: State) -> bool:
-    for old_val, new_val in zip(old.regs, new.regs):
-        # ``with_reg`` shares the untouched registers between states.
-        if old_val is not new_val and not _value_subsumes(old_val, new_val):
+    # A transfer function shares the registers it leaves alone between
+    # states, so only the registers that are not one object are compared.
+    for old_val, new_val in compress(zip(old.regs, new.regs),
+                                     map(is_not, old.regs, new.regs)):
+        if old_val.__class__ is Scalar and new_val.__class__ is Scalar:
+            if old_val.umin > new_val.umin or old_val.umax < new_val.umax:
+                return False
+        elif not _value_subsumes(old_val, new_val):
             return False
     if old.stack is new.stack:
         return True

@@ -63,7 +63,7 @@ from repro.ebpf.helpers import ArgKind, HelperRegistry, HelperSpec, RetKind
 from repro.ebpf.isa import FP_REG, MEM_SIZES, STACK_SIZE
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import FieldKind, Program
-from repro.ebpf.verifier import (Ptr, Scalar, dead_registers, proof_context,
+from repro.ebpf.verifier import (Proof, Ptr, Scalar, proof_context,
                                  registers_read)
 
 __all__ = ["ExecutionResult", "Pointer", "Region", "Vm", "VmEnvironment"]
@@ -534,7 +534,7 @@ def _call_helper(state: _RunState, helper_id: int, pc: int) -> None:
     args = []
     for index, kind in enumerate(spec.args):
         value = state.regs[1 + index]
-        if kind in (ArgKind.SCALAR, ArgKind.CONST, ArgKind.MAP_ID, ArgKind.SIZE):
+        if kind in _SCALAR_ARGS:
             args.append(_as_scalar(value, f"helper arg {index + 1}", pc) & U64)
         else:
             if not isinstance(value, Pointer):
@@ -1245,7 +1245,7 @@ def _reads_offset(insn, known: tuple, reg: int, region: str,
     return False
 
 
-def _unboxed(program: Program, facts: tuple, ends: List[int],
+def _unboxed(program: Program, proof: Proof, ends: List[int],
              specs: Dict[int, Optional[HelperSpec]],
              memory: _Memory) -> Dict[int, str]:
     """The `pointer_values` the generated code never builds a `Pointer`
@@ -1253,7 +1253,9 @@ def _unboxed(program: Program, facts: tuple, ends: List[int],
     region.  ``ends[pc]`` is where the basic block of ``pc`` ends.
 
     A value qualifies if every read of it, up to where it is overwritten
-    or dies (`dead_registers`), is one `_reads_offset` accepts and lies in
+    or dies (``proof.dead``, the dead sets the verifier pruned with, which
+    hold here because ``proof`` covers the program), is one
+    `_reads_offset` accepts and lies in
     its block: it is never compared, copied, spilled, passed to a helper,
     returned, read at a guarded site or live into another block.  Then
     neither the budget tail (which hands every register to the
@@ -1261,7 +1263,7 @@ def _unboxed(program: Program, facts: tuple, ends: List[int],
     that its `Pointer` was never built.
     """
     insns = program.instructions
-    dead = dead_registers(insns, specs)
+    facts, dead = proof.facts, proof.dead
 
     def offset_only(pc: int, region: str) -> bool:
         reg, end = insns[pc].dst, ends[pc]
@@ -1289,19 +1291,18 @@ def _unboxed(program: Program, facts: tuple, ends: List[int],
 
 def _generate(program: Program, limit: int,
               specs: Dict[int, Optional[HelperSpec]],
-              facts: Optional[tuple]
+              proof: Optional[Proof]
               ) -> Tuple[str, List[int], frozenset, frozenset]:
     """The source of the program's one function (see `_compile_program`),
     its `_UNRETIRED` table, the pcs whose code keeps run-time guards and
     the pcs whose pointer it never builds (see `_unboxed`).
 
-    ``facts`` is `Proof.facts` of a proof that covers this program in the
-    running Vm's environment, or None: then every site is guarded.
+    ``proof`` is a `Proof` that covers this program in the running Vm's
+    environment, or None: then every site is guarded.
     """
     insns = program.instructions
     count = len(insns)
-    proven = facts is not None
-    facts = facts or (None,) * count
+    facts = proof.facts if proof is not None else (None,) * count
     leaders = {0}
     for pc, insn in enumerate(insns):
         op = insn.opcode
@@ -1319,7 +1320,8 @@ def _generate(program: Program, limit: int,
     for start, end in zip(starts, starts[1:] + [count]):
         ends[start:end] = [end] * (end - start)
     memory = _Memory(program.ctx_layout)
-    unboxed = _unboxed(program, facts, ends, specs, memory) if proven else {}
+    unboxed = _unboxed(program, proof, ends, specs, memory) \
+        if proof is not None else {}
     # Charged-but-unretired instructions when the one at a pc faults.
     unretired = [0] * count
     out: List[str] = []
@@ -1479,7 +1481,7 @@ def _generate(program: Program, limit: int,
 
 def _compile_program(program: Program, limit: int,
                      specs: Dict[int, Optional[HelperSpec]],
-                     facts: Optional[tuple]) -> Callable:
+                     proof: Optional[Proof]) -> Callable:
     """Generate the program's one function; returns its per-Vm binder.
 
     ``binder(vm)`` closes the function over the helper implementations of
@@ -1491,7 +1493,7 @@ def _compile_program(program: Program, limit: int,
     the set of pcs whose pointer it never builds.
     """
     source, unretired, guarded, unboxed = _generate(program, limit, specs,
-                                                    facts)
+                                                    proof)
     ns: Dict[str, Any] = {
         "_alu": _alu, "_load": _load, "_store": _store,
         "_jump_compare": _jump_compare, "_slow_call": _slow_call,
@@ -1512,10 +1514,10 @@ def _compile_program(program: Program, limit: int,
 
 
 def _code_inputs(program: Program, env: VmEnvironment
-                 ) -> Tuple[Dict[int, Optional[HelperSpec]], Optional[tuple]]:
+                 ) -> Tuple[Dict[int, Optional[HelperSpec]], Optional[Proof]]:
     """What the generated code depends on besides the budget: the
     `HelperSpec` ``env`` gives each helper id the program calls (None for
-    one it does not know), and the facts of the program's proof, or None.
+    one it does not know), and the program's proof, or None.
 
     The proof is spent only if it covers the program as it is now, in this
     environment: that is compared here, never read from
@@ -1531,7 +1533,7 @@ def _code_inputs(program: Program, env: VmEnvironment
     if proof is None or not proof.covers(
             program, proof_context(env.helpers, env.maps)):
         return specs, None
-    return specs, proof.facts
+    return specs, proof
 
 
 def _binder_for(vm: "Vm") -> Callable:
@@ -1543,16 +1545,16 @@ def _binder_for(vm: "Vm") -> Callable:
     amortised exactly like the kernel's JIT cache.  The key is what the
     code depends on: the budget, the specs of the helpers it calls (by
     value: two installs of one Program may carry different registries) and
-    whether a proof was spent; an entry also remembers *which* facts, and
+    whether a proof was spent; an entry also remembers *which* proof, and
     is replaced if the program has been verified again since.  The
     implementations are bound per Vm.
     """
     program = vm.program
-    specs, facts = _code_inputs(program, vm.env)
+    specs, proof = _code_inputs(program, vm.env)
     cache = program.__dict__.setdefault("_block_cache", {})
-    key = (vm.max_instructions, tuple(specs.values()), facts is not None)
+    key = (vm.max_instructions, tuple(specs.values()), proof is not None)
     binder, spent = cache.get(key, (None, None))
-    if binder is None or spent is not facts:
-        binder = _compile_program(program, vm.max_instructions, specs, facts)
-        cache[key] = (binder, facts)
+    if binder is None or spent is not proof:
+        binder = _compile_program(program, vm.max_instructions, specs, proof)
+        cache[key] = (binder, proof)
     return binder

@@ -23,13 +23,15 @@ from repro.perf.profiler import (
     profiling,
     set_default_profiler,
 )
-from repro.perf.report import function_totals, render_profile, subsystem_totals
+from repro.perf.report import (function_totals, module_totals, render_profile,
+                               subsystem_totals)
 
 __all__ = [
     "NULL_PROFILER",
     "Profiler",
     "function_totals",
     "get_default_profiler",
+    "module_totals",
     "profiling",
     "render_profile",
     "set_default_profiler",

@@ -12,7 +12,11 @@ A function's subsystem is where its file sits: the package directory
 under ``repro/`` (``sim``, ``ebpf``, ``kernel``, ...: the names
 ``bench_e2e`` prints as ``<layer>.host_self_pct``), ``ebpf`` for the
 block tier's generated ``<bpf:NAME>`` code, ``repro`` for a module
-directly under ``repro/`` and ``python`` for everything else.
+directly under ``repro/`` and ``python`` for everything else.  The
+``ebpf`` row holds the verifier, the code generator and the code it
+generates, so the report splits it into indented rows by module
+(``verifier``, ``vm``, ``<bpf>`` for all generated code, ...) that sum to
+it.
 
 Imports from ``repro.bench`` happen inside functions: this module is
 pulled in via ``repro.perf`` by ``sim/engine.py``, which must not drag
@@ -27,7 +31,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.perf.profiler import Profiler
 
-__all__ = ["function_totals", "render_profile", "subsystem_totals"]
+__all__ = ["function_totals", "module_totals", "render_profile",
+           "subsystem_totals"]
 
 SiteKey = Tuple[str, str]  # (subsystem, "file.function")
 
@@ -85,6 +90,25 @@ def subsystem_totals(
     return totals
 
 
+def module_totals(functions: Dict[SiteKey, List[float]],
+                  subsystem: str) -> Dict[str, Dict[str, float]]:
+    """:func:`subsystem_totals`' entry for ``subsystem``, split by module:
+    the file a site is in (its label's first part), with every generated
+    ``<bpf:NAME>`` function in one ``<bpf>`` module.  The entries sum to
+    the subsystem's."""
+    totals: Dict[str, Dict[str, float]] = {}
+    for (owner, site), (calls, self_s, _cum) in functions.items():
+        if owner != subsystem:
+            continue
+        module = site.split(".", 1)[0]
+        if module.startswith("bpf:"):
+            module = "<bpf>"
+        entry = totals.setdefault(module, {"self_s": 0.0, "calls": 0})
+        entry["self_s"] += self_s
+        entry["calls"] += calls
+    return totals
+
+
 def _fmt_ms(seconds: float) -> float:
     return round(seconds * 1e3, 3)
 
@@ -103,17 +127,23 @@ def render_profile(counts: Profiler, timer: Any, top: int = 15,
     total = timed_s or 1.0
     sections: List[str] = []
 
-    totals = subsystem_totals(functions)
+    def rows(totals, indent=""):
+        for name in sorted(totals, key=lambda n: totals[n]["self_s"],
+                           reverse=True):
+            entry = totals[name]
+            yield name, {
+                "subsystem": indent + name,
+                "self_ms": _fmt_ms(entry["self_s"]),
+                "self_pct": round(100.0 * entry["self_s"] / total, 1),
+                "calls": entry["calls"],
+            }
+
     sub_rows = []
-    for subsystem in sorted(totals, key=lambda s: totals[s]["self_s"],
-                            reverse=True):
-        entry = totals[subsystem]
-        sub_rows.append({
-            "subsystem": subsystem,
-            "self_ms": _fmt_ms(entry["self_s"]),
-            "self_pct": round(100.0 * entry["self_s"] / total, 1),
-            "calls": entry["calls"],
-        })
+    for subsystem, row in rows(subsystem_totals(functions)):
+        sub_rows.append(row)
+        if subsystem == "ebpf":
+            sub_rows.extend(module_row for _module, module_row
+                            in rows(module_totals(functions, "ebpf"), "  "))
     sections.append(format_table(
         "Wall-clock by subsystem (self time)",
         ["subsystem", "self_ms", "self_pct", "calls"],

@@ -28,10 +28,11 @@ from pathlib import Path
 
 import pytest
 
+from chainutil import WALKER_SRC, build_machine, linked_file_bytes
 from proofcheck import checked_run, three_ways
 from repro.compact.programs import sstable_merge_program
 from repro.core.hooks import (CTX_ARG0, CTX_DATA_LEN, CTX_SIZE,
-                              storage_helpers)
+                              storage_ctx_layout, storage_helpers)
 from repro.core.library import (index_traversal_program,
                                 linked_list_program,
                                 scan_aggregate_program,
@@ -733,3 +734,29 @@ def test_installable_program_sources_build_few_pointers(name):
     assert (len(pointer_values(program, program.proof.facts)),
             len(Vm(program, env, mode="block").unboxed),
             source.count("Pointer(")) == BUILT[name]
+
+
+def test_one_install_runs_the_liveness_fixpoint_once(monkeypatch):
+    """``open_chain`` of a program never verified verifies it and compiles
+    its block tier under the proof; the code generator reads the dead sets
+    the proof carries, so the backward liveness fixpoint runs once."""
+    import repro.ebpf.verifier as verifier_module
+    import repro.ebpf.vm as vm_module
+    runs = []
+    fixpoint = verifier_module.dead_registers
+
+    def counted(*args):
+        runs.append(args)
+        return fixpoint(*args)
+    monkeypatch.setattr(verifier_module, "dead_registers", counted)
+    monkeypatch.setattr(vm_module, "dead_registers", counted, raising=False)
+    _sim, kernel, bpf = build_machine()
+    kernel.create_file("/list", linked_file_bytes([0, 1, 2]))
+    program = Program(assemble(WALKER_SRC, bpf.helpers.names()),
+                      storage_ctx_layout(4096, 256), name="walker")
+    handle = kernel.run_syscall(
+        bpf.open_chain(kernel.spawn_process(), "/list", program))
+    vm = handle.installation.vm
+    assert program.proof is not None and vm.mode == "block"
+    assert not vm.guarded
+    assert len(runs) == 1

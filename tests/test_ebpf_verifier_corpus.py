@@ -18,6 +18,7 @@ not a jump target now runs on to the next prune point or to ``exit``).
 """
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -33,6 +34,11 @@ BUDGET_ERROR = "state budget exhausted"
 LOOP_ERROR = "infinite loop detected"
 #: Measured when the loop and prune rules moved to prune points.
 ACCEPTED, ACCEPTED_STATES = 264, 61_849
+#: `exploration_digest` at the commit before the verifier's transfer
+#: functions were decoded per pc and its DFS stepped straight-line code in
+#: one frame.
+EXPLORATION_DIGEST = \
+    "8a54f1107ebaf021c68248aa3fa9f3b3e356f5bcdfa8a367ccd5707417fe7fd4"
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +136,25 @@ def test_accepted_programs_stay_cheap_and_never_fault(recorded):
                 pytest.fail(f"verifier accepted but the {mode} VM "
                             f"faulted: {fault}\n{source}")
         assert results.count(results[0]) == 4, source
+
+
+def exploration_digest(sources):
+    """One digest of how the verifier explores every program: an accepted
+    program's states explored and subsumption checks, a rejected one's
+    error text and pc, in corpus order."""
+    digest = hashlib.sha256()
+    for source in sources:
+        _program, stats, error = corpus.explore(source)
+        if error is None:
+            row = (True, stats.states_explored, stats.subsumption_checks)
+        else:
+            row = (False, error.reason, error.pc)
+        digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+def test_every_program_explores_exactly_as_before(recorded):
+    """The exact fence the tests above leave open: no per-program state
+    count, no subsumption count and no loop-error pc may move at all."""
+    assert exploration_digest(source for source, _row in recorded) == \
+        EXPLORATION_DIGEST

@@ -28,6 +28,7 @@ from repro.perf import (
     Profiler,
     function_totals,
     get_default_profiler,
+    module_totals,
     profiling,
     render_profile,
     set_default_profiler,
@@ -271,6 +272,30 @@ def test_cluster_is_not_one_lump():
                        if subsystem == "ebpf"
                        and site in ("verifier.Verifier.run", "verifier.run")]
     assert verifier_run[2] > verifier_run[1] > 0
+
+
+def test_the_ebpf_row_is_split_by_module():
+    # The verifier, the code generator and the code it generates are one
+    # package; the report prints their shares under its row, summing to
+    # it, and the row keeps the package's name.
+    timer, counts, wall_s = _run_row("compaction")
+    functions = function_totals(timer)
+    ebpf = subsystem_totals(functions)["ebpf"]
+    modules = module_totals(functions, "ebpf")
+    assert {"verifier", "vm", "<bpf>"} <= set(modules)
+    assert sum(entry["calls"] for entry in modules.values()) == ebpf["calls"]
+    assert sum(entry["self_s"] for entry in modules.values()) == \
+        pytest.approx(ebpf["self_s"])
+    lines = render_profile(counts, timer, top=3, wall_s=wall_s).splitlines()
+    row = next(index for index, line in enumerate(lines)
+               if line.split()[:1] == ["ebpf"])
+    below = [line.split()[0] for line in
+             lines[row + 1:row + 1 + len(modules)]]
+    assert all(line.startswith("  ") for line in
+               lines[row + 1:row + 1 + len(modules)])
+    assert sorted(below) == sorted(modules)
+    assert below[0] == max(modules, key=lambda m: modules[m]["self_s"])
+    assert not lines[row + 1 + len(modules)].startswith("  ")
 
 
 def test_work_outside_the_event_loop_is_seen():
