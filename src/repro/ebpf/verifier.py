@@ -278,6 +278,9 @@ def _snapshot(dead: tuple) -> itemgetter:
 
 
 _KEEP = _snapshot(())
+#: Heads every list of values an instruction read (`Verifier.run`), so
+#: a transfer function compares with the last one unconditionally.
+_FIRST = object()
 
 
 def _exhausted(pc: int) -> VerifierError:
@@ -508,9 +511,10 @@ class Verifier:
         # point it clears the registers dead there.
         self._snaps = [_snapshot(dead[pc]) if pc in points else _KEEP
                        for pc in range(insn_count)] + [_KEEP]
-        # Per pc, each register the instruction reads -> every value it
-        # held there, in the order stepped: what the proof's facts join.
-        seen = [{reg: [] for reg in registers_read(insn, specs)}
+        # Per pc, each register the instruction reads -> `_FIRST`, then
+        # the values it held there in the order stepped, a value that is
+        # the object added last not added again: what the facts join.
+        seen = [{reg: [_FIRST] for reg in registers_read(insn, specs)}
                 for insn in instructions]
         runs = self._runs(points, seen)
         ran = bytearray(insn_count)
@@ -654,7 +658,8 @@ class Verifier:
         returns the stack, a new dict if it wrote one.  ``end(regs,
         stack)`` steps ``exit``, ``ja`` or a conditional branch and returns
         its successors, as a run's ``end`` does.  Both first add every
-        register the instruction reads to its list in ``seen``.
+        register the instruction reads to its list in ``seen``, unless
+        it is the object added there last.
 
         The operands, the immediate and the edge refiners are bound here.
         The common cases (an operation on two scalars, a move, a branch on
@@ -665,12 +670,13 @@ class Verifier:
         op = insn.opcode
         following = pc + 1
         dst, src, from_reg = insn.dst, insn.src, insn.src_is_reg
-        notes = tuple((reg, values.append) for reg, values in seen.items())
+        notes = tuple(seen.items())
 
         def noted(check):
             def step(regs, stack):
-                for reg, note in notes:
-                    note(regs[reg])
+                for reg, values in notes:
+                    if regs[reg] is not values[-1]:
+                        values.append(regs[reg])
                 return check(regs, stack)
             return step
 
@@ -712,11 +718,12 @@ class Verifier:
             if base == "mov":
                 if not from_reg:
                     return set_to(_clamp32(imm) if is32 else imm), None
-                note = seen[src].append
+                values = seen[src]
 
                 def move(regs, stack):
                     value = regs[src]
-                    note(value)
+                    if value is not values[-1]:
+                        values.append(value)
                     if value.__class__ is Scalar:
                         regs[dst] = _clamp32(value) if is32 else value
                     elif is32 or value is NOT_INIT:
@@ -726,15 +733,16 @@ class Verifier:
                     return stack
                 return move, None
             arith = _ARITH[base, is32]
-            note_dst = seen[dst].append
-            note_src = seen[src].append if from_reg else None
+            at_dst, at_src = seen[dst], seen.get(src)
 
             def alu(regs, stack):
                 a = regs[dst]
-                note_dst(a)
+                if a is not at_dst[-1]:
+                    at_dst.append(a)
                 if from_reg:
                     b = regs[src]
-                    note_src(b)
+                    if b is not at_src[-1]:
+                        at_src.append(b)
                 else:
                     b = imm
                 if a.__class__ is not Scalar or b.__class__ is not Scalar:
@@ -752,15 +760,16 @@ class Verifier:
             taken_edge, fall_edge = _EDGES[op], _EDGES[_NEGATION[op]]
             at_following, at_target = self._snaps[following], \
                 self._snaps[target]
-            note_dst = seen[dst].append
-            note_src = seen[src].append if from_reg else None
+            at_dst, at_src = seen[dst], seen.get(src)
 
             def jump(regs, stack):
                 a = regs[dst]
-                note_dst(a)
+                if a is not at_dst[-1]:
+                    at_dst.append(a)
                 if from_reg:
                     b = regs[src]
-                    note_src(b)
+                    if b is not at_src[-1]:
+                        at_src.append(b)
                 else:
                     b = imm
                 if a.__class__ is not Scalar or b.__class__ is not Scalar:
@@ -789,10 +798,11 @@ class Verifier:
         if op.startswith("ldx") and op[3:] in MEM_SIZES:
             size = MEM_SIZES[op[3:]]
             check_load = self._check_load
-            note = seen[src].append
+            values = seen[src]
 
             def load(regs, stack):
-                note(regs[src])
+                if regs[src] is not values[-1]:
+                    values.append(regs[src])
                 regs[dst] = check_load(pc, regs, stack, insn, size)
                 return stack
             return load, None
@@ -1242,7 +1252,7 @@ def _facts(seen: list, runs: list, ran: bytearray) -> tuple:
         for pc in range(start, start + run[0]):
             known: List[object] = [None] * 11
             for reg, values in seen[pc].items():
-                known[reg] = _join(values)
+                known[reg] = _join(values[1:])
             facts[pc] = tuple(known)
     return tuple(facts)
 

@@ -60,7 +60,7 @@ def test_library_program_cost_is_pinned_and_linear(name):
 #: Python function calls per explored state over the six programs above,
 #: counted with ``sys.setprofile``: 10.38 (10.17 on Python 3.12) before
 #: each pc was decoded into its own transfer function; 6.73 (6.55 on 3.12)
-#: with them; 4.98 on 3.9 and 3.11 (4.77 on 3.12) since a run of
+#: with them; 4.93 on 3.9 and 3.11 (4.72 on 3.12) since a run of
 #: straight-line code is stepped on one register list.
 CALLS_PER_STATE = 5.2
 
