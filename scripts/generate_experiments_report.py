@@ -15,8 +15,8 @@ that would otherwise scrape the tables.
 import argparse
 import sys
 
-from repro.bench import rows_to_json
 from repro.bench.registry import EXPERIMENTS
+from repro.bench.tables import rows_to_json
 
 
 def emit_markdown(title, columns, rows):

@@ -4,7 +4,7 @@ A from-scratch Python implementation of the HotOS '21 paper's system on a
 deterministic discrete-event simulator.  Subpackages:
 
 * :mod:`repro.sim` — the simulation engine (processes, CPUs, queues, RNG).
-* :mod:`repro.ebpf` — the eBPF subset: assembler, verifier, VM, maps.
+* :mod:`repro.ebpf` — the eBPF subset: assembler, verifier, VM, helpers.
 * :mod:`repro.device` — block store, latency models, the NVMe device.
 * :mod:`repro.kernel` — the simulated storage stack (Table 1 costs, extent
   FS, BIO, driver, io_uring) with one BPF chain slot.

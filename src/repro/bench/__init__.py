@@ -25,55 +25,3 @@
 Each experiment returns plain row dictionaries so the CLI,
 ``EXPERIMENTS.md``, and tests all consume the same data.
 """
-
-from repro.bench.experiments import (
-    ablation_app_cache,
-    interference,
-    ablation_invalidation_rate,
-    ablation_resubmit_bound,
-    ablation_vm_mode,
-    cluster_failover,
-    compaction,
-    crash_consistency,
-    crash_recovery_sweep,
-    extent_stability,
-    fault_resilience,
-    fig1_latency_breakdown,
-    fig3_throughput,
-    fig3c_latency,
-    fig3d_iouring,
-    lsm_get,
-    mq_scaling,
-    net_pushdown,
-    table1_breakdown,
-    tenants,
-)
-from repro.bench.runner import BtreeBench, run_closed_loop
-from repro.bench.tables import format_table, rows_to_json
-
-__all__ = [
-    "BtreeBench",
-    "ablation_app_cache",
-    "ablation_invalidation_rate",
-    "ablation_resubmit_bound",
-    "ablation_vm_mode",
-    "cluster_failover",
-    "compaction",
-    "crash_consistency",
-    "crash_recovery_sweep",
-    "extent_stability",
-    "fault_resilience",
-    "fig1_latency_breakdown",
-    "fig3_throughput",
-    "fig3c_latency",
-    "fig3d_iouring",
-    "format_table",
-    "interference",
-    "lsm_get",
-    "mq_scaling",
-    "net_pushdown",
-    "rows_to_json",
-    "run_closed_loop",
-    "table1_breakdown",
-    "tenants",
-]

@@ -51,8 +51,8 @@ import contextlib
 import sys
 import traceback
 
-from repro.bench import format_table, rows_to_json
 from repro.bench.registry import BY_NAME, EXPERIMENTS
+from repro.bench.tables import format_table, rows_to_json
 from repro.faults import fault_injection, parse_fault_spec
 from repro.obs import ObsSession
 from repro.perf import profiling, render_profile

@@ -19,9 +19,8 @@ a simulated thread.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
-from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import Program
 from repro.ebpf.verifier import proof_context, verify
 from repro.ebpf.vm import VmEnvironment
@@ -65,7 +64,6 @@ class InstallRequest:
     block_size: int = 4096
     scratch_size: int = 256
     args: Tuple[int, ...] = ()
-    maps: Optional[Dict[int, BpfMap]] = None
     #: Execution tier: "block" (the default) or "interp".
     vm_mode: str = "block"
 
@@ -85,7 +83,6 @@ class InstallRequest:
         if len(self.args) > 4:
             raise InvalidArgument(
                 f"args: at most 4 install args, got {len(self.args)}")
-        object.__setattr__(self, "maps", dict(self.maps or {}))
         if self.vm_mode not in ("block", "interp"):
             raise InvalidArgument(
                 f"vm_mode: unknown execution tier {self.vm_mode!r}")
@@ -112,10 +109,9 @@ class StorageBpf:
     # Verification
     # ------------------------------------------------------------------
 
-    def verify_program(self, program: Program,
-                       maps: Optional[Dict[int, BpfMap]] = None) -> Program:
+    def verify_program(self, program: Program) -> Program:
         """Run the static verifier with the storage helper set."""
-        verify(program, self.helpers, maps=maps)
+        verify(program, self.helpers)
         return program
 
     # ------------------------------------------------------------------
@@ -126,12 +122,11 @@ class StorageBpf:
         if not isinstance(arg, InstallRequest):
             raise InvalidArgument("install ioctl needs an InstallRequest")
         program = arg.program
-        # An earlier proof counts only if it was made against these helpers
-        # and maps of these sizes; anything else is proved again, here.
-        if program.verified_against != proof_context(self.helpers, arg.maps):
-            verify(program, self.helpers, maps=arg.maps)
-        env = VmEnvironment(self.helpers, maps=arg.maps,
-                            clock=lambda: self.kernel.sim.now)
+        # An earlier proof counts only if it was made against these
+        # helpers; anything else is proved again, here.
+        if program.verified_against != proof_context(self.helpers):
+            verify(program, self.helpers)
+        env = VmEnvironment(self.helpers, clock=lambda: self.kernel.sim.now)
         # Let helpers (e.g. trace_offset) publish onto the kernel's bus.
         env.trace_bus = self.kernel.bus
         installation = BpfInstallation(
@@ -173,7 +168,6 @@ class StorageBpf:
     def install(self, proc: Process, fd: int, program: Program,
                 hook: Hook = Hook.NVME, block_size: int = 4096,
                 scratch_size: int = 256, args: Tuple[int, ...] = (),
-                maps: Optional[Dict[int, BpfMap]] = None,
                 vm_mode: str = "block"):
         """Install a program on ``fd`` via the special ioctl.
 
@@ -183,7 +177,7 @@ class StorageBpf:
         """
         request = InstallRequest(program, hook=hook, block_size=block_size,
                                  scratch_size=scratch_size, args=args,
-                                 maps=maps, vm_mode=vm_mode)
+                                 vm_mode=vm_mode)
         result = yield from self.kernel.sys_ioctl(proc, fd,
                                                   IOCTL_INSTALL_BPF, request)
         return result
@@ -191,7 +185,6 @@ class StorageBpf:
     def open_chain(self, proc: Process, path: str, program: Program,
                    hook: Hook = Hook.NVME, block_size: int = 4096,
                    scratch_size: int = 256, args: Tuple[int, ...] = (),
-                   maps: Optional[Dict[int, BpfMap]] = None,
                    vm_mode: str = "block",
                    create: bool = False):
         """Open ``path`` and install ``program`` in one step.
@@ -207,7 +200,7 @@ class StorageBpf:
             yield from self.install(proc, fd, program, hook=hook,
                                     block_size=block_size,
                                     scratch_size=scratch_size, args=args,
-                                    maps=maps, vm_mode=vm_mode)
+                                    vm_mode=vm_mode)
         except Exception:
             proc.close_fd(fd)
             raise

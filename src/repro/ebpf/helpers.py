@@ -4,31 +4,18 @@ A helper is declared with a :class:`HelperSpec` describing how the verifier
 must type-check each argument register (``r1``–``r5``) and what lands in
 ``r0``, plus a Python implementation the VM dispatches to.
 
-The argument model is a practical subset of the kernel's:
-
-* ``SCALAR`` — any initialised integer.
-* ``CONST`` — an integer whose exact value is statically known.
-* ``MAP_ID`` — a CONST naming a map registered with the execution
-  environment; subsequent ``MAP_KEY``/``MAP_VALUE`` pointer args are checked
-  against that map's key/value sizes.
-* ``MAP_KEY`` / ``MAP_VALUE`` — readable pointers with at least
-  ``key_size``/``value_size`` accessible bytes.
-* ``PTR_MEM`` / ``PTR_MEM_WRITABLE`` — a pointer followed by a ``SIZE``
-  argument; the verifier proves ``[ptr, ptr+size_max)`` stays inside the
-  pointed-to region.
-* ``SIZE`` — the byte count validating the preceding pointer argument.
-
-Return kinds: ``SCALAR`` (r0 becomes an unknown integer), ``VOID`` (r0
-becomes zero), or ``MAP_VALUE_OR_NULL`` (r0 is a maybe-null pointer to the
-map's value; the verifier requires a null check before any dereference,
-exactly like the kernel).
+Every argument is a ``SCALAR`` (any initialised integer; a pointer is
+rejected, so no helper reads or writes program memory) and a helper
+returns a ``SCALAR`` (r0 becomes an unknown integer) or nothing (``VOID``:
+r0 becomes zero).  A chain keeps its state across hops in the scratch
+region, not in helper-owned storage.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
 from repro.errors import BpfError
 
@@ -37,20 +24,11 @@ __all__ = ["ArgKind", "HelperRegistry", "HelperSpec", "RetKind"]
 
 class ArgKind(enum.Enum):
     SCALAR = "scalar"
-    CONST = "const"
-    MAP_ID = "map_id"
-    MAP_KEY = "map_key"
-    MAP_VALUE = "map_value"
-    PTR_MEM = "ptr_mem"
-    PTR_MEM_WRITABLE = "ptr_mem_writable"
-    SIZE = "size"
-    PTR_CTX = "ptr_ctx"
 
 
 class RetKind(enum.Enum):
     SCALAR = "scalar"
     VOID = "void"
-    MAP_VALUE_OR_NULL = "map_value_or_null"
 
 
 @dataclass(frozen=True)
@@ -61,28 +39,13 @@ class HelperSpec:
     name: str
     args: "tuple[ArgKind, ...]" = ()
     ret: RetKind = RetKind.SCALAR
-    #: Upper bound accepted for SIZE arguments (prevents huge memcpy bounds).
-    max_size: int = 1 << 16
 
     def __post_init__(self):
         if len(self.args) > 5:
             raise BpfError(f"helper {self.name!r} takes too many args (max 5)")
-        for index, kind in enumerate(self.args):
-            if kind in (ArgKind.PTR_MEM, ArgKind.PTR_MEM_WRITABLE):
-                if index + 1 >= len(self.args) or self.args[index + 1] is not ArgKind.SIZE:
-                    raise BpfError(
-                        f"helper {self.name!r}: {kind.value} arg must be "
-                        "followed by a SIZE arg"
-                    )
-        if self.ret is RetKind.MAP_VALUE_OR_NULL and ArgKind.MAP_ID not in self.args:
-            raise BpfError(
-                f"helper {self.name!r}: MAP_VALUE_OR_NULL return requires a "
-                "MAP_ID argument"
-            )
 
 
-# The VM passes itself plus the decoded argument values; implementations may
-# read/write memory through Pointer arguments via the VM's accessors.
+# The VM passes itself plus the argument values.
 HelperImpl = Callable[..., int]
 
 
@@ -128,7 +91,7 @@ class HelperRegistry:
 
 
 def base_registry() -> HelperRegistry:
-    """The generic helpers every program may use (ids 1-9).
+    """The generic helpers every program may use (``trace`` and ``ktime``).
 
     Storage-specific helpers (resubmit, return-buffer, ...) live in
     :mod:`repro.core.hooks` and extend this registry from id 16 up.
@@ -141,83 +104,6 @@ def base_registry() -> HelperRegistry:
 
     registry.register(
         HelperSpec(1, "trace", (ArgKind.SCALAR,), RetKind.VOID), trace
-    )
-
-    def map_lookup(vm, map_id: int, key_ptr) -> object:
-        bpf_map = vm.env.map(map_id)
-        key = vm.mem_read(key_ptr, bpf_map.key_size)
-        value = bpf_map.lookup(key)
-        if value is None:
-            return 0
-        return vm.map_value_pointer(map_id, value)
-
-    registry.register(
-        HelperSpec(
-            2, "map_lookup", (ArgKind.MAP_ID, ArgKind.MAP_KEY),
-            RetKind.MAP_VALUE_OR_NULL,
-        ),
-        map_lookup,
-    )
-
-    def map_update(vm, map_id: int, key_ptr, value_ptr) -> int:
-        bpf_map = vm.env.map(map_id)
-        key = vm.mem_read(key_ptr, bpf_map.key_size)
-        value = vm.mem_read(value_ptr, bpf_map.value_size)
-        try:
-            bpf_map.update(key, value)
-        except Exception:
-            return -1 & 0xFFFFFFFFFFFFFFFF
-        return 0
-
-    registry.register(
-        HelperSpec(
-            3, "map_update", (ArgKind.MAP_ID, ArgKind.MAP_KEY, ArgKind.MAP_VALUE),
-            RetKind.SCALAR,
-        ),
-        map_update,
-    )
-
-    def map_delete(vm, map_id: int, key_ptr) -> int:
-        bpf_map = vm.env.map(map_id)
-        key = vm.mem_read(key_ptr, bpf_map.key_size)
-        return 0 if bpf_map.delete(key) else -1 & 0xFFFFFFFFFFFFFFFF
-
-    registry.register(
-        HelperSpec(4, "map_delete", (ArgKind.MAP_ID, ArgKind.MAP_KEY),
-                   RetKind.SCALAR),
-        map_delete,
-    )
-
-    def memcmp_helper(vm, ptr_a, size_a: int, ptr_b, size_b: int) -> int:
-        length = min(size_a, size_b)
-        a = vm.mem_read(ptr_a, length)
-        b = vm.mem_read(ptr_b, length)
-        if a == b:
-            return 0
-        return 1 if a > b else -1 & 0xFFFFFFFFFFFFFFFF
-
-    registry.register(
-        HelperSpec(
-            5, "memcmp",
-            (ArgKind.PTR_MEM, ArgKind.SIZE, ArgKind.PTR_MEM, ArgKind.SIZE),
-            RetKind.SCALAR,
-        ),
-        memcmp_helper,
-    )
-
-    def memcpy_helper(vm, dst_ptr, dst_size: int, src_ptr, src_size: int) -> int:
-        length = min(dst_size, src_size)
-        vm.mem_write(dst_ptr, vm.mem_read(src_ptr, length))
-        return length
-
-    registry.register(
-        HelperSpec(
-            6, "memcpy",
-            (ArgKind.PTR_MEM_WRITABLE, ArgKind.SIZE, ArgKind.PTR_MEM,
-             ArgKind.SIZE),
-            RetKind.SCALAR,
-        ),
-        memcpy_helper,
     )
 
     def ktime(vm) -> int:

@@ -125,7 +125,7 @@ class Program:
         return len(self.instructions)
 
     @property
-    def verified_against(self) -> Optional[tuple]:
+    def verified_against(self) -> Optional[dict]:
         """What the proof was made against besides the program itself (see
         :func:`repro.ebpf.verifier.proof_context`): a proof holds only for
         an environment that equals it.  None without a proof."""

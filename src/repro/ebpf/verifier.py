@@ -5,13 +5,10 @@ verifier, which proves — without running the program on real data — that:
 
 * no register is read before it is written;
 * every load and store lands inside a region the program legitimately holds
-  a pointer into (context, stack, buffers reachable from the context, map
-  values), with statically bounded offsets;
-* maybe-null pointers returned by ``map_lookup`` are null-checked before any
-  dereference;
-* helper calls match their declared signatures, including proving that
-  ``(ptr, size)`` argument pairs stay in bounds for the *maximum* possible
-  size value;
+  a pointer into (context, stack, buffers reachable from the context), with
+  statically bounded offsets;
+* helper calls match their declared signatures: every argument is an
+  initialised scalar, never a pointer;
 * the program terminates: all paths reach ``exit`` within a state budget, so
   a loop is only accepted if the analysis can unroll it to completion
   (mirroring the kernel's 1M-instruction verification cap, which the paper
@@ -41,7 +38,7 @@ from operator import attrgetter, is_not, itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import VerifierError
-from repro.ebpf.helpers import ArgKind, HelperRegistry, RetKind
+from repro.ebpf.helpers import HelperRegistry, RetKind
 from repro.ebpf.isa import FP_REG, Instruction, MEM_SIZES, STACK_SIZE
 from repro.ebpf.program import CtxField, FieldKind, Program
 
@@ -83,11 +80,9 @@ class Ptr:
     size: int
     off_min: int = 0
     off_max: int = 0
-    maybe_null: bool = False
 
     def __repr__(self) -> str:
-        null = "?null" if self.maybe_null else ""
-        return f"Ptr({self.region}+[{self.off_min},{self.off_max}]{null})"
+        return f"Ptr({self.region}+[{self.off_min},{self.off_max}])"
 
 
 class NotInit:
@@ -104,8 +99,8 @@ class NotInit:
 
 NOT_INIT = NotInit()
 
-#: ``Scalar(umin, umax)`` and ``Ptr(region, size, off_min, off_max,
-#: maybe_null)``, one shared object per value while the cache holds it.
+#: ``Scalar(umin, umax)`` and ``Ptr(region, size, off_min, off_max)``,
+#: one shared object per value while the cache holds it.
 #: Building a frozen dataclass costs about a microsecond, and a
 #: verification builds the same few thousand values over and over.
 _scalar = lru_cache(maxsize=1 << 14)(Scalar)
@@ -127,8 +122,8 @@ class State:
 
 def _initial_state(ctx_size: int) -> State:
     regs = [NOT_INIT] * 11
-    regs[1] = _ptr("ctx", ctx_size, 0, 0, False)
-    regs[FP_REG] = _ptr("stack", STACK_SIZE, STACK_SIZE, STACK_SIZE, False)
+    regs[1] = _ptr("ctx", ctx_size, 0, 0)
+    regs[FP_REG] = _ptr("stack", STACK_SIZE, STACK_SIZE, STACK_SIZE)
     return State(tuple(regs), {})
 
 
@@ -142,8 +137,8 @@ class Proof:
     state explored there, or None where nothing is known:
 
     * ``Scalar(umin, umax)``: the register is an integer in that range;
-    * ``Ptr(region, size, off_min, off_max)``, never ``maybe_null``: it is
-      a pointer into that region, of that size, at an offset in range.
+    * ``Ptr(region, size, off_min, off_max)``: it is a pointer into that
+      region, of that size, at an offset in range.
 
     ``dead[pc]`` names the registers no path from ``pc`` reads before
     writing (`dead_registers`): those the exploration cleared at its prune
@@ -158,11 +153,11 @@ class Proof:
 
     instructions: Tuple[Instruction, ...]
     layout: Tuple[CtxField, ...]
-    context: tuple
+    context: dict
     facts: Tuple[Optional[tuple], ...]
     dead: Tuple[tuple, ...]
 
-    def covers(self, program: Program, context: tuple) -> bool:
+    def covers(self, program: Program, context: dict) -> bool:
         """True if ``program``, as it is now, run under ``context`` (a
         `proof_context`), is what this proof was made for and against."""
         return (self.instructions == tuple(program.instructions)
@@ -172,24 +167,24 @@ class Proof:
 
 def _join(values):
     """The least fact covering every abstract value in ``values``: the
-    range hull of scalars, the offset hull of non-null pointers into one
-    region of one size, and None (nothing known) for anything else: an
-    uninitialised register, a pointer that may be NULL, mixed classes."""
+    range hull of scalars, the offset hull of pointers into one region of
+    one size, and None (nothing known) for anything else: an
+    uninitialised register, mixed classes."""
     kinds = set(map(type, values))
     if kinds == {Scalar}:
         return _scalar(min(map(_UMIN, values)), max(map(_UMAX, values)))
     if kinds != {Ptr}:
         return None
     first = values[0]
-    if first.maybe_null or len(set(map(_PTR_KIND, values))) > 1:
+    if len(set(map(_PTR_KIND, values))) > 1:
         return None
     return _ptr(first.region, first.size, min(map(_OFF_MIN, values)),
-                max(map(_OFF_MAX, values)), False)
+                max(map(_OFF_MAX, values)))
 
 
 _UMIN, _UMAX = attrgetter("umin"), attrgetter("umax")
 _OFF_MIN, _OFF_MAX = attrgetter("off_min"), attrgetter("off_max")
-_PTR_KIND = attrgetter("region", "size", "maybe_null")
+_PTR_KIND = attrgetter("region", "size")
 
 
 def registers_read(insn: Instruction, specs: Mapping[int, object]) -> tuple:
@@ -468,11 +463,9 @@ class Verifier:
     """One verification run over a program."""
 
     def __init__(self, program: Program, helpers: HelperRegistry,
-                 maps: Optional[Dict[int, object]] = None,
                  state_budget: int = 200_000):
         self.program = program
         self.helpers = helpers
-        self.maps = maps or {}
         self.state_budget = state_budget
         self.stats = VerifierStats()
 
@@ -594,7 +587,7 @@ class Verifier:
         program.verified = True
         program.proof = Proof(
             tuple(instructions), tuple(program.ctx_layout.fields),
-            proof_context(self.helpers, self.maps),
+            proof_context(self.helpers),
             _facts(seen, runs, ran), tuple(dead))
         return stats
 
@@ -867,9 +860,6 @@ class Verifier:
         src_ptr = isinstance(src_val, Ptr)
         if is32:
             raise VerifierError("32-bit ALU on pointer", pc)
-        if (dst_ptr and dst_val.maybe_null) or \
-                (src_ptr and src_val.maybe_null):
-            raise VerifierError("arithmetic on maybe-null pointer", pc)
         if base == "add":
             if dst_ptr and src_ptr:
                 raise VerifierError("pointer + pointer", pc)
@@ -905,7 +895,7 @@ class Verifier:
         off_max = ptr.off_max + smax
         if off_min < -_OFF_LIMIT or off_max > _OFF_LIMIT:
             raise VerifierError("pointer offset out of tractable range", pc)
-        return _ptr(ptr.region, ptr.size, off_min, off_max, ptr.maybe_null)
+        return _ptr(ptr.region, ptr.size, off_min, off_max)
 
     # -- jumps ------------------------------------------------------------
 
@@ -928,31 +918,15 @@ class Verifier:
         at_fall, at_taken = self._snaps[pc + 1], self._snaps[taken_pc]
         fall, taken = State(at_fall(regs), stack), State(at_taken(regs), stack)
 
-        # Pointer null-checks and pointer comparisons.
+        # Pointer comparisons.
         if isinstance(dst_val, Ptr) or isinstance(src_val, Ptr):
             if op not in ("jeq", "jne"):
                 raise VerifierError(f"ordered comparison {op!r} on pointer",
                                     pc)
-            ptr, other, ptr_reg = (
-                (dst_val, src_val, insn.dst)
-                if isinstance(dst_val, Ptr)
-                else (src_val, dst_val, insn.src)
-            )
-            if isinstance(other, Ptr):
+            if isinstance(dst_val, Ptr) and isinstance(src_val, Ptr):
                 # ptr vs ptr: both outcomes possible, no refinement.
                 return [(pc + 1, fall), (taken_pc, taken)]
-            if isinstance(other, Scalar) and other.const == 0:
-                if ptr.maybe_null:
-                    non_null = _ptr(ptr.region, ptr.size, ptr.off_min,
-                                    ptr.off_max, False)
-                    regs[ptr_reg] = non_null if op == "jne" else _ZERO
-                    taken = State(at_taken(regs), stack)
-                    regs[ptr_reg] = _ZERO if op == "jne" else non_null
-                    return [(pc + 1, State(at_fall(regs), stack)),
-                            (taken_pc, taken)]
-                # Definite pointer never equals NULL.
-                return (pc + 1, fall) if op == "jeq" else (taken_pc, taken)
-            # ptr vs non-zero scalar: never equal.
+            # A pointer never equals a scalar, NULL included.
             return (pc + 1, fall) if op == "jeq" else (taken_pc, taken)
 
         if dst_val.const is not None and src_val.const is not None:
@@ -963,13 +937,6 @@ class Verifier:
 
     # -- memory ------------------------------------------------------------
 
-    def _region_of(self, pc: int, ptr: Ptr):
-        if ptr.maybe_null:
-            raise VerifierError(
-                f"dereference of maybe-null pointer into {ptr.region!r} "
-                "without a null check", pc)
-        return ptr
-
     def _check_load(self, pc: int, regs: list, stack: dict, insn,
                     size: int):
         """The value a load leaves in ``dst``."""
@@ -978,7 +945,6 @@ class Verifier:
             raise VerifierError(f"load via uninitialised r{insn.src}", pc)
         if not isinstance(base, Ptr):
             raise VerifierError(f"load via non-pointer r{insn.src}", pc)
-        self._region_of(pc, base)
         lo = base.off_min + insn.offset
         hi = base.off_max + insn.offset + size
 
@@ -992,8 +958,7 @@ class Verifier:
                 raise VerifierError(
                     f"ctx load at ({lo}, {size}) matches no field", pc)
             if ctx_field.kind is FieldKind.POINTER:
-                return _ptr(ctx_field.region, ctx_field.region_size, 0, 0,
-                            False)
+                return _ptr(ctx_field.region, ctx_field.region_size, 0, 0)
             return _RANGE_OF_SIZE[size]
 
         if base.region == "stack":
@@ -1039,7 +1004,6 @@ class Verifier:
             raise VerifierError(f"store via uninitialised r{insn.dst}", pc)
         if not isinstance(base, Ptr):
             raise VerifierError(f"store via non-pointer r{insn.dst}", pc)
-        self._region_of(pc, base)
 
         if imm is None:
             value = regs[insn.src]
@@ -1079,8 +1043,6 @@ class Verifier:
                 if size != 8 or lo % 8 != 0:
                     raise VerifierError(
                         "pointer spill must be 8-byte aligned", pc)
-                if value.maybe_null:
-                    raise VerifierError("spill of maybe-null pointer", pc)
                 stack[lo // 8] = ("ptr", value)
                 return stack
             for byte in range(lo, hi):
@@ -1107,8 +1069,6 @@ class Verifier:
         return stack
 
     def _region_writable(self, region: str) -> bool:
-        if region.startswith("map_value:"):
-            return True
         for ctx_field in self.program.ctx_layout.fields:
             if ctx_field.kind is FieldKind.POINTER and \
                     ctx_field.region == region:
@@ -1125,113 +1085,19 @@ class Verifier:
         except Exception:
             raise VerifierError(f"call to unknown helper id {helper_id}", pc)
 
-        map_for_call = None
-        map_id_for_call = None
-        args = list(spec.args)
-        for index, kind in enumerate(args):
+        for index in range(len(spec.args)):
             reg = 1 + index
             value = regs[reg]
             if value is NOT_INIT:
                 raise VerifierError(
                     f"helper {spec.name!r}: r{reg} uninitialised", pc)
-            if kind is ArgKind.SCALAR:
-                if isinstance(value, Ptr):
-                    raise VerifierError(
-                        f"helper {spec.name!r}: r{reg} must be scalar", pc)
-            elif kind in (ArgKind.CONST, ArgKind.MAP_ID):
-                if not isinstance(value, Scalar) or value.const is None:
-                    raise VerifierError(
-                        f"helper {spec.name!r}: r{reg} must be a known "
-                        "constant", pc)
-                if kind is ArgKind.MAP_ID:
-                    if value.const not in self.maps:
-                        raise VerifierError(
-                            f"helper {spec.name!r}: unknown map id "
-                            f"{value.const}", pc)
-                    map_for_call = self.maps[value.const]
-                    map_id_for_call = value.const
-            elif kind in (ArgKind.MAP_KEY, ArgKind.MAP_VALUE):
-                if map_for_call is None:
-                    raise VerifierError(
-                        f"helper {spec.name!r}: map arg before MAP_ID", pc)
-                needed = (map_for_call.key_size if kind is ArgKind.MAP_KEY
-                          else map_for_call.value_size)
-                self._check_mem_arg(pc, stack, spec, reg, value, needed,
-                                    writable=False)
-            elif kind in (ArgKind.PTR_MEM, ArgKind.PTR_MEM_WRITABLE):
-                size_val = regs[reg + 1]
-                if size_val is NOT_INIT or isinstance(size_val, Ptr):
-                    raise VerifierError(
-                        f"helper {spec.name!r}: r{reg + 1} must be a scalar "
-                        "size", pc)
-                if size_val.umax > spec.max_size:
-                    raise VerifierError(
-                        f"helper {spec.name!r}: size in r{reg + 1} unbounded "
-                        f"(umax={size_val.umax})", pc)
-                self._check_mem_arg(
-                    pc, stack, spec, reg, value, size_val.umax,
-                    writable=(kind is ArgKind.PTR_MEM_WRITABLE))
-            elif kind is ArgKind.SIZE:
-                continue  # validated together with its pointer
-            elif kind is ArgKind.PTR_CTX:
-                if not isinstance(value, Ptr) or value.region != "ctx":
-                    raise VerifierError(
-                        f"helper {spec.name!r}: r{reg} must be ctx pointer",
-                        pc)
-            else:
+            if isinstance(value, Ptr):
                 raise VerifierError(
-                    f"helper {spec.name!r}: unhandled arg kind {kind}", pc)
+                    f"helper {spec.name!r}: r{reg} must be scalar", pc)
 
         for reg in range(1, 6):
             regs[reg] = NOT_INIT
-        if spec.ret is RetKind.VOID:
-            regs[0] = _ZERO
-        elif spec.ret is RetKind.MAP_VALUE_OR_NULL:
-            if map_for_call is None:
-                raise VerifierError(
-                    f"helper {spec.name!r}: returns map value but no map",
-                    pc)
-            regs[0] = _ptr(f"map_value:{map_id_for_call}",
-                           map_for_call.value_size, 0, 0, True)
-        else:
-            regs[0] = UNKNOWN
-
-    def _check_mem_arg(self, pc: int, stack: dict, spec, reg: int, value,
-                       needed: int, writable: bool) -> None:
-        if not isinstance(value, Ptr):
-            raise VerifierError(
-                f"helper {spec.name!r}: r{reg} must be a pointer", pc)
-        self._region_of(pc, value)
-        if needed == 0:
-            return
-        lo = value.off_min
-        hi = value.off_max + needed
-        if value.region == "stack":
-            if lo < 0 or hi > STACK_SIZE:
-                raise VerifierError(
-                    f"helper {spec.name!r}: stack arg [{lo}, {hi}) out of "
-                    "bounds", pc)
-            if not writable:
-                for byte in range(lo, hi):
-                    entry = stack.get(byte // 8)
-                    if entry is None or entry[0] == "ptr" or \
-                            (byte % 8) not in entry[1]:
-                        raise VerifierError(
-                            f"helper {spec.name!r}: stack byte {byte} "
-                            "uninitialised", pc)
-            return
-        if value.region == "ctx":
-            raise VerifierError(
-                f"helper {spec.name!r}: raw ctx memory may not be passed",
-                pc)
-        if lo < 0 or hi > value.size:
-            raise VerifierError(
-                f"helper {spec.name!r}: arg [{lo}, {hi}) out of bounds of "
-                f"{value.region!r} ({value.size}B)", pc)
-        if writable and not self._region_writable(value.region):
-            raise VerifierError(
-                f"helper {spec.name!r}: region {value.region!r} is "
-                "read-only", pc)
+        regs[0] = _ZERO if spec.ret is RetKind.VOID else UNKNOWN
 
 
 def _facts(seen: list, runs: list, ran: bytearray) -> tuple:
@@ -1449,8 +1315,7 @@ def _value_subsumes(old, new) -> bool:
         return old.umin <= new.umin and old.umax >= new.umax
     if isinstance(old, Ptr) and isinstance(new, Ptr):
         return (old.region == new.region and old.size == new.size and
-                old.off_min <= new.off_min and old.off_max >= new.off_max and
-                (old.maybe_null or not new.maybe_null))
+                old.off_min <= new.off_min and old.off_max >= new.off_max)
     return False
 
 
@@ -1480,24 +1345,18 @@ def _subsumes(old: State, new: State) -> bool:
     return True
 
 
-def proof_context(helpers: HelperRegistry,
-                  maps: Optional[Dict[int, object]] = None) -> tuple:
-    """What a verdict depends on besides the program and its ctx layout.
-
-    Helper signatures decide how calls type-check, and the key and value
-    sizes of each map bound the accesses through its pointers.  A program
+def proof_context(helpers: HelperRegistry) -> dict:
+    """What a verdict depends on besides the program and its ctx layout:
+    the helper signatures, which decide how calls type-check.  A program
     proved against one context may fault under another, so whoever relies
     on ``program.verified`` compares this with ``program.verified_against``
     (the install ioctl re-verifies on a mismatch; the block tier compiles
     its guards back in, see `Proof.covers`).
     """
-    return (dict(helpers.specs),
-            {map_id: (bpf_map.key_size, bpf_map.value_size)
-             for map_id, bpf_map in (maps or {}).items()})
+    return dict(helpers.specs)
 
 
 def verify(program: Program, helpers: HelperRegistry,
-           maps: Optional[Dict[int, object]] = None,
            state_budget: int = 200_000) -> VerifierStats:
     """Verify ``program``; raises :class:`VerifierError` on rejection.
 
@@ -1505,4 +1364,4 @@ def verify(program: Program, helpers: HelperRegistry,
     established per instruction, and what it was made for and against) as
     ``program.proof`` and returns exploration stats.
     """
-    return Verifier(program, helpers, maps, state_budget).run()
+    return Verifier(program, helpers, state_budget).run()

@@ -22,7 +22,7 @@ A load or store is bounds-checked against its region unless the block tier
 holds a proof of it: `verify` attaches a
 :class:`~repro.ebpf.verifier.Proof` to the program, and a ``block`` Vm,
 when it is built, compares what that proof was made for and against (the
-instructions, the ctx layout, the helper specs and map sizes) with what it
+instructions, the ctx layout, the helper specs) with what it
 is about to run.  Only on a match are the proof's per-instruction facts
 handed to the code generator.  ``program.verified`` is never consulted
 for this: a forged flag has no proof and gets every guard.  Which sites
@@ -32,11 +32,9 @@ keep their checks even under a proof, and why:
   reached, a register the verifier knows nothing firm about);
 * stack accesses: a slot may hold a spilled pointer, and the rules for
   reading or overwriting one are run-time state;
-* map-value accesses: `Vm.run` checks at entry that every ctx region is
-  present and exactly its declared size, and nothing checks a map value's;
 * what is not a memory site at all: the instruction budget, a pointer in
-  r0 at exit, the helpers' own ``mem_read`` / ``mem_write`` bounds, and
-  those entry checks themselves, on which the unguarded sites rest.
+  r0 at exit, and `Vm.run`'s entry checks (every ctx region present and
+  exactly its declared size), on which the unguarded sites rest.
 
 A proven site of 2, 4 or 8 bytes is one call to a precompiled
 little-endian `struct.Struct` method.  Inside one basic block, a proven
@@ -59,9 +57,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import VmFault
 from repro.perf.profiler import get_default_profiler
-from repro.ebpf.helpers import ArgKind, HelperRegistry, HelperSpec, RetKind
+from repro.ebpf.helpers import HelperRegistry, HelperSpec, RetKind
 from repro.ebpf.isa import FP_REG, MEM_SIZES, STACK_SIZE
-from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import FieldKind, Program
 from repro.ebpf.verifier import (Proof, Ptr, Scalar, proof_context,
                                  registers_read)
@@ -116,19 +113,12 @@ class Pointer:
 
 
 class VmEnvironment:
-    """Maps, helpers, and a clock shared by program runs."""
+    """Helpers and a clock shared by program runs."""
 
     def __init__(self, helpers: HelperRegistry,
-                 maps: Optional[Dict[int, BpfMap]] = None,
                  clock: Optional[Callable[[], int]] = None):
         self.helpers = helpers
-        self.maps: Dict[int, BpfMap] = dict(maps or {})
         self._clock = clock or (lambda: 0)
-
-    def map(self, map_id: int) -> BpfMap:
-        if map_id not in self.maps:
-            raise VmFault(f"no map with id {map_id}")
-        return self.maps[map_id]
 
     def now(self) -> int:
         return self._clock()
@@ -186,7 +176,7 @@ class Vm:
         self._trace.append(value)
 
     # ------------------------------------------------------------------
-    # Memory access (also used by helper implementations)
+    # Memory access
     # ------------------------------------------------------------------
 
     def mem_read(self, ptr: Any, length: int) -> bytes:
@@ -214,14 +204,6 @@ class Vm:
                 f"of {region.name!r} ({len(region.data)}B)"
             )
         region.data[ptr.offset : ptr.offset + len(data)] = data
-
-    def map_value_pointer(self, map_id: int, value: bytearray) -> Pointer:
-        """Wrap a live map value buffer as a pointer (helper support).
-
-        The region carries the verifier's name for it (``Ptr.region``, its
-        rejections), so a fault here and a rejection there name one thing.
-        """
-        return Pointer(Region(f"map_value:{map_id}", value), 0)
 
     # ------------------------------------------------------------------
     # Running
@@ -518,10 +500,8 @@ def _jump_compare(op: str, a: Any, b: Any, pc: int) -> bool:
         if a_ptr and b_ptr:
             same = a.region is b.region and a.offset == b.offset
         else:
-            # Pointer vs scalar: a live pointer never equals NULL (or any
-            # scalar) — the interesting case is the post-map-lookup null
-            # check, where NULL is the plain integer 0 and takes the other
-            # branch.
+            # Pointer vs scalar: a pointer never equals NULL (or any
+            # scalar).
             same = False
         return same if op == "jeq" else not same
     return _JMP_FN[op](a & U64, b & U64)
@@ -531,17 +511,8 @@ def _call_helper(state: _RunState, helper_id: int, pc: int) -> None:
     vm = state.vm
     spec = vm.env.helpers.spec(helper_id)
     impl = vm.env.helpers.impl(helper_id)
-    args = []
-    for index, kind in enumerate(spec.args):
-        value = state.regs[1 + index]
-        if kind in _SCALAR_ARGS:
-            args.append(_as_scalar(value, f"helper arg {index + 1}", pc) & U64)
-        else:
-            if not isinstance(value, Pointer):
-                raise VmFault(
-                    f"helper {spec.name!r} arg {index + 1} expects pointer", pc
-                )
-            args.append(value)
+    args = [_as_scalar(state.regs[1 + index], f"helper arg {index + 1}", pc)
+            & U64 for index in range(len(spec.args))]
     state.helper_calls += 1
     result = impl(vm, *args)
     # Clobber caller-saved registers like the kernel ABI.
@@ -549,8 +520,6 @@ def _call_helper(state: _RunState, helper_id: int, pc: int) -> None:
         state.regs[reg] = 0
     if spec.ret is RetKind.VOID:
         state.regs[0] = 0
-    elif spec.ret is RetKind.MAP_VALUE_OR_NULL:
-        state.regs[0] = result if isinstance(result, Pointer) else 0
     else:
         state.regs[0] = _as_scalar(result, "helper return", pc) & U64
 
@@ -759,7 +728,6 @@ _SIGNED = "({v} - 18446744073709551616 if {v} >= 9223372036854775808 else {v})"
 #: Signed conditions and the unsigned ones they equal on [0, 2**63).
 _UNSIGNED = {"jsgt": "jgt", "jsge": "jge", "jslt": "jlt", "jsle": "jle"}
 
-_SCALAR_ARGS = (ArgKind.SCALAR, ArgKind.CONST, ArgKind.MAP_ID, ArgKind.SIZE)
 #: The facts of a pc the proof says nothing about, one per register.
 _NOTHING_KNOWN = (None,) * 11
 _ALL_REGS = ", ".join(f"r{reg}" for reg in range(11))
@@ -927,12 +895,11 @@ class _Memory:
     ``fields`` is the layout's exact-access index.  ``sized`` maps each
     region a proven site may address directly to its ctx pointer field:
     the regions `Vm.run` checks at entry to be present and exactly
-    ``region_size`` long.  The stack (spilled-pointer rules) and map values
-    (no entry check covers their size) are not among them, so their sites
-    keep every guard.  ``bound`` collects the regions the emitted code does
-    address directly, for the function's prologue to bind.  ``held`` maps
-    each register whose pointer the current block keeps as the offset
-    local ``_q<reg>`` to the pointer's region.
+    ``region_size`` long.  The stack (spilled-pointer rules) is not among
+    them, so its sites keep every guard.  ``bound`` collects the regions
+    the emitted code does address directly, for the function's prologue
+    to bind.  ``held`` maps each register whose pointer the current block
+    keeps as the offset local ``_q<reg>`` to the pointer's region.
     """
 
     def __init__(self, layout):
@@ -1123,14 +1090,9 @@ def _emit_call(out: List[str], pad: str, helper_id: int,
         out.append(f"{pad}{slow}")
     else:
         args = [f"r{index + 1}" for index in range(len(spec.args))]
-        classes = [Scalar if kind in _SCALAR_ARGS else Ptr
-                   for kind in spec.args]
-        if not all(type(known[index + 1]) is wanted
-                   for index, wanted in enumerate(classes)):
-            guard = " and ".join(
-                f"{reg}.__class__ is "
-                f"{'int' if wanted is Scalar else 'Pointer'}"
-                for reg, wanted in zip(args, classes))
+        if not all(type(known[index + 1]) is Scalar
+                   for index in range(len(args))):
+            guard = " and ".join(f"{reg}.__class__ is int" for reg in args)
         inner = pad + " " if guard else pad
         call = f"{_impl_name(helper_id)}({', '.join(['vm'] + args)})"
         if guard:
@@ -1139,9 +1101,6 @@ def _emit_call(out: List[str], pad: str, helper_id: int,
         if spec.ret is RetKind.VOID:
             out.append(f"{inner}{call}")
             out.append(f"{inner}r0 = 0")
-        elif spec.ret is RetKind.MAP_VALUE_OR_NULL:
-            out.append(f"{inner}_v = {call}")
-            out.append(f"{inner}r0 = _v if isinstance(_v, Pointer) else 0")
         else:
             out.append(f"{inner}_v = {call}")
             out.append(f"{inner}r0 = _v & U64 if _v.__class__ is int else "
@@ -1522,8 +1481,8 @@ def _code_inputs(program: Program, env: VmEnvironment
     The proof is spent only if it covers the program as it is now, in this
     environment: that is compared here, never read from
     ``program.verified``.  A forged flag, an instruction replaced or a
-    layout swapped since `verify`, or another registry or map size, gets
-    no facts, so the fully guarded code.
+    layout swapped since `verify`, or another registry, gets no facts, so
+    the fully guarded code.
     """
     called = sorted({insn.imm for insn in program.instructions
                      if insn.opcode == "call"})
@@ -1531,7 +1490,7 @@ def _code_inputs(program: Program, env: VmEnvironment
              for helper_id in called}
     proof = program.proof
     if proof is None or not proof.covers(
-            program, proof_context(env.helpers, env.maps)):
+            program, proof_context(env.helpers)):
         return specs, None
     return specs, proof
 

@@ -3,10 +3,10 @@
 ``checked_run`` executes a verified program with the interpreter's own
 ``_step`` and, *before* each instruction, compares what the program's
 `Proof` claims for that pc with the registers the run actually holds:
-the runtime class, the region (by identity where the run state owns it,
-by name and size for a map value), the offset within ``[off_min,
-off_max]``, the integer within ``[umin, umax]``; an instruction executed
-at a pc the proof calls unreached is a violation too.
+the runtime class, the region (by identity), the offset within
+``[off_min, off_max]``, the integer within ``[umin, umax]``; an
+instruction executed at a pc the proof calls unreached is a violation
+too.
 
 The block tier drops the run-time guard of every site a fact covers, so
 a wrong fact there is a memory-safety bug with nothing left to catch it.
@@ -33,7 +33,7 @@ def _violation(state, fact, value):
         if not fact.umin <= value <= fact.umax:
             return f"holds {value}, outside the range"
         return None
-    assert type(fact) is Ptr and not fact.maybe_null
+    assert type(fact) is Ptr
     if type(value) is not Pointer:
         return f"holds {value!r}, not a pointer"
     region = value.region
@@ -43,8 +43,6 @@ def _violation(state, fact, value):
     elif fact.region == "stack":
         same = region is state.stack_region and \
             len(region.data) == fact.size
-    elif fact.region.startswith("map_value:"):
-        same = region.name == fact.region and len(region.data) == fact.size
     else:
         same = region is state.regions.get(fact.region) and \
             len(region.data) == fact.size

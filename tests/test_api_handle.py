@@ -7,6 +7,8 @@ import pytest
 
 from chainutil import build_machine, linked_file_bytes, walker_program
 from repro.core import ChainHandle, InstallRequest
+from repro.ebpf import base_registry, verify
+from repro.ebpf.verifier import proof_context
 from repro.errors import BadFileDescriptor, InvalidArgument
 from repro.kernel import ChainStatus, ReadResult
 
@@ -142,10 +144,26 @@ def test_install_request_is_frozen():
         request.block_size = 8192
 
 
-def test_install_request_normalises_args_and_maps():
-    request = InstallRequest(_program(), args=[7, 8], maps=None)
+def test_install_request_normalises_args():
+    request = InstallRequest(_program(), args=[7, 8])
     assert request.args == (7, 8)
-    assert request.maps == {}
+
+
+def test_install_proves_again_a_program_proved_against_other_helpers():
+    _sim, kernel, bpf = build_machine()
+    kernel.create_file("/list", linked_file_bytes([0, 1, 2]))
+    proc = kernel.spawn_process()
+    program = walker_program(bpf)
+    verify(program, base_registry())
+    other = program.proof
+    handle = kernel.run_syscall(bpf.open_chain(proc, "/list", program))
+    assert program.proof is not other
+    assert program.verified_against == proof_context(bpf.helpers)
+    # Proved against these helpers now: a second install keeps the proof.
+    proven = program.proof
+    kernel.run_syscall(bpf.open_chain(proc, "/list", program))
+    assert program.proof is proven
+    assert kernel.run_syscall(handle.read(0)).ok
 
 
 @pytest.mark.parametrize("kwargs, field", [
@@ -182,7 +200,7 @@ def test_chain_hops_stay_on_originating_queue():
 
 
 def test_mq_scaling_runs_are_byte_identical():
-    from repro.bench import mq_scaling
+    from repro.bench.experiments import mq_scaling
 
     kwargs = dict(queue_pairs=(1, 2), threads=(4,), depth=2,
                   duration_ns=200_000)

@@ -4,8 +4,7 @@ import tracemalloc
 
 import pytest
 
-from repro.bench import (
-    BtreeBench,
+from repro.bench.experiments import (
     ablation_resubmit_bound,
     ablation_vm_mode,
     extent_stability,
@@ -13,12 +12,12 @@ from repro.bench import (
     fig3_throughput,
     fig3c_latency,
     fig3d_iouring,
-    format_table,
-    run_closed_loop,
     table1_breakdown,
 )
-from repro.bench.runner import (NVM2_BENCH, _tree_image, choose_fanout,
-                                load_btree, mean_latency)
+from repro.bench.runner import (NVM2_BENCH, BtreeBench, _tree_image,
+                                choose_fanout, load_btree, mean_latency,
+                                run_closed_loop)
+from repro.bench.tables import format_table
 from repro.core import Hook
 from repro.errors import InvalidArgument
 from repro.kernel import Kernel, KernelConfig
@@ -275,7 +274,7 @@ def test_ablation_vm_mode_block_faster():
 
 
 def test_ablation_app_cache_monotone():
-    from repro.bench import ablation_app_cache
+    from repro.bench.experiments import ablation_app_cache
 
     rows = ablation_app_cache(depth=4, cached_levels=(0, 2), operations=20)
     assert rows[0]["mean_latency_us"] > rows[1]["mean_latency_us"]
@@ -284,14 +283,14 @@ def test_ablation_app_cache_monotone():
 
 
 def test_ablation_app_cache_skips_full_depth():
-    from repro.bench import ablation_app_cache
+    from repro.bench.experiments import ablation_app_cache
 
     rows = ablation_app_cache(depth=3, cached_levels=(0, 5), operations=5)
     assert len(rows) == 1  # cached_levels >= depth dropped
 
 
 def test_interference_accounts_chains():
-    from repro.bench import interference
+    from repro.bench.experiments import interference
 
     rows = interference(chain_depth=8, plain_threads=2, chain_threads=6,
                         duration_ns=3_000_000)

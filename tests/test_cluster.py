@@ -468,7 +468,7 @@ def test_cluster_run_is_deterministic():
 def test_failover_experiment_needs_a_replicated_shard_count():
     """The crash row fails over to a replica, so at least one shard
     count must be > 1; saying so beats ``max()`` of an empty sequence."""
-    from repro.bench import cluster_failover
+    from repro.bench.experiments import cluster_failover
 
     with pytest.raises(InvalidArgument, match="shard_counts"):
         cluster_failover(shard_counts=(1,), ops=8)

@@ -227,7 +227,7 @@ def test_layout_field_at_is_an_exact_access_lookup():
 def test_storage_helpers_include_base_and_extras():
     helpers = storage_helpers()
     names = helpers.names()
-    assert "map_lookup" in names
+    assert "trace" in names
     assert "get_chain_budget" in names
     assert "trace_offset" in names
 

@@ -37,7 +37,7 @@ from repro.core.library import (index_traversal_program,
                                 linked_list_program,
                                 scan_aggregate_program,
                                 wisckey_get_program)
-from repro.ebpf import (CtxField, CtxLayout, FieldKind, HashMap, Program,
+from repro.ebpf import (CtxField, CtxLayout, FieldKind, Program,
                         Verifier, Vm, assemble, base_registry, verify)
 from repro.ebpf.helpers import ArgKind, HelperRegistry, HelperSpec, RetKind
 from repro.ebpf.verifier import (NOT_INIT, Proof, Ptr, Scalar, _join,
@@ -86,17 +86,17 @@ def program_of(source, helpers=HELPERS, name="forged", **layout_kwargs):
                    layout(**layout_kwargs), name=name)
 
 
-def source_of(program, helpers=HELPERS, maps=None):
+def source_of(program, helpers=HELPERS):
     """The block tier's source for ``program`` in that environment (the
     proof spent only if `_code_inputs`, which `Vm` asks, says it covers)."""
     return _generate(program, 1_000_000, *_code_inputs(
-        program, VmEnvironment(helpers, maps=maps)))[0] + "\n"
+        program, VmEnvironment(helpers)))[0] + "\n"
 
 
-def outcome(program, mode, helpers=HELPERS, maps=None, data_size=64):
+def outcome(program, mode, helpers=HELPERS, data_size=64):
     """The result, or the fault as ``(reason, pc)``; anything else the
     run raises (an IndexError out of unguarded code) propagates."""
-    vm = Vm(program, VmEnvironment(helpers, maps=maps), mode=mode)
+    vm = Vm(program, VmEnvironment(helpers), mode=mode)
     try:
         return vm.run(bytearray(40), {"data": bytearray(data_size),
                                       "buf": bytearray(32)})
@@ -112,16 +112,15 @@ def outcome(program, mode, helpers=HELPERS, maps=None, data_size=64):
 def test_verify_attaches_a_proof_bound_to_what_it_was_made_for():
     program = program_of(SITES)
     assert program.proof is None and program.verified_against is None
-    maps = {1: HashMap(4, 8, 8, name="m")}
-    verify(program, HELPERS, maps=maps)
+    verify(program, HELPERS)
     proof = program.proof
     assert isinstance(proof, Proof)
     assert proof.instructions == tuple(program.instructions)
     assert proof.layout == tuple(program.ctx_layout.fields)
-    assert proof.context == proof_context(HELPERS, maps) \
+    assert proof.context == proof_context(HELPERS) \
         == program.verified_against
-    assert proof.covers(program, proof_context(HELPERS, maps))
-    assert not proof.covers(program, proof_context(HELPERS))
+    assert proof.covers(program, proof_context(HELPERS))
+    assert not proof.covers(program, proof_context(storage_helpers()))
     with pytest.raises(dataclasses.FrozenInstanceError):
         proof.facts = ()
 
@@ -177,12 +176,10 @@ def test_join_is_the_hull_or_nothing():
     assert _join([data]) == data
     assert _join([data, Ptr("data", 64, 0, 8)]) == Ptr("data", 64, 0, 16)
     for other in (Scalar(0, 0), NOT_INIT, Ptr("buf", 32, 8, 16),
-                  Ptr("data", 32, 8, 16),
-                  Ptr("data", 64, 8, 16, maybe_null=True)):
+                  Ptr("data", 32, 8, 16)):
         assert _join([data, other]) is None
         assert _join([other, data]) is None
     assert _join([NOT_INIT]) is None
-    assert _join([Ptr("map_value:1", 8, maybe_null=True)]) is None
 
 
 def test_facts_join_over_every_explored_state():
@@ -209,13 +206,11 @@ def test_no_new_parameter_selects_elision():
         "'interp', max_instructions: 'int' = 1000000, require_verified: "
         "'bool' = True)")
     assert str(inspect.signature(verify)) == (
-        "(program: 'Program', helpers: 'HelperRegistry', maps: "
-        "'Optional[Dict[int, object]]' = None, state_budget: 'int' = "
-        "200000) -> 'VerifierStats'")
+        "(program: 'Program', helpers: 'HelperRegistry', state_budget: "
+        "'int' = 200000) -> 'VerifierStats'")
     assert str(inspect.signature(Verifier.__init__)) == (
-        "(self, program: 'Program', helpers: 'HelperRegistry', maps: "
-        "'Optional[Dict[int, object]]' = None, state_budget: 'int' = "
-        "200000)")
+        "(self, program: 'Program', helpers: 'HelperRegistry', "
+        "state_budget: 'int' = 200000)")
 
 
 # ---------------------------------------------------------------------------
@@ -241,32 +236,22 @@ def test_without_a_proof_the_generated_source_is_the_guarded_source():
         == GUARDED_SOURCE
 
 
-def test_stack_and_map_value_sites_keep_their_guards():
+def test_stack_sites_keep_their_guards():
     # The proof covers them (the checker asserts its facts there too), but
-    # a stack slot may hold a spilled pointer and no entry check sizes a
-    # map value, so the compiled code keeps every check at those sites.
+    # a stack slot may hold a spilled pointer, so the compiled code keeps
+    # every check at stack sites.
     program = program_of("""
-        mov   r2, 0
+        mov   r2, 77
         stxw  [r10-4], r2
-        mov   r1, 1
-        mov   r2, r10
-        add   r2, -4
-        call  map_lookup
-        jeq   r0, 0, miss
-        ldxdw r3, [r0+0]
-        stxdw [r0+0], r3
-    miss:
-        mov   r0, 0
+        ldxw  r0, [r10-4]
         exit
     """)
-    maps = {1: HashMap(4, 8, 8, name="m")}
-    maps[1].update(bytes(4), (77).to_bytes(8, "little"))
-    verify(program, HELPERS, maps=maps)
-    vm = Vm(program, VmEnvironment(HELPERS, maps=maps), mode="block")
-    # The stack store, the maybe-null check, the map-value load and store.
-    assert vm.guarded == {1, 6, 7, 8}
-    assert program.proof.facts[7][0] == Ptr("map_value:1", 8)
-    assert checked_run(Vm(program, VmEnvironment(HELPERS, maps=maps)),
+    verify(program, HELPERS)
+    vm = Vm(program, VmEnvironment(HELPERS), mode="block")
+    # The stack store and the stack load.
+    assert vm.guarded == {1, 2}
+    assert program.proof.facts[2][10] == Ptr("stack", 512, 512, 512)
+    assert checked_run(Vm(program, VmEnvironment(HELPERS)),
                        bytearray(40), {"data": bytearray(64),
                                        "buf": bytearray(32)}) \
         == vm.run(bytearray(40), {"data": bytearray(64),
@@ -476,12 +461,10 @@ FENCES = {
         exit
     """, {5, 12}),
     "passed to a helper": ("""
-        ldxdw r1, [r6+32]
-        mov   r2, 4
-        mov   r4, 4
-        call  memcmp
+        mov   r1, r3
+        call  trace
         exit
-    """, {1, 5}),
+    """, None),
     "spilled to the stack": ("""
         stxdw [r10-8], r3
         ldxdw r2, [r10-8]
@@ -621,55 +604,27 @@ def test_merge_budget_tail_matches_the_interpreter_at_every_limit():
 # ---------------------------------------------------------------------------
 
 
-def test_map_value_region_is_named_by_map_id_in_both_tiers():
-    # The verifier calls it 'map_value:1' (``Ptr.region``, its rejections);
-    # the VM used to call it after the map's name.
-    source = """
-        mov   r2, 0
-        stxw  [r10-4], r2
-        mov   r1, 1
-        mov   r2, r10
-        add   r2, -4
-        call  map_lookup
-        jeq   r0, 0, miss
-        ldxdw r3, [r0+8]
-    miss:
-        mov   r0, 0
-        exit
-    """
-    maps = {1: HashMap(4, 8, 8, name="counters")}
-    maps[1].update(bytes(4), bytes(8))
-    program = program_of(source)
-    with pytest.raises(VerifierError, match=r"load \[8, 16\) out of bounds "
-                       r"of 'map_value:1' \(8B\)"):
-        verify(program, HELPERS, maps=maps)
-    program.verified = True  # forged
-    for mode in ("interp", "block"):
-        assert outcome(program, mode, maps=maps) == \
-            ("read [8, 16) out of bounds of 'map_value:1' (8B)", -1), mode
-
-
 #: The six programs ``verify_install`` makes ready: (memory sites, sites
 #: compiled without guards, digest of ``proof.facts``).  None touches the
-#: stack or a map value, so the proof covers every one; a verifier
-#: precision regression that puts a guard back fails here by name, not as
-#: a slower benchmark.  The digests were recorded before the loop and
-#: prune rules moved to prune points, and did not move: a verifier change
-#: that moves any fact fails by name before it moves generated code or a
-#: golden.
+#: stack, so the proof covers every one; a verifier precision regression
+#: that puts a guard back fails here by name, not as a slower benchmark.
+#: The digests were computed at the commit before ``Ptr`` lost its
+#: ``maybe_null`` field, with that field (False in every fact) left out:
+#: a verifier change that moves any fact fails by name before it moves
+#: generated code or a golden.
 INSTALLABLE = {
     "index16": (lambda: index_traversal_program(fanout=16), 19, 19,
-                "77f2e97de9e4d013"),
+                "d51bb5732b3cb0a9"),
     "index6": (lambda: index_traversal_program(fanout=6), 17, 17,
-               "a8f8d41dd0b70042"),
+               "ff8cd967c7a15e4e"),
     "wisckey": (lambda: wisckey_get_program(fanout=FANOUT_MAX), 33, 33,
-                "55b21ca4596187bc"),
-    "linked_list": (linked_list_program, 8, 8, "2fb7101fa7dbdead"),
+                "25af5c155cc50a36"),
+    "linked_list": (linked_list_program, 8, 8, "52983c6199d452ef"),
     "scan_aggregate": (lambda: scan_aggregate_program(fanout=64), 22, 22,
-                       "8166cc09a387e498"),
+                       "b81a361c3a422d1c"),
     "sstable_merge": (lambda: sstable_merge_program(PAGE_SIZE, 64,
                                                     FANOUT_MAX), 19, 19,
-                      "486ad6943b263920"),
+                      "79711717bf61e107"),
 }
 
 

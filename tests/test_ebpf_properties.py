@@ -37,7 +37,7 @@ from repro.core.hooks import (ACTION_RESUBMIT, CTX_ACTION, CTX_DATA_LEN,
                               storage_helpers)
 from repro.core.library import (index_traversal_program, linked_list_program,
                                 scan_aggregate_program, wisckey_get_program)
-from repro.ebpf import HashMap, Program, Vm, assemble, verify
+from repro.ebpf import Program, Vm, assemble, verify
 from repro.ebpf.disasm import disassemble
 from repro.ebpf.isa import decode, encode
 from repro.ebpf.vm import VmEnvironment
@@ -195,13 +195,13 @@ def _structured_program(draw):
     masked and unmasked loads, stores, forward branches, a bounded
     back-edge loop, ``ptr + reg`` / ``ptr - imm`` (one read only by loads
     and stores and then overwritten, one still live where its block ends),
-    pointer spill and fill, and helper calls with scalar, pointer + size
-    and map arguments.  Some verify, some do not."""
+    pointer spill and fill, and helper calls, now and then handed a
+    pointer.  Some verify, some do not."""
     lines = list(_PROLOGUE)
     labels = 0
     open_labels = []
     for _ in range(draw(st.integers(1, 18))):
-        choice = draw(st.integers(0, 16))
+        choice = draw(st.integers(0, 14))
         # Now and then a helper is handed the wrong class of argument.
         wrong = choice >= 10 and draw(st.integers(0, 7)) == 0
         if choice == 0:
@@ -280,27 +280,6 @@ def _structured_program(draw):
         elif choice == 11:
             lines += ["call ktime", "add r9, r0"]
         elif choice == 12:
-            # scratch <- data; the largest size overruns the scratch area.
-            lines += [f"mov r1, {'5' if wrong else 'r8'}",
-                      f"mov r2, {draw(st.sampled_from([8, 16, 64, 80]))}",
-                      "mov r3, r7",
-                      f"add r3, {draw(st.integers(0, 250))}",
-                      f"mov r4, {draw(st.sampled_from([8, 16, 64]))}",
-                      "call memcpy", "add r9, r0"]
-        elif choice == 13:
-            # map_lookup with the key on the stack, then (usually) the
-            # null check the verifier insists on.
-            labels += 1
-            lines += ["ldxdw r4, [r6+40]", "and r4, 3", "stxw [r10-4], r4",
-                      "mov r1, 1", "mov r2, r10", "add r2, -4",
-                      "call map_lookup"]
-            if draw(st.integers(0, 4)):
-                lines.append(f"jeq r0, 0, miss{labels}")
-            lines += ["ldxdw r2, [r0+0]", "add r9, r2"]
-            if draw(st.booleans()):
-                lines.append("stxdw [r0+0], r9")
-            lines.append(f"miss{labels}:")
-        elif choice == 15:
             # data + i and scratch + i, read only by loads and stores and
             # then overwritten (the block tier keeps just their offsets);
             # the widest masks reach past the regions.
@@ -311,7 +290,7 @@ def _structured_program(draw):
                       "add r9, r2", "ldxw r3, [r3+4]", "add r9, r3",
                       "mov r3, r8", "add r3, r4", "stxw [r3+4], r9",
                       "stxh [r3+2], r9", "mov r3, 0"]
-        elif choice == 16:
+        elif choice == 13:
             # data + i still live where its block ends: read on both sides
             # of a branch.
             labels += 1
@@ -344,21 +323,11 @@ class _RecordingSink:
         return len(self.calls)
 
 
-def _lookup_map():
-    """Keys 0 and 1 present, 2 and 3 absent (the programs mask to 0-3)."""
-    bpf_map = HashMap(4, 8, 8, name="m")
-    for key in (0, 1):
-        bpf_map.update(key.to_bytes(4, "little"),
-                       (1000 + key).to_bytes(8, "little"))
-    return bpf_map
-
-
 def _outcome(program, mode, arg0, data, budget, require_verified,
              run=Vm.run):
     """Everything observable about one run, fault or not.  ``run`` may be
     the proof checker's stand-in for ``Vm.run``."""
-    bpf_map = _lookup_map()
-    env = VmEnvironment(HELPERS, maps={1: bpf_map}, clock=lambda: 12345)
+    env = VmEnvironment(HELPERS, clock=lambda: 12345)
     vm = Vm(program, env, mode=mode, max_instructions=budget,
             require_verified=require_verified)
     vm.compact_sink = sink = _RecordingSink()
@@ -370,8 +339,7 @@ def _outcome(program, mode, arg0, data, budget, require_verified,
     except VmFault as fault:
         result = ("fault", fault.reason, fault.pc)
     return (result, bytes(ctx), bytes(regions["data"]),
-            bytes(regions["scratch"]), sink.calls,
-            [bpf_map.lookup(key.to_bytes(4, "little")) for key in range(4)])
+            bytes(regions["scratch"]), sink.calls)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -381,8 +349,7 @@ def _outcome(program, mode, arg0, data, budget, require_verified,
 def test_verified_programs_never_fault(source, arg0, data, budget):
     program = Program(assemble(source, NAMES), LAYOUT, name="fuzz2")
     try:
-        verify(program, HELPERS, maps={1: _lookup_map()},
-               state_budget=30_000)
+        verify(program, HELPERS, state_budget=30_000)
     except VerifierError:
         pass  # rejected: the tiers must still agree, fault for fault
     interp, guarded, proven = (

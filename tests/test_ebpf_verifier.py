@@ -7,7 +7,6 @@ from repro.ebpf import (
     CtxField,
     CtxLayout,
     FieldKind,
-    HashMap,
     Program,
     assemble,
     base_registry,
@@ -34,14 +33,13 @@ def make(source, layout=LAYOUT):
     return Program(assemble(source, NAMES), layout, name="test")
 
 
-def accept(source, maps=None, layout=LAYOUT):
-    return verify(make(source, layout), HELPERS, maps=maps)
+def accept(source, layout=LAYOUT):
+    return verify(make(source, layout), HELPERS)
 
 
-def reject(source, match, maps=None, layout=LAYOUT, budget=200_000):
+def reject(source, match, layout=LAYOUT, budget=200_000):
     with pytest.raises(VerifierError, match=match):
-        verify(make(source, layout), HELPERS, maps=maps,
-               state_budget=budget)
+        verify(make(source, layout), HELPERS, state_budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -151,27 +149,6 @@ def test_loop_bounded_by_clamped_ctx_value():
     )
 
 
-def test_map_lookup_with_null_check(helpers=HELPERS):
-    m = HashMap(4, 8, 8)
-    accept(
-        """
-        mov   r6, r1
-        stw   [r10-4], 5
-        mov   r1, 3
-        mov   r2, r10
-        add   r2, -4
-        call  map_lookup
-        jeq   r0, 0, miss
-        ldxdw r2, [r0+0]
-        stxdw [r6+24], r2
-    miss:
-        mov r0, 0
-        exit
-        """,
-        maps={3: m},
-    )
-
-
 def test_writable_scratch_region():
     accept(
         """
@@ -193,40 +170,6 @@ def test_pointer_store_to_non_stack_region_rejected():
         exit
         """,
         "pointer stored",
-    )
-
-
-def test_memcmp_helper_with_bounded_size():
-    accept(
-        """
-        ldxdw r6, [r1+0]
-        mov   r5, 7
-        stxdw [r10-8], r5
-        mov   r1, r10
-        add   r1, -8
-        mov   r2, 8
-        mov   r3, r6
-        mov   r4, 8
-        call  memcmp
-        exit
-        """
-    )
-
-
-def test_spilled_pointer_area_passed_to_helper_rejected():
-    reject(
-        """
-        ldxdw r6, [r1+0]
-        stxdw [r10-8], r6
-        mov   r1, r10
-        add   r1, -8
-        mov   r2, 8
-        mov   r3, r6
-        mov   r4, 8
-        call  memcmp
-        exit
-        """,
-        "uninitialised",
     )
 
 
@@ -380,78 +323,8 @@ def test_misaligned_pointer_spill_rejected():
     )
 
 
-def test_null_deref_without_check_rejected():
-    m = HashMap(4, 8, 8)
-    reject(
-        """
-        stw   [r10-4], 5
-        mov   r1, 3
-        mov   r2, r10
-        add   r2, -4
-        call  map_lookup
-        ldxdw r2, [r0+0]
-        mov r0, 0
-        exit
-        """,
-        "maybe-null",
-        maps={3: m},
-    )
-
-
-def test_unknown_map_id_rejected():
-    reject(
-        """
-        stw   [r10-4], 5
-        mov   r1, 99
-        mov   r2, r10
-        add   r2, -4
-        call  map_lookup
-        mov r0, 0
-        exit
-        """,
-        "unknown map id",
-        maps={3: HashMap(4, 8, 8)},
-    )
-
-
-def test_nonconstant_map_id_rejected():
-    reject(
-        """
-        ldxdw r1, [r1+8]
-        mov   r2, r10
-        add   r2, -4
-        stw   [r10-4], 5
-        call  map_lookup
-        mov r0, 0
-        exit
-        """,
-        "known constant",
-        maps={3: HashMap(4, 8, 8)},
-    )
-
-
 def test_unknown_helper_rejected():
     reject("call 999\nmov r0, 0\nexit", "unknown helper")
-
-
-def test_helper_unbounded_size_rejected():
-    # The size in r2 comes straight from the ctx with no clamping, so the
-    # verifier cannot bound the memcmp read.
-    reject(
-        """
-        mov   r5, 1
-        stxdw [r10-8], r5
-        mov   r1, r10
-        add   r1, -8
-        ldxdw r2, [r1+0]
-        mov   r3, r10
-        add   r3, -8
-        mov   r4, 8
-        call  memcmp
-        exit
-        """,
-        "unbounded",
-    )
 
 
 def test_registers_clobbered_after_call_rejected():
@@ -464,24 +337,6 @@ def test_registers_clobbered_after_call_rejected():
         exit
         """,
         "uninitialised r2",
-    )
-
-
-def test_pointer_arithmetic_on_maybe_null_rejected():
-    m = HashMap(4, 8, 8)
-    reject(
-        """
-        stw   [r10-4], 5
-        mov   r1, 3
-        mov   r2, r10
-        add   r2, -4
-        call  map_lookup
-        add   r0, 4
-        mov r0, 0
-        exit
-        """,
-        "maybe-null",
-        maps={3: m},
     )
 
 

@@ -1,7 +1,10 @@
 """Verdict identity: the verifier against a corpus recorded at the commit
-before its exploration was re-indexed (see ``verifier_corpus.py``).
+before maps and the pointer-argument helpers were removed (see
+``verifier_corpus.py``), whose verdicts, error pcs, state counts and
+exploration digest this one reproduces exactly.
 
-The candidate index, the instruction decode, the lifted scan cap and
+The rules below were written when the exploration was re-indexed: the
+candidate index, the instruction decode, the lifted scan cap and
 running the loop and prune rules only at prune points, on live registers,
 may change how fast a verdict is reached, never the verdict: same accept
 or reject, same error text, and the same error pc with one exception.
@@ -32,13 +35,12 @@ from repro.errors import VmFault
 
 BUDGET_ERROR = "state budget exhausted"
 LOOP_ERROR = "infinite loop detected"
-#: Measured when the loop and prune rules moved to prune points.
-ACCEPTED, ACCEPTED_STATES = 264, 61_849
-#: `exploration_digest` at the commit before the verifier's transfer
-#: functions were decoded per pc and its DFS stepped straight-line code in
-#: one frame.
+#: Measured at the commit before maps and the pointer-argument helpers
+#: were removed, over the corpus as it is now (no program calls a helper).
+ACCEPTED, ACCEPTED_STATES = 267, 57_195
+#: `exploration_digest` at that same commit, over the same corpus.
 EXPLORATION_DIGEST = \
-    "8a54f1107ebaf021c68248aa3fa9f3b3e356f5bcdfa8a367ccd5707417fe7fd4"
+    "4427a67528ddc7065cbaf54b0232227fcce890ff179bc8d3b00ef3b56e8b3e50"
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +69,7 @@ def test_corpus_covers_both_verdicts_and_every_loop_kind(recorded):
     assert 200 <= accepted <= len(rows) - 200
     errors = {row["error"] for row in rows if not row["accepted"]}
     for fragment in (LOOP_ERROR, BUDGET_ERROR,
-                     "without a null check", "out of bounds of 'data'",
+                     "out of bounds of 'data'",
                      "partial read of a spilled pointer"):
         assert any(fragment in error for error in errors), fragment
 
@@ -94,10 +96,7 @@ def test_verdicts_match_the_parent_commit(recorded, verdicts):
 
 
 def test_accepted_programs_explore_a_pinned_number_of_states(verdicts):
-    """Programs accepted now and the states they explore, summed: the
-    recording's accepted rows explored 66,883 states; the same rows
-    explore 44,232 now, and 12 rows that exhausted its budget are
-    accepted too."""
+    """Programs accepted now and the states they explore, summed."""
     accepted = [states for _accepted, _error, _pc, states in verdicts
                 if states is not None]
     assert (len(accepted), sum(accepted)) == (ACCEPTED, ACCEPTED_STATES)
@@ -126,8 +125,7 @@ def test_accepted_programs_stay_cheap_and_never_fault(recorded):
                                 (guarded, "block", Vm.run),
                                 (program, "block", Vm.run),
                                 (program, "interp", checked_run)):
-            vm = Vm(built, VmEnvironment(corpus.HELPERS,
-                                         corpus.make_maps()), mode=mode)
+            vm = Vm(built, VmEnvironment(corpus.HELPERS), mode=mode)
             try:
                 results.append(run(vm, bytearray(ctx), {
                     "data": bytearray(data),

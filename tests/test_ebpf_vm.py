@@ -7,11 +7,9 @@ import pytest
 
 from repro.errors import BpfError, VmFault
 from repro.ebpf import (
-    ArrayMap,
     CtxField,
     CtxLayout,
     FieldKind,
-    HashMap,
     Program,
     Vm,
     assemble,
@@ -38,11 +36,10 @@ LAYOUT = CtxLayout(
 )
 
 
-def run(source, a=0, b=0, data=None, buf=None, maps=None, mode="interp",
-        clock=None):
+def run(source, a=0, b=0, data=None, buf=None, mode="interp", clock=None):
     prog = Program(assemble(source, NAMES), LAYOUT, name="t")
-    verify(prog, HELPERS, maps=maps)
-    env = VmEnvironment(HELPERS, maps=maps, clock=clock)
+    verify(prog, HELPERS)
+    env = VmEnvironment(HELPERS, clock=clock)
     vm = Vm(prog, env, mode=mode)
     ctx = bytearray(40)
     ctx[0:8] = (a & (2**64 - 1)).to_bytes(8, "little")
@@ -250,74 +247,6 @@ def test_ktime_uses_env_clock(mode):
     """
     _, out, _ = run(src, mode=mode, clock=lambda: 987654)
     assert out == 987654
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_map_lookup_hit_and_miss(mode):
-    m = HashMap(4, 8, 16, name="m")
-    m.update((1).to_bytes(4, "little"), (555).to_bytes(8, "little"))
-    src = """
-        mov   r6, r1
-        ldxdw r7, [r1+0]
-        stxw  [r10-4], r7
-        mov   r1, 1
-        mov   r2, r10
-        add   r2, -4
-        call  map_lookup
-        jeq   r0, 0, miss
-        ldxdw r2, [r0+0]
-        stxdw [r6+16], r2
-        mov   r0, 0
-        exit
-    miss:
-        mov   r2, 0
-        stxdw [r6+16], r2
-        mov   r0, 1
-        exit
-    """
-    result, out, _ = run(src, a=1, maps={1: m}, mode=mode)
-    assert (result.return_value, out) == (0, 555)
-    result, out, _ = run(src, a=2, maps={1: m}, mode=mode)
-    assert (result.return_value, out) == (1, 0)
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_map_update_from_program(mode):
-    m = ArrayMap(value_size=8, max_entries=4, name="arr")
-    src = """
-        stw   [r10-4], 2
-        mov   r2, 777
-        stxdw [r10-16], r2
-        mov   r1, 1
-        mov   r2, r10
-        add   r2, -4
-        mov   r3, r10
-        add   r3, -16
-        call  map_update
-        exit
-    """
-    result, _, _ = run(src, maps={1: m}, mode=mode)
-    assert result.return_value == 0
-    assert int.from_bytes(m.lookup_index(2), "little") == 777
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_memcpy_between_regions(mode):
-    data = bytearray(64)
-    data[0:8] = b"ABCDEFGH"
-    buf = bytearray(32)
-    src = """
-        ldxdw r3, [r1+24]
-        ldxdw r5, [r1+32]
-        mov   r1, r5
-        mov   r2, 8
-        mov   r4, 8
-        call  memcpy
-        mov   r0, 0
-        exit
-    """
-    run(src, data=data, buf=buf, mode=mode)
-    assert bytes(buf[0:8]) == b"ABCDEFGH"
 
 
 def test_unverified_program_refused():
@@ -580,25 +509,9 @@ FORGED_FAULTS = {
     "write_to_frame_pointer": (
         "mov r10, 0\nmov r0, 0\nexit",
         "write to frame pointer r10", 0),
-    "helper_pointer_argument_given_scalar": (
-        "ldxdw r3, [r1+24]\nmov r1, 5\nmov r2, 8\nmov r4, 8\n"
-        "call memcpy\nmov r0, 0\nexit",
-        "helper 'memcpy' arg 1 expects pointer", 4),
-    "helper_second_pointer_argument_given_scalar": (
-        "ldxdw r1, [r1+32]\nmov r2, 8\nmov r3, 9\nmov r4, 8\n"
-        "call memcpy\nmov r0, 0\nexit",
-        "helper 'memcpy' arg 3 expects pointer", 4),
     "helper_scalar_argument_given_pointer": (
         "call trace\nmov r0, 0\nexit",
         "helper arg 1 is a pointer, expected scalar", 0),
-    "helper_size_argument_given_pointer": (
-        "ldxdw r3, [r1+24]\nldxdw r1, [r1+32]\nmov r2, r3\nmov r4, 8\n"
-        "call memcpy\nmov r0, 0\nexit",
-        "helper arg 2 is a pointer, expected scalar", 4),
-    "helper_reads_out_of_bounds": (
-        "ldxdw r3, [r1+24]\nldxdw r1, [r1+32]\nadd r3, 60\nmov r2, 8\n"
-        "mov r4, 8\ncall memcpy\nmov r0, 0\nexit",
-        "read [60, 68) out of bounds of 'data' (64B)", -1),
     "pointer_returned_in_r0": (
         "mov r0, r1\nexit",
         "program returned a pointer in r0", -1),

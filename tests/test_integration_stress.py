@@ -3,7 +3,7 @@
 import pytest
 
 from chainutil import build_machine
-from repro.bench import BtreeBench
+from repro.bench.runner import BtreeBench
 from repro.core import Hook
 from repro.obs import ObsSession
 from repro.structures.pages import PAGE_SIZE

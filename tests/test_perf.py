@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.bench import fig3c_latency
+from repro.bench.experiments import fig3c_latency
 from repro.bench.registry import BY_NAME
 from repro.perf import (
     NULL_PROFILER,

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import rows_to_json
 from repro.bench.registry import BY_NAME, EXPERIMENTS
+from repro.bench.tables import rows_to_json
 from repro.faults import FaultSpec, fault_injection
 from repro.obs import ObsSession, TraceBus
 

@@ -7,7 +7,7 @@ program is a preamble plus a few fragments, nested up to two deep, picked
 to cover what the exploration has to decide: loops bounded by a constant
 or a clamped argument, loops the verifier cannot bound, loops that make no
 progress, branch refinement that does or does not prove an access, diamonds
-that rejoin, pointer spills, and map lookups with and without a null check.
+that rejoin, and pointer spills.
 
 Recording (run against the commit whose verdicts are the reference)::
 
@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from repro.core.hooks import storage_ctx_layout, storage_helpers
-from repro.ebpf import ArrayMap, HashMap, Program, assemble, verify
+from repro.ebpf import Program, assemble, verify
 from repro.errors import VerifierError
 
 SEED = 13
@@ -39,16 +39,8 @@ HELPERS = storage_helpers()
 LAYOUT = storage_ctx_layout(DATA_SIZE, SCRATCH_SIZE)
 
 
-def make_maps():
-    return {1: ArrayMap(value_size=8, max_entries=16, name="counts"),
-            2: HashMap(key_size=8, value_size=16, max_entries=8,
-                       name="pairs")}
-
-
 # Register plan: r6 ctx, r7 data, r9 accumulator, r8 the outer loop's
-# counter and r5 the inner one's; r0-r4 temporaries.  A helper call
-# clobbers r1-r5, so only fragments that make no call go inside an inner
-# loop.
+# counter and r5 the inner one's; r0-r4 temporaries.
 PREAMBLE = ["mov r6, r1",
             "ldxdw r7, [r6+0]",
             "ldxdw r9, [r6+40]"]
@@ -77,8 +69,7 @@ class _Builder:
         kinds = [self.alu, self.refined_access, self.refined_access,
                  self.diamond, self.diamond, self.spill, self.stack_bytes]
         if depth < 2:
-            kinds += [self.map_lookup, self.helper_mem, self.const_loop,
-                      self.const_loop, self.clamped_loop]
+            kinds += [self.const_loop, self.const_loop, self.clamped_loop]
             if self.rng.randrange(30) == 0:
                 kinds = [self.unbounded_loop, self.no_progress_loop]
         self.rng.choice(kinds)(depth)
@@ -167,39 +158,6 @@ class _Builder:
         width = "dw" if self.flawed() else rng.choice(["b", "h", "w"])
         self.emit(f"ldx{width} r3, [r10-{slot}]", "add r9, r3")
 
-    def map_lookup(self, depth):
-        rng = self.rng
-        skip = self.label("null")
-        if rng.randrange(2):
-            value_size = 8
-            self.emit("stxw [r10-4], r9", "mov r1, 1", "mov r2, r10",
-                      "add r2, -4")
-        else:
-            value_size = 16
-            self.emit("stxdw [r10-16], r9", "mov r1, 2", "mov r2, r10",
-                      "add r2, -16")
-        # Flawed more often than the rest: three ways to get a lookup wrong.
-        flaw = rng.randrange(3) if rng.randrange(5) == 0 else None
-        if flaw == 0:
-            self.emit("mov r1, 3")      # no such map
-        self.emit("call map_lookup")
-        if flaw != 1:                   # 1: no null check
-            self.emit(f"jeq r0, 0, {skip}")
-        offset = value_size if flaw == 2 else value_size - 8
-        self.emit(f"ldxdw r2, [r0+{offset}]", "add r2, 1",
-                  f"stxdw [r0+{offset}], r2", f"{skip}:")
-
-    def helper_mem(self, depth):
-        rng = self.rng
-        flaw = rng.randrange(2) if self.flawed() else None
-        size = 300 if flaw == 0 else rng.choice([8, 64, 256])
-        self.emit("mov r1, r7", f"mov r2, {size}", "ldxdw r3, [r6+32]")
-        if flaw == 1:
-            self.emit("ldxdw r4, [r6+48]")      # unbounded size
-        else:
-            self.emit(f"mov r4, {rng.choice([8, 64])}")
-        self.emit("call memcmp", "add r9, r0")
-
     # -- loops -------------------------------------------------------
 
     def counter(self, depth):
@@ -285,8 +243,7 @@ def explore(source):
     ``(program, None, the VerifierError)``."""
     program = build(source)
     try:
-        stats = verify(program, HELPERS, maps=make_maps(),
-                       state_budget=STATE_BUDGET)
+        stats = verify(program, HELPERS, state_budget=STATE_BUDGET)
     except VerifierError as error:
         return program, None, error
     return program, stats, None
