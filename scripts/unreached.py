@@ -1,21 +1,30 @@
 #!/usr/bin/env python3
-"""List the functions under ``src/`` that no user-facing entry point enters.
+"""Fence the functions under ``src/`` that no user-facing entry point enters.
 
 Runs a fixed list of entry points in this one process under a
-``sys.setprofile`` hook that records the code object of every Python
-frame it sees, then prints, grouped by module, each function defined
-under ``src/repro`` whose code object was never seen, and a total:
+``sys.settrace`` hook that records the code object of every Python frame
+it sees (the hook returns None, so no line events fire; ``settrace``
+rather than ``setprofile`` because ``python -m repro profile`` installs
+its own profile hook):
 
 * ``python -m repro report --quick`` (every experiment row);
+* the ``metrics``, ``profile`` and ``experiment`` commands CI runs, each
+  writing any file into a temporary directory;
 * ``python -m repro disasm P`` for each of the five library programs;
 * ``python -m repro verify-demo``;
 * every script under ``examples/``;
 * ``python bench_e2e/run.py --workload W --quick --trace 0`` for each of
   the six benchmark workloads.
 
-A function reached only by tests is listed: it is code no row, example or
-workload uses.  Lambdas, comprehensions and class bodies are not counted.
-Takes a few minutes (the hook slows every call); stdlib only::
+Every function defined under ``src/repro`` that none of them enters must
+be listed in ``scripts/unreached.txt``, one ``module:qualname`` per line
+followed by the reason it stays although only tests reach it.  The
+script prints, grouped by module, each unreached function that is not
+listed, each listed function that is now reached or no longer defined,
+and a total; it exits non-zero if it printed any, or if an entry point
+failed.  Lambdas, comprehensions and class bodies are not counted, and a
+name defined twice in one scope counts as unreached if either definition
+is.  Takes about half a minute; stdlib only::
 
     python scripts/unreached.py
 """
@@ -25,10 +34,12 @@ import io
 import os
 import runpy
 import sys
+import tempfile
 from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+LISTED = os.path.join(ROOT, "scripts", "unreached.txt")
 PROGRAMS = ("index", "scan", "linked", "merge", "wisckey")
 WORKLOADS = ("btree_chain", "plain_rw", "cluster_ycsb", "tenants_qos",
              "lsm_compaction", "verify_install")
@@ -36,14 +47,38 @@ WORKLOADS = ("btree_chain", "plain_rw", "cluster_ycsb", "tenants_qos",
 _FUNCTION = 0x1 | 0x2       # CO_OPTIMIZED | CO_NEWLOCALS
 
 
-def entry_points():
+def cli_commands(scratch):
+    """The ``python -m repro`` argument lists, in the order they run."""
+    def path(name):
+        return os.path.join(scratch, name)
+
+    commands = [["report", "--quick"],
+                ["metrics", "fig3b", "--quick",
+                 "--trace-jsonl", path("fig3b.jsonl")],
+                ["metrics", "fig3c", "--quick", "--fault-plan",
+                 "seed=7,read_error_rate=0.02,error_burst=2"],
+                ["metrics", "recovery", "--quick", "--fault-plan",
+                 "seed=3,write_error_rate=0.05"]]
+    commands += [["metrics", name, "--quick"]
+                 for name in ("fig3d", "compaction", "pushdown", "crash",
+                              "churn")]
+    commands += [["profile", "fig3b", "--quick", "--dump",
+                  path("fig3b.pstats")],
+                 ["experiment", "crash", "--quick", "--json"],
+                 ["experiment", "fig3c", "--quick", "--json",
+                  "--trace-jsonl", path("fig3c.jsonl"),
+                  "--fault-plan", "seed=7"]]
+    commands += [["disasm", name] for name in PROGRAMS]
+    commands.append(["verify-demo"])
+    return commands
+
+
+def entry_points(scratch):
     """``(label, thunk)`` per entry point, in the order they run."""
     from repro.cli import main as cli
 
-    points = [("report --quick", lambda: cli(["report", "--quick"]))]
-    points += [(f"disasm {name}", lambda name=name: cli(["disasm", name]))
-               for name in PROGRAMS]
-    points.append(("verify-demo", lambda: cli(["verify-demo"])))
+    points = [(" ".join(argv), lambda argv=argv: cli(argv))
+              for argv in cli_commands(scratch)]
     examples = os.path.join(ROOT, "examples")
     points += [(f"examples/{name}",
                 lambda path=os.path.join(examples, name):
@@ -69,7 +104,7 @@ def _run_script(path, argv):
 
 
 def defined_functions():
-    """``{(file, first line, name): (module, qualified name)}`` for every
+    """``{(file, first line, name): "module:qualname"}`` for every
     function defined under ``src/repro``."""
     found = {}
 
@@ -83,7 +118,7 @@ def defined_functions():
                 continue
             qualname = prefix + name
             if const.co_flags & _FUNCTION == _FUNCTION:
-                found[_key(const)] = (module, qualname)
+                found[_key(const)] = f"{module}:{qualname}"
                 walk(const, module, qualname + ".<locals>.")
             else:                               # a class body
                 walk(const, module, qualname + ".")
@@ -115,42 +150,58 @@ def run_entry_points():
 
     failures = []
     sys.path[:0] = [SRC, ROOT]
-    # On before the first import: a function run at import time counts.
-    sys.setprofile(hook)
-    for label, thunk in entry_points():
-        print(f"running {label} ...", file=sys.stderr, flush=True)
-        sys.setprofile(hook)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                thunk()
-        except SystemExit as stop:
-            if stop.code not in (None, 0):
-                failures.append(f"{label}: exit {stop.code}")
-        except Exception as error:      # report it, measure the rest
-            failures.append(f"{label}: {error!r}")
-        finally:
-            sys.setprofile(None)
+    with tempfile.TemporaryDirectory() as scratch:
+        # On before the first import: a function run at import time counts.
+        sys.settrace(hook)
+        for label, thunk in entry_points(scratch):
+            print(f"running {label} ...", file=sys.stderr, flush=True)
+            sys.settrace(hook)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    thunk()
+            except SystemExit as stop:
+                if stop.code not in (None, 0):
+                    failures.append(f"{label}: exit {stop.code}")
+            except Exception as error:      # report it, measure the rest
+                failures.append(f"{label}: {error!r}")
+            finally:
+                sys.settrace(None)
     return seen, failures
+
+
+def read_listed(path=LISTED):
+    """``{"module:qualname": reason}`` from the committed list."""
+    listed = {}
+    with open(path, encoding="utf-8") as lines:
+        for line in lines:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                name, reason = line.split(None, 1)
+                listed[name] = reason
+    return listed
 
 
 def main():
     seen, failures = run_entry_points()
     entered = {_key(code) for code in seen}
-    unreached = defaultdict(list)
     defined = defined_functions()
-    for key, (module, qualname) in defined.items():
-        if key not in entered:
-            unreached[module].append((key[1], qualname))
-    total = 0
-    for module in sorted(unreached):
+    unreached = {name for key, name in defined.items() if key not in entered}
+    listed = read_listed()
+    problems = defaultdict(list)
+    for name in sorted(unreached - set(listed)):
+        problems[name.split(":")[0]].append(f"unreached, not listed: {name}")
+    for name in sorted(set(listed) - unreached):
+        why = "reached" if name in defined.values() else "not defined"
+        problems[name.split(":")[0]].append(f"listed but {why}: {name}")
+    for module in sorted(problems):
         print(module)
-        for line, qualname in sorted(unreached[module]):
-            print(f"    {line:5d}  {qualname}")
-            total += 1
-    print(f"{total} of {len(defined)} functions under src/ never entered")
+        for problem in problems[module]:
+            print(f"    {problem}")
+    print(f"{len(unreached)} of {len(set(defined.values()))} functions "
+          f"under src/ never entered, {len(listed)} listed")
     for failure in failures:
         print(f"entry point failed: {failure}")
-    return 1 if failures else 0
+    return 1 if failures or problems else 0
 
 
 if __name__ == "__main__":

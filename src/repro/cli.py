@@ -211,7 +211,7 @@ def _cmd_disasm(args) -> int:
     from repro.core.hooks import storage_helpers
     from repro.ebpf import Vm, verify
     from repro.ebpf.disasm import disassemble
-    from repro.ebpf.vm import VmEnvironment, pointer_values
+    from repro.ebpf.vm import pointer_values
 
     program = _PROGRAMS[args.program]()
     helpers = storage_helpers()
@@ -220,8 +220,8 @@ def _cmd_disasm(args) -> int:
     # What the proof says of the registers each instruction reads, where
     # the block tier's code for it keeps its run-time guards all the same
     # and which pointers it never builds (``Vm.guarded``, ``Vm.unboxed``:
-    # what this environment really compiled).
-    vm = Vm(program, VmEnvironment(helpers), mode="block")
+    # what these helpers really compiled).
+    vm = Vm(program, helpers, mode="block")
     comments = {}
     for pc, known in enumerate(program.proof.facts):
         notes = ["unreached"] if known is None else [

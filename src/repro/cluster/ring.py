@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import InvalidArgument
 
@@ -58,10 +58,3 @@ class HashRing:
         if where == len(self._points):
             where = 0  # wrap past the top of the ring
         return self._points[where][1]
-
-    def histogram(self, keys: Sequence[int]) -> Dict[int, int]:
-        """Keys per shard — placement-balance diagnostics."""
-        counts = {shard: 0 for shard in self.shards}
-        for key in keys:
-            counts[self.shard_for(key)] += 1
-        return counts

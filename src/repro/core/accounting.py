@@ -70,9 +70,6 @@ class ChainAccounting:
         """True if a chain with ``hops_completed`` hops may issue another."""
         return hops_completed < self.max_chain_hops
 
-    def budget_remaining(self, hops_completed: int) -> int:
-        return max(0, self.max_chain_hops - hops_completed)
-
     def charge(self, owner) -> None:
         """Record one chained resubmission for ``owner``'s tenant/pid."""
         key = self.key_for(owner)
@@ -98,9 +95,6 @@ class ChainAccounting:
                                                          key=_sort_key)},
                           total=sum(drained.values()))
         return drained
-
-    def pending(self, owner) -> int:
-        return self._pending.get(self.key_for(owner), 0)
 
     def forget(self, owner) -> None:
         """Drop all state for ``owner`` (process/tenant teardown).

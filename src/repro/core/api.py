@@ -23,7 +23,6 @@ from typing import Tuple
 
 from repro.ebpf.program import Program
 from repro.ebpf.verifier import proof_context, verify
-from repro.ebpf.vm import VmEnvironment
 from repro.errors import (
     ExtentInvalidated,
     InvalidArgument,
@@ -126,11 +125,8 @@ class StorageBpf:
         # helpers; anything else is proved again, here.
         if program.verified_against != proof_context(self.helpers):
             verify(program, self.helpers)
-        env = VmEnvironment(self.helpers, clock=lambda: self.kernel.sim.now)
-        # Let helpers (e.g. trace_offset) publish onto the kernel's bus.
-        env.trace_bus = self.kernel.bus
         installation = BpfInstallation(
-            program, arg.hook, arg.block_size, arg.scratch_size, env,
+            program, arg.hook, arg.block_size, arg.scratch_size, self.helpers,
             default_args=arg.args, vm_mode=arg.vm_mode)
         # Propagate the file's extents to the NVMe layer (paper §4).
         yield from self.kernel.cpus.run_thread(

@@ -167,7 +167,6 @@ class ChainEngine:
         else:
             block = bytearray(install.block_size)
             block[: len(data)] = data
-        install.vm.chain_budget = self.accounting.budget_remaining(state.hops)
         run = install.vm.run(ctx, {"data": block, "scratch": state.scratch})
         install.invocations += 1
         action, next_offset, value, value2 = \

@@ -145,11 +145,6 @@ class NvmeExtentCache:
                           epoch=self._epoch)
         return entry
 
-    def entry(self, inode: Inode) -> Optional[CacheEntry]:
-        """The inode's newest snapshot, if any."""
-        entries = self._entries.get(inode.number)
-        return entries[-1] if entries else None
-
     def _on_extent_change(self, inode: Inode, kind: str) -> None:
         """The new file-system hook of §4: an unmap invalidates every
         snapshot of the file, not only the newest."""

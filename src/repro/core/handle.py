@@ -8,12 +8,9 @@ teardown.  :class:`ChainHandle` packages that lifecycle: it is created by
 installed program, and exposes the chain operations as methods whose
 block size defaults to the installation's.
 
-Methods that consume simulated time (``read``, ``read_robust``,
-``refresh``, ``close``) are generators meant to run inside a simulated
-thread, exactly like the facade methods they delegate to.  ``close`` is
-idempotent.  The context-manager protocol performs an *untimed* teardown
-(drop the extent-cache entry, detach the program, release the fd) so a
-``with`` block can guarantee cleanup even outside a running simulation.
+Methods that consume simulated time (``read_robust``, ``close``) are
+generators meant to run inside a simulated thread, exactly like the
+facade methods they delegate to.  ``close`` is idempotent.
 """
 
 from __future__ import annotations
@@ -56,15 +53,6 @@ class ChainHandle:
 
     # -- chain operations (generators) -----------------------------------
 
-    def read(self, offset: int, length: Optional[int] = None,
-             args: Tuple[int, ...] = (), scratch_init: bytes = b""):
-        """One tagged read; ``length`` defaults to the installed block."""
-        if length is None:
-            length = self.block_size
-        result = yield from self.bpf.read_chain(self.proc, self.fd, offset,
-                                                length, args, scratch_init)
-        return result
-
     def read_robust(self, offset: int, length: Optional[int] = None,
                     args: Tuple[int, ...] = (), scratch_init: bytes = b"",
                     max_retries: int = 8):
@@ -77,11 +65,6 @@ class ChainHandle:
             max_retries=max_retries)
         return result
 
-    def refresh(self):
-        """Re-push the file's extents after an EEXTENT invalidation."""
-        result = yield from self.bpf.refresh(self.proc, self.fd)
-        return result
-
     def close(self):
         """Uninstall the program and close the fd (idempotent)."""
         if self.closed:
@@ -90,24 +73,6 @@ class ChainHandle:
         yield from self.bpf.uninstall(self.proc, self.fd)
         yield from self.bpf.kernel.sys_close(self.proc, self.fd)
         return 0
-
-    # -- context manager (untimed teardown) -------------------------------
-
-    def __enter__(self) -> "ChainHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        try:
-            file = self.proc.file(self.fd)
-        except BadFileDescriptor:
-            return
-        if file.bpf_install is not None:
-            self.bpf.cache.drop(file.bpf_install.cache_entry)
-            file.bpf_install = None
-        self.proc.close_fd(self.fd)
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"

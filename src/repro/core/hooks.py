@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.ebpf.helpers import ArgKind, HelperRegistry, HelperSpec, RetKind
+from repro.ebpf.helpers import HelperRegistry, HelperSpec
 from repro.ebpf.program import CtxField, CtxLayout, FieldKind
 
 __all__ = [
@@ -112,47 +112,17 @@ def storage_ctx_layout(block_size: int = 4096,
 
 
 def storage_helpers() -> HelperRegistry:
-    """Base helpers plus the storage-specific ones (ids 16+).
+    """The helpers a storage program may call.
 
-    ``get_chain_budget`` lets a program learn how many further
-    resubmissions the per-process bound still allows, so well-behaved
-    programs can bail out gracefully before the kernel kills the chain.
+    A merge program streams the entries of each scanned data page into a
+    kernel-side merge sink (``vm.compact_sink``, set by the
+    CompactionEngine on the chain's installation): ``compact_emit``
+    upserts a live entry, while ``compact_drop`` retires a tombstoned key
+    at the bottom level.  Both return the sink's running count so the
+    program can surface progress through result/result2 without the
+    entries themselves ever crossing the kernel boundary.
     """
-    from repro.ebpf.helpers import base_registry
-
-    registry = base_registry()
-
-    def get_chain_budget(vm) -> int:
-        budget = getattr(vm, "chain_budget", None)
-        return budget if budget is not None else 0
-
-    registry.register(
-        HelperSpec(16, "get_chain_budget", (), RetKind.SCALAR),
-        get_chain_budget,
-    )
-
-    def trace_offset(vm, offset: int) -> int:
-        vm.trace_append(offset & 0xFFFFFFFFFFFFFFFF)
-        bus = getattr(vm.env, "trace_bus", None)
-        if bus is not None and bus.enabled:
-            from repro.obs import events as obs_events  # lazy: hot path
-            bus.emit(obs_events.BPF_HELPER_TRACE, vm.env.now(),
-                     offset=offset & 0xFFFFFFFFFFFFFFFF)
-        return 0
-
-    registry.register(
-        HelperSpec(17, "trace_offset", (ArgKind.SCALAR,), RetKind.VOID),
-        trace_offset,
-    )
-
-    # Compaction helpers (repro.compact).  A merge program streams the
-    # entries of each scanned data page into a kernel-side merge sink
-    # (``vm.compact_sink``, set by the CompactionEngine on the chain's
-    # installation): ``compact_emit`` upserts a live entry, while
-    # ``compact_drop`` retires a tombstoned key at the bottom level.
-    # Both return the sink's running count so the program can surface
-    # progress through result/result2 without the entries themselves
-    # ever crossing the kernel boundary.
+    registry = HelperRegistry()
 
     def compact_emit(vm, key: int, value: int) -> int:
         sink = getattr(vm, "compact_sink", None)
@@ -161,11 +131,7 @@ def storage_helpers() -> HelperRegistry:
         return sink.emit(key & 0xFFFFFFFFFFFFFFFF,
                          value & 0xFFFFFFFFFFFFFFFF)
 
-    registry.register(
-        HelperSpec(18, "compact_emit", (ArgKind.SCALAR, ArgKind.SCALAR),
-                   RetKind.SCALAR),
-        compact_emit,
-    )
+    registry.register(HelperSpec(18, "compact_emit", 2), compact_emit)
 
     def compact_drop(vm, key: int) -> int:
         sink = getattr(vm, "compact_sink", None)
@@ -173,9 +139,6 @@ def storage_helpers() -> HelperRegistry:
             return 0
         return sink.drop(key & 0xFFFFFFFFFFFFFFFF)
 
-    registry.register(
-        HelperSpec(19, "compact_drop", (ArgKind.SCALAR,), RetKind.SCALAR),
-        compact_drop,
-    )
+    registry.register(HelperSpec(19, "compact_drop", 1), compact_drop)
 
     return registry

@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.ebpf.program import Program
-from repro.ebpf.vm import Vm, VmEnvironment
+from repro.ebpf.helpers import HelperRegistry
+from repro.ebpf.vm import Vm
 from repro.errors import InvalidArgument, VerifierError
 from repro.core.extent_cache import CacheEntry
 from repro.core.hooks import CTX_SIZE, Hook, storage_ctx_layout
@@ -29,7 +30,7 @@ class BpfInstallation:
     """One attached program plus its runtime state."""
 
     def __init__(self, program: Program, hook: Hook, block_size: int,
-                 scratch_size: int, env: VmEnvironment,
+                 scratch_size: int, helpers: HelperRegistry,
                  default_args: Tuple[int, ...] = (),
                  vm_mode: str = "block"):
         if not program.verified:
@@ -59,7 +60,7 @@ class BpfInstallation:
         # Derived, never set: which of the cost model's two per-instruction
         # constants (bpf_insn_jit_ns / bpf_insn_interp_ns) a run is charged.
         self.jit = vm_mode != "interp"
-        self.vm = Vm(program, env, mode=vm_mode)
+        self.vm = Vm(program, helpers, mode=vm_mode)
         #: Set by the install ioctl (NVMe hook installs snapshot extents).
         self.cache_entry: Optional[CacheEntry] = None
         # Statistics.

@@ -175,17 +175,3 @@ class BlockDevice:
         if cut < len(buffer):  # the last run starting inside reaches past
             runs[end] = _piece(buffer, cut, len(buffer))
             starts.insert(index, end)
-
-    def image(self) -> Dict[int, bytes]:
-        """A snapshot of every written sector (for determinism tests)."""
-        image = {}
-        for start, buffer in self._runs.items():
-            for offset in range(0, len(buffer), SECTOR_SIZE):
-                image[start + offset // SECTOR_SIZE] = \
-                    bytes(buffer[offset:offset + SECTOR_SIZE])
-        return image
-
-    def written_sectors(self) -> int:
-        """Number of sectors currently holding data (for tests)."""
-        return sum(len(buffer) for buffer in self._runs.values()) \
-            // SECTOR_SIZE

@@ -78,11 +78,6 @@ class LatencyModel:
         spread = mean * self.jitter
         return max(1, int(mean + spread * (2.0 * rng.random() - 1.0)))
 
-    def max_iops(self) -> float:
-        """The device's theoretical read IOPS ceiling."""
-        return self.parallelism * 1e9 / self.read_ns
-
-
 HDD = LatencyModel("HDD", read_ns=4_000_000, write_ns=4_000_000,
                    parallelism=1)
 NAND_SSD = LatencyModel("NAND", read_ns=80_000, write_ns=90_000,

@@ -234,10 +234,6 @@ class NvmeDevice:
             self.qos.note_depth(queue, command.tenant, depth)
         self.submission_queues[queue].put(command)
 
-    @property
-    def queue_depth(self) -> int:
-        return self.in_flight
-
     def _service_loop(self, queue: int = 0):
         sq = self.submission_queues[queue]
         while True:

@@ -24,7 +24,7 @@ Layout:
 
 from repro.ebpf.assembler import assemble
 from repro.ebpf.builder import ProgramBuilder
-from repro.ebpf.helpers import HelperRegistry, HelperSpec, base_registry
+from repro.ebpf.helpers import HelperRegistry, HelperSpec
 from repro.ebpf.isa import Instruction
 from repro.ebpf.program import CtxField, CtxLayout, FieldKind, Program
 from repro.ebpf.verifier import Verifier, verify
@@ -40,7 +40,6 @@ __all__ = [
     "Instruction",
     "Program",
     "ProgramBuilder",
-    "base_registry",
     "Verifier",
     "Vm",
     "assemble",

@@ -8,7 +8,7 @@ helper ids) — e.g. the prebuilt B-tree and SSTable traversal functions in
 Registers are plain integers 0–10.  Example::
 
     b = ProgramBuilder(layout, helpers.names(), name="double")
-    b.ldx("w", 0, 1, layout.offset_of("value"))   # r0 = ctx.value
+    b.ldx("w", 0, 1, layout.by_name["value"].offset)  # r0 = ctx.value
     b.alu("add", 0, src=0)                        # r0 *= 2
     b.exit()
     program = b.build()
@@ -113,12 +113,6 @@ class ProgramBuilder:
         """*(size *)(dst + offset) = src."""
         return self.emit(
             Instruction(f"stx{size}", dst=dst, src=src, offset=offset))
-
-    def st(self, size: str, dst: int, offset: int, imm: int
-           ) -> "ProgramBuilder":
-        """*(size *)(dst + offset) = immediate."""
-        return self.emit(
-            Instruction(f"st{size}", dst=dst, offset=offset, imm=imm))
 
     def jump(self, label: Label) -> "ProgramBuilder":
         self._items.append(_Fixup("ja", 0, 0, 0, False, label))

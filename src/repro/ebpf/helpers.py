@@ -1,34 +1,22 @@
 """Helper-function registry shared by the verifier and the VM.
 
-A helper is declared with a :class:`HelperSpec` describing how the verifier
-must type-check each argument register (``r1``–``r5``) and what lands in
-``r0``, plus a Python implementation the VM dispatches to.
-
-Every argument is a ``SCALAR`` (any initialised integer; a pointer is
-rejected, so no helper reads or writes program memory) and a helper
-returns a ``SCALAR`` (r0 becomes an unknown integer) or nothing (``VOID``:
-r0 becomes zero).  A chain keeps its state across hops in the scratch
-region, not in helper-owned storage.
+A helper is declared with a :class:`HelperSpec` saying how many argument
+registers (``r1``–``r5``) it reads, plus a Python implementation the VM
+dispatches to.  Every argument must be an initialised integer (a pointer
+is rejected, so no helper reads or writes program memory) and every
+helper returns an integer in ``r0``.  A chain keeps its state across hops
+in the scratch region, not in helper-owned storage.  Programs run against
+one registry, :func:`repro.core.hooks.storage_helpers`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict
 
 from repro.errors import BpfError
 
-__all__ = ["ArgKind", "HelperRegistry", "HelperSpec", "RetKind"]
-
-
-class ArgKind(enum.Enum):
-    SCALAR = "scalar"
-
-
-class RetKind(enum.Enum):
-    SCALAR = "scalar"
-    VOID = "void"
+__all__ = ["HelperRegistry", "HelperSpec"]
 
 
 @dataclass(frozen=True)
@@ -37,11 +25,10 @@ class HelperSpec:
 
     helper_id: int
     name: str
-    args: "tuple[ArgKind, ...]" = ()
-    ret: RetKind = RetKind.SCALAR
+    nargs: int
 
     def __post_init__(self):
-        if len(self.args) > 5:
+        if self.nargs > 5:
             raise BpfError(f"helper {self.name!r} takes too many args (max 5)")
 
 
@@ -70,45 +57,6 @@ class HelperRegistry:
             raise BpfError(f"unknown helper id {helper_id}")
         return self.specs[helper_id]
 
-    def impl(self, helper_id: int) -> HelperImpl:
-        if helper_id not in self.impls:
-            raise BpfError(f"unknown helper id {helper_id}")
-        return self.impls[helper_id]
-
     def names(self) -> Dict[str, int]:
         """Assembler-friendly mapping of helper name to id."""
         return {spec.name: spec.helper_id for spec in self.specs.values()}
-
-    def extend(self, other: "HelperRegistry") -> "HelperRegistry":
-        """A new registry containing this registry's helpers plus ``other``'s."""
-        merged = HelperRegistry(dict(self.specs), dict(self.impls))
-        for helper_id, spec in other.specs.items():
-            if helper_id in merged.specs:
-                raise BpfError(f"helper id collision on {helper_id}")
-            merged.specs[helper_id] = spec
-            merged.impls[helper_id] = other.impls[helper_id]
-        return merged
-
-
-def base_registry() -> HelperRegistry:
-    """The generic helpers every program may use (``trace`` and ``ktime``).
-
-    Storage-specific helpers (resubmit, return-buffer, ...) live in
-    :mod:`repro.core.hooks` and extend this registry from id 16 up.
-    """
-    registry = HelperRegistry()
-
-    def trace(vm, value: int) -> int:
-        vm.trace_append(value & 0xFFFFFFFFFFFFFFFF)
-        return 0
-
-    registry.register(
-        HelperSpec(1, "trace", (ArgKind.SCALAR,), RetKind.VOID), trace
-    )
-
-    def ktime(vm) -> int:
-        return vm.env.now()
-
-    registry.register(HelperSpec(7, "ktime", (), RetKind.SCALAR), ktime)
-
-    return registry

@@ -92,10 +92,6 @@ class CtxLayout:
             raise KeyError(f"no ctx field at offset {offset} size {size}")
         return ctx_field
 
-    def offset_of(self, name: str) -> int:
-        return self.by_name[name].offset
-
-
 @dataclass
 class Program:
     """A loadable program: instructions plus the context layout it expects."""

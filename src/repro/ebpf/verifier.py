@@ -38,7 +38,7 @@ from operator import attrgetter, is_not, itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import VerifierError
-from repro.ebpf.helpers import HelperRegistry, RetKind
+from repro.ebpf.helpers import HelperRegistry
 from repro.ebpf.isa import FP_REG, Instruction, MEM_SIZES, STACK_SIZE
 from repro.ebpf.program import CtxField, FieldKind, Program
 
@@ -195,7 +195,7 @@ def registers_read(insn: Instruction, specs: Mapping[int, object]) -> tuple:
     op = insn.opcode
     if op == "call":
         spec = specs.get(insn.imm)
-        return tuple(range(1, 1 + len(spec.args))) if spec else ()
+        return tuple(range(1, 1 + spec.nargs)) if spec else ()
     if op in ("exit", "ja", "lddw"):
         return ()
     if op.startswith("ldx"):
@@ -1085,8 +1085,7 @@ class Verifier:
         except Exception:
             raise VerifierError(f"call to unknown helper id {helper_id}", pc)
 
-        for index in range(len(spec.args)):
-            reg = 1 + index
+        for reg in range(1, 1 + spec.nargs):
             value = regs[reg]
             if value is NOT_INIT:
                 raise VerifierError(
@@ -1097,7 +1096,7 @@ class Verifier:
 
         for reg in range(1, 6):
             regs[reg] = NOT_INIT
-        regs[0] = _ZERO if spec.ret is RetKind.VOID else UNKNOWN
+        regs[0] = UNKNOWN
 
 
 def _facts(seen: list, runs: list, ran: bytearray) -> tuple:
@@ -1128,11 +1127,10 @@ def _facts(seen: list, runs: list, ran: bytearray) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-#: What a load of each width yields, and other ranges used often.
+#: What a load of each width yields, and the 32-bit range.
 _RANGE_OF_SIZE = {size: _scalar(0, (1 << (8 * size)) - 1)
                   for size in MEM_SIZES.values()}
 _U32_RANGE = _scalar(0, U32_MAX)
-_ZERO = _scalar(0, 0)
 
 
 def _clamp32(value: Scalar) -> Scalar:

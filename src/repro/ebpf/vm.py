@@ -52,18 +52,18 @@ fields the layout marks writable.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import VmFault
 from repro.perf.profiler import get_default_profiler
-from repro.ebpf.helpers import HelperRegistry, HelperSpec, RetKind
+from repro.ebpf.helpers import HelperRegistry, HelperSpec
 from repro.ebpf.isa import FP_REG, MEM_SIZES, STACK_SIZE
 from repro.ebpf.program import FieldKind, Program
 from repro.ebpf.verifier import (Proof, Ptr, Scalar, proof_context,
                                  registers_read)
 
-__all__ = ["ExecutionResult", "Pointer", "Region", "Vm", "VmEnvironment"]
+__all__ = ["ExecutionResult", "Pointer", "Region", "Vm"]
 
 U64 = 0xFFFFFFFFFFFFFFFF
 U32 = 0xFFFFFFFF
@@ -89,9 +89,6 @@ class Region:
         self.readable = readable
         self.writable = writable
 
-    def __len__(self) -> int:
-        return len(self.data)
-
     def __repr__(self) -> str:
         return f"Region({self.name!r}, {len(self.data)}B)"
 
@@ -112,32 +109,19 @@ class Pointer:
         return f"<{self.region.name}+{self.offset}>"
 
 
-class VmEnvironment:
-    """Helpers and a clock shared by program runs."""
-
-    def __init__(self, helpers: HelperRegistry,
-                 clock: Optional[Callable[[], int]] = None):
-        self.helpers = helpers
-        self._clock = clock or (lambda: 0)
-
-    def now(self) -> int:
-        return self._clock()
-
-
 @dataclass
 class ExecutionResult:
     """Outcome of one program run."""
 
     return_value: int
     instructions: int
-    trace_log: List[int] = field(default_factory=list)
     helper_calls: int = 0
 
 
 class Vm:
-    """Executes a verified :class:`Program` against an environment."""
+    """Executes a verified :class:`Program` with a helper registry."""
 
-    def __init__(self, program: Program, env: VmEnvironment,
+    def __init__(self, program: Program, helpers: HelperRegistry,
                  mode: str = "interp", max_instructions: int = 1_000_000,
                  require_verified: bool = True):
         if mode not in ("interp", "block"):
@@ -147,10 +131,9 @@ class Vm:
                 f"program {program.name!r} was not accepted by the verifier"
             )
         self.program = program
-        self.env = env
+        self.helpers = helpers
         self.mode = mode
         self.max_instructions = max_instructions
-        self._trace: List[int] = []
         # What every run needs from the layout, resolved once.
         layout = program.ctx_layout
         self._ctx_size = layout.size
@@ -170,10 +153,6 @@ class Vm:
             self.guarded = binder.guarded
             self.unboxed = binder.unboxed
             self._compiled = binder(self)
-
-    def trace_append(self, value: int) -> None:
-        """Append to the *current run's* trace (helper support)."""
-        self._trace.append(value)
 
     # ------------------------------------------------------------------
     # Memory access
@@ -254,11 +233,7 @@ class Vm:
                 )
             region_objs[name] = Region(name, backing, True, writable)
 
-        state = _RunState(self, ctx, region_objs)
-        # The trace lives in the run's state (and travels out in the
-        # ExecutionResult); helpers reach it through trace_append.
-        self._trace = state.trace_log
-        return state
+        return _RunState(self, ctx, region_objs)
 
     # -- interpreter ----------------------------------------------------
 
@@ -300,7 +275,7 @@ class _RunState:
 
     __slots__ = (
         "vm", "regs", "ctx", "ctx_region", "stack", "stack_region",
-        "stack_ptr_slots", "regions", "executed", "trace_log", "helper_calls",
+        "stack_ptr_slots", "regions", "executed", "helper_calls",
     )
 
     def __init__(self, vm: Vm, ctx: bytearray, regions: Dict[str, Region]):
@@ -312,7 +287,6 @@ class _RunState:
         self.stack_ptr_slots: Dict[int, Pointer] = {}
         self.regions = regions
         self.executed = 0
-        self.trace_log: List[int] = []
         self.helper_calls = 0
         self.regs: List[Any] = [0] * 11
         self.regs[1] = Pointer(self.ctx_region, 0)
@@ -325,7 +299,6 @@ class _RunState:
         return ExecutionResult(
             return_value=r0 & U64,
             instructions=self.executed,
-            trace_log=self.trace_log,
             helper_calls=self.helper_calls,
         )
 
@@ -509,19 +482,15 @@ def _jump_compare(op: str, a: Any, b: Any, pc: int) -> bool:
 
 def _call_helper(state: _RunState, helper_id: int, pc: int) -> None:
     vm = state.vm
-    spec = vm.env.helpers.spec(helper_id)
-    impl = vm.env.helpers.impl(helper_id)
-    args = [_as_scalar(state.regs[1 + index], f"helper arg {index + 1}", pc)
-            & U64 for index in range(len(spec.args))]
+    spec = vm.helpers.spec(helper_id)
+    args = [_as_scalar(state.regs[reg], f"helper arg {reg}", pc) & U64
+            for reg in range(1, 1 + spec.nargs)]
     state.helper_calls += 1
-    result = impl(vm, *args)
+    result = vm.helpers.impls[helper_id](vm, *args)
     # Clobber caller-saved registers like the kernel ABI.
     for reg in range(1, 6):
         state.regs[reg] = 0
-    if spec.ret is RetKind.VOID:
-        state.regs[0] = 0
-    else:
-        state.regs[0] = _as_scalar(result, "helper return", pc) & U64
+    state.regs[0] = _as_scalar(result, "helper return", pc) & U64
 
 
 _ALU_BASES = ("add", "sub", "mul", "div", "mod", "or", "and", "xor", "lsh",
@@ -1089,22 +1058,18 @@ def _emit_call(out: List[str], pad: str, helper_id: int,
     if spec is None:  # unknown at compile time: decided when reached
         out.append(f"{pad}{slow}")
     else:
-        args = [f"r{index + 1}" for index in range(len(spec.args))]
-        if not all(type(known[index + 1]) is Scalar
-                   for index in range(len(args))):
+        args = [f"r{reg}" for reg in range(1, 1 + spec.nargs)]
+        if not all(type(known[reg]) is Scalar
+                   for reg in range(1, 1 + spec.nargs)):
             guard = " and ".join(f"{reg}.__class__ is int" for reg in args)
         inner = pad + " " if guard else pad
         call = f"{_impl_name(helper_id)}({', '.join(['vm'] + args)})"
         if guard:
             out.append(f"{pad}if {guard}:")
         out.append(f"{inner}_calls += 1")
-        if spec.ret is RetKind.VOID:
-            out.append(f"{inner}{call}")
-            out.append(f"{inner}r0 = 0")
-        else:
-            out.append(f"{inner}_v = {call}")
-            out.append(f"{inner}r0 = _v & U64 if _v.__class__ is int else "
-                       f"_as_scalar(_v, 'helper return', {pc}) & U64")
+        out.append(f"{inner}_v = {call}")
+        out.append(f"{inner}r0 = _v & U64 if _v.__class__ is int else "
+                   f"_as_scalar(_v, 'helper return', {pc}) & U64")
         if guard:
             out.append(f"{pad}else:")
             out.append(f"{pad} {slow}")
@@ -1256,8 +1221,8 @@ def _generate(program: Program, limit: int,
     its `_UNRETIRED` table, the pcs whose code keeps run-time guards and
     the pcs whose pointer it never builds (see `_unboxed`).
 
-    ``proof`` is a `Proof` that covers this program in the running Vm's
-    environment, or None: then every site is guarded.
+    ``proof`` is a `Proof` that covers this program with the running Vm's
+    helpers, or None: then every site is guarded.
     """
     insns = program.instructions
     count = len(insns)
@@ -1394,7 +1359,7 @@ def _generate(program: Program, limit: int,
     tree, out = out, []
     out.append("def _bind(vm):")
     if bound:
-        out.append(" _impls = vm.env.helpers.impls")
+        out.append(" _impls = vm.helpers.impls")
     for helper_id in bound:
         out.append(f" {_impl_name(helper_id)} = _impls[{helper_id}]")
     out.append(" def _run(state):")
@@ -1444,7 +1409,7 @@ def _compile_program(program: Program, limit: int,
     """Generate the program's one function; returns its per-Vm binder.
 
     ``binder(vm)`` closes the function over the helper implementations of
-    ``vm.env.helpers``.  The function runs a fresh `_RunState` and returns
+    ``vm.helpers``.  The function runs a fresh `_RunState` and returns
     ``-1`` after ``exit`` (r0 and the count written back), or the pc of the
     first instruction of the block the budget ran out in (every register
     written back) for the interpreter to resume at.  ``binder.guarded``
@@ -1472,25 +1437,24 @@ def _compile_program(program: Program, limit: int,
     return binder
 
 
-def _code_inputs(program: Program, env: VmEnvironment
+def _code_inputs(program: Program, helpers: HelperRegistry
                  ) -> Tuple[Dict[int, Optional[HelperSpec]], Optional[Proof]]:
     """What the generated code depends on besides the budget: the
-    `HelperSpec` ``env`` gives each helper id the program calls (None for
-    one it does not know), and the program's proof, or None.
+    `HelperSpec` ``helpers`` gives each helper id the program calls (None
+    for one it does not know), and the program's proof, or None.
 
-    The proof is spent only if it covers the program as it is now, in this
-    environment: that is compared here, never read from
+    The proof is spent only if it covers the program as it is now, with
+    these helpers: that is compared here, never read from
     ``program.verified``.  A forged flag, an instruction replaced or a
     layout swapped since `verify`, or another registry, gets no facts, so
     the fully guarded code.
     """
     called = sorted({insn.imm for insn in program.instructions
                      if insn.opcode == "call"})
-    specs = {helper_id: env.helpers.specs.get(helper_id)
+    specs = {helper_id: helpers.specs.get(helper_id)
              for helper_id in called}
     proof = program.proof
-    if proof is None or not proof.covers(
-            program, proof_context(env.helpers)):
+    if proof is None or not proof.covers(program, proof_context(helpers)):
         return specs, None
     return specs, proof
 
@@ -1509,7 +1473,7 @@ def _binder_for(vm: "Vm") -> Callable:
     implementations are bound per Vm.
     """
     program = vm.program
-    specs, proof = _code_inputs(program, vm.env)
+    specs, proof = _code_inputs(program, vm.helpers)
     cache = program.__dict__.setdefault("_block_cache", {})
     key = (vm.max_instructions, tuple(specs.values()), proof is not None)
     binder, spent = cache.get(key, (None, None))

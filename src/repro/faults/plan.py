@@ -404,10 +404,6 @@ class FaultPlan:
         self.injected[FAULT_TARGET_CRASH] += 1
         return True
 
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
-
 # ---------------------------------------------------------------------------
 # Process-default plumbing (mirrors repro.obs.bus.get/set_default_bus), so
 # ``--fault-plan`` on the CLI reaches kernels built deep inside experiment

@@ -404,12 +404,6 @@ class ExtFs:
                 self._free_all_extents(displaced)
             self._log({"op": "rename", "old": old_path, "new": new_path})
 
-    def listdir(self, path: str) -> List[str]:
-        inode = self.lookup(path)
-        if not inode.is_dir:
-            raise NotADirectory(path)
-        return sorted(inode.entries)
-
     # ------------------------------------------------------------------
     # Extents and allocation
     # ------------------------------------------------------------------
@@ -561,10 +555,6 @@ class ExtFs:
                                   else resolve_ns),
                           span=span, path=path)
         return segments
-
-    def fragmentation_of(self, inode: Inode) -> int:
-        """Number of extents backing the inode (1 = fully contiguous)."""
-        return len(inode.extents)
 
     # ------------------------------------------------------------------
     # Untimed media access (setup/verification paths)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.device.blockdev import SECTOR_SIZE, BlockDevice
 from repro.errors import InvalidArgument, JournalCorrupt, NoSpace
@@ -214,8 +214,7 @@ class Journal:
         """Pending txns as ``(lba, frame)`` writes at the current head.
 
         Pure: commits nothing — the kernel issues the FUA writes (timed)
-        and then calls :meth:`note_committed`; ``commit_sync`` does both
-        untimed.  Raises :class:`NoSpace` when the frames do not fit (the
+        and then calls :meth:`note_committed`.  Raises :class:`NoSpace` when the frames do not fit (the
         caller checkpoints first, which empties the log).
         """
         frames: List[Tuple[int, bytes]] = []
@@ -257,17 +256,6 @@ class Journal:
                           bytes=total, seq=last_seq)
         for listener in self.commit_listeners:
             listener()
-
-    def commit_sync(self) -> int:
-        """Commit pending txns straight to media (untimed setup paths)."""
-        if not self._pending:
-            return 0
-        frames = self.encode_pending()
-        for lba, frame in frames:
-            self.media.write(lba, frame)
-        committed = len(self._pending)
-        self.note_committed(frames)
-        return committed
 
     # ------------------------------------------------------------------
     # Superblock + checkpoint

@@ -79,11 +79,6 @@ class CostModel:
 
     # -- derived ------------------------------------------------------------
 
-    def software_total_ns(self) -> int:
-        """Table 1's software layers summed (the 'kernel overhead')."""
-        return (self.kernel_crossing_ns + self.syscall_ns +
-                self.filesystem_ns + self.bio_ns + self.nvme_driver_ns)
-
     def bpf_run_ns(self, instructions: int, jit: bool) -> int:
         """CPU cost of one hook invocation executing ``instructions``."""
         per_insn = self.bpf_insn_jit_ns if jit else self.bpf_insn_interp_ns

@@ -65,6 +65,3 @@ class Process:
         if fd not in self._fds:
             raise BadFileDescriptor(f"fd {fd} in {self.name}")
         return self._fds.pop(fd)
-
-    def open_fds(self) -> int:
-        return len(self._fds)

@@ -37,8 +37,6 @@ event type                emitted by / meaning
 ``bpf_hook_dispatch``     a storage BPF program ran at a hook;
                           ``hook`` ("nvme"/"syscall"/"user"), ``cpu_ns``,
                           ``instructions``, ``action``.
-``bpf_helper_trace``      the ``trace_offset`` helper fired from inside a
-                          program; ``offset``.
 ``chain_hop``             one completed hop of a resubmission chain;
                           ``hop``, ``offset``, ``span``, ``parent``.
 ``chain_kill``            the per-process fairness bound killed a chain;
@@ -147,7 +145,6 @@ __all__ = [
     "BIO_SPLIT",
     "BIO_SUBMIT",
     "BLOCKDEV_DISCARD",
-    "BPF_HELPER_TRACE",
     "BPF_HOOK_DISPATCH",
     "CHAIN_COMPLETE",
     "CHAIN_FALLBACK",
@@ -202,7 +199,6 @@ IRQ_ENTRY = "irq_entry"
 CONTEXT_SWITCH = "context_switch"
 APP_PROCESS = "app_process"
 BPF_HOOK_DISPATCH = "bpf_hook_dispatch"
-BPF_HELPER_TRACE = "bpf_helper_trace"
 CHAIN_HOP = "chain_hop"
 CHAIN_KILL = "chain_kill"
 CHAIN_COMPLETE = "chain_complete"

@@ -65,10 +65,6 @@ class Gauge:
     def set(self, value: float, **labels: Any) -> None:
         self._values[_label_key(labels)] = value
 
-    def add(self, amount: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0) + amount
-
     def value(self, **labels: Any) -> float:
         return self._values.get(_label_key(labels), 0)
 
@@ -178,9 +174,6 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Optional[Any]:
         return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
 
     def snapshot(self) -> List[Dict[str, Any]]:
         """Deterministic, JSON-serialisable dump of every metric."""

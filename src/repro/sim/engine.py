@@ -348,12 +348,6 @@ class Simulator:
         """
         self.spawn(generator, name)._scheduled = True
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- running --------------------------------------------------------------
 
     def run(self, until: Optional[int] = None) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List
 
 from repro.errors import SimulationError
 from repro.sim.engine import PENDING, Event, Simulator, whole_ns
@@ -240,14 +240,6 @@ class CpuSet(Resource):
         """Charge ``cost`` ns of interrupt-priority CPU time."""
         return self.execute(cost, self.PRIORITY_IRQ)
 
-    def utilisation(self) -> float:
-        """Mean fraction of cores busy since the simulation started."""
-        elapsed = self.sim.now
-        if elapsed == 0:
-            return 0.0
-        return self.busy_time() / (elapsed * self.cores)
-
-
 class Store:
     """An unbounded FIFO of items with blocking ``get``.
 
@@ -262,9 +254,6 @@ class Store:
         self._items: deque = deque()
         self._getters: deque = deque()
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def put(self, item: Any) -> None:
         if self._getters:
             self._getters.popleft().succeed(item)
@@ -278,9 +267,3 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns None if the store is empty."""
-        if self._items:
-            return self._items.popleft()
-        return None

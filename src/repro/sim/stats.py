@@ -7,7 +7,7 @@ results are a deterministic function of the simulation.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 __all__ = ["LatencyRecorder", "ThroughputMeter", "percentile"]
 
@@ -78,8 +78,7 @@ class LatencyRecorder:
     def percentile(self, fraction: float) -> float:
         """Percentile of the retained samples.
 
-        An empty recorder reports ``0.0``, consistent with ``summary()``
-        (the module-level :func:`percentile` still rejects empty input —
+        An empty recorder reports ``0.0`` (the module-level :func:`percentile` still rejects empty input —
         callers there passed an explicit sample set).
         """
         if not self._samples:
@@ -100,26 +99,6 @@ class LatencyRecorder:
     @property
     def p99(self) -> float:
         return self.percentile(0.99)
-
-    def summary(self) -> Dict[str, float]:
-        """A dict of the headline statistics (all in nanoseconds).
-
-        An empty recorder yields a well-formed all-zero summary rather
-        than raising, so callers can serialise results of experiments
-        whose measurement window completed no operations.
-        """
-        if self.count == 0:
-            return {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
-                    "p50": 0.0, "p99": 0.0}
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": float(self.min),
-            "max": float(self.max),
-            "p50": self.p50,
-            "p99": self.p99,
-        }
-
 
 class ThroughputMeter:
     """Counts completed operations over a simulated time window."""

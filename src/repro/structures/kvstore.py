@@ -30,7 +30,7 @@ class KvStore:
         self.path = path
         self.fanout = fanout
         self._tree: Optional[BTree] = None
-        self._overlay: Dict[int, Optional[int]] = {}
+        self._overlay: Dict[int, int] = {}
 
     def bulk_load(self, items: List[Tuple[int, int]]) -> None:
         """Build the index file from sorted items."""
@@ -91,15 +91,8 @@ class KvStore:
     def overlay_size(self) -> int:
         return len(self._overlay)
 
-    @property
-    def tree(self) -> Optional[BTree]:
-        return self._tree
-
     def put(self, key: int, value: int) -> None:
         self._overlay[key] = value
-
-    def delete(self, key: int) -> None:
-        self._overlay[key] = None
 
     def get(self, key: int) -> Optional[int]:
         if key in self._overlay:
@@ -113,8 +106,5 @@ class KvStore:
         base = dict(self._tree.range_scan(low, high)) if self._tree else {}
         for key, value in self._overlay.items():
             if low <= key < high:
-                if value is None:
-                    base.pop(key, None)
-                else:
-                    base[key] = value
+                base[key] = value
         return sorted(base.items())

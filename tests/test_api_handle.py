@@ -7,10 +7,11 @@ import pytest
 
 from chainutil import build_machine, linked_file_bytes, walker_program
 from repro.core import ChainHandle, InstallRequest
-from repro.ebpf import base_registry, verify
+from repro.ebpf import HelperRegistry, verify
 from repro.ebpf.verifier import proof_context
 from repro.errors import BadFileDescriptor, InvalidArgument
 from repro.kernel import ChainStatus, ReadResult
+from simutil import open_fds
 
 
 def make_handle(path="/list", order=(0, 1, 2), **config_kwargs):
@@ -41,7 +42,7 @@ def test_open_chain_returns_live_handle():
 
 def test_handle_read_walks_chain():
     sim, kernel, bpf, proc, handle = make_handle(order=[0, 3, 1, 2])
-    result = kernel.run_syscall(handle.read(0))
+    result = kernel.run_syscall(handle.read_robust(0))
     assert result.ok
     assert result.status is ChainStatus.OK
     assert result.value == 1002  # payload of the final block (index 2)
@@ -50,14 +51,14 @@ def test_handle_read_walks_chain():
 
 def test_handle_read_defaults_to_installed_block_size():
     sim, kernel, bpf, proc, handle = make_handle()
-    explicit = kernel.run_syscall(handle.read(0, length=4096))
-    implicit = kernel.run_syscall(handle.read(0))
+    explicit = kernel.run_syscall(handle.read_robust(0, length=4096))
+    implicit = kernel.run_syscall(handle.read_robust(0))
     assert implicit.value == explicit.value
 
 
 def test_handle_read_robust_and_refresh():
     sim, kernel, bpf, proc, handle = make_handle(order=[2, 0, 1])
-    assert kernel.run_syscall(handle.refresh()) == 0
+    assert kernel.run_syscall(bpf.refresh(proc, handle.fd)) == 0
     result = kernel.run_syscall(handle.read_robust(2 * 4096))
     assert result.ok
     assert result.value == 1001
@@ -67,7 +68,7 @@ def test_handle_close_is_idempotent():
     sim, kernel, bpf, proc, handle = make_handle()
     assert kernel.run_syscall(handle.close()) == 0
     assert handle.closed
-    assert proc.open_fds() == 0
+    assert open_fds(proc) == 0
     assert handle.installation is None
     # Second close is a no-op, not a BadFileDescriptor.
     assert kernel.run_syscall(handle.close()) == 0
@@ -77,23 +78,7 @@ def test_handle_read_after_close_raises():
     sim, kernel, bpf, proc, handle = make_handle()
     kernel.run_syscall(handle.close())
     with pytest.raises(BadFileDescriptor):
-        kernel.run_syscall(handle.read(0))
-
-
-def test_handle_context_manager_tears_down_untimed():
-    sim, kernel, bpf, proc, handle = make_handle()
-    before = sim.now
-    with handle:
-        result = kernel.run_syscall(handle.read(0))
-        assert result.ok
-    after_read = sim.now
-    assert handle.closed
-    assert proc.open_fds() == 0
-    # __exit__ consumed no simulated time (read did).
-    assert after_read > before
-    assert sim.now == after_read
-    # An explicit close after __exit__ stays a no-op.
-    assert kernel.run_syscall(handle.close()) == 0
+        kernel.run_syscall(handle.read_robust(0))
 
 
 def test_open_chain_releases_fd_on_failed_install():
@@ -104,7 +89,7 @@ def test_open_chain_releases_fd_on_failed_install():
     with pytest.raises(InvalidArgument):
         kernel.run_syscall(bpf.open_chain(proc, "/list", program,
                                           args=(1, 2, 3, 4, 5)))
-    assert proc.open_fds() == 0
+    assert open_fds(proc) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +139,7 @@ def test_install_proves_again_a_program_proved_against_other_helpers():
     kernel.create_file("/list", linked_file_bytes([0, 1, 2]))
     proc = kernel.spawn_process()
     program = walker_program(bpf)
-    verify(program, base_registry())
+    verify(program, HelperRegistry())
     other = program.proof
     handle = kernel.run_syscall(bpf.open_chain(proc, "/list", program))
     assert program.proof is not other
@@ -163,7 +148,7 @@ def test_install_proves_again_a_program_proved_against_other_helpers():
     proven = program.proof
     kernel.run_syscall(bpf.open_chain(proc, "/list", program))
     assert program.proof is proven
-    assert kernel.run_syscall(handle.read(0)).ok
+    assert kernel.run_syscall(handle.read_robust(0)).ok
 
 
 @pytest.mark.parametrize("kwargs, field", [
@@ -190,7 +175,7 @@ def test_install_request_rejects_non_program():
 def test_chain_hops_stay_on_originating_queue():
     order = [0, 4, 2, 3, 1]
     sim, kernel, bpf, proc, handle = make_handle(order=order, queue_pairs=4)
-    result = kernel.run_syscall(handle.read(0))
+    result = kernel.run_syscall(handle.read_robust(0))
     assert result.ok
     home = kernel.queue_for(proc)
     assert kernel.device.queue_completed[home] == len(order)
@@ -214,7 +199,7 @@ def test_single_queue_matches_legacy_timing():
     for kwargs in ({}, {"queue_pairs": 1, "irq_steering": False}):
         sim, kernel, bpf, proc, handle = make_handle(order=[0, 2, 1],
                                                      **kwargs)
-        result = kernel.run_syscall(handle.read(0))
+        result = kernel.run_syscall(handle.read_robust(0))
         assert result.ok
         results.append((sim.now, kernel.device.completed, result.value))
     assert results[0] == results[1]

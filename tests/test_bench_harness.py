@@ -24,6 +24,7 @@ from repro.kernel import Kernel, KernelConfig
 from repro.sim import Simulator
 from repro.structures import BTree, FsBackend
 from repro.structures.pages import PAGE_SIZE
+from simutil import written_image
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +104,7 @@ def test_load_btree_leaves_the_state_of_a_page_by_page_build(depth):
     assert ours.size == theirs.size
     assert blit.fs.read_sync(ours, 0, ours.size) == \
         paged.fs.read_sync(theirs, 0, theirs.size)
-    assert blit.fs.media.image() == paged.fs.media.image()
+    assert written_image(blit.fs.media) == written_image(paged.fs.media)
     assert ours.extents.extents() == theirs.extents.extents()
 
 

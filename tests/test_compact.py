@@ -82,7 +82,7 @@ def test_merge_program_verifies():
 
 def test_helpers_are_noops_without_a_sink():
     # A merge chain read without an attached sink must not crash: the
-    # helpers return 0 (the same fail-closed contract as trace_offset).
+    # helpers return 0.
     sim, kernel, bpf = make_machine()
     tree = seed_tree(kernel.fs, runs=1)
     path = tree.levels[0][0][0]

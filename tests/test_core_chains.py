@@ -25,6 +25,7 @@ from repro.faults import FaultSpec
 from repro.kernel import ChainStatus, IoUring, JournalConfig
 from repro.obs import ObsSession, SpanCollector, TraceBus, events
 from repro.perf import profiling
+from simutil import pending, software_ns
 
 ORDER = [3, 5, 0, 7, 2, 6, 1, 4]
 
@@ -268,7 +269,7 @@ def test_accounting_counts_and_drains():
     assert bpf.accounting.totals[proc.pid] == len(ORDER) - 1
     drained = bpf.accounting.drain_to_bio()
     assert drained == {proc.pid: len(ORDER) - 1}
-    assert bpf.accounting.pending(proc.pid) == 0
+    assert pending(bpf.accounting, proc.pid) == 0
     assert bpf.accounting.totals[proc.pid] == len(ORDER) - 1
 
 
@@ -422,7 +423,7 @@ def test_split_chain_falls_back_and_robust_read_completes():
     sim, kernel, bpf = build_machine(max_extent_blocks=2)
     # Pad with one extra block so the final 8 KiB read is fully mapped.
     kernel.create_file("/list", linked_file_bytes(order) + bytes(4096))
-    assert kernel.fs.fragmentation_of(kernel.fs.lookup("/list")) > 1
+    assert len(kernel.fs.lookup("/list").extents) > 1
     proc, fd = install_walker(sim, kernel, bpf, "/list", block_size=8192)
 
     def workload():
@@ -464,7 +465,7 @@ def test_first_hop_split_surfaces_power_loss():
 
     def cut():
         # The first segment's read is in flight.
-        yield sim.timeout(kernel.cost.software_total_ns() +
+        yield sim.timeout(software_ns(kernel.cost) +
                           NVM2_EXACT.read_ns // 2)
         kernel.crash()
 

@@ -13,9 +13,9 @@ from repro.core.extent_cache import Translation
 from repro.core.install import BpfInstallation
 from repro.device import BlockDevice
 from repro.ebpf import Program, assemble, verify
-from repro.ebpf.vm import VmEnvironment
 from repro.errors import InvalidArgument, VerifierError
 from repro.kernel.extfs import BLOCK_SIZE, ExtFs
+from simutil import newest_entry, pending
 
 
 def make_fs(blocks=64, **kwargs):
@@ -67,7 +67,7 @@ def test_cache_translate_split_across_extents():
     fs = make_fs(max_extent_blocks=1)
     inode = fs.create("/f")
     fs.write_sync(inode, 0, b"x" * (2 * BLOCK_SIZE))
-    assert fs.fragmentation_of(inode) == 2
+    assert len(inode.extents) == 2
     cache = NvmeExtentCache(fs)
     entry = cache.install(inode)
     translation = entry.translate(0, 2 * BLOCK_SIZE)
@@ -119,7 +119,7 @@ def test_cache_reinstall_revalidates():
     second = cache.install(inode)
     assert second.valid
     assert second.epoch > first.epoch
-    assert cache.entry(inode) is second
+    assert newest_entry(cache, inode) is second
 
 
 def test_cache_lookup_block_many_extents_matches_linear_reference():
@@ -177,8 +177,6 @@ def test_accounting_bound():
     acct = ChainAccounting(max_chain_hops=3)
     assert acct.may_resubmit(1, 2)
     assert not acct.may_resubmit(1, 3)
-    assert acct.budget_remaining(1) == 2
-    assert acct.budget_remaining(5) == 0
 
 
 def test_accounting_charge_and_drain():
@@ -186,9 +184,9 @@ def test_accounting_charge_and_drain():
     for _ in range(4):
         acct.charge(7)
     acct.charge(9)
-    assert acct.pending(7) == 4
+    assert pending(acct, 7) == 4
     assert acct.drain_to_bio() == {7: 4, 9: 1}
-    assert acct.pending(7) == 0
+    assert pending(acct, 7) == 0 and acct.drain_to_bio() == {}
     assert acct.totals == {7: 4, 9: 1}
 
 
@@ -204,9 +202,9 @@ def test_accounting_rejects_bad_bound():
 
 def test_storage_layout_offsets():
     layout = storage_ctx_layout(4096, 256)
-    assert layout.offset_of("data") == 0
-    assert layout.offset_of("action") == 72
-    assert layout.offset_of("next_offset") == 80
+    assert layout.by_name["data"].offset == 0
+    assert layout.by_name["action"].offset == 72
+    assert layout.by_name["next_offset"].offset == 80
     assert layout.size == 104
     assert layout.by_name["data"].region_size == 4096
     assert layout.by_name["scratch"].writable
@@ -224,33 +222,9 @@ def test_layout_field_at_is_an_exact_access_lookup():
             f"no ctx field at offset {offset} size {size}",)
 
 
-def test_storage_helpers_include_base_and_extras():
-    helpers = storage_helpers()
-    names = helpers.names()
-    assert "trace" in names
-    assert "get_chain_budget" in names
-    assert "trace_offset" in names
-
-
-def test_chain_budget_helper_reads_vm_attribute():
-    helpers = storage_helpers()
-    layout = storage_ctx_layout()
-    source = """
-        mov   r6, r1
-        call  get_chain_budget
-        stxdw [r6+88], r0
-        mov   r0, 0
-        exit
-    """
-    program = Program(assemble(source, helpers.names()), layout)
-    verify(program, helpers)
-    from repro.ebpf.vm import Vm
-
-    vm = Vm(program, VmEnvironment(helpers))
-    vm.chain_budget = 17
-    ctx = bytearray(layout.size)
-    vm.run(ctx, {"data": bytearray(4096), "scratch": bytearray(256)})
-    assert int.from_bytes(ctx[88:96], "little") == 17
+def test_storage_helpers_are_the_two_compaction_helpers():
+    assert storage_helpers().names() == {"compact_emit": 18,
+                                         "compact_drop": 19}
 
 
 # ---------------------------------------------------------------------------
@@ -271,34 +245,34 @@ def test_install_requires_verified_program():
     program = Program(assemble("mov r0, 0\nexit"), storage_ctx_layout())
     with pytest.raises(VerifierError):
         BpfInstallation(program, Hook.NVME, 4096, 256,
-                        VmEnvironment(helpers))
+                        helpers)
 
 
 def test_install_validates_block_size():
     program, helpers = _verified_noop()
     with pytest.raises(InvalidArgument):
         BpfInstallation(program, Hook.NVME, 1000, 256,
-                        VmEnvironment(helpers))
+                        helpers)
 
 
 def test_install_validates_layout_block_match():
     program, helpers = _verified_noop(block_size=4096)
     with pytest.raises(InvalidArgument, match="block"):
         BpfInstallation(program, Hook.NVME, 8192, 256,
-                        VmEnvironment(helpers))
+                        helpers)
 
 
 def test_install_validates_scratch_match():
     program, helpers = _verified_noop(scratch_size=128)
     with pytest.raises(InvalidArgument, match="scratch"):
         BpfInstallation(program, Hook.NVME, 4096, 256,
-                        VmEnvironment(helpers))
+                        helpers)
 
 
 def test_install_pads_default_args():
     program, helpers = _verified_noop()
     install = BpfInstallation(program, Hook.NVME, 4096, 256,
-                              VmEnvironment(helpers), default_args=(1, 2))
+                              helpers, default_args=(1, 2))
     assert install.default_args == (1, 2, 0, 0)
     assert install.hook_kind == "nvme"
 
@@ -307,4 +281,4 @@ def test_install_rejects_too_many_args():
     program, helpers = _verified_noop()
     with pytest.raises(InvalidArgument):
         BpfInstallation(program, Hook.NVME, 4096, 256,
-                        VmEnvironment(helpers), default_args=(1, 2, 3, 4, 5))
+                        helpers, default_args=(1, 2, 3, 4, 5))

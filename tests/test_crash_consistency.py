@@ -45,6 +45,7 @@ from repro.kernel.extent import Extent
 from repro.kernel.extfs import BLOCK_SIZE
 from repro.obs import ObsSession
 from repro.sim import RandomStreams, Simulator
+from simutil import commit_sync, newest_entry, software_ns
 
 CAPACITY = 1 << 18  # sectors
 
@@ -227,7 +228,7 @@ def test_journal_commit_scan_roundtrip():
     for record in records:
         journal.log(record)
     journal.end()
-    assert journal.commit_sync() == 1
+    assert commit_sync(journal) == 1
     txns, discarded, end_sector = journal.scan()
     assert txns == [(1, records)]
     assert discarded == 0
@@ -261,7 +262,7 @@ def test_journal_scan_discards_corrupt_payload():
     journal.begin()
     journal.log({"op": "create", "path": "/a", "ino": 2})
     journal.end()
-    journal.commit_sync()
+    commit_sync(journal)
     lba = journal.journal_start
     frame = bytearray(media.read(lba, 1))
     frame[24] ^= 0xFF                      # flip a payload byte
@@ -289,7 +290,7 @@ def test_checkpoint_flips_slot_trims_log_and_absorbs_pending():
     journal.begin()
     journal.log({"op": "create", "path": "/a", "ino": 2})
     journal.end()
-    journal.commit_sync()
+    commit_sync(journal)
     journal.begin()
     journal.log({"op": "create", "path": "/b", "ino": 3})
     journal.end()                          # pending, never committed
@@ -410,7 +411,7 @@ def test_read_in_flight_at_power_cut_reports_power_loss(model):
 
     def cut():
         # Past the doorbell, half way through the device's service time.
-        yield sim.timeout(kernel.cost.software_total_ns() +
+        yield sim.timeout(software_ns(kernel.cost) +
                           model.read_ns // 2)
         kernel.crash()
 
@@ -428,12 +429,12 @@ def test_extent_cache_drops_snapshots_across_recovery():
     inode = kernel.fs.lookup("/f")
     entry = cache.install(inode)
     assert entry.valid
-    assert cache.entry(inode) is entry
+    assert newest_entry(cache, inode) is entry
     kernel.crash()
     kernel.recover()
     # Every snapshot is gone: chains must renegotiate via EEXTENT.
     assert not entry.valid
-    assert cache.entry(kernel.fs.lookup("/f")) is None
+    assert newest_entry(cache, kernel.fs.lookup("/f")) is None
     assert cache.invalidations >= 1
     # Reinstall works against the recovered tree.
     fresh = cache.install(kernel.fs.lookup("/f"))

@@ -15,6 +15,7 @@ from repro.device import (
 from repro.errors import InvalidArgument, IoError
 from repro.faults import FaultPlan, FaultSpec
 from repro.sim import RandomStreams, Simulator
+from simutil import written_image, written_sectors
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +55,9 @@ def test_blockdev_unaligned_write_rejected():
 def test_blockdev_discard():
     dev = BlockDevice(4)
     dev.write(1, bytes([7] * 512))
-    assert dev.written_sectors() == 1
+    assert written_sectors(dev) == 1
     dev.discard(0, 4)
-    assert dev.written_sectors() == 0
+    assert written_sectors(dev) == 0
     assert dev.read(1, 1) == bytes(512)
 
 
@@ -78,8 +79,8 @@ def test_blockdev_overwrite_splits_runs_on_one_and_both_sides():
     assert dev.read(0, 64) == expected
     assert dev.read(21, 1) == _sectors_of(101, 1)
     assert dev.read(19, 4) == expected[19 * 512:23 * 512]
-    assert dev.written_sectors() == 41
-    assert dev.image() == {sector: expected[sector * 512:(sector + 1) * 512]
+    assert written_sectors(dev) == 41
+    assert written_image(dev) == {sector: expected[sector * 512:(sector + 1) * 512]
                            for sector in range(3, 44)}
 
 
@@ -118,8 +119,8 @@ def test_blockdev_matches_reference_model(data):
             reference[span] = payload
             written[lba:lba + count] = [True] * count
     assert dev.read(0, 32) == bytes(reference)
-    assert dev.written_sectors() == sum(written)
-    assert dev.image() == {
+    assert written_sectors(dev) == sum(written)
+    assert written_image(dev) == {
         sector: bytes(reference[sector * 512:(sector + 1) * 512])
         for sector in range(32) if written[sector]}
 
@@ -155,12 +156,6 @@ def test_zero_jitter_is_deterministic():
                          jitter=0.0)
     assert model.sample_read(rng) == 1000
     assert model.sample_write(rng) == 900
-
-
-def test_max_iops():
-    model = LatencyModel("x", read_ns=1000, write_ns=1000, parallelism=4,
-                         jitter=0.0)
-    assert model.max_iops() == pytest.approx(4e6)
 
 
 def test_bad_model_rejected():
@@ -298,7 +293,7 @@ def test_nvme_queue_depth_tracking():
     device.completion_handler = lambda cmd: None
     for lba in range(3):
         device.submit(NvmeCommand("read", lba, 1))
-    assert device.queue_depth == 3
+    assert device.in_flight == 3
     sim.run()
-    assert device.queue_depth == 0
+    assert device.in_flight == 0
     assert device.completed == 3

@@ -23,6 +23,7 @@ The block tier drops the run-time guards of every site the program's
 import dataclasses
 import hashlib
 import inspect
+import re
 import struct
 from pathlib import Path
 
@@ -38,17 +39,24 @@ from repro.core.library import (index_traversal_program,
                                 scan_aggregate_program,
                                 wisckey_get_program)
 from repro.ebpf import (CtxField, CtxLayout, FieldKind, Program,
-                        Verifier, Vm, assemble, base_registry, verify)
-from repro.ebpf.helpers import ArgKind, HelperRegistry, HelperSpec, RetKind
+                        Verifier, Vm, assemble, verify)
+from repro.ebpf.helpers import HelperRegistry, HelperSpec
 from repro.ebpf.verifier import (NOT_INIT, Proof, Ptr, Scalar, _join,
                                  proof_context)
-from repro.ebpf.vm import (VmEnvironment, _code_inputs, _generate,
-                            pointer_values)
+from repro.ebpf.vm import _code_inputs, _generate, pointer_values
 from repro.errors import VerifierError, VmFault
 from repro.structures import FANOUT_MAX, TOMBSTONE, SsTable
 from repro.structures.pages import MemoryBackend, PAGE_SIZE
 
-HELPERS = base_registry()
+HELPERS = storage_helpers()
+
+
+def probe_registry(nargs):
+    """A registry whose one helper, ``probe`` (id 40), reads ``nargs``
+    argument registers and returns 100."""
+    helpers = HelperRegistry()
+    helpers.register(HelperSpec(40, "probe", nargs), lambda vm, *args: 100)
+    return helpers
 
 
 def layout(data_size=64):
@@ -73,7 +81,7 @@ SITES = """
     stxdw [r1+16], r3
 skip:
     mov   r1, r3
-    call  trace
+    call  compact_drop
     mov   r0, 0
     exit
 """
@@ -87,16 +95,16 @@ def program_of(source, helpers=HELPERS, name="forged", **layout_kwargs):
 
 
 def source_of(program, helpers=HELPERS):
-    """The block tier's source for ``program`` in that environment (the
+    """The block tier's source for ``program`` with those helpers (the
     proof spent only if `_code_inputs`, which `Vm` asks, says it covers)."""
     return _generate(program, 1_000_000, *_code_inputs(
-        program, VmEnvironment(helpers)))[0] + "\n"
+        program, helpers))[0] + "\n"
 
 
 def outcome(program, mode, helpers=HELPERS, data_size=64):
     """The result, or the fault as ``(reason, pc)``; anything else the
     run raises (an IndexError out of unguarded code) propagates."""
-    vm = Vm(program, VmEnvironment(helpers), mode=mode)
+    vm = Vm(program, helpers, mode=mode)
     try:
         return vm.run(bytearray(40), {"data": bytearray(data_size),
                                       "buf": bytearray(32)})
@@ -120,7 +128,7 @@ def test_verify_attaches_a_proof_bound_to_what_it_was_made_for():
     assert proof.context == proof_context(HELPERS) \
         == program.verified_against
     assert proof.covers(program, proof_context(HELPERS))
-    assert not proof.covers(program, proof_context(storage_helpers()))
+    assert not proof.covers(program, proof_context(probe_registry(1)))
     with pytest.raises(dataclasses.FrozenInstanceError):
         proof.facts = ()
 
@@ -139,7 +147,7 @@ def test_facts_are_per_register_read_and_hold_no_states():
         {3: Scalar(1, 256)},                # jgt   r3, 9, skip
         {1: ctx, 3: Scalar(1, 9)},          # stxdw [r1+16], r3
         {3: Scalar(1, 256)},                # mov   r1, r3     (both paths)
-        {1: Scalar(1, 256)},                # call  trace
+        {1: Scalar(1, 256)},                # call  compact_drop
         {},                                 # mov   r0, 0
         {},                                 # exit
     ]
@@ -202,7 +210,7 @@ def test_facts_join_over_every_explored_state():
 
 def test_no_new_parameter_selects_elision():
     assert str(inspect.signature(Vm.__init__)) == (
-        "(self, program: 'Program', env: 'VmEnvironment', mode: 'str' = "
+        "(self, program: 'Program', helpers: 'HelperRegistry', mode: 'str' = "
         "'interp', max_instructions: 'int' = 1000000, require_verified: "
         "'bool' = True)")
     assert str(inspect.signature(verify)) == (
@@ -222,14 +230,15 @@ def test_without_a_proof_the_generated_source_is_the_guarded_source():
     forged = program_of(SITES)
     forged.verified = True  # the verifier never saw it
     assert source_of(forged) == GUARDED_SOURCE
-    vm = Vm(forged, VmEnvironment(HELPERS), mode="block")
+    vm = Vm(forged, HELPERS, mode="block")
     assert vm.guarded == {0, 1, 2, 3, 4, 6}
 
     proven = program_of(SITES)
     verify(proven, HELPERS)
-    assert "__class__" not in source_of(proven)
+    # No register's class is tested (the helper's return value still is).
+    assert not re.search(r"\br\d+\.__class__", source_of(proven))
     assert "_load(" not in source_of(proven)
-    assert Vm(proven, VmEnvironment(HELPERS), mode="block").guarded \
+    assert Vm(proven, HELPERS, mode="block").guarded \
         == frozenset()
     # The same program with its proof taken away: guarded again.
     assert source_of(dataclasses.replace(proven, proof=None)) \
@@ -247,11 +256,11 @@ def test_stack_sites_keep_their_guards():
         exit
     """)
     verify(program, HELPERS)
-    vm = Vm(program, VmEnvironment(HELPERS), mode="block")
+    vm = Vm(program, HELPERS, mode="block")
     # The stack store and the stack load.
     assert vm.guarded == {1, 2}
     assert program.proof.facts[2][10] == Ptr("stack", 512, 512, 512)
-    assert checked_run(Vm(program, VmEnvironment(HELPERS)),
+    assert checked_run(Vm(program, HELPERS),
                        bytearray(40), {"data": bytearray(64),
                                        "buf": bytearray(32)}) \
         == vm.run(bytearray(40), {"data": bytearray(64),
@@ -268,7 +277,7 @@ def test_proof_checker_catches_a_wrong_fact():
     verify(program, HELPERS)
     regions = {"data": bytearray(64), "buf": bytearray(32)}
     regions["data"][3] = 200
-    vm = Vm(program, VmEnvironment(HELPERS))
+    vm = Vm(program, HELPERS)
     assert checked_run(vm, bytearray(40), regions).return_value == 0
 
     def tampered(pc, reg, fact):
@@ -277,7 +286,7 @@ def test_proof_checker_catches_a_wrong_fact():
         known[reg] = fact
         facts[pc] = tuple(known)
         return Vm(dataclasses.replace(program, proof=dataclasses.replace(
-            program.proof, facts=tuple(facts))), VmEnvironment(HELPERS))
+            program.proof, facts=tuple(facts))), HELPERS)
 
     for pc, reg, fact, complaint in (
             (2, 3, Scalar(0, 100), "holds 200, outside the range"),
@@ -296,7 +305,7 @@ def test_proof_checker_catches_a_wrong_fact():
         checked_run(Vm(dataclasses.replace(
             program, proof=dataclasses.replace(
                 program.proof, facts=tuple(unreached))),
-            VmEnvironment(HELPERS)), bytearray(40), regions)
+            HELPERS), bytearray(40), regions)
 
 
 def test_arsh32_keeps_the_sign_bit_of_the_low_word():
@@ -350,13 +359,13 @@ def assert_guarded_everywhere(program, helpers=HELPERS):
 def test_stale_proof_replaced_instruction():
     program = program_of(LAST_BYTE)
     verify(program, HELPERS)
-    spent = Vm(program, VmEnvironment(HELPERS), mode="block")
+    spent = Vm(program, HELPERS, mode="block")
     assert not spent.guarded
     program.instructions[1] = dataclasses.replace(program.instructions[1],
                                                   offset=64)
     assert not program.proof.covers(program, proof_context(HELPERS))
     assert_guarded_everywhere(program)
-    assert Vm(program, VmEnvironment(HELPERS), mode="block").guarded \
+    assert Vm(program, HELPERS, mode="block").guarded \
         == {0, 1}
     # The forged-style fault, in both tiers; not an IndexError out of
     # ``_D_data[64]``.
@@ -376,45 +385,36 @@ def test_stale_proof_swapped_layout():
 
 
 def test_stale_proof_other_helper_spec():
-    # Proved against a ``probe`` that returns nothing (r0 = 0 after the
-    # call, so the load is proven at data+0); run under a registry whose
-    # ``probe`` returns a scalar.
-    def registry(ret):
-        helpers = HelperRegistry()
-        helpers.register(HelperSpec(40, "probe", (ArgKind.SCALAR,), ret),
-                         lambda vm, value: 100)
-        return helpers
-
+    # Proved against a ``probe`` that reads r1 alone, so r2 may hold the
+    # data pointer at the call; run under a registry whose ``probe``
+    # reads r2 too.
     program = program_of("""
-        ldxdw r6, [r1+24]
+        ldxdw r2, [r1+24]
         mov   r1, 1
         call  probe
-        add   r6, r0
-        ldxb  r3, [r6+0]
         mov   r0, 0
         exit
-    """, helpers=registry(RetKind.VOID))
-    verify(program, registry(RetKind.VOID))
-    assert program.proof.facts[4][6] == Ptr("data", 64)
-    assert not Vm(program, VmEnvironment(registry(RetKind.VOID)),
-                  mode="block").guarded
-    other = registry(RetKind.SCALAR)
+    """, helpers=probe_registry(1))
+    verify(program, probe_registry(1))
+    assert program.proof.facts[2][1] == Scalar(1, 1)
+    assert not Vm(program, probe_registry(1), mode="block").guarded
+    other = probe_registry(2)
     assert_guarded_everywhere(program, other)
     assert outcome(program, "block", helpers=other) \
         == outcome(program, "interp", helpers=other) \
-        == ("read [100, 101) out of bounds of 'data' (64B)", -1)
+        == ("helper arg 2 is a pointer, expected scalar", 2)
 
 
 def test_verifying_again_replaces_the_code_compiled_from_the_old_proof():
     program = program_of(LAST_BYTE)
     verify(program, HELPERS)
-    first = Vm(program, VmEnvironment(HELPERS), mode="block")
-    again = Vm(program, VmEnvironment(HELPERS), mode="block")
+    first = Vm(program, HELPERS, mode="block")
+    again = Vm(program, HELPERS, mode="block")
     assert first._compiled.__code__ is again._compiled.__code__
     program.instructions[2] = dataclasses.replace(program.instructions[2],
                                                   imm=5)
     verify(program, HELPERS)
-    renewed = Vm(program, VmEnvironment(HELPERS), mode="block")
+    renewed = Vm(program, HELPERS, mode="block")
     assert renewed._compiled.__code__ is not first._compiled.__code__
     assert outcome(program, "block").return_value == 5
 
@@ -462,7 +462,7 @@ FENCES = {
     """, {5, 12}),
     "passed to a helper": ("""
         mov   r1, r3
-        call  trace
+        call  compact_drop
         exit
     """, None),
     "spilled to the stack": ("""
@@ -496,7 +496,7 @@ FENCES = {
 def offsets_outcome(program, mode, a):
     """The result or the fault as ``(reason, pc)``, and the ctx and buf
     bytes, of one run over a data region holding 0-63."""
-    vm = Vm(program, VmEnvironment(HELPERS), mode=mode)
+    vm = Vm(program, HELPERS, mode=mode)
     ctx = bytearray(40)
     ctx[0:8] = a.to_bytes(8, "little")
     regions = {"data": bytearray(range(64)), "buf": bytearray(32)}
@@ -510,7 +510,7 @@ def offsets_outcome(program, mode, a):
 def test_a_pointer_read_only_for_its_offset_is_never_built():
     program = program_of(OFFSETS + "exit")
     verify(program, HELPERS)
-    vm = Vm(program, VmEnvironment(HELPERS), mode="block")
+    vm = Vm(program, HELPERS, mode="block")
     assert vm.unboxed == {1, 5, 8} and not vm.guarded
     source = source_of(program)
     assert "Pointer(" not in source
@@ -532,7 +532,7 @@ def test_a_pointer_read_any_other_way_is_built(fence):
         unboxed = set()
     else:
         verify(program, HELPERS)
-    assert Vm(program, VmEnvironment(HELPERS), mode="block").unboxed \
+    assert Vm(program, HELPERS, mode="block").unboxed \
         == unboxed
     for a in (5, 6, 15):
         interp, guarded, proven = (offsets_outcome(built, mode, a)
@@ -557,7 +557,7 @@ class _CountingSink:
 def merge_outcome(program, helpers, mode, page, limit):
     """Everything observable of the merge program run over ``page`` with
     tombstones dropped, under the instruction budget ``limit``."""
-    vm = Vm(program, VmEnvironment(helpers), mode=mode,
+    vm = Vm(program, helpers, mode=mode,
             max_instructions=limit)
     vm.compact_sink = sink = _CountingSink()
     ctx = bytearray(CTX_SIZE)
@@ -583,7 +583,7 @@ def test_merge_budget_tail_matches_the_interpreter_at_every_limit():
     helpers = storage_helpers()
     program = sstable_merge_program(PAGE_SIZE, 64)
     verify(program, helpers)
-    assert Vm(program, VmEnvironment(helpers), mode="block").unboxed
+    assert Vm(program, helpers, mode="block").unboxed
     backend = MemoryBackend()
     SsTable.build(backend, [(key * 5, TOMBSTONE if key % 7 == 3
                              else key * 11 + 1) for key in range(1500)])
@@ -652,7 +652,7 @@ def test_installable_program_memory_sites_are_proven(name):
     helpers = storage_helpers()
     program = make_program()
     verify(program, helpers)
-    vm = Vm(program, VmEnvironment(helpers), mode="block")
+    vm = Vm(program, helpers, mode="block")
     memory = [pc for pc, insn in enumerate(program.instructions)
               if insn.opcode.startswith(("ldx", "st"))]
     assert (len(memory), sum(pc not in vm.guarded for pc in memory)) \
@@ -682,12 +682,12 @@ def test_installable_program_sources_build_few_pointers(name):
     helpers = storage_helpers()
     program = INSTALLABLE[name][0]()
     verify(program, helpers)
-    env = VmEnvironment(helpers)
-    source = _generate(program, 1_000_000, *_code_inputs(program, env))[0]
+    source = _generate(program, 1_000_000,
+                       *_code_inputs(program, helpers))[0]
     # Every site is proven, so every access is a struct call or an index.
     assert "_from_bytes(" not in source and ".to_bytes(" not in source
     assert (len(pointer_values(program, program.proof.facts)),
-            len(Vm(program, env, mode="block").unboxed),
+            len(Vm(program, helpers, mode="block").unboxed),
             source.count("Pointer(")) == BUILT[name]
 
 

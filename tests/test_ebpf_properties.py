@@ -40,7 +40,6 @@ from repro.core.library import (index_traversal_program, linked_list_program,
 from repro.ebpf import Program, Vm, assemble, verify
 from repro.ebpf.disasm import disassemble
 from repro.ebpf.isa import decode, encode
-from repro.ebpf.vm import VmEnvironment
 from repro.errors import VerifierError, VmFault
 from repro.structures import (BTREE_PAGE_MAGIC, BTree, SsTable,
                               WisckeyStore)
@@ -162,18 +161,18 @@ def test_interp_jit_and_reference_agree(steps, seeds):
 
     results = {}
     for way, built, mode in three_ways(program):
-        vm = Vm(built, VmEnvironment(HELPERS), mode=mode)
+        vm = Vm(built, HELPERS, mode=mode)
         assert bool(vm.guarded) == (way == "block, no proof")
         ctx = fresh_ctx()
         results[way] = vm.run(ctx, {"data": bytearray(256),
                                     "scratch": bytearray(64)})
         assert int.from_bytes(ctx[88:96], "little") == regs[2], way
-    # The full ExecutionResult (return value, instruction count, trace,
-    # helper calls) must be identical every way.
+    # The full ExecutionResult (return value, instruction count, helper
+    # calls) must be identical every way.
     assert results["interp"] == results["block, no proof"] \
         == results["block, proof"]
     assert results["interp"] == checked_run(
-        Vm(program, VmEnvironment(HELPERS)), fresh_ctx(),
+        Vm(program, HELPERS), fresh_ctx(),
         {"data": bytearray(256), "scratch": bytearray(64)})
 
 
@@ -276,9 +275,10 @@ def _structured_program(draw):
                       f"ldxb r2, [r1+{draw(st.integers(0, 255))}]",
                       "add r9, r2"]
         elif choice == 10:
-            lines += [f"mov r1, {'r7' if wrong else 'r9'}", "call trace"]
+            lines += [f"mov r1, {'r7' if wrong else 'r9'}",
+                      "call compact_drop"]
         elif choice == 11:
-            lines += ["call ktime", "add r9, r0"]
+            lines += ["mov r1, r9", "call compact_drop", "add r9, r0"]
         elif choice == 12:
             # data + i and scratch + i, read only by loads and stores and
             # then overwritten (the block tier keeps just their offsets);
@@ -313,7 +313,8 @@ def _structured_program(draw):
 
 
 class _RecordingSink:
-    """Stands in for the compaction merge sink: remembers every emit."""
+    """Stands in for the compaction merge sink: remembers every emit
+    and drop."""
 
     def __init__(self):
         self.calls = []
@@ -322,13 +323,15 @@ class _RecordingSink:
         self.calls.append((key, value))
         return len(self.calls)
 
+    def drop(self, key):
+        return self.emit(key, None)
+
 
 def _outcome(program, mode, arg0, data, budget, require_verified,
              run=Vm.run):
     """Everything observable about one run, fault or not.  ``run`` may be
     the proof checker's stand-in for ``Vm.run``."""
-    env = VmEnvironment(HELPERS, clock=lambda: 12345)
-    vm = Vm(program, env, mode=mode, max_instructions=budget,
+    vm = Vm(program, HELPERS, mode=mode, max_instructions=budget,
             require_verified=require_verified)
     vm.compact_sink = sink = _RecordingSink()
     ctx = bytearray(LAYOUT.size)
@@ -377,7 +380,7 @@ def _walk(program, mode, image, offset, args=(), scratch_size=256,
     """Run ``program`` hop by hop over the file ``image`` the way the chain
     engine does; returns every hop's (result, ctx, scratch) and the sink.
     ``run`` may be the proof checker's stand-in for ``Vm.run``."""
-    vm = Vm(program, VmEnvironment(HELPERS), mode=mode)
+    vm = Vm(program, HELPERS, mode=mode)
     vm.compact_sink = sink = _RecordingSink()
     scratch = bytearray(scratch_size)
     hops = []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.hooks import storage_helpers
 from repro.errors import VerifierError
 from repro.ebpf import (
     CtxField,
@@ -9,11 +10,10 @@ from repro.ebpf import (
     FieldKind,
     Program,
     assemble,
-    base_registry,
     verify,
 )
 
-HELPERS = base_registry()
+HELPERS = storage_helpers()
 NAMES = HELPERS.names()
 
 LAYOUT = CtxLayout(
@@ -332,7 +332,7 @@ def test_registers_clobbered_after_call_rejected():
         """
         mov r2, 5
         mov r1, r2
-        call trace
+        call compact_drop
         mov r0, r2
         exit
         """,

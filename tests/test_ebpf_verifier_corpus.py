@@ -30,7 +30,6 @@ import pytest
 import verifier_corpus as corpus
 from proofcheck import checked_run
 from repro.ebpf import Vm
-from repro.ebpf.vm import VmEnvironment
 from repro.errors import VmFault
 
 BUDGET_ERROR = "state budget exhausted"
@@ -125,7 +124,7 @@ def test_accepted_programs_stay_cheap_and_never_fault(recorded):
                                 (guarded, "block", Vm.run),
                                 (program, "block", Vm.run),
                                 (program, "interp", checked_run)):
-            vm = Vm(built, VmEnvironment(corpus.HELPERS), mode=mode)
+            vm = Vm(built, corpus.HELPERS, mode=mode)
             try:
                 results.append(run(vm, bytearray(ctx), {
                     "data": bytearray(data),

@@ -3,6 +3,7 @@ state pruning, and the builder DSL's error handling."""
 
 import pytest
 
+from repro.core.hooks import storage_helpers
 from repro.errors import AssemblerError, VerifierError
 from repro.ebpf import (
     CtxField,
@@ -11,12 +12,11 @@ from repro.ebpf import (
     Program,
     ProgramBuilder,
     assemble,
-    base_registry,
     verify,
 )
 from repro.ebpf.verifier import Scalar, _scalar_alu, dead_registers
 
-HELPERS = base_registry()
+HELPERS = storage_helpers()
 LAYOUT = CtxLayout(
     [
         CtxField("data", 0, 8, FieldKind.POINTER, region="data",
@@ -206,7 +206,7 @@ def test_dead_registers_of_a_program_with_a_call_a_loop_and_a_store():
         mov   r7, 0
     loop:
         mov   r1, r7
-        call  trace
+        call  compact_drop
         add   r7, 1
         jlt   r7, 3, loop
         stxdw [r6+16], r7

@@ -2,10 +2,12 @@
 
 import dataclasses
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import BpfError, VmFault
+from repro.core.hooks import storage_helpers
+from repro.errors import BpfError, VerifierError, VmFault
 from repro.ebpf import (
     CtxField,
     CtxLayout,
@@ -13,14 +15,12 @@ from repro.ebpf import (
     Program,
     Vm,
     assemble,
-    base_registry,
     verify,
 )
-from repro.ebpf.helpers import ArgKind, HelperRegistry, HelperSpec, RetKind
+from repro.ebpf.helpers import HelperRegistry, HelperSpec
 from repro.ebpf.isa import MAX_INSNS
-from repro.ebpf.vm import VmEnvironment
 
-HELPERS = base_registry()
+HELPERS = storage_helpers()
 NAMES = HELPERS.names()
 
 LAYOUT = CtxLayout(
@@ -36,11 +36,10 @@ LAYOUT = CtxLayout(
 )
 
 
-def run(source, a=0, b=0, data=None, buf=None, mode="interp", clock=None):
+def run(source, a=0, b=0, data=None, buf=None, mode="interp"):
     prog = Program(assemble(source, NAMES), LAYOUT, name="t")
     verify(prog, HELPERS)
-    env = VmEnvironment(HELPERS, clock=clock)
-    vm = Vm(prog, env, mode=mode)
+    vm = Vm(prog, HELPERS, mode=mode)
     ctx = bytearray(40)
     ctx[0:8] = (a & (2**64 - 1)).to_bytes(8, "little")
     ctx[8:16] = (b & (2**64 - 1)).to_bytes(8, "little")
@@ -217,42 +216,31 @@ def test_loop_sums_data(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_helper_trace(mode):
-    src = """
-        mov  r1, 123
-        call trace
-        mov  r0, 0
-        exit
-    """
-    result, _, _ = run(src, mode=mode)
-    assert result.trace_log == [123]
-    assert result.helper_calls == 1
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_ktime_uses_env_clock(mode):
-    src = """
-        call  ktime
-        stxdw [r1+16], r0
-        mov   r0, 0
-        exit
-    """
-    # r1 is clobbered by the call: program must save it first.
+def test_helper_result_lands_in_r0(mode):
+    # r1 is clobbered by the call: the program saves it first.
     src = """
         mov   r6, r1
-        call  ktime
+        ldxdw r1, [r6+0]
+        call  compact_drop
         stxdw [r6+16], r0
         mov   r0, 0
         exit
     """
-    _, out, _ = run(src, mode=mode, clock=lambda: 987654)
-    assert out == 987654
+    prog = Program(assemble(src, NAMES), LAYOUT, name="t")
+    verify(prog, HELPERS)
+    vm = Vm(prog, HELPERS, mode=mode)
+    vm.compact_sink = SimpleNamespace(drop=lambda key: key * 2)
+    ctx = bytearray(40)
+    ctx[0:8] = (21).to_bytes(8, "little")
+    result = vm.run(ctx, {"data": bytearray(64), "buf": bytearray(32)})
+    assert int.from_bytes(ctx[16:24], "little") == 42
+    assert result.helper_calls == 1
 
 
 def test_unverified_program_refused():
     prog = Program(assemble("mov r0, 0\nexit"), LAYOUT)
     with pytest.raises(VmFault, match="not accepted"):
-        Vm(prog, VmEnvironment(HELPERS))
+        Vm(prog, HELPERS)
 
 
 # The four checks below are forged-proof or run-time-argument checks: they
@@ -274,7 +262,7 @@ def _forged(source, *bogus_tail):
 
 
 def _fault_of(prog, mode, regions=REGIONS, **vm_kwargs):
-    vm = Vm(prog, VmEnvironment(HELPERS), mode=mode, **vm_kwargs)
+    vm = Vm(prog, HELPERS, mode=mode, **vm_kwargs)
     with pytest.raises(VmFault) as excinfo:
         vm.run(bytearray(40), {name: bytearray(size)
                                for name, size in regions.items()})
@@ -349,7 +337,7 @@ def test_partial_read_of_spilled_pointer_faults(mode):
         LAYOUT,
     )
     prog.verified = True  # forged
-    vm = Vm(prog, VmEnvironment(HELPERS), mode=mode)
+    vm = Vm(prog, HELPERS, mode=mode)
     with pytest.raises(VmFault, match="partial read of spilled pointer"):
         vm.run(bytearray(40), {"data": bytearray(64), "buf": bytearray(32)})
 
@@ -373,27 +361,6 @@ def test_full_read_of_spilled_pointer_restores_it(mode):
     assert out == 99
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_trace_log_is_per_run(mode):
-    src = """
-        mov  r1, 7
-        call trace
-        mov  r0, 0
-        exit
-    """
-    prog = Program(assemble(src, NAMES), LAYOUT, name="t")
-    verify(prog, HELPERS)
-    vm = Vm(prog, VmEnvironment(HELPERS), mode=mode)
-    first = vm.run(bytearray(40), {"data": bytearray(64),
-                                   "buf": bytearray(32)})
-    second = vm.run(bytearray(40), {"data": bytearray(64),
-                                    "buf": bytearray(32)})
-    # Each run gets a fresh log: no accumulation across invocations.
-    assert first.trace_log == [7]
-    assert second.trace_log == [7]
-    assert first.trace_log is not second.trace_log
-
-
 def test_block_budget_fault_matches_interp_exactly():
     # The block tier hoists the budget check to one test per block; on
     # exhaustion it replays the block through the interpreter so the fault
@@ -412,7 +379,7 @@ def test_unknown_opcode_faults_only_when_reached(mode):
     reached = _forged("mov r0, 0", "bogus", "exit")
     assert _fault_of(reached, mode) == ("unknown opcode 'bogus'", 1)
     unreached = _forged("mov r0, 0\nexit", "bogus", "exit")
-    vm = Vm(unreached, VmEnvironment(HELPERS), mode=mode)
+    vm = Vm(unreached, HELPERS, mode=mode)
     result = vm.run(bytearray(40), {"data": bytearray(64),
                                     "buf": bytearray(32)})
     assert result.return_value == 0
@@ -510,7 +477,7 @@ FORGED_FAULTS = {
         "mov r10, 0\nmov r0, 0\nexit",
         "write to frame pointer r10", 0),
     "helper_scalar_argument_given_pointer": (
-        "call trace\nmov r0, 0\nexit",
+        "call compact_drop\nmov r0, 0\nexit",
         "helper arg 1 is a pointer, expected scalar", 0),
     "pointer_returned_in_r0": (
         "mov r0, r1\nexit",
@@ -545,16 +512,36 @@ def test_jump_out_of_program_checks_budget_first(conditional):
 def test_unknown_helper_faults_only_when_reached(mode):
     # Not a VmFault: the registry's own error, from the call site.
     reached = Vm(_forged("call 99\nmov r0, 0\nexit"),
-                 VmEnvironment(HELPERS), mode=mode)
+                 HELPERS, mode=mode)
     with pytest.raises(BpfError, match="unknown helper id 99") as excinfo:
         reached.run(bytearray(40), {"data": bytearray(64),
                                     "buf": bytearray(32)})
     assert not isinstance(excinfo.value, VmFault)
     unreached = Vm(_forged("mov r0, 3\nexit\ncall 99\nexit"),
-                   VmEnvironment(HELPERS), mode=mode)
+                   HELPERS, mode=mode)
     result = unreached.run(bytearray(40), {"data": bytearray(64),
                                            "buf": bytearray(32)})
     assert (result.return_value, result.helper_calls) == (3, 0)
+
+
+@pytest.mark.parametrize("helper_id", [1, 7, 16, 17])
+def test_a_deleted_helper_id_is_unknown_to_the_verifier_and_both_tiers(
+        helper_id):
+    # trace (1), ktime (7), get_chain_budget (16) and trace_offset (17)
+    # are gone: a call to one is refused like any id never registered.
+    source = f"mov r1, 5\ncall {helper_id}\nmov r0, 0\nexit"
+    with pytest.raises(VerifierError) as refused:
+        verify(Program(assemble(source), LAYOUT), HELPERS)
+    assert (refused.value.reason, refused.value.pc) == (
+        f"call to unknown helper id {helper_id}", 1)
+    faults = []
+    for mode in MODES:
+        vm = Vm(_forged(source), HELPERS, mode=mode)
+        with pytest.raises(BpfError) as excinfo:
+            vm.run(bytearray(40), {"data": bytearray(64),
+                                   "buf": bytearray(32)})
+        faults.append((type(excinfo.value), str(excinfo.value)))
+    assert faults == [(BpfError, f"unknown helper id {helper_id}")] * 2
 
 
 def test_block_code_is_shared_by_spec_and_bound_per_registry():
@@ -562,22 +549,21 @@ def test_block_code_is_shared_by_spec_and_bound_per_registry():
     # the HelperSpec of each call site, so it is shared only between
     # registries whose specs are equal; the implementation always comes
     # from the running Vm's own registry.
-    def registry(ret, answer):
+    def registry(nargs, answer):
         helpers = HelperRegistry()
-        helpers.register(HelperSpec(40, "probe", (ArgKind.SCALAR,), ret),
-                         lambda vm, value: answer + value)
+        helpers.register(HelperSpec(40, "probe", nargs),
+                         lambda vm, *values: answer + sum(values))
         return helpers
 
     prog = Program(assemble("mov r1, 1\ncall 40\nexit"), LAYOUT)
     prog.verified = True  # one proof object, reused as an install would
-    vms = [Vm(prog, VmEnvironment(helpers), mode="block")
-           for helpers in (registry(RetKind.SCALAR, 10),
-                           registry(RetKind.SCALAR, 20),
-                           registry(RetKind.VOID, 30))]
+    vms = [Vm(prog, helpers, mode="block")
+           for helpers in (registry(1, 10), registry(1, 20),
+                           registry(2, 30))]
     returned = [vm.run(bytearray(40), {"data": bytearray(64),
                                        "buf": bytearray(32)}).return_value
                 for vm in vms]
-    assert returned == [11, 21, 0]
+    assert returned == [11, 21, 31]
     codes = [vm._compiled.__code__ for vm in vms]
     assert codes[0] is codes[1] and codes[0] is not codes[2]
 
@@ -598,7 +584,7 @@ def test_block_dispatch_has_no_late_loop_cliff():
     # front of a loop: a linear chain of block tests retires an instruction
     # 34x slower with 500 blocks ahead; the tree stays within ~2x.
     def ns_per_instruction(branches):
-        vm = Vm(_late_loop(branches, 3000), VmEnvironment(HELPERS),
+        vm = Vm(_late_loop(branches, 3000), HELPERS,
                 mode="block")
         best = float("inf")
         for _ in range(7):
@@ -619,7 +605,7 @@ def test_block_tier_compiles_the_largest_program():
     prog = _late_loop(MAX_INSNS - 4, 10)
     assert len(prog) == MAX_INSNS
     results = [
-        Vm(prog, VmEnvironment(HELPERS), mode=mode).run(
+        Vm(prog, HELPERS, mode=mode).run(
             bytearray(40), {"data": bytearray(64), "buf": bytearray(32)})
         for mode in MODES
     ]

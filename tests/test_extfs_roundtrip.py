@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.device import BlockDevice
 from repro.kernel import JournalConfig
 from repro.kernel.extfs import BLOCK_SIZE, ExtFs
+from simutil import commit_sync
 
 FILE_SIZE = 24 * BLOCK_SIZE
 
@@ -90,7 +91,7 @@ def test_journaled_roundtrip_survives_recovery(data):
         size = max(size, offset + length)
     # Everything is on media (write_sync is synchronous); commit the
     # metadata and remount from scratch.
-    fs.journal.commit_sync()
+    commit_sync(fs.journal)
     report = reload_fs(fs)
     assert report.replayed_txns >= 1
     assert fsck(fs).ok

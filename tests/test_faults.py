@@ -26,6 +26,7 @@ from repro.faults import (
 )
 from repro.kernel import ChainStatus
 from repro.obs import ObsSession
+from simutil import written_image
 
 ORDER = [0, 1, 2, 3]
 
@@ -164,7 +165,7 @@ def test_stale_due_fixed_interval_steps():
     assert plan.stale_due(400)           # catches up in fixed steps...
     assert not plan.stale_due(450)       # ...without double-firing
     assert plan.injected[FAULT_STALE] == 2
-    assert plan.total_injected() == 2
+    assert sum(plan.injected.values()) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +465,11 @@ def test_metrics_reconcile_with_plan_counters():
         sim, kernel, bpf, completed = run_faulted_workload()
     assert completed == 40
     plan = kernel.fault_plan
-    assert plan.total_injected() > 0
+    assert sum(plan.injected.values()) > 0
     registry = obs.registry
     injected = registry.get("faults_injected_total")
     assert sum(s["value"] for s in injected.samples()) == \
-        plan.total_injected()
+        sum(plan.injected.values())
     for kind in (FAULT_TRANSIENT, FAULT_TIMEOUT):
         assert injected.value(kind=kind) == plan.injected[kind]
     retries = registry.get("nvme_retries_total")
@@ -510,7 +511,7 @@ def test_same_seed_same_power_loss_identical_recovery(tmp_path):
             kernel = run_power_loss_workload()
         obs.write_trace_jsonl(str(path))
         paths.append(path)
-        images.append(kernel.fs.media.image())
+        images.append(written_image(kernel.fs.media))
     assert images[0] == images[1]
     first, second = (p.read_bytes() for p in paths)
     assert first == second

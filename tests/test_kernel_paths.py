@@ -7,6 +7,7 @@ from repro.errors import BadFileDescriptor, InvalidArgument
 from repro.kernel import CostModel, IoUring, Kernel, KernelConfig
 from repro.obs import TraceBus, events
 from repro.sim import Simulator
+from simutil import software_ns
 
 # A deterministic gen-2 Optane: Table 1 device latency, no jitter.
 NVM2_EXACT = LatencyModel("nvm2-exact", read_ns=3224, write_ns=3600,
@@ -36,7 +37,7 @@ def test_table1_read_latency_exact():
 
     result, elapsed = kernel.run_syscall(workload())
     assert result.ok
-    assert elapsed == CostModel().software_total_ns() + 3224 == 6272
+    assert elapsed == software_ns(CostModel()) + 3224 == 6272
 
 
 def test_read_returns_correct_bytes():
@@ -73,7 +74,7 @@ def test_polling_read_holds_core_for_device_time():
     kernel.run_syscall(workload())
     # The open syscall + the whole read are CPU-held in poll mode.
     expected = (550  # open
-                + CostModel().software_total_ns() + 3224)
+                + software_ns(CostModel()) + 3224)
     assert kernel.cpus.busy_time() == expected
 
 
@@ -89,7 +90,7 @@ def test_blocking_read_releases_core_during_device_time():
     kernel.run_syscall(workload())
     cost = CostModel()
     expected = (550
-                + cost.software_total_ns()
+                + software_ns(cost)
                 + cost.irq_entry_ns
                 + cost.context_switch_ns)
     assert kernel.cpus.busy_time() == expected
@@ -135,7 +136,7 @@ def test_fragmented_file_read_issues_multiple_commands():
                   events.NVME_COMPLETE)
     sim, kernel = make_kernel(max_extent_blocks=1, bus=bus)
     kernel.create_file("/f", b"z" * (4 * 4096))
-    assert kernel.fs.fragmentation_of(kernel.fs.lookup("/f")) == 4
+    assert len(kernel.fs.lookup("/f").extents) == 4
     proc = kernel.spawn_process()
 
     def workload():

@@ -114,7 +114,6 @@ def test_profiled_vm_run_reports_the_tier_that_ran(mode):
     # row is keyed by that tier.
     from repro.core.hooks import storage_ctx_layout, storage_helpers
     from repro.ebpf import Program, Vm, assemble, verify
-    from repro.ebpf.vm import VmEnvironment
 
     layout = storage_ctx_layout(256, 64)
     helpers = storage_helpers()
@@ -131,7 +130,7 @@ def test_profiled_vm_run_reports_the_tier_that_ran(mode):
             add   r8, 1
             jlt   r8, 32, loop
             mov   r1, r9
-            call  trace
+            call  compact_drop
             stxdw [r6+88], r9
             mov   r0, 0
             exit
@@ -140,7 +139,7 @@ def test_profiled_vm_run_reports_the_tier_that_ran(mode):
 
     def run():
         ctx = bytearray(layout.size)
-        result = Vm(program, VmEnvironment(helpers), mode=mode).run(
+        result = Vm(program, helpers, mode=mode).run(
             ctx, {"data": bytearray(range(256)), "scratch": bytearray(64)})
         return result, bytes(ctx)
 

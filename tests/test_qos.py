@@ -43,6 +43,7 @@ from repro.obs.bus import TraceBus
 from repro.qos import QosConfig, QosManager, Tenant
 from repro.qos.shapers import SCALE, TokenBucket, WfqScheduler
 from repro.sim import Simulator
+from simutil import pending
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +436,7 @@ def test_accounting_keys_by_tenant_across_incarnations():
     second = Process(9, "net-client", tenant=Tenant("alice"))
     accounting.charge(second)
     assert accounting.totals == {"alice": 4}
-    assert accounting.pending(second) == 4
+    assert pending(accounting, second) == 4
     # Untenanted processes still account by pid.
     plain = Process(2, "legacy")
     accounting.charge(plain)
@@ -450,7 +451,7 @@ def test_accounting_forget_clears_every_row():
     accounting.forget(proc)
     assert accounting.totals == {}
     assert accounting.chains_killed == {}
-    assert accounting.pending(proc) == 0
+    assert pending(accounting, proc) == 0
 
 
 def test_target_detach_forgets_client_accounting():

@@ -516,7 +516,7 @@ def test_events_are_slotted():
         yield sim.timeout(1)
 
     family = [sim.event(), sim.timeout(1), sim.spawn(proc(sim)),
-              sim.all_of([sim.timeout(1)]), sim.any_of([sim.timeout(1)])]
+              AllOf(sim, [sim.timeout(1)]), AnyOf(sim, [sim.timeout(1)])]
     for event in family:
         assert not hasattr(event, "__dict__"), type(event).__name__
     sim.run()

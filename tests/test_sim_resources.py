@@ -95,19 +95,6 @@ def test_busy_time_accounting():
     assert sim.now == 300
 
 
-def test_cpuset_utilisation():
-    sim = Simulator()
-    cpu = CpuSet(sim, cores=2)
-
-    def worker(sim):
-        yield from cpu.run_thread(100)
-
-    sim.spawn(worker(sim))
-    sim.run()
-    assert sim.now == 100
-    assert cpu.utilisation() == pytest.approx(0.5)
-
-
 def test_cpuset_irq_preempts_queued_threads():
     sim = Simulator()
     cpu = CpuSet(sim, cores=1)
@@ -170,16 +157,6 @@ def test_store_get_before_put_blocks():
     sim.spawn(producer(sim))
     sim.run()
     assert proc.value == ("late", 500)
-
-
-def test_store_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put("x")
-    assert len(store) == 1
-    assert store.try_get() == "x"
-    assert store.try_get() is None
 
 
 def test_store_multiple_waiters_served_in_order():

@@ -42,12 +42,10 @@ def test_latency_recorder_summary():
     rec = LatencyRecorder()
     for value in [100, 200, 300]:
         rec.record(value)
-    summary = rec.summary()
-    assert summary["count"] == 3
-    assert summary["mean"] == pytest.approx(200)
-    assert summary["min"] == 100
-    assert summary["max"] == 300
-    assert summary["p50"] == 200
+    assert rec.count == 3
+    assert rec.mean == pytest.approx(200)
+    assert (rec.min, rec.max) == (100, 300)
+    assert rec.p50 == 200
 
 
 def test_latency_recorder_rejects_negative():
@@ -62,20 +60,12 @@ def test_latency_recorder_empty_mean_rejected():
         _ = rec.mean
 
 
-def test_latency_recorder_empty_summary_is_well_formed():
-    summary = LatencyRecorder().summary()
-    assert summary == {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
-                       "p50": 0.0, "p99": 0.0}
-
-
 def test_latency_recorder_empty_percentiles_match_summary():
-    """Empty-recorder percentiles agree with summary() instead of raising."""
+    """Empty-recorder percentiles are 0.0 instead of raising."""
     rec = LatencyRecorder()
     assert rec.percentile(0.5) == 0.0
     assert rec.p50 == 0.0
     assert rec.p99 == 0.0
-    assert rec.p50 == rec.summary()["p50"]
-    assert rec.p99 == rec.summary()["p99"]
 
 
 def test_latency_recorder_empty_percentile_still_validates_fraction():

