@@ -61,7 +61,7 @@ def cli_commands(scratch):
                  "seed=3,write_error_rate=0.05"]]
     commands += [["metrics", name, "--quick"]
                  for name in ("fig3d", "compaction", "pushdown", "crash",
-                              "churn")]
+                              "churn", "interference")]
     commands += [["profile", "fig3b", "--quick", "--dump",
                   path("fig3b.pstats")],
                  ["experiment", "crash", "--quick", "--json"],

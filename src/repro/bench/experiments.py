@@ -908,8 +908,7 @@ def fault_resilience(rates: Sequence[float] = (0.0, 0.001, 0.01, 0.05),
 def crash_consistency(seed: int = 0, cache_depth: int = 8,
                       journal_blocks: int = 64,
                       modes: Sequence[str] = ("flush", "op", "op-torn",
-                                              "sync"),
-                      point: Optional[int] = None) -> List[Dict]:
+                                              "sync")) -> List[Dict]:
     """Crash-point enumeration over the mixed metadata workload.
 
     Four sweeps over the same 17-op create/write/fsync/rename/unlink/
@@ -947,8 +946,6 @@ def crash_consistency(seed: int = 0, cache_depth: int = 8,
                                   f"(choose from {sorted(sweeps)})")
         sweep = sweeps[mode]
         for res in enumerate_crash_points(ops, seed=seed, **sweep):
-            if point is not None and res.boundary != point:
-                continue
             verdict = res.ok
             if mode == "sync":
                 # Write-through + per-op commit: nothing may be lost.

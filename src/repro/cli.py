@@ -16,11 +16,8 @@ Commands:
   ``--trace-jsonl PATH`` additionally records the full tracepoint stream
   to ``PATH``;
   ``--fault-plan SPEC`` arms a deterministic fault plan (see
-  ``docs/faults.md``) for every kernel the experiment builds;
-  ``--crash-at MODE:INDEX`` narrows the ``crash`` experiment to a single
-  enumerated crash point (e.g. ``flush:2`` or ``op-torn:9``).  Without
-  those two run-shaping flags the row's shape checks are asserted as
-  ``report`` asserts them.
+  ``docs/faults.md``) for every kernel the experiment builds.  Without
+  it the row's shape checks are asserted as ``report`` asserts them.
 * ``metrics <name>`` — run one experiment under the observability bus and
   print the layer ledger (per path, the mean ns per operation of every
   layer, waits included, plus ``total`` and ``unattributed``), the
@@ -59,9 +56,6 @@ from repro.perf import profiling, render_profile
 
 __all__ = ["main"]
 
-
-#: The crash sweeps ``--crash-at`` may name: the full-scale ``crash`` row's.
-_CRASH_MODES = BY_NAME["crash"].full["modes"]
 
 _PROGRAMS = {
     "index": lambda: _library().index_traversal_program(fanout=16),
@@ -120,48 +114,23 @@ def _fault_context(args):
     return fault_injection(parse_fault_spec(spec))
 
 
-def _parse_crash_at(value: str):
-    """``MODE:INDEX`` -> (mode, index) for ``--crash-at``."""
-    mode, sep, index = value.partition(":")
-    if not sep or mode not in _CRASH_MODES or not index.isdigit():
-        raise SystemExit(
-            f"--crash-at expects MODE:INDEX with MODE one of "
-            f"{', '.join(_CRASH_MODES)} (got {value!r})")
-    return mode, int(index)
-
-
 def _cmd_experiment(args) -> int:
     exp = BY_NAME[args.name]
-    title = exp.title
-    kwargs = exp.quick if args.quick else exp.full
-    crash_at = getattr(args, "crash_at", None)
-    if crash_at:
-        if args.name != "crash":
-            raise SystemExit(
-                "--crash-at only applies to the 'crash' experiment")
-        mode, point = _parse_crash_at(crash_at)
-        title = f"{title} [{mode}:{point}]"
-        kwargs = {"modes": (mode,), "point": point}
     counting = profiling() if args.json else contextlib.nullcontext()
     with _fault_context(args), counting as counts:
         if args.trace_jsonl:
             _touch(args.trace_jsonl)
             with ObsSession(record_jsonl=True) as obs:
-                rows = exp.func(**kwargs)
+                rows = exp.run(args.quick)
             obs.write_trace_jsonl(args.trace_jsonl)
         else:
-            rows = exp.func(**kwargs)
-    if crash_at and not rows:
-        points = [row["crash_point"] for row in exp.func(modes=(mode,))]
-        raise SystemExit(
-            f"--crash-at {crash_at}: the {mode!r} sweep has no crash point "
-            f"{point}; it has {len(points)} ({points[0]} .. {points[-1]})")
+            rows = exp.run(args.quick)
     if args.json:
-        print(rows_to_json(title, rows, counts.work()))
+        print(rows_to_json(exp.title, rows, counts.work()))
     else:
-        print(format_table(title, list(rows[0]), rows))
-    # A fault plan or a single crash point reshapes the rows on purpose.
-    if not crash_at and not args.fault_plan:
+        print(format_table(exp.title, list(rows[0]), rows))
+    # A fault plan reshapes the rows on purpose.
+    if not args.fault_plan:
         _assert_shape(exp, rows, args.quick)
     return 0
 
@@ -331,10 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "run one experiment", _cmd_experiment)
     experiment.add_argument("--json", action="store_true",
                             help="print result rows as JSON")
-    experiment.add_argument(
-        "--crash-at", metavar="MODE:INDEX", default=None,
-        help="('crash' only) run a single crash point, e.g. 'flush:2' "
-             "or 'op-torn:9'")
 
     metrics = _add_runner_parser(
         sub, "metrics", "run one experiment under the observability bus",

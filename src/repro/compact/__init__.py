@@ -16,8 +16,9 @@ single COMPACT RPC (the BPF-oF/RESYSTANCE shape).
 * :class:`~repro.compact.engine.CompactionEngine` — plans, executes
   (user-space or offloaded), and installs compactions on a
   :class:`~repro.structures.LsmTree`, with boundary-byte accounting.
-* :class:`~repro.compact.engine.MergeSink` — the kernel-side merge
-  state the helpers feed.
+* :class:`~repro.compact.engine.MergeSink` — the merge fold: the
+  helpers feed it in the kernel, user-space compaction feeds it the
+  pages it read up.
 """
 
 from repro.compact.engine import (

@@ -53,13 +53,14 @@ SCRATCH_SIZE = 64
 
 
 class MergeSink:
-    """Kernel-side k-way merge state fed by the compact helpers.
+    """The k-way merge fold both modes stream entries into.
 
-    Runs are streamed oldest first, so a plain upsert gives newer
-    entries precedence — the same fold user-space compaction does —
-    and ``drop`` retires a bottom-level tombstoned key.  The running
-    counters are what the merge program mirrors into its scratch area
-    and returns through result/result2.
+    The offloaded mode feeds it from the kernel through the compact
+    helpers, the user mode from the pages it read up.  Runs are
+    streamed oldest first, so a plain upsert gives newer entries
+    precedence, and ``drop`` retires a bottom-level tombstoned key.
+    The running counters are what the merge program mirrors into its
+    scratch area and returns through result/result2.
     """
 
     __slots__ = ("entries", "emitted", "dropped")
@@ -188,7 +189,7 @@ class CompactionEngine:
 
     def _merge_user(self, proc, input_paths, drop_tombstones, report):
         kernel = self.kernel
-        merged: Dict[int, int] = {}
+        sink = MergeSink()
         for path in input_paths:  # oldest first, newer overwrites
             fd = yield from kernel.sys_open(proc, path)
             # Walk the same pages the chain walks: the data run starts
@@ -204,19 +205,17 @@ class CompactionEngine:
                 magic, _level, entries = decode_page(result.data)
                 if magic != SSTABLE_DATA_MAGIC:
                     break
+                # The merge program's choice, made in user space.
                 for key, value in entries:
-                    # Count per streamed entry, as the merge sink does.
-                    merged[key] = value
                     if drop_tombstones and value == TOMBSTONE:
-                        report.dropped += 1
+                        sink.drop(key)
                     else:
-                        report.emitted += 1
+                        sink.emit(key, value)
                 offset += PAGE_SIZE
             yield from kernel.sys_close(proc, fd)
-        items = sorted(merged.items())
-        if drop_tombstones:
-            items = [(k, v) for k, v in items if v != TOMBSTONE]
-        return items
+        report.emitted = sink.emitted
+        report.dropped = sink.dropped
+        return sink.items()
 
     # ------------------------------------------------------------------
     # offloaded merge: one chain per run, only scalars surface

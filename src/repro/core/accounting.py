@@ -99,8 +99,8 @@ class ChainAccounting:
     def forget(self, owner) -> None:
         """Drop all state for ``owner`` (process/tenant teardown).
 
-        Called when a target tears down per-connection processes (detach,
-        crash, rejoin) so a departed owner cannot leak pending/total/kill
+        Called when a cluster target tears down per-connection processes
+        (crash, rejoin) so a departed owner cannot leak pending/total/kill
         entries across incarnations.
         """
         key = self.key_for(owner)

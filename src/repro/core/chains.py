@@ -396,17 +396,6 @@ class ChainEngine:
             state.attempts = 0
 
             entry = install.cache_entry
-            plan = kernel.fault_plan
-            if plan is not None and entry is not None and entry.valid and \
-                    plan.stale_due(kernel.sim.now):
-                # Fault-plan staleness: the snapshot silently expired; the
-                # hop observes the invalidation and aborts with EEXTENT,
-                # exercising the refresh protocol.
-                self.cache.force_invalidate(entry, reason="fault")
-                if bus.enabled:
-                    bus.emit(obs_events.FAULT_INJECT, kernel.sim.now,
-                             kind="stale", ino=entry.ino, span=hop_span,
-                             path="chain")
             if self._snapshot_lost(state, entry):
                 return False
 

@@ -164,7 +164,7 @@ class NvmeExtentCache:
 
     def force_invalidate(self, entry: CacheEntry,
                          reason: str = "forced") -> None:
-        """Invalidate one snapshot (unmap hook, or fault-plan staleness)."""
+        """Invalidate one snapshot (unmap hook, or power loss)."""
         if not entry.valid:
             return
         entry.valid = False

@@ -260,7 +260,7 @@ class NvmeDevice:
             # Flushes are exempt from transient/timeout/spike draws; their
             # failure mode is the power cut checked at completion below.
             if plan is not None and command.opcode != "flush":
-                fault = plan.media_decision(command, self.sim.now)
+                fault = plan.media_decision(command)
                 if fault == "spike":
                     latency = max(1, int(latency * plan.spec.spike_factor))
                 if self.command_timeout_ns and \

@@ -52,9 +52,6 @@ class WriteCache:
         self.evictions = 0
         self.flushed_records = 0
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def write(self, lba: int, data: bytes) -> None:
         """Acknowledge a write into the cache, destaging FIFO on overflow."""
         self._records.append(CachedWrite(lba, data))

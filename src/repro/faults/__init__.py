@@ -19,7 +19,6 @@ from repro.faults.plan import (
     FAULT_NET_DROP,
     FAULT_POWER_LOSS,
     FAULT_SPIKE,
-    FAULT_STALE,
     FAULT_TARGET_CRASH,
     FAULT_TIMEOUT,
     FAULT_TRANSIENT,
@@ -37,7 +36,6 @@ __all__ = [
     "FAULT_NET_DROP",
     "FAULT_POWER_LOSS",
     "FAULT_SPIKE",
-    "FAULT_STALE",
     "FAULT_TARGET_CRASH",
     "FAULT_TIMEOUT",
     "FAULT_TRANSIENT",

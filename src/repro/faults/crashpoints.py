@@ -262,17 +262,6 @@ class CrashPointResult:
     def ok(self) -> bool:
         return self.crashed and self.fsck_ok and self.state_matches
 
-    def describe(self) -> str:
-        status = "ok" if self.ok else "FAIL"
-        return (f"[{status}] {self.mode}-boundary {self.boundary}: "
-                f"{self.ops_completed + 1} ops, recovered to commit "
-                f"#{self.commit_index}, replayed {self.replayed_txns} "
-                f"(discarded {self.discarded_txns}), dropped "
-                f"{self.dropped_writes} cached writes"
-                + (f"; mismatches: {self.mismatches}"
-                   if self.mismatches else "")
-                + (f"; fsck: {self.violations}" if self.violations else ""))
-
 
 def _compare(expected: Dict[str, bytes],
              recovered: Dict[str, bytes]) -> List[str]:

@@ -2,10 +2,9 @@
 
 A :class:`FaultSpec` is a declarative description of *what* can go wrong:
 transient media errors (fail-N-times-then-succeed), completion timeouts,
-service-latency spikes, and extent-cache staleness, each at a configurable
-rate and confined to an optional simulated-time window.  A
-:class:`FaultPlan` binds a spec to one kernel instance and makes the
-per-command decisions.
+service-latency spikes, network drops and delays, power cuts and target
+crashes, each at a configurable rate or boundary.  A :class:`FaultPlan`
+binds a spec to one kernel instance and makes the per-command decisions.
 
 Two properties drive the design:
 
@@ -21,9 +20,11 @@ Two properties drive the design:
   therefore always makes progress.
 
 The plan is consumed by :class:`~repro.device.nvme.NvmeDevice` (media
-errors, timeouts, spikes) and by the chain engine (staleness).  Besides a
-power cut it is the only way a command fails; the NVMe driver's retry rule
-in :mod:`repro.kernel.kernel` is armed in every kernel.
+errors, timeouts, spikes, power loss), by :mod:`repro.net.fabric`
+(frame drops and delays) and by :class:`repro.cluster.StorageCluster`
+(target crashes).  Besides a power cut it is the only way a command
+fails; the NVMe driver's retry rule in :mod:`repro.kernel.kernel` is
+armed in every kernel.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "FAULT_POWER_LOSS",
     "FAULT_TARGET_CRASH",
     "FAULT_SPIKE",
-    "FAULT_STALE",
     "FAULT_TIMEOUT",
     "FAULT_TRANSIENT",
     "FaultPlan",
@@ -56,7 +56,6 @@ __all__ = [
 FAULT_TRANSIENT = "transient"
 FAULT_TIMEOUT = "timeout"
 FAULT_SPIKE = "spike"
-FAULT_STALE = "stale"
 FAULT_POWER_LOSS = "power_loss"
 FAULT_NET_DROP = "net_drop"
 FAULT_NET_DELAY = "net_delay"
@@ -83,11 +82,6 @@ class FaultSpec:
     #: ``spike_factor`` (capped at the command timeout when one is armed).
     spike_rate: float = 0.0
     spike_factor: float = 8.0
-    #: Simulated ns between forced extent-cache invalidations (0 = off).
-    stale_interval_ns: int = 0
-    #: Injection window in simulated ns; ``window_end_ns == 0`` is open.
-    window_start_ns: int = 0
-    window_end_ns: int = 0
     #: Cut device power immediately after the k-th completed NVMe FLUSH
     #: (0 = off).  One-shot: the crash-point harness sweeps k over every
     #: flush boundary of a workload.
@@ -133,9 +127,6 @@ class FaultSpec:
             raise InvalidArgument("net_delay_ns must be >= 0")
         if self.spike_factor < 1.0:
             raise InvalidArgument("spike_factor must be >= 1")
-        if self.stale_interval_ns < 0 or self.window_start_ns < 0 or \
-                self.window_end_ns < 0:
-            raise InvalidArgument("intervals/windows must be >= 0")
         if self.power_loss_after_flushes < 0:
             raise InvalidArgument("power_loss_after_flushes must be >= 0")
         if self.target_crash_after_rpcs < 0:
@@ -143,28 +134,12 @@ class FaultSpec:
         if self.torn_write not in (0, 1):
             raise InvalidArgument("torn_write must be 0 or 1")
 
-    def active(self, now: int) -> bool:
-        """Is the injection window open at simulated time ``now``?"""
-        if now < self.window_start_ns:
-            return False
-        return self.window_end_ns == 0 or now < self.window_end_ns
-
-    def any_faults(self) -> bool:
-        return (self.read_error_rate > 0 or self.write_error_rate > 0 or
-                self.timeout_rate > 0 or self.spike_rate > 0 or
-                self.stale_interval_ns > 0 or
-                self.power_loss_after_flushes > 0 or
-                self.target_crash_after_rpcs > 0 or
-                self.any_net_faults())
-
     def any_net_faults(self) -> bool:
         return self.net_drop_rate > 0 or self.net_delay_rate > 0
 
 
-_INT_FIELDS = {"seed", "error_burst", "stale_interval_ns",
-               "window_start_ns", "window_end_ns",
-               "power_loss_after_flushes", "torn_write",
-               "net_drop_burst", "net_delay_ns",
+_INT_FIELDS = {"seed", "error_burst", "power_loss_after_flushes",
+               "torn_write", "net_drop_burst", "net_delay_ns",
                "target_crash_after_rpcs"}
 
 
@@ -222,12 +197,10 @@ class FaultPlan:
         self._net_cooldown: set = set()
         #: Injected-fault counters by kind, for metrics reconciliation.
         self.injected: Dict[str, int] = {FAULT_TRANSIENT: 0, FAULT_TIMEOUT: 0,
-                                         FAULT_SPIKE: 0, FAULT_STALE: 0,
-                                         FAULT_POWER_LOSS: 0,
+                                         FAULT_SPIKE: 0, FAULT_POWER_LOSS: 0,
                                          FAULT_NET_DROP: 0,
                                          FAULT_NET_DELAY: 0,
                                          FAULT_TARGET_CRASH: 0}
-        self._next_stale = spec.window_start_ns + spec.stale_interval_ns
         self._power_loss_fired = False
         self._target_crash_fired = False
 
@@ -238,7 +211,7 @@ class FaultPlan:
         """Deterministically fail the next ``times`` services of ``lba``.
 
         Programmatic counterpart of the random draw, for tests: opens an
-        episode directly, bypassing the rates (and the window).
+        episode directly, bypassing the rates.
         """
         if kind not in (FAULT_TRANSIENT, FAULT_TIMEOUT):
             raise InvalidArgument(f"cannot pre-inject fault kind {kind!r}")
@@ -246,7 +219,7 @@ class FaultPlan:
             raise InvalidArgument("times must be >= 1")
         self._episodes[(opcode, lba)] = (kind, times)
 
-    def media_decision(self, command, now: int) -> Optional[str]:
+    def media_decision(self, command) -> Optional[str]:
         """Decide this command's fate; returns a fault kind or ``None``.
 
         Called once by the device as the command enters a service slot.
@@ -259,8 +232,6 @@ class FaultPlan:
         if decided:
             return kind
         spec = self.spec
-        if not spec.active(now):
-            return None
         error_rate = (spec.read_error_rate if command.opcode == "read"
                       else spec.write_error_rate)
         if error_rate == 0 and spec.timeout_rate == 0 and \
@@ -282,7 +253,7 @@ class FaultPlan:
 
     # -- network faults (consumed by repro.net.fabric) ------------------
 
-    def net_decision(self, key: Tuple[str, int], now: int) -> Optional[str]:
+    def net_decision(self, key: Tuple[str, int]) -> Optional[str]:
         """Decide one frame's fate; returns a fault kind or ``None``.
 
         ``key`` identifies the retransmittable unit — ``(link name,
@@ -298,7 +269,7 @@ class FaultPlan:
         if decided:
             return kind
         spec = self.spec
-        if not spec.active(now) or not spec.any_net_faults():
+        if not spec.any_net_faults():
             return None
         draw = self._net_rng.random()
         if draw < spec.net_drop_rate:
@@ -346,26 +317,6 @@ class FaultPlan:
             cooldown.add(key)
         self.injected[kind] += 1
         return kind
-
-    # -- extent-cache staleness (consumed by the chain engine) ----------
-
-    def stale_due(self, now: int) -> bool:
-        """Has a staleness deadline elapsed since the last check?
-
-        Event-driven rather than timer-driven: deadlines advance in fixed
-        ``stale_interval_ns`` steps from the window start, and the *next
-        observer* (a chain hop consulting its snapshot) takes the hit.
-        This keeps the simulator's event heap free of perpetual timers.
-        """
-        spec = self.spec
-        if spec.stale_interval_ns == 0 or not spec.active(now):
-            return False
-        if now < self._next_stale:
-            return False
-        while self._next_stale <= now:
-            self._next_stale += spec.stale_interval_ns
-        self.injected[FAULT_STALE] += 1
-        return True
 
     # -- power loss (consumed by NvmeDevice at flush completion) --------
 

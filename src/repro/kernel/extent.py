@@ -69,9 +69,6 @@ class ExtentTree:
     def extents(self) -> List[Extent]:
         return list(self._extents)
 
-    def mapped_blocks(self) -> int:
-        return sum(extent.count for extent in self._extents)
-
     def _find(self, file_block: int) -> Optional[int]:
         """Index of the extent covering ``file_block``, or None."""
         index = bisect.bisect_right(

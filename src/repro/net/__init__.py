@@ -10,13 +10,13 @@ package reproduces that shape on top of the existing chain engine:
   serialization model on the discrete-event simulator in which each
   link delivers in send order, with fault-plan drop/delay episodes.
 * :mod:`~repro.net.wire` — length-prefixed frames and the op table
-  (each of the eight ops declared once; both body codecs derive from
+  (each of the seven ops declared once; both body codecs derive from
   it); programs cross the wire in the real 8-byte eBPF slot encoding.
 * :mod:`~repro.net.transport` — :class:`Connection`: request ids,
   bounded in-flight windows, client retransmission with backoff, and
   the target's idempotent request-id dedup cache.
 * :mod:`~repro.net.target` — :class:`StorageTarget`: a simulated
-  kernel serving READ / WRITE / INSTALL_CHAIN (with server-side
+  kernel serving READ / INSTALL_CHAIN (with server-side
   re-verification of untrusted client programs) / EXEC_CHAIN / COMPACT;
   PUT / GET / REPLICATE are served by the cluster's target subclass.
 * :mod:`~repro.net.client` — :class:`RemoteClient`: one typed

@@ -117,11 +117,6 @@ class RemoteClient:
         (data,) = yield from self.rpc(wire.OP_READ, path, offset, length)
         return data
 
-    def write(self, path: str, offset: int, data: bytes):
-        """Remote ``pwrite`` (generator returning bytes written)."""
-        (written,) = yield from self.rpc(wire.OP_WRITE, path, offset, data)
-        return written
-
     # ------------------------------------------------------------------
     # Chain pushdown
     # ------------------------------------------------------------------

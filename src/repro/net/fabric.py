@@ -118,7 +118,7 @@ class NetworkFabric:
         sim = self.sim
         link.frames_sent += 1
         link.bytes_sent += len(frame)
-        decision = (self.plan.net_decision((link.name, request_id), sim.now)
+        decision = (self.plan.net_decision((link.name, request_id))
                     if self.plan is not None else None)
         delay = self.config.one_way_ns
         if decision == FAULT_NET_DROP:

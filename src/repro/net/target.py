@@ -2,14 +2,14 @@
 
 :class:`StorageTarget` owns one :class:`~repro.kernel.kernel.Kernel`
 (cores, file system, NVMe device) plus a
-:class:`~repro.core.api.StorageBpf` facade, and serves five of the
-eight ops of :data:`repro.net.wire.OPS` per attached connection (the
+:class:`~repro.core.api.StorageBpf` facade, and serves four of the
+seven ops of :data:`repro.net.wire.OPS` per attached connection (the
 cluster's :class:`~repro.cluster.cluster.ClusterTarget` serves the other
 three, PUT / GET / REPLICATE; an op this class has no ``_op_<name>``
 handler for is refused with ``EBADMSG``):
 
-* **READ / WRITE** — plain ``pread``/``pwrite`` against a path (the
-  target opens descriptors lazily and caches them per client).
+* **READ** — plain ``pread`` against a path (the target opens
+  descriptors lazily and caches them per client).
 * **INSTALL_CHAIN** — decode the program from its wire encoding and
   **re-verify it server-side** with the target's own
   :func:`repro.ebpf.verifier.verify` before installing it at the
@@ -144,17 +144,6 @@ class StorageTarget:
         self.attach(connection, tenant=tenant)
         return RemoteClient(connection)
 
-    def detach(self, name: str) -> None:
-        """Forget a client's server-side state (process teardown).
-
-        Drops the per-connection process and clears its accounting rows
-        so a departed client cannot leak pid-keyed entries across
-        reattach cycles (tenant-keyed rows persist only while attached).
-        """
-        state = self._clients.pop(name, None)
-        if state is not None:
-            self.accounting.forget(state.proc)
-
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
@@ -224,13 +213,6 @@ class StorageTarget:
         result = yield from self.kernel.sys_pread(state.proc, fd, offset,
                                                   length)
         return (result.data,)
-
-    def _op_write(self, state: _ClientState, path: str, offset: int,
-                  data: bytes):
-        fd = yield from self._fd_for(state, path)
-        written = yield from self.kernel.sys_pwrite(state.proc, fd, offset,
-                                                    data)
-        return (written,)
 
     def _op_install_chain(self, state: _ClientState, path: str,
                           hook_name: str, block_size: int,

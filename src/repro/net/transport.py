@@ -16,7 +16,7 @@ Reliability is end-to-end, client-driven:
   encoded replies keyed by request id.  A retransmitted request whose
   original was already executed is answered from the cache — the op is
   **not** executed twice, which is what makes non-idempotent ops
-  (WRITE, INSTALL_CHAIN, chains with side effects) safe under loss.
+  (INSTALL_CHAIN, PUT, COMPACT, chains with side effects) safe under loss.
 * A reply that arrives after the client gave up (or after a duplicate
   reply) is dropped by the reply handler.
 

@@ -74,7 +74,6 @@ _HEADER = struct.Struct("!HBBQ")
 FRAME_OVERHEAD = 4 + _HEADER.size
 
 OP_READ = 1
-OP_WRITE = 2
 OP_INSTALL_CHAIN = 3
 OP_EXEC_CHAIN = 4
 #: Cluster KV ops (repro.cluster): PUT/GET are client-facing versioned
@@ -307,8 +306,6 @@ OPS = {code: Op(code, name, Layout(request), Layout(reply))
        for code, name, request, reply in (
     (OP_READ, "read",
         "path:str offset:u64 length:u32", "data:bytes"),
-    (OP_WRITE, "write",
-        "path:str offset:u64 data:bytes", "written:u32"),
     (OP_INSTALL_CHAIN, "install_chain",
         "path:str hook:str block_size:u32 scratch_size:u32 "
         "program_name:str instructions:program", "chain_id:u32"),

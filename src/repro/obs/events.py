@@ -55,10 +55,11 @@ event type                emitted by / meaning
 ``resubmit_drain``        per-pid chained-resubmission counters drained to
                           the BIO layer; ``pids`` (pid -> count),
                           ``total``.
-``fault_inject``          the fault plan fired on a command or snapshot;
+``fault_inject``          the fault plan fired on a command or a frame;
                           ``kind`` ("transient"/"timeout"/"spike"/
-                          "stale"), plus ``opcode``/``lba``/``sectors``
-                          for media faults or ``ino`` for staleness.
+                          "net_drop"/"net_delay"), plus ``opcode``/
+                          ``lba``/``sectors`` for media faults or
+                          ``link``/``request_id`` for network faults.
 ``nvme_timeout``          the controller watchdog expired a command;
                           ``opcode``, ``lba``, ``timeout_ns``.
 ``nvme_retry``            the driver (or chain engine) resubmitted a

@@ -65,9 +65,6 @@ class Gauge:
     def set(self, value: float, **labels: Any) -> None:
         self._values[_label_key(labels)] = value
 
-    def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(labels), 0)
-
     def samples(self) -> List[Dict[str, Any]]:
         out = []
         for key in sorted(self._values):

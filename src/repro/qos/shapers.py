@@ -91,9 +91,6 @@ class WfqScheduler:
         #: Queued items per flow key (for depth observability).
         self.key_depth: Dict[Optional[str], int] = {}
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def push(self, key: Optional[str], item: Any, cost: int = 1) -> int:
         """Enqueue ``item`` for flow ``key``; returns the flow's depth."""
         weight = max(1, self.weight_of(key))

@@ -75,11 +75,6 @@ class Event:
         return self._value is not PENDING
 
     @property
-    def ok(self) -> bool:
-        """True if the event fired without an exception."""
-        return self.triggered and self._exception is None
-
-    @property
     def value(self) -> Any:
         """The event's payload; raises if the event failed or is pending."""
         if self._value is PENDING:
@@ -87,10 +82,6 @@ class Event:
         if self._exception is not None:
             raise self._exception
         return self._value
-
-    @property
-    def exception(self) -> Optional[BaseException]:
-        return self._exception
 
     # -- triggering ---------------------------------------------------------
 

@@ -129,10 +129,6 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def queued(self) -> int:
-        return len(self._waiting)
-
     def busy_time(self) -> int:
         """Total busy slot-nanoseconds accumulated so far."""
         return self._busy_time + self._in_use * (self.sim.now - self._last_change)

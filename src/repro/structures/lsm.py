@@ -24,8 +24,9 @@ Building a table hashes every key ``num_hashes`` times into its bloom
 filter, which made :meth:`SsTable.build` the largest single host cost of
 a compaction.  ``build`` therefore inserts its keys in one bulk pass,
 :meth:`BloomFilter.add_many`, which hashes 4,096 keys per big-integer
-operation and sets exactly the bits a loop of :meth:`BloomFilter.add`
-sets: every table image is unchanged.
+operation and sets exactly the bits a key-at-a-time insert would (the
+bits :meth:`BloomFilter.may_contain` tests): every table image is
+unchanged.
 """
 
 from __future__ import annotations
@@ -107,11 +108,11 @@ def _mix_lanes(packed: int, salt: int, ones: int, low: int) -> int:
 class BloomFilter:
     """A classic k-hash bloom filter over u64 keys.
 
-    :meth:`add` is the definition of which bits a key sets, and what
-    :meth:`may_contain` tests.  :meth:`add_many` is the bulk form table
-    builds use: the same bits, hashed 4,096 keys at a time (a dozen
-    big-integer operations per salt per chunk instead of a dozen 64-bit
-    ones per salt per key).
+    :meth:`may_contain` is the definition of which bits a key sets:
+    ``_mix(key, salt) % num_bits`` for each of ``num_hashes`` salts.
+    :meth:`add_many` sets exactly those bits, hashed 4,096 keys at a
+    time (a dozen big-integer operations per salt per chunk instead of a
+    dozen 64-bit ones per salt per key).
     """
 
     def __init__(self, num_bits: int, num_hashes: int = 7):
@@ -125,13 +126,8 @@ class BloomFilter:
     def for_entries(cls, count: int, bits_per_key: int = 10) -> "BloomFilter":
         return cls(max(64, count * bits_per_key))
 
-    def add(self, key: int) -> None:
-        for salt in range(self.num_hashes):
-            bit = _mix(key, salt) % self.num_bits
-            self._bits[bit // 8] |= 1 << (bit % 8)
-
     def add_many(self, keys: Iterable[int]) -> None:
-        """Add every key: exactly the bits a loop of :meth:`add` sets.
+        """Add every key: exactly the bits :meth:`may_contain` tests.
 
         :func:`_mix_lanes` shows the hashes are ``_mix``'s; setting bits
         is an OR, so neither the order the positions are applied in nor

@@ -47,19 +47,6 @@ def test_violated_check_exits_nonzero_naming_the_row(monkeypatch, capsys):
     assert main(["table1", "--quick", "--fault-plan", "seed=1"]) == 0
 
 
-def test_crash_at_unknown_point_fails(capsys):
-    # Replaying a crash point the sweep does not have must not look like
-    # a pass (it used to print an empty table and exit 0).
-    for extra in ([], ["--json"]):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["experiment", "crash", "--quick",
-                  "--crash-at", "flush:999"] + extra)
-        assert "'flush' sweep" in str(excinfo.value)
-        assert "it has 4" in str(excinfo.value)
-    assert main(["experiment", "crash", "--crash-at", "flush:2"]) == 0
-    assert "flush#2" in capsys.readouterr().out
-
-
 def test_experiment_shorthand_runs_pushdown(capsys):
     # ``python -m repro pushdown`` == ``python -m repro experiment
     # pushdown`` — the top-level name shorthand picks up experiments

@@ -447,8 +447,9 @@ def test_cluster_metrics_count_failover_rejoin_and_lag():
     assert registry.get("cluster_rejoins_total").value() == 1
     # The last replicate on every shard left zero lag (pre-crash) and
     # the gauge tracked it per shard.
-    lag = registry.get("cluster_replica_lag")
-    assert all(lag.value(shard=shard) == 0 for shard in range(3)
+    lag = {sample["labels"]["shard"]: sample["value"]
+           for sample in registry.get("cluster_replica_lag").samples()}
+    assert all(lag.get(str(shard), 0) == 0 for shard in range(3)
                if shard in cluster.shard_puts)
 
 

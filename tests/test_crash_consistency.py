@@ -103,7 +103,7 @@ def test_write_cache_flush_destages_everything_in_order():
     cache.write(0, sector_bytes(1))
     cache.write(0, sector_bytes(2))
     assert cache.flush() == 2
-    assert len(cache) == 0
+    assert cache._records == []
     assert media.read(0, 1) == sector_bytes(2)
     assert cache.flushed_records == 2
 
@@ -161,10 +161,10 @@ def test_fsync_flushes_cache_and_commits_journal():
     proc = kernel.spawn_process("t")
     fd = open_file(kernel, proc, "/f")
     kernel.run_syscall(kernel.sys_pwrite(proc, fd, 0, b"x" * 4096))
-    assert len(kernel.device.write_cache) > 0
+    assert kernel.device.write_cache._records
     assert kernel.fs.journal.pending_txns > 0
     kernel.run_syscall(kernel.sys_fsync(proc, fd))
-    assert len(kernel.device.write_cache) == 0
+    assert kernel.device.write_cache._records == []
     assert kernel.fs.journal.pending_txns == 0
     assert kernel.device.flushes == 1
     assert kernel.fsyncs == 1
@@ -531,7 +531,7 @@ def test_every_flush_boundary_recovers_consistently():
     results = enumerate_crash_points(at="flush")
     assert len(results) == 4
     for result in results:
-        assert result.ok, result.describe()
+        assert result.ok, result
     # Later cuts see strictly more committed history.
     replayed = [r.replayed_txns for r in results]
     assert replayed == sorted(replayed)
@@ -541,7 +541,7 @@ def test_every_op_boundary_recovers_consistently_with_torn_writes():
     results = enumerate_crash_points(at="op", tear=True)
     assert len(results) == len(mixed_workload())
     for result in results:
-        assert result.ok, result.describe()
+        assert result.ok, result
     # The cache was actually holding data at some cut points...
     assert any(r.dropped_writes > 0 for r in results)
     # ...and the tear machinery actually tore something.
@@ -553,7 +553,7 @@ def test_sync_commit_write_through_loses_nothing():
     results = enumerate_crash_points(at="op", cache_depth=0,
                                      journal=journal)
     for result in results:
-        assert result.ok, result.describe()
+        assert result.ok, result
         # Every completed op is durable: recovery loses zero operations.
         assert result.commit_index == result.ops_completed
 

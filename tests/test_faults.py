@@ -1,9 +1,9 @@
 """The fault-plan subsystem: injection, retry/backoff, graceful degradation.
 
-Covers the spec/plan unit semantics (episodes, cooldown, windows,
-staleness, determinism), the NVMe driver's retry rule on the plain read
-and write paths, the chain engine's in-IRQ retries and fallback to user
-space, the interaction with the resubmission bound, and the end-to-end
+Covers the spec/plan unit semantics (episodes, cooldown, determinism),
+the NVMe driver's retry rule on the plain read and write paths, the
+chain engine's in-IRQ retries and fallback to user space, the
+interaction with the resubmission bound, and the end-to-end
 determinism + metrics-reconciliation acceptance criteria.
 """
 
@@ -15,7 +15,6 @@ from repro.errors import InvalidArgument, IoError
 from repro.faults import (
     FAULT_NET_DELAY,
     FAULT_NET_DROP,
-    FAULT_STALE,
     FAULT_TIMEOUT,
     FAULT_TRANSIENT,
     FaultPlan,
@@ -55,18 +54,7 @@ def test_spec_rejects_bad_rates():
     with pytest.raises(InvalidArgument, match="spike_factor"):
         FaultSpec(spike_factor=0.5)
     with pytest.raises(InvalidArgument, match=">= 0"):
-        FaultSpec(stale_interval_ns=-1)
-
-
-def test_spec_window():
-    spec = FaultSpec(read_error_rate=0.1, window_start_ns=100,
-                     window_end_ns=200)
-    assert not spec.active(99)
-    assert spec.active(100)
-    assert spec.active(199)
-    assert not spec.active(200)
-    open_ended = FaultSpec(read_error_rate=0.1, window_start_ns=100)
-    assert open_ended.active(10 ** 12)
+        FaultSpec(power_loss_after_flushes=-1)
 
 
 def test_parse_fault_spec():
@@ -86,6 +74,11 @@ def test_parse_fault_spec_rejects_garbage():
         parse_fault_spec("read_error_rate=lots")
     with pytest.raises(InvalidArgument, match="in \\[0, 1\\]"):
         parse_fault_spec("read_error_rate=2.0")
+    # Extent-cache staleness and injection windows are not plan keys.
+    for key in ("stale_interval_ns", "window_start_ns", "window_end_ns"):
+        with pytest.raises(InvalidArgument,
+                           match=f"unknown fault-plan key '{key}'"):
+            parse_fault_spec(f"seed=1,{key}=100")
 
 
 def test_default_spec_plumbing():
@@ -111,7 +104,7 @@ def read_cmd(lba):
 
 def test_episode_burst_then_guaranteed_recovery():
     plan = FaultPlan(FaultSpec(read_error_rate=1.0, error_burst=3))
-    decisions = [plan.media_decision(read_cmd(5), 0) for _ in range(5)]
+    decisions = [plan.media_decision(read_cmd(5)) for _ in range(5)]
     # Three consecutive failures, then the cooldown guarantees a success,
     # then (rate 1.0) a fresh episode begins.
     assert decisions == [FAULT_TRANSIENT] * 3 + [None, FAULT_TRANSIENT]
@@ -121,27 +114,15 @@ def test_episode_burst_then_guaranteed_recovery():
 def test_inject_opens_episode_without_rates():
     plan = FaultPlan(IDLE)
     plan.inject(9, times=2)
-    assert plan.media_decision(read_cmd(9), 0) == FAULT_TRANSIENT
-    assert plan.media_decision(read_cmd(9), 0) == FAULT_TRANSIENT
-    assert plan.media_decision(read_cmd(9), 0) is None   # cooldown
-    assert plan.media_decision(read_cmd(9), 0) is None   # genuinely healthy
-    assert plan.media_decision(read_cmd(10), 0) is None  # other LBA untouched
+    assert plan.media_decision(read_cmd(9)) == FAULT_TRANSIENT
+    assert plan.media_decision(read_cmd(9)) == FAULT_TRANSIENT
+    assert plan.media_decision(read_cmd(9)) is None   # cooldown
+    assert plan.media_decision(read_cmd(9)) is None   # genuinely healthy
+    assert plan.media_decision(read_cmd(10)) is None  # other LBA untouched
     with pytest.raises(InvalidArgument):
         plan.inject(9, kind="spike")
     with pytest.raises(InvalidArgument):
         plan.inject(9, times=0)
-
-
-def test_window_gates_random_draws():
-    spec = FaultSpec(read_error_rate=1.0, window_start_ns=1000,
-                     window_end_ns=2000)
-    plan = FaultPlan(spec)
-    assert plan.media_decision(read_cmd(1), 0) is None
-    assert plan.media_decision(read_cmd(1), 1500) == FAULT_TRANSIENT
-    # The cooldown from the in-window episode is consumed...
-    assert plan.media_decision(read_cmd(1), 1600) is None
-    # ...and past the window nothing is drawn at all.
-    assert plan.media_decision(read_cmd(1), 2500) is None
 
 
 def test_same_seed_same_decisions():
@@ -150,22 +131,11 @@ def test_same_seed_same_decisions():
 
     def sequence(kernel_seed):
         plan = FaultPlan(spec, kernel_seed=kernel_seed)
-        return [plan.media_decision(read_cmd(lba % 7), lba * 10)
+        return [plan.media_decision(read_cmd(lba % 7))
                 for lba in range(200)]
 
     assert sequence(4) == sequence(4)
     assert sequence(4) != sequence(5)
-
-
-def test_stale_due_fixed_interval_steps():
-    plan = FaultPlan(FaultSpec(stale_interval_ns=100))
-    assert not plan.stale_due(50)
-    assert plan.stale_due(150)
-    assert not plan.stale_due(150)       # one observation per deadline
-    assert plan.stale_due(400)           # catches up in fixed steps...
-    assert not plan.stale_due(450)       # ...without double-firing
-    assert plan.injected[FAULT_STALE] == 2
-    assert sum(plan.injected.values()) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -400,26 +370,6 @@ def test_resubmission_bound_limits_fault_retries():
     assert 0 < bpf.engine.fault_retries < 4
 
 
-def test_fault_stale_invalidation_recovers_via_refresh():
-    spec = FaultSpec(seed=2, stale_interval_ns=40_000)
-    sim, kernel, bpf = build_machine(fault_plan=spec)
-    kernel.create_file("/list", linked_file_bytes(ORDER))
-    proc, fd = install_walker(sim, kernel, bpf, "/list")
-
-    def workload():
-        results = []
-        for _ in range(20):
-            result = yield from bpf.read_chain_robust(proc, fd, 0, 4096)
-            results.append(result.value)
-        return results
-
-    values = kernel.run_syscall(workload())
-    assert values == [1000 + ORDER[-1]] * 20
-    assert kernel.fault_plan.injected[FAULT_STALE] > 0
-    assert bpf.cache.invalidations >= kernel.fault_plan.injected[FAULT_STALE]
-    assert bpf.engine.extent_aborts > 0
-
-
 # ---------------------------------------------------------------------------
 # Acceptance: determinism and metrics reconciliation
 # ---------------------------------------------------------------------------
@@ -541,43 +491,30 @@ def test_net_fields_parse_and_arm_any_faults():
                              net_delay_rate=0.1, net_delay_ns=75_000)
     assert isinstance(spec.net_drop_burst, int)
     assert isinstance(spec.net_delay_ns, int)
-    assert spec.any_net_faults() and spec.any_faults()
-    # Net-only specs arm any_faults() without arming media retries.
+    assert spec.any_net_faults()
+    # A media-only spec arms no network fault.
     media_only = FaultSpec(read_error_rate=0.1)
-    assert not media_only.any_net_faults() and media_only.any_faults()
+    assert not media_only.any_net_faults()
 
 
 def test_net_drop_episode_burst_then_guaranteed_delivery():
     plan = FaultPlan(FaultSpec(net_drop_rate=1.0, net_drop_burst=3))
     key = ("client/c2s", 7)
-    fates = [plan.net_decision(key, 0) for _ in range(5)]
+    fates = [plan.net_decision(key) for _ in range(5)]
     # The frame and two retransmissions are lost, then the cooldown
     # guarantees the next attempt through, then a fresh episode begins.
     assert fates == [FAULT_NET_DROP] * 3 + [None, FAULT_NET_DROP]
     assert plan.injected[FAULT_NET_DROP] == 4
     # Another request id on the same link is its own episode.
-    assert plan.net_decision(("client/c2s", 8), 0) == FAULT_NET_DROP
+    assert plan.net_decision(("client/c2s", 8)) == FAULT_NET_DROP
 
 
 def test_net_delay_is_partitioned_from_drop():
     plan = FaultPlan(FaultSpec(net_delay_rate=1.0, net_delay_ns=5_000))
-    fates = [plan.net_decision(("wire", rid), 0) for rid in range(4)]
+    fates = [plan.net_decision(("wire", rid)) for rid in range(4)]
     assert fates == [FAULT_NET_DELAY] * 4
     assert plan.injected[FAULT_NET_DELAY] == 4
     assert plan.injected[FAULT_NET_DROP] == 0
-
-
-def test_net_window_gates_draws():
-    spec = FaultSpec(net_drop_rate=1.0, window_start_ns=1000,
-                     window_end_ns=2000)
-    plan = FaultPlan(spec)
-    key = ("wire", 1)
-    assert plan.net_decision(key, 0) is None
-    assert plan.net_decision(key, 1500) == FAULT_NET_DROP
-    # The in-window episode's cooldown is consumed...
-    assert plan.net_decision(key, 1600) is None
-    # ...and past the window nothing is drawn at all.
-    assert plan.net_decision(key, 2500) is None
 
 
 def test_net_stream_is_independent_of_media_stream():
@@ -589,17 +526,16 @@ def test_net_stream_is_independent_of_media_stream():
         plan = FaultPlan(spec, kernel_seed=4)
         out = []
         for lba in range(100):
-            out.append(plan.media_decision(read_cmd(lba % 7), lba * 10))
+            out.append(plan.media_decision(read_cmd(lba % 7)))
             # Interleave net draws; they must not perturb media fates.
-            plan.net_decision(("wire", lba), lba * 10)
+            plan.net_decision(("wire", lba))
         return out
 
     assert media_sequence(media_spec) == media_sequence(both_spec)
 
     def net_sequence(kernel_seed):
         plan = FaultPlan(both_spec, kernel_seed=kernel_seed)
-        return [plan.net_decision(("wire", rid), rid * 10)
-                for rid in range(100)]
+        return [plan.net_decision(("wire", rid)) for rid in range(100)]
 
     assert net_sequence(4) == net_sequence(4)
     assert net_sequence(4) != net_sequence(5)

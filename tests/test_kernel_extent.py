@@ -100,13 +100,6 @@ def test_map_range_hole_rejected():
         tree.map_range(0, 4)
 
 
-def test_mapped_blocks():
-    tree = ExtentTree()
-    tree.add(Extent(0, 50, 4))
-    tree.add(Extent(10, 90, 6))
-    assert tree.mapped_blocks() == 10
-
-
 @given(st.lists(st.tuples(st.integers(0, 100), st.integers(1, 10)),
                 min_size=1, max_size=20))
 def test_tree_matches_dict_reference(ops):
@@ -126,4 +119,4 @@ def test_tree_matches_dict_reference(ops):
         next_phys += count + 7  # keep physical runs disjoint
     for block, phys in reference.items():
         assert tree.lookup(block) == phys
-    assert tree.mapped_blocks() == len(reference)
+    assert sum(extent.count for extent in tree) == len(reference)

@@ -181,7 +181,7 @@ def test_truncate_frees_blocks_and_notifies():
     fs.truncate(inode, BLOCK_SIZE)
     assert events == ["unmap"]
     assert inode.size == BLOCK_SIZE
-    assert inode.extents.mapped_blocks() == 1
+    assert sum(extent.count for extent in inode.extents) == 1
 
 
 def test_grow_notifies_grow_not_unmap():

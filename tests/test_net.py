@@ -19,6 +19,7 @@ from repro.errors import (
     Errno,
     FramingError,
     InvalidArgument,
+    PowerLossError,
     RemoteError,
     RemoteVerifierRejected,
     RpcTimeout,
@@ -68,7 +69,7 @@ def test_frame_roundtrip():
 
 
 def test_frame_rejects_hostile_input():
-    good = wire.encode_frame(wire.OP_WRITE, 1, b"x")
+    good = wire.encode_frame(wire.OP_READ, 1, b"x")
     with pytest.raises(FramingError, match="short"):
         wire.decode_frame(good[:10])
     with pytest.raises(FramingError, match="length prefix"):
@@ -76,9 +77,10 @@ def test_frame_rejects_hostile_input():
     bad_magic = good[:4] + b"\x00\x00" + good[6:]
     with pytest.raises(FramingError, match="magic"):
         wire.decode_frame(bad_magic)
-    bad_op = good[:6] + bytes([0x55]) + good[7:]
-    with pytest.raises(FramingError, match="unknown op"):
-        wire.decode_frame(bad_op)
+    for code in (0x55, 2):      # 2 was a remote write; no row has it now
+        bad_op = good[:6] + bytes([code]) + good[7:]
+        with pytest.raises(FramingError, match=f"unknown op {code}$"):
+            wire.decode_frame(bad_op)
 
 
 WALK = assemble("mov r0, 7\nlddw r1, 0x1122334455667788\nexit")
@@ -102,9 +104,6 @@ SAMPLES = [
     (_request(wire.OP_READ), ("/a", 4096, 512),
      "00022f61000000000000100000000200"),
     (_reply(wire.OP_READ), (b"data",), "0000000464617461"),
-    (_request(wire.OP_WRITE), ("/a", 8192, b"hi"),
-     "00022f610000000000002000000000026869"),
-    (_reply(wire.OP_WRITE), (7,), "00000007"),
     (_request(wire.OP_INSTALL_CHAIN),
      ("/index", "nvme", 4096, 256, "walk", WALK),
      "00062f696e64657800046e766d650000100000000100000477616c6b00000020"
@@ -146,7 +145,7 @@ def test_samples_cover_every_row_of_the_op_table():
         assert id(row.reply) in covered, row.name
     assert wire.OP_NAMES == {code: row.name
                              for code, row in wire.OPS.items()}
-    assert sorted(wire.OPS) == list(range(1, 9))
+    assert sorted(wire.OPS) == [1, 3, 4, 5, 6, 7, 8]
 
 
 def test_op_codecs_roundtrip():
@@ -212,25 +211,6 @@ def test_status_mapping():
 # ---------------------------------------------------------------------------
 
 
-def test_remote_write_then_read():
-    sim, target, _fabric, connection, client = build_rig()
-    target.create_file("/data", bytes(8192))
-    payload = bytes(range(256)) * 2
-
-    def workload():
-        written = yield from client.write("/data", 512, payload)
-        data = yield from client.read("/data", 512, 512)
-        return written, data
-
-    start = sim.now
-    written, data = sim.run_process(workload())
-    assert written == len(payload)
-    assert data == payload
-    assert target.executed == {"write": 1, "read": 1}
-    # Each RPC pays at least one round trip of propagation.
-    assert sim.now - start >= 2 * 20_000
-
-
 def test_remote_errors_are_typed_not_crashes():
     sim, target, _fabric, _connection, client = build_rig()
     target.create_file("/data", bytes(8192))
@@ -254,7 +234,11 @@ def test_remote_errors_are_typed_not_crashes():
     def recheck():
         return (yield from client.read("/data", 0, 512))
 
+    start = sim.now
     assert sim.run_process(recheck()) == bytes(512)
+    assert target.executed == {"read": 1}
+    # An RPC pays at least one round trip of propagation.
+    assert sim.now - start >= 20_000
 
 
 def test_hostile_requests_are_refused_and_target_keeps_serving():
@@ -307,7 +291,7 @@ def test_ops_without_a_handler_or_a_table_row():
     # PUT is in the op table but only the cluster's target serves it: a
     # plain target answers EBADMSG.  A code outside the table never
     # reaches a handler: the frame is dropped and counted.
-    sim, target, fabric, connection, _client = build_rig(max_retries=0)
+    sim, target, fabric, connection, client = build_rig(max_retries=0)
 
     def put():
         return (yield from connection.call(
@@ -318,13 +302,23 @@ def test_ops_without_a_handler_or_a_table_row():
     assert b"unknown op 5" in reason
     assert target.refused == {"EBADMSG": 1}
 
-    frame = bytearray(wire.encode_frame(wire.OP_READ, 99))
-    frame[6] = 0x33
-    fabric.transmit(connection.c2s, bytes(frame), request_id=99)
+    for request_id, code in ((99, 0x33), (100, 2)):  # 2: no remote write
+        frame = bytearray(wire.encode_frame(wire.OP_READ, request_id))
+        frame[6] = code
+        fabric.transmit(connection.c2s, bytes(frame), request_id=request_id)
     sim.run(until=sim.now + 1_000_000)
-    assert connection.bad_frames == 1
+    assert connection.bad_frames == 2
     assert target.refused == {"EBADMSG": 1}
     assert target.executed == {}
+
+    # The connection keeps serving after the dropped frames.
+    target.create_file("/data", bytes(4096))
+
+    def read():
+        return (yield from client.read("/data", 0, 512))
+
+    assert sim.run_process(read()) == bytes(512)
+    assert target.executed == {"read": 1}
 
 
 def test_target_rejects_duplicate_attach():
@@ -485,22 +479,24 @@ def test_drop_recovery_executes_exactly_once():
     # gets through — so recovery is deterministic regardless of seed.
     plan = FaultPlan(FaultSpec(seed=3, net_drop_rate=1.0), kernel_seed=3)
     sim, target, _fabric, connection, client = build_rig(plan=plan)
-    target.create_file("/data", bytes(8192))
+    build_tree(target, depth=2)
 
     def workload():
-        written = yield from client.write("/data", 0, b"x" * 512)
-        data = yield from client.read("/data", 0, 512)
-        return written, data
+        chain_id = yield from client.install_chain(
+            "/index", index_traversal_program())
+        data = yield from client.read("/index", 0, 512)
+        return chain_id, data
 
-    written, data = sim.run_process(workload())
-    assert written == 512
-    assert data == b"x" * 512
+    chain_id, data = sim.run_process(workload())
+    # A second execution of the install would have handed out id 2.
+    assert chain_id == 1
+    assert len(data) == 512
     # Loss happened and was recovered by retransmission...
     assert connection.retries > 0
     assert connection.c2s.frames_dropped + connection.s2c.frames_dropped > 0
     # ...but each op executed exactly once: the duplicate requests that
     # raced a lost *reply* were answered from the dedup cache.
-    assert target.executed == {"write": 1, "read": 1}
+    assert target.executed == {"install_chain": 1, "read": 1}
     assert connection.dedup_hits > 0
 
 
@@ -589,7 +585,9 @@ def test_combined_fault_domains_surface_typed_and_recover():
 
     Two independent fault domains fire in one run: the fabric drops
     frames in bursts while the target's device loses power during a
-    write-cache destage.  Every client-visible outcome must be either
+    write-cache destage (a writer on the target's own kernel fsyncs
+    while remote reads are in flight).  Every client-visible outcome
+    must be either
     success, a *typed* remote refusal, or an RPC timeout — never a
     torn or garbled reply — and after journal-replay recovery the
     target passes fsck and serves again.
@@ -616,21 +614,33 @@ def test_combined_fault_domains_surface_typed_and_recover():
 
     outcomes = []
 
-    def writer(index):
-        # Several writers keep RPCs in flight when the power dies.
+    def reader(index):
+        # Several readers keep RPCs in flight when the power dies.
         for op in range(6):
             slot = (index * 6 + op) % 16
             try:
-                yield from client.write("/data", slot * 4096,
-                                        bytes([index + 1]) * 4096)
+                yield from client.read("/data", slot * 4096, 4096)
                 outcomes.append("ok")
             except RemoteError as error:
                 outcomes.append(error.remote_errno.name)
             except RpcTimeout:
                 outcomes.append("timeout")
 
+    def local_writer():
+        kernel = target.kernel
+        proc = kernel.spawn_process("writer")
+        fd = yield from kernel.sys_open(proc, "/data")
+        try:
+            for slot in range(16):
+                yield from kernel.sys_pwrite(proc, fd, slot * 4096,
+                                             bytes([slot + 1]) * 4096)
+            yield from kernel.sys_fsync(proc, fd)
+        except PowerLossError:
+            pass
+
     for index in range(3):
-        sim.spawn(writer(index), name=f"writer-{index}")
+        sim.spawn(reader(index), name=f"reader-{index}")
+    sim.spawn(local_writer(), name="writer")
     sim.run(until=1_000_000_000)
 
     assert len(outcomes) == 18
@@ -786,4 +796,5 @@ def test_net_metrics_account_rpcs_bytes_and_drops():
     # The fabric's drops land in the shared fault counter by kind.
     assert registry.get("faults_injected_total").value(
         kind=FAULT_NET_DROP) > 0
-    assert registry.get("net_inflight").value() == 0
+    assert registry.get("net_inflight").samples() == [
+        {"labels": {}, "value": 0}]

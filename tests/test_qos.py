@@ -129,7 +129,7 @@ def test_wfq_dispatch_order_is_deterministic():
         for index in range(50):
             wfq.push("b", ("b", index))
             wfq.push("a", ("a", index))
-        return [wfq.pop() for _ in range(len(wfq))]
+        return [wfq.pop() for _ in range(100)]
 
     assert run() == run()
 
@@ -452,16 +452,6 @@ def test_accounting_forget_clears_every_row():
     assert accounting.totals == {}
     assert accounting.chains_killed == {}
     assert pending(accounting, proc) == 0
-
-
-def test_target_detach_forgets_client_accounting():
-    sim, target, _conn, _client = build_qos_rig(QosConfig())
-    proc = target._clients["client"].proc
-    target.accounting.charge(proc)
-    assert target.accounting.totals != {}
-    target.detach("client")
-    assert "client" not in target._clients
-    assert target.accounting.totals == {}
 
 
 def test_exec_chain_bills_the_connection_tenant():

@@ -9,6 +9,7 @@ instruments that observe it.
 import inspect
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -89,7 +90,8 @@ def test_instrumentation_changes_no_work(name):
     # (kernel, chains, net, cluster, qos, compact).
     exp = BY_NAME[name]
     idle = FaultSpec(seed=5)
-    assert not idle.any_faults()
+    assert all(getattr(idle, field.name) == 0 for field in fields(FaultSpec)
+               if field.name.endswith(("_rate", "_flushes", "_rpcs")))
     with ObsSession():
         _assert_matches_golden(exp, *exp.run_counted(quick=True))
     with fault_injection(idle):

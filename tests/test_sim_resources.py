@@ -311,7 +311,7 @@ def test_charge_cost_is_coerced_like_a_timeout_delay():
     assert res.busy_time() == 11
     with pytest.raises(SimulationError, match="non-numeric charge cost"):
         next(res.execute("soon"))
-    assert res.in_use == 0 and res.queued == 0
+    assert res.in_use == 0 and not res._waiting
 
 
 def test_zero_and_negative_cost_charges_take_no_time_but_wait_their_turn():
