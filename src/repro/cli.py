@@ -39,14 +39,20 @@ Commands:
   is kept); the header counts both.
 * ``verify-demo`` — show the verifier accepting a safe program and
   rejecting unsafe ones, with reasons.
+
+A command whose reader closes stdout early (``... | grep -q``) stops
+printing and ends with status 0, unless its verdict failed: every verdict
+is decided before the output prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import traceback
+from typing import Optional
 
 from repro.bench.registry import BY_NAME, EXPERIMENTS
 from repro.bench.tables import format_table, rows_to_json
@@ -78,25 +84,44 @@ def _compact_programs():
     return programs
 
 
-def _assert_shape(exp, rows, quick: bool) -> None:
+def _shape_failure(exp, rows, quick: bool) -> Optional[str]:
     """The row's shape checks (``check``, and ``check_full`` at full
-    scale); a violated one ends the command non-zero, naming the row and
-    the assertion."""
+    scale): None when they hold, else a message naming the row and the
+    assertion."""
     try:
         exp.check(rows)
         if not quick and exp.check_full is not None:
             exp.check_full(rows)
     except AssertionError:
-        raise SystemExit(
-            f"{exp.name}: shape check failed\n{traceback.format_exc()}")
+        return f"{exp.name}: shape check failed\n{traceback.format_exc()}"
+    return None
+
+
+def _print_report(text: str, failure: Optional[str] = None) -> int:
+    """Print a command's output, then end the command: status 0, or
+    non-zero naming ``failure``, the verdict decided before printing.
+
+    A reader that closes stdout early (``| grep -q``) ends the printing
+    quietly; it never hides a failure.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Nothing more reaches the reader: what is left, and the
+        # interpreter's last flush, go to /dev/null.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    if failure:
+        raise SystemExit(failure)
+    return 0
 
 
 def _cmd_report(args) -> int:
     for exp in EXPERIMENTS:
         rows = exp.run(args.quick)
-        print(format_table(exp.title, list(rows[0]), rows))
-        print()
-        _assert_shape(exp, rows, args.quick)
+        _print_report(format_table(exp.title, list(rows[0]), rows) + "\n",
+                      _shape_failure(exp, rows, args.quick))
     return 0
 
 
@@ -125,14 +150,14 @@ def _cmd_experiment(args) -> int:
             obs.write_trace_jsonl(args.trace_jsonl)
         else:
             rows = exp.run(args.quick)
-    if args.json:
-        print(rows_to_json(exp.title, rows, counts.work()))
-    else:
-        print(format_table(exp.title, list(rows[0]), rows))
     # A fault plan reshapes the rows on purpose.
-    if not args.fault_plan:
-        _assert_shape(exp, rows, args.quick)
-    return 0
+    failure = None if args.fault_plan else \
+        _shape_failure(exp, rows, args.quick)
+    if args.json:
+        text = rows_to_json(exp.title, rows, counts.work())
+    else:
+        text = format_table(exp.title, list(rows[0]), rows)
+    return _print_report(text, failure)
 
 
 def _cmd_metrics(args) -> int:
@@ -144,16 +169,16 @@ def _cmd_metrics(args) -> int:
             exp.run(args.quick)
     if args.trace_jsonl:
         obs.write_trace_jsonl(args.trace_jsonl)
-    print(f"{exp.title} — observability report")
-    print()
-    print(obs.render_report())
     leaks = obs.spans.unattributed
+    failure = None
     if leaks:
         root = leaks[0]
-        raise SystemExit(
+        failure = (
             f"{exp.name}: {len(leaks)} operations leave time unattributed, "
             f"first {root.name} #{root.sid}: {root.ledger['unattributed']} ns")
-    return 0
+    return _print_report(
+        f"{exp.title} — observability report\n\n{obs.render_report()}",
+        failure)
 
 
 def _cmd_profile(args) -> int:
@@ -167,13 +192,12 @@ def _cmd_profile(args) -> int:
         started = perf_counter()
         timer.runcall(exp.run, args.quick)
         wall_s = perf_counter() - started
-    print(f"{exp.title} — simulator self-profile (wall clock)")
-    print()
-    print(render_profile(counts, timer, top=args.top, wall_s=wall_s))
+    text = (f"{exp.title} — simulator self-profile (wall clock)\n\n"
+            + render_profile(counts, timer, top=args.top, wall_s=wall_s))
     if args.dump:
         timer.dump_stats(args.dump)
-        print(f"\npstats dump -> {args.dump}")
-    return 0
+        text += f"\n\npstats dump -> {args.dump}"
+    return _print_report(text)
 
 
 def _cmd_disasm(args) -> int:
@@ -203,16 +227,16 @@ def _cmd_disasm(args) -> int:
         comments[pc] = " ".join(notes)
     memory = [pc for pc, insn in enumerate(program.instructions)
               if insn.opcode.startswith(("ldx", "st"))]
-    print(f"; {program.name}: {len(program)} instructions, verified "
-          f"({stats.states_explored} states explored)")
-    print(f"; {sum(pc not in vm.guarded for pc in memory)} of "
-          f"{len(memory)} memory sites proven")
-    print(f"; {len(vm.unboxed)} of "
-          f"{len(pointer_values(program, program.proof.facts))} pointer "
-          "values never built")
-    print(disassemble(program.instructions, helper_names=inverse,
-                      comments=comments))
-    return 0
+    return _print_report("\n".join((
+        f"; {program.name}: {len(program)} instructions, verified "
+        f"({stats.states_explored} states explored)",
+        f"; {sum(pc not in vm.guarded for pc in memory)} of "
+        f"{len(memory)} memory sites proven",
+        f"; {len(vm.unboxed)} of "
+        f"{len(pointer_values(program, program.proof.facts))} pointer "
+        "values never built",
+        disassemble(program.instructions, helper_names=inverse,
+                    comments=comments))))
 
 
 def _cmd_verify_demo(args) -> int:
@@ -252,16 +276,17 @@ def _cmd_verify_demo(args) -> int:
         """),
         ("uninitialised register", "mov r0, r7\nexit"),
     ]
+    lines = []
     for label, source in samples:
         program = Program(assemble(source, helpers.names()), layout,
                           name=label)
         try:
             stats = verify(program, helpers, state_budget=5000)
-            print(f"ACCEPT  {label}  "
-                  f"({stats.states_explored} states explored)")
+            lines.append(f"ACCEPT  {label}  "
+                         f"({stats.states_explored} states explored)")
         except VerifierError as error:
-            print(f"REJECT  {label}  -> {error}")
-    return 0
+            lines.append(f"REJECT  {label}  -> {error}")
+    return _print_report("\n".join(lines))
 
 
 def _add_runner_parser(sub, command: str, help_text: str, func):

@@ -16,17 +16,14 @@ single COMPACT RPC (the BPF-oF/RESYSTANCE shape).
 * :class:`~repro.compact.engine.CompactionEngine` — plans, executes
   (user-space or offloaded), and installs compactions on a
   :class:`~repro.structures.LsmTree`, with boundary-byte accounting.
-* :class:`~repro.compact.engine.MergeSink` — the merge fold: the
+* :class:`~repro.structures.lsm.MergeSink` — the merge fold: the
   helpers feed it in the kernel, user-space compaction feeds it the
-  pages it read up.
+  pages it read up, and the tree's own compaction feeds it its tables.
 """
 
-from repro.compact.engine import (
-    CompactionEngine,
-    CompactionReport,
-    MergeSink,
-)
+from repro.compact.engine import CompactionEngine, CompactionReport
 from repro.compact.programs import sstable_merge_program
+from repro.structures.lsm import MergeSink
 
 __all__ = [
     "CompactionEngine",

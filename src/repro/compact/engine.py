@@ -32,17 +32,17 @@ on the kernel's bus; ``attach_standard_metrics`` derives the
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core import Hook
 from repro.errors import InvalidArgument
 from repro.compact.programs import sstable_merge_program
 from repro.obs import events as obs_events
 from repro.structures import FsBackend, MemoryBackend, SsTable
-from repro.structures.lsm import TOMBSTONE
+from repro.structures.lsm import MergeSink
 from repro.structures.pages import PAGE_SIZE, SSTABLE_DATA_MAGIC, decode_page
 
-__all__ = ["CompactionEngine", "CompactionReport", "MergeSink"]
+__all__ = ["CompactionEngine", "CompactionReport"]
 
 #: Bytes that cross the syscall boundary per offloaded run: the two u64
 #: scalar results (emitted, dropped) of the terminating chain hop.
@@ -50,39 +50,6 @@ SCALAR_RESULT_BYTES = 16
 
 #: Scratch bytes of the merge program: the emitted and dropped counters.
 SCRATCH_SIZE = 64
-
-
-class MergeSink:
-    """The k-way merge fold both modes stream entries into.
-
-    The offloaded mode feeds it from the kernel through the compact
-    helpers, the user mode from the pages it read up.  Runs are
-    streamed oldest first, so a plain upsert gives newer entries
-    precedence, and ``drop`` retires a bottom-level tombstoned key.
-    The running counters are what the merge program mirrors into its
-    scratch area and returns through result/result2.
-    """
-
-    __slots__ = ("entries", "emitted", "dropped")
-
-    def __init__(self):
-        self.entries: Dict[int, int] = {}
-        self.emitted = 0
-        self.dropped = 0
-
-    def emit(self, key: int, value: int) -> int:
-        self.entries[key] = value
-        self.emitted += 1
-        return self.emitted
-
-    def drop(self, key: int) -> int:
-        self.entries.pop(key, None)
-        self.dropped += 1
-        return self.dropped
-
-    def items(self) -> List[Tuple[int, int]]:
-        """The merged run in key order."""
-        return sorted(self.entries.items())
 
 
 @dataclasses.dataclass
@@ -189,7 +156,7 @@ class CompactionEngine:
 
     def _merge_user(self, proc, input_paths, drop_tombstones, report):
         kernel = self.kernel
-        sink = MergeSink()
+        sink = MergeSink(drop_tombstones)
         for path in input_paths:  # oldest first, newer overwrites
             fd = yield from kernel.sys_open(proc, path)
             # Walk the same pages the chain walks: the data run starts
@@ -205,12 +172,7 @@ class CompactionEngine:
                 magic, _level, entries = decode_page(result.data)
                 if magic != SSTABLE_DATA_MAGIC:
                     break
-                # The merge program's choice, made in user space.
-                for key, value in entries:
-                    if drop_tombstones and value == TOMBSTONE:
-                        sink.drop(key)
-                    else:
-                        sink.emit(key, value)
+                sink.fold(entries)  # the merge program's choice, on the host
                 offset += PAGE_SIZE
             yield from kernel.sys_close(proc, fd)
         report.emitted = sink.emitted

@@ -44,7 +44,7 @@ from repro.errors import InvalidArgument, IoError, PowerLossError
 from repro.kernel import ChainStatus, Kernel, ReadResult
 from repro.kernel.process import File, Process
 from repro.core.accounting import ChainAccounting
-from repro.core.extent_cache import NvmeExtentCache, Translation
+from repro.core.extent_cache import NvmeExtentCache
 from repro.core.hooks import (
     ACTION_RESUBMIT,
     ACTION_RETURN_BUFFER,
@@ -407,14 +407,13 @@ class ChainEngine:
                     self.chains_completed += 1
                 state.finish(result)
                 return False
-            translation = entry.translate(next_offset, state.length,
-                                          span=hop_span)
+            runs = entry.translate(next_offset, state.length, span=hop_span)
             state.offset = next_offset
-            if translation.status == Translation.MISS:
+            if runs is None:
                 self.extent_aborts += 1
                 state.fail(ChainStatus.EXTENT_INVALIDATED)
                 return False
-            if translation.status == Translation.SPLIT:
+            if len(runs) > 1:
                 # Granularity mismatch (§4): perform the split I/O as a
                 # normal BIO from the completion path and hand the *new*
                 # buffer to the application, which runs the function
@@ -462,8 +461,8 @@ class ChainEngine:
             # this hop's span: the next completion charges its device time
             # here, making "which layers did this hop touch" directly
             # readable.
-            kernel.repost(command, translation.lba, translation.sectors,
-                          "bpf-recycle", hop_span)
+            lba, sectors = runs[0]
+            kernel.repost(command, lba, sectors, "bpf-recycle", hop_span)
             return True
         except GeneratorExit:
             hop_span = 0  # abandoned mid-flight: the hop never ended

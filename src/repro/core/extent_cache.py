@@ -1,10 +1,14 @@
 """The NVMe-layer soft-state extent cache (paper §4, Translation & Security).
 
-When the install ioctl attaches a function to a file, the file's extents are
-snapshotted into this cache.  Chained resubmissions translate file offsets
-to LBAs against the snapshot **without any file-system call** — the whole
-point of the design — and can only ever reach blocks belonging to that file
-(the security property).
+When the install ioctl attaches a function to a file, the file's extent
+tree is snapshotted into this cache: a :meth:`ExtentTree.snapshot` copy,
+translated by the file system's own :meth:`ExtentTree.map_range`.
+Chained resubmissions translate file offsets to LBAs against the snapshot
+**without any file-system call** — the whole point of the design — and can
+only ever reach blocks belonging to that file (the security property).  A
+range that touches a hole misses (``EEXTENT``) even when it also crosses
+discontiguous extents: the hole is found before a split is reported, so
+the split fallback only ever reads mapped blocks.
 
 Every installation holds its own snapshot, so one file can have several
 (two processes, or two descriptors, with the walker installed on it).  The
@@ -18,93 +22,51 @@ protocol of the paper.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.device.blockdev import SECTOR_SIZE
-from repro.kernel.extfs import BLOCK_SIZE, ExtFs, Inode, SECTORS_PER_BLOCK
+from repro.kernel.extent import ExtentTree
+from repro.kernel.extfs import ExtFs, Inode
 from repro.obs import events as obs_events
 from repro.obs.bus import NULL_BUS, TraceBus
 
-__all__ = ["CacheEntry", "NvmeExtentCache", "Translation"]
-
-
-@dataclass(frozen=True)
-class Translation:
-    """Outcome of translating (offset, length) against a snapshot."""
-
-    MISS = "miss"          # not covered by the snapshot -> EEXTENT
-    SPLIT = "split"        # crosses discontiguous extents -> BIO fallback
-    OK = "ok"
-
-    status: str
-    lba: int = -1
-    sectors: int = 0
+__all__ = ["CacheEntry", "NvmeExtentCache"]
 
 
 class CacheEntry:
-    """One file's snapshotted extents, valid while ``valid`` is True."""
+    """One installation's copy of a file's extent tree, valid while
+    ``valid`` is True."""
 
-    __slots__ = ("ino", "extents", "epoch", "valid", "bus", "clock",
-                 "_starts")
+    __slots__ = ("ino", "extents", "epoch", "valid", "bus", "clock")
 
-    def __init__(self, ino: int, extents: List[Tuple[int, int, int]],
-                 epoch: int, bus: TraceBus = NULL_BUS,
+    def __init__(self, ino: int, extents: ExtentTree, epoch: int,
+                 bus: TraceBus = NULL_BUS,
                  clock: Callable[[], int] = lambda: 0):
         self.ino = ino
-        # (file_block, phys_block, count), sorted by file_block.
-        self.extents = sorted(extents)
+        self.extents = extents
         self.epoch = epoch
         self.valid = True
         self.bus = bus
         self.clock = clock
-        # Extent starts, for O(log n) block lookups on fragmented files.
-        self._starts = [extent[0] for extent in self.extents]
-
-    def lookup_block(self, file_block: int) -> Optional[int]:
-        index = bisect.bisect_right(self._starts, file_block) - 1
-        if index < 0:
-            return None
-        start, phys, count = self.extents[index]
-        if file_block < start + count:
-            return phys + (file_block - start)
-        return None
 
     def translate(self, offset: int, length: int,
-                  span: int = 0) -> Translation:
-        """Map a byte range to one contiguous LBA run, else SPLIT/MISS."""
-        result = self._translate(offset, length)
+                  span: int = 0) -> Optional[List[Tuple[int, int]]]:
+        """The ``(lba, sectors)`` runs of a byte range in the snapshot.
+
+        None is a miss (unaligned, a hole, or past the snapshot: the
+        chain ends ``EEXTENT``); more than one run is a split (the BIO
+        fallback).
+        """
+        runs = self.extents.map_range(offset, length)
         if self.bus.enabled:
-            etype = {
-                Translation.OK: obs_events.EXTENT_CACHE_HIT,
-                Translation.MISS: obs_events.EXTENT_CACHE_MISS,
-                Translation.SPLIT: obs_events.EXTENT_CACHE_SPLIT,
-            }[result.status]
+            if runs is None:
+                etype = obs_events.EXTENT_CACHE_MISS
+            elif len(runs) > 1:
+                etype = obs_events.EXTENT_CACHE_SPLIT
+            else:
+                etype = obs_events.EXTENT_CACHE_HIT
             self.bus.emit(etype, self.clock(), ino=self.ino, offset=offset,
                           length=length, span=span, path="chain")
-        return result
-
-    def _translate(self, offset: int, length: int) -> Translation:
-        if offset % SECTOR_SIZE or length % SECTOR_SIZE or length <= 0:
-            return Translation(Translation.MISS)
-        first_block = offset // BLOCK_SIZE
-        last_block = (offset + length - 1) // BLOCK_SIZE
-        first_phys = self.lookup_block(first_block)
-        if first_phys is None:
-            return Translation(Translation.MISS)
-        expected = first_phys
-        for block in range(first_block, last_block + 1):
-            phys = self.lookup_block(block)
-            if phys is None:
-                return Translation(Translation.MISS)
-            if phys != expected:
-                return Translation(Translation.SPLIT)
-            expected = phys + 1
-        within = offset % BLOCK_SIZE
-        lba = first_phys * SECTORS_PER_BLOCK + within // SECTOR_SIZE
-        return Translation(Translation.OK, lba=lba,
-                           sectors=length // SECTOR_SIZE)
+        return runs
 
 
 class NvmeExtentCache:
@@ -131,10 +93,7 @@ class NvmeExtentCache:
         """Snapshot the inode's extents; called by the install and refresh
         ioctls, which then :meth:`drop` the snapshot this one replaces."""
         self._epoch += 1
-        snapshot = [
-            (extent.file_block, extent.phys_block, extent.count)
-            for extent in inode.extents
-        ]
+        snapshot = inode.extents.snapshot()
         entry = CacheEntry(inode.number, snapshot, self._epoch,
                            bus=self.bus, clock=self.clock)
         self._entries.setdefault(inode.number, []).append(entry)

@@ -7,6 +7,11 @@ whether any previously mapped block was *unmapped or moved* — the event
 class the paper's §4 invalidation protocol cares about (growing a file
 without moving blocks does not invalidate the NVMe-layer cache, because the
 cached translations remain valid).
+
+:meth:`ExtentTree.map_range` is the one translation of a byte range to
+device sectors: the file system's BIO path and the NVMe-layer snapshot
+(:mod:`repro.core.extent_cache`, a :meth:`ExtentTree.snapshot`) both call
+it.
 """
 
 from __future__ import annotations
@@ -15,9 +20,13 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
+from repro.device.blockdev import SECTOR_SIZE
 from repro.errors import InvalidArgument
 
-__all__ = ["Extent", "ExtentTree"]
+__all__ = ["BLOCK_SIZE", "Extent", "ExtentTree", "SECTORS_PER_BLOCK"]
+
+BLOCK_SIZE = 4096
+SECTORS_PER_BLOCK = BLOCK_SIZE // SECTOR_SIZE
 
 
 @dataclass(frozen=True)
@@ -51,10 +60,17 @@ class Extent:
 
 
 class ExtentTree:
-    """A sorted, merged collection of non-overlapping extents."""
+    """A sorted, merged collection of non-overlapping extents.
+
+    ``_starts`` holds each extent's first file block, kept in step with
+    ``_extents`` by every mutation, so a lookup is one bisect.  No two
+    extents are both logically and physically adjacent: :meth:`add`
+    merges them.
+    """
 
     def __init__(self):
         self._extents: List[Extent] = []
+        self._starts: List[int] = []
         #: Bumped on every mapping mutation.
         self.version = 0
         #: Count of mutations that unmapped or moved an existing block.
@@ -69,54 +85,47 @@ class ExtentTree:
     def extents(self) -> List[Extent]:
         return list(self._extents)
 
-    def _find(self, file_block: int) -> Optional[int]:
-        """Index of the extent covering ``file_block``, or None."""
-        index = bisect.bisect_right(
-            [extent.file_block for extent in self._extents], file_block
-        ) - 1
-        if index >= 0 and self._extents[index].covers(file_block):
-            return index
-        return None
+    def snapshot(self) -> "ExtentTree":
+        """A copy that later mutations of this tree leave alone."""
+        copy = ExtentTree()
+        copy._extents = list(self._extents)
+        copy._starts = list(self._starts)
+        return copy
 
     def lookup(self, file_block: int) -> Optional[int]:
         """Physical block for ``file_block``, or None if unmapped (a hole)."""
-        index = self._find(file_block)
-        if index is None:
-            return None
-        return self._extents[index].translate(file_block)
+        index = bisect.bisect_right(self._starts, file_block) - 1
+        if index >= 0:
+            extent = self._extents[index]
+            if file_block < extent.file_end:
+                return extent.phys_block + (file_block - extent.file_block)
+        return None
 
     def add(self, extent: Extent) -> None:
-        """Map new blocks; the range must currently be unmapped."""
-        for block in (extent.file_block, extent.file_end - 1):
-            if self._find(block) is not None:
-                raise InvalidArgument(
-                    f"extent overlaps existing mapping at block {block}"
-                )
-        for existing in self._extents:
-            if (existing.file_block < extent.file_end and
-                    extent.file_block < existing.file_end):
+        """Map new blocks; the range must currently be unmapped.  A
+        neighbour that continues the new extent physically merges with it."""
+        extents = self._extents
+        index = bisect.bisect_right(self._starts, extent.file_block)
+        lo = hi = index
+        if index:
+            before = extents[index - 1]
+            if before.file_end > extent.file_block:
                 raise InvalidArgument("extent overlaps existing mapping")
-        index = bisect.bisect_right(
-            [existing.file_block for existing in self._extents],
-            extent.file_block,
-        )
-        self._extents.insert(index, extent)
-        self._merge_around(extent.file_block)
+            if _continues(before, extent):
+                lo -= 1
+                extent = Extent(before.file_block, before.phys_block,
+                                before.count + extent.count)
+        if index < len(extents):
+            after = extents[index]
+            if after.file_block < extent.file_end:
+                raise InvalidArgument("extent overlaps existing mapping")
+            if _continues(extent, after):
+                hi += 1
+                extent = Extent(extent.file_block, extent.phys_block,
+                                extent.count + after.count)
+        extents[lo:hi] = [extent]
+        self._starts[lo:hi] = [extent.file_block]
         self.version += 1
-
-    def _merge_around(self, file_block: int) -> None:
-        """Coalesce physically contiguous neighbours."""
-        merged: List[Extent] = []
-        for extent in self._extents:
-            if merged:
-                last = merged[-1]
-                if (last.file_end == extent.file_block and
-                        last.phys_block + last.count == extent.phys_block):
-                    merged[-1] = Extent(last.file_block, last.phys_block,
-                                        last.count + extent.count)
-                    continue
-            merged.append(extent)
-        self._extents = merged
 
     def punch(self, file_block: int, count: int) -> List[Extent]:
         """Unmap ``count`` blocks from ``file_block``; returns freed pieces.
@@ -149,34 +158,51 @@ class ExtentTree:
                            extent.file_end - cut_hi)
                 )
         if punched:
-            self._extents = sorted(remaining, key=lambda e: e.file_block)
+            self._extents = remaining  # built in file order
+            self._starts = [extent.file_block for extent in remaining]
             self.version += 1
             self.unmap_events += 1
         return punched
 
-    def map_range(self, file_block: int, count: int
-                  ) -> List[Tuple[int, int]]:
-        """Translate a block range into ``(phys_block, count)`` segments.
+    def map_range(self, offset: int, length: int
+                  ) -> Optional[List[Tuple[int, int]]]:
+        """Translate a byte range into ``(lba, sectors)`` runs.
 
-        Raises if any block in the range is a hole.  Adjacent physical
-        segments are coalesced, so the result length is the number of
-        discontiguous pieces — the BIO layer splits when it exceeds 1.
+        None if the range is not sector aligned or touches a hole.  A
+        discontiguity does not end the walk, so a hole anywhere in the
+        range is found: the hole is judged before contiguity.  Otherwise
+        there is one run per extent the range touches (merged neighbours
+        are never physically contiguous): more than one means the range
+        crosses discontiguous extents, and the BIO layer must split.
         """
-        if count < 1:
-            raise InvalidArgument("map_range count must be >= 1")
-        segments: List[Tuple[int, int]] = []
-        block = file_block
-        end = file_block + count
-        while block < end:
-            index = self._find(block)
-            if index is None:
-                raise InvalidArgument(f"file block {block} is unmapped")
-            extent = self._extents[index]
-            take = min(end, extent.file_end) - block
-            phys = extent.translate(block)
-            if segments and segments[-1][0] + segments[-1][1] == phys:
-                segments[-1] = (segments[-1][0], segments[-1][1] + take)
-            else:
-                segments.append((phys, take))
-            block += take
-        return segments
+        if offset % SECTOR_SIZE or length % SECTOR_SIZE or length <= 0:
+            return None
+        extents = self._extents
+        index = bisect.bisect_right(self._starts, offset // BLOCK_SIZE) - 1
+        if index < 0:
+            return None
+        end = offset + length
+        runs: List[Tuple[int, int]] = []
+        position = offset
+        while True:
+            extent = extents[index]
+            stop = min(end, extent.file_end * BLOCK_SIZE)
+            if stop <= position:
+                return None  # a hole at ``position``
+            runs.append(
+                ((extent.phys_block - extent.file_block) * SECTORS_PER_BLOCK
+                 + position // SECTOR_SIZE,
+                 (stop - position) // SECTOR_SIZE))
+            if stop == end:
+                return runs
+            index += 1
+            if index == len(extents) or \
+                    extents[index].file_block * BLOCK_SIZE != stop:
+                return None  # a hole at ``stop``
+            position = stop
+
+
+def _continues(left: Extent, right: Extent) -> bool:
+    """True when ``right`` follows ``left`` both in the file and on disk."""
+    return (left.file_end == right.file_block and
+            left.phys_block + left.count == right.phys_block)

@@ -38,15 +38,17 @@ from repro.errors import (
     NoSpace,
     NotADirectory,
 )
-from repro.kernel.extent import Extent, ExtentTree
+from repro.kernel.extent import (
+    BLOCK_SIZE,
+    SECTORS_PER_BLOCK,
+    Extent,
+    ExtentTree,
+)
 from repro.kernel.journal import Journal, JournalConfig, serialize_fs
 from repro.obs import events as obs_events
 from repro.obs.bus import NULL_BUS
 
 __all__ = ["BLOCK_SIZE", "ExtFs", "Inode", "SECTORS_PER_BLOCK"]
-
-BLOCK_SIZE = 4096
-SECTORS_PER_BLOCK = BLOCK_SIZE // SECTOR_SIZE
 
 
 class Inode:
@@ -519,34 +521,19 @@ class ExtFs:
                   ) -> List[Tuple[int, int]]:
         """Translate a byte range to ``(lba, sectors)`` segments.
 
-        Requires sector alignment (O_DIRECT semantics).  More than one
-        segment means the BIO layer must split.  ``span``/``path`` tag the
+        Requires sector alignment (O_DIRECT semantics) and mapped blocks
+        (:meth:`ExtentTree.map_range`).  More than one segment means the
+        BIO layer must split.  ``span``/``path`` tag the
         emitted ``fs_resolve`` tracepoint; the CPU cost itself is charged
         by the caller, mirrored here as ``cpu_ns`` (``resolve_ns``
         overrides it for call sites that charge a different amount, e.g.
         the IRQ-context split fallback which charges no fs cost).
         """
-        if offset % SECTOR_SIZE or length % SECTOR_SIZE or length <= 0:
+        segments = inode.extents.map_range(offset, length)
+        if segments is None:
             raise InvalidArgument(
-                f"O_DIRECT range must be 512-aligned: ({offset}, {length})"
-            )
-        segments: List[Tuple[int, int]] = []
-        position = offset
-        end = offset + length
-        while position < end:
-            block = position // BLOCK_SIZE
-            phys = inode.extents.lookup(block)
-            if phys is None:
-                raise InvalidArgument(f"read of unmapped block {block}")
-            within = position % BLOCK_SIZE
-            take = min(end - position, BLOCK_SIZE - within)
-            lba = phys * SECTORS_PER_BLOCK + within // SECTOR_SIZE
-            sectors = take // SECTOR_SIZE
-            if segments and segments[-1][0] + segments[-1][1] == lba:
-                segments[-1] = (segments[-1][0], segments[-1][1] + sectors)
-            else:
-                segments.append((lba, sectors))
-            position += take
+                f"O_DIRECT range ({offset}, {length}) is not 512-aligned "
+                "or touches a hole")
         if self.bus.enabled:
             self.bus.emit(obs_events.FS_RESOLVE, self.clock(),
                           ino=inode.number, offset=offset, length=length,
@@ -583,15 +570,9 @@ class ExtFs:
         if hi % SECTOR_SIZE:
             tail = max(lo, (hi - 1) // BLOCK_SIZE * BLOCK_SIZE)
         if lo < tail:
-            block = lo // BLOCK_SIZE
-            blocks = -(-tail // BLOCK_SIZE) - block
-            for phys, count in inode.extents.map_range(block, blocks):
-                stop = min(tail, (block + count) * BLOCK_SIZE)
-                self.media.write(
-                    phys * SECTORS_PER_BLOCK
-                    + (lo - block * BLOCK_SIZE) // SECTOR_SIZE,
-                    data[lo - offset:stop - offset])
-                block += count
+            for lba, sectors in inode.extents.map_range(lo, tail - lo):
+                stop = lo + sectors * SECTOR_SIZE
+                self.media.write(lba, data[lo - offset:stop - offset])
                 lo = stop
         if tail < hi:
             self._patch_block(inode.extents.lookup(tail // BLOCK_SIZE),

@@ -31,8 +31,8 @@ from repro.structures.pages import (
     FsBackend,
     MemoryBackend,
     decode_page,
+    descend,
     encode_page,
-    search_page,
 )
 
 __all__ = ["BTree", "BTreeMeta"]
@@ -187,28 +187,8 @@ class BTree:
 
     def lookup(self, key: int) -> Optional[int]:
         """Value for ``key``, or None; reads ``depth`` pages."""
-        value, _pages = self.lookup_traced(key)
-        return value
-
-    def lookup_traced(self, key: int) -> Tuple[Optional[int], List[int]]:
-        """Like :meth:`lookup` but also returns the page offsets visited."""
-        offset = self.meta.root_offset
-        visited = [offset]
-        for _level in range(self.meta.depth - 1):
-            page = self.backend.read(offset, PAGE_SIZE)
-            _index, child = search_page(page, key)
-            if child is None:
-                return None, visited
-            offset = child
-            visited.append(offset)
-        page = self.backend.read(offset, PAGE_SIZE)
-        index, value = search_page(page, key)
-        if index < 0:
-            return None, visited
-        entry_key = struct.unpack_from("<Q", page, 16 + 16 * index)[0]
-        if entry_key != key:
-            return None, visited
-        return value, visited
+        return descend(self.backend, self.meta.root_offset,
+                       self.meta.depth - 1, key)
 
     def range_scan(self, low: int, high: int) -> List[Tuple[int, int]]:
         """All (key, value) pairs with low <= key < high (leaf walk)."""

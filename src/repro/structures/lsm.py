@@ -43,11 +43,12 @@ from repro.structures.pages import (
     FANOUT_MAX,
     FileBackend,
     FsBackend,
+    decode_page,
+    descend,
     encode_page,
-    search_page,
 )
 
-__all__ = ["BloomFilter", "CompactionPlan", "LsmTree", "SsTable",
+__all__ = ["BloomFilter", "CompactionPlan", "LsmTree", "MergeSink", "SsTable",
            "TOMBSTONE"]
 
 #: Reserved value marking a deletion.
@@ -269,47 +270,66 @@ class SsTable:
 
         Returns the stored value (possibly TOMBSTONE) or None if absent.
         """
-        value, _visited = self.get_traced(key)
-        return value
-
-    def get_traced(self, key: int) -> Tuple[Optional[int], List[int]]:
-        offset = self.root_index_offset
-        visited = [offset]
-        for _level in (2, 1):
-            page = self.backend.read(offset, PAGE_SIZE)
-            _index, child = search_page(page, key)
-            if child is None:
-                return None, visited
-            offset = child
-            visited.append(offset)
-        page = self.backend.read(offset, PAGE_SIZE)
-        index, value = search_page(page, key)
-        if index < 0:
-            return None, visited
-        entry_key = struct.unpack_from("<Q", page, 16 + 16 * index)[0]
-        if entry_key != key:
-            return None, visited
-        return value, visited
+        return descend(self.backend, self.root_index_offset, 2, key)
 
     def entries(self) -> Iterator[Tuple[int, int]]:
         """All entries in key order (for compaction merges)."""
         offset = self.root_index_offset
         root = self.backend.read(offset, PAGE_SIZE)
-        _m, _l, root_entries = _decode_entries(root)
+        _m, _l, root_entries = decode_page(root)
         for _first, index_offset in root_entries:
             index_page = self.backend.read(index_offset, PAGE_SIZE)
-            _m, _l, index_entries = _decode_entries(index_page)
+            _m, _l, index_entries = decode_page(index_page)
             for _first2, data_offset in index_entries:
                 data_page = self.backend.read(data_offset, PAGE_SIZE)
-                _m, _l, data_entries = _decode_entries(data_page)
+                _m, _l, data_entries = decode_page(data_page)
                 for key, value in data_entries:
                     yield key, value
 
 
-def _decode_entries(page: bytes):
-    from repro.structures.pages import decode_page
+class MergeSink:
+    """The k-way merge fold every compaction streams entries into.
 
-    return decode_page(page)
+    The offloaded merge feeds it from the kernel through the compact
+    helpers, with the merge program choosing between :meth:`emit` and
+    :meth:`drop`; :meth:`fold` makes the same choice on the host for the
+    user-space merge and :meth:`LsmTree._merge_tables`.  Runs are
+    streamed oldest first, so a plain upsert gives newer entries
+    precedence, and ``drop`` retires a bottom-level tombstoned key.
+    The running counters are what the merge program mirrors into its
+    scratch area and returns through result/result2.
+    """
+
+    __slots__ = ("entries", "emitted", "dropped", "drop_tombstones")
+
+    def __init__(self, drop_tombstones: bool = False):
+        self.entries: Dict[int, int] = {}
+        self.emitted = 0
+        self.dropped = 0
+        self.drop_tombstones = drop_tombstones
+
+    def emit(self, key: int, value: int) -> int:
+        self.entries[key] = value
+        self.emitted += 1
+        return self.emitted
+
+    def drop(self, key: int) -> int:
+        self.entries.pop(key, None)
+        self.dropped += 1
+        return self.dropped
+
+    def fold(self, entries: Iterable[Tuple[int, int]]) -> None:
+        """Stream one run's entries in: a tombstone is dropped when the
+        sink drops tombstones, everything else emitted."""
+        for key, value in entries:
+            if self.drop_tombstones and value == TOMBSTONE:
+                self.drop(key)
+            else:
+                self.emit(key, value)
+
+    def items(self) -> List[Tuple[int, int]]:
+        """The merged run in key order."""
+        return sorted(self.entries.items())
 
 
 class CompactionPlan:
@@ -525,14 +545,10 @@ class LsmTree:
         ``tables`` must be ordered oldest first, which is how the level
         lists store them.
         """
-        merged: Dict[int, int] = {}
-        for table in tables:  # oldest first, newer overwrites
-            for key, value in table.entries():
-                merged[key] = value
-        items = sorted(merged.items())
-        if drop_tombstones:
-            items = [(k, v) for k, v in items if v != TOMBSTONE]
-        return items
+        sink = MergeSink(drop_tombstones)
+        for table in tables:
+            sink.fold(table.entries())
+        return sink.items()
 
     # ------------------------------------------------------------------
     # Reads

@@ -36,6 +36,7 @@ __all__ = [
     "SSTABLE_INDEX_MAGIC",
     "SSTABLE_META_MAGIC",
     "decode_page",
+    "descend",
     "encode_page",
     "search_page",
 ]
@@ -108,6 +109,24 @@ def search_page(page: bytes, key: int) -> Tuple[int, Optional[int]]:
         return -1, None
     _key, value = ENTRY.unpack_from(page, PAGE_HEADER_SIZE + 16 * index)
     return index, value
+
+
+def descend(backend: FileBackend, offset: int, levels: int,
+            key: int) -> Optional[int]:
+    """Look ``key`` up from the page at ``offset`` down ``levels`` index
+    levels to a leaf, one page read per level, the way the BPF traversal
+    programs do: the value, or None.  The B-tree and the SSTable differ
+    only in ``levels``."""
+    for _level in range(levels):
+        _index, offset = search_page(backend.read(offset, PAGE_SIZE), key)
+        if offset is None:
+            return None
+    page = backend.read(offset, PAGE_SIZE)
+    index, value = search_page(page, key)
+    if index < 0 or \
+            ENTRY.unpack_from(page, PAGE_HEADER_SIZE + 16 * index)[0] != key:
+        return None
+    return value
 
 
 class FileBackend:

@@ -5,6 +5,7 @@ the classes under ``src/`` carry no accessor that only tests call.
 """
 
 from repro.device.blockdev import SECTOR_SIZE
+from repro.kernel.extent import BLOCK_SIZE
 
 
 def written_image(device):
@@ -58,3 +59,45 @@ def pending(accounting, owner):
     """Resubmissions `ChainAccounting` holds for ``owner`` since its last
     drain."""
     return accounting._pending.get(accounting.key_for(owner), 0)
+
+
+def map_range_per_block(tree, offset, length):
+    """A byte range's ``(lba, sectors)`` runs found one block at a time,
+    each block looked up by a linear scan of an `ExtentTree`'s extents and
+    physically adjacent pieces coalesced: the reference every range
+    translation must equal.  None for an unaligned range or one that
+    touches a hole."""
+    if offset % SECTOR_SIZE or length % SECTOR_SIZE or length <= 0:
+        return None
+    extents = list(tree)
+    runs = []
+    position, end = offset, offset + length
+    while position < end:
+        block = position // BLOCK_SIZE
+        phys = next((extent.phys_block + block - extent.file_block
+                     for extent in extents
+                     if extent.file_block <= block < extent.file_end), None)
+        if phys is None:
+            return None
+        stop = min(end, (block + 1) * BLOCK_SIZE)
+        lba = (phys * BLOCK_SIZE + position % BLOCK_SIZE) // SECTOR_SIZE
+        sectors = (stop - position) // SECTOR_SIZE
+        if runs and runs[-1][0] + runs[-1][1] == lba:
+            runs[-1] = (runs[-1][0], runs[-1][1] + sectors)
+        else:
+            runs.append((lba, sectors))
+        position = stop
+    return runs
+
+
+def record_reads(monkeypatch, backend):
+    """The offsets a `FileBackend` is read at from now on, in order."""
+    offsets = []
+    read = backend.read
+
+    def recording(offset, length):
+        offsets.append(offset)
+        return read(offset, length)
+
+    monkeypatch.setattr(backend, "read", recording)
+    return offsets

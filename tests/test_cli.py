@@ -1,7 +1,12 @@
 """Tests for the command-line front end."""
 
 import dataclasses
+import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +197,40 @@ def test_profile_dump_loads_in_pstats(tmp_path, capsys):
 def test_profile_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         main(["profile", "fig99", "--quick"])
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    # ``python -m repro metrics compaction --quick | grep -q ...``: the
+    # reader is gone before the report prints.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "metrics", "compaction",
+             "--quick"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stderr == b""
+
+
+def test_a_closed_stdout_never_hides_a_failed_check(monkeypatch):
+    def violated(rows):
+        assert rows == [], "expected no rows"
+
+    broken = dataclasses.replace(BY_NAME["table1"], check=violated)
+    monkeypatch.setitem(cli.BY_NAME, "table1", broken)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    closed = io.TextIOWrapper(io.FileIO(write_end, "w"))
+    monkeypatch.setattr(sys, "stdout", closed)
+    try:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "--quick"])
+    finally:
+        monkeypatch.undo()
+        closed.close()
+    assert "table1: shape check failed" in str(excinfo.value.code)

@@ -74,6 +74,18 @@ def test_merge_sink_upserts_and_drops():
     assert (sink.emitted, sink.dropped) == (3, 1)
 
 
+def test_merge_sink_fold_drops_tombstones_only_when_asked():
+    run = [(1, TOMBSTONE), (2, 20)]
+    keeping = MergeSink()
+    keeping.fold(run)
+    assert keeping.items() == run
+    dropping = MergeSink(drop_tombstones=True)
+    dropping.emit(1, 10)  # an older run's version of key 1
+    dropping.fold(run)
+    assert dropping.items() == [(2, 20)]
+    assert (dropping.emitted, dropping.dropped) == (2, 1)
+
+
 def test_merge_program_verifies():
     _sim, _kernel, bpf = make_machine()
     program = sstable_merge_program()

@@ -474,6 +474,30 @@ def test_first_hop_split_surfaces_power_loss():
         kernel.run_syscall(bpf.read_chain(proc, fd, 4096, 8192))
 
 
+def test_hop_across_a_split_and_then_a_hole_ends_eextent():
+    # Blocks 0 and 1 of /list sit in separate extents (a one-block /other
+    # is allocated between them), block 2 is a hole and blocks 3-5 form
+    # one extent.  The hop from block 3 back to offset 0 crosses the
+    # discontiguity and then the hole: a miss, never a split whose
+    # fallback would read the unmapped block.
+    sim, kernel, bpf = build_machine()
+    fs = kernel.fs
+    inode = fs.create("/list")
+    fs.write_sync(inode, 0, linked_file_bytes([0]))
+    fs.write_sync(fs.create("/other"), 0, bytes(4096))
+    fs.write_sync(inode, 4096, bytes(4096))
+    fs.write_sync(inode, 3 * 4096,  # block 3 points to offset 0
+                  struct.pack("<QQ", 0, 1003).ljust(3 * 4096, b"\0"))
+    assert [(e.file_block, e.count) for e in inode.extents] == \
+        [(0, 1), (1, 1), (3, 3)]
+    proc, fd = install_walker(sim, kernel, bpf, "/list", block_size=12288)
+
+    result = kernel.run_syscall(bpf.read_chain(proc, fd, 12288, 12288))
+    assert result.status == ChainStatus.EXTENT_INVALIDATED
+    assert result.hops == 1
+    assert bpf.engine.split_fallbacks == 0
+
+
 @pytest.mark.parametrize("prior_hops", [0, 3],
                          ids=["uring-first-hop", "mid-chain"])
 def test_split_gather_delivers_once(prior_hops):

@@ -9,11 +9,12 @@ from repro.core import (
     storage_ctx_layout,
     storage_helpers,
 )
-from repro.core.extent_cache import Translation
+from repro.core.extent_cache import CacheEntry
 from repro.core.install import BpfInstallation
 from repro.device import BlockDevice
 from repro.ebpf import Program, assemble, verify
 from repro.errors import InvalidArgument, VerifierError
+from repro.kernel.extent import Extent, ExtentTree
 from repro.kernel.extfs import BLOCK_SIZE, ExtFs
 from simutil import newest_entry, pending
 
@@ -33,10 +34,8 @@ def test_cache_translate_ok():
     fs.write_sync(inode, 0, b"x" * (4 * BLOCK_SIZE))
     cache = NvmeExtentCache(fs)
     entry = cache.install(inode)
-    translation = entry.translate(BLOCK_SIZE, 512)
-    assert translation.status == Translation.OK
-    assert translation.sectors == 1
-    assert translation.lba == inode.extents.lookup(1) * 8
+    assert entry.translate(BLOCK_SIZE, 512) == \
+        [(inode.extents.lookup(1) * 8, 1)]
 
 
 def test_cache_translate_sub_block_offset():
@@ -45,9 +44,7 @@ def test_cache_translate_sub_block_offset():
     fs.write_sync(inode, 0, b"x" * BLOCK_SIZE)
     cache = NvmeExtentCache(fs)
     entry = cache.install(inode)
-    translation = entry.translate(1024, 512)
-    assert translation.status == Translation.OK
-    assert translation.lba == inode.extents.lookup(0) * 8 + 2
+    assert entry.translate(1024, 512) == [(inode.extents.lookup(0) * 8 + 2, 1)]
 
 
 def test_cache_translate_miss_beyond_snapshot():
@@ -59,8 +56,7 @@ def test_cache_translate_miss_beyond_snapshot():
     # Grow after install: new blocks are not in the snapshot.
     fs.write_sync(inode, BLOCK_SIZE, b"y" * BLOCK_SIZE)
     assert entry.valid  # growth does not invalidate...
-    translation = entry.translate(BLOCK_SIZE, 512)
-    assert translation.status == Translation.MISS  # ...but misses
+    assert entry.translate(BLOCK_SIZE, 512) is None  # ...but misses
 
 
 def test_cache_translate_split_across_extents():
@@ -70,8 +66,8 @@ def test_cache_translate_split_across_extents():
     assert len(inode.extents) == 2
     cache = NvmeExtentCache(fs)
     entry = cache.install(inode)
-    translation = entry.translate(0, 2 * BLOCK_SIZE)
-    assert translation.status == Translation.SPLIT
+    assert entry.translate(0, 2 * BLOCK_SIZE) == [
+        (inode.extents.lookup(0) * 8, 8), (inode.extents.lookup(1) * 8, 8)]
 
 
 def test_cache_translate_unaligned_misses():
@@ -79,8 +75,8 @@ def test_cache_translate_unaligned_misses():
     inode = fs.create("/f")
     fs.write_sync(inode, 0, b"x" * BLOCK_SIZE)
     entry = NvmeExtentCache(fs).install(inode)
-    assert entry.translate(100, 512).status == Translation.MISS
-    assert entry.translate(0, 100).status == Translation.MISS
+    assert entry.translate(100, 512) is None
+    assert entry.translate(0, 100) is None
 
 
 def test_cache_invalidated_on_unmap_only():
@@ -122,15 +118,22 @@ def test_cache_reinstall_revalidates():
     assert newest_entry(cache, inode) is second
 
 
+def snapshot_entry(extents):
+    """A cache entry holding a snapshot of a tree of ``extents``
+    (``(file_block, phys_block, count)``, added in the order given)."""
+    tree = ExtentTree()
+    for start, phys, count in extents:
+        tree.add(Extent(start, phys, count))
+    return CacheEntry(1, tree.snapshot(), epoch=1)
+
+
 def test_cache_lookup_block_many_extents_matches_linear_reference():
     """Regression for the bisect lookup on a heavily fragmented snapshot."""
-    from repro.core.extent_cache import CacheEntry
-
     # 500 one-block extents with a gap after each: file blocks 0, 2, 4, ...
-    # handed over deliberately unsorted.
+    # added deliberately in reverse.
     extents = [(2 * i, 1000 + 3 * i, 1) for i in range(500)]
     extents.reverse()
-    entry = CacheEntry(1, extents, epoch=1)
+    entry = snapshot_entry(extents)
 
     def linear(file_block):
         for start, phys, count in extents:
@@ -139,21 +142,19 @@ def test_cache_lookup_block_many_extents_matches_linear_reference():
         return None
 
     for file_block in range(-2, 1002):
-        assert entry.lookup_block(file_block) == linear(file_block), \
+        assert entry.extents.lookup(file_block) == linear(file_block), \
             file_block
 
 
 def test_cache_lookup_block_multi_block_extents():
-    from repro.core.extent_cache import CacheEntry
-
-    entry = CacheEntry(1, [(0, 100, 4), (8, 200, 2)], epoch=1)
-    assert entry.lookup_block(0) == 100
-    assert entry.lookup_block(3) == 103
-    assert entry.lookup_block(4) is None   # gap
-    assert entry.lookup_block(8) == 200
-    assert entry.lookup_block(9) == 201
-    assert entry.lookup_block(10) is None  # past the last extent
-    assert CacheEntry(1, [], epoch=1).lookup_block(0) is None
+    lookup = snapshot_entry([(0, 100, 4), (8, 200, 2)]).extents.lookup
+    assert lookup(0) == 100
+    assert lookup(3) == 103
+    assert lookup(4) is None   # gap
+    assert lookup(8) == 200
+    assert lookup(9) == 201
+    assert lookup(10) is None  # past the last extent
+    assert snapshot_entry([]).extents.lookup(0) is None
 
 
 def test_cache_force_invalidate_idempotent():

@@ -16,6 +16,7 @@ from repro.structures.pages import (
     encode_page,
     search_page,
 )
+from simutil import record_reads
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +100,11 @@ def test_lookup_missing_keys():
     assert tree.lookup(10**9) is None      # above all keys
 
 
-def test_lookup_traced_visits_depth_pages():
+def test_lookup_traced_visits_depth_pages(monkeypatch):
     tree, reference = build_tree(200, fanout=4)
     key = next(iter(reference))
-    value, visited = tree.lookup_traced(key)
-    assert value == reference[key]
+    visited = record_reads(monkeypatch, tree.backend)
+    assert tree.lookup(key) == reference[key]
     assert len(visited) == tree.depth
     assert visited[0] == tree.meta.root_offset
 

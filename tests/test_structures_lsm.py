@@ -14,6 +14,7 @@ from repro.kernel.extfs import ExtFs
 from repro.structures import KvStore, LsmTree, MemoryBackend, SsTable
 from repro.structures.lsm import (_LANES, TOMBSTONE, BloomFilter,
                                   CompactionPlan)
+from simutil import record_reads
 
 
 def make_fs(blocks=4096):
@@ -147,11 +148,11 @@ def test_sstable_build_and_get():
     assert table.get(10**9) is None
 
 
-def test_sstable_get_traced_is_three_hops():
+def test_sstable_get_traced_is_three_hops(monkeypatch):
     items = [(i, i) for i in range(600)]
     table = SsTable.build(MemoryBackend(), items)
-    value, visited = table.get_traced(599)
-    assert value == 599
+    visited = record_reads(monkeypatch, table.backend)
+    assert table.get(599) == 599
     assert len(visited) == 3  # root index -> index -> data
 
 
