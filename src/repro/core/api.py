@@ -216,22 +216,16 @@ class StorageBpf:
                    args: Tuple[int, ...] = (), scratch_init: bytes = b""):
         """One tagged read: a ``sys_pread`` the installed hook drives.
 
-        Checks what the chain needs (at most 4 args, an installation, a
-        length equal to its block size), then enters the kernel like any
-        tagged read, carrying the args and scratch in the hook state.
+        Refuses a descriptor with no installation (:class:`NotInstalled`);
+        the kernel's chain engine checks the request itself (at most 4
+        args, a length equal to the block size, a ``scratch_init`` that
+        fits the scratch) before the syscall is charged.
         """
-        if len(args) > 4:
-            raise InvalidArgument("at most 4 per-read args")
-        installation: Optional[BpfInstallation] = proc.file(fd).bpf_install
-        if installation is None:
+        if proc.file(fd).bpf_install is None:
             raise NotInstalled(f"fd {fd} has no installed program")
-        if length != installation.block_size:
-            raise InvalidArgument(
-                f"chain reads recycle one descriptor: length {length} must "
-                f"equal the installed block size {installation.block_size}")
         result = yield from self.kernel.sys_pread(
-            proc, fd, offset, length, tagged=True,
-            hook_state={"args": args, "scratch_init": scratch_init})
+            proc, fd, offset, length, tagged=True, args=args,
+            scratch_init=scratch_init)
         return result
 
     # ------------------------------------------------------------------
@@ -326,8 +320,7 @@ class StorageBpf:
         cost = kernel.cost
         file = proc.file(fd)
         state = ChainState(proc, file, file.bpf_install, result.final_offset,
-                           len(result.data), args, result.scratch or b"",
-                           None)
+                           len(result.data), args, result.scratch or b"")
         state.hops = result.hops
 
         def charge(bpf_ns: int):

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import struct
 from functools import partial
-from typing import Any, Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.device import NvmeCommand
 from repro.errors import InvalidArgument, IoError, PowerLossError
@@ -68,7 +68,13 @@ _CTX_OUTPUTS = struct.Struct("<4Q")
 
 
 class ChainState:
-    """Mutable state of one in-flight chain."""
+    """Mutable state of one in-flight chain.
+
+    Its constructor is the one check of a chain request (at most 4 args, a
+    length equal to the installed block size, a ``scratch_init`` that fits
+    the installed scratch), so the program only ever runs over regions the
+    size it was verified against.  ``deliver`` is set by the entry.
+    """
 
     __slots__ = ("proc", "file", "install", "offset", "length", "scratch",
                  "args", "hops", "attempts", "deliver", "done", "span",
@@ -76,11 +82,18 @@ class ChainState:
 
     def __init__(self, proc: Process, file: File, install: BpfInstallation,
                  offset: int, length: int, args: Tuple[int, ...],
-                 scratch_init: bytes,
-                 deliver: Optional[Callable[[ReadResult], None]]):
+                 scratch_init: bytes):
         if len(args) > 4:  # arg0-arg3 of the context struct, no more
             raise InvalidArgument(
                 f"a chain carries at most 4 args, got {len(args)}")
+        if length != install.block_size:
+            raise InvalidArgument(
+                f"chain reads recycle one descriptor: length {length} must "
+                f"equal the installed block size {install.block_size}")
+        if len(scratch_init) > install.scratch_size:
+            raise InvalidArgument(
+                f"scratch_init of {len(scratch_init)}B exceeds the installed "
+                f"scratch of {install.scratch_size}B")
         self.proc = proc
         self.file = file
         self.install = install
@@ -93,7 +106,7 @@ class ChainState:
         self.hops = 0
         #: Consecutive retries of the current hop's read (reset on success).
         self.attempts = 0
-        self.deliver = deliver
+        self.deliver: Optional[Callable[[ReadResult], None]] = None
         self.done = False
         #: Root span id of this chain (0 when tracing is disabled).
         self.span = 0
@@ -204,25 +217,37 @@ class ChainEngine:
                                 hops=state.hops, final_offset=state.offset)
 
     # ------------------------------------------------------------------
+    # The one entry (both hooks)
+    # ------------------------------------------------------------------
+
+    def begin(self, proc: Process, file: File, offset: int, length: int,
+              args: Tuple[int, ...] = (),
+              scratch_init: bytes = b"") -> ChainState:
+        """The one constructor of a tagged read's :class:`ChainState`, on
+        either hook.
+
+        Every entry (``sys_pread``, ``IoUring.enter``) calls it before it
+        charges anything, opens a span or posts a command, so a request
+        the state refuses (:class:`InvalidArgument`) costs nothing and
+        reaches no device.  The entry then sets the root ``span``.
+        """
+        state = ChainState(proc, file, file.bpf_install, offset, length,
+                           args, scratch_init)
+        state.queue = self.kernel.queue_for(proc)
+        return state
+
+    # ------------------------------------------------------------------
     # NVMe-hook chains
     # ------------------------------------------------------------------
 
-    def _begin(self, proc: Process, file: File, offset: int, length: int,
-               args: Tuple[int, ...], scratch_init: bytes,
-               deliver: Callable[[ReadResult], None], span: int):
-        """Generator: what both entry points do before the first command
-        (thread context): descend ext4 + BIO and build the
-        :class:`ChainState` under the root ``span`` the caller opened.
-        Returns ``(state, segments)``."""
-        kernel = self.kernel
+    def _descend(self, state: ChainState):
+        """Generator: an NVMe-hook chain's first ext4 + BIO descent (thread
+        context), under the root span the entry opened; returns the
+        segments."""
         self.chains_started += 1
-        segments = yield from kernel.map_bio(file, offset, length, span,
-                                             "chain")
-        state = ChainState(proc, file, file.bpf_install, offset, length,
-                           args, scratch_init, deliver)
-        state.span = span
-        state.queue = kernel.queue_for(proc)
-        return state, segments
+        return (yield from self.kernel.map_bio(state.file, state.offset,
+                                               state.length, state.span,
+                                               "chain"))
 
     def _first_hop(self, state: ChainState, lba: int, sectors: int):
         """Generator: post the chain-tagged read of a single-extent first
@@ -243,23 +268,20 @@ class ChainEngine:
         bus.span_end(state.span, self.kernel.sim.now, status=result.status,
                      hops=result.hops)
 
-    def start_chain(self, proc: Process, file: File, offset: int,
-                    length: int, hook_state: dict):
+    def start_chain(self, state: ChainState):
         """Generator: ``sys_pread``'s NVMe-hook path (thread context,
         syscall entry already charged).
 
         Runs the first hop through the full stack, then blocks while the
         chain progresses in interrupt context; closes the root span the
-        syscall opened (``hook_state["span"]``).  Returns a ReadResult.
+        syscall opened (``state.span``).  Returns a ReadResult.
         """
         kernel = self.kernel
         cost = kernel.cost
         bus = kernel.bus
         waiter = kernel.sim.event()
-        state, segments = yield from self._begin(
-            proc, file, offset, length, hook_state.get("args", ()),
-            hook_state.get("scratch_init", b""), waiter.succeed,
-            hook_state["span"])
+        state.deliver = waiter.succeed
+        segments = yield from self._descend(state)
         if len(segments) > 1:
             # First hop already spans discontiguous extents: do it as a
             # normal BIO and let the application restart the chain (§4).
@@ -268,14 +290,14 @@ class ChainEngine:
                 data = yield from kernel.transfer(
                     "read", segments, what="chain read", span=state.span,
                     path="chain", queue=state.queue,
-                    tenant=kernel.tenant_of(proc))
+                    tenant=kernel.tenant_of(state.proc))
                 self.split_fallbacks += 1
                 result = ReadResult(data, status=ChainStatus.SPLIT_FALLBACK,
-                                    final_offset=offset,
+                                    final_offset=state.offset,
                                     scratch=bytes(state.scratch))
             except IoError:
                 result = ReadResult(b"", status=ChainStatus.EIO,
-                                    final_offset=offset,
+                                    final_offset=state.offset,
                                     scratch=bytes(state.scratch))
         else:
             yield from self._first_hop(state, *segments[0])
@@ -288,28 +310,27 @@ class ChainEngine:
             self._complete(state, result)
         return result
 
-    def submit_uring_chain(self, proc: Process, file: File, sqe,
-                           post_cqe: Callable[[Any, ReadResult], None],
-                           span: int):
+    def submit_uring_chain(self, state: ChainState,
+                           post_cqe: Callable[[ReadResult], None]):
         """Generator: io_uring's NVMe-hook path (thread context); the chain
-        closes the SQE's root ``span`` when it delivers."""
+        closes the SQE's root span (``state.span``) when it delivers."""
         kernel = self.kernel
 
-        def deliver(result: ReadResult) -> None:  # runs after _begin
+        def deliver(result: ReadResult) -> None:
             if kernel.bus.enabled:
                 self._complete(state, result)
-            post_cqe(sqe.user_data, result)
+            post_cqe(result)
 
-        state, segments = yield from self._begin(
-            proc, file, sqe.offset, sqe.length, sqe.args, sqe.scratch_init,
-            deliver, span)
+        state.deliver = deliver
+        segments = yield from self._descend(state)
         if len(segments) > 1:
             # Split first hop: complete as a normal read with fallback
             # status.
             yield from kernel.gather(
                 segments, kernel.cpus.run_thread,
                 partial(self._finish_split, state), span=state.span,
-                path="chain", queue=state.queue, tenant=kernel.tenant_of(proc))
+                path="chain", queue=state.queue,
+                tenant=kernel.tenant_of(state.proc))
             self.split_fallbacks += 1
             return
         yield from self._first_hop(state, *segments[0])
@@ -539,34 +560,29 @@ class ChainEngine:
     # Syscall-dispatch hook
     # ------------------------------------------------------------------
 
-    def syscall_hook(self, proc: Process, file: File, offset: int,
-                     result: ReadResult, hook_state: dict):
+    def syscall_hook(self, state: ChainState, offset: int,
+                     result: ReadResult):
         """Generator: one step of ``sys_pread``'s dispatch loop on a
-        syscall-hook installation (thread context).
+        syscall-hook installation (thread context), over the state
+        :meth:`begin` built for the read.
 
-        Runs the program over the completed read.  Returns
+        Runs the program over the completed read at ``offset``.  Returns
         ``(next_offset, None)`` to reissue without returning to user
         space, or ``(None, result)`` to end the read.
         """
         kernel = self.kernel
-        state = hook_state.get("chain")
-        if state is None:
-            state = ChainState(proc, file, file.bpf_install, offset,
-                               len(result.data), hook_state.get("args", ()),
-                               hook_state.get("scratch_init", b""), None)
-            hook_state["chain"] = state
         state.offset = offset
         state.hops += 1
-        span = hook_state["span"]
+        span = state.span
         next_offset, final = yield from self.verdict(
             state, result.data, kernel.cpus.run_thread, "syscall", span,
             "syscall")
         if final is None:
-            self.accounting.charge(proc)
+            self.accounting.charge(state.proc)
             state.install.resubmissions += 1
             if kernel.bus.enabled:
                 kernel.bus.emit(obs_events.CHAIN_HOP, kernel.sim.now,
                                 hop=state.hops, offset=next_offset,
-                                pid=proc.pid, span=span, parent=span,
+                                pid=state.proc.pid, span=span, parent=span,
                                 path="syscall")
         return next_offset, final

@@ -158,7 +158,7 @@ class NvmeDevice:
         self._wfq = None
         if qos is not None:
             from repro.qos.shapers import WfqScheduler
-            self._wfq = [WfqScheduler(qos.weight_of) for _ in range(queues)]
+            self._wfq = [WfqScheduler(qos.config.weight_of) for _ in range(queues)]
         #: Registered by the NVMe driver; invoked once per completion at the
         #: simulated completion instant.
         self.completion_handler: Optional[Callable[[NvmeCommand], None]] = None

@@ -1206,11 +1206,6 @@ _ARITH = {(base, is32): _arith(base, is32)
           for base in _ALU_BASES - {"mov", "neg"} for is32 in (False, True)}
 
 
-def _scalar_alu(base: str, a: Scalar, b: Scalar, is32: bool) -> Scalar:
-    """`_ARITH`'s transfer of one operation, applied to ``a`` and ``b``."""
-    return _ARITH[base, is32](a, b)
-
-
 # Branch refinement: per comparison, a function of the two operands'
 # ranges to their ranges on the edge where the comparison holds, or None
 # if it cannot hold.

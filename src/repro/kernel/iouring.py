@@ -9,9 +9,12 @@ reaping thread blocks until ``wait_nr`` CQEs are available.
 
 A tagged SQE goes where :meth:`Kernel.read_path` sends a tagged
 ``sys_pread``: on an NVMe-hook installation to the kernel's chain engine,
-whose CQE is posted only when the chain finishes.  io_uring has no dispatch
-loop to run the syscall hook in, so an SQE tagged for it completes at once
-with ``EINVAL`` and no device I/O.
+whose CQE is posted only when the chain finishes.  The refusal rule: an
+SQE tagged for the syscall hook (io_uring has no dispatch loop to run it
+in), or one the chain engine's ``begin`` refuses (more than 4 args, a
+length other than the installed block size, a ``scratch_init`` larger than
+the installed scratch), completes at once with ``EINVAL``: no span, no
+per-SQE charge, no device I/O, and the rest of the batch goes on.
 """
 
 from __future__ import annotations
@@ -103,7 +106,15 @@ class IoUring:
         for sqe in submitted:
             file = self.proc.file(sqe.fd)
             path = kernel.read_path(file, sqe.tagged)
-            if path == "syscall":
+            refused = path == "syscall"
+            if path == "chain":
+                try:
+                    state = kernel.chains.begin(
+                        self.proc, file, sqe.offset, sqe.length, sqe.args,
+                        sqe.scratch_init)
+                except InvalidArgument:
+                    refused = True
+            if refused:
                 self._cq.append(Cqe(sqe.user_data, ReadResult(
                     b"", status=ChainStatus.EINVAL, final_offset=sqe.offset)))
                 continue
@@ -121,9 +132,10 @@ class IoUring:
                          pid=self.proc.pid, crossing_ns=0, syscall_ns=0,
                          uring_ns=cost.iouring_sqe_ns, path=path, span=span)
             if chained:
+                state.span = span
                 self._in_flight += 1
                 yield from kernel.chains.submit_uring_chain(
-                    self.proc, file, sqe, self._post_cqe, span)
+                    state, partial(self._post_cqe, sqe.user_data))
                 continue
             # Normal async path: fs -> bio -> driver, completion by IRQ.
             segments = yield from kernel.map_bio(file, sqe.offset,

@@ -140,7 +140,8 @@ class ChainStatus(str, enum.Enum):
     CHAIN_LIMIT = "echainlim"
     EIO = "eio"
     #: The program asked for an action the hooks do not define; also an
-    #: io_uring SQE tagged for the syscall hook, which io_uring cannot run.
+    #: io_uring SQE tagged for the syscall hook, which io_uring cannot run,
+    #: or one the chain engine's ``begin`` refuses.
     EINVAL = "einval"
 
     # Render as the bare value ("ok", not "ChainStatus.OK") on every
@@ -270,10 +271,12 @@ class Kernel:
         # --- slots filled in by repro.core --------------------------------
         #: The chain engine (``repro.core.chains.ChainEngine``, duck-typed),
         #: or None.  It takes every tagged read :meth:`read_path` sends
-        #: down a hook: ``start_chain`` (NVMe hook) and ``syscall_hook``
-        #: (the dispatch loop's step) for ``sys_pread``,
-        #: ``submit_uring_chain`` for io_uring; and ``handle_completion``
-        #: takes every completion whose cookie.kind == "chain".
+        #: down a hook: ``begin`` checks the request and builds its chain
+        #: state before anything is charged, then ``start_chain`` (NVMe
+        #: hook) and ``syscall_hook`` (the dispatch loop's step) take that
+        #: state for ``sys_pread``, ``submit_uring_chain`` for io_uring;
+        #: and ``handle_completion`` takes every completion whose
+        #: cookie.kind == "chain".
         self.chains: Any = None
         #: ioctl dispatch: op code -> generator fn(proc, file, arg) -> int.
         self.ioctl_handlers: Dict[int, Callable] = {}
@@ -300,7 +303,7 @@ class Kernel:
         exactly as before tenants existed.
         """
         if isinstance(tenant, str):
-            tenant = (self.qos.tenant(tenant) if self.qos is not None
+            tenant = (self.qos.config.tenant(tenant) if self.qos is not None
                       else Tenant(tenant))
         proc = Process(self._next_pid, name, tenant=tenant)
         self._next_pid += 1
@@ -314,25 +317,31 @@ class Kernel:
     # Syscalls (each is a generator run inside a simulated thread)
     # ------------------------------------------------------------------
 
-    def _emit_syscall(self, op: str, pid: int, path: str = "ctl",
-                      crossing_ns: Optional[int] = None,
-                      syscall_ns: Optional[int] = None, span: int = 0) -> None:
-        """Publish one ``syscall_enter`` event (bus must be enabled)."""
-        self.bus.emit(
-            obs_events.SYSCALL_ENTER, self.sim.now, op=op, pid=pid,
-            crossing_ns=(self.cost.kernel_crossing_ns if crossing_ns is None
-                         else crossing_ns),
-            syscall_ns=(self.cost.syscall_ns if syscall_ns is None
-                        else syscall_ns),
-            path=path, span=span)
+    def _enter(self, proc: Process, op: str, extra_ns: int = 0,
+               path: str = "ctl", span: int = 0):
+        """Generator: the one syscall entry step.
+
+        Counts the syscall, charges the boundary crossing, the dispatch
+        layer and ``extra_ns`` (the op's own work) as one thread run, then
+        publishes ``syscall_enter``.  A ``"reissue"``, the syscall hook's
+        return to the dispatch layer from inside the kernel, crosses no
+        boundary and is not counted.
+        """
+        cost = self.cost
+        crossing_ns = 0
+        if op != "reissue":
+            crossing_ns = cost.kernel_crossing_ns
+            self.syscall_count += 1
+        yield from self.cpus.run_thread(crossing_ns + cost.syscall_ns +
+                                        extra_ns)
+        if self.bus.enabled:
+            self.bus.emit(obs_events.SYSCALL_ENTER, self.sim.now, op=op,
+                          pid=proc.pid, crossing_ns=crossing_ns,
+                          syscall_ns=cost.syscall_ns, path=path, span=span)
 
     def sys_open(self, proc: Process, path: str, create: bool = False):
         """Open (optionally creating) a file; returns an fd."""
-        yield from self.cpus.run_thread(self.cost.kernel_crossing_ns +
-                                        self.cost.syscall_ns)
-        self.syscall_count += 1
-        if self.bus.enabled:
-            self._emit_syscall("open", proc.pid)
+        yield from self._enter(proc, "open")
         if create and not self.fs.exists(path):
             inode = self.fs.create(path)
             yield from self._maybe_sync_commit(0, "write")
@@ -342,44 +351,26 @@ class Kernel:
 
     def sys_unlink(self, proc: Process, path: str):
         """Remove a file name (and free its blocks)."""
-        yield from self.cpus.run_thread(self.cost.kernel_crossing_ns +
-                                        self.cost.syscall_ns +
-                                        self.cost.filesystem_ns)
-        self.syscall_count += 1
-        if self.bus.enabled:
-            self._emit_syscall("unlink", proc.pid)
+        yield from self._enter(proc, "unlink", self.cost.filesystem_ns)
         self.fs.unlink(path)
         yield from self._maybe_sync_commit(0, "write")
         return 0
 
     def sys_rename(self, proc: Process, old_path: str, new_path: str):
         """Atomically rename (the write-new-then-rename commit pattern)."""
-        yield from self.cpus.run_thread(self.cost.kernel_crossing_ns +
-                                        self.cost.syscall_ns +
-                                        self.cost.filesystem_ns)
-        self.syscall_count += 1
-        if self.bus.enabled:
-            self._emit_syscall("rename", proc.pid)
+        yield from self._enter(proc, "rename", self.cost.filesystem_ns)
         self.fs.rename(old_path, new_path)
         yield from self._maybe_sync_commit(0, "write")
         return 0
 
     def sys_close(self, proc: Process, fd: int):
-        yield from self.cpus.run_thread(self.cost.kernel_crossing_ns +
-                                        self.cost.syscall_ns)
-        self.syscall_count += 1
-        if self.bus.enabled:
-            self._emit_syscall("close", proc.pid)
+        yield from self._enter(proc, "close")
         proc.close_fd(fd)
         return 0
 
     def sys_ioctl(self, proc: Process, fd: int, op: int, arg: Any = None):
         """Dispatch to a registered ioctl handler (e.g. the BPF install)."""
-        yield from self.cpus.run_thread(self.cost.kernel_crossing_ns +
-                                        self.cost.syscall_ns)
-        self.syscall_count += 1
-        if self.bus.enabled:
-            self._emit_syscall("ioctl", proc.pid)
+        yield from self._enter(proc, "ioctl")
         if op not in self.ioctl_handlers:
             raise InvalidArgument(f"unknown ioctl op {op:#x}")
         file = proc.file(fd)
@@ -387,12 +378,7 @@ class Kernel:
         return result
 
     def sys_ftruncate(self, proc: Process, fd: int, size: int):
-        yield from self.cpus.run_thread(self.cost.kernel_crossing_ns +
-                                        self.cost.syscall_ns +
-                                        self.cost.filesystem_ns)
-        self.syscall_count += 1
-        if self.bus.enabled:
-            self._emit_syscall("ftruncate", proc.pid)
+        yield from self._enter(proc, "ftruncate", self.cost.filesystem_ns)
         self.fs.truncate(proc.file(fd).inode, size)
         yield from self._maybe_sync_commit(0, "write")
         return 0
@@ -408,22 +394,26 @@ class Kernel:
         return "chain" if install.hook_kind == "nvme" else "syscall"
 
     def sys_pread(self, proc: Process, fd: int, offset: int, length: int,
-                  tagged: bool = False,
-                  hook_state: Optional[Dict[str, Any]] = None):
+                  tagged: bool = False, args: Tuple[int, ...] = (),
+                  scratch_init: bytes = b""):
         """A synchronous O_DIRECT positional read.
 
         A ``tagged`` read goes where :meth:`read_path` sends it: down the
         NVMe-hook chain, or round the syscall hook's dispatch loop; the
         returned :class:`ReadResult` then reports chain status and hops.
-        ``hook_state`` (a dict scoped to this call, optionally carrying the
-        chain's ``"args"`` and ``"scratch_init"``) goes to the chain engine
-        with the root ``"span"`` added.
+        ``args`` and ``scratch_init`` parameterise the chain, as an io_uring
+        ``Sqe``'s do.  The chain engine's ``begin`` checks such a request
+        before the syscall is counted or charged, so a refused one raises
+        :class:`InvalidArgument` at no cost.
         """
         if length < 0:
             raise InvalidArgument("read length must be >= 0")
         file = proc.file(fd)
-        self.syscall_count += 1
         io_path = self.read_path(file, tagged)
+        state = None
+        if io_path != "normal":
+            state = self.chains.begin(proc, file, offset, length, args,
+                                      scratch_init)
         span = 0
         if self.bus.enabled:
             # The operation's root, before its first charge.  An NVMe-hook
@@ -431,16 +421,11 @@ class Kernel:
             span = self.bus.span_start(
                 "read_chain" if io_path == "chain" else "sys_pread",
                 self.sim.now, pid=proc.pid, path=io_path)
-        yield from self.cpus.run_thread(self.cost.kernel_crossing_ns +
-                                        self.cost.syscall_ns)
-        if self.bus.enabled:
-            self._emit_syscall("pread", proc.pid, path=io_path, span=span)
-        if hook_state is None:
-            hook_state = {}
-        hook_state["span"] = span
-        if io_path == "chain" and length:
-            result = yield from self.chains.start_chain(proc, file, offset,
-                                                        length, hook_state)
+        yield from self._enter(proc, "pread", path=io_path, span=span)
+        if state is not None:
+            state.span = span
+        if io_path == "chain":
+            result = yield from self.chains.start_chain(state)
             return result
 
         queue = self.queue_for(proc)
@@ -460,15 +445,13 @@ class Kernel:
                 if io_path != "syscall":
                     return result
                 offset, result = yield from self.chains.syscall_hook(
-                    proc, file, offset, result, hook_state)
+                    state, offset, result)
                 if result is not None:
                     return result
                 # Re-enter the dispatch layer without a boundary crossing
                 # or app-side processing.
-                yield from self.cpus.run_thread(self.cost.syscall_ns)
-                if self.bus.enabled:
-                    self._emit_syscall("reissue", proc.pid, path=io_path,
-                                       crossing_ns=0, span=span)
+                yield from self._enter(proc, "reissue", path=io_path,
+                                       span=span)
         except GeneratorExit:
             span = 0  # abandoned mid-flight: the operation never ended
             raise
@@ -485,18 +468,13 @@ class Kernel:
         """
         data = bytes(data)
         file = proc.file(fd)
-        self.syscall_count += 1
         cost = self.cost
         span = 0
         if self.bus.enabled:
             span = self.bus.span_start("sys_pwrite", self.sim.now,
                                        pid=proc.pid, path="write")
         try:
-            yield from self.cpus.run_thread(cost.kernel_crossing_ns +
-                                            cost.syscall_ns)
-            if self.bus.enabled:
-                self._emit_syscall("pwrite", proc.pid, path="write",
-                                   span=span)
+            yield from self._enter(proc, "pwrite", path="write", span=span)
             if not data:
                 return 0
             yield from self.cpus.run_thread(cost.filesystem_ns)
@@ -540,7 +518,6 @@ class Kernel:
         data — ext4's ordered mode.
         """
         proc.file(fd)  # validate the descriptor
-        self.syscall_count += 1
         self.fsyncs += 1
         cost = self.cost
         span = 0
@@ -549,10 +526,7 @@ class Kernel:
                                        pid=proc.pid, path="write")
         queue = self.queue_for(proc)
         try:
-            yield from self.cpus.run_thread(cost.kernel_crossing_ns +
-                                            cost.syscall_ns)
-            if self.bus.enabled:
-                self._emit_syscall("fsync", proc.pid, path="write", span=span)
+            yield from self._enter(proc, "fsync", path="write", span=span)
             yield from self._device_flush(span, "write", queue=queue)
             journal = self.fs.journal
             if journal is not None and journal.pending_txns:

@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional
 from repro.obs import events as obs_events
 from repro.obs.bus import NULL_BUS
 from repro.qos.shapers import TokenBucket
-from repro.qos.tenancy import QosConfig, Tenant
+from repro.qos.tenancy import QosConfig
 
 __all__ = ["QosManager"]
 
@@ -38,16 +38,6 @@ class QosManager:
         self.chain_throttle_ns: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    # Identity
-    # ------------------------------------------------------------------
-
-    def tenant(self, name: str) -> Tenant:
-        return self.config.tenant(name)
-
-    def weight_of(self, name: Optional[str]) -> int:
-        return self.config.weight_of(name)
-
-    # ------------------------------------------------------------------
     # Admission control (storage-target boundary)
     # ------------------------------------------------------------------
 
@@ -64,7 +54,7 @@ class QosManager:
         """
         if tenant_name is None:
             return 0
-        tenant = self.tenant(tenant_name)
+        tenant = self.config.tenant(tenant_name)
         rate = (tenant.admit_tokens_per_ms
                 if tenant.admit_tokens_per_ms is not None
                 else self.config.admit_tokens_per_ms)
@@ -110,7 +100,7 @@ class QosManager:
             return 0
         bucket = self._chain_buckets.get(tenant_name)
         if bucket is None:
-            bucket = TokenBucket(rate * self.weight_of(tenant_name),
+            bucket = TokenBucket(rate * self.config.weight_of(tenant_name),
                                  self.config.chain_burst,
                                  now_ns=self.clock())
             self._chain_buckets[tenant_name] = bucket

@@ -559,12 +559,7 @@ class LsmTree:
         if key in self.memtable:
             value = self.memtable[key]
             return None if value == TOMBSTONE else value
-        for _path, table in reversed(self.levels[0]):
-            if table.may_contain(key):
-                value = table.get(key)
-                if value is not None:
-                    return None if value == TOMBSTONE else value
-        for level in self.levels[1:]:
+        for level in self.levels:
             for _path, table in reversed(level):
                 if table.may_contain(key):
                     value = table.get(key)
@@ -575,18 +570,10 @@ class LsmTree:
     def candidate_tables(self, key: int) -> List[Tuple[str, SsTable]]:
         """Tables (newest first) whose bloom/range admit ``key`` — the set a
         BPF-accelerated get must chain through."""
-        candidates = [
-            (path, table)
-            for path, table in reversed(self.levels[0])
-            if table.may_contain(key)
-        ]
-        for level in self.levels[1:]:
-            candidates.extend(
-                (path, table)
+        return [(path, table)
+                for level in self.levels
                 for path, table in reversed(level)
-                if table.may_contain(key)
-            )
-        return candidates
+                if table.may_contain(key)]
 
     def table_count(self) -> int:
         return sum(len(level) for level in self.levels)

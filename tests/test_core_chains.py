@@ -515,7 +515,8 @@ def test_split_gather_delivers_once(prior_hops):
     def gather(count):
         delivered = []
         state = ChainState(proc, file, file.bpf_install, 8192, 4096,
-                           (0, 0, 0, 0), b"abc", delivered.append)
+                           (0, 0, 0, 0), b"abc")
+        state.deliver = delivered.append
         state.hops = prior_hops
         kernel.run_syscall(kernel.gather(
             segments[:count], kernel.cpus.run_thread,
@@ -877,6 +878,81 @@ def test_iouring_sqe_tagged_for_the_syscall_hook_is_einval():
     assert (cqe.user_data, cqe.result.status, cqe.result.data) == \
         ("tagged", ChainStatus.EINVAL, b"")
     assert kernel.device.completed == completed  # no device I/O
+
+
+# ---------------------------------------------------------------------------
+# One check of every chain request, whichever entry carries it
+# ---------------------------------------------------------------------------
+
+
+def _read_chain_entry(hook):
+    """A ``read_chain`` entry on a ``hook`` installation: ``(setup,
+    submit)``, where ``submit`` returns the ReadResult, or None when the
+    read raised :class:`InvalidArgument`."""
+
+    def setup(sim, kernel, bpf):
+        return install_walker(sim, kernel, bpf, "/list", hook=hook)
+
+    def submit(kernel, bpf, proc, fd, _ring, length, args, scratch_init):
+        try:
+            return (yield from bpf.read_chain(proc, fd, ORDER[0] * 4096,
+                                              length, args, scratch_init))
+        except InvalidArgument:
+            return None
+
+    return setup, submit
+
+
+def _uring_entry():
+    """A tagged SQE on an NVMe-hook installation: ``(setup, submit)``,
+    where ``submit`` returns the SQE's CQE result."""
+
+    def setup(sim, kernel, bpf):
+        return install_walker(sim, kernel, bpf, "/list")
+
+    def submit(kernel, bpf, proc, fd, ring, length, args, scratch_init):
+        ring.prep_read(fd, ORDER[0] * 4096, length, user_data="sqe",
+                       tagged=True, args=args, scratch_init=scratch_init)
+        (cqe,) = yield from ring.enter(wait_nr=1)
+        assert cqe.user_data == "sqe"
+        return cqe.result
+
+    return setup, submit
+
+
+@pytest.mark.parametrize("entry", [
+    _read_chain_entry(Hook.NVME), _read_chain_entry(Hook.SYSCALL),
+    _uring_entry()], ids=["read_chain-nvme", "read_chain-syscall", "uring"])
+@pytest.mark.parametrize("request_", [
+    dict(length=8192), dict(length=512), dict(scratch_init=bytes(300)),
+    dict(args=(1, 2, 3, 4, 5))],
+    ids=["length-8192", "length-512", "scratch-300", "args-5"])
+def test_a_bad_chain_request_is_refused_before_any_device_io(entry,
+                                                              request_):
+    # The program was verified against a 4 KiB data region and a 256 B
+    # scratch; a request that would hand it anything else is refused at
+    # the entry, before a command is posted, on every hook and every
+    # entry, and the entry keeps serving valid requests.
+    setup, submit = entry
+    sim, kernel, bpf = make_list_machine()
+    proc, fd = setup(sim, kernel, bpf)
+    ring = IoUring(kernel, proc)
+    bad = dict(length=4096, args=(), scratch_init=b"")
+    bad.update(request_)
+    completed = kernel.device.completed
+
+    def attempt(length, args, scratch_init):
+        return submit(kernel, bpf, proc, fd, ring, length, args,
+                      scratch_init)
+
+    refused = kernel.run_syscall(attempt(**bad))
+    # read_chain raises InvalidArgument; io_uring posts an EINVAL CQE.
+    assert refused is None or (refused.status, refused.data) == \
+        (ChainStatus.EINVAL, b"")
+    assert kernel.device.completed == completed  # no device I/O
+    result = kernel.run_syscall(attempt(4096, (), b""))
+    assert (result.status, result.hops, result.value) == \
+        (ChainStatus.OK, len(ORDER), 1000 + ORDER[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.ebpf import (
     assemble,
     verify,
 )
-from repro.ebpf.verifier import Scalar, _scalar_alu, dead_registers
+from repro.ebpf.verifier import _ARITH, Scalar, dead_registers
 
 HELPERS = storage_helpers()
 LAYOUT = CtxLayout(
@@ -274,36 +274,32 @@ def test_loop_with_distinct_states_not_falsely_pruned():
 
 def test_scalar_alu_add_overflow_widens():
     huge = Scalar(2**63, 2**64 - 1)
-    result = _scalar_alu("add", huge, huge, is32=False)
+    result = _ARITH["add", False](huge, huge)
     assert (result.umin, result.umax) == (0, 2**64 - 1)
 
 
 def test_scalar_alu_and_bounds():
-    result = _scalar_alu("and", Scalar(0, 2**64 - 1), Scalar(255, 255),
-                         is32=False)
+    result = _ARITH["and", False](Scalar(0, 2**64 - 1), Scalar(255, 255))
     assert (result.umin, result.umax) == (0, 255)
 
 
 def test_scalar_alu_mod_constant():
-    result = _scalar_alu("mod", Scalar(0, 2**64 - 1), Scalar(16, 16),
-                         is32=False)
+    result = _ARITH["mod", False](Scalar(0, 2**64 - 1), Scalar(16, 16))
     assert (result.umin, result.umax) == (0, 15)
 
 
 def test_scalar_alu_div_constant():
-    result = _scalar_alu("div", Scalar(100, 200), Scalar(10, 10),
-                         is32=False)
+    result = _ARITH["div", False](Scalar(100, 200), Scalar(10, 10))
     assert (result.umin, result.umax) == (10, 20)
 
 
 def test_scalar_alu_lsh_within_range():
-    result = _scalar_alu("lsh", Scalar(1, 4), Scalar(3, 3), is32=False)
+    result = _ARITH["lsh", False](Scalar(1, 4), Scalar(3, 3))
     assert (result.umin, result.umax) == (8, 32)
 
 
 def test_scalar_alu_32bit_clamps():
-    result = _scalar_alu("add", Scalar(2**32 - 1, 2**32 - 1),
-                         Scalar(10, 10), is32=True)
+    result = _ARITH["add", True](Scalar(2**32 - 1, 2**32 - 1), Scalar(10, 10))
     assert result.umax <= 2**32 - 1
 
 
