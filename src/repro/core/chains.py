@@ -1,7 +1,8 @@
 """The chain engine: dependent I/Os resubmitted from kernel hooks.
 
 This is the mechanism of §4.  A *chain* starts as an ordinary tagged read
-that walks the full stack once (syscall → ext4 → BIO → driver).  Every
+that walks the full stack once (syscall → ext4 → BIO → driver), through
+:meth:`ChainEngine.launch` on ``sys_pread`` and io_uring alike.  Every
 completion of a chain command is handed to :meth:`ChainEngine.handle_completion`
 by the NVMe driver, which runs — in interrupt context, charging only IRQ +
 BPF + driver costs — the installed program over the fetched block and either:
@@ -15,10 +16,12 @@ BPF + driver costs — the installed program over the fetched block and either:
   resubmission bound (``ECHAINLIM``), an action the hooks do not define
   (``EINVAL``), or a split translation, which falls back to the
   application exactly as §4's granularity-mismatch rule prescribes (buffer
-  + ``SPLIT_FALLBACK`` status, app restarts the chain at the next hop).  A
-  split read is an ordinary segmented read: :meth:`Kernel.transfer` for a
-  blocked reader's first hop, :meth:`Kernel.gather` for an io_uring first
-  hop and a mid-chain hop.
+  + ``SPLIT_FALLBACK`` status, app restarts the chain at the next hop).
+  Every split, a first hop on either entry or a mid-chain hop, is one
+  gather step (:meth:`Kernel.gather`) charged in the caller's context.  A
+  segment failed by a power cut ends the chain ``EIO``; any other failed
+  segment hands the hop back as ``FAULT_FALLBACK``, the ending of a
+  faulted hop whose retries ran out.
 
 The same engine also implements the syscall-dispatch hook: the program runs
 in thread context after each completed read and asks the dispatch layer to
@@ -240,26 +243,40 @@ class ChainEngine:
     # NVMe-hook chains
     # ------------------------------------------------------------------
 
-    def _descend(self, state: ChainState):
-        """Generator: an NVMe-hook chain's first ext4 + BIO descent (thread
-        context), under the root span the entry opened; returns the
-        segments."""
-        self.chains_started += 1
-        return (yield from self.kernel.map_bio(state.file, state.offset,
-                                               state.length, state.span,
-                                               "chain"))
+    def launch(self, state: ChainState):
+        """Generator: the one start of an NVMe-hook chain, on both entries
+        (thread context, the entry's charge paid, ``state.span`` and
+        ``state.deliver`` set).
 
-    def _first_hop(self, state: ChainState, lba: int, sectors: int):
-        """Generator: post the chain-tagged read of a single-extent first
-        hop; its completion (and every recycled one) goes to
-        :meth:`handle_completion`."""
+        Runs the first ext4 + BIO descent under the root span, then posts
+        the chain-tagged first hop, whose completion (and every recycled
+        one) goes to :meth:`handle_completion`; a first hop that already
+        spans discontiguous extents is read by the split step instead.  A
+        range the file system refuses closes the root span and raises
+        :class:`InvalidArgument` to the entry.
+        """
         kernel = self.kernel
+        try:
+            segments = yield from kernel.map_bio(state.file, state.offset,
+                                                 state.length, state.span,
+                                                 "chain")
+        except InvalidArgument:
+            if kernel.bus.enabled:
+                kernel.bus.span_end(state.span, kernel.sim.now,
+                                    status=ChainStatus.EINVAL, hops=0)
+            raise
+        self.chains_started += 1
+        if len(segments) > 1:
+            yield from self._split(state, segments, kernel.cpus.run_thread,
+                                   state.span)
+            return
         yield from kernel.cpus.run_thread(kernel.cost.nvme_driver_ns)
+        lba, sectors = segments[0]
         kernel.post("read", lba, sectors, kind="chain", chain=state,
                     span=state.span, path="chain", queue=state.queue,
                     tenant=kernel.tenant_of(state.proc))
 
-    def _complete(self, state: ChainState, result: ReadResult) -> None:
+    def end_span(self, state: ChainState, result: ReadResult) -> None:
         """Close the chain's root span (bus must be enabled)."""
         bus = self.kernel.bus
         bus.emit(obs_events.CHAIN_COMPLETE, self.kernel.sim.now,
@@ -268,87 +285,54 @@ class ChainEngine:
         bus.span_end(state.span, self.kernel.sim.now, status=result.status,
                      hops=result.hops)
 
-    def start_chain(self, state: ChainState):
-        """Generator: ``sys_pread``'s NVMe-hook path (thread context,
-        syscall entry already charged).
+    # -- the split fallback (§4) -------------------------------------------
 
-        Runs the first hop through the full stack, then blocks while the
-        chain progresses in interrupt context; closes the root span the
-        syscall opened (``state.span``).  Returns a ReadResult.
-        """
+    def _split(self, state: ChainState, segments, charge: Callable,
+               span: int):
+        """Generator: read a hop whose range crosses discontiguous extents
+        as a normal BIO, for every split: a first hop (``charge`` is
+        ``cpus.run_thread``) and a mid-chain hop (``run_irq`` on the
+        chain's queue).  :meth:`_finish_split` delivers it."""
         kernel = self.kernel
-        cost = kernel.cost
-        bus = kernel.bus
-        waiter = kernel.sim.event()
-        state.deliver = waiter.succeed
-        segments = yield from self._descend(state)
-        if len(segments) > 1:
-            # First hop already spans discontiguous extents: do it as a
-            # normal BIO and let the application restart the chain (§4).
-            # A media error ends the read as EIO.
-            try:
-                data = yield from kernel.transfer(
-                    "read", segments, what="chain read", span=state.span,
-                    path="chain", queue=state.queue,
-                    tenant=kernel.tenant_of(state.proc))
-                self.split_fallbacks += 1
-                result = ReadResult(data, status=ChainStatus.SPLIT_FALLBACK,
-                                    final_offset=state.offset,
-                                    scratch=bytes(state.scratch))
-            except IoError:
-                result = ReadResult(b"", status=ChainStatus.EIO,
-                                    final_offset=state.offset,
-                                    scratch=bytes(state.scratch))
-        else:
-            yield from self._first_hop(state, *segments[0])
-            result = yield waiter
-        yield from kernel.cpus.run_thread(cost.context_switch_ns)
-        if bus.enabled:
-            bus.emit(obs_events.CONTEXT_SWITCH, kernel.sim.now,
-                     cpu_ns=cost.context_switch_ns, span=state.span,
-                     path="chain")
-            self._complete(state, result)
-        return result
+        self.split_fallbacks += 1
+        yield from kernel.gather(
+            segments, charge, partial(self._finish_split, state, span),
+            span=span, path="chain", queue=state.queue,
+            tenant=kernel.tenant_of(state.proc))
 
-    def submit_uring_chain(self, state: ChainState,
-                           post_cqe: Callable[[ReadResult], None]):
-        """Generator: io_uring's NVMe-hook path (thread context); the chain
-        closes the SQE's root span (``state.span``) when it delivers."""
-        kernel = self.kernel
-
-        def deliver(result: ReadResult) -> None:
-            if kernel.bus.enabled:
-                self._complete(state, result)
-            post_cqe(result)
-
-        state.deliver = deliver
-        segments = yield from self._descend(state)
-        if len(segments) > 1:
-            # Split first hop: complete as a normal read with fallback
-            # status.
-            yield from kernel.gather(
-                segments, kernel.cpus.run_thread,
-                partial(self._finish_split, state), span=state.span,
-                path="chain", queue=state.queue,
-                tenant=kernel.tenant_of(state.proc))
-            self.split_fallbacks += 1
-            return
-        yield from self._first_hop(state, *segments[0])
-
-    # -- completion side ---------------------------------------------------
-
-    @staticmethod
-    def _finish_split(state: ChainState, data: Optional[bytes]) -> None:
-        """Deliver a split read gathered in the chain's name: the freshly
-        fetched buffer as SPLIT_FALLBACK (the application runs the program
-        itself and restarts the chain), or EIO if a segment failed."""
+    def _finish_split(self, state: ChainState, span: int,
+                      data: Optional[bytes]) -> None:
+        """Deliver a split read: the freshly fetched buffer as
+        SPLIT_FALLBACK (the application runs the program itself and
+        restarts the chain); ``EIO`` if a segment failed because the
+        device lost power; else the hop handed back as FAULT_FALLBACK."""
         state.hops += 1
-        if data is None:
+        if data is not None:
+            state.finish(ReadResult(data, status=ChainStatus.SPLIT_FALLBACK,
+                                    hops=state.hops,
+                                    final_offset=state.offset,
+                                    scratch=bytes(state.scratch)))
+        elif self.kernel.device.powered_off:
             state.fail(ChainStatus.EIO)
-            return
-        state.finish(ReadResult(data, status=ChainStatus.SPLIT_FALLBACK,
+        else:
+            self._fall_back(state, "split", span)
+
+    def _fall_back(self, state: ChainState, reason: str, span: int) -> None:
+        """Hand the current hop back to the application (FAULT_FALLBACK)
+        with its continuation (offset + scratch), so a robust caller
+        restarts a fresh bounded chain from it."""
+        kernel = self.kernel
+        self.fault_fallbacks += 1
+        if kernel.bus.enabled:
+            kernel.bus.emit(obs_events.CHAIN_FALLBACK, kernel.sim.now,
+                            pid=state.proc.pid, hops=state.hops,
+                            offset=state.offset, reason=reason, span=span,
+                            path="chain")
+        state.finish(ReadResult(b"", status=ChainStatus.FAULT_FALLBACK,
                                 hops=state.hops, final_offset=state.offset,
                                 scratch=bytes(state.scratch)))
+
+    # -- completion side ---------------------------------------------------
 
     def handle_completion(self, command: NvmeCommand) -> None:
         """Every completion whose cookie.kind == "chain" (the kernel calls
@@ -435,30 +419,23 @@ class ChainEngine:
                 state.fail(ChainStatus.EXTENT_INVALIDATED)
                 return False
             if len(runs) > 1:
-                # Granularity mismatch (§4): perform the split I/O as a
-                # normal BIO from the completion path and hand the *new*
-                # buffer to the application, which runs the function
-                # itself and restarts the chain at the next hop.
-                self.split_fallbacks += 1
+                # Granularity mismatch (§4): read the hop as a normal BIO
+                # from the completion path and hand the *new* buffer to
+                # the application, which runs the function itself and
+                # restarts the chain at the next hop.
                 yield from kernel.run_irq(cost.bio_ns, queue)
                 if self._snapshot_lost(state, entry):
                     return False
-                segments = kernel.fs.map_range(state.file.inode,
-                                               next_offset, state.length,
-                                               span=hop_span, path="chain",
-                                               resolve_ns=0)
                 if bus.enabled:
                     bus.emit(obs_events.BIO_SUBMIT, kernel.sim.now,
-                             cpu_ns=cost.bio_ns, segments=len(segments),
+                             cpu_ns=cost.bio_ns, segments=len(runs),
                              span=hop_span, path="chain")
                     bus.emit(obs_events.BIO_SPLIT, kernel.sim.now,
-                             segments=len(segments), span=hop_span,
+                             segments=len(runs), span=hop_span,
                              path="chain")
-                yield from kernel.gather(
-                    segments, partial(kernel.run_irq, queue=queue),
-                    partial(self._finish_split, state), span=hop_span,
-                    path="chain", queue=queue,
-                    tenant=kernel.tenant_of(state.proc))
+                yield from self._split(state, runs,
+                                       partial(kernel.run_irq, queue=queue),
+                                       hop_span)
                 return False
             self.accounting.charge(state.proc)
             install.resubmissions += 1
@@ -496,11 +473,12 @@ class ChainEngine:
         """End the chain ``EEXTENT`` if the extent snapshot ``entry`` is
         gone (None) or invalidated; True when it did.
 
-        Called at the hop's entry and again immediately before every send
-        from interrupt context (a recycle, a fault retry, a split's
-        ``map_range``): simulated time passes in between (the program's
-        run, QoS pacing, the driver charge, a retry's backoff), and an
-        unmap in that window must not let the chain reach freed blocks.
+        Called at the hop's entry and again before every send from
+        interrupt context (a recycle or a fault retry after its driver
+        charge, a split before its gather charges each segment's):
+        simulated time passes in between (the program's run, QoS pacing,
+        the driver charge, a retry's backoff), and an unmap in that window
+        must not let the chain reach freed blocks.
         """
         if entry is not None and entry.valid:
             return False
@@ -522,7 +500,6 @@ class ChainEngine:
         Returns True if the descriptor went back out.
         """
         kernel = self.kernel
-        bus = kernel.bus
         reason, backoff = kernel.retry_verdict(
             command, state.attempts + 1,
             self.accounting.may_resubmit(state.proc, state.hops), hop_span,
@@ -541,19 +518,8 @@ class ChainEngine:
             return True
         if reason == "power":
             state.fail(ChainStatus.EIO)
-            return False
-        # Budget exhausted: degrade to user space with the continuation
-        # (offset + scratch) so a robust caller restarts a fresh bounded
-        # chain from the faulted hop.
-        self.fault_fallbacks += 1
-        if bus.enabled:
-            bus.emit(obs_events.CHAIN_FALLBACK, kernel.sim.now,
-                     pid=state.proc.pid, hops=state.hops,
-                     offset=state.offset, reason=reason, span=hop_span,
-                     path="chain")
-        state.finish(ReadResult(b"", status=ChainStatus.FAULT_FALLBACK,
-                                hops=state.hops, final_offset=state.offset,
-                                scratch=bytes(state.scratch)))
+        else:
+            self._fall_back(state, reason, hop_span)
         return False
 
     # ------------------------------------------------------------------

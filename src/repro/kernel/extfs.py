@@ -516,8 +516,7 @@ class ExtFs:
             self._notify(inode, "unmap")
 
     def map_range(self, inode: Inode, offset: int, length: int,
-                  span: int = 0, path: str = "normal",
-                  resolve_ns: Optional[int] = None
+                  span: int = 0, path: str = "normal"
                   ) -> List[Tuple[int, int]]:
         """Translate a byte range to ``(lba, sectors)`` segments.
 
@@ -525,9 +524,7 @@ class ExtFs:
         (:meth:`ExtentTree.map_range`).  More than one segment means the
         BIO layer must split.  ``span``/``path`` tag the
         emitted ``fs_resolve`` tracepoint; the CPU cost itself is charged
-        by the caller, mirrored here as ``cpu_ns`` (``resolve_ns``
-        overrides it for call sites that charge a different amount, e.g.
-        the IRQ-context split fallback which charges no fs cost).
+        by the caller, mirrored here as ``cpu_ns``.
         """
         segments = inode.extents.map_range(offset, length)
         if segments is None:
@@ -538,8 +535,7 @@ class ExtFs:
             self.bus.emit(obs_events.FS_RESOLVE, self.clock(),
                           ino=inode.number, offset=offset, length=length,
                           segments=len(segments),
-                          cpu_ns=(self.resolve_cost_ns if resolve_ns is None
-                                  else resolve_ns),
+                          cpu_ns=self.resolve_cost_ns,
                           span=span, path=path)
         return segments
 

@@ -8,13 +8,13 @@ not the stack).  Completions arrive over interrupts into the CQ; the
 reaping thread blocks until ``wait_nr`` CQEs are available.
 
 A tagged SQE goes where :meth:`Kernel.read_path` sends a tagged
-``sys_pread``: on an NVMe-hook installation to the kernel's chain engine,
-whose CQE is posted only when the chain finishes.  The refusal rule: an
-SQE tagged for the syscall hook (io_uring has no dispatch loop to run it
-in), or one the chain engine's ``begin`` refuses (more than 4 args, a
-length other than the installed block size, a ``scratch_init`` larger than
-the installed scratch), completes at once with ``EINVAL``: no span, no
-per-SQE charge, no device I/O, and the rest of the batch goes on.
+``sys_pread``: on an NVMe-hook installation to the chain engine's
+``launch``, whose CQE is posted only when the chain finishes.  The refusal
+rule: an SQE naming a descriptor the process does not hold (``EBADF``),
+tagged for the syscall hook (io_uring has no dispatch loop to run it in),
+or one the chain engine's ``begin`` refuses (``EINVAL``) completes at once:
+no span, no per-SQE charge, no device I/O, and the rest of the batch goes
+on.  So does a chain whose range ``launch`` finds refused (``EINVAL``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, List, Optional
 
-from repro.errors import InvalidArgument, IoError
+from repro.errors import BadFileDescriptor, InvalidArgument, IoError
 from repro.kernel.kernel import ChainStatus, Kernel, ReadResult
 from repro.kernel.process import Process
 from repro.obs import events as obs_events
@@ -104,19 +104,20 @@ class IoUring:
                      path="uring", span=0, batch=len(submitted))
 
         for sqe in submitted:
-            file = self.proc.file(sqe.fd)
-            path = kernel.read_path(file, sqe.tagged)
-            refused = path == "syscall"
-            if path == "chain":
-                try:
+            try:
+                file = self.proc.file(sqe.fd)
+                path = kernel.read_path(file, sqe.tagged)
+                if path == "syscall":
+                    raise InvalidArgument("io_uring has no dispatch loop")
+                if path == "chain":
                     state = kernel.chains.begin(
                         self.proc, file, sqe.offset, sqe.length, sqe.args,
                         sqe.scratch_init)
-                except InvalidArgument:
-                    refused = True
-            if refused:
+            except (BadFileDescriptor, InvalidArgument) as refusal:
+                # ReadResult takes the errno's name as its status.
                 self._cq.append(Cqe(sqe.user_data, ReadResult(
-                    b"", status=ChainStatus.EINVAL, final_offset=sqe.offset)))
+                    b"", status=refusal.errno_name.lower(),
+                    final_offset=sqe.offset)))
                 continue
             chained = path == "chain"
             path = "chain" if chained else "uring"
@@ -133,9 +134,15 @@ class IoUring:
                          uring_ns=cost.iouring_sqe_ns, path=path, span=span)
             if chained:
                 state.span = span
+                state.deliver = partial(self._complete_chain, sqe.user_data,
+                                        state)
                 self._in_flight += 1
-                yield from kernel.chains.submit_uring_chain(
-                    state, partial(self._post_cqe, sqe.user_data))
+                try:
+                    yield from kernel.chains.launch(state)
+                except InvalidArgument:  # the file system refused it
+                    self._post_cqe(sqe.user_data, ReadResult(
+                        b"", status=ChainStatus.EINVAL,
+                        final_offset=sqe.offset))
                 continue
             # Normal async path: fs -> bio -> driver, completion by IRQ.
             segments = yield from kernel.map_bio(file, sqe.offset,
@@ -178,6 +185,13 @@ class IoUring:
         return reaped
 
     # -- kernel side -------------------------------------------------------
+
+    def _complete_chain(self, user_data: Any, state: Any,
+                        result: ReadResult) -> None:
+        """Deliver a chain's result: close its root span, post its CQE."""
+        if self.kernel.bus.enabled:
+            self.kernel.chains.end_span(state, result)
+        self._post_cqe(user_data, result)
 
     def _complete_sqe(self, sqe: Sqe, span: int,
                       data: Optional[bytes]) -> None:

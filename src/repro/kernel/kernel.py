@@ -134,15 +134,20 @@ class ChainStatus(str, enum.Enum):
     OK = "ok"
     EXTENT_INVALIDATED = "eextent"
     SPLIT_FALLBACK = "split-fallback"
-    #: A faulted hop exhausted the in-kernel retry budget; the chain was
-    #: handed back (with its scratch) to finish in user space.
+    #: A hop's read failed, not by a power cut: a faulted hop once the
+    #: in-kernel retry budget ran out, or a split read with a failed
+    #: segment.  The hop was handed back (with its scratch) to finish in
+    #: user space.
     FAULT_FALLBACK = "fault-fallback"
     CHAIN_LIMIT = "echainlim"
     EIO = "eio"
     #: The program asked for an action the hooks do not define; also an
     #: io_uring SQE tagged for the syscall hook, which io_uring cannot run,
-    #: or one the chain engine's ``begin`` refuses.
+    #: one the chain engine's ``begin`` refuses, or a tagged one whose
+    #: range the file system refuses.
     EINVAL = "einval"
+    #: An io_uring SQE naming a descriptor the process does not hold.
+    EBADF = "ebadf"
 
     # Render as the bare value ("ok", not "ChainStatus.OK") on every
     # supported Python version, so tables, f-strings, and label keys are
@@ -272,11 +277,12 @@ class Kernel:
         #: The chain engine (``repro.core.chains.ChainEngine``, duck-typed),
         #: or None.  It takes every tagged read :meth:`read_path` sends
         #: down a hook: ``begin`` checks the request and builds its chain
-        #: state before anything is charged, then ``start_chain`` (NVMe
-        #: hook) and ``syscall_hook`` (the dispatch loop's step) take that
-        #: state for ``sys_pread``, ``submit_uring_chain`` for io_uring;
-        #: and ``handle_completion`` takes every completion whose
-        #: cookie.kind == "chain".
+        #: state before anything is charged; ``launch`` starts an NVMe-hook
+        #: chain from that state on both entries (``sys_pread`` and
+        #: io_uring each set the state's ``deliver``, and close its root
+        #: span through ``end_span``); ``syscall_hook`` is the dispatch
+        #: loop's step; and ``handle_completion`` takes every completion
+        #: whose cookie.kind == "chain".
         self.chains: Any = None
         #: ioctl dispatch: op code -> generator fn(proc, file, arg) -> int.
         self.ioctl_handlers: Dict[int, Callable] = {}
@@ -425,7 +431,17 @@ class Kernel:
         if state is not None:
             state.span = span
         if io_path == "chain":
-            result = yield from self.chains.start_chain(state)
+            # Block while the chain runs in interrupt context.
+            waiter = self.sim.event()
+            state.deliver = waiter.succeed
+            yield from self.chains.launch(state)
+            result = yield waiter
+            yield from self.cpus.run_thread(self.cost.context_switch_ns)
+            if self.bus.enabled:
+                self.bus.emit(obs_events.CONTEXT_SWITCH, self.sim.now,
+                              cpu_ns=self.cost.context_switch_ns, span=span,
+                              path=io_path)
+                self.chains.end_span(state, result)
             return result
 
         queue = self.queue_for(proc)
@@ -635,7 +651,7 @@ class Kernel:
 
     def transfer(self, opcode: str, segments: List[Tuple[int, int]],
                  data: Optional[bytes] = None, held: bool = False,
-                 what: str = "", span: int = 0, path: str = "normal",
+                 span: int = 0, path: str = "normal",
                  queue: int = 0, tenant: Optional[str] = None):
         """Generator: move ``segments`` for a waiting caller; returns the
         bytes, joined in segment order.
@@ -660,8 +676,8 @@ class Kernel:
             if completed.status and error is None:
                 try:
                     completed = yield from self._retry(
-                        completed, chunk, what or opcode, charge, kind, span,
-                        path, queue, tenant)
+                        completed, chunk, opcode, charge, kind, span, path,
+                        queue, tenant)
                 except (IoError, PowerLossError) as exc:
                     error = exc
             chunks.append(completed.data)

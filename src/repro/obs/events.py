@@ -66,9 +66,11 @@ event type                emitted by / meaning
                           failed command; ``reason`` ("media"/
                           "timeout"), ``attempt``, ``backoff_ns``,
                           ``lba``; emitted when the backoff sleep starts.
-``chain_fallback``        a faulted chain hop exhausted its retries and
-                          the chain was handed back to user space;
-                          ``pid``, ``hops``, ``offset``, ``reason``.
+``chain_fallback``        a faulted chain hop exhausted its retries, or
+                          a split read lost a segment, and the chain was
+                          handed back to user space; ``pid``, ``hops``,
+                          ``offset``, ``reason`` ("media"/"timeout"/
+                          "split").
 ``span_start``            a span opened; ``span``, ``parent``, ``name``.
 ``span_end``              a span closed; ``span`` plus result attributes.
 ``nvme_flush``            the device drained its volatile write cache;

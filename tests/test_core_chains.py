@@ -455,23 +455,125 @@ def test_first_hop_split_falls_back_and_recovers():
     assert result.value == 1000 + order[-1]
 
 
-def test_first_hop_split_surfaces_power_loss():
-    # A dead device is not a media error: the driver does not retry it, and
-    # the split first hop raises instead of returning an EIO result.
-    order = list(range(11))
-    sim, kernel, bpf = build_machine(max_extent_blocks=2)
-    kernel.create_file("/list", linked_file_bytes(order) + bytes(4096))
+#: Eleven linked 4 KiB blocks plus a spare one, in two-block extents with
+#: guard gaps: an 8 KiB read at offset 4096 (blocks 1-2) splits.  A chain
+#: started there splits on its first hop; one started at 0 reads blocks
+#: 0-1 whole and splits on its second hop, at 4096.
+WIDE = linked_file_bytes(list(range(11))) + bytes(4096)
+SPLIT_HOPS = {4096: 1, 0: 2}
+
+
+def split_machine(**kwargs):
+    sim, kernel, bpf = build_machine(max_extent_blocks=2, **kwargs)
+    kernel.create_file("/list", WIDE)
     proc, fd = install_walker(sim, kernel, bpf, "/list", block_size=8192)
+    return sim, kernel, bpf, proc, fd
 
-    def cut():
-        # The first segment's read is in flight.
-        yield sim.timeout(software_ns(kernel.cost) +
-                          NVM2_EXACT.read_ns // 2)
-        kernel.crash()
 
-    sim.spawn(cut(), name="cut")
-    with pytest.raises(PowerLossError):
-        kernel.run_syscall(bpf.read_chain(proc, fd, 4096, 8192))
+def tagged_read(entry, kernel, bpf, proc, fd, offset):
+    """Generator: one 8 KiB tagged read at ``offset`` through ``entry``
+    (``sys_pread`` or the ring); returns its ReadResult."""
+    if entry == "sys_pread":
+        return (yield from bpf.read_chain(proc, fd, offset, 8192))
+    ring = IoUring(kernel, proc)
+    ring.prep_read(fd, offset, 8192, user_data="sqe", tagged=True)
+    (cqe,) = yield from ring.enter(wait_nr=1)
+    assert cqe.user_data == "sqe"
+    return cqe.result
+
+
+def cut_after_submissions(kernel, count):
+    """Cut power as soon as the device has taken ``count`` commands."""
+    submit = kernel.device.submit
+    seen = []
+
+    def cut(command):
+        submit(command)
+        seen.append(command)
+        if len(seen) == count:
+            kernel.crash()
+
+    kernel.device.submit = cut
+
+
+ENTRIES = pytest.mark.parametrize("entry", ["sys_pread", "uring"])
+HOPS = pytest.mark.parametrize("offset", [4096, 0],
+                               ids=["first-hop", "later-hop"])
+
+
+@ENTRIES
+@HOPS
+def test_a_split_hop_hands_the_block_back(entry, offset):
+    # The split is read as a normal BIO and its block handed back with the
+    # continuation; the file system is consulted once, by the first
+    # descent, never by the NVMe layer.
+    bus = TraceBus(enabled=True)
+    resolves = []
+    bus.subscribe(resolves.append, events.FS_RESOLVE)
+    sim, kernel, bpf, proc, fd = split_machine(bus=bus)
+    resolves.clear()
+    result = kernel.run_syscall(tagged_read(entry, kernel, bpf, proc, fd,
+                                            offset))
+    assert (result.status, result.hops, result.final_offset) == \
+        (ChainStatus.SPLIT_FALLBACK, SPLIT_HOPS[offset], 4096)
+    assert result.data == WIDE[4096:12288]
+    assert result.scratch == bytes(256)
+    assert [event.get("offset") for event in resolves] == [offset]
+    assert bpf.engine.split_fallbacks == 1
+
+
+@ENTRIES
+def test_first_hop_split_surfaces_power_loss(entry):
+    # A power cut while both segments of a split first hop are in service
+    # ends the read EIO on either entry, as it does anywhere else in a
+    # chain; nothing is raised and nothing is retried.
+    sim, kernel, bpf, proc, fd = split_machine()
+    cut_after_submissions(kernel, 2)
+    result = kernel.run_syscall(tagged_read(entry, kernel, bpf, proc, fd,
+                                            4096))
+    assert (result.status, result.hops, result.final_offset, result.data) \
+        == (ChainStatus.EIO, 1, 4096, b"")
+    assert kernel.nvme_retries == 0
+
+
+@ENTRIES
+def test_later_hop_split_surfaces_power_loss(entry):
+    sim, kernel, bpf, proc, fd = split_machine()
+    cut_after_submissions(kernel, 3)  # the first hop, then two segments
+    result = kernel.run_syscall(tagged_read(entry, kernel, bpf, proc, fd, 0))
+    assert (result.status, result.hops, result.final_offset, result.data) \
+        == (ChainStatus.EIO, 2, 4096, b"")
+
+
+@ENTRIES
+@HOPS
+def test_a_failed_split_hands_the_hop_back(entry, offset):
+    # A one-shot media error on the split's first segment: the hop is
+    # handed back as FAULT_FALLBACK with its continuation, on every entry
+    # and at every hop, and the robust read's restart recovers.
+    sim, kernel, bpf, proc, fd = split_machine(fault_plan=FaultSpec(seed=1))
+    lba = kernel.fs.lookup("/list").extents.lookup(1) * 8
+    kernel.fault_plan.inject(lba, times=1)
+    result = kernel.run_syscall(tagged_read(entry, kernel, bpf, proc, fd,
+                                            offset))
+    assert (result.status, result.hops, result.final_offset, result.data) \
+        == (ChainStatus.FAULT_FALLBACK, SPLIT_HOPS[offset], 4096, b"")
+    assert result.scratch == bytes(256)
+    assert kernel.nvme_retries == 0
+    assert (bpf.engine.split_fallbacks, bpf.engine.fault_fallbacks) == (1, 1)
+    kernel.fault_plan.inject(lba, times=1)
+    result = kernel.run_syscall(bpf.read_chain_robust(proc, fd, offset, 8192,
+                                                      max_retries=16))
+    assert (result.status, result.value) == (ChainStatus.OK, 1010)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_robust_read_over_split_hops_survives_media_errors(seed):
+    sim, kernel, bpf, proc, fd = split_machine(
+        fault_plan=FaultSpec(seed=seed, read_error_rate=0.05))
+    result = kernel.run_syscall(bpf.read_chain_robust(proc, fd, 4096, 8192,
+                                                      max_retries=16))
+    assert (result.status, result.value) == (ChainStatus.OK, 1010)
 
 
 def test_hop_across_a_split_and_then_a_hole_ends_eextent():
@@ -502,7 +604,7 @@ def test_hop_across_a_split_and_then_a_hole_ends_eextent():
                          ids=["uring-first-hop", "mid-chain"])
 def test_split_gather_delivers_once(prior_hops):
     # A split chain read is gathered by Kernel.gather and delivered by
-    # ChainEngine._finish_split.  The io_uring first hop gathers before any
+    # ChainEngine._finish_split.  A first hop gathers before any
     # completion step has run (hops == 0); the mid-chain split gathers
     # after ``prior_hops`` of them.
     sim, kernel, bpf = make_list_machine(fault_plan=FaultSpec())
@@ -520,7 +622,7 @@ def test_split_gather_delivers_once(prior_hops):
         state.hops = prior_hops
         kernel.run_syscall(kernel.gather(
             segments[:count], kernel.cpus.run_thread,
-            partial(ChainEngine._finish_split, state)))
+            partial(bpf.engine._finish_split, state, 0)))
         return delivered, state
 
     (result,), state = gather(2)
@@ -533,10 +635,13 @@ def test_split_gather_delivers_once(prior_hops):
 
     kernel.fault_plan.inject(segments[1][0])  # gather does not retry
     (result,), state = gather(3)
-    assert result.status == ChainStatus.EIO
+    assert result.status == ChainStatus.FAULT_FALLBACK
     assert (result.data, result.hops, result.final_offset) == \
         (b"", prior_hops + 1, 8192)
+    assert result.scratch == bytes(state.scratch)
+    assert result.scratch.startswith(b"abc")
     assert state.hops == prior_hops + 1
+    assert bpf.engine.fault_fallbacks == 1
 
 
 def test_contiguous_chain_never_falls_back():
@@ -878,6 +983,57 @@ def test_iouring_sqe_tagged_for_the_syscall_hook_is_einval():
     assert (cqe.user_data, cqe.result.status, cqe.result.data) == \
         ("tagged", ChainStatus.EINVAL, b"")
     assert kernel.device.completed == completed  # no device I/O
+
+
+def run_batch(kernel, proc, ring, sqes):
+    """Generator: submit ``sqes`` (``(fd, offset)``, tagged 4 KiB reads,
+    user_data their index) with ``enter(wait_nr=0)``, then wait for every
+    outstanding one; returns the statuses in submission order."""
+    for index, (fd, offset) in enumerate(sqes):
+        ring.prep_read(fd, offset, 4096, user_data=index, tagged=True)
+    cqes = yield from ring.enter(wait_nr=0)
+    cqes += yield from ring.enter(wait_nr=len(ring._cq) + ring._in_flight)
+    return [cqe.result.status
+            for cqe in sorted(cqes, key=lambda cqe: cqe.user_data)]
+
+
+def test_iouring_sqe_with_a_bad_fd_gets_its_own_cqe():
+    with ObsSession() as obs:
+        sim, kernel, bpf = make_list_machine()
+    proc, fd = install_walker(sim, kernel, bpf, "/list")
+    ring = IoUring(kernel, proc)
+    statuses = kernel.run_syscall(
+        run_batch(kernel, proc, ring, [(fd, 0), (99, 0), (fd, 8192)]))
+    assert statuses == [ChainStatus.OK, ChainStatus.EBADF, ChainStatus.OK]
+    assert ring._in_flight == 0
+    # No span and no per-SQE charge for the refused SQE.
+    sqes = obs.registry.get("syscalls_total").value(op="uring_sqe")
+    assert sqes == 2
+
+
+@pytest.mark.parametrize("offset", [4097, 100 * 4096],
+                         ids=["unaligned", "past-eof"])
+def test_a_chain_whose_first_descent_raises_is_answered(offset):
+    # The file system refuses the range after the chain was counted in
+    # flight: the SQE gets an EINVAL CQE and the batch goes on, and
+    # sys_pread raises the typed error.  Each closes its root span.
+    bus = TraceBus(enabled=True)
+    spans = SpanCollector(bus)
+    sim, kernel, bpf = make_list_machine(bus=bus)
+    proc, fd = install_walker(sim, kernel, bpf, "/list")
+    ring = IoUring(kernel, proc)
+    statuses = kernel.run_syscall(
+        run_batch(kernel, proc, ring, [(fd, 0), (fd, offset), (fd, 8192)]))
+    assert statuses == [ChainStatus.OK, ChainStatus.EINVAL, ChainStatus.OK]
+    assert ring._in_flight == 0
+    with pytest.raises(InvalidArgument):
+        kernel.run_syscall(bpf.read_chain(proc, fd, offset, 4096))
+    roots = spans.find_roots("read_chain")
+    assert len(roots) == 4
+    assert all(root.end_ns is not None for root in roots)
+    assert [root.attrs["status"] for root in roots] == \
+        [ChainStatus.OK, ChainStatus.EINVAL, ChainStatus.OK,
+         ChainStatus.EINVAL]
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 A range whose extents are not contiguous maps to several ``(lba,
 sectors)`` segments.  ``Kernel.transfer`` moves them for a waiting caller
-(``sys_pread``, ``sys_pwrite``, a synchronous chain's split first hop) and
-``Kernel.gather`` for a caller that does not wait (plain io_uring SQEs, an
-io_uring chain's split first hop, the mid-chain split).  Both post every
-segment back to back and join the chunks in segment order, whatever order
-a jittered device completes them in.  Each regression test pins one seed
-on which segments complete out of order, and checks the synchronous path
-on the same machine as the control.
+(``sys_pread``, ``sys_pwrite``) and retries a failed segment in place;
+``Kernel.gather`` moves them for a caller that does not wait (plain
+io_uring SQEs, and every split chain hop: a first hop on either entry and
+a mid-chain hop) and retries nothing.  Both post every segment back to
+back and join the chunks in segment order, whatever order a jittered
+device completes them in.  Each regression test pins one seed on which
+segments complete out of order, and checks the synchronous path on the
+same machine as the control.
 """
 
 import pytest
@@ -148,7 +149,8 @@ def test_idle_fault_plan_leaves_split_latency_unchanged(op):
                          ids=["uring-sqe", "mid-chain-split"])
 def test_failed_segment_is_delivered_after_the_others_complete(tagged):
     # The first of two segments fails; on a one-slot device the second
-    # completes a full service time later.  EIO waits for it.
+    # completes a full service time later.  The plain SQE's EIO and the
+    # split hop's FAULT_FALLBACK both wait for it.
     sim, kernel, bpf = build_machine(model=SERIAL, max_extent_blocks=2,
                                      fault_plan=FaultSpec(seed=1))
     kernel.create_file("/wide", WIDE)
@@ -171,7 +173,13 @@ def test_failed_segment_is_delivered_after_the_others_complete(tagged):
         return cqe.result
 
     result = kernel.run_syscall(workload())
-    assert result.status == ChainStatus.EIO
+    if tagged:
+        # The hop is handed back with its continuation.
+        assert (result.status, result.hops, result.final_offset) == \
+            (ChainStatus.FAULT_FALLBACK, 2, 4096)
+        assert result.scratch == bytes(256)
+    else:
+        assert result.status == ChainStatus.EIO
     assert result.data == b""
     assert kernel.device.media_errors == 1
     assert in_flight_at_delivery == [0]
